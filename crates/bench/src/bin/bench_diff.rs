@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use airtime_bench::diff::{compare, to_json, DiffMode};
+use airtime_bench::diff::{compare, to_json};
 use airtime_bench::print_table;
 
 const USAGE: &str =
@@ -72,13 +72,9 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e),
     };
     println!(
-        "bench-diff: {} vs {} ({} mode, threshold {:.0} %)",
+        "bench-diff: {} vs {} (threshold {:.0} %)",
         files[0],
         files[1],
-        match cmp.mode {
-            DiffMode::Aligned => "aligned",
-            DiffMode::Headline => "headline",
-        },
         threshold * 100.0
     );
     let rows: Vec<Vec<String>> = cmp

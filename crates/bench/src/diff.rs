@@ -8,34 +8,19 @@
 //! a configurable fraction. The `bench-diff` binary wraps it as the CI
 //! regression gate.
 //!
-//! Two modes, picked automatically:
-//!
-//! - **Aligned** (both documents carry the same `"bench"` name): every
-//!   `events_per_sec` leaf in the baseline must exist at the same
-//!   path in the candidate — combos/scenarios/cells are matched by
-//!   their identity keys, not array position — and each pair is
-//!   compared. A baseline path missing from the candidate is a schema
-//!   mismatch, not a pass.
-//! - **Headline** (different `"bench"` names, e.g. `queue_smoke` vs
-//!   `profile`): the documents measure different things, so only the
-//!   headline number — each document's *best* events/sec — is
-//!   compared. This is how `BENCH_pr4.json` gates a `profile` report.
+//! Both documents must carry the same `"bench"` name. Every
+//! `events_per_sec` leaf in the baseline must exist at the same path in
+//! the candidate — scenarios/labels/cells are matched by their identity
+//! keys, not array position — and each pair is compared. A baseline
+//! path missing from the candidate is a schema mismatch, not a pass.
 
 use airtime_obs::json::{self, Json, Obj};
-
-/// How two documents were compared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiffMode {
-    /// Same bench: every baseline leaf matched by path.
-    Aligned,
-    /// Different benches: best-vs-best only.
-    Headline,
-}
 
 /// One compared `events_per_sec` pair.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
-    /// Where the leaf lives (e.g. `combos[heap/dense]`).
+    /// Where the leaf lives (e.g. `scenarios[fig9].events_per_sec`'s
+    /// parent, `scenarios[fig9]`).
     pub path: String,
     /// Baseline events/sec.
     pub base: f64,
@@ -50,8 +35,6 @@ pub struct DiffRow {
 /// The outcome of a comparison.
 #[derive(Clone, Debug)]
 pub struct Comparison {
-    /// Which mode was used.
-    pub mode: DiffMode,
     /// Every compared pair, in baseline order.
     pub rows: Vec<DiffRow>,
     /// The regression threshold the rows were judged against.
@@ -85,13 +68,6 @@ pub fn to_json(cmp: &Comparison) -> String {
         .collect();
     Obj::new()
         .str("bench", "bench_diff")
-        .str(
-            "mode",
-            match cmp.mode {
-                DiffMode::Aligned => "aligned",
-                DiffMode::Headline => "headline",
-            },
-        )
         .f64("threshold", cmp.threshold)
         .raw("rows", &format!("[{}]", rows.join(",")))
         .bool("pass", !cmp.regressed())
@@ -99,10 +75,10 @@ pub fn to_json(cmp: &Comparison) -> String {
 }
 
 /// Keys that identify an array element for path alignment, tried in
-/// order. `combos[{"combo":"heap/dense",...}]` aligns by the combo
-/// name, scenarios by scenario name, cells by cell id — never by array
+/// order. `labels[{"label":"mac.tx_end",...}]` aligns by the label,
+/// scenarios by scenario name, cells by cell id — never by array
 /// position, so reordering a report is not a regression.
-const IDENTITY_KEYS: [&str; 5] = ["combo", "label", "scenario", "cell", "phase"];
+const IDENTITY_KEYS: [&str; 4] = ["label", "scenario", "cell", "phase"];
 
 fn element_identity(v: &Json, index: usize) -> String {
     for k in IDENTITY_KEYS {
@@ -156,9 +132,9 @@ pub fn eps_leaves(doc: &Json) -> Vec<(String, f64)> {
 ///
 /// `threshold` is the tolerated fractional drop in events/sec (0.10 =
 /// fail when the candidate is more than 10 % slower). Returns `Err`
-/// on unparsable input, documents with no `events_per_sec` leaves, or
-/// (in aligned mode) baseline paths missing from the candidate —
-/// schema drift must fail loudly, not pass silently.
+/// on unparsable input, documents with no `events_per_sec` leaves,
+/// documents from different benches, or baseline paths missing from
+/// the candidate — schema drift must fail loudly, not pass silently.
 pub fn compare(base_text: &str, cand_text: &str, threshold: f64) -> Result<Comparison, String> {
     if !(0.0..1.0).contains(&threshold) {
         return Err(format!("threshold must be in [0, 1), got {threshold}"));
@@ -174,10 +150,12 @@ pub fn compare(base_text: &str, cand_text: &str, threshold: f64) -> Result<Compa
         return Err("candidate has no events_per_sec fields".to_string());
     }
     let bench_of = |d: &Json| d.get("bench").and_then(Json::as_str).map(str::to_string);
-    let same_bench = match (bench_of(&base), bench_of(&cand)) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    };
+    let (base_bench, cand_bench) = (bench_of(&base), bench_of(&cand));
+    if base_bench != cand_bench {
+        return Err(format!(
+            "schema mismatch: baseline bench {base_bench:?} vs candidate {cand_bench:?}"
+        ));
+    }
 
     let judge = |path: String, base: f64, cand: f64| {
         let delta = if base > 0.0 {
@@ -194,82 +172,52 @@ pub fn compare(base_text: &str, cand_text: &str, threshold: f64) -> Result<Compa
         }
     };
 
-    if same_bench {
-        let mut rows = Vec::with_capacity(base_leaves.len());
-        for (path, b) in &base_leaves {
-            let c = cand_leaves
-                .iter()
-                .find(|(p, _)| p == path)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| {
-                    format!("schema mismatch: baseline path '{path}' missing from candidate")
-                })?;
-            rows.push(judge(path.clone(), *b, c));
-        }
-        Ok(Comparison {
-            mode: DiffMode::Aligned,
-            rows,
-            threshold,
-        })
-    } else {
-        // Different benches measure different scenarios; compare each
-        // document's best throughput.
-        let best = |leaves: &[(String, f64)]| {
-            leaves
-                .iter()
-                .cloned()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .expect("non-empty checked above")
-        };
-        let (bp, bv) = best(&base_leaves);
-        let (cp, cv) = best(&cand_leaves);
-        Ok(Comparison {
-            mode: DiffMode::Headline,
-            rows: vec![judge(format!("best[{bp} vs {cp}]"), bv, cv)],
-            threshold,
-        })
+    let mut rows = Vec::with_capacity(base_leaves.len());
+    for (path, b) in &base_leaves {
+        let c = cand_leaves
+            .iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| {
+                format!("schema mismatch: baseline path '{path}' missing from candidate")
+            })?;
+        rows.push(judge(path.clone(), *b, c));
     }
+    Ok(Comparison { rows, threshold })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(bench: &str, combos: &[(&str, f64)]) -> String {
-        let combos: Vec<String> = combos
+    fn doc(bench: &str, scenarios: &[(&str, f64)]) -> String {
+        let scenarios: Vec<String> = scenarios
             .iter()
-            .map(|(name, eps)| format!(r#"{{"combo":"{name}","events_per_sec":{eps}}}"#))
+            .map(|(name, eps)| format!(r#"{{"scenario":"{name}","events_per_sec":{eps}}}"#))
             .collect();
         format!(
-            r#"{{"bench":"{bench}","combos":[{}],"pass":true}}"#,
-            combos.join(",")
+            r#"{{"bench":"{bench}","scenarios":[{}],"pass":true}}"#,
+            scenarios.join(",")
         )
     }
 
     #[test]
     fn regression_beyond_threshold_is_detected() {
-        let base = doc(
-            "queue_smoke",
-            &[("heap", 3_000_000.0), ("wheel", 2_800_000.0)],
-        );
-        let cand = doc(
-            "queue_smoke",
-            &[("heap", 3_100_000.0), ("wheel", 1_000_000.0)],
-        );
+        let base = doc("profile", &[("fig9", 3_000_000.0), ("roam", 2_800_000.0)]);
+        let cand = doc("profile", &[("fig9", 3_100_000.0), ("roam", 1_000_000.0)]);
         let cmp = compare(&base, &cand, 0.25).unwrap();
-        assert_eq!(cmp.mode, DiffMode::Aligned);
         assert!(cmp.regressed());
-        let wheel = cmp.rows.iter().find(|r| r.path.contains("wheel")).unwrap();
-        assert!(wheel.regressed);
-        assert!(wheel.delta < -0.6);
-        let heap = cmp.rows.iter().find(|r| r.path.contains("[heap]")).unwrap();
-        assert!(!heap.regressed);
+        let roam = cmp.rows.iter().find(|r| r.path.contains("roam")).unwrap();
+        assert!(roam.regressed);
+        assert!(roam.delta < -0.6);
+        let fig9 = cmp.rows.iter().find(|r| r.path.contains("[fig9]")).unwrap();
+        assert!(!fig9.regressed);
     }
 
     #[test]
     fn drop_within_threshold_passes() {
-        let base = doc("queue_smoke", &[("heap", 3_000_000.0)]);
-        let cand = doc("queue_smoke", &[("heap", 2_700_000.0)]); // -10 %
+        let base = doc("profile", &[("fig9", 3_000_000.0)]);
+        let cand = doc("profile", &[("fig9", 2_700_000.0)]); // -10 %
         let cmp = compare(&base, &cand, 0.25).unwrap();
         assert!(!cmp.regressed());
         assert_eq!(cmp.rows.len(), 1);
@@ -296,7 +244,7 @@ mod tests {
     #[test]
     fn documents_without_events_per_sec_error() {
         let base = doc("b", &[("x", 100.0)]);
-        assert!(compare(&base, r#"{"bench":"b","combos":[]}"#, 0.25)
+        assert!(compare(&base, r#"{"bench":"b","scenarios":[]}"#, 0.25)
             .unwrap_err()
             .contains("candidate has no events_per_sec"));
         assert!(compare(r#"{"pass":true}"#, &base, 0.25)
@@ -308,14 +256,8 @@ mod tests {
 
     #[test]
     fn to_json_mirrors_rows_and_verdict() {
-        let base = doc(
-            "queue_smoke",
-            &[("heap", 3_000_000.0), ("wheel", 2_000_000.0)],
-        );
-        let cand = doc(
-            "queue_smoke",
-            &[("heap", 3_000_000.0), ("wheel", 1_000_000.0)],
-        );
+        let base = doc("profile", &[("fig9", 3_000_000.0), ("roam", 2_000_000.0)]);
+        let cand = doc("profile", &[("fig9", 3_000_000.0), ("roam", 1_000_000.0)]);
         let cmp = compare(&base, &cand, 0.25).unwrap();
         let text = to_json(&cmp);
         let parsed = json::parse(&text).expect("to_json output must reparse");
@@ -323,52 +265,27 @@ mod tests {
             parsed.get("bench").and_then(Json::as_str),
             Some("bench_diff")
         );
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("aligned"));
         assert_eq!(parsed.get("threshold").and_then(Json::as_f64), Some(0.25));
         assert_eq!(parsed.get("pass"), Some(&Json::Bool(false)));
         let Some(Json::Arr(rows)) = parsed.get("rows") else {
             panic!("rows must be an array: {text}");
         };
         assert_eq!(rows.len(), 2);
-        let wheel = rows
+        let roam = rows
             .iter()
-            .find(|r| r.get("path").and_then(Json::as_str) == Some("combos[wheel]"))
+            .find(|r| r.get("path").and_then(Json::as_str) == Some("scenarios[roam]"))
             .unwrap();
-        assert_eq!(wheel.get("base").and_then(Json::as_f64), Some(2_000_000.0));
-        assert_eq!(wheel.get("cand").and_then(Json::as_f64), Some(1_000_000.0));
-        assert_eq!(wheel.get("delta").and_then(Json::as_f64), Some(-0.5));
-        assert_eq!(wheel.get("regressed"), Some(&Json::Bool(true)));
+        assert_eq!(roam.get("base").and_then(Json::as_f64), Some(2_000_000.0));
+        assert_eq!(roam.get("cand").and_then(Json::as_f64), Some(1_000_000.0));
+        assert_eq!(roam.get("delta").and_then(Json::as_f64), Some(-0.5));
+        assert_eq!(roam.get("regressed"), Some(&Json::Bool(true)));
     }
 
     #[test]
-    fn to_json_headline_mode_passes_through() {
-        let base = doc("queue_smoke", &[("heap", 3_000_000.0)]);
-        let cand =
-            r#"{"bench":"profile","scenarios":[{"scenario":"fig9","events_per_sec":2900000.0}]}"#;
-        let cmp = compare(&base, cand, 0.25).unwrap();
-        let text = to_json(&cmp);
-        let parsed = json::parse(&text).unwrap();
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("headline"));
-        assert_eq!(parsed.get("pass"), Some(&Json::Bool(true)));
-        let Some(Json::Arr(rows)) = parsed.get("rows") else {
-            panic!("rows must be an array: {text}");
-        };
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn different_benches_compare_headline_numbers() {
-        let base = doc(
-            "queue_smoke",
-            &[("heap", 3_000_000.0), ("wheel", 2_500_000.0)],
-        );
-        let cand =
-            r#"{"bench":"profile","scenarios":[{"scenario":"fig9","events_per_sec":2900000.0}]}"#;
-        let cmp = compare(&base, cand, 0.25).unwrap();
-        assert_eq!(cmp.mode, DiffMode::Headline);
-        assert_eq!(cmp.rows.len(), 1);
-        assert!(!cmp.regressed()); // 2.9M vs best 3.0M is within 25 %
-        let cmp = compare(&base, cand, 0.01).unwrap();
-        assert!(cmp.regressed());
+    fn different_benches_are_a_schema_error() {
+        let base = doc("queue", &[("fig9", 3_000_000.0)]);
+        let cand = doc("profile", &[("fig9", 3_000_000.0)]);
+        let err = compare(&base, &cand, 0.25).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
     }
 }

@@ -100,29 +100,26 @@ pub trait ApScheduler {
         now: SimTime,
     );
 
-    /// Periodic maintenance (token refill, rate adjustment).
+    /// Periodic maintenance (token refill, rate adjustment) up to `now`.
     fn on_tick(&mut self, now: SimTime);
 
-    /// How often [`on_tick`](ApScheduler::on_tick) must run; `None` for
+    /// The grid on which the scheduler's periodic work falls; `None` for
     /// disciplines that need no timer.
-    fn tick_period(&self) -> Option<SimDuration>;
-
-    /// True when the scheduler replays its periodic `on_tick` work
-    /// lazily — catching internal state up on every entry point with
-    /// arithmetic identical to dense ticking — so the driver may skip
-    /// idle ticks entirely and consult [`next_wake`] only when the
-    /// scheduler is blocked.
     ///
-    /// [`next_wake`]: ApScheduler::next_wake
-    fn coalescible(&self) -> bool {
-        false
-    }
+    /// Simulators never tick a scheduler at every grid instant. A
+    /// scheduler with a period must replay the grid instants it missed
+    /// on every entry point, at their exact timestamps, so its state is
+    /// a pure function of the consult sequence; the driver calls
+    /// [`on_tick`](ApScheduler::on_tick) only at the wake-ups
+    /// [`next_wake`](ApScheduler::next_wake) asks for and at the end of
+    /// a run.
+    fn tick_period(&self) -> Option<SimDuration>;
 
     /// When the scheduler is blocked (backlog but nothing eligible),
     /// the instant by which it wants to be consulted again. Estimates
     /// must be conservative: an early wake is a harmless no-op, a late
-    /// one would change behaviour relative to dense ticking. `None`
-    /// when no wake-up is needed.
+    /// one would hold an eligible packet back. `None` when no wake-up
+    /// is needed.
     fn next_wake(&self, _now: SimTime) -> Option<SimTime> {
         None
     }

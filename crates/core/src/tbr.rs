@@ -154,17 +154,17 @@ impl TbrScheduler {
     }
 
     /// Replays every FILLEVENT/ADJUSTRATEEVENT grid instant up to
-    /// `now`, exactly as a dense tick timer would have fired them.
+    /// `now`, exactly as a periodic timer would have fired them.
     ///
-    /// This is what makes tick coalescing safe: fills and adjustments
-    /// always execute at the same timestamps — multiples of
-    /// `fill_period` — whether a timer event drove them eagerly or an
+    /// This is what lets the simulator skip idle ticks: fills and
+    /// adjustments always execute at the same timestamps — multiples of
+    /// `fill_period` — whether a wake-up drove them or an
     /// enqueue/dequeue/complete arrived after an idle stretch. Since
     /// `f64` addition is not associative, replaying the *same instants*
     /// (rather than one analytically equivalent lump fill) is the only
-    /// way the coalesced trajectory stays bit-for-bit identical to the
-    /// dense one. Every entry point calls this first, so token and rate
-    /// state is a pure function of the consult-time sequence.
+    /// way the trajectory stays bit-for-bit identical to ticking at
+    /// every grid instant. Every entry point calls this first, so token
+    /// and rate state is a pure function of the consult-time sequence.
     fn catch_up(&mut self, now: SimTime) {
         while self.next_grid <= now {
             let g = self.next_grid;
@@ -183,9 +183,9 @@ impl TbrScheduler {
     pub fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
         assert!(weight > 0.0, "weight must be positive");
         // Replay outstanding grid instants under the *old* membership
-        // before it changes — otherwise a coalesced-mode catch-up after
-        // this call would fill pre-association instants at the new
-        // rates and diverge from the dense trajectory.
+        // before it changes — otherwise a catch-up after this call
+        // would fill pre-association instants at the new rates and
+        // diverge from the per-instant trajectory.
         self.catch_up(now);
         let slot = self.pool.add_client(client);
         if slot >= self.states.len() {
@@ -467,9 +467,8 @@ impl ApScheduler for TbrScheduler {
         now: SimTime,
     ) {
         // Catch up first: at a timestamp shared with a grid instant,
-        // the debit must land after the grid's fill/adjust in *every*
-        // drive mode, or dense and coalesced runs would diverge on the
-        // tick-event-vs-completion-event pop order.
+        // the debit must land after the grid's fill/adjust whether or
+        // not a wake-up event happened to pop first at that instant.
         self.catch_up(now);
         let slot = match self.pool.slot_of(client) {
             Some(s) => s,
@@ -508,10 +507,6 @@ impl ApScheduler for TbrScheduler {
 
     fn tick_period(&self) -> Option<SimDuration> {
         Some(self.config.fill_period)
-    }
-
-    fn coalescible(&self) -> bool {
-        true
     }
 
     fn next_wake(&self, now: SimTime) -> Option<SimTime> {
@@ -1034,7 +1029,6 @@ mod tests {
         let now = SimTime::ZERO;
         tbr.on_associate(ClientId(0), now);
         tbr.on_associate(ClientId(1), now);
-        assert!(tbr.coalescible());
         // Unblocked (no backlog): no wake needed.
         assert_eq!(tbr.next_wake(now), None);
         tbr.enqueue(pkt(0, 1500), now);

@@ -42,12 +42,11 @@ impl RateLimiter {
 
     /// Tokens on hand at `now`, as a pure function of the state at the
     /// last successful consumption. Failed polls must not mutate the
-    /// bucket: callers poll after every simulator dispatch, and the
-    /// dispatch cadence differs across tick modes, so accumulating
-    /// `dt * rate` in per-poll increments would partition the float
-    /// sum differently per mode — rounding drift that eventually moves
-    /// a `ready_at` by a nanosecond and breaks cross-mode determinism
-    /// (caught by `verify-determinism` on the adjust-period ablation).
+    /// bucket: callers poll after every simulator dispatch, so
+    /// accumulating `dt * rate` in per-poll increments would tie the
+    /// float sum's partition to the dispatch cadence — one extra
+    /// wake-up event would drift a `ready_at` by a nanosecond (caught
+    /// by `verify-determinism` on the adjust-period ablation).
     fn available(&self, now: SimTime) -> f64 {
         let dt = now.saturating_since(self.last_fill).as_secs_f64();
         (self.tokens + dt * self.rate_bytes_per_sec).min(self.burst_bytes)
@@ -147,9 +146,10 @@ mod tests {
     fn failed_polls_leave_the_bucket_bit_identical() {
         // Two buckets, same consumption schedule; one is additionally
         // polled (and refused) at many awkward intermediate times, the
-        // way dense tick mode polls after every dispatch. The extra
-        // polls must not perturb the float state — otherwise the two
-        // tick modes drift apart by a nanosecond over a long run.
+        // way the event loop polls after every dispatch. The extra
+        // polls must not perturb the float state — otherwise a change
+        // in poll cadence (say, one more wake-up event) drifts
+        // `ready_at` by a nanosecond over a long run.
         let mut quiet = RateLimiter::new(2_100_000.0, 3000);
         let mut noisy = RateLimiter::new(2_100_000.0, 3000);
         let mut now = SimTime::ZERO;

@@ -2,8 +2,8 @@
 //! determinism fingerprints.
 //!
 //! The simulator's load-bearing guarantee is byte-identical output
-//! across queue backends, tick modes, and sweep thread counts. Whole-
-//! report comparison can tell you *that* two runs diverged, but not
+//! across repeated runs, sweep thread counts, and refactors that are
+//! not meant to change behaviour. Whole-report comparison can tell you *that* two runs diverged, but not
 //! *where*. [`FlightRecorder`] closes that gap: it observes the
 //! canonical causal stream — every dispatched event's `(time, seq)`
 //! stamp and handler label, every scheduler decision, queue change,
@@ -28,22 +28,23 @@
 //!
 //! # What "canonical" means
 //!
-//! The stream must be identical across every configuration that is
-//! *supposed* to be equivalent — queue backends, tick modes, thread
-//! counts — so two drive-mode artifacts are deliberately kept out of
-//! the fingerprint:
+//! The stream must be identical across runs that are *supposed* to be
+//! equivalent, so two pieces of engine bookkeeping are deliberately
+//! kept out of the fingerprint:
 //!
-//! - `sched.tick` dispatches are excluded entirely. Dense mode
-//!   materializes a periodic wake-up event that coalesced mode elides
-//!   (that elision is the whole point of coalescing); the ticks' causal
-//!   *effects* — scheduler decisions, queue changes — are what the
-//!   stream captures.
+//! - `sched.tick` dispatches are excluded entirely. A tick is a
+//!   wake-up the engine places at the scheduler's *estimate* of when
+//!   it unblocks; estimates are conservative by contract, so a wake
+//!   may land early and do nothing. The ticks' causal *effects* —
+//!   scheduler decisions, queue changes — are what the stream
+//!   captures, and a sharper estimate leaves the fingerprint alone.
 //! - The queue `seq` stamp is recorded for debugging (it names the
-//!   push that created a dispatch) but not hashed: tick pushes consume
-//!   sequence numbers in dense mode, shifting every later event's raw
-//!   seq without changing causality. Ordering is still fully covered —
-//!   the fold is order-sensitive, so two streams that dispatch the
-//!   same events in a different order fingerprint differently.
+//!   push that created a dispatch) but not hashed: every push consumes
+//!   a sequence number, wake-ups included, so moving one wake-up would
+//!   shift every later event's raw seq without changing causality.
+//!   Ordering is still fully covered — the fold is order-sensitive, so
+//!   two streams that dispatch the same events in a different order
+//!   fingerprint differently.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -96,7 +97,7 @@ pub struct RecordedEvent {
     /// Queue sequence stamp (0 for records that don't carry one, e.g.
     /// scheduler decisions emitted between dispatches). Debugging
     /// context only — not part of the fingerprint, because raw seqs
-    /// are drive-mode-dependent (see the module docs).
+    /// count wake-up pushes too (see the module docs).
     pub seq: u64,
     /// What happened: a dispatch label (`"mac.slot"`), `"sched.decide"`,
     /// `"queue.change"`, or `"handoff"`.
@@ -110,8 +111,8 @@ pub struct RecordedEvent {
 impl RecordedEvent {
     /// Whether two events describe the same causal occurrence: same
     /// time, label, detail, and station. `seq` (and `index`) are
-    /// positional/drive-mode context, not identity — two equivalent
-    /// runs can disagree on raw seqs without having diverged.
+    /// positional context, not identity — two equivalent runs can
+    /// disagree on raw seqs without having diverged.
     pub fn causal_eq(&self, other: &RecordedEvent) -> bool {
         self.t == other.t
             && self.label == other.label
@@ -384,9 +385,9 @@ impl FlightRecorder {
 
 impl Observer for FlightRecorder {
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
-        // Drive-mode bookkeeping, not causality: dense tick mode
-        // materializes wake-ups that coalesced mode elides, so tick
-        // dispatches must not enter the canonical stream (their causal
+        // Wake-up bookkeeping, not causality: a tick lands wherever the
+        // scheduler's conservative unblock estimate put it, so tick
+        // dispatches stay out of the canonical stream (their causal
         // effects arrive via on_sched_decision / on_queue_change).
         if label == "sched.tick" {
             return;
@@ -662,20 +663,20 @@ mod tests {
 
     #[test]
     fn raw_seq_and_tick_dispatches_stay_out_of_the_fingerprint() {
-        // Same causal stream, shifted raw seqs (what dense-vs-coalesced
-        // tick modes look like): identical fingerprints.
-        let mut dense = FlightRecorder::new();
-        let mut lazy = FlightRecorder::new();
+        // Same causal stream, shifted raw seqs (what an extra wake-up
+        // push looks like): identical fingerprints.
+        let mut woken = FlightRecorder::new();
+        let mut plain = FlightRecorder::new();
         for i in 0..50u64 {
-            dense.on_dispatch(SimTime::from_micros(i), 2 * i + 1, "mac.tx_end");
-            lazy.on_dispatch(SimTime::from_micros(i), i, "mac.tx_end");
+            woken.on_dispatch(SimTime::from_micros(i), 2 * i + 1, "mac.tx_end");
+            plain.on_dispatch(SimTime::from_micros(i), i, "mac.tx_end");
         }
-        assert_eq!(dense.fingerprint(), lazy.fingerprint());
-        // sched.tick dispatches are drive-mode bookkeeping and never
+        assert_eq!(woken.fingerprint(), plain.fingerprint());
+        // sched.tick dispatches are wake-up bookkeeping and never
         // enter the stream.
-        dense.on_dispatch(SimTime::from_micros(99), 7, "sched.tick");
-        assert_eq!(dense.events(), 50);
-        assert_eq!(dense.fingerprint(), lazy.fingerprint());
+        woken.on_dispatch(SimTime::from_micros(99), 7, "sched.tick");
+        assert_eq!(woken.events(), 50);
+        assert_eq!(woken.fingerprint(), plain.fingerprint());
     }
 
     #[test]

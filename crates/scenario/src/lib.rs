@@ -111,6 +111,15 @@ pub fn compile(doc: &toml::Doc, file: &str) -> Result<ScenarioSpec, ScenarioErro
     spec::compile(doc).map_err(bind(file))
 }
 
+/// Like [`compile`], for a caller about to run the base configuration
+/// itself: a `[tournament]` document, which has no stations of its own,
+/// fails with a diagnostic instead.
+pub fn compile_runnable(doc: &toml::Doc, file: &str) -> Result<ScenarioSpec, ScenarioError> {
+    let spec = compile(doc, file)?;
+    spec::check_runnable(doc, &spec).map_err(bind(file))?;
+    Ok(spec)
+}
+
 /// Expands a document into its sweep matrix.
 pub fn expand(doc: &toml::Doc, file: &str) -> Result<(Vec<Axis>, Vec<Job>), ScenarioError> {
     sweep::expand(doc).map_err(bind(file))

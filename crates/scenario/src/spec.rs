@@ -94,6 +94,19 @@ use crate::toml::{Doc, Entry, Table, Value};
 /// [`crate::toml::ParseError`] so the CLI prints both the same way).
 pub type CompileError = crate::toml::ParseError;
 
+/// Refuses to run a compiled scenario that has no stations of its own:
+/// a `[tournament]` document, whose rate mixes supply them.
+pub(crate) fn check_runnable(doc: &Doc, spec: &ScenarioSpec) -> Result<(), CompileError> {
+    if !spec.cfg.stations.is_empty() {
+        return Ok(());
+    }
+    err(
+        doc.table("tournament").map_or(1, |t| t.line),
+        "scenario declares no [[station]] tables; its [tournament] section supplies \
+         them, so run it with `airtime-cli tournament`",
+    )
+}
+
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, CompileError> {
     Err(CompileError {
         line,

@@ -19,7 +19,7 @@
 //! and therefore output row order, depend only on the file, never on
 //! which worker finishes first.
 
-use crate::spec::{compile, CompileError, ScenarioSpec};
+use crate::spec::{check_runnable, compile, CompileError, ScenarioSpec};
 use crate::toml::{Doc, Value};
 
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, CompileError> {
@@ -144,6 +144,7 @@ pub fn expand(doc: &Doc) -> Result<(Vec<Axis>, Vec<Job>), CompileError> {
                 }
             }
         })?;
+        check_runnable(&cell, &spec)?;
         jobs.push(Job {
             index,
             coords,

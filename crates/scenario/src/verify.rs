@@ -1,9 +1,16 @@
 //! The `verify-determinism` driver: runs a scenario's base
-//! configuration under every `{queue backend} × {tick mode}` combo
-//! with a flight recorder attached, compares the fingerprint
-//! checkpoint streams, and — on a mismatch — bisects to the first
-//! divergent checkpoint, re-runs both sides recording only that
-//! window, and pins the exact first divergent `(time, seq, label)`.
+//! configuration twice with a flight recorder attached — and,
+//! optionally, checks it against a golden recording that an earlier
+//! build wrote — compares the fingerprint checkpoint streams, and — on
+//! a mismatch — bisects to the first divergent checkpoint, re-runs
+//! recording only that window, and pins the exact first divergent
+//! `(time, seq, label)`.
+//!
+//! The repeat run catches nondeterminism inside one build (a hash-order
+//! dependence, say: every run draws fresh `HashMap` seeds). The golden
+//! comparison catches a behaviour change between builds: commit the
+//! recording [`VerifyOutcome::recordings`] holds, and a refactor is
+//! bisected against it rather than against a sibling execution mode.
 //!
 //! For scenarios with a `[sweep]` section it additionally executes the
 //! whole matrix at 1 thread and at N threads and compares the per-cell
@@ -11,7 +18,7 @@
 //! matrix cell instead of "the documents differ".
 //!
 //! The synthetic-divergence hook ([`VerifyOptions::inject`]) perturbs
-//! one recorded event in one named combo, deterministically
+//! one recorded event in one named pass, deterministically
 //! manufacturing the failure mode the machinery exists to catch —
 //! that's both the integration test and the worked example in the
 //! docs.
@@ -20,33 +27,32 @@ use std::fmt::Write as _;
 
 use airtime_obs::{
     first_divergent_checkpoint, first_divergent_event, fp_hex, Checkpoint, FlightRecorder,
-    RecordedEvent, DEFAULT_CHECKPOINT_INTERVAL,
+    RecordedEvent, Recording, DEFAULT_CHECKPOINT_INTERVAL,
 };
-use airtime_sim::QueueBackend;
-use airtime_topo::TopologyConfig;
-use airtime_wlan::NetworkConfig;
+use airtime_sim::SimTime;
 
 use crate::spec::ScenarioSpec;
 use crate::{combine_fps, run_sweep, toml::Doc, ScenarioError};
 
-/// Every `(backend, tick-mode)` combination the config can express,
-/// heap/dense first (the reference implementation).
-pub const COMBOS: [(&str, QueueBackend, bool); 4] = [
-    ("heap/dense", QueueBackend::Heap, false),
-    ("heap/coalesced", QueueBackend::Heap, true),
-    ("wheel/dense", QueueBackend::Wheel, false),
-    ("wheel/coalesced", QueueBackend::Wheel, true),
-];
+/// The passes `verify_determinism` executes, reference first.
+pub const PASSES: [&str; 2] = ["run", "repeat"];
+
+/// The name a golden recording goes by in divergence reports.
+const GOLDEN: &str = "golden";
 
 /// Knobs for [`verify_determinism`].
 #[derive(Clone, Debug)]
 pub struct VerifyOptions {
-    /// Events per fingerprint checkpoint.
+    /// Events per fingerprint checkpoint. Ignored when `against` is
+    /// set: the golden recording's interval wins.
     pub interval: u64,
     /// Thread count for the sweep-matrix comparison (vs 1).
     pub threads: usize,
-    /// Test hook: `(combo name, stream index)` — perturb that event in
-    /// that combo's recording, manufacturing a synthetic divergence.
+    /// Golden recordings to check the run against, one per radio-cell
+    /// lane (a single one for single-cell scenarios).
+    pub against: Option<Vec<Recording>>,
+    /// Test hook: `(pass name, stream index)` — perturb that event in
+    /// that pass's recording, manufacturing a synthetic divergence.
     pub inject: Option<(String, u64)>,
 }
 
@@ -55,6 +61,7 @@ impl Default for VerifyOptions {
         VerifyOptions {
             interval: DEFAULT_CHECKPOINT_INTERVAL,
             threads: 4,
+            against: None,
             inject: None,
         }
     }
@@ -63,9 +70,9 @@ impl Default for VerifyOptions {
 /// One localized determinism break.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// The combo that disagreed with the reference.
-    pub combo: String,
-    /// The reference combo it was compared against.
+    /// The pass that disagreed with the reference.
+    pub pass: String,
+    /// What it was compared against: the `run` pass or the golden.
     pub reference: String,
     /// Radio-cell lane the divergence was found in (topology runs).
     pub cell: Option<u64>,
@@ -73,11 +80,18 @@ pub struct Divergence {
     pub checkpoint: usize,
     /// Stream-index window `[a, b)` the checkpoint covers.
     pub window: (u64, u64),
-    /// The reference combo's event at the first differing position
-    /// (`None` = its stream ended first).
+    /// Simulated time of the reference's last agreeing checkpoint (zero
+    /// when the streams disagree from the first checkpoint on).
+    pub since: SimTime,
+    /// The reference's event at the first differing position (`None` =
+    /// its stream ended first, or it keeps no events in the window).
     pub expected: Option<RecordedEvent>,
-    /// The divergent combo's event at that position.
+    /// The divergent pass's event at that position.
     pub actual: Option<RecordedEvent>,
+    /// Whether the reference had events to compare in the window. A
+    /// checkpoint-only golden does not, so the checkpoint window is as
+    /// close as the break can be pinned.
+    pub reference_events: bool,
 }
 
 impl Divergence {
@@ -87,7 +101,7 @@ impl Divergence {
         let _ = writeln!(
             out,
             "determinism divergence: {} vs {}{}",
-            self.combo,
+            self.pass,
             self.reference,
             match self.cell {
                 Some(c) => format!(" (cell {c} lane)"),
@@ -96,26 +110,37 @@ impl Divergence {
         );
         let _ = writeln!(
             out,
-            "  first divergent checkpoint: #{} (events {}..{})",
-            self.checkpoint, self.window.0, self.window.1
+            "  first divergent checkpoint: #{} (events {}..{}, after t={:.9}s)",
+            self.checkpoint,
+            self.window.0,
+            self.window.1,
+            self.since.as_secs_f64()
         );
         match (&self.expected, &self.actual) {
             (Some(e), Some(a)) => {
                 let _ = writeln!(out, "  first divergent event:");
-                let _ = writeln!(out, "    {:<16} {}", self.reference, e.render());
-                let _ = writeln!(out, "    {:<16} {}", self.combo, a.render());
+                let _ = writeln!(out, "    {:<8} {}", self.reference, e.render());
+                let _ = writeln!(out, "    {:<8} {}", self.pass, a.render());
             }
             (Some(e), None) => {
                 let _ = writeln!(
                     out,
                     "  {} stream ended before the reference's event:",
-                    self.combo
+                    self.pass
                 );
-                let _ = writeln!(out, "    {:<16} {}", self.reference, e.render());
+                let _ = writeln!(out, "    {:<8} {}", self.reference, e.render());
             }
             (None, Some(a)) => {
-                let _ = writeln!(out, "  extra event only in {}:", self.combo);
-                let _ = writeln!(out, "    {:<16} {}", self.combo, a.render());
+                let _ = writeln!(out, "  extra event only in {}:", self.pass);
+                let _ = writeln!(out, "    {:<8} {}", self.pass, a.render());
+            }
+            (None, None) if !self.reference_events => {
+                let _ = writeln!(
+                    out,
+                    "  (the {} recording keeps checkpoints only; the break lies in \
+                     the window above)",
+                    self.reference
+                );
             }
             (None, None) => {
                 let _ = writeln!(
@@ -129,12 +154,48 @@ impl Divergence {
     }
 }
 
-/// What one combo pass produced: per-lane checkpoint streams (a single
-/// lane for single-cell scenarios) and the folded final fingerprint.
-struct ComboRun {
-    lanes: Vec<Vec<Checkpoint>>,
-    lane_events: Vec<u64>,
-    fp: u64,
+/// One radio-cell lane of a pass or a golden recording.
+struct Lane {
+    checkpoints: Vec<Checkpoint>,
+    events: u64,
+    fp: String,
+    /// Events a golden recording kept (always empty for live passes,
+    /// which re-run a window on demand instead).
+    retained: Vec<RecordedEvent>,
+}
+
+impl Lane {
+    fn of_recorder(rec: &FlightRecorder) -> Lane {
+        Lane {
+            checkpoints: rec.checkpoints().to_vec(),
+            events: rec.events(),
+            fp: fp_hex(rec.fingerprint()),
+            retained: Vec::new(),
+        }
+    }
+
+    fn of_recording(rec: &Recording) -> Lane {
+        Lane {
+            checkpoints: rec.checkpoints.clone(),
+            events: rec.total_events,
+            fp: rec.fp.clone(),
+            retained: rec.events.clone(),
+        }
+    }
+
+    /// Ordinal of the first checkpoint window where `other` departs
+    /// from this lane. When every full checkpoint agrees but the
+    /// totals differ, the break is in the partial tail after the last
+    /// checkpoint.
+    fn first_divergent_window(&self, other: &Lane) -> Option<usize> {
+        match first_divergent_checkpoint(&self.checkpoints, &other.checkpoints) {
+            Some(cp) => Some(cp),
+            None if self.events != other.events || self.fp != other.fp => {
+                Some(self.checkpoints.len())
+            }
+            None => None,
+        }
+    }
 }
 
 /// The full verification verdict.
@@ -142,12 +203,15 @@ struct ComboRun {
 pub struct VerifyOutcome {
     /// Scenario name from the file.
     pub name: String,
-    /// Combo names that were executed, reference first.
-    pub combos: Vec<String>,
-    /// Canonical events folded by the reference combo (all lanes).
+    /// Canonical events folded by the `run` pass (all lanes).
     pub events: u64,
-    /// The reference combo's folded fingerprint, 16 hex digits.
+    /// The `run` pass's folded fingerprint, 16 hex digits.
     pub fp: String,
+    /// Whether the run was checked against a golden recording.
+    pub against: bool,
+    /// The `run` pass's checkpoint-only recording per lane, as JSONL:
+    /// what `verify-determinism --record` writes and `--against` reads.
+    pub recordings: Vec<String>,
     /// Localized breaks, empty when everything agreed.
     pub divergences: Vec<Divergence>,
     /// Sweep-matrix cells whose fingerprint differed between 1 thread
@@ -158,204 +222,178 @@ pub struct VerifyOutcome {
 }
 
 impl VerifyOutcome {
-    /// True when every combo and every sweep cell agreed.
+    /// True when every pass, the golden and every sweep cell agreed.
     pub fn passed(&self) -> bool {
         self.divergences.is_empty() && self.sweep_mismatches.is_empty()
     }
 }
 
-fn injected_index(opts: &VerifyOptions, combo: &str) -> Option<u64> {
-    opts.inject
-        .as_ref()
-        .filter(|(name, _)| name == combo)
-        .map(|&(_, idx)| idx)
-}
-
-fn single_cfg(base: &NetworkConfig, backend: QueueBackend, coalesce: bool) -> NetworkConfig {
-    let mut cfg = base.clone();
-    cfg.queue_backend = backend;
-    cfg.coalesce_ticks = coalesce;
-    cfg
-}
-
-fn topo_cfg(base: &TopologyConfig, backend: QueueBackend, coalesce: bool) -> TopologyConfig {
-    let mut topo = base.clone();
-    topo.base.queue_backend = backend;
-    topo.base.coalesce_ticks = coalesce;
-    topo
-}
-
-/// Runs one combo end to end, fingerprint-only.
-fn run_combo(
+/// Runs the scenario's base configuration once, with one recorder per
+/// radio-cell lane built by `make` (given the lane's cell id in
+/// topology runs).
+fn record(
     spec: &ScenarioSpec,
-    combo: &str,
-    backend: QueueBackend,
-    coalesce: bool,
-    opts: &VerifyOptions,
-) -> ComboRun {
-    let inject = injected_index(opts, combo);
-    let lane = |cell: Option<u64>| {
-        let mut rec = FlightRecorder::new()
-            .with_interval(opts.interval)
-            .with_capacity(0);
-        if let Some(c) = cell {
-            rec = rec.for_cell(c);
-        }
-        // The injection names a global stream index; in topology runs
-        // it lands in cell 0's lane (the reference lane for tests).
-        if let Some(idx) = inject {
-            if cell.unwrap_or(0) == 0 {
-                rec = rec.with_injected_divergence(idx);
-            }
-        }
-        rec
-    };
+    make: impl Fn(Option<u64>) -> FlightRecorder,
+) -> Vec<FlightRecorder> {
     match &spec.topo {
         None => {
-            let mut rec = lane(None);
-            airtime_wlan::run_recorded(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
-            ComboRun {
-                fp: rec.fingerprint(),
-                lane_events: vec![rec.events()],
-                lanes: vec![rec.checkpoints().to_vec()],
-            }
+            let mut rec = make(None);
+            airtime_wlan::run_recorded(&spec.cfg, &mut rec);
+            vec![rec]
         }
         Some(topo) => {
-            let topo = topo_cfg(topo, backend, coalesce);
             let mut obs: Vec<_> = (0..topo.cells.len())
-                .map(|c| lane(Some(c as u64)))
+                .map(|c| make(Some(c as u64)))
                 .collect();
-            airtime_topo::run_topology(&topo, &mut obs);
-            ComboRun {
-                fp: combine_fps(obs.iter().map(|r| r.fingerprint())),
-                lane_events: obs.iter().map(|r| r.events()).collect(),
-                lanes: obs.iter().map(|r| r.checkpoints().to_vec()).collect(),
-            }
+            airtime_topo::run_topology(topo, &mut obs);
+            obs
         }
     }
 }
 
-/// Re-runs the reference and the divergent combo recording only
-/// `[a, b)` of one lane, and returns the first differing event pair.
-#[allow(clippy::too_many_arguments)]
-fn pin_divergence(
+/// A recorder for one lane of `pass`, carrying the injection hook when
+/// it names this pass. The injection names a global stream index; in
+/// topology runs it lands in cell 0's lane.
+fn recorder(opts: &VerifyOptions, interval: u64, pass: &str, cell: Option<u64>) -> FlightRecorder {
+    let mut rec = FlightRecorder::new().with_interval(interval);
+    if let Some(c) = cell {
+        rec = rec.for_cell(c);
+    }
+    let inject = opts
+        .inject
+        .as_ref()
+        .filter(|(name, _)| name == pass)
+        .map(|&(_, idx)| idx);
+    if let (Some(idx), 0) = (inject, cell.unwrap_or(0)) {
+        rec = rec.with_injected_divergence(idx);
+    }
+    rec
+}
+
+/// Compares `pass` against `reference` lane by lane, pinning each
+/// break: live passes re-run recording only the divergent window, a
+/// golden contributes the events it kept there.
+fn compare(
     spec: &ScenarioSpec,
-    reference: (&str, QueueBackend, bool),
-    combo: (&str, QueueBackend, bool),
-    lane_cell: Option<u64>,
-    a: u64,
-    b: u64,
     opts: &VerifyOptions,
-) -> (Option<RecordedEvent>, Option<RecordedEvent>) {
-    let capture = |name: &str, backend: QueueBackend, coalesce: bool| -> Vec<RecordedEvent> {
-        let inject = injected_index(opts, name);
-        let windowed = |cell: Option<u64>| {
-            let mut rec = FlightRecorder::new()
-                .with_interval(opts.interval)
-                .with_window(a, b);
-            if let Some(c) = cell {
-                rec = rec.for_cell(c);
-            }
-            if let Some(idx) = inject {
-                if cell.unwrap_or(0) == 0 {
-                    rec = rec.with_injected_divergence(idx);
-                }
-            }
-            rec
-        };
-        match &spec.topo {
-            None => {
-                let mut rec = windowed(None);
-                airtime_wlan::run_recorded(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
-                rec.ring().cloned().collect()
-            }
-            Some(topo) => {
-                let topo = topo_cfg(topo, backend, coalesce);
-                let mut obs: Vec<_> = (0..topo.cells.len())
-                    .map(|c| windowed(Some(c as u64)))
-                    .collect();
-                airtime_topo::run_topology(&topo, &mut obs);
-                let lane = lane_cell.unwrap_or(0) as usize;
-                obs.get(lane)
-                    .map(|r| r.ring().cloned().collect())
-                    .unwrap_or_default()
-            }
+    interval: u64,
+    reference: (&str, &[Lane]),
+    pass: (&str, &[Lane]),
+) -> Vec<Divergence> {
+    let window = |name: &str, lanes: &[Lane], lane: usize, a: u64, b: u64| {
+        if name == GOLDEN {
+            return lanes[lane]
+                .retained
+                .iter()
+                .filter(|e| (a..b).contains(&e.index))
+                .cloned()
+                .collect::<Vec<_>>();
         }
+        let recs = record(spec, |cell| {
+            recorder(opts, interval, name, cell).with_window(a, b)
+        });
+        recs[lane].ring().cloned().collect()
     };
-    let expected = capture(reference.0, reference.1, reference.2);
-    let actual = capture(combo.0, combo.1, combo.2);
-    match first_divergent_event(&expected, &actual) {
-        Some((e, a)) => (e.cloned(), a.cloned()),
-        None => (None, None),
+    let mut out = Vec::new();
+    for (lane, (r, p)) in reference.1.iter().zip(pass.1).enumerate() {
+        let Some(cp) = r.first_divergent_window(p) else {
+            continue;
+        };
+        let (a, b) = (cp as u64 * interval, (cp as u64 + 1) * interval);
+        let expected = window(reference.0, reference.1, lane, a, b);
+        let mut actual = window(pass.0, pass.1, lane, a, b);
+        // A ring-buffered golden keeps only the tail of the window;
+        // align both sides on its first kept index.
+        if let Some(first) = expected.first() {
+            actual.retain(|e| e.index >= first.index);
+        }
+        let (e, x) = match first_divergent_event(&expected, &actual) {
+            Some((e, x)) if !expected.is_empty() => (e.cloned(), x.cloned()),
+            _ => (None, None),
+        };
+        out.push(Divergence {
+            pass: pass.0.to_string(),
+            reference: reference.0.to_string(),
+            cell: spec.topo.as_ref().map(|_| lane as u64),
+            checkpoint: cp,
+            window: (a, b),
+            since: cp
+                .checked_sub(1)
+                .and_then(|i| r.checkpoints.get(i))
+                .map_or(SimTime::ZERO, |c| c.t),
+            expected: e,
+            actual: x,
+            reference_events: !expected.is_empty(),
+        });
     }
+    out
 }
 
-/// Verifies a compiled scenario's determinism across all four
-/// backend × tick-mode combos (base configuration), localizing any
-/// break to the exact first divergent event. `doc` additionally
-/// enables the sweep-matrix thread comparison when the scenario
-/// declares a `[sweep]`.
+/// Verifies a compiled scenario's determinism: the base configuration
+/// runs twice, and the two causal streams — plus the golden in
+/// `opts.against`, when given — must agree, with any break localized to
+/// the exact first divergent event. `doc` additionally enables the
+/// sweep-matrix thread comparison when the scenario declares a
+/// `[sweep]`.
 pub fn verify_determinism(
     spec: &ScenarioSpec,
     doc: Option<&Doc>,
     file: &str,
     opts: &VerifyOptions,
 ) -> Result<VerifyOutcome, ScenarioError> {
-    let reference = COMBOS[0];
-    let ref_run = run_combo(spec, reference.0, reference.1, reference.2, opts);
-    let mut divergences = Vec::new();
-    for &combo in &COMBOS[1..] {
-        let run = run_combo(spec, combo.0, combo.1, combo.2, opts);
-        for (lane, (cps_ref, cps)) in ref_run.lanes.iter().zip(run.lanes.iter()).enumerate() {
-            let lane_cell = spec.topo.as_ref().map(|_| lane as u64);
-            let tail_diverges =
-                cps_ref == cps && ref_run.lane_events[lane] != run.lane_events[lane];
-            let cp = match first_divergent_checkpoint(cps_ref, cps) {
-                Some(cp) => cp,
-                // All full checkpoints match but the partial tail
-                // (fewer than `interval` events) differs in length:
-                // the break is after the last checkpoint.
-                None if tail_diverges => cps_ref.len(),
-                None => continue,
+    let lanes = spec.topo.as_ref().map_or(1, |t| t.cells.len());
+    let (golden, interval) = match &opts.against {
+        None => (None, opts.interval),
+        Some(recs) => {
+            let error = |msg: String| ScenarioError {
+                file: file.to_string(),
+                line: 0,
+                msg,
             };
-            let a = (cp as u64) * opts.interval;
-            let b = a + opts.interval;
-            let (expected, actual) = pin_divergence(spec, reference, combo, lane_cell, a, b, opts);
-            divergences.push(Divergence {
-                combo: combo.0.to_string(),
-                reference: reference.0.to_string(),
-                cell: lane_cell,
-                checkpoint: cp,
-                window: (a, b),
-                expected,
-                actual,
-            });
-        }
-        // Lanes all matched checkpoint-by-checkpoint but the folded
-        // fingerprints still differ (partial-tail divergence inside
-        // the last incomplete window on some lane).
-        if run.fp != ref_run.fp && !divergences.iter().any(|d| d.combo == combo.0) {
-            for (lane, _) in ref_run.lanes.iter().enumerate() {
-                let lane_cell = spec.topo.as_ref().map(|_| lane as u64);
-                let a = ref_run.lanes[lane].len() as u64 * opts.interval;
-                let b = a + opts.interval;
-                let (expected, actual) =
-                    pin_divergence(spec, reference, combo, lane_cell, a, b, opts);
-                if expected.is_some() || actual.is_some() {
-                    divergences.push(Divergence {
-                        combo: combo.0.to_string(),
-                        reference: reference.0.to_string(),
-                        cell: lane_cell,
-                        checkpoint: ref_run.lanes[lane].len(),
-                        window: (a, b),
-                        expected,
-                        actual,
-                    });
-                    break;
-                }
+            if recs.len() != lanes {
+                return Err(error(format!(
+                    "the golden has {} recording(s) but the scenario runs {lanes} \
+                     radio-cell lane(s)",
+                    recs.len()
+                )));
             }
+            let interval = recs[0].interval;
+            if recs.iter().any(|r| r.interval != interval) {
+                return Err(error(
+                    "the golden's lane recordings use different checkpoint intervals".into(),
+                ));
+            }
+            let lanes: Vec<Lane> = recs.iter().map(Lane::of_recording).collect();
+            (Some(lanes), interval)
         }
+    };
+    // Fingerprint-only passes; `compare` re-runs a window when it
+    // needs events.
+    let pass = |name: &str| {
+        record(spec, |cell| {
+            recorder(opts, interval, name, cell).with_capacity(0)
+        })
+    };
+    let run = pass(PASSES[0]);
+    let run_lanes: Vec<Lane> = run.iter().map(Lane::of_recorder).collect();
+    let repeat: Vec<Lane> = pass(PASSES[1]).iter().map(Lane::of_recorder).collect();
+    let mut divergences = Vec::new();
+    if let Some(golden) = &golden {
+        divergences.extend(compare(
+            spec,
+            opts,
+            interval,
+            (GOLDEN, golden),
+            (PASSES[0], &run_lanes),
+        ));
     }
+    divergences.extend(compare(
+        spec,
+        opts,
+        interval,
+        (PASSES[0], &run_lanes),
+        (PASSES[1], &repeat),
+    ));
     // Sweep-matrix comparison: 1 thread vs N, per-cell fingerprints.
     let mut sweep_mismatches = Vec::new();
     let mut swept = false;
@@ -376,9 +414,13 @@ pub fn verify_determinism(
     }
     Ok(VerifyOutcome {
         name: spec.name.clone(),
-        combos: COMBOS.iter().map(|c| c.0.to_string()).collect(),
-        events: ref_run.lane_events.iter().sum(),
-        fp: fp_hex(ref_run.fp),
+        events: run.iter().map(FlightRecorder::events).sum(),
+        fp: fp_hex(match &spec.topo {
+            None => run[0].fingerprint(),
+            Some(_) => combine_fps(run.iter().map(FlightRecorder::fingerprint)),
+        }),
+        against: golden.is_some(),
+        recordings: run.iter().map(FlightRecorder::to_jsonl).collect(),
         divergences,
         sweep_mismatches,
         swept,

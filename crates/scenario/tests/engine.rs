@@ -8,7 +8,9 @@ use std::path::{Path, PathBuf};
 use airtime_core::TbrConfig;
 use airtime_phy::DataRate;
 use airtime_scenario::toml::Value;
-use airtime_scenario::{compile, emit, expand, load, run_sweep, run_sweep_text, CheckOutcome};
+use airtime_scenario::{
+    compile, compile_runnable, emit, expand, load, run_sweep, run_sweep_text, CheckOutcome,
+};
 use airtime_sim::SimDuration;
 use airtime_wlan::{scenarios, Direction, NetworkConfig, SchedulerKind, Transport};
 
@@ -37,6 +39,24 @@ fn fig2_example_matches_the_bench_binary_setup() {
     assert_eq!(axes[0].name, "station.1.rate");
     assert_eq!(jobs.len(), 2);
     assert_eq!(jobs[1].spec.rate_labels, ["11M", "1M"]);
+}
+
+#[test]
+fn tournament_example_refuses_single_runs_with_a_diagnostic() {
+    // Its stations come from the rate mixes; running the base config
+    // (run, profile, verify-determinism, sweep) must fail with the
+    // [tournament] header's line, not panic in the engine.
+    let path = example("tournament_zoo.toml");
+    let doc = load(&path).unwrap();
+    assert!(compile(&doc, "zoo").unwrap().cfg.stations.is_empty());
+    let line = doc.table("tournament").unwrap().line;
+    for err in [
+        compile_runnable(&doc, "zoo").unwrap_err(),
+        expand(&doc, "zoo").unwrap_err(),
+    ] {
+        assert_eq!(err.line, line, "{err}");
+        assert!(err.msg.contains("airtime-cli tournament"), "{err}");
+    }
 }
 
 #[test]

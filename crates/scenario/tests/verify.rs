@@ -1,16 +1,17 @@
 //! End-to-end tests for the `verify-determinism` driver: the shipped
 //! presets must pass, an injected synthetic divergence must be pinned
-//! to its exact first divergent `(time, seq, label)`, and the
-//! multi-cell roaming preset's fingerprint is pinned as a golden
-//! (companion to `crates/wlan/tests/fingerprints.rs`).
+//! to its exact first divergent `(time, seq, label)` — against the
+//! repeat run and against a golden recording — and the multi-cell
+//! roaming preset's fingerprint is pinned as a golden (companion to
+//! `crates/wlan/tests/fingerprints.rs`).
 
+use airtime_obs::{FlightRecorder, Recording};
 use airtime_scenario::verify::{verify_determinism, VerifyOptions};
 use airtime_scenario::{compile, parse_text};
 use airtime_sim::SimDuration;
 
-/// A small fast TBR cell: tick-driven (so dense and coalesced tick
-/// modes genuinely differ in drive), two rates (so the scheduler has
-/// decisions to make).
+/// A small fast TBR cell: tick-driven (so wake-ups fire), two rates
+/// (so the scheduler has decisions to make).
 const SMALL_TBR: &str = r#"
 name = "verify-small-tbr"
 seed = 1
@@ -33,8 +34,19 @@ fn small_spec() -> airtime_scenario::ScenarioSpec {
     compile(&doc, "small.toml").unwrap()
 }
 
+/// The clean run's recording, parsed back the way `--against` loads it.
+fn golden(interval: u64) -> Recording {
+    let opts = VerifyOptions {
+        interval,
+        ..VerifyOptions::default()
+    };
+    let outcome = verify_determinism(&small_spec(), None, "small.toml", &opts).unwrap();
+    assert_eq!(outcome.recordings.len(), 1, "one lane for a single cell");
+    Recording::parse(&outcome.recordings[0]).unwrap()
+}
+
 #[test]
-fn clean_run_passes_all_combos() {
+fn clean_run_passes_repeat_and_its_own_golden() {
     let spec = small_spec();
     let outcome = verify_determinism(&spec, None, "small.toml", &VerifyOptions::default()).unwrap();
     assert!(
@@ -42,11 +54,22 @@ fn clean_run_passes_all_combos() {
         "clean run diverged: {:?}",
         outcome.divergences
     );
-    assert_eq!(outcome.combos.len(), 4);
-    assert_eq!(outcome.combos[0], "heap/dense");
+    assert!(!outcome.against);
     assert!(outcome.events > 0);
     assert_eq!(outcome.fp.len(), 16);
     assert!(!outcome.swept, "no [sweep] section, nothing to sweep");
+
+    let rec = Recording::parse(&outcome.recordings[0]).unwrap();
+    assert_eq!(rec.fp, outcome.fp);
+    assert_eq!(rec.total_events, outcome.events);
+    assert!(rec.events.is_empty(), "goldens keep checkpoints only");
+    let opts = VerifyOptions {
+        against: Some(vec![rec]),
+        ..VerifyOptions::default()
+    };
+    let checked = verify_determinism(&spec, None, "small.toml", &opts).unwrap();
+    assert!(checked.passed(), "{:?}", checked.divergences);
+    assert!(checked.against);
 }
 
 #[test]
@@ -54,36 +77,108 @@ fn injected_divergence_is_pinned_to_the_exact_event() {
     let spec = small_spec();
     let opts = VerifyOptions {
         interval: 256,
-        inject: Some(("wheel/coalesced".to_string(), 1000)),
+        inject: Some(("repeat".to_string(), 1000)),
         ..VerifyOptions::default()
     };
     let outcome = verify_determinism(&spec, None, "small.toml", &opts).unwrap();
     assert!(!outcome.passed());
     assert_eq!(outcome.divergences.len(), 1, "{:?}", outcome.divergences);
     let d = &outcome.divergences[0];
-    assert_eq!(d.combo, "wheel/coalesced");
-    assert_eq!(d.reference, "heap/dense");
+    assert_eq!(d.pass, "repeat");
+    assert_eq!(d.reference, "run");
     // Stream index 1000 sits in checkpoint ordinal 1000 / 256 = 3,
     // covering indices [768, 1024).
     assert_eq!(d.checkpoint, 3);
     assert_eq!(d.window, (768, 1024));
     // The windowed re-run pins the exact event: same stream index,
-    // same time and label on both sides, the injected tag only on the
-    // divergent side. (Raw seqs are not compared — dense tick mode
-    // consumes sequence numbers that coalesced mode doesn't, so they
-    // differ across combos even without a divergence.)
+    // same time and label on both sides, the injected tag (and a
+    // bumped raw seq) only on the divergent side.
     let expected = d.expected.as_ref().expect("reference view");
     let actual = d.actual.as_ref().expect("divergent view");
     assert_eq!(expected.index, 1000);
     assert_eq!(actual.index, 1000);
     assert_eq!(expected.t, actual.t);
     assert_eq!(expected.label, actual.label);
+    assert_eq!(actual.seq, expected.seq.wrapping_add(1));
     assert!(actual.detail.ends_with("[injected]"), "{:?}", actual);
     assert!(!expected.detail.ends_with("[injected]"));
+    assert!(d.render().contains("first divergent event"));
 }
 
 #[test]
-fn roam_preset_fingerprint_matches_golden_under_every_combo() {
+fn divergence_from_a_golden_is_bisected_to_its_checkpoint() {
+    // A behaviour change between builds, simulated by perturbing both
+    // live passes identically: they agree with each other, and only
+    // the golden catches the break.
+    let spec = small_spec();
+    let golden = golden(256);
+    for pass in ["run", "repeat"] {
+        let opts = VerifyOptions {
+            against: Some(vec![golden.clone()]),
+            inject: Some((pass.to_string(), 1000)),
+            ..VerifyOptions::default()
+        };
+        let outcome = verify_determinism(&spec, None, "small.toml", &opts).unwrap();
+        let refs: Vec<_> = outcome
+            .divergences
+            .iter()
+            .map(|d| (d.reference.as_str(), d.pass.as_str()))
+            .collect();
+        if pass == "run" {
+            // The run departs from both the golden and its repeat.
+            assert_eq!(refs, [("golden", "run"), ("run", "repeat")]);
+            let d = &outcome.divergences[0];
+            assert_eq!((d.checkpoint, d.window), (3, (768, 1024)));
+            assert_eq!(d.since, golden.checkpoints[2].t);
+            // A checkpoint-only golden cannot name the event.
+            assert!(!d.reference_events);
+            assert!(d.expected.is_none() && d.actual.is_none());
+            assert!(d.render().contains("checkpoints only"));
+        } else {
+            assert_eq!(refs, [("run", "repeat")]);
+        }
+    }
+}
+
+#[test]
+fn golden_that_keeps_events_pins_the_exact_event() {
+    // A golden that kept the tail of the divergent window, the way a
+    // ring-buffered recording (`run --record`) keeps a stream's tail.
+    let spec = small_spec();
+    let mut rec = FlightRecorder::new()
+        .with_interval(256)
+        .with_window(900, 1024);
+    airtime_wlan::run_recorded(&spec.cfg, &mut rec);
+    let golden = Recording::parse(&rec.to_jsonl()).unwrap();
+    assert_eq!(golden.events.first().map(|e| e.index), Some(900));
+    let opts = VerifyOptions {
+        against: Some(vec![golden]),
+        inject: Some(("run".to_string(), 1000)),
+        ..VerifyOptions::default()
+    };
+    let outcome = verify_determinism(&spec, None, "small.toml", &opts).unwrap();
+    let d = &outcome.divergences[0];
+    assert_eq!(d.reference, "golden");
+    assert!(d.reference_events);
+    let expected = d.expected.as_ref().expect("golden's event");
+    let actual = d.actual.as_ref().expect("run's event");
+    assert_eq!((expected.index, actual.index), (1000, 1000));
+    assert!(actual.detail.ends_with("[injected]"));
+}
+
+#[test]
+fn golden_with_the_wrong_lane_count_is_refused() {
+    let golden = golden(256);
+    let opts = VerifyOptions {
+        against: Some(vec![golden.clone(), golden]),
+        ..VerifyOptions::default()
+    };
+    let err = verify_determinism(&small_spec(), None, "small.toml", &opts).unwrap_err();
+    assert!(err.to_string().contains("2 recording(s)"), "{err}");
+}
+
+#[test]
+fn roam_preset_fingerprint_matches_golden() {
     // The shipped three-cell roaming walk, shortened past the first
     // handoff (t = 6.1 s) so the fingerprint covers Join/Drop handoff
     // events in every lane.

@@ -7,7 +7,7 @@
 //!
 //! - [`Scheduler`] — the pluggable trait every discipline implements:
 //!   the [`ApScheduler`] event hooks (enqueue / select / on-tx-complete
-//!   / tick coalescing) plus weighted association and optional
+//!   / lazy ticks and wake-ups) plus weighted association and optional
 //!   token-state introspection, so embedders never downcast to a
 //!   concrete type.
 //! - [`SchedulerKind`] — plain-data configuration naming a family and
@@ -28,8 +28,8 @@
 //!   built on [`airtime_core::waterfill_airtime`].
 //!
 //! Both contenders are tick-free: every state update happens inside an
-//! event hook, so dense and coalesced tick modes are trivially
-//! bit-identical and the determinism contract holds by construction.
+//! event hook, so their state is a pure function of the consult
+//! sequence and the determinism contract holds by construction.
 
 use airtime_sim::SimTime;
 
@@ -49,7 +49,7 @@ pub use pf::{PfConfig, PfScheduler};
 /// A pluggable AP scheduling discipline.
 ///
 /// Extends [`ApScheduler`] (the paper's five event handlers plus the
-/// tick-coalescing contract) with the hooks the embedding simulator
+/// lazy-tick contract) with the hooks the embedding simulator
 /// needs to treat every family uniformly:
 ///
 /// - [`on_associate_weighted`](Scheduler::on_associate_weighted) — the

@@ -27,8 +27,8 @@
 //! contender, each AP transmission's `bytes × 8 / airtime` feeds an
 //! EWMA per client (new clients start from a nominal estimate until the
 //! first sample lands). All state changes live in event hooks — no
-//! timer ticks — so dense and coalesced tick modes are bit-identical by
-//! construction.
+//! timer ticks — so the trajectory is a pure function of the consult
+//! sequence by construction.
 
 use airtime_core::{
     waterfill_airtime, ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket,

@@ -43,8 +43,8 @@
 //! acks, which throttle the sender by ack-clocking.
 //!
 //! Every update happens inside an event hook ([`PfScheduler::dequeue`]
-//! / [`PfScheduler::on_complete`]): there are no timer ticks, so dense
-//! and coalesced tick modes follow bit-identical trajectories and the
+//! / [`PfScheduler::on_complete`]): there are no timer ticks, so the
+//! trajectory is a pure function of the consult sequence and the
 //! repo's determinism contract holds by construction.
 
 use airtime_core::{ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};

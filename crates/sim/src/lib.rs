@@ -5,14 +5,9 @@
 //! - [`time`]: nanosecond-resolution simulated time ([`SimTime`]) and
 //!   durations ([`SimDuration`]) with exact integer arithmetic, so repeated
 //!   runs are bit-for-bit reproducible.
-//! - [`queue`]: the deterministic event-queue contract ([`Timeline`]) that
-//!   breaks ties in insertion order — essential when many events share a
-//!   timestamp (common in slotted MAC simulations) — its reference
-//!   `BinaryHeap` implementation ([`EventQueue`]), and the runtime-selected
-//!   [`AnyQueue`] dispatcher.
-//! - [`wheel`]: a hierarchical timer wheel ([`TimerWheel`]) implementing the
-//!   same contract with O(1) amortised scheduling — the fast backend for
-//!   event-dense runs.
+//! - [`queue`]: the deterministic event queue ([`EventQueue`]) that breaks
+//!   ties in insertion order — essential when many events share a
+//!   timestamp (common in slotted MAC simulations).
 //! - [`rng`]: a seedable random-number wrapper ([`SimRng`]) with independent
 //!   substreams so adding randomness to one component does not perturb
 //!   another.
@@ -41,11 +36,9 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use profile::{LoopProfiler, NsHist};
-pub use queue::{AnyQueue, EventQueue, QueueBackend, Timeline};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, RateMeter, RunningStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};
-pub use wheel::TimerWheel;

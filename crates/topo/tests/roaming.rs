@@ -1,10 +1,10 @@
 //! End-to-end topology runs: the three-cell walk, handoff
-//! determinism across queue backends, tick modes and schedulers, and
-//! per-cell airtime conservation through handoffs.
+//! determinism across repeated runs and schedulers, and per-cell
+//! airtime conservation through handoffs.
 
 use airtime_obs::AirtimeLedger;
 use airtime_phy::DataRate;
-use airtime_sim::{QueueBackend, SimDuration};
+use airtime_sim::SimDuration;
 use airtime_topo::{
     run_topo, run_topology, Placement, Point, RatePolicy, TopologyConfig, WaypointPath,
 };
@@ -104,23 +104,11 @@ fn tbr_keeps_the_baseline_property_in_every_visited_cell() {
 }
 
 #[test]
-fn reports_are_identical_across_backends_and_tick_modes() {
-    let mut reference = None;
-    for backend in [QueueBackend::Heap, QueueBackend::Wheel] {
-        for coalesce in [false, true] {
-            let mut topo = three_cell_walk(SchedulerKind::Tbr(Default::default()));
-            topo.base.queue_backend = backend;
-            topo.base.coalesce_ticks = coalesce;
-            let fp = fingerprint(&topo);
-            match &reference {
-                None => reference = Some(fp),
-                Some(r) => assert_eq!(
-                    r, &fp,
-                    "divergence with backend {backend:?}, coalesce {coalesce}"
-                ),
-            }
-        }
-    }
+fn repeated_runs_are_identical() {
+    // Each run hashes with fresh `HashMap` seeds, so this also catches
+    // any dependence on map iteration order.
+    let topo = three_cell_walk(SchedulerKind::Tbr(Default::default()));
+    assert_eq!(fingerprint(&topo), fingerprint(&topo));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use airtime_net::TcpConfig;
 use airtime_phy::{DataRate, PathLossModel, Phy80211b, Wall};
-use airtime_sim::{QueueBackend, SimDuration, SimTime};
+use airtime_sim::{SimDuration, SimTime};
 
 // The scheduler family registry lives in `airtime-sched` (the pluggable
 // fairness-policy subsystem); re-exported here so experiment configs
@@ -183,15 +183,6 @@ pub struct NetworkConfig {
     /// observed downlink attempt failures. Ignored when
     /// `uplink_retry_info` is set.
     pub uplink_loss_estimator: bool,
-    /// Event-queue backend. Both honour the same determinism contract
-    /// and produce bit-identical runs; the timer wheel is the fast
-    /// default, the binary heap the differential-testing reference.
-    pub queue_backend: QueueBackend,
-    /// Skip scheduler fill ticks while no queue is blocked on tokens
-    /// (the scheduler catches token state up lazily with identical
-    /// arithmetic, so runs are bit-identical either way). On by
-    /// default; turn off to reproduce dense-tick profiles.
-    pub coalesce_ticks: bool,
 }
 
 impl NetworkConfig {
@@ -217,8 +208,6 @@ impl NetworkConfig {
             rts_threshold: None,
             regulate: Regulate::PerStation,
             uplink_loss_estimator: false,
-            queue_backend: QueueBackend::Wheel,
-            coalesce_ticks: true,
         }
     }
 }

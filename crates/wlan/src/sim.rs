@@ -29,9 +29,7 @@ use airtime_obs::{
 };
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
 use airtime_sched::Scheduler;
-use airtime_sim::{
-    AnyQueue, Histogram, LoopProfiler, RateMeter, SimDuration, SimRng, SimTime, Timeline,
-};
+use airtime_sim::{EventQueue, Histogram, LoopProfiler, RateMeter, SimDuration, SimRng, SimTime};
 use airtime_trace::{FrameRecord, Trace};
 
 use crate::config::{
@@ -143,15 +141,11 @@ struct Sim<'c, O: Observer> {
     obs: &'c mut O,
     instr: Option<Instr<'c>>,
     now: SimTime,
-    queue: AnyQueue<Event>,
+    queue: EventQueue<Event>,
     mac: DcfWorld,
     /// The pluggable AP discipline (any `airtime-sched` family).
     sched: Box<dyn Scheduler>,
-    /// True when `SchedTick` self-reschedules at every `tick_period`
-    /// (the scheduler needs a timer but cannot catch up lazily, or the
-    /// config disabled coalescing).
-    dense_ticks: bool,
-    /// The earliest coalesced wake-up currently sitting in the event
+    /// The earliest scheduler wake-up currently sitting in the event
     /// queue, if any — avoids flooding the queue with duplicate wakes.
     pending_wake: Option<SimTime>,
     flows: Vec<FlowRt>,
@@ -261,54 +255,15 @@ fn run_with_profile<O: Observer>(
     obs: &mut O,
     metrics: Option<&mut MetricsRegistry>,
 ) -> (Report, Option<RunProfile>) {
-    assert!(!cfg.stations.is_empty(), "need at least one station");
-    assert!(!cfg.duration.is_zero(), "duration must be positive");
-    assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
     let mut sim = Sim::new(cfg, obs, metrics, None);
-    sim.queue
-        .schedule(SimTime::ZERO + cfg.warmup, Event::WarmupDone);
-    if sim.dense_ticks {
-        if let Some(p) = sim.sched.tick_period() {
-            sim.queue.schedule(SimTime::ZERO + p, Event::SchedTick);
-        }
-    }
-    for f in 0..sim.flows.len() {
-        let at = sim.flows[f].start;
-        sim.queue.schedule(at, Event::StartFlow { flow: f });
-    }
     let end = SimTime::ZERO + cfg.duration;
     // Peek before popping: an event beyond `end` stays in the queue, so
     // `events_processed` counts exactly the dispatched events and the
     // profiler/queue-depth accounting agrees with it.
     while sim.queue.peek_time().is_some_and(|t| t <= end) {
-        let (t, ev) = sim.queue.pop().expect("peeked");
-        sim.now = t;
-        let label = event_label(&ev);
-        if sim.obs.active() {
-            sim.obs.on_dispatch(t, sim.queue.last_seq(), label);
-        }
-        let depth = sim.queue.len();
-        let t0 = sim.instr.as_mut().map(|instr| {
-            instr.reg.observe(instr.queue_depth, depth as f64);
-            std::time::Instant::now()
-        });
-        sim.dispatch(ev);
-        sim.pump_all();
-        sim.kick_all();
-        sim.ensure_sched_wake();
-        if let Some(t0) = t0 {
-            if let Some(instr) = sim.instr.as_mut() {
-                instr.profiler.count_timed(label, t0.elapsed());
-            }
-            sim.advance_instr();
-        }
+        sim.step();
     }
-    sim.now = end;
-    // Bring the scheduler's periodic state up to the end of the run in
-    // every drive mode, so reported rates never depend on whether the
-    // trailing idle stretch carried tick events.
-    sim.sched.on_tick(end);
-    sim.finish_airtime(end);
+    sim.finish(end);
     sim.finish_instr();
     let profile = sim.instr.as_ref().map(|i| RunProfile {
         profiler: i.profiler.clone(),
@@ -336,12 +291,18 @@ fn event_label(ev: &Event) -> &'static str {
 }
 
 impl<'c, O: Observer> Sim<'c, O> {
+    /// Builds the engine with its warm-up mark and the flow starts of
+    /// every station active at t = 0 (all of them when `active` is
+    /// `None`) already queued.
     fn new(
         cfg: &'c NetworkConfig,
         obs: &'c mut O,
         metrics: Option<&'c mut MetricsRegistry>,
         active: Option<&[bool]>,
     ) -> Self {
+        assert!(!cfg.stations.is_empty(), "need at least one station");
+        assert!(!cfg.duration.is_zero(), "duration must be positive");
+        assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
         let n = cfg.stations.len();
         let mut links = vec![LinkErrorModel::Perfect; n + 1];
         let mut arf = vec![None; n + 1];
@@ -502,15 +463,19 @@ impl<'c, O: Observer> Sim<'c, O> {
                 reg,
             }
         });
-        let dense_ticks =
-            sched.tick_period().is_some() && !(cfg.coalesce_ticks && sched.coalescible());
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::ZERO + cfg.warmup, Event::WarmupDone);
+        for (f, rt) in flows.iter().enumerate() {
+            if is_active(rt.station) {
+                queue.schedule(rt.start, Event::StartFlow { flow: f });
+            }
+        }
         Sim {
             cfg,
             obs,
             instr,
             now: SimTime::ZERO,
-            queue: AnyQueue::new(cfg.queue_backend),
-            dense_ticks,
+            queue,
             pending_wake: None,
             mac,
             sched,
@@ -526,6 +491,43 @@ impl<'c, O: Observer> Sim<'c, O> {
             trace: cfg.record_trace.then(|| Trace::new(cfg.duration)),
             fer_est: vec![0.0; n + 1],
         }
+    }
+
+    /// Dispatches the earliest pending event, then runs the glue every
+    /// dispatch is followed by; `None` when the queue is drained.
+    fn step(&mut self) -> Option<(SimTime, &'static str)> {
+        let (t, ev) = self.queue.pop()?;
+        self.now = t;
+        let label = event_label(&ev);
+        if self.obs.active() {
+            self.obs.on_dispatch(t, self.queue.last_seq(), label);
+        }
+        let depth = self.queue.len();
+        let t0 = self.instr.as_mut().map(|instr| {
+            instr.reg.observe(instr.queue_depth, depth as f64);
+            std::time::Instant::now()
+        });
+        self.dispatch(ev);
+        self.pump_all();
+        self.kick_all();
+        self.ensure_sched_wake();
+        if let Some(t0) = t0 {
+            if let Some(instr) = self.instr.as_mut() {
+                instr.profiler.count_timed(label, t0.elapsed());
+            }
+            self.advance_instr();
+        }
+        Some((t, label))
+    }
+
+    /// Closes the run at `end`. Brings the scheduler's periodic state up
+    /// to the boundary, so reported rates never depend on whether the
+    /// trailing idle stretch carried a wake-up, and closes the airtime
+    /// timeline.
+    fn finish(&mut self, end: SimTime) {
+        self.now = end;
+        self.sched.on_tick(end);
+        self.finish_airtime(end);
     }
 
     /// The scheduler key a packet of `flow` is regulated under.
@@ -830,14 +832,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if self.obs.active() {
                     for k in 0..self.key_count() {
                         self.emit_tokens(ClientId(k), TokenCause::Fill);
-                    }
-                }
-                // Dense mode keeps the classic self-rescheduling chain;
-                // coalesced mode only wakes when `ensure_sched_wake`
-                // asks for it.
-                if self.dense_ticks {
-                    if let Some(p) = self.sched.tick_period() {
-                        self.queue.schedule(self.now + p, Event::SchedTick);
                     }
                 }
             }
@@ -1464,14 +1458,15 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    /// In coalesced-tick mode: if the scheduler is blocked (backlogged
-    /// but nothing eligible — a TBR queue waiting on tokens), make sure
-    /// a `SchedTick` wake-up sits in the event queue at the scheduler's
-    /// requested instant. Runs after every dispatch; a no-op in dense
-    /// mode, when the scheduler needs no timer, or when traffic will
-    /// consult the scheduler anyway.
+    /// If the scheduler is blocked (backlogged but nothing eligible — a
+    /// TBR queue waiting on tokens), make sure a `SchedTick` wake-up
+    /// sits in the event queue at the scheduler's requested instant.
+    /// Idle fill-grid instants never become events: the scheduler
+    /// replays them itself on its next consult. Runs after every
+    /// dispatch; a no-op when the scheduler needs no timer, or when
+    /// traffic will consult the scheduler anyway.
     fn ensure_sched_wake(&mut self) {
-        if self.dense_ticks || self.sched.tick_period().is_none() {
+        if self.sched.tick_period().is_none() {
             return;
         }
         if self.sched.backlog() == 0 || self.sched.has_eligible(self.now) {
@@ -1733,37 +1728,19 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// Panics on malformed configs (as [`run`]) or when the mask
     /// length disagrees with the station count.
     pub fn new(cfg: &'c NetworkConfig, obs: &'c mut O, active: &[bool]) -> Self {
-        assert!(!cfg.stations.is_empty(), "need at least one station");
-        assert!(!cfg.duration.is_zero(), "duration must be positive");
-        assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
         assert_eq!(
             active.len(),
             cfg.stations.len(),
             "association mask must cover every station"
         );
-        let mut sim = Sim::new(cfg, obs, None, Some(active));
-        sim.queue
-            .schedule(SimTime::ZERO + cfg.warmup, Event::WarmupDone);
-        if sim.dense_ticks {
-            if let Some(p) = sim.sched.tick_period() {
-                sim.queue.schedule(SimTime::ZERO + p, Event::SchedTick);
-            }
-        }
-        for f in 0..sim.flows.len() {
-            if active[sim.flows[f].station] {
-                let at = sim.flows[f].start;
-                sim.queue.schedule(at, Event::StartFlow { flow: f });
-            }
-        }
         CellSim {
-            sim,
+            sim: Sim::new(cfg, obs, None, Some(active)),
             associated: active.to_vec(),
         }
     }
 
-    /// Time of this cell's earliest pending event. Takes `&mut self`
-    /// because the wheel backend may cascade timers to answer.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Time of this cell's earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.sim.queue.peek_time()
     }
 
@@ -1782,19 +1759,7 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// profiler label, so a driver can attribute the step's host cost
     /// per event type without peeking into the queue.
     pub fn step_labeled(&mut self) -> Option<(SimTime, &'static str)> {
-        let (t, ev) = self.sim.queue.pop()?;
-        let label = event_label(&ev);
-        if self.sim.obs.active() {
-            self.sim
-                .obs
-                .on_dispatch(t, self.sim.queue.last_seq(), label);
-        }
-        self.sim.now = t;
-        self.sim.dispatch(ev);
-        self.sim.pump_all();
-        self.sim.kick_all();
-        self.sim.ensure_sched_wake();
-        Some((t, label))
+        self.sim.step()
     }
 
     /// Events dispatched by this cell's loop so far.
@@ -1811,9 +1776,7 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// to the boundary, closes the airtime timeline so per-cell traces
     /// audit on their own, and produces the cell's report.
     pub fn finish(mut self, end: SimTime) -> Report {
-        self.sim.now = end;
-        self.sim.sched.on_tick(end);
-        self.sim.finish_airtime(end);
+        self.sim.finish(end);
         self.sim.report()
     }
 

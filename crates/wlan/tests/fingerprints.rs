@@ -1,9 +1,8 @@
 //! Golden determinism fingerprints for the paper's headline presets.
 //!
 //! The flight recorder folds every run's canonical causal stream into
-//! a 64-bit fingerprint that is invariant across queue backends and
-//! tick modes. These tests pin the fingerprints of the four shortened
-//! figure/table presets: any behavioral change to the simulator — new
+//! a 64-bit fingerprint. These tests pin the fingerprints of the
+//! shortened figure/table presets: any behavioral change to the simulator — new
 //! event ordering, different scheduler decisions, a changed RNG draw —
 //! moves a fingerprint and must consciously update the golden here.
 //! (`crates/scenario/tests/verify.rs` pins the multi-cell roaming
@@ -14,13 +13,13 @@
 
 use airtime_obs::{fp_hex, FlightRecorder};
 use airtime_phy::DataRate::{B1, B11};
-use airtime_sim::{QueueBackend, SimDuration};
+use airtime_sim::SimDuration;
 use airtime_wlan::{
     run, run_recorded, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
 };
 
-/// Same shortening as `tests/backends.rs`: paper-length presets cut to
-/// test length without disturbing a deliberately zero warm-up.
+/// Paper-length presets cut to test length without disturbing a
+/// deliberately zero warm-up.
 fn shorten(mut cfg: NetworkConfig) -> NetworkConfig {
     cfg.duration = SimDuration::from_secs(2);
     if !cfg.warmup.is_zero() {
@@ -29,7 +28,7 @@ fn shorten(mut cfg: NetworkConfig) -> NetworkConfig {
     cfg
 }
 
-/// The four headline presets with their pinned fingerprints.
+/// The headline presets with their pinned fingerprints.
 ///
 /// To regenerate after an intentional behavioral change:
 ///     cargo test -p airtime-wlan --test fingerprints -- --nocapture
@@ -66,8 +65,7 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
             "29d665a86663910d",
         ),
         // The two scheduler-zoo contenders on the same fig9-class cell:
-        // both are tick-free, so backend/tick-mode invariance holds by
-        // construction — these goldens pin their *decisions*.
+        // these goldens pin their *decisions*.
         (
             "fig9/tcp_down/pf",
             shorten(scenarios::tcp_stations(
@@ -89,36 +87,13 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
     ]
 }
 
-fn combos() -> [(&'static str, QueueBackend, bool); 4] {
-    [
-        ("heap/dense", QueueBackend::Heap, false),
-        ("heap/coalesced", QueueBackend::Heap, true),
-        ("wheel/dense", QueueBackend::Wheel, false),
-        ("wheel/coalesced", QueueBackend::Wheel, true),
-    ]
-}
-
 #[test]
-fn preset_fingerprints_match_goldens_under_every_combo() {
+fn preset_fingerprints_match_goldens() {
     let mut actual = Vec::new();
-    for (name, base, _) in goldens() {
-        let mut fp: Option<(String, &'static str)> = None;
-        for (combo, backend, coalesce) in combos() {
-            let mut cfg = base.clone();
-            cfg.queue_backend = backend;
-            cfg.coalesce_ticks = coalesce;
-            let mut rec = FlightRecorder::new().with_capacity(0);
-            let _ = run_recorded(&cfg, &mut rec);
-            let hex = fp_hex(rec.fingerprint());
-            match &fp {
-                None => fp = Some((hex, combo)),
-                Some((want, ref_combo)) => assert_eq!(
-                    &hex, want,
-                    "{name}: {combo} fingerprints differently from {ref_combo}"
-                ),
-            }
-        }
-        actual.push((name, fp.expect("ran").0));
+    for (name, cfg, _) in goldens() {
+        let mut rec = FlightRecorder::new().with_capacity(0);
+        let _ = run_recorded(&cfg, &mut rec);
+        actual.push((name, fp_hex(rec.fingerprint())));
     }
     let expected: Vec<(&str, String)> = goldens()
         .iter()

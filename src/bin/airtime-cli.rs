@@ -51,11 +51,11 @@ USAGE:
                                     perf report (plus an optional Chrome
                                     trace)
     airtime-cli verify-determinism <file.toml>
-                                    run the scenario under every queue
-                                    backend x tick-mode combo (and both
-                                    1 and N sweep threads), compare
-                                    flight-recorder fingerprints, and on
-                                    mismatch pin the exact first
+                                    run the scenario twice (and its sweep
+                                    at 1 and N threads), optionally check
+                                    it against a golden recording,
+                                    compare flight-recorder fingerprints,
+                                    and on mismatch pin the first
                                     divergent (time, seq, label) event
     airtime-cli replay <recording>  pretty-print a flight recording
                                     (written by run --record) as a
@@ -136,9 +136,16 @@ Scenario [sweep] sections are ignored: profile times the base config.
 OPTIONS (verify-determinism):
     --threads <n>       sweep thread count compared against 1 [default: 4]
     --interval <n>      events per fingerprint checkpoint  [default: 4096]
-    --inject <combo:n>  test hook: perturb event #n of the named combo
-                        (heap/dense, heap/coalesced, wheel/dense,
-                        wheel/coalesced), manufacturing a synthetic
+    --record <path>     write the run's checkpoint-only recording (the
+                        golden a later build is checked against);
+                        topology scenarios write one file per cell
+                        (<stem>.cell<i>.jsonl)
+    --against <path>    check the run against a golden recording written
+                        by --record (same per-cell naming) and bisect any
+                        break to its first divergent checkpoint; the
+                        golden's checkpoint interval is used
+    --inject <pass:n>   test hook: perturb event #n of the named pass
+                        (run or repeat), manufacturing a synthetic
                         divergence to exercise the localization path
 
 OPTIONS (replay):
@@ -205,13 +212,16 @@ struct Args {
     trace_out: Option<PathBuf>,
     /// `profile --trace-cap`: buffered-trace-event cap override.
     trace_cap: Option<usize>,
-    /// `run --record`: flight-recording JSONL destination.
+    /// `run --record` / `verify-determinism --record`: flight-recording
+    /// JSONL destination.
     record: Option<PathBuf>,
+    /// `verify-determinism --against`: golden recording to check.
+    against: Option<PathBuf>,
     /// `inspect --fp`: fingerprint timeline of a flight recording.
     fp: bool,
     /// `verify-determinism --interval`: events per checkpoint.
     interval: Option<u64>,
-    /// `verify-determinism --inject combo:index`: synthetic divergence.
+    /// `verify-determinism --inject pass:index`: synthetic divergence.
     inject: Option<String>,
     /// `replay --window a..b`: stream-index window to print.
     window: Option<String>,
@@ -247,6 +257,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         trace_out: None,
         trace_cap: None,
         record: None,
+        against: None,
         fp: false,
         interval: None,
         inject: None,
@@ -304,6 +315,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                 args.trace_cap = Some(n);
             }
             "--record" => args.record = Some(PathBuf::from(value()?)),
+            "--against" => args.against = Some(PathBuf::from(value()?)),
             "--fp" => args.fp = true,
             "--interval" => {
                 let n: u64 = value()?
@@ -345,7 +357,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                     path.display()
                 ));
             }
-            let spec = airtime::scenario::compile(&doc, &path.display().to_string())
+            let spec = airtime::scenario::compile_runnable(&doc, &path.display().to_string())
                 .map_err(|e| e.to_string())?;
             if spec.topo.is_some() {
                 return run_topology_scenario(a, &spec);
@@ -1019,7 +1031,7 @@ fn cmd_profile(a: &Args) -> Result<(), String> {
         let p = std::path::Path::new(path);
         let file = p.display().to_string();
         let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
-        let spec = airtime::scenario::compile(&doc, &file).map_err(|e| e.to_string())?;
+        let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
         let obj = match &spec.topo {
             None => profile_cell(&spec, trace.as_mut(), &mut next_pid, &mut host_pid),
             Some(topo) => {
@@ -1195,9 +1207,10 @@ fn profile_topology(
 }
 
 /// `verify-determinism <file.toml>` — the first-divergence debugger.
-/// Exit 0: every backend × tick-mode combo (and both sweep thread
-/// counts) produced identical fingerprint streams. Exit 1: at least
-/// one diverged; the exact first divergent event is printed.
+/// Exit 0: both runs, the golden (if given) and both sweep thread
+/// counts produced identical fingerprint streams. Exit 1: at least one
+/// diverged; the first divergent checkpoint (and, where both sides
+/// kept events, the exact event) is printed.
 fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     let path = a.positionals.first().ok_or(
         "verify-determinism needs a scenario file: airtime-cli verify-determinism <file.toml>",
@@ -1205,7 +1218,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     let p = std::path::Path::new(path);
     let file = p.display().to_string();
     let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
-    let spec = airtime::scenario::compile(&doc, &file).map_err(|e| e.to_string())?;
+    let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
     let mut opts = airtime::scenario::VerifyOptions::default();
     if let Some(n) = a.interval {
         opts.interval = n;
@@ -1214,30 +1227,51 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
         opts.threads = n;
     }
     if let Some(inj) = &a.inject {
-        let (combo, idx) = inj
+        let (pass, idx) = inj
             .rsplit_once(':')
-            .ok_or("--inject wants <combo>:<event index>, e.g. wheel/coalesced:1000")?;
+            .ok_or("--inject wants <pass>:<event index>, e.g. repeat:1000")?;
         let idx: u64 = idx
             .parse()
             .map_err(|e| format!("bad --inject index: {e}"))?;
-        if !airtime::scenario::verify::COMBOS
-            .iter()
-            .any(|c| c.0 == combo)
-        {
-            return Err(format!("--inject: unknown combo '{combo}'"));
+        if !airtime::scenario::verify::PASSES.contains(&pass) {
+            return Err(format!("--inject: unknown pass '{pass}' (run or repeat)"));
         }
-        opts.inject = Some((combo.to_string(), idx));
+        opts.inject = Some((pass.to_string(), idx));
+    }
+    // One recording per radio-cell lane; topologies use
+    // `<stem>.cell<i>[.ext]`, as `run --record` does.
+    let lane_paths = |path: &std::path::Path| -> Vec<PathBuf> {
+        match &spec.topo {
+            None => vec![path.to_path_buf()],
+            Some(t) => (0..t.cells.len())
+                .map(|i| suffixed(path, &format!("cell{i}")))
+                .collect(),
+        }
+    };
+    if let Some(path) = &a.against {
+        let mut golden = Vec::new();
+        for p in lane_paths(path) {
+            let text =
+                std::fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))?;
+            golden.push(Recording::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?);
+        }
+        opts.against = Some(golden);
     }
     let outcome = airtime::scenario::verify_determinism(&spec, Some(&doc), &file, &opts)
         .map_err(|e| e.to_string())?;
     println!(
-        "verify-determinism '{}': {} vs {} ({} events, reference fp {})",
+        "verify-determinism '{}': run vs repeat{} ({} events, fp {})",
         outcome.name,
-        outcome.combos[0],
-        outcome.combos[1..].join(", "),
+        if outcome.against { " and golden" } else { "" },
         outcome.events,
         outcome.fp
     );
+    if let Some(path) = &a.record {
+        for (p, text) in lane_paths(path).iter().zip(&outcome.recordings) {
+            std::fs::write(p, text).map_err(|e| format!("writing {}: {e}", p.display()))?;
+            println!("recording written to {}", p.display());
+        }
+    }
     if outcome.swept {
         println!(
             "sweep matrix compared at 1 vs {} threads",
@@ -1245,7 +1279,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
         );
     }
     if outcome.passed() {
-        println!("PASS — all combos produced identical causal streams");
+        println!("PASS — every pass produced the same causal stream");
         return Ok(());
     }
     for d in &outcome.divergences {
