@@ -5,7 +5,7 @@
 use std::hint::black_box;
 
 use airtime_bench::harness::Group;
-use airtime_core::{ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler};
+use airtime_core::{ClientId, QueuedPacket, Scheduler, TbrConfig, TbrScheduler};
 use airtime_mac::{DcfConfig, DcfWorld, Frame, MacEffect, NodeId};
 use airtime_phy::{DataRate, LinkErrorModel, Phy80211b};
 use airtime_sim::{EventQueue, SimDuration, SimRng, SimTime};

@@ -156,10 +156,7 @@ fn scheduler_family(out: &mut Output) {
     // `airtime-sched` shows up here without touching this binary.
     let mut entries: Vec<(String, SchedulerKind)> = airtime_sched::FAMILIES
         .iter()
-        .map(|f| {
-            let kind = SchedulerKind::from_family(f.name).expect("registry names resolve");
-            (f.name.to_string(), kind)
-        })
+        .map(|f| (f.name.to_string(), (f.default)()))
         .collect();
     entries.push(("tbr+red".to_string(), SchedulerKind::Tbr(tbr_red)));
     for (label, sched) in entries {
@@ -167,13 +164,9 @@ fn scheduler_family(out: &mut Output) {
             &[DataRate::B11, DataRate::B1],
             sched.clone(),
         ));
-        let time_fair = airtime_sched::FAMILIES
-            .iter()
-            .find(|f| f.name == sched.family())
-            .is_some_and(|f| f.time_fair);
         rows.push(vec![
             label,
-            if time_fair { "time" } else { "thpt" }.to_string(),
+            if sched.time_fair() { "time" } else { "thpt" }.to_string(),
             mbps(r.flows[0].goodput_mbps),
             mbps(r.flows[1].goodput_mbps),
             mbps(r.total_goodput_mbps),

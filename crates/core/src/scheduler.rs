@@ -56,25 +56,40 @@ pub enum EnqueueOutcome {
     Dropped,
 }
 
-/// An AP packet-scheduling discipline.
+/// An AP packet-scheduling discipline — the one trait every family
+/// implements.
 ///
 /// The paper's event names map onto this trait as follows:
-/// ASSOCIATEEVENT → [`on_associate`](ApScheduler::on_associate),
-/// APPTXEVENT → [`enqueue`](ApScheduler::enqueue),
-/// MACTXEVENT → [`dequeue`](ApScheduler::dequeue),
-/// COMPLETEEVENT → [`on_complete`](ApScheduler::on_complete),
-/// FILLEVENT/ADJUSTRATEEVENT → [`on_tick`](ApScheduler::on_tick)
-/// (driven at [`tick_period`](ApScheduler::tick_period)).
-pub trait ApScheduler {
+/// ASSOCIATEEVENT → [`on_associate`](Scheduler::on_associate),
+/// APPTXEVENT → [`enqueue`](Scheduler::enqueue),
+/// MACTXEVENT → [`dequeue`](Scheduler::dequeue),
+/// COMPLETEEVENT → [`on_complete`](Scheduler::on_complete),
+/// FILLEVENT/ADJUSTRATEEVENT → [`on_tick`](Scheduler::on_tick)
+/// (driven at [`tick_period`](Scheduler::tick_period)).
+///
+/// Beyond the paper's handlers, the trait carries the hooks an embedding
+/// simulator needs to treat every family uniformly: the §4.5 weighted
+/// association ([`on_associate_weighted`](Scheduler::on_associate_weighted))
+/// and token-state introspection for token-regulated families
+/// ([`token_balance_ns`](Scheduler::token_balance_ns) /
+/// [`token_fill_rate`](Scheduler::token_fill_rate)), so embedders never
+/// downcast to a concrete type.
+pub trait Scheduler {
     /// A client joined the cell.
     fn on_associate(&mut self, client: ClientId, now: SimTime);
+
+    /// A client joined the cell with a QoS weight (1.0 = equal share).
+    /// Disciplines without weighted shares ignore the weight.
+    fn on_associate_weighted(&mut self, client: ClientId, _weight: f64, now: SimTime) {
+        self.on_associate(client, now);
+    }
 
     /// A client left the cell (roamed away or timed out). Flushes the
     /// client's buffered packets and returns them so the embedder can
     /// close their lifecycles; any per-client service state (token
     /// balance, deficit, grant carry) is dropped — a station that comes
     /// back re-registers from scratch via
-    /// [`on_associate`](ApScheduler::on_associate). Disciplines with
+    /// [`on_associate`](Scheduler::on_associate). Disciplines with
     /// only shared state keep the client's packets (a stock FIFO cannot
     /// tell whose packets are whose without scanning; those that can,
     /// do).
@@ -92,28 +107,33 @@ pub trait ApScheduler {
     /// A frame exchange involving `client` finished, consuming `airtime`
     /// of channel occupancy (COMPLETEEVENT). `sent_by_ap` distinguishes
     /// downlink from uplink frames; both debit the same client.
+    /// Disciplines that do not account airtime ignore it.
     fn on_complete(
         &mut self,
-        client: ClientId,
-        airtime: SimDuration,
-        sent_by_ap: bool,
-        now: SimTime,
-    );
+        _client: ClientId,
+        _airtime: SimDuration,
+        _sent_by_ap: bool,
+        _now: SimTime,
+    ) {
+    }
 
     /// Periodic maintenance (token refill, rate adjustment) up to `now`.
-    fn on_tick(&mut self, now: SimTime);
+    /// A no-op for disciplines without a [`tick_period`](Scheduler::tick_period).
+    fn on_tick(&mut self, _now: SimTime) {}
 
-    /// The grid on which the scheduler's periodic work falls; `None` for
-    /// disciplines that need no timer.
+    /// The grid on which the scheduler's periodic work falls; `None` (the
+    /// default) for disciplines that need no timer.
     ///
     /// Simulators never tick a scheduler at every grid instant. A
     /// scheduler with a period must replay the grid instants it missed
     /// on every entry point, at their exact timestamps, so its state is
     /// a pure function of the consult sequence; the driver calls
-    /// [`on_tick`](ApScheduler::on_tick) only at the wake-ups
-    /// [`next_wake`](ApScheduler::next_wake) asks for and at the end of
+    /// [`on_tick`](Scheduler::on_tick) only at the wake-ups
+    /// [`next_wake`](Scheduler::next_wake) asks for and at the end of
     /// a run.
-    fn tick_period(&self) -> Option<SimDuration>;
+    fn tick_period(&self) -> Option<SimDuration> {
+        None
+    }
 
     /// When the scheduler is blocked (backlog but nothing eligible),
     /// the instant by which it wants to be consulted again. Estimates
@@ -133,11 +153,27 @@ pub trait ApScheduler {
     /// buffer.
     fn queue_len(&self, client: ClientId) -> usize;
 
-    /// True when [`dequeue`](ApScheduler::dequeue) would return a packet.
-    fn has_eligible(&self, now: SimTime) -> bool;
+    /// True when [`dequeue`](Scheduler::dequeue) would return a packet.
+    /// The default — any backlog — holds for every work-conserving
+    /// discipline; regulators that hold packets back override it.
+    fn has_eligible(&self, _now: SimTime) -> bool {
+        self.backlog() > 0
+    }
 
     /// Packets dropped by the buffer policy so far.
     fn drops(&self) -> u64;
+
+    /// The client's channel-time token balance in nanoseconds (may be
+    /// negative), for token-regulated disciplines; `None` otherwise.
+    fn token_balance_ns(&self, _client: ClientId) -> Option<f64> {
+        None
+    }
+
+    /// The client's token fill rate as a fraction of wall-clock time,
+    /// for token-regulated disciplines; `None` otherwise.
+    fn token_fill_rate(&self, _client: ClientId) -> Option<f64> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -171,7 +207,7 @@ impl Default for FifoScheduler {
     }
 }
 
-impl ApScheduler for FifoScheduler {
+impl Scheduler for FifoScheduler {
     fn on_associate(&mut self, _client: ClientId, _now: SimTime) {}
 
     fn on_disassociate(&mut self, client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {
@@ -203,31 +239,12 @@ impl ApScheduler for FifoScheduler {
         self.queue.pop_front()
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.queue.len()
     }
 
     fn queue_len(&self, _client: ClientId) -> usize {
         self.queue.len()
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        !self.queue.is_empty()
     }
 
     fn drops(&self) -> u64 {
@@ -287,6 +304,11 @@ impl QueuePool {
                 self.queues.len() - 1
             }
         }
+    }
+
+    /// Packets buffered for `client` (0 for an unregistered client).
+    pub fn queue_len(&self, client: ClientId) -> usize {
+        self.slot_of(client).map_or(0, |i| self.queues[i].len())
     }
 
     pub fn per_queue_cap(&self) -> usize {
@@ -372,7 +394,7 @@ impl Default for RoundRobinScheduler {
     }
 }
 
-impl ApScheduler for RoundRobinScheduler {
+impl Scheduler for RoundRobinScheduler {
     fn on_associate(&mut self, client: ClientId, _now: SimTime) {
         self.pool.add_client(client);
     }
@@ -397,33 +419,12 @@ impl ApScheduler for RoundRobinScheduler {
         None
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
+        self.pool.queue_len(client)
     }
 
     fn drops(&self) -> u64 {
@@ -465,19 +466,6 @@ impl DrrScheduler {
         }
     }
 
-    /// Associates `client` with a QoS weight: each visit grants
-    /// `weight × quantum` bytes, so long-term byte shares follow the
-    /// weights (classic weighted DRR). Weight 1.0 is plain DRR.
-    pub fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
-        assert!(weight > 0.0, "weight must be positive");
-        let slot = self.pool.add_client(client);
-        while slot >= self.deficits.len() {
-            self.deficits.push(0);
-            self.weights.push(1.0);
-        }
-        self.weights[slot] = weight;
-    }
-
     /// The byte grant slot `i` receives per round visit.
     fn quantum_of(&self, i: usize) -> u64 {
         let w = self.weights.get(i).copied().unwrap_or(1.0);
@@ -508,7 +496,7 @@ impl Default for DrrScheduler {
     }
 }
 
-impl ApScheduler for DrrScheduler {
+impl Scheduler for DrrScheduler {
     fn on_associate(&mut self, client: ClientId, now: SimTime) {
         // Registration without an explicit weight keeps (or defaults
         // to) weight 1.0 — plain DRR.
@@ -518,6 +506,19 @@ impl ApScheduler for DrrScheduler {
             .and_then(|i| self.weights.get(i).copied())
             .unwrap_or(1.0);
         self.on_associate_weighted(client, weight, now);
+    }
+
+    /// Associates `client` with a QoS weight: each visit grants
+    /// `weight × quantum` bytes, so long-term byte shares follow the
+    /// weights (classic weighted DRR). Weight 1.0 is plain DRR.
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
+        assert!(weight > 0.0, "weight must be positive");
+        let slot = self.pool.add_client(client);
+        while slot >= self.deficits.len() {
+            self.deficits.push(0);
+            self.weights.push(1.0);
+        }
+        self.weights[slot] = weight;
     }
 
     fn on_disassociate(&mut self, client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {
@@ -575,33 +576,12 @@ impl ApScheduler for DrrScheduler {
         None
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
+        self.pool.queue_len(client)
     }
 
     fn drops(&self) -> u64 {

@@ -36,7 +36,7 @@
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::buffer::BufferPolicy;
-use crate::scheduler::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
+use crate::scheduler::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
 
 /// Tunables for [`TbrScheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -99,6 +99,31 @@ impl Default for TbrConfig {
     }
 }
 
+impl TbrConfig {
+    /// Checks the tunables, naming the first offending one. A zero fill
+    /// period would replay grid instants forever, and a zero bucket caps
+    /// every balance at zero so nothing is ever released.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.fill_period.is_zero() {
+            return Err("fill_period must be positive".into());
+        }
+        if self.bucket.is_zero() {
+            return Err("bucket must be positive".into());
+        }
+        for (name, v) in [
+            ("excess_threshold", self.excess_threshold),
+            ("demand_threshold", self.demand_threshold),
+            ("min_rate", self.min_rate),
+            ("restitution", self.restitution),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be a finite non-negative number"));
+            }
+        }
+        Ok(())
+    }
+}
+
 struct ClientState {
     /// Channel-time balance in nanoseconds (may be negative).
     tokens: f64,
@@ -140,7 +165,14 @@ pub struct TbrScheduler {
 
 impl TbrScheduler {
     /// Creates an empty regulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`TbrConfig::validate`] rejects `config`.
     pub fn new(config: TbrConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         TbrScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,
@@ -177,75 +209,6 @@ impl TbrScheduler {
         }
     }
 
-    /// Associates `client` with a QoS weight (the §4.5 extension: the
-    /// desired share need not be equal). Weight 1.0 is the paper's
-    /// default equal share.
-    pub fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        assert!(weight > 0.0, "weight must be positive");
-        // Replay outstanding grid instants under the *old* membership
-        // before it changes — otherwise a catch-up after this call
-        // would fill pre-association instants at the new rates and
-        // diverge from the per-instant trajectory.
-        self.catch_up(now);
-        let slot = self.pool.add_client(client);
-        if slot >= self.states.len() {
-            self.states.push(ClientState {
-                tokens: self.config.initial_tokens.as_nanos() as f64,
-                rate: 0.0,
-                weight,
-                actual: 0.0,
-                start: now,
-                demand_time: 0.0,
-                backlog_since: None,
-                low_demand_streak: 0,
-                usage_ewma: None,
-                active: true,
-            });
-            self.debited.push(0.0);
-        } else if !self.states[slot].active {
-            // Re-association after a disassociation: the client
-            // registers from scratch — fresh initial tokens, no memory
-            // of its previous stint (debt was settled by leaving; usage
-            // history would poison the adjuster's EWMA).
-            let s = &mut self.states[slot];
-            s.tokens = self.config.initial_tokens.as_nanos() as f64;
-            s.weight = weight;
-            s.actual = 0.0;
-            s.start = now;
-            s.demand_time = 0.0;
-            s.backlog_since = None;
-            s.low_demand_streak = 0;
-            s.usage_ewma = None;
-            s.active = true;
-        } else {
-            self.states[slot].weight = weight;
-        }
-        self.reset_rates(now);
-    }
-
-    /// Disassociates `client`: flushes its queue, drops its token
-    /// balance (positive or negative — the account closes with the
-    /// association, §4.2 keys accounts on the association lifetime) and
-    /// redistributes its rate among the remaining members.
-    fn do_disassociate(&mut self, client: ClientId, now: SimTime) -> Vec<QueuedPacket> {
-        self.catch_up(now);
-        let Some(slot) = self.pool.slot_of(client) else {
-            return Vec::new();
-        };
-        let flushed = self.pool.flush_client(client);
-        let s = &mut self.states[slot];
-        s.active = false;
-        s.tokens = 0.0;
-        s.rate = 0.0;
-        s.actual = 0.0;
-        s.demand_time = 0.0;
-        s.backlog_since = None;
-        s.low_demand_streak = 0;
-        s.usage_ewma = None;
-        self.reset_rates(now);
-        flushed
-    }
-
     /// Resets every rate to its weighted fair share (membership or
     /// weight changed).
     fn reset_rates(&mut self, now: SimTime) {
@@ -260,18 +223,6 @@ impl TbrScheduler {
             s.actual = 0.0;
             s.start = now;
         }
-    }
-
-    /// The current token-refill rate (share of channel time) of a
-    /// client, as set by fair share plus rate adjustment.
-    pub fn rate_of(&self, client: ClientId) -> Option<f64> {
-        self.pool.slot_of(client).map(|i| self.states[i].rate)
-    }
-
-    /// Current token balance of a client in (possibly negative)
-    /// nanoseconds of channel time.
-    pub fn tokens_of(&self, client: ClientId) -> Option<f64> {
-        self.pool.slot_of(client).map(|i| self.states[i].tokens)
     }
 
     /// Total channel time ever debited to a client.
@@ -399,7 +350,7 @@ impl TbrScheduler {
     }
 }
 
-impl ApScheduler for TbrScheduler {
+impl Scheduler for TbrScheduler {
     fn on_associate(&mut self, client: ClientId, now: SimTime) {
         // Idempotent while associated: re-association keeps any
         // explicitly set weight. A disassociated slot re-registers from
@@ -410,8 +361,73 @@ impl ApScheduler for TbrScheduler {
         }
     }
 
+    /// Associates `client` with a QoS weight (the §4.5 extension: the
+    /// desired share need not be equal). Weight 1.0 is the paper's
+    /// default equal share.
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
+        assert!(weight > 0.0, "weight must be positive");
+        // Replay outstanding grid instants under the *old* membership
+        // before it changes — otherwise a catch-up after this call
+        // would fill pre-association instants at the new rates and
+        // diverge from the per-instant trajectory.
+        self.catch_up(now);
+        let slot = self.pool.add_client(client);
+        if slot >= self.states.len() {
+            self.states.push(ClientState {
+                tokens: self.config.initial_tokens.as_nanos() as f64,
+                rate: 0.0,
+                weight,
+                actual: 0.0,
+                start: now,
+                demand_time: 0.0,
+                backlog_since: None,
+                low_demand_streak: 0,
+                usage_ewma: None,
+                active: true,
+            });
+            self.debited.push(0.0);
+        } else if !self.states[slot].active {
+            // Re-association after a disassociation: the client
+            // registers from scratch — fresh initial tokens, no memory
+            // of its previous stint (debt was settled by leaving; usage
+            // history would poison the adjuster's EWMA).
+            let s = &mut self.states[slot];
+            s.tokens = self.config.initial_tokens.as_nanos() as f64;
+            s.weight = weight;
+            s.actual = 0.0;
+            s.start = now;
+            s.demand_time = 0.0;
+            s.backlog_since = None;
+            s.low_demand_streak = 0;
+            s.usage_ewma = None;
+            s.active = true;
+        } else {
+            self.states[slot].weight = weight;
+        }
+        self.reset_rates(now);
+    }
+
+    /// Disassociates `client`: flushes its queue, drops its token
+    /// balance (positive or negative — the account closes with the
+    /// association, §4.2 keys accounts on the association lifetime) and
+    /// redistributes its rate among the remaining members.
     fn on_disassociate(&mut self, client: ClientId, now: SimTime) -> Vec<QueuedPacket> {
-        self.do_disassociate(client, now)
+        self.catch_up(now);
+        let Some(slot) = self.pool.slot_of(client) else {
+            return Vec::new();
+        };
+        let flushed = self.pool.flush_client(client);
+        let s = &mut self.states[slot];
+        s.active = false;
+        s.tokens = 0.0;
+        s.rate = 0.0;
+        s.actual = 0.0;
+        s.demand_time = 0.0;
+        s.backlog_since = None;
+        s.low_demand_streak = 0;
+        s.usage_ewma = None;
+        self.reset_rates(now);
+        flushed
     }
 
     fn enqueue(&mut self, pkt: QueuedPacket, now: SimTime) -> EnqueueOutcome {
@@ -553,9 +569,7 @@ impl ApScheduler for TbrScheduler {
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
+        self.pool.queue_len(client)
     }
 
     fn has_eligible(&self, _now: SimTime) -> bool {
@@ -568,6 +582,14 @@ impl ApScheduler for TbrScheduler {
 
     fn drops(&self) -> u64 {
         self.pool.drops()
+    }
+
+    fn token_balance_ns(&self, client: ClientId) -> Option<f64> {
+        self.pool.slot_of(client).map(|i| self.states[i].tokens)
+    }
+
+    fn token_fill_rate(&self, client: ClientId) -> Option<f64> {
+        self.pool.slot_of(client).map(|i| self.states[i].rate)
     }
 }
 
@@ -590,7 +612,7 @@ mod tests {
     /// Drives a scheduler over a synthetic saturated channel where each
     /// client's packets cost a fixed airtime; returns per-client
     /// (packets, airtime) after `span`.
-    fn drive_saturated<S: ApScheduler>(
+    fn drive_saturated<S: Scheduler>(
         sched: &mut S,
         costs: &[SimDuration],
         span: SimDuration,
@@ -692,14 +714,14 @@ mod tests {
                 now,
             );
         }
-        assert!((tbr.rate_of(ClientId(1)).unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(1)).unwrap() - 1.0 / 3.0).abs() < 1e-12);
         let flushed = tbr.on_disassociate(ClientId(1), now);
         assert_eq!(flushed.len(), 4);
         assert_eq!(tbr.queue_len(ClientId(1)), 0);
         // The departed client's share moves to the remaining members.
-        assert_eq!(tbr.rate_of(ClientId(1)), Some(0.0));
-        assert!((tbr.rate_of(ClientId(0)).unwrap() - 0.5).abs() < 1e-12);
-        assert!((tbr.rate_of(ClientId(2)).unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(tbr.token_fill_rate(ClientId(1)), Some(0.0));
+        assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 0.5).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(2)).unwrap() - 0.5).abs() < 1e-12);
         // Traffic for a gone station has nowhere to go.
         let before = tbr.drops();
         assert_eq!(
@@ -725,16 +747,16 @@ mod tests {
         tbr.on_associate(ClientId(1), now);
         // Burn client 1 deep into debt, then roam it away and back.
         tbr.on_complete(ClientId(1), SimDuration::from_millis(50), true, now);
-        assert!(tbr.tokens_of(ClientId(1)).unwrap() < 0.0);
+        assert!(tbr.token_balance_ns(ClientId(1)).unwrap() < 0.0);
         tbr.on_disassociate(ClientId(1), now);
-        assert_eq!(tbr.tokens_of(ClientId(1)), Some(0.0));
+        assert_eq!(tbr.token_balance_ns(ClientId(1)), Some(0.0));
         let later = now + SimDuration::from_secs(2);
         tbr.on_associate(ClientId(1), later);
         // Fresh registration: initial tokens, fair split restored.
         let init = cfg.initial_tokens.as_nanos() as f64;
-        assert_eq!(tbr.tokens_of(ClientId(1)), Some(init));
-        assert!((tbr.rate_of(ClientId(0)).unwrap() - 0.5).abs() < 1e-12);
-        assert!((tbr.rate_of(ClientId(1)).unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(tbr.token_balance_ns(ClientId(1)), Some(init));
+        assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 0.5).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(1)).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -752,9 +774,9 @@ mod tests {
             tbr.on_tick(t);
             tbr.on_complete(ClientId(0), SimDuration::from_micros(1617), true, t);
         }
-        assert!((tbr.rate_of(ClientId(0)).unwrap() - 1.0).abs() < 1e-9);
-        assert_eq!(tbr.rate_of(ClientId(1)), Some(0.0));
-        assert_eq!(tbr.tokens_of(ClientId(1)), Some(0.0));
+        assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 1.0).abs() < 1e-9);
+        assert_eq!(tbr.token_fill_rate(ClientId(1)), Some(0.0));
+        assert_eq!(tbr.token_balance_ns(ClientId(1)), Some(0.0));
     }
 
     #[test]
@@ -818,7 +840,7 @@ mod tests {
         assert!(
             tbr.has_eligible(later),
             "tokens={:?}",
-            tbr.tokens_of(ClientId(0))
+            tbr.token_balance_ns(ClientId(0))
         );
         assert!(tbr.dequeue(later).is_some());
     }
@@ -829,9 +851,9 @@ mod tests {
         let now = SimTime::ZERO;
         tbr.on_associate(ClientId(0), now);
         tbr.on_associate(ClientId(1), now);
-        let before = tbr.tokens_of(ClientId(0)).unwrap();
+        let before = tbr.token_balance_ns(ClientId(0)).unwrap();
         tbr.on_complete(ClientId(0), AIRTIME_11M, false, now);
-        let after = tbr.tokens_of(ClientId(0)).unwrap();
+        let after = tbr.token_balance_ns(ClientId(0)).unwrap();
         assert!((before - after - AIRTIME_11M.as_nanos() as f64).abs() < 1.0);
         assert_eq!(tbr.debited_of(ClientId(0)).unwrap(), AIRTIME_11M);
     }
@@ -840,7 +862,7 @@ mod tests {
     fn unknown_uplink_client_is_auto_associated() {
         let mut tbr = TbrScheduler::new(TbrConfig::default());
         tbr.on_complete(ClientId(5), AIRTIME_11M, false, SimTime::ZERO);
-        assert!(tbr.rate_of(ClientId(5)).is_some());
+        assert!(tbr.token_fill_rate(ClientId(5)).is_some());
     }
 
     #[test]
@@ -876,8 +898,8 @@ mod tests {
                 next_tick += tick;
             }
         }
-        let r0 = tbr.rate_of(ClientId(0)).unwrap();
-        let r1 = tbr.rate_of(ClientId(1)).unwrap();
+        let r0 = tbr.token_fill_rate(ClientId(0)).unwrap();
+        let r1 = tbr.token_fill_rate(ClientId(1)).unwrap();
         assert!(r0 > 0.8, "saturated client rate {r0}");
         assert!(r1 >= TbrConfig::default().min_rate - 1e-9);
         assert!((r0 + r1 - 1.0).abs() < 1e-6, "rates must sum to 1");
@@ -889,8 +911,8 @@ mod tests {
         let now = SimTime::ZERO;
         tbr.on_associate_weighted(ClientId(0), 2.0, now);
         tbr.on_associate_weighted(ClientId(1), 1.0, now);
-        assert!((tbr.rate_of(ClientId(0)).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((tbr.rate_of(ClientId(1)).unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(1)).unwrap() - 1.0 / 3.0).abs() < 1e-12);
         // And the served airtime follows ≈2:1 on a saturated channel.
         let mut tbr = TbrScheduler::new(TbrConfig::default());
         tbr.on_associate_weighted(ClientId(0), 2.0, now);
@@ -923,10 +945,14 @@ mod tests {
             );
             tbr.on_tick(now);
         }
-        let total: f64 = (0..5).map(|c| tbr.rate_of(ClientId(c)).unwrap()).sum();
+        let total: f64 = (0..5)
+            .map(|c| tbr.token_fill_rate(ClientId(c)).unwrap())
+            .sum();
         assert!((total - 1.0).abs() < 1e-6, "rates sum to {total}");
         for c in 0..5 {
-            assert!(tbr.rate_of(ClientId(c)).unwrap() >= TbrConfig::default().min_rate - 1e-9);
+            assert!(
+                tbr.token_fill_rate(ClientId(c)).unwrap() >= TbrConfig::default().min_rate - 1e-9
+            );
         }
     }
 
@@ -947,7 +973,7 @@ mod tests {
         }
         tbr.on_associate(ClientId(2), now);
         for c in 0..3 {
-            let r = tbr.rate_of(ClientId(c)).unwrap();
+            let r = tbr.token_fill_rate(ClientId(c)).unwrap();
             assert!((r - 1.0 / 3.0).abs() < 1e-9, "client {c} rate {r}");
         }
     }
@@ -1002,15 +1028,15 @@ mod tests {
                 }
             }
             for c in 0..2 {
-                let td = dense.tokens_of(ClientId(c)).unwrap();
-                let tl = lazy.tokens_of(ClientId(c)).unwrap();
+                let td = dense.token_balance_ns(ClientId(c)).unwrap();
+                let tl = lazy.token_balance_ns(ClientId(c)).unwrap();
                 assert_eq!(
                     td.to_bits(),
                     tl.to_bits(),
                     "tokens diverged at consult {i}: {td} vs {tl}"
                 );
-                let rd = dense.rate_of(ClientId(c)).unwrap();
-                let rl = lazy.rate_of(ClientId(c)).unwrap();
+                let rd = dense.token_fill_rate(ClientId(c)).unwrap();
+                let rl = lazy.token_fill_rate(ClientId(c)).unwrap();
                 assert_eq!(
                     rd.to_bits(),
                     rl.to_bits(),
@@ -1067,7 +1093,7 @@ mod tests {
         tbr.on_associate_weighted(ClientId(0), 3.0, SimTime::ZERO);
         tbr.on_associate_weighted(ClientId(1), 1.0, SimTime::ZERO);
         tbr.on_associate(ClientId(0), SimTime::ZERO);
-        assert!((tbr.rate_of(ClientId(0)).unwrap() - 0.75).abs() < 1e-12);
-        assert!((tbr.rate_of(ClientId(1)).unwrap() - 0.25).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 0.75).abs() < 1e-12);
+        assert!((tbr.token_fill_rate(ClientId(1)).unwrap() - 0.25).abs() < 1e-12);
     }
 }

@@ -21,7 +21,7 @@
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::buffer::BufferPolicy;
-use crate::scheduler::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
+use crate::scheduler::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
 
 /// Configuration for [`TxopScheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -45,6 +45,17 @@ impl Default for TxopConfig {
     }
 }
 
+impl TxopConfig {
+    /// Checks the tunables: a zero quantum never opens a grant, so
+    /// nothing would ever be released.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.quantum.is_zero() {
+            return Err("quantum must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// Round-robin channel-time grants at the AP.
 pub struct TxopScheduler {
     config: TxopConfig,
@@ -62,7 +73,14 @@ pub struct TxopScheduler {
 
 impl TxopScheduler {
     /// Creates an empty scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`TxopConfig::validate`] rejects `config`.
     pub fn new(config: TxopConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         TxopScheduler {
             config,
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
@@ -117,7 +135,7 @@ impl TxopScheduler {
     }
 }
 
-impl ApScheduler for TxopScheduler {
+impl Scheduler for TxopScheduler {
     fn on_associate(&mut self, client: ClientId, _now: SimTime) {
         let slot = self.pool.add_client(client);
         if slot >= self.served.len() {
@@ -175,24 +193,12 @@ impl ApScheduler for TxopScheduler {
         }
     }
 
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
+        self.pool.queue_len(client)
     }
 
     fn drops(&self) -> u64 {

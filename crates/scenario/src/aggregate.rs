@@ -110,12 +110,7 @@ fn resolve_property(check: &CheckSpec, scheduler: &SchedulerKind) -> CheckProper
         // clients, the rest (FIFO, RR, DRR, max-min) equalise
         // throughput.
         CheckProperty::Auto => {
-            let name = scheduler.family();
-            let time_fair = airtime_sched::FAMILIES
-                .iter()
-                .find(|f| f.name == name)
-                .is_some_and(|f| f.time_fair);
-            if time_fair {
+            if scheduler.time_fair() {
                 CheckProperty::AirtimeFair
             } else {
                 CheckProperty::ThroughputFair

@@ -79,9 +79,7 @@
 //! y_ft = [10.0, 10.0]
 //! ```
 
-use airtime_core::{TbrConfig, TxopConfig};
 use airtime_phy::{DataRate, RateSet, Wall};
-use airtime_sched::{MaxMinConfig, PfConfig};
 use airtime_sim::{SimDuration, SimTime};
 use airtime_topo::{CellSpec, Placement, Point, RatePolicy, TopologyConfig, WaypointPath};
 use airtime_wlan::{
@@ -408,21 +406,32 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
         return Ok(SchedulerKind::tbr());
     };
     check_keys(t, "scheduler", SCHEDULER_KEYS)?;
-    let kind = match t.get("kind") {
-        Some(e) => want_str(e)?.to_string(),
-        None => "tbr".to_string(),
+    let mut kind = match t.get("kind") {
+        Some(e) => {
+            let name = want_str(e)?;
+            SchedulerKind::from_family(name).ok_or_else(|| CompileError {
+                line: e.line,
+                msg: format!(
+                    "unknown scheduler '{name}'; expected one of {}",
+                    airtime_sched::family_names()
+                ),
+            })?
+        }
+        None => SchedulerKind::tbr(),
     };
-    let kind_line = t.get("kind").map(|e| e.line).unwrap_or(t.line);
     // Parameters that only make sense for one discipline are rejected
     // elsewhere, so a `[sweep]` over `scheduler.kind` can keep a TBR
     // parameter table alongside — the parameters simply don't apply to
     // the fifo/rr/drr cells.
-    match kind.as_str() {
-        "fifo" => Ok(SchedulerKind::Fifo),
-        "rr" => Ok(SchedulerKind::RoundRobin),
-        "drr" => Ok(SchedulerKind::Drr),
-        "tbr" => {
-            let mut c = TbrConfig::default();
+    let total_buffer = |buf: &mut usize| -> Result<(), CompileError> {
+        if let Some(e) = t.get("total_buffer") {
+            *buf = want_u64(e)? as usize;
+        }
+        Ok(())
+    };
+    match &mut kind {
+        SchedulerKind::Fifo | SchedulerKind::RoundRobin | SchedulerKind::Drr => {}
+        SchedulerKind::Tbr(c) => {
             if let Some(e) = t.get("fill_period_ms") {
                 c.fill_period = duration_millis(e)?;
             }
@@ -445,60 +454,51 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
                 c.min_rate = want_f64(e)?;
             }
             if let Some(e) = t.get("donation_streak") {
-                c.donation_streak = want_u64(e)? as u32;
+                c.donation_streak = u32::try_from(want_u64(e)?).or_else(|_| {
+                    err(
+                        e.line,
+                        format!("donation_streak must be at most {}", u32::MAX),
+                    )
+                })?;
             }
             if let Some(e) = t.get("restitution") {
                 c.restitution = want_f64(e)?;
             }
-            if let Some(e) = t.get("total_buffer") {
-                c.total_buffer = want_u64(e)? as usize;
-            }
-            Ok(SchedulerKind::Tbr(c))
+            total_buffer(&mut c.total_buffer)?;
         }
-        "txop" => {
-            let mut c = TxopConfig::default();
+        SchedulerKind::Txop(c) => {
             if let Some(e) = t.get("quantum_ms") {
                 c.quantum = duration_millis(e)?;
             }
-            if let Some(e) = t.get("total_buffer") {
-                c.total_buffer = want_u64(e)? as usize;
-            }
-            Ok(SchedulerKind::Txop(c))
+            total_buffer(&mut c.total_buffer)?;
         }
-        "pf" => {
-            let mut c = PfConfig::default();
+        SchedulerKind::Pf(c) => {
             if let Some(e) = t.get("beta") {
                 c.beta = want_f64(e)?;
-                if !(c.beta > 0.0 && c.beta <= 1.0) {
-                    return err(e.line, "beta must be in (0, 1]".to_string());
-                }
             }
-            if let Some(e) = t.get("total_buffer") {
-                c.total_buffer = want_u64(e)? as usize;
-            }
-            Ok(SchedulerKind::Pf(c))
+            total_buffer(&mut c.total_buffer)?;
         }
-        "maxmin" => {
-            let mut c = MaxMinConfig::default();
+        SchedulerKind::MaxMin(c) => {
             if let Some(e) = t.get("rate_ewma") {
                 c.rate_ewma = want_f64(e)?;
-                if !(c.rate_ewma > 0.0 && c.rate_ewma <= 1.0) {
-                    return err(e.line, "rate_ewma must be in (0, 1]".to_string());
-                }
             }
-            if let Some(e) = t.get("total_buffer") {
-                c.total_buffer = want_u64(e)? as usize;
-            }
-            Ok(SchedulerKind::MaxMin(c))
+            total_buffer(&mut c.total_buffer)?;
         }
-        other => err(
-            kind_line,
-            format!(
-                "unknown scheduler '{other}'; expected one of {}",
-                airtime_sched::family_names()
-            ),
-        ),
     }
+    kind.validate().map_err(|msg| {
+        // Point at the offending key when the table sets it (messages
+        // name the tunable, which is the key minus any unit suffix).
+        let line = SCHEDULER_KEYS
+            .iter()
+            .filter(|k| msg.starts_with(k.trim_end_matches("_ms")))
+            .find_map(|k| t.get(k))
+            .map_or(t.line, |e| e.line);
+        CompileError {
+            line,
+            msg: format!("[scheduler] {msg}"),
+        }
+    })?;
+    Ok(kind)
 }
 
 fn compile_flow(t: &Table, default_direction: Direction) -> Result<FlowSpec, CompileError> {
@@ -1257,6 +1257,43 @@ strict = true
             e.msg
         );
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn degenerate_scheduler_tunables_are_rejected_at_their_line() {
+        // Each of these once hung or ran to 0 Mb/s (or silently wrapped);
+        // they must fail at compile time and point at the offending key.
+        for (table, needle) in [
+            (
+                "kind = \"tbr\"\nfill_period_ms = 0",
+                "fill_period must be positive",
+            ),
+            ("kind = \"tbr\"\nbucket_ms = 0", "bucket must be positive"),
+            (
+                "kind = \"txop\"\nquantum_ms = 0",
+                "quantum must be positive",
+            ),
+            (
+                "kind = \"tbr\"\ndonation_streak = 4294967297",
+                "donation_streak must be at most 4294967295",
+            ),
+            (
+                "kind = \"tbr\"\nmin_rate = -0.1",
+                "min_rate must be a finite",
+            ),
+            (
+                "kind = \"maxmin\"\nrate_ewma = 0",
+                "rate_ewma must be in (0, 1]",
+            ),
+        ] {
+            let text = format!("[scheduler]\n{table}\n[[station]]\nrate = \"11\"\n");
+            let e = compile_text(&text).unwrap_err();
+            assert!(e.msg.contains(needle), "{table}: {}", e.msg);
+            assert_eq!(e.line, 3, "{table}: {}", e.msg);
+        }
+        // The same tunables are fine on a family that ignores them.
+        compile_text("[scheduler]\nkind = \"rr\"\nbucket_ms = 0\n[[station]]\nrate = \"11\"\n")
+            .unwrap();
     }
 
     #[test]

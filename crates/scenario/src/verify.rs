@@ -238,7 +238,7 @@ fn record(
     match &spec.topo {
         None => {
             let mut rec = make(None);
-            airtime_wlan::run_recorded(&spec.cfg, &mut rec);
+            airtime_wlan::run_observed(&spec.cfg, &mut rec);
             vec![rec]
         }
         Some(topo) => {

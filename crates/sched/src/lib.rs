@@ -5,17 +5,17 @@
 //! space. This crate turns the AP scheduler into a first-class
 //! subsystem so contenders can be compared side by side:
 //!
-//! - [`Scheduler`] — the pluggable trait every discipline implements:
-//!   the [`ApScheduler`] event hooks (enqueue / select / on-tx-complete
-//!   / lazy ticks and wake-ups) plus weighted association and optional
-//!   token-state introspection, so embedders never downcast to a
-//!   concrete type.
+//! - [`Scheduler`] — the one trait every discipline implements
+//!   (defined in `airtime-core` and re-exported here): the paper's event
+//!   hooks (associate / enqueue / select / on-tx-complete / lazy ticks
+//!   and wake-ups) plus weighted association and optional token-state
+//!   introspection, so embedders never downcast to a concrete type.
 //! - [`SchedulerKind`] — plain-data configuration naming a family and
 //!   its tunables; [`SchedulerKind::build`] constructs the boxed
 //!   discipline.
-//! - [`FAMILIES`] — the single registry of family names shared by the
-//!   scenario compiler, the CLI, the tournament runner and the bench
-//!   binaries (one list, no drift).
+//! - [`FAMILIES`] — the single registry of family names and their
+//!   default configurations, shared by the scenario compiler, the CLI,
+//!   the tournament runner and the bench binaries (one list, no drift).
 //!
 //! The baseline families (FIFO / round-robin / DRR / TBR / TXOP) are
 //! re-exported from `airtime-core`; this crate adds two contenders from
@@ -31,83 +31,17 @@
 //! event hook, so their state is a pure function of the consult
 //! sequence and the determinism contract holds by construction.
 
-use airtime_sim::SimTime;
-
 pub mod maxmin;
 pub mod pf;
 
 // Re-export the abstraction and the baseline implementations so
 // embedders depend on one scheduler crate.
 pub use airtime_core::{
-    ApScheduler, BufferPolicy, ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool,
-    QueuedPacket, RedConfig, RoundRobinScheduler, TbrConfig, TbrScheduler, TxopConfig,
-    TxopScheduler,
+    BufferPolicy, ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool, QueuedPacket,
+    RedConfig, RoundRobinScheduler, Scheduler, TbrConfig, TbrScheduler, TxopConfig, TxopScheduler,
 };
 pub use maxmin::{MaxMinConfig, MaxMinScheduler};
 pub use pf::{PfConfig, PfScheduler};
-
-/// A pluggable AP scheduling discipline.
-///
-/// Extends [`ApScheduler`] (the paper's five event handlers plus the
-/// lazy-tick contract) with the hooks the embedding simulator
-/// needs to treat every family uniformly:
-///
-/// - [`on_associate_weighted`](Scheduler::on_associate_weighted) — the
-///   §4.5 weighted-share extension. The default ignores the weight and
-///   registers the client plainly, so unweighted disciplines need no
-///   code; weighted ones (TBR, DRR, PF, max-min) override it.
-/// - [`token_balance_ns`](Scheduler::token_balance_ns) /
-///   [`token_fill_rate`](Scheduler::token_fill_rate) — optional
-///   introspection for token-regulated families, feeding token gauges,
-///   `TokenUpdate` observer events and the §4.1 client-cooperation
-///   defer without downcasting. Disciplines without token state return
-///   `None` (the default).
-pub trait Scheduler: ApScheduler {
-    /// A client joined the cell with a QoS weight (1.0 = equal share).
-    /// Disciplines without weighted shares ignore the weight.
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        let _ = weight;
-        self.on_associate(client, now);
-    }
-
-    /// The client's channel-time token balance in nanoseconds, for
-    /// token-regulated disciplines; `None` otherwise.
-    fn token_balance_ns(&self, _client: ClientId) -> Option<f64> {
-        None
-    }
-
-    /// The client's token fill rate as a fraction of wall-clock time,
-    /// for token-regulated disciplines; `None` otherwise.
-    fn token_fill_rate(&self, _client: ClientId) -> Option<f64> {
-        None
-    }
-}
-
-impl Scheduler for FifoScheduler {}
-
-impl Scheduler for RoundRobinScheduler {}
-
-impl Scheduler for TxopScheduler {}
-
-impl Scheduler for DrrScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        DrrScheduler::on_associate_weighted(self, client, weight, now);
-    }
-}
-
-impl Scheduler for TbrScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        TbrScheduler::on_associate_weighted(self, client, weight, now);
-    }
-
-    fn token_balance_ns(&self, client: ClientId) -> Option<f64> {
-        self.tokens_of(client)
-    }
-
-    fn token_fill_rate(&self, client: ClientId) -> Option<f64> {
-        self.rate_of(client)
-    }
-}
 
 /// Which queue discipline the AP's transmit path runs — plain data; two
 /// runs of the same kind are bit-identical.
@@ -155,31 +89,43 @@ impl SchedulerKind {
         SchedulerKind::MaxMin(MaxMinConfig::default())
     }
 
+    /// The [`FAMILIES`] entry this kind belongs to.
+    fn entry(&self) -> &'static Family {
+        let mine = std::mem::discriminant(self);
+        FAMILIES
+            .iter()
+            .find(|f| std::mem::discriminant(&(f.default)()) == mine)
+            .expect("every kind has a registry entry")
+    }
+
     /// The family name this kind belongs to (a [`FAMILIES`] entry).
     pub fn family(&self) -> &'static str {
-        match self {
-            SchedulerKind::Fifo => "fifo",
-            SchedulerKind::RoundRobin => "rr",
-            SchedulerKind::Drr => "drr",
-            SchedulerKind::Tbr(_) => "tbr",
-            SchedulerKind::Txop(_) => "txop",
-            SchedulerKind::Pf(_) => "pf",
-            SchedulerKind::MaxMin(_) => "maxmin",
-        }
+        self.entry().name
+    }
+
+    /// Whether this kind's family targets equal airtime (see
+    /// [`Family::time_fair`]).
+    pub fn time_fair(&self) -> bool {
+        self.entry().time_fair
     }
 
     /// The default configuration of the named family, or `None` for an
     /// unknown name. The accepted names are exactly [`FAMILIES`].
     pub fn from_family(name: &str) -> Option<Self> {
-        match name {
-            "fifo" => Some(SchedulerKind::Fifo),
-            "rr" => Some(SchedulerKind::RoundRobin),
-            "drr" => Some(SchedulerKind::Drr),
-            "tbr" => Some(SchedulerKind::tbr()),
-            "txop" => Some(SchedulerKind::txop()),
-            "pf" => Some(SchedulerKind::pf()),
-            "maxmin" => Some(SchedulerKind::maxmin()),
-            _ => None,
+        FAMILIES
+            .iter()
+            .find(|f| f.name == name)
+            .map(|f| (f.default)())
+    }
+
+    /// Checks the kind's tunables, naming the first offending one.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            SchedulerKind::Fifo | SchedulerKind::RoundRobin | SchedulerKind::Drr => Ok(()),
+            SchedulerKind::Tbr(c) => c.validate(),
+            SchedulerKind::Txop(c) => c.validate(),
+            SchedulerKind::Pf(c) => c.validate(),
+            SchedulerKind::MaxMin(c) => c.validate(),
         }
     }
 
@@ -208,46 +154,57 @@ pub struct Family {
     /// throughput) for saturated equal-weight clients — what the
     /// baseline-property check asserts.
     pub time_fair: bool,
+    /// The family's default configuration.
+    pub default: fn() -> SchedulerKind,
 }
 
 /// Every scheduler family, in canonical order. This is the single
-/// source of truth: the scenario compiler, `airtime-cli --sched`, the
+/// source of truth and the only place a family name is written:
+/// [`SchedulerKind::from_family`] and [`SchedulerKind::family`] look
+/// names up here, and the scenario compiler, `airtime-cli --sched`, the
 /// `[tournament]` runner and the ablation bench all enumerate it.
 pub const FAMILIES: &[Family] = &[
     Family {
         name: "fifo",
         summary: "single shared drop-tail queue (stock AP)",
         time_fair: false,
+        default: || SchedulerKind::Fifo,
     },
     Family {
         name: "rr",
         summary: "per-client packet round robin",
         time_fair: false,
+        default: || SchedulerKind::RoundRobin,
     },
     Family {
         name: "drr",
         summary: "deficit round robin, weight-aware byte fairness",
         time_fair: false,
+        default: || SchedulerKind::Drr,
     },
     Family {
         name: "tbr",
         summary: "time-based regulator (the paper's Exp-TBR)",
         time_fair: true,
+        default: SchedulerKind::tbr,
     },
     Family {
         name: "txop",
         summary: "802.11e TXOP-style channel-time grants",
         time_fair: true,
+        default: SchedulerKind::txop,
     },
     Family {
         name: "pf",
         summary: "proportional fair (argmax rate / beta-EWMA average)",
         time_fair: true,
+        default: SchedulerKind::pf,
     },
     Family {
         name: "maxmin",
         summary: "max-min waterfilling over achievable rates",
         time_fair: false,
+        default: SchedulerKind::maxmin,
     },
 ];
 
@@ -264,6 +221,7 @@ pub fn family_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airtime_sim::SimTime;
 
     #[test]
     fn registry_round_trips_through_kind() {
@@ -318,13 +276,9 @@ mod tests {
             let has_tokens = s.token_balance_ns(ClientId(0)).is_some();
             assert_eq!(has_tokens, fam.name == "tbr", "family {}", fam.name);
         }
-        // And the TBR balance matches the inherent accessor.
+        // A fresh TBR client holds its initial tokens.
         let mut tbr = TbrScheduler::new(TbrConfig::default());
-        Scheduler::on_associate_weighted(&mut tbr, ClientId(0), 1.0, now);
-        assert_eq!(
-            tbr.token_balance_ns(ClientId(0)),
-            tbr.tokens_of(ClientId(0))
-        );
+        tbr.on_associate_weighted(ClientId(0), 1.0, now);
         assert_eq!(
             tbr.token_balance_ns(ClientId(0)),
             Some(TbrConfig::default().initial_tokens.as_nanos() as f64)

@@ -31,11 +31,9 @@
 //! sequence by construction.
 
 use airtime_core::{
-    waterfill_airtime, ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket,
+    waterfill_airtime, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler,
 };
 use airtime_sim::{SimDuration, SimTime};
-
-use crate::Scheduler;
 
 /// Nominal achievable-rate estimate (bit/s) for a client the AP has not
 /// yet observed transmitting — roughly 802.11b's 11 Mbit/s of MAC-layer
@@ -64,6 +62,16 @@ impl Default for MaxMinConfig {
             total_buffer: 100,
             buffer: BufferPolicy::DropTail,
         }
+    }
+}
+
+impl MaxMinConfig {
+    /// Checks the tunables, naming the first offending one.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.rate_ewma > 0.0 && self.rate_ewma <= 1.0) {
+            return Err("rate_ewma must be in (0, 1]".into());
+        }
+        Ok(())
     }
 }
 
@@ -110,10 +118,9 @@ pub struct MaxMinScheduler {
 impl MaxMinScheduler {
     /// Creates an empty max-min scheduler.
     pub fn new(config: MaxMinConfig) -> Self {
-        assert!(
-            config.rate_ewma > 0.0 && config.rate_ewma <= 1.0,
-            "rate_ewma must be in (0, 1]"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         MaxMinScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,
@@ -153,34 +160,38 @@ impl MaxMinScheduler {
         if dt <= 0.0 {
             return;
         }
+        // Only current members share the water; a disassociated slot
+        // holds no credit until it re-associates.
         let n = self.states.len();
-        let mut demands = vec![0.0; n];
-        let mut rates = vec![0.0; n];
-        let mut weights = vec![0.0; n];
+        let mut demands = Vec::with_capacity(n);
+        let mut rates = Vec::with_capacity(n);
+        let mut weights = Vec::with_capacity(n);
         let mut any = false;
-        for i in 0..n {
-            let s = &self.states[i];
-            rates[i] = s.rate.max(1.0);
-            weights[i] = if s.active { s.weight } else { 0.0 };
-            if s.active && !self.pool.queues[i].is_empty() {
-                // Saturated demand: a backlogged client wants all the
-                // rate its link can carry; the water level trims it.
-                demands[i] = rates[i];
-                any = true;
+        for (s, q) in self.states.iter().zip(&self.pool.queues) {
+            if !s.active {
+                continue;
             }
+            let rate = s.rate.max(1.0);
+            rates.push(rate);
+            weights.push(s.weight);
+            // Saturated demand: a backlogged client wants all the rate
+            // its link can carry; the water level trims it.
+            demands.push(if q.is_empty() { 0.0 } else { rate });
+            any |= !q.is_empty();
         }
         if !any {
             return;
         }
         let targets = waterfill_airtime(&demands, &rates, &weights);
-        for (s, &target) in self.states.iter_mut().zip(&targets) {
+        let members = self.states.iter_mut().filter(|s| s.active);
+        for (s, &target) in members.zip(&targets) {
             let cap = CREDIT_CAP_SECS * target.max(s.rate);
             s.credit = (s.credit + target * dt).min(cap);
         }
     }
 }
 
-impl ApScheduler for MaxMinScheduler {
+impl Scheduler for MaxMinScheduler {
     fn on_associate(&mut self, client: ClientId, _now: SimTime) {
         let weight = self
             .pool
@@ -264,32 +275,18 @@ impl ApScheduler for MaxMinScheduler {
         }
     }
 
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
+        self.pool.queue_len(client)
     }
 
     fn drops(&self) -> u64 {
         self.pool.drops()
     }
-}
 
-impl Scheduler for MaxMinScheduler {
     fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
         assert!(weight > 0.0, "weight must be positive");
         self.register(client, weight);
@@ -447,5 +444,20 @@ mod tests {
         s.on_associate(ClientId(0), now);
         assert_eq!(s.achievable_rate(ClientId(0)), None);
         assert_eq!(s.states[0].credit, 0.0);
+    }
+
+    #[test]
+    fn departed_client_stays_out_of_the_waterfill() {
+        // A disassociated slot must not reach the waterfill (which
+        // rejects zero weights) while the remaining clients are served.
+        let mut s = MaxMinScheduler::new(MaxMinConfig::default());
+        let now = SimTime::ZERO;
+        s.on_associate(ClientId(0), now);
+        s.on_associate(ClientId(1), now);
+        s.on_disassociate(ClientId(1), now);
+        s.enqueue(pkt(0, 1), now);
+        let later = now + SimDuration::from_millis(5);
+        assert_eq!(s.dequeue(later).map(|p| p.handle), Some(1));
+        assert_eq!(s.states[1].credit, 0.0);
     }
 }

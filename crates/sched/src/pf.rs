@@ -47,10 +47,8 @@
 //! trajectory is a pure function of the consult sequence and the
 //! repo's determinism contract holds by construction.
 
-use airtime_core::{ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
+use airtime_core::{BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
 use airtime_sim::{SimDuration, SimTime};
-
-use crate::Scheduler;
 
 /// Reference slot length for the time-weighted averaging step: β is
 /// interpreted as "per 1 ms of channel time".
@@ -84,6 +82,16 @@ impl Default for PfConfig {
             total_buffer: 100,
             buffer: BufferPolicy::DropTail,
         }
+    }
+}
+
+impl PfConfig {
+    /// Checks the tunables, naming the first offending one.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.beta > 0.0 && self.beta <= 1.0) {
+            return Err("beta must be in (0, 1]".into());
+        }
+        Ok(())
     }
 }
 
@@ -131,10 +139,9 @@ pub struct PfScheduler {
 impl PfScheduler {
     /// Creates an empty proportional-fair scheduler.
     pub fn new(config: PfConfig) -> Self {
-        assert!(
-            config.beta > 0.0 && config.beta <= 1.0,
-            "beta must be in (0, 1]"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         PfScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,
@@ -191,7 +198,7 @@ impl PfScheduler {
     }
 }
 
-impl ApScheduler for PfScheduler {
+impl Scheduler for PfScheduler {
     fn on_associate(&mut self, client: ClientId, _now: SimTime) {
         // Keep an existing weight on redundant registration.
         let weight = self
@@ -297,32 +304,18 @@ impl ApScheduler for PfScheduler {
         }
     }
 
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
     fn backlog(&self) -> usize {
         self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
+        self.pool.queue_len(client)
     }
 
     fn drops(&self) -> u64 {
         self.pool.drops()
     }
-}
 
-impl Scheduler for PfScheduler {
     fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
         assert!(weight > 0.0, "weight must be positive");
         self.register(client, weight);

@@ -10,7 +10,7 @@
 //! ```text
 //!  client ── DCF air ── AP ══ wired (delay) ══ host
 //!                       │
-//!                [ApScheduler: FIFO / RR / DRR / TBR]
+//!                [Scheduler: any airtime-sched family]
 //! ```
 
 use std::collections::{HashMap, VecDeque};
@@ -189,35 +189,7 @@ pub fn run(cfg: &NetworkConfig) -> Report {
 ///
 /// Same as [`run`].
 pub fn run_observed<O: Observer>(cfg: &NetworkConfig, obs: &mut O) -> Report {
-    run_instrumented(cfg, obs, None)
-}
-
-/// Like [`run`], but folds the causal event stream into `rec`'s
-/// rolling fingerprints (see [`airtime_obs::recorder`]). Observers
-/// never touch the RNG or simulation state, so the returned report is
-/// byte-identical to [`run`]'s — pinned by a test, relied on by
-/// `verify-determinism`.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_recorded(cfg: &NetworkConfig, rec: &mut airtime_obs::FlightRecorder) -> Report {
-    run_observed(cfg, rec)
-}
-
-/// Full instrumentation: events into `obs` and, when `metrics` is
-/// given, counters/gauges/histograms snapshotted every
-/// [`METRICS_PERIOD`] of simulated time plus event-loop profiling.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_instrumented<O: Observer>(
-    cfg: &NetworkConfig,
-    obs: &mut O,
-    metrics: Option<&mut MetricsRegistry>,
-) -> Report {
-    run_with_profile(cfg, obs, metrics).0
+    run_instrumented(cfg, obs, None).0
 }
 
 /// The host-side profile of one completed run, as captured by the
@@ -235,22 +207,16 @@ pub struct RunProfile {
     pub queue_high_water: u64,
 }
 
-/// Like [`run_instrumented`], but also returns the run's host-side
-/// [`RunProfile`] directly — the `profile` command's entry point.
+/// Full instrumentation: events into `obs` and, when `metrics` is
+/// given, counters/gauges/histograms snapshotted every 100 ms of
+/// simulated time plus event-loop profiling, returned as the run's host-side [`RunProfile`] (`None` without
+/// `metrics`). Observers and metrics never touch the RNG or simulation
+/// state, so the report is byte-identical to [`run`]'s.
 ///
 /// # Panics
 ///
 /// Same as [`run`].
-pub fn run_profiled<O: Observer>(
-    cfg: &NetworkConfig,
-    obs: &mut O,
-    metrics: &mut MetricsRegistry,
-) -> (Report, RunProfile) {
-    let (report, profile) = run_with_profile(cfg, obs, Some(metrics));
-    (report, profile.expect("metrics registry supplied"))
-}
-
-fn run_with_profile<O: Observer>(
+pub fn run_instrumented<O: Observer>(
     cfg: &NetworkConfig,
     obs: &mut O,
     metrics: Option<&mut MetricsRegistry>,

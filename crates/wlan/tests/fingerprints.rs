@@ -8,14 +8,14 @@
 //! (`crates/scenario/tests/verify.rs` pins the multi-cell roaming
 //! preset the same way.)
 //!
-//! They also prove `run_recorded` is observation-only: the report of a
+//! They also prove the recorder is observation-only: the report of a
 //! recorded run is byte-identical to a plain `run`.
 
 use airtime_obs::{fp_hex, FlightRecorder};
 use airtime_phy::DataRate::{B1, B11};
 use airtime_sim::SimDuration;
 use airtime_wlan::{
-    run, run_recorded, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
+    run, run_observed, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
 };
 
 /// Paper-length presets cut to test length without disturbing a
@@ -92,7 +92,7 @@ fn preset_fingerprints_match_goldens() {
     let mut actual = Vec::new();
     for (name, cfg, _) in goldens() {
         let mut rec = FlightRecorder::new().with_capacity(0);
-        let _ = run_recorded(&cfg, &mut rec);
+        let _ = run_observed(&cfg, &mut rec);
         actual.push((name, fp_hex(rec.fingerprint())));
     }
     let expected: Vec<(&str, String)> = goldens()
@@ -106,11 +106,11 @@ fn preset_fingerprints_match_goldens() {
 }
 
 #[test]
-fn run_recorded_reports_are_byte_identical_to_plain_run() {
+fn recorded_reports_are_byte_identical_to_plain_run() {
     for (name, cfg, _) in goldens() {
         let plain = format!("{:?}", run(&cfg));
         let mut rec = FlightRecorder::new();
-        let recorded = format!("{:?}", run_recorded(&cfg, &mut rec));
+        let recorded = format!("{:?}", run_observed(&cfg, &mut rec));
         // Debug formatting prints every float with full precision, so
         // equal strings mean bit-identical reports.
         assert_eq!(plain, recorded, "{name}: recording perturbed the run");

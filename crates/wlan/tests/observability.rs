@@ -50,7 +50,7 @@ fn metrics_registry_does_not_perturb_the_run() {
     let cfg = short_cfg(SchedulerKind::tbr());
     let plain = run(&cfg);
     let mut reg = MetricsRegistry::new();
-    let instrumented = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let (instrumented, _) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
     assert_eq!(plain.total_goodput_mbps, instrumented.total_goodput_mbps);
     assert_eq!(
         plain.mac.collision_events,

@@ -7,7 +7,7 @@ use airtime_obs::json::{self, Json};
 use airtime_obs::{ChromeTraceObserver, MetricsRegistry, NullObserver};
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;
-use airtime_wlan::{run, run_observed, run_profiled, scenarios, SchedulerKind};
+use airtime_wlan::{run, run_instrumented, run_observed, scenarios, SchedulerKind};
 
 fn short_cfg() -> airtime_wlan::NetworkConfig {
     let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], SchedulerKind::tbr());
@@ -103,7 +103,8 @@ fn profiled_run_report_is_byte_identical_to_plain_run() {
     let cfg = short_cfg();
     let plain = run(&cfg);
     let mut reg = MetricsRegistry::new();
-    let (profiled, prof) = run_profiled(&cfg, &mut NullObserver, &mut reg);
+    let (profiled, prof) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let prof = prof.expect("metrics registry supplied");
     assert_eq!(
         plain.total_goodput_mbps.to_bits(),
         profiled.total_goodput_mbps.to_bits()
@@ -122,7 +123,8 @@ fn profiled_run_report_is_byte_identical_to_plain_run() {
 fn dispatch_histograms_agree_with_profiler_counters() {
     let cfg = short_cfg();
     let mut reg = MetricsRegistry::new();
-    let (_, prof) = run_profiled(&cfg, &mut NullObserver, &mut reg);
+    let (_, prof) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let prof = prof.expect("metrics registry supplied");
     // Each label's histogram must have recorded exactly as many
     // samples as the profiler counted dispatches, and in total they
     // account for every event the queue processed.

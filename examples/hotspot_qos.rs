@@ -10,7 +10,7 @@
 //! client gets ~2× the throughput of each standard client without any
 //! change to the clients themselves.
 
-use airtime::core::{ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler};
+use airtime::core::{ClientId, QueuedPacket, Scheduler, TbrConfig, TbrScheduler};
 use airtime::sim::{SimDuration, SimTime};
 
 fn main() {

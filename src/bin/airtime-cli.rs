@@ -24,9 +24,7 @@ use airtime::obs::{
 use airtime::phy::DataRate;
 use airtime::sim::SimDuration;
 use airtime::topo::{run_topology, run_topology_profiled};
-use airtime::wlan::{
-    run, run_instrumented, run_profiled, scenarios, Direction, Report, SchedulerKind,
-};
+use airtime::wlan::{run_instrumented, run_observed, scenarios, Direction, Report, SchedulerKind};
 
 /// Allocation counting for `profile` (a gated relaxed-atomic load per
 /// allocation when off — see `airtime::obs::prof::CountingAlloc`).
@@ -384,7 +382,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             return Err("--record cannot be combined with --events or --ledger".into());
         }
         let mut rec = FlightRecorder::new();
-        let r = run_instrumented(&cfg, &mut rec, registry.as_mut());
+        let r = run_instrumented(&cfg, &mut rec, registry.as_mut()).0;
         std::fs::write(path, rec.to_jsonl())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !a.json {
@@ -404,7 +402,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                 let jsonl = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
                 let mut tee = TeeObserver::new(AirtimeLedger::new(), jsonl);
-                let r = run_instrumented(&cfg, &mut tee, registry.as_mut());
+                let r = run_instrumented(&cfg, &mut tee, registry.as_mut()).0;
                 tee.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 ledger = Some(tee.a);
@@ -413,21 +411,18 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             (Some(path), false) => {
                 let mut obs = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                let r = run_instrumented(&cfg, &mut obs, registry.as_mut());
+                let r = run_instrumented(&cfg, &mut obs, registry.as_mut()).0;
                 obs.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 r
             }
             (None, true) => {
                 let mut led = AirtimeLedger::new();
-                let r = run_instrumented(&cfg, &mut led, registry.as_mut());
+                let r = run_instrumented(&cfg, &mut led, registry.as_mut()).0;
                 ledger = Some(led);
                 r
             }
-            (None, false) => match registry.as_mut() {
-                Some(reg) => run_instrumented(&cfg, &mut NullObserver, Some(reg)),
-                None => run(&cfg),
-            },
+            (None, false) => run_instrumented(&cfg, &mut NullObserver, registry.as_mut()).0,
         }
     };
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
@@ -1091,7 +1086,8 @@ fn profile_cell(
     set_alloc_counting(true);
     let before = alloc_stats();
     let t0 = std::time::Instant::now();
-    let (_report, prof) = run_profiled(cfg, &mut NullObserver, &mut reg);
+    let (_report, prof) = run_instrumented(cfg, &mut NullObserver, Some(&mut reg));
+    let prof = prof.expect("metrics registry supplied");
     let wall = t0.elapsed().as_secs_f64();
     let allocs = alloc_stats().since(before);
     set_alloc_counting(false);
@@ -1099,7 +1095,7 @@ fn profile_cell(
         let pid = *next_pid;
         *next_pid += 1;
         let mut obs = ChromeTraceObserver::for_cell(pid, &spec.name);
-        let _ = run_instrumented(cfg, &mut obs, None);
+        let _ = run_observed(cfg, &mut obs);
         obs.drain_into(sink);
         let hp = *host_pid;
         *host_pid += 1;

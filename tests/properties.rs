@@ -5,10 +5,11 @@
 //! streams so failures reproduce exactly.
 
 use airtime::core::{
-    max_min_allocation, ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler,
+    max_min_allocation, ClientId, QueuedPacket, Scheduler, TbrConfig, TbrScheduler,
 };
 use airtime::model::{rf_allocation, tf_allocation, NodeSpec};
 use airtime::phy::{DataRate, Phy80211b};
+use airtime::sched::{SchedulerKind, FAMILIES};
 use airtime::sim::stats::jain_index;
 use airtime::sim::{SimDuration, SimRng, SimTime};
 
@@ -218,10 +219,12 @@ fn tbr_conservation() {
                 ),
                 _ => tbr.on_tick(now),
             }
-            let rate_sum: f64 = (0..n).filter_map(|c| tbr.rate_of(ClientId(c))).sum();
+            let rate_sum: f64 = (0..n)
+                .filter_map(|c| tbr.token_fill_rate(ClientId(c)))
+                .sum();
             assert!((rate_sum - 1.0).abs() < 1e-6, "rates sum to {rate_sum}");
             for c in 0..n {
-                let t = tbr.tokens_of(ClientId(c)).unwrap();
+                let t = tbr.token_balance_ns(ClientId(c)).unwrap();
                 assert!(t <= bucket_ns + 1.0, "tokens above bucket: {t}");
             }
         }
@@ -230,6 +233,72 @@ fn tbr_conservation() {
 
 /// Contention-window growth is monotone and clamped for any retry
 /// count.
+/// The trait's default `has_eligible` (any backlog) must agree with
+/// `dequeue` for every family that keeps it, under random association
+/// churn, weights, traffic and completions. Downlink completions follow
+/// the frame just dequeued, as the MAC delivers them; weights stay in
+/// [0.5, 4] and packets at most 1500 B, so one DRR visit pair always
+/// covers a front packet.
+#[test]
+fn default_has_eligible_agrees_with_dequeue() {
+    let mut rng = SimRng::new(0xA11A);
+    let defaults = FAMILIES
+        .iter()
+        .filter(|f| !matches!((f.default)(), SchedulerKind::Tbr(_)));
+    for fam in defaults {
+        for case in 0..40 {
+            let n = rng.range_inclusive(1, 6) as usize;
+            let mut s = (fam.default)().build();
+            for c in 0..n {
+                s.on_associate(ClientId(c), SimTime::ZERO);
+            }
+            let mut now = SimTime::ZERO;
+            let mut handle = 0;
+            for _ in 0..rng.range_inclusive(1, 300) {
+                now += SimDuration::from_micros(rng.below(5_000));
+                let client = ClientId(rng.below(n as u64) as usize);
+                match rng.below(8) {
+                    0..=3 => {
+                        handle += 1;
+                        let bytes = rng.range_inclusive(40, 1500);
+                        s.enqueue(
+                            QueuedPacket {
+                                client,
+                                handle,
+                                bytes,
+                            },
+                            now,
+                        );
+                    }
+                    4 | 5 => {
+                        let eligible = s.has_eligible(now);
+                        let pkt = s.dequeue(now);
+                        assert_eq!(
+                            eligible,
+                            pkt.is_some(),
+                            "{} case {case}: has_eligible disagrees with dequeue",
+                            fam.name
+                        );
+                        if let Some(p) = pkt {
+                            let air = SimDuration::from_micros(rng.range_inclusive(100, 13_000));
+                            s.on_complete(p.client, air, true, now);
+                        }
+                    }
+                    6 => {
+                        let _ = s.on_disassociate(client, now);
+                    }
+                    _ => {
+                        let weight = 0.5 + rng.unit() * 3.5;
+                        s.on_associate_weighted(client, weight, now);
+                        let air = SimDuration::from_micros(rng.range_inclusive(100, 13_000));
+                        s.on_complete(client, air, false, now);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn cw_growth() {
     let phy = Phy80211b::default();
