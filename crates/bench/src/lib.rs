@@ -5,12 +5,9 @@
 //! corresponding rows (`cargo run -p airtime-bench --bin <name>`), next
 //! to the paper's published numbers where the paper states them. Every
 //! binary also accepts `--json <path>` to mirror its tables into a
-//! machine-readable file (see [`output`]). The benches in `benches/`
-//! time the same scenario code with the dependency-free [`harness`]
-//! module.
+//! machine-readable file (see [`output`]). Host timing lives in the
+//! repo benchmark (`perfbench/`) and in `airtime-cli profile`.
 
-pub mod diff;
-pub mod harness;
 pub mod output;
 
 pub use output::Output;

@@ -49,7 +49,7 @@ use std::path::Path;
 
 pub use aggregate::{Cell, CellStation, CheckOutcome, RoamSummary};
 pub use pool::PoolStats;
-pub use spec::{CheckProperty, CheckSpec, ScenarioSpec};
+pub use spec::{CheckProperty, CheckSpec, ScenarioSpec, MAX_DURATION_SECS};
 pub use sweep::{Axis, Job};
 pub use tournament::{
     run_tournament, run_tournament_text, TournamentOutcome, TournamentRow, TournamentSpec,

@@ -218,20 +218,38 @@ fn want_bool(e: &Entry) -> Result<bool, CompileError> {
     })
 }
 
-fn duration_secs(e: &Entry) -> Result<SimDuration, CompileError> {
-    let s = want_f64(e)?;
-    if s < 0.0 || !s.is_finite() {
-        return err(e.line, format!("key '{}' expects seconds >= 0", e.key));
+/// The longest duration any `*_s`/`*_ms` key (or the CLI's `--secs`)
+/// accepts: one simulated day. Far above every shipped preset, and far
+/// below the point where nanosecond arithmetic saturates, so a typo
+/// like `duration_s = 1e30` fails here instead of never finishing.
+pub const MAX_DURATION_SECS: u64 = 86_400;
+
+/// Parses a non-negative duration key given in units of `unit_ns`
+/// nanoseconds, capped at [`MAX_DURATION_SECS`].
+fn duration(e: &Entry, unit_ns: f64, unit: &str) -> Result<SimDuration, CompileError> {
+    let v = want_f64(e)?;
+    if v < 0.0 || !v.is_finite() {
+        return err(e.line, format!("key '{}' expects {unit} >= 0", e.key));
     }
-    Ok(SimDuration::from_nanos((s * 1e9).round() as u64))
+    let ns = (v * unit_ns).round();
+    if ns > SimDuration::from_secs(MAX_DURATION_SECS).as_nanos() as f64 {
+        return err(
+            e.line,
+            format!(
+                "key '{}' is longer than one simulated day ({MAX_DURATION_SECS} s)",
+                e.key
+            ),
+        );
+    }
+    Ok(SimDuration::from_nanos(ns as u64))
+}
+
+fn duration_secs(e: &Entry) -> Result<SimDuration, CompileError> {
+    duration(e, 1e9, "seconds")
 }
 
 fn duration_millis(e: &Entry) -> Result<SimDuration, CompileError> {
-    let ms = want_f64(e)?;
-    if ms < 0.0 || !ms.is_finite() {
-        return err(e.line, format!("key '{}' expects milliseconds >= 0", e.key));
-    }
-    Ok(SimDuration::from_nanos((ms * 1e6).round() as u64))
+    duration(e, 1e6, "milliseconds")
 }
 
 /// Parses a data rate given as a string (`"11"`, `"5.5"`, `"54"`) or a
@@ -1470,6 +1488,10 @@ x_ft = 60
                 "warmup_s must be smaller",
             ),
             (
+                "[scheduler]\nbucket_ms = 86400001\n[[station]]\nrate = \"11\"\n",
+                "key 'bucket_ms' is longer than one simulated day",
+            ),
+            (
                 "[[station]]\nrate = \"11\"\nfer = 1.5\n",
                 "fraction in [0, 1)",
             ),
@@ -1492,6 +1514,20 @@ x_ft = 60
             assert!(e.msg.contains(needle), "for {text:?}: got '{e}'");
             assert!(e.line >= 1);
         }
+        // Durations are capped at one simulated day, inclusive, and the
+        // diagnostic points at the offending key's line.
+        let e =
+            compile_text("seed = 3\nduration_s = 1e30\n[[station]]\nrate = \"11\"\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(
+            e.msg
+                .contains("key 'duration_s' is longer than one simulated day"),
+            "{e}"
+        );
+        let spec = compile_text("duration_s = 86400\n[[station]]\nrate = \"11\"\n").unwrap();
+        assert_eq!(spec.cfg.duration, SimDuration::from_secs(MAX_DURATION_SECS));
+        let e = compile_text("duration_s = 86400.001\n[[station]]\nrate = \"11\"\n").unwrap_err();
+        assert!(e.msg.contains("longer than one simulated day"), "{e}");
         let e = compile_text("").unwrap_err();
         assert!(e.msg.contains("no [[station]]"), "{e}");
     }

@@ -14,9 +14,9 @@
 //! - [`stats`]: counters, running mean/variance with confidence intervals,
 //!   time-weighted averages, rate meters and histograms used by every
 //!   measurement in the workspace.
-//! - [`profile`]: wall-clock profiling of the event loop itself
-//!   ([`LoopProfiler`]) — per-event-type counts and host time per
-//!   simulated second, without touching simulated state.
+//! - [`profile`]: host-side step timing ([`LoopProfiler`]): per-label
+//!   cost histograms ([`NsHist`]) a driver fills by timing each step
+//!   from outside the engine, without touching simulated state.
 //!
 //! # Examples
 //!

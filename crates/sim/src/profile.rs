@@ -1,14 +1,12 @@
-//! Event-loop profiling: where does a run's wall-clock time go?
+//! Host-side step timing: where does a run's wall-clock time go?
 //!
-//! [`LoopProfiler`] is meant to live next to the event loop. The loop
-//! calls [`LoopProfiler::count`] with a static label per dispatched
-//! event and [`LoopProfiler::lap`] once per simulated second; the
-//! profiler accumulates per-label event counts and the wall-clock cost
-//! of each simulated second. Everything here measures the *host*, not
-//! the simulation — it never touches simulated state, so profiled and
-//! unprofiled runs produce identical results.
+//! [`NsHist`] is a fixed-footprint histogram of nanosecond costs, and
+//! [`LoopProfiler`] keeps one per step label. Drivers time each step
+//! from outside the engine, so everything here measures the *host*,
+//! not the simulation — profiled and unprofiled runs produce identical
+//! results.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of log2 buckets in an [`NsHist`]. Bucket `i` covers
 /// durations whose nanosecond count has `i` significant bits, i.e.
@@ -143,134 +141,41 @@ impl NsHist {
     }
 }
 
-/// Per-label accumulator. The histogram is boxed so the array the hot
-/// path scans stays compact (one slot spans well under a cache line);
-/// `hist` doubles as the "was this label ever timed?" marker.
-#[derive(Clone, Debug)]
-struct Slot {
-    label: &'static str,
-    count: u64,
-    time_ns: u64,
-    hist: Option<Box<NsHist>>,
-}
-
-/// Accumulates per-event-type counts and wall-clock laps for one run.
-#[derive(Clone, Debug)]
+/// Per-label host-cost distributions for a labelled-step loop.
+///
+/// A driver times each step from outside the engine and bills the cost
+/// to the step's static label; [`LoopProfiler::dists`] then reports one
+/// [`NsHist`] per label, whose counts are the per-label step counts.
+#[derive(Clone, Debug, Default)]
 pub struct LoopProfiler {
-    started: Instant,
-    lap_start: Instant,
-    // Static labels keep counting allocation-free; the event loop has a
-    // small closed set of event types, so a single linear scan over
-    // compact slots beats a map.
-    slots: Vec<Slot>,
-    laps: Vec<Duration>,
-}
-
-impl Default for LoopProfiler {
-    fn default() -> Self {
-        Self::new()
-    }
+    // Static labels keep recording allocation-free; an event loop has a
+    // small closed set of event types, so a linear scan beats a map.
+    slots: Vec<(&'static str, NsHist)>,
 }
 
 impl LoopProfiler {
-    /// Starts the profiler's clocks.
+    /// An empty profiler.
     pub fn new() -> Self {
-        let now = Instant::now();
-        LoopProfiler {
-            started: now,
-            lap_start: now,
-            slots: Vec::new(),
-            laps: Vec::new(),
-        }
+        Self::default()
     }
 
+    /// Counts one step under `label` and attributes `cost` of host
+    /// wall-clock time to it.
     #[inline]
-    fn slot(&mut self, label: &'static str) -> &mut Slot {
-        match self.slots.iter().position(|s| s.label == label) {
-            Some(i) => &mut self.slots[i],
+    pub fn count_timed(&mut self, label: &'static str, cost: Duration) {
+        match self.slots.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, h)) => h.record(cost),
             None => {
-                self.slots.push(Slot {
-                    label,
-                    count: 0,
-                    time_ns: 0,
-                    hist: None,
-                });
-                self.slots.last_mut().expect("just pushed")
+                let mut h = NsHist::new();
+                h.record(cost);
+                self.slots.push((label, h));
             }
         }
     }
 
-    /// Counts one dispatched event under `label`.
-    #[inline]
-    pub fn count(&mut self, label: &'static str) {
-        self.slot(label).count += 1;
-    }
-
-    /// Counts one dispatched event under `label` and attributes `cost`
-    /// of host wall-clock time to it.
-    #[inline]
-    pub fn count_timed(&mut self, label: &'static str, cost: Duration) {
-        let ns = cost.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let slot = self.slot(label);
-        slot.count += 1;
-        slot.time_ns = slot.time_ns.saturating_add(ns);
-        slot.hist.get_or_insert_with(Box::default).record_ns(ns);
-    }
-
-    /// Ends the current lap (one simulated second) and starts the next.
-    pub fn lap(&mut self) {
-        let now = Instant::now();
-        self.laps.push(now - self.lap_start);
-        self.lap_start = now;
-    }
-
-    /// Per-label event counts, in first-seen order.
-    pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        self.slots.iter().map(|s| (s.label, s.count)).collect()
-    }
-
-    /// Cumulative per-label dispatch wall-time, in first-seen order.
-    /// Only labels counted via [`LoopProfiler::count_timed`] appear.
-    pub fn times(&self) -> Vec<(&'static str, Duration)> {
-        self.slots
-            .iter()
-            .filter(|s| s.hist.is_some())
-            .map(|s| (s.label, Duration::from_nanos(s.time_ns)))
-            .collect()
-    }
-
-    /// Per-label dispatch-time distributions, in first-seen order.
-    /// Only labels counted via [`LoopProfiler::count_timed`] appear.
+    /// Per-label step-cost distributions, in first-seen order.
     pub fn dists(&self) -> Vec<(&'static str, NsHist)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.hist.as_ref().map(|h| (s.label, (**h).clone())))
-            .collect()
-    }
-
-    /// Total events counted.
-    pub fn total_events(&self) -> u64 {
-        self.slots.iter().map(|s| s.count).sum()
-    }
-
-    /// Wall-clock duration of each completed lap.
-    pub fn laps(&self) -> &[Duration] {
-        &self.laps
-    }
-
-    /// Total wall-clock time since the profiler was created.
-    pub fn wall_total(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Mean wall-clock seconds per lap (i.e. per simulated second), or
-    /// `None` before the first lap completes.
-    pub fn secs_per_lap(&self) -> Option<f64> {
-        if self.laps.is_empty() {
-            return None;
-        }
-        let total: Duration = self.laps.iter().sum();
-        Some(total.as_secs_f64() / self.laps.len() as f64)
+        self.slots.clone()
     }
 }
 
@@ -281,11 +186,11 @@ mod tests {
     #[test]
     fn counts_accumulate_per_label() {
         let mut p = LoopProfiler::new();
-        p.count("tx_end");
-        p.count("tick");
-        p.count("tx_end");
-        assert_eq!(p.counts(), &[("tx_end", 2), ("tick", 1)]);
-        assert_eq!(p.total_events(), 3);
+        p.count_timed("tx_end", Duration::ZERO);
+        p.count_timed("tick", Duration::ZERO);
+        p.count_timed("tx_end", Duration::ZERO);
+        let counts: Vec<(&str, u64)> = p.dists().iter().map(|(l, h)| (*l, h.count())).collect();
+        assert_eq!(counts, &[("tx_end", 2), ("tick", 1)]);
     }
 
     #[test]
@@ -294,14 +199,8 @@ mod tests {
         p.count_timed("tx_end", Duration::from_micros(5));
         p.count_timed("tx_end", Duration::from_micros(7));
         p.count_timed("tick", Duration::from_micros(1));
-        assert_eq!(p.counts(), &[("tx_end", 2), ("tick", 1)]);
-        assert_eq!(
-            p.times(),
-            &[
-                ("tx_end", Duration::from_micros(12)),
-                ("tick", Duration::from_micros(1))
-            ]
-        );
+        let totals: Vec<(&str, u64)> = p.dists().iter().map(|(l, h)| (*l, h.total_ns())).collect();
+        assert_eq!(totals, &[("tx_end", 12_000), ("tick", 1_000)]);
     }
 
     #[test]
@@ -369,17 +268,5 @@ mod tests {
         assert_eq!(dists[0].1.total_ns(), 12_000);
         assert_eq!(dists[1].0, "tick");
         assert_eq!(dists[1].1.max_ns(), Some(1_000));
-    }
-
-    #[test]
-    fn laps_record_wall_time() {
-        let mut p = LoopProfiler::new();
-        assert_eq!(p.secs_per_lap(), None);
-        p.lap();
-        p.lap();
-        assert_eq!(p.laps().len(), 2);
-        let mean = p.secs_per_lap().unwrap();
-        assert!(mean >= 0.0);
-        assert!(p.wall_total() >= *p.laps().first().unwrap());
     }
 }

@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use airtime_obs::{Observer, PhaseProfiler};
-use airtime_sim::{NsHist, SimDuration, SimTime};
+use airtime_sim::{LoopProfiler, NsHist, SimDuration, SimTime};
 use airtime_wlan::{CellSim, NetworkConfig};
 
 use crate::config::{AssocDecision, TopologyConfig};
@@ -67,7 +67,7 @@ pub struct TopoProfile {
 struct TopoProbe {
     started: Instant,
     phases: PhaseProfiler,
-    labels: Vec<(&'static str, NsHist)>,
+    labels: LoopProfiler,
     per_cell: Vec<NsHist>,
 }
 
@@ -76,20 +76,8 @@ impl TopoProbe {
         TopoProbe {
             started: Instant::now(),
             phases: PhaseProfiler::new(true),
-            labels: Vec::new(),
+            labels: LoopProfiler::new(),
             per_cell: vec![NsHist::new(); n_cells],
-        }
-    }
-
-    fn record(&mut self, cell: usize, label: &'static str, cost: std::time::Duration) {
-        self.per_cell[cell].record(cost);
-        match self.labels.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, h)) => h.record(cost),
-            None => {
-                let mut h = NsHist::new();
-                h.record(cost);
-                self.labels.push((label, h));
-            }
         }
     }
 }
@@ -123,7 +111,7 @@ pub fn run_topology_profiled<O: Observer>(
     let profile = TopoProfile {
         wall_s: probe.started.elapsed().as_secs_f64(),
         events,
-        labels: probe.labels,
+        labels: probe.labels.dists(),
         phases: probe.phases.flatten(),
         cells: cells
             .into_iter()
@@ -248,7 +236,8 @@ fn run_topology_inner<O: Observer>(
                     let label = cells[i].step_labeled().map(|(_, l)| l);
                     let cost = t0.elapsed();
                     if let Some(label) = label {
-                        p.record(i, label, cost);
+                        p.per_cell[i].record(cost);
+                        p.labels.count_timed(label, cost);
                     }
                 }
             }

@@ -46,4 +46,4 @@ pub use config::{
     Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind, StationConfig, Transport,
 };
 pub use report::{FlowReport, NodeReport, Report};
-pub use sim::{run, run_instrumented, run_observed, CellSim, RunProfile};
+pub use sim::{run, run_instrumented, run_observed, CellSim};

@@ -29,7 +29,7 @@ use airtime_obs::{
 };
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
 use airtime_sched::Scheduler;
-use airtime_sim::{EventQueue, Histogram, LoopProfiler, RateMeter, SimDuration, SimRng, SimTime};
+use airtime_sim::{EventQueue, Histogram, RateMeter, SimDuration, SimRng, SimTime};
 use airtime_trace::{FrameRecord, Trace};
 
 use crate::config::{
@@ -108,13 +108,11 @@ struct SpanTrack {
 /// into the exported time-series.
 const METRICS_PERIOD: SimDuration = SimDuration::from_millis(100);
 
-/// Metric handles plus snapshot/profiling state, present only when the
-/// caller supplied a [`MetricsRegistry`].
+/// Metric handles plus snapshot state, present only when the caller
+/// supplied a [`MetricsRegistry`].
 struct Instr<'m> {
     reg: &'m mut MetricsRegistry,
     next_snapshot: SimTime,
-    next_lap: SimTime,
-    profiler: LoopProfiler,
     // Counters mirrored from cumulative simulator state at snapshots.
     attempts: CounterId,
     collisions: CounterId,
@@ -189,29 +187,15 @@ pub fn run(cfg: &NetworkConfig) -> Report {
 ///
 /// Same as [`run`].
 pub fn run_observed<O: Observer>(cfg: &NetworkConfig, obs: &mut O) -> Report {
-    run_instrumented(cfg, obs, None).0
-}
-
-/// The host-side profile of one completed run, as captured by the
-/// event loop itself. Everything in here describes the *host* (wall
-/// time, dispatch costs, queue pressure); the paired [`Report`] is
-/// byte-identical to an unprofiled run's.
-#[derive(Clone, Debug)]
-pub struct RunProfile {
-    /// Per-label counts, cumulative times, and dispatch-time
-    /// distributions, plus wall-clock laps per simulated second.
-    pub profiler: LoopProfiler,
-    /// Events dispatched by the loop.
-    pub events: u64,
-    /// Deepest the event queue ever got.
-    pub queue_high_water: u64,
+    run_instrumented(cfg, obs, None)
 }
 
 /// Full instrumentation: events into `obs` and, when `metrics` is
 /// given, counters/gauges/histograms snapshotted every 100 ms of
-/// simulated time plus event-loop profiling, returned as the run's host-side [`RunProfile`] (`None` without
-/// `metrics`). Observers and metrics never touch the RNG or simulation
-/// state, so the report is byte-identical to [`run`]'s.
+/// simulated time. Every recorded value is simulated state, so a
+/// registry repeats exactly for a fixed config. Observers and metrics
+/// never touch the RNG or simulation state, so the report is
+/// byte-identical to [`run`]'s.
 ///
 /// # Panics
 ///
@@ -220,26 +204,22 @@ pub fn run_instrumented<O: Observer>(
     cfg: &NetworkConfig,
     obs: &mut O,
     metrics: Option<&mut MetricsRegistry>,
-) -> (Report, Option<RunProfile>) {
+) -> Report {
     let mut sim = Sim::new(cfg, obs, metrics, None);
     let end = SimTime::ZERO + cfg.duration;
     // Peek before popping: an event beyond `end` stays in the queue, so
     // `events_processed` counts exactly the dispatched events and the
-    // profiler/queue-depth accounting agrees with it.
+    // queue-depth accounting agrees with it.
     while sim.queue.peek_time().is_some_and(|t| t <= end) {
         sim.step();
     }
     sim.finish(end);
     sim.finish_instr();
-    let profile = sim.instr.as_ref().map(|i| RunProfile {
-        profiler: i.profiler.clone(),
-        events: sim.queue.events_processed(),
-        queue_high_water: sim.queue.high_water() as u64,
-    });
-    (sim.report(), profile)
+    sim.report()
 }
 
-/// Static label for the profiler's per-event-type counts.
+/// Static label of an event type, as returned by
+/// [`CellSim::step_labeled`].
 fn event_label(ev: &Event) -> &'static str {
     match ev {
         Event::Mac(MacEvent::AccessResolved { .. }) => "mac.access_resolved",
@@ -409,8 +389,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             };
             Instr {
                 next_snapshot: SimTime::ZERO + METRICS_PERIOD,
-                next_lap: SimTime::from_secs(1),
-                profiler: LoopProfiler::new(),
                 attempts: reg.counter("mac.attempts"),
                 collisions: reg.counter("mac.collisions"),
                 retries: reg.counter("mac.retries"),
@@ -468,21 +446,16 @@ impl<'c, O: Observer> Sim<'c, O> {
         if self.obs.active() {
             self.obs.on_dispatch(t, self.queue.last_seq(), label);
         }
-        let depth = self.queue.len();
-        let t0 = self.instr.as_mut().map(|instr| {
-            instr.reg.observe(instr.queue_depth, depth as f64);
-            std::time::Instant::now()
-        });
+        if let Some(instr) = self.instr.as_mut() {
+            instr
+                .reg
+                .observe(instr.queue_depth, self.queue.len() as f64);
+        }
         self.dispatch(ev);
         self.pump_all();
         self.kick_all();
         self.ensure_sched_wake();
-        if let Some(t0) = t0 {
-            if let Some(instr) = self.instr.as_mut() {
-                instr.profiler.count_timed(label, t0.elapsed());
-            }
-            self.advance_instr();
-        }
+        self.advance_instr();
         Some((t, label))
     }
 
@@ -540,15 +513,9 @@ impl<'c, O: Observer> Sim<'c, O> {
     // never touches the RNG), so instrumented runs follow exactly the
     // same trajectory as plain ones.
 
-    /// Takes any due metric snapshots and wall-clock laps.
+    /// Takes any due metric snapshots.
     fn advance_instr(&mut self) {
         let now = self.now;
-        if let Some(instr) = self.instr.as_mut() {
-            while now >= instr.next_lap {
-                instr.profiler.lap();
-                instr.next_lap += SimDuration::from_secs(1);
-            }
-        }
         while self.instr.as_ref().is_some_and(|i| now >= i.next_snapshot) {
             let at = self.instr.as_ref().unwrap().next_snapshot;
             self.mirror_metrics();
@@ -617,58 +584,15 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    /// Final snapshot plus the event-loop profile.
+    /// Final snapshot.
     fn finish_instr(&mut self) {
         if self.instr.is_none() {
             return;
         }
         self.mirror_metrics();
         let end = self.now;
-        let events = self.queue.events_processed();
         let instr = self.instr.as_mut().expect("checked above");
         instr.reg.snapshot(end);
-        let counts: Vec<(&'static str, u64)> = instr.profiler.counts();
-        for (label, n) in counts {
-            let id = instr.reg.counter(&format!("profile.events.{label}"));
-            instr.reg.set_counter(id, n);
-        }
-        let times: Vec<(&'static str, std::time::Duration)> = instr.profiler.times();
-        for (label, d) in times {
-            let id = instr.reg.gauge(&format!("profile.dispatch_us.{label}"));
-            instr.reg.set(id, d.as_secs_f64() * 1e6);
-        }
-        // Distribution gauges ride alongside the totals above; the
-        // pre-existing names keep their exact values, so older readers
-        // see byte-identical fields.
-        let dists: Vec<(&'static str, airtime_sim::NsHist)> = instr.profiler.dists();
-        for (label, h) in dists {
-            for (stat, v) in [
-                ("p50", h.quantile_ns(0.50)),
-                ("p95", h.quantile_ns(0.95)),
-                ("p99", h.quantile_ns(0.99)),
-                ("min", h.min_ns()),
-                ("max", h.max_ns()),
-            ] {
-                let id = instr
-                    .reg
-                    .gauge(&format!("profile.dispatch_{stat}_ns.{label}"));
-                instr.reg.set(id, v.unwrap_or(0) as f64);
-            }
-        }
-        let wall = instr.profiler.wall_total().as_secs_f64();
-        let id = instr.reg.gauge("profile.wall_s");
-        instr.reg.set(id, wall);
-        if let Some(per_lap) = instr.profiler.secs_per_lap() {
-            let id = instr.reg.gauge("profile.wall_per_sim_s");
-            instr.reg.set(id, per_lap);
-        }
-        let id = instr.reg.gauge("profile.events_per_wall_s");
-        let rate = if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        };
-        instr.reg.set(id, rate);
     }
 
     /// Emits the airtime timeline's tail — the in-progress cycle (or

@@ -7,8 +7,8 @@ use airtime_obs::{
     NullObserver,
 };
 use airtime_phy::DataRate;
-use airtime_sim::SimDuration;
-use airtime_wlan::{run, run_instrumented, run_observed, scenarios, SchedulerKind};
+use airtime_sim::{LoopProfiler, SimDuration, SimTime};
+use airtime_wlan::{run, run_instrumented, run_observed, scenarios, CellSim, SchedulerKind};
 
 fn short_cfg(sched: SchedulerKind) -> airtime_wlan::NetworkConfig {
     let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], sched);
@@ -50,7 +50,7 @@ fn metrics_registry_does_not_perturb_the_run() {
     let cfg = short_cfg(SchedulerKind::tbr());
     let plain = run(&cfg);
     let mut reg = MetricsRegistry::new();
-    let (instrumented, _) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let instrumented = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
     assert_eq!(plain.total_goodput_mbps, instrumented.total_goodput_mbps);
     assert_eq!(
         plain.mac.collision_events,
@@ -73,38 +73,53 @@ fn metrics_registry_does_not_perturb_the_run() {
 }
 
 #[test]
+fn metrics_json_repeats_exactly() {
+    // The registry holds simulated state only, so `run --metrics`
+    // output is a deterministic artifact: two runs, identical bytes.
+    for sched in [SchedulerKind::tbr(), SchedulerKind::Fifo] {
+        let cfg = short_cfg(sched);
+        let json = || {
+            let mut reg = MetricsRegistry::new();
+            run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+            reg.to_json()
+        };
+        assert_eq!(json(), json());
+    }
+}
+
+#[test]
 fn profiler_event_counts_agree_with_the_queue_counter() {
     // Regression for an off-by-one: the main loop used to pop the
     // first event past the end of the run, count it in
     // `events_processed`, then discard it undispatched — so the queue's
-    // counter disagreed with the profiler's per-label totals. The loop
-    // now peeks before popping, and the two views must agree exactly.
+    // counter disagreed with the per-label dispatch totals. The loop
+    // now peeks before popping, and the two views must agree exactly:
+    // a driver that bills every step of a cell to its label counts the
+    // same events as the queue and as the instrumented run.
     for sched in [SchedulerKind::tbr(), SchedulerKind::Fifo] {
         let cfg = short_cfg(sched);
         let mut reg = MetricsRegistry::new();
-        let _ = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+        run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
         let total = reg.counter_value("sim.events").expect("sim.events");
-        let labels = [
-            "mac.access_resolved",
-            "mac.tx_end",
-            "mac.defer_expired",
-            "wired_to_ap",
-            "wired_to_host",
-            "tcp.rto",
-            "tcp.delack",
-            "sched.tick",
-            "pump",
-            "start_flow",
-            "warmup_done",
-        ];
-        let dispatched: u64 = labels
-            .iter()
-            .filter_map(|l| reg.counter_value(&format!("profile.events.{l}")))
-            .sum();
+
+        let end = SimTime::ZERO + cfg.duration;
+        let mut obs = NullObserver;
+        let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
+        let mut profiler = LoopProfiler::new();
+        while cell.peek_time().is_some_and(|t| t <= end) {
+            let (_, label) = cell.step_labeled().expect("peeked an event");
+            profiler.count_timed(label, std::time::Duration::ZERO);
+        }
+        let dispatched: u64 = profiler.dists().iter().map(|(_, h)| h.count()).sum();
         assert!(total > 0);
         assert_eq!(
+            dispatched,
+            cell.events_processed(),
+            "labels vs the cell's queue"
+        );
+        assert_eq!(
             total, dispatched,
-            "queue events_processed vs profiler dispatch total"
+            "instrumented run's events_processed vs per-label dispatch total"
         );
     }
 }

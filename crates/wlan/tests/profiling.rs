@@ -1,16 +1,21 @@
 //! End-to-end checks of the profiling subsystem: Chrome-trace export
-//! must be valid, deterministic JSON; profiled runs must return
-//! reports byte-identical to plain runs; and the per-label dispatch
-//! histograms must agree with the profiler's counters.
+//! must be valid, deterministic JSON; instrumented runs must return
+//! reports byte-identical to plain runs; and the per-label step-cost
+//! histograms a driver records from outside the engine must account
+//! for every dispatched event.
 
 use airtime_obs::json::{self, Json};
 use airtime_obs::{ChromeTraceObserver, MetricsRegistry, NullObserver};
 use airtime_phy::DataRate;
-use airtime_sim::SimDuration;
-use airtime_wlan::{run, run_instrumented, run_observed, scenarios, SchedulerKind};
+use airtime_sim::{LoopProfiler, SimDuration, SimTime};
+use airtime_wlan::{run, run_instrumented, run_observed, scenarios, CellSim, SchedulerKind};
 
 fn short_cfg() -> airtime_wlan::NetworkConfig {
-    let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], SchedulerKind::tbr());
+    cfg_with(SchedulerKind::tbr())
+}
+
+fn cfg_with(sched: SchedulerKind) -> airtime_wlan::NetworkConfig {
+    let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], sched);
     cfg.duration = SimDuration::from_secs(4);
     cfg.warmup = SimDuration::from_secs(1);
     cfg
@@ -103,8 +108,7 @@ fn profiled_run_report_is_byte_identical_to_plain_run() {
     let cfg = short_cfg();
     let plain = run(&cfg);
     let mut reg = MetricsRegistry::new();
-    let (profiled, prof) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
-    let prof = prof.expect("metrics registry supplied");
+    let profiled = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
     assert_eq!(
         plain.total_goodput_mbps.to_bits(),
         profiled.total_goodput_mbps.to_bits()
@@ -115,52 +119,50 @@ fn profiled_run_report_is_byte_identical_to_plain_run() {
     for (p, o) in plain.flows.iter().zip(&profiled.flows) {
         assert_eq!(p.goodput_mbps.to_bits(), o.goodput_mbps.to_bits());
     }
-    assert!(prof.events > 0, "the loop dispatched events");
-    assert!(prof.queue_high_water > 0, "the queue was non-trivial");
+    assert!(
+        reg.counter_value("sim.events").unwrap() > 0,
+        "the loop dispatched events"
+    );
+    assert!(
+        reg.gauge_value("sim.queue_high_water").unwrap() > 0.0,
+        "the queue was non-trivial"
+    );
 }
 
 #[test]
 fn dispatch_histograms_agree_with_profiler_counters() {
-    let cfg = short_cfg();
-    let mut reg = MetricsRegistry::new();
-    let (_, prof) = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
-    let prof = prof.expect("metrics registry supplied");
-    // Each label's histogram must have recorded exactly as many
-    // samples as the profiler counted dispatches, and in total they
-    // account for every event the queue processed.
-    let counts = prof.profiler.counts();
-    let dists = prof.profiler.dists();
-    let mut total = 0u64;
-    for (label, count) in &counts {
-        let hist = dists
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, h)| h)
-            .unwrap_or_else(|| panic!("no histogram for '{label}'"));
-        assert_eq!(hist.count(), *count, "label '{label}'");
-        total += *count;
-        // Quantiles are monotone and bracketed by the extremes.
-        let (p50, p99) = (
-            hist.quantile_ns(0.50).unwrap(),
-            hist.quantile_ns(0.99).unwrap(),
+    for sched in [SchedulerKind::tbr(), SchedulerKind::Fifo] {
+        let cfg = cfg_with(sched);
+        let end = SimTime::ZERO + cfg.duration;
+        let mut obs = NullObserver;
+        let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
+        let mut profiler = LoopProfiler::new();
+        while cell.peek_time().is_some_and(|t| t <= end) {
+            let t0 = std::time::Instant::now();
+            let (_, label) = cell.step_labeled().expect("peeked an event");
+            profiler.count_timed(label, t0.elapsed());
+        }
+        // The per-label histograms account for every event the queue
+        // processed, and each one's quantiles are monotone and
+        // bracketed by its extremes.
+        let dists = profiler.dists();
+        let mut total = 0u64;
+        for (label, hist) in &dists {
+            assert!(hist.count() > 0, "label '{label}'");
+            total += hist.count();
+            let (p50, p99) = (
+                hist.quantile_ns(0.50).unwrap(),
+                hist.quantile_ns(0.99).unwrap(),
+            );
+            assert!(hist.min_ns().unwrap() <= p50 && p50 <= p99);
+            assert!(p99 <= hist.max_ns().unwrap());
+        }
+        assert_eq!(
+            total,
+            cell.events_processed(),
+            "histograms cover every event"
         );
-        assert!(hist.min_ns().unwrap() <= p50 && p50 <= p99);
-        assert!(p99 <= hist.max_ns().unwrap());
+        let labels: Vec<&str> = dists.iter().map(|(l, _)| *l).collect();
+        assert!(labels.contains(&"mac.tx_end"), "labels: {labels:?}");
     }
-    assert_eq!(total, prof.events, "histograms cover every event");
-    // The registry grew the new quantile gauges next to the
-    // byte-compatible totals.
-    let (label, first_count) = counts.first().copied().unwrap();
-    for stat in ["p50", "p95", "p99", "min", "max"] {
-        assert!(
-            reg.gauge_value(&format!("profile.dispatch_{stat}_ns.{label}"))
-                .is_some(),
-            "missing gauge profile.dispatch_{stat}_ns.{label}"
-        );
-    }
-    assert_eq!(
-        reg.counter_value(&format!("profile.events.{label}")),
-        Some(first_count),
-        "pre-existing per-label counters unchanged"
-    );
 }

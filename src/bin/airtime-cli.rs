@@ -22,9 +22,11 @@ use airtime::obs::{
     JsonlObserver, MetricsRegistry, NullObserver, Observer, Recording, SpanCollector, TeeObserver,
 };
 use airtime::phy::DataRate;
-use airtime::sim::SimDuration;
+use airtime::sim::{LoopProfiler, SimDuration, SimTime};
 use airtime::topo::{run_topology, run_topology_profiled};
-use airtime::wlan::{run_instrumented, run_observed, scenarios, Direction, Report, SchedulerKind};
+use airtime::wlan::{
+    run_instrumented, run_observed, scenarios, CellSim, Direction, Report, SchedulerKind,
+};
 
 /// Allocation counting for `profile` (a gated relaxed-atomic load per
 /// allocation when off — see `airtime::obs::prof::CountingAlloc`).
@@ -69,7 +71,7 @@ OPTIONS (run):
     --sched <name>      fifo | rr | drr | tbr | txop | pf | maxmin
                                                               [default: tbr]
     --direction <dir>   up | down                             [default: up]
-    --secs <n>          simulated seconds                     [default: 20]
+    --secs <n>          simulated seconds, 2..=86400          [default: 20]
     --seed <n>          RNG seed                              [default: 1]
     --events <path>     stream structured events to a JSONL trace
     --ledger <path>     account every microsecond of medium time to a
@@ -363,6 +365,15 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             (spec.cfg, spec.rate_labels)
         }
         None => {
+            // The warm-up is max(secs/8, 1) s and must end before the run
+            // does; the ceiling matches the scenario files' duration cap.
+            let max = airtime::scenario::MAX_DURATION_SECS;
+            if !(2..=max).contains(&a.secs) {
+                return Err(format!(
+                    "--secs must be between 2 and {max} (one simulated day), got {}",
+                    a.secs
+                ));
+            }
             let mut cfg = scenarios::tcp_stations(&a.rates, a.direction, a.sched.clone());
             cfg.duration = SimDuration::from_secs(a.secs);
             cfg.warmup = SimDuration::from_secs((a.secs / 8).max(1));
@@ -382,7 +393,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             return Err("--record cannot be combined with --events or --ledger".into());
         }
         let mut rec = FlightRecorder::new();
-        let r = run_instrumented(&cfg, &mut rec, registry.as_mut()).0;
+        let r = run_instrumented(&cfg, &mut rec, registry.as_mut());
         std::fs::write(path, rec.to_jsonl())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !a.json {
@@ -402,7 +413,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                 let jsonl = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
                 let mut tee = TeeObserver::new(AirtimeLedger::new(), jsonl);
-                let r = run_instrumented(&cfg, &mut tee, registry.as_mut()).0;
+                let r = run_instrumented(&cfg, &mut tee, registry.as_mut());
                 tee.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 ledger = Some(tee.a);
@@ -411,18 +422,18 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             (Some(path), false) => {
                 let mut obs = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                let r = run_instrumented(&cfg, &mut obs, registry.as_mut()).0;
+                let r = run_instrumented(&cfg, &mut obs, registry.as_mut());
                 obs.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 r
             }
             (None, true) => {
                 let mut led = AirtimeLedger::new();
-                let r = run_instrumented(&cfg, &mut led, registry.as_mut()).0;
+                let r = run_instrumented(&cfg, &mut led, registry.as_mut());
                 ledger = Some(led);
                 r
             }
-            (None, false) => run_instrumented(&cfg, &mut NullObserver, registry.as_mut()).0,
+            (None, false) => run_instrumented(&cfg, &mut NullObserver, registry.as_mut()),
         }
     };
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
@@ -1072,9 +1083,11 @@ fn dist_array<'a>(entries: impl Iterator<Item = (&'a str, &'a airtime::sim::NsHi
 }
 
 /// Times one single-cell scenario and returns its report object. The
-/// timing pass runs with a [`NullObserver`] so observation cost never
-/// lands in the numbers; the trace pass (if any) reruns the scenario
-/// with a [`ChromeTraceObserver`].
+/// timing pass drives a [`CellSim`] with a [`NullObserver`] and no
+/// metrics registry, timing each step from outside the engine (as the
+/// topology driver does), so observation cost never lands in the
+/// numbers; the trace pass (if any) reruns the scenario with a
+/// [`ChromeTraceObserver`].
 fn profile_cell(
     spec: &airtime::scenario::ScenarioSpec,
     trace: Option<&mut ChromeTrace>,
@@ -1082,15 +1095,25 @@ fn profile_cell(
     host_pid: &mut u64,
 ) -> String {
     let cfg = &spec.cfg;
-    let mut reg = MetricsRegistry::new();
+    let end = SimTime::ZERO + cfg.duration;
+    let mut profiler = LoopProfiler::new();
+    let mut obs = NullObserver;
     set_alloc_counting(true);
     let before = alloc_stats();
     let t0 = std::time::Instant::now();
-    let (_report, prof) = run_instrumented(cfg, &mut NullObserver, Some(&mut reg));
-    let prof = prof.expect("metrics registry supplied");
+    let mut cell = CellSim::new(cfg, &mut obs, &vec![true; cfg.stations.len()]);
+    while cell.peek_time().is_some_and(|t| t <= end) {
+        let step0 = std::time::Instant::now();
+        if let Some((_, label)) = cell.step_labeled() {
+            profiler.count_timed(label, step0.elapsed());
+        }
+    }
+    let (events, queue_high_water) = (cell.events_processed(), cell.queue_high_water());
+    cell.finish(end);
     let wall = t0.elapsed().as_secs_f64();
     let allocs = alloc_stats().since(before);
     set_alloc_counting(false);
+    let dists = profiler.dists();
     if let Some(sink) = trace {
         let pid = *next_pid;
         *next_pid += 1;
@@ -1099,26 +1122,19 @@ fn profile_cell(
         obs.drain_into(sink);
         let hp = *host_pid;
         *host_pid += 1;
-        sink.dispatch_summary(
-            hp,
-            &format!("{} · dispatch", spec.name),
-            &prof.profiler.dists(),
-        );
+        sink.dispatch_summary(hp, &format!("{} · dispatch", spec.name), &dists);
     }
     Obj::new()
         .str("scenario", &spec.name)
         .str("kind", "cell")
         .f64("wall_s", wall)
         .f64("sim_s", cfg.duration.as_secs_f64())
-        .u64("events", prof.events)
-        .f64("events_per_sec", prof.events as f64 / wall.max(1e-9))
-        .u64("queue_high_water", prof.queue_high_water)
+        .u64("events", events)
+        .f64("events_per_sec", events as f64 / wall.max(1e-9))
+        .u64("queue_high_water", queue_high_water)
         .u64("allocs", allocs.allocs)
         .u64("alloc_bytes", allocs.bytes)
-        .raw(
-            "labels",
-            &dist_array(prof.profiler.dists().iter().map(|(l, h)| (*l, h))),
-        )
+        .raw("labels", &dist_array(dists.iter().map(|(l, h)| (*l, h))))
         .finish()
 }
 
