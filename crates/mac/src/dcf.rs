@@ -69,6 +69,9 @@ pub enum MacEvent {
         /// The station whose defer timer fired.
         node: NodeId,
     },
+    /// The cell-wide deferral set by [`DcfWorld::defer_medium`] has
+    /// expired.
+    MediumDeferExpired,
 }
 
 /// Outputs of the MAC state machine.
@@ -185,7 +188,7 @@ struct InFlight {
 }
 
 /// Aggregate MAC statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MacStats {
     /// Transmission attempts started.
     pub attempts: u64,
@@ -213,7 +216,12 @@ pub struct DcfWorld {
     anchor: SimTime,
     countdown_active: bool,
     generation: u64,
+    /// End of the cell-wide deferral a co-channel neighbour's busy
+    /// period imposes (see [`DcfWorld::defer_medium`]).
+    medium_defer: Option<SimTime>,
     in_flight: Vec<InFlight>,
+    /// Scratch buffer for the stations that won the current access.
+    winners: Vec<usize>,
     occupancy: Vec<SimDuration>,
     busy_accum: SimDuration,
     stats: MacStats,
@@ -258,7 +266,9 @@ impl DcfWorld {
             anchor: SimTime::ZERO,
             countdown_active: false,
             generation: 0,
+            medium_defer: None,
             in_flight: Vec::new(),
+            winners: Vec::new(),
             occupancy: vec![SimDuration::ZERO; n],
             busy_accum: SimDuration::ZERO,
             stats: MacStats::default(),
@@ -367,20 +377,15 @@ impl DcfWorld {
     }
 
     /// Forbids `node` from starting new transmissions until `until`
-    /// (TBR client-cooperation, §4.1 of the paper; also how a
-    /// multi-cell driver imposes a co-channel neighbour's busy period).
-    /// Returns the timer event the embedder must schedule. A defer can
-    /// only be extended: a request ending before an already-set defer
-    /// is a no-op (the pending expiry timer stays valid).
+    /// (TBR client-cooperation, §4.1 of the paper). Returns the timer
+    /// event the embedder must schedule. A defer can only be extended:
+    /// a request ending at or before the station's effective deferral
+    /// — its own or the medium's ([`DcfWorld::defer_medium`]) — is a
+    /// no-op (the pending expiry timer stays valid).
     pub fn set_defer(&mut self, now: SimTime, node: NodeId, until: SimTime) -> Vec<MacEffect> {
         let mut effects = Vec::new();
-        if until <= now {
-            return effects;
-        }
-        if self.stations[node.index()]
-            .defer_until
-            .is_some_and(|t| t >= until)
-        {
+        let held = self.deferred_until(node.index());
+        if until <= now || held.is_some_and(|t| t >= until) {
             return effects;
         }
         self.stations[node.index()].defer_until = Some(until);
@@ -389,6 +394,49 @@ impl DcfWorld {
             event: MacEvent::DeferExpired { node },
         });
         self.reschedule_access(now, &mut effects);
+        effects
+    }
+
+    /// Forbids every station from starting new transmissions until
+    /// `until` — how a multi-cell driver imposes a co-channel
+    /// neighbour's busy period (carrier sense across cells). One timer
+    /// per window: returns the single [`MacEvent::MediumDeferExpired`]
+    /// the embedder must schedule. A window ending at or before `now`,
+    /// or at or before every station's effective deferral (so at or
+    /// before an already-set window), is a no-op.
+    ///
+    /// Its effect equals [`DcfWorld::set_defer`] on every station in
+    /// index order, minus that sequence's per-station timers and
+    /// superseded access events. Fidelity note: the sequence's first
+    /// effective call holds one station alone, so when the local medium
+    /// is idle and another station is still contending, a running
+    /// backoff countdown first advances to the slot boundary at `now`;
+    /// that advance is kept on purpose. Afterwards the countdown is
+    /// inactive, the contention period is closed and no access event is
+    /// live.
+    pub fn defer_medium(&mut self, now: SimTime, until: SimTime) -> Vec<MacEffect> {
+        let mut effects = Vec::new();
+        if until <= now || self.medium_defer.is_some_and(|t| t >= until) {
+            return effects;
+        }
+        let Some(first) =
+            (0..self.stations.len()).find(|&i| self.deferred_until(i).is_none_or(|t| t < until))
+        else {
+            return effects;
+        };
+        if self.busy_until.is_none_or(|t| now >= t) {
+            if (0..self.stations.len()).any(|i| i != first && self.is_contender(i, now)) {
+                self.sync_countdown(now);
+            }
+            self.generation += 1; // Invalidate any scheduled access.
+            self.countdown_active = false;
+            self.contention_since = None;
+        }
+        self.medium_defer = Some(until);
+        effects.push(MacEffect::Schedule {
+            at: until,
+            event: MacEvent::MediumDeferExpired,
+        });
         effects
     }
 
@@ -406,6 +454,16 @@ impl DcfWorld {
                 let st = &mut self.stations[node.index()];
                 if st.defer_until.is_some_and(|t| t <= now) {
                     st.defer_until = None;
+                    // A running medium deferral still holds the station;
+                    // its own expiry reschedules.
+                    if self.medium_defer.is_none_or(|t| now >= t) {
+                        self.reschedule_access(now, &mut effects);
+                    }
+                }
+            }
+            MacEvent::MediumDeferExpired => {
+                if self.medium_defer.is_some_and(|t| t <= now) {
+                    self.medium_defer = None;
                     self.reschedule_access(now, &mut effects);
                 }
             }
@@ -417,9 +475,13 @@ impl DcfWorld {
         self.rng.below(cw as u64 + 1) as u32
     }
 
+    /// The later of station `idx`'s own deferral and the medium's.
+    fn deferred_until(&self, idx: usize) -> Option<SimTime> {
+        self.stations[idx].defer_until.max(self.medium_defer)
+    }
+
     fn is_contender(&self, idx: usize, now: SimTime) -> bool {
-        let st = &self.stations[idx];
-        st.pending.is_some() && st.defer_until.is_none_or(|t| now >= t)
+        self.stations[idx].pending.is_some() && self.deferred_until(idx).is_none_or(|t| now >= t)
     }
 
     /// The client side of an AP↔station exchange, for occupancy
@@ -443,17 +505,33 @@ impl DcfWorld {
             return; // TxEnd will reschedule.
         }
         self.generation += 1; // Invalidate any previously scheduled access.
-        let contenders: Vec<usize> = (0..self.stations.len())
+        let Some(min_b) = (0..self.stations.len())
             .filter(|&i| self.is_contender(i, now))
-            .collect();
-        if contenders.is_empty() {
+            .map(|i| self.stations[i].backoff.unwrap_or(0))
+            .min()
+        else {
             self.countdown_active = false;
             self.contention_since = None;
             return;
-        }
+        };
         if self.contention_since.is_none() {
             self.contention_since = Some(now);
         }
+        // The advance shrinks every counter alike, the minimum included.
+        let min_b = min_b.saturating_sub(self.sync_countdown(now));
+        effects.push(MacEffect::Schedule {
+            at: self.anchor + self.slot() * min_b as u64,
+            event: MacEvent::AccessResolved {
+                generation: self.generation,
+            },
+        });
+    }
+
+    /// Starts the backoff countdown at the next slot boundary at or
+    /// after `now` (on the grid anchored DIFS after the medium went
+    /// idle), or advances a running one to it. Returns the slots the
+    /// counters advanced by.
+    fn sync_countdown(&mut self, now: SimTime) -> u32 {
         let slot = self.slot();
         let base = self.idle_start + self.config.phy.difs();
         // Next slot boundary ≥ max(now, base) on the grid anchored at base.
@@ -461,31 +539,22 @@ impl DcfWorld {
         let offset_ns = start.saturating_since(base).as_nanos();
         let k = offset_ns.div_ceil(slot.as_nanos());
         let new_anchor = base + slot * k;
-        if self.countdown_active {
-            if new_anchor > self.anchor {
-                let elapsed = (new_anchor - self.anchor) / slot;
-                for st in &mut self.stations {
-                    if let Some(b) = st.backoff.as_mut() {
-                        *b = b.saturating_sub(elapsed as u32);
-                    }
-                }
-                self.anchor = new_anchor;
-            }
-        } else {
+        if !self.countdown_active {
             self.anchor = new_anchor;
             self.countdown_active = true;
+            return 0;
         }
-        let min_b = contenders
-            .iter()
-            .map(|&i| self.stations[i].backoff.unwrap_or(0))
-            .min()
-            .expect("non-empty contenders");
-        effects.push(MacEffect::Schedule {
-            at: self.anchor + slot * min_b as u64,
-            event: MacEvent::AccessResolved {
-                generation: self.generation,
-            },
-        });
+        if new_anchor <= self.anchor {
+            return 0;
+        }
+        let elapsed = ((new_anchor - self.anchor) / slot) as u32;
+        for st in &mut self.stations {
+            if let Some(b) = st.backoff.as_mut() {
+                *b = b.saturating_sub(elapsed);
+            }
+        }
+        self.anchor = new_anchor;
+        elapsed
     }
 
     /// Contention resolved: the minimum countdown expired at `now`.
@@ -500,10 +569,14 @@ impl DcfWorld {
         self.anchor = now;
         self.countdown_active = false;
 
-        let winners: Vec<usize> = (0..self.stations.len())
-            .filter(|&i| self.is_contender(i, now) && self.stations[i].backoff == Some(0))
-            .collect();
+        let mut winners = std::mem::take(&mut self.winners);
+        winners.clear();
+        winners.extend(
+            (0..self.stations.len())
+                .filter(|&i| self.is_contender(i, now) && self.stations[i].backoff == Some(0)),
+        );
         if winners.is_empty() {
+            self.winners = winners;
             // Stale state (e.g. the minimum-backoff station was deferred
             // in the meantime); recompute.
             self.reschedule_access(now, effects);
@@ -511,8 +584,8 @@ impl DcfWorld {
         }
 
         let phy = self.config.phy;
+        let collided = winners.len() > 1;
         let mut busy_span = SimDuration::ZERO;
-        let mut spans: Vec<(SimDuration, SimDuration)> = Vec::with_capacity(winners.len());
         for &w in &winners {
             let mut frame = self.stations[w].pending.expect("contender has a frame");
             if self.config.retry_rate_fallback {
@@ -553,29 +626,24 @@ impl DcfWorld {
             } else {
                 span
             };
-            spans.push((span, collision_span));
+            let effective = if collided { collision_span } else { span };
+            busy_span = busy_span.max(effective);
             self.in_flight.push(InFlight {
                 frame,
                 data_lost,
                 ack_lost,
-                airtime: SimDuration::ZERO, // filled below
+                // Per-attempt occupancy: DIFS + the attempt's air (§2.3).
+                airtime: phy.difs() + effective,
             });
             self.stations[w].backoff = None; // consumed
+            if self.stations[w].retries > 0 {
+                self.stats.retries += 1;
+            }
         }
         self.stats.attempts += winners.len() as u64;
-        self.stats.retries += winners
-            .iter()
-            .filter(|&&w| self.stations[w].retries > 0)
-            .count() as u64;
-        let collided = winners.len() > 1;
+        self.winners = winners;
         if collided {
             self.stats.collision_events += 1;
-        }
-        for (tx, &(span, collision_span)) in self.in_flight.iter_mut().zip(&spans) {
-            let effective = if collided { collision_span } else { span };
-            busy_span = busy_span.max(effective);
-            // Per-attempt occupancy: DIFS + the attempt's air (§2.3).
-            tx.airtime = phy.difs() + effective;
         }
         let end = now + busy_span;
         self.busy_until = Some(end);
@@ -747,8 +815,9 @@ impl DcfWorld {
             }
         }
         let collision = self.in_flight.len() > 1;
-        let flights = std::mem::take(&mut self.in_flight);
-        for tx in flights {
+        // Taken and put back so the buffer's allocation is reused.
+        let mut flights = std::mem::take(&mut self.in_flight);
+        for tx in flights.drain(..) {
             let client = self.client_of(&tx.frame);
             self.occupancy[client] += tx.airtime;
             let idx = tx.frame.src.index();
@@ -798,6 +867,7 @@ impl DcfWorld {
                 }
             }
         }
+        self.in_flight = flights;
         self.reschedule_access(now, effects);
     }
 

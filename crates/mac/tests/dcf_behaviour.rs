@@ -284,6 +284,56 @@ fn deferred_station_stays_silent_until_timer() {
 }
 
 #[test]
+fn medium_deferral_holds_every_station_on_one_timer() {
+    let mut d = Driver::new(perfect_links(4), 9);
+    let window = SimTime::from_millis(50);
+    let outlast = SimTime::from_millis(80);
+    d.offer(NodeId(1), AP, 1500, DataRate::B11);
+    d.offer(NodeId(2), AP, 1500, DataRate::B11);
+    let eff = d.world.defer_medium(SimTime::ZERO, window);
+    assert_eq!(
+        eff,
+        vec![MacEffect::Schedule {
+            at: window,
+            event: MacEvent::MediumDeferExpired,
+        }],
+        "one timer for the whole cell"
+    );
+    d.apply(eff);
+    // A window or a station defer inside the running window changes
+    // nothing and schedules nothing.
+    assert!(d.world.defer_medium(SimTime::ZERO, window).is_empty());
+    assert!(d
+        .world
+        .set_defer(SimTime::ZERO, NodeId(1), SimTime::from_millis(30))
+        .is_empty());
+    // A station defer outlasting the window still holds that station.
+    let eff = d.world.set_defer(SimTime::ZERO, NodeId(2), outlast);
+    assert_eq!(
+        eff,
+        vec![MacEffect::Schedule {
+            at: outlast,
+            event: MacEvent::DeferExpired { node: NodeId(2) },
+        }]
+    );
+    d.apply(eff);
+    let mut first_tx: Vec<Option<SimTime>> = vec![None; 4];
+    while let Some((t, ev)) = d.queue.pop() {
+        d.now = t;
+        let eff = d.world.handle(t, ev);
+        for e in &eff {
+            if let MacEffect::Attempt { frame, .. } = e {
+                first_tx[frame.src.index()].get_or_insert(t);
+            }
+        }
+        d.apply(eff);
+    }
+    assert_eq!(d.delivered.len(), 2);
+    assert!(first_tx[1].is_some_and(|t| t > window), "{first_tx:?}");
+    assert!(first_tx[2].is_some_and(|t| t > outlast), "{first_tx:?}");
+}
+
+#[test]
 fn downlink_occupancy_is_charged_to_the_client() {
     // The AP sending to station 1 charges station 1's occupancy (§2.2).
     let mut d = Driver::new(perfect_links(2), 8);

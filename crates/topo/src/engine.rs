@@ -13,10 +13,13 @@
 //!   busy, the driver mirrors the busy window into every other cell on
 //!   the same channel as a defer (`CellSim::defer_all`), so co-channel
 //!   cells contend for one shared medium while distinct channels run
-//!   as independent DCF domains. Exchanges *starting* in the same
-//!   slot in two co-channel cells do not collide with each other —
-//!   the mirror is one event behind — a deliberate simplification
-//!   over a full shared-medium model.
+//!   as independent DCF domains. Each window costs the neighbour one
+//!   cell-wide MAC deferral and one expiry timer, not one per station;
+//!   the MAC ignores a window it already holds, so the driver keeps no
+//!   mirror state of its own. Exchanges *starting* in the same slot in
+//!   two co-channel cells do not collide with each other — the mirror
+//!   is one event behind — a deliberate simplification over a full
+//!   shared-medium model.
 //! - **Roaming.** On a fixed management tick the driver moves mobile
 //!   stations along their waypoint paths, refreshes their path-loss
 //!   links, and applies the RSSI/hysteresis association policy:
@@ -202,10 +205,6 @@ fn run_topology_inner<O: Observer>(
     };
     let mut visit_start: Vec<SimTime> = vec![SimTime::ZERO; n_st];
     let mut bytes_at_join: Vec<u64> = vec![0; n_st];
-    // Latest busy-window end already mirrored into each cell, so a
-    // long exchange is imposed on a neighbour once, not once per
-    // neighbour event.
-    let mut imposed: Vec<SimTime> = vec![SimTime::ZERO; n_cells];
 
     let mut next_tick = SimTime::ZERO + topo.assoc_tick;
     loop {
@@ -241,19 +240,16 @@ fn run_topology_inner<O: Observer>(
                     }
                 }
             }
-            // Mirror a newly started busy window into co-channel
-            // neighbours.
+            // Mirror the busy window into co-channel neighbours; a
+            // window a neighbour already holds is a no-op there.
             if let Some(busy_end) = cells[i].busy_until() {
                 if let Some(p) = probe.as_deref_mut() {
                     p.phases.enter("mirror");
                 }
-                for j in 0..n_cells {
-                    if j != i
-                        && topo.cells[j].channel == topo.cells[i].channel
-                        && busy_end > imposed[j]
-                    {
-                        imposed[j] = busy_end;
-                        cells[j].defer_all(t, busy_end);
+                let channel = topo.cells[i].channel;
+                for (j, cell) in cells.iter_mut().enumerate() {
+                    if j != i && topo.cells[j].channel == channel {
+                        cell.defer_all(t, busy_end);
                     }
                 }
                 if let Some(p) = probe.as_deref_mut() {

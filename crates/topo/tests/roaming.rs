@@ -2,11 +2,12 @@
 //! determinism across repeated runs and schedulers, and per-cell
 //! airtime conservation through handoffs.
 
-use airtime_obs::AirtimeLedger;
+use airtime_obs::{AirtimeLedger, NullObserver};
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;
 use airtime_topo::{
-    run_topo, run_topology, Placement, Point, RatePolicy, TopologyConfig, WaypointPath,
+    run_topo, run_topology, run_topology_profiled, Placement, Point, RatePolicy, TopologyConfig,
+    WaypointPath,
 };
 use airtime_wlan::{scenarios, Report, SchedulerKind};
 
@@ -155,6 +156,33 @@ fn co_channel_cells_share_one_medium() {
     assert!(
         same > 0.25 * distinct,
         "co-channel coupling must not starve the pair: {same:.2} vs {distinct:.2}"
+    );
+}
+
+#[test]
+fn co_channel_mirroring_costs_events_per_window_not_per_station() {
+    // A co-channel pair whose shared template carries 16 stations, so
+    // each cell's MAC has 17 nodes (associated or not). Mirroring a
+    // neighbour's busy window must cost the cell a constant number of
+    // events, not a timer and an access recomputation per node: the
+    // lanes' event totals stay within a small multiple of the attempts.
+    let rates = [DataRate::B11, DataRate::B5_5, DataRate::B2, DataRate::B1];
+    let rates: Vec<DataRate> = (0..16).map(|s| rates[s % 4]).collect();
+    let mut base = scenarios::uploaders(&rates, SchedulerKind::Tbr(Default::default()));
+    base.duration = SimDuration::from_secs(4);
+    let mut topo = TopologyConfig::line(base, 2, 60.0, &[1, 1]);
+    for (s, p) in topo.placements.iter_mut().enumerate() {
+        *p = Placement::fixed(Point::new((s % 2) as f64 * 60.0, 10.0), rates[s]);
+    }
+    let mut obs = vec![NullObserver; 2];
+    let (report, profile) = run_topology_profiled(&topo, &mut obs);
+    let attempts: u64 = report.cells.iter().map(|c| c.mac.attempts).sum();
+    let events: u64 = profile.cells.iter().map(|c| c.events).sum();
+    assert!(attempts > 500, "the pair must carry traffic: {attempts}");
+    assert!(
+        events <= 10 * attempts,
+        "{events} events for {attempts} attempts ({:.1} per attempt)",
+        events as f64 / attempts as f64
     );
 }
 

@@ -225,6 +225,7 @@ fn event_label(ev: &Event) -> &'static str {
         Event::Mac(MacEvent::AccessResolved { .. }) => "mac.access_resolved",
         Event::Mac(MacEvent::TxEnd) => "mac.tx_end",
         Event::Mac(MacEvent::DeferExpired { .. }) => "mac.defer_expired",
+        Event::Mac(MacEvent::MediumDeferExpired) => "mac.medium_defer_expired",
         Event::WiredToAp(_) => "wired_to_ap",
         Event::WiredToHost(_) => "wired_to_host",
         Event::RtoFired { .. } => "tcp.rto",
@@ -1734,14 +1735,16 @@ impl<'c, O: Observer> CellSim<'c, O> {
 
     /// Imposes an external busy window on every node of this cell —
     /// co-channel carrier sense: a same-channel neighbour's exchange
-    /// defers this whole cell until it ends. Extending an existing
-    /// window is cheap; shrinking is impossible by design.
+    /// defers this whole cell until it ends: one cell-wide MAC deferral
+    /// and one expiry timer per window (see [`DcfWorld::defer_medium`]
+    /// for its exact semantics and the backoff-countdown fidelity
+    /// note). A window ending at or before `now` or an already-imposed
+    /// one is a no-op, so drivers may call this on every step; shrinking
+    /// is impossible by design.
     pub fn defer_all(&mut self, now: SimTime, until: SimTime) {
         self.sim.now = now;
-        for node in 0..self.sim.client_q.len() {
-            let fx = self.sim.mac.set_defer(now, NodeId(node), until);
-            self.sim.apply_mac_effects(fx);
-        }
+        let fx = self.sim.mac.defer_medium(now, until);
+        self.sim.apply_mac_effects(fx);
     }
 
     /// Cumulative goodput bytes delivered to/from `station` across all
@@ -1776,6 +1779,7 @@ mod tests {
             Event::Mac(MacEvent::AccessResolved { generation: 0 }),
             Event::Mac(MacEvent::TxEnd),
             Event::Mac(MacEvent::DeferExpired { node: NodeId(1) }),
+            Event::Mac(MacEvent::MediumDeferExpired),
             Event::WiredToAp(pkt),
             Event::WiredToHost(pkt),
             Event::RtoFired {
