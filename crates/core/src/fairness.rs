@@ -101,6 +101,26 @@ pub fn max_min_allocation(capacity: f64, demands: &[f64]) -> Vec<f64> {
 /// Panics on negative demands, non-positive rates, or non-positive
 /// weights. Empty input yields an empty allocation.
 pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec<f64> {
+    let mut alloc = Vec::new();
+    waterfill_airtime_into(&mut alloc, &mut Vec::new(), demands, rates, weights);
+    alloc
+}
+
+/// [`waterfill_airtime`] into caller-owned buffers: the allocation
+/// replaces the contents of `alloc`, and `saturated` is scratch. A
+/// caller that keeps both across calls allocates nothing once they
+/// have grown to the client count.
+///
+/// # Panics
+///
+/// As [`waterfill_airtime`].
+pub fn waterfill_airtime_into(
+    alloc: &mut Vec<f64>,
+    saturated: &mut Vec<bool>,
+    demands: &[f64],
+    rates: &[f64],
+    weights: &[f64],
+) {
     assert_eq!(demands.len(), rates.len());
     assert_eq!(demands.len(), weights.len());
     assert!(
@@ -110,8 +130,10 @@ pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec
     assert!(rates.iter().all(|&r| r > 0.0), "rates must be positive");
     assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
     let n = demands.len();
-    let mut alloc = vec![0.0; n];
-    let mut saturated = vec![false; n];
+    alloc.clear();
+    alloc.resize(n, 0.0);
+    saturated.clear();
+    saturated.resize(n, false);
     let mut budget = 1.0f64; // airtime fraction still unassigned
     for _ in 0..=n {
         // Raise the water level for the unsaturated set; a station whose
@@ -143,7 +165,6 @@ pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec
             break;
         }
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -254,6 +275,21 @@ mod tests {
         for (x, d) in a.iter().zip(demands.iter()) {
             assert!(*x <= d + 1e-9);
         }
+    }
+
+    #[test]
+    fn waterfill_into_reused_buffers_matches_a_fresh_call() {
+        // Buffers left over from a larger, fully saturated call must not
+        // leak into a smaller one.
+        let (mut alloc, mut saturated) = (Vec::new(), Vec::new());
+        let rates = [11e6, 5.5e6, 2e6, 1e6, 1e6];
+        waterfill_airtime_into(&mut alloc, &mut saturated, &[0.0; 5], &rates, &[1.0; 5]);
+        let demands = [2e6, 1e9, 1e9];
+        let weights = [1.0, 2.0, 1.0];
+        waterfill_airtime_into(&mut alloc, &mut saturated, &demands, &rates[..3], &weights);
+        let fresh = waterfill_airtime(&demands, &rates[..3], &weights);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&alloc), bits(&fresh));
     }
 
     #[test]

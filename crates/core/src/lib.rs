@@ -50,7 +50,9 @@ pub mod tbr;
 pub mod txop;
 
 pub use buffer::{BufferPolicy, RedConfig};
-pub use fairness::{airtime_shares, max_min_allocation, throughput_gap, waterfill_airtime};
+pub use fairness::{
+    airtime_shares, max_min_allocation, throughput_gap, waterfill_airtime, waterfill_airtime_into,
+};
 pub use scheduler::{
     ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool, QueuedPacket,
     RoundRobinScheduler, Scheduler,

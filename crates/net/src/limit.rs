@@ -42,11 +42,13 @@ impl RateLimiter {
 
     /// Tokens on hand at `now`, as a pure function of the state at the
     /// last successful consumption. Failed polls must not mutate the
-    /// bucket: callers poll after every simulator dispatch, so
-    /// accumulating `dt * rate` in per-poll increments would tie the
-    /// float sum's partition to the dispatch cadence — one extra
-    /// wake-up event would drift a `ready_at` by a nanosecond (caught
-    /// by `verify-determinism` on the adjust-period ablation).
+    /// bucket: how often a caller polls is engine bookkeeping (the
+    /// simulator re-polls a limiter-blocked flow after every dispatch
+    /// until it sends), so accumulating `dt * rate` in per-poll
+    /// increments would tie the float sum's partition to the dispatch
+    /// cadence — one extra wake-up event would drift a `ready_at` by a
+    /// nanosecond (caught by `verify-determinism` on the adjust-period
+    /// ablation).
     fn available(&self, now: SimTime) -> f64 {
         let dt = now.saturating_since(self.last_fill).as_secs_f64();
         (self.tokens + dt * self.rate_bytes_per_sec).min(self.burst_bytes)
@@ -146,10 +148,10 @@ mod tests {
     fn failed_polls_leave_the_bucket_bit_identical() {
         // Two buckets, same consumption schedule; one is additionally
         // polled (and refused) at many awkward intermediate times, the
-        // way the event loop polls after every dispatch. The extra
-        // polls must not perturb the float state — otherwise a change
-        // in poll cadence (say, one more wake-up event) drifts
-        // `ready_at` by a nanosecond over a long run.
+        // way the event loop re-polls a limiter-blocked flow after every
+        // dispatch. The extra polls must not perturb the float state —
+        // otherwise a change in poll cadence (say, one more wake-up
+        // event) drifts `ready_at` by a nanosecond over a long run.
         let mut quiet = RateLimiter::new(2_100_000.0, 3000);
         let mut noisy = RateLimiter::new(2_100_000.0, 3000);
         let mut now = SimTime::ZERO;

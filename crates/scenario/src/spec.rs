@@ -207,6 +207,19 @@ fn want_u64(e: &Entry) -> Result<u64, CompileError> {
     }
 }
 
+/// A flow's `rate_limit_bps`: a positive, finite bit rate (a zero rate
+/// would never release a packet).
+fn want_rate_bps(e: &Entry) -> Result<f64, CompileError> {
+    let bps = want_f64(e)?;
+    if !(bps.is_finite() && bps > 0.0) {
+        return err(
+            e.line,
+            format!("key 'rate_limit_bps' expects a positive, finite bit rate, got {bps}"),
+        );
+    }
+    Ok(bps)
+}
+
 fn want_bool(e: &Entry) -> Result<bool, CompileError> {
     e.value.as_bool().ok_or_else(|| CompileError {
         line: e.line,
@@ -541,7 +554,7 @@ fn compile_flow(t: &Table, default_direction: Direction) -> Result<FlowSpec, Com
         flow.task_bytes = Some(want_u64(e)?);
     }
     if let Some(e) = t.get("rate_limit_bps") {
-        flow.rate_limit_bps = Some(want_f64(e)?);
+        flow.rate_limit_bps = Some(want_rate_bps(e)?);
     }
     Ok(flow)
 }
@@ -775,7 +788,7 @@ fn compile_station(
             flow.task_bytes = Some(want_u64(e)?);
         }
         if let Some(e) = t.get("rate_limit_bps") {
-            flow.rate_limit_bps = Some(want_f64(e)?);
+            flow.rate_limit_bps = Some(want_rate_bps(e)?);
         }
         vec![flow]
     } else {
@@ -1107,6 +1120,13 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     }
     if let Some(e) = doc.get("client_queue_cap") {
         cfg.client_queue_cap = want_u64(e)? as usize;
+        if cfg.client_queue_cap == 0 {
+            // No uplink packet or TCP ack could ever leave a client.
+            return err(
+                e.line,
+                "key 'client_queue_cap' expects a positive packet count",
+            );
+        }
     }
     if let Some(e) = doc.get("uplink_retry_info") {
         cfg.uplink_retry_info = want_bool(e)?;
@@ -1467,6 +1487,47 @@ x_ft = 60
         ] {
             let e = compile_text(text).unwrap_err();
             assert!(e.msg.contains(needle), "for {text:?}: got '{e}'");
+        }
+    }
+
+    #[test]
+    fn zero_client_queue_cap_is_rejected_at_its_line() {
+        // Once ran to `total 0.000 Mb/s` and exited 0: no uplink packet
+        // or TCP ack could ever enter a client's interface queue.
+        let e = compile_text("seed = 1\nclient_queue_cap = 0\n[[station]]\nrate = \"11\"\n")
+            .unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(
+            e.msg
+                .contains("key 'client_queue_cap' expects a positive packet count"),
+            "{e}"
+        );
+        let spec = compile_text("client_queue_cap = 1\n[[station]]\nrate = \"11\"\n").unwrap();
+        assert_eq!(spec.cfg.client_queue_cap, 1);
+    }
+
+    #[test]
+    fn non_positive_rate_limit_is_rejected_at_its_line() {
+        // `rate_limit_bps = 0.0` once panicked inside the TCP sender's
+        // token bucket (exit 101). Both the explicit-flow and the
+        // implicit-flow spelling are checked.
+        for (text, line) in [
+            (
+                "[[station]]\nrate = \"11\"\n[[station.flow]]\ndirection = \"up\"\nrate_limit_bps = 0.0\n",
+                5,
+            ),
+            (
+                "[[station]]\nrate = \"11\"\ntransport = \"udp\"\nrate_limit_bps = -1\n",
+                4,
+            ),
+        ] {
+            let e = compile_text(text).unwrap_err();
+            assert_eq!(e.line, line, "for {text:?}: {e}");
+            assert!(
+                e.msg
+                    .contains("key 'rate_limit_bps' expects a positive, finite bit rate"),
+                "for {text:?}: {e}"
+            );
         }
     }
 

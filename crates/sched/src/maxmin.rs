@@ -31,7 +31,8 @@
 //! sequence by construction.
 
 use airtime_core::{
-    waterfill_airtime, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler,
+    waterfill_airtime_into, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket,
+    Scheduler,
 };
 use airtime_sim::{SimDuration, SimTime};
 
@@ -104,6 +105,17 @@ impl MmState {
     }
 }
 
+/// The waterfill's inputs and outputs, kept across decisions so a
+/// decision allocates nothing once they have grown to the client count.
+#[derive(Default)]
+struct Scratch {
+    demands: Vec<f64>,
+    rates: Vec<f64>,
+    weights: Vec<f64>,
+    targets: Vec<f64>,
+    saturated: Vec<bool>,
+}
+
 /// Max-min (waterfilling) AP scheduler.
 pub struct MaxMinScheduler {
     config: MaxMinConfig,
@@ -113,6 +125,7 @@ pub struct MaxMinScheduler {
     last_accrual: SimTime,
     /// Rotating tie-break origin for equal credits.
     next: usize,
+    scratch: Scratch,
 }
 
 impl MaxMinScheduler {
@@ -127,6 +140,7 @@ impl MaxMinScheduler {
             states: Vec::new(),
             last_accrual: SimTime::ZERO,
             next: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -162,10 +176,16 @@ impl MaxMinScheduler {
         }
         // Only current members share the water; a disassociated slot
         // holds no credit until it re-associates.
-        let n = self.states.len();
-        let mut demands = Vec::with_capacity(n);
-        let mut rates = Vec::with_capacity(n);
-        let mut weights = Vec::with_capacity(n);
+        let Scratch {
+            demands,
+            rates,
+            weights,
+            targets,
+            saturated,
+        } = &mut self.scratch;
+        demands.clear();
+        rates.clear();
+        weights.clear();
         let mut any = false;
         for (s, q) in self.states.iter().zip(&self.pool.queues) {
             if !s.active {
@@ -182,9 +202,9 @@ impl MaxMinScheduler {
         if !any {
             return;
         }
-        let targets = waterfill_airtime(&demands, &rates, &weights);
+        waterfill_airtime_into(targets, saturated, demands, rates, weights);
         let members = self.states.iter_mut().filter(|s| s.active);
-        for (s, &target) in members.zip(&targets) {
+        for (s, &target) in members.zip(targets.iter()) {
             let cap = CREDIT_CAP_SECS * target.max(s.rate);
             s.credit = (s.credit + target * dt).min(cap);
         }

@@ -12,8 +12,44 @@
 //!                       │
 //!                [Scheduler: any airtime-sched family]
 //! ```
+//!
+//! # The dirty work-lists
+//!
+//! After every dispatch the engine pumps traffic sources into their
+//! queues and kicks idle MACs. It does not scan every flow and every
+//! client node for that: two `IndexSet`s hold the flows and the client
+//! nodes whose state changed since they were last visited, and each
+//! pass visits only those. The result must equal a scan of all of
+//! them, so a pass drains its set in ascending index order. A member
+//! marked above the cursor mid-pass is visited in the same pass; one
+//! marked at or below it waits for the next step, where a full scan
+//! would also reach it. A flow or node left unmarked is one whose pump
+//! or kick would be a no-op.
+//!
+//! A flow is marked by:
+//! - a `StartFlow` or `Pump` event;
+//! - a current-epoch `RtoFired` or `DelAckFired`;
+//! - a TCP ack, TCP data or UDP datagram handed to it
+//!   (`on_delivered`, `on_wired_to_host`);
+//! - `rebuild_flow` (a fresh incarnation at association);
+//! - a pop from its station's client queue, which marks every flow of
+//!   that station.
+//!
+//! Some flows are *sticky*: they re-mark themselves after each pump,
+//! so they are polled after every dispatch:
+//! - a flow whose pump ended on a timed wake (its rate limiter or pacer
+//!   holds the next packet back);
+//! - a started UDP downlink, which is blocked only by the AP queue.
+//!   That queue is shared, may drop early (RED), and other flows change
+//!   it.
+//!
+//! A client node is marked by a push into its interface queue (an
+//! uplink pump or a TCP ack from a downlink receiver) and by the
+//! `TxFinal` of a frame it sent, which frees its MAC. The AP is kicked,
+//! and the scheduler wake checked, after every dispatch.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 use airtime_core::{ClientId, EnqueueOutcome, QueuedPacket};
 use airtime_mac::{
@@ -86,10 +122,45 @@ struct FlowRt {
     meter: RateMeter,
     metered_bytes: u64,
     completion: Option<SimDuration>,
-    /// Queueing + air latency of delivered data packets, milliseconds.
-    latency: Histogram,
+    /// Queueing + air latency of delivered data packets, milliseconds;
+    /// allocated on the first measured delivery.
+    latency: Option<Histogram>,
     /// Guards against scheduling redundant Pump events.
     pump_pending: bool,
+}
+
+/// A fixed-capacity set of indices, a `u64` bitset drained in
+/// ascending order. A pass calls [`IndexSet::take_from`] with a cursor
+/// just past the last index it visited, so members inserted above the
+/// cursor mid-pass are visited in the same pass and members inserted
+/// at or below it stay for the next one.
+struct IndexSet {
+    words: Vec<u64>,
+}
+
+impl IndexSet {
+    fn new(capacity: usize) -> Self {
+        IndexSet {
+            words: vec![0; capacity.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Removes and returns the smallest member at or above `from`.
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        let bit = bits.trailing_zeros();
+        self.words[w] &= !(1 << bit);
+        Some(w * 64 + bit as usize)
+    }
 }
 
 /// Lifecycle of one MAC-level frame, tracked from queue entry to the
@@ -147,6 +218,13 @@ struct Sim<'c, O: Observer> {
     /// queue, if any — avoids flooding the queue with duplicate wakes.
     pending_wake: Option<SimTime>,
     flows: Vec<FlowRt>,
+    /// Flows are built station-major: station `s` owns flows
+    /// `station_flows[s]..station_flows[s + 1]`.
+    station_flows: Vec<usize>,
+    /// Flows to pump after the next dispatch (see the module docs).
+    dirty_flows: IndexSet,
+    /// Client nodes to kick after the next dispatch.
+    dirty_nodes: IndexSet,
     /// Per-station uplink interface queues (packet, arrival time).
     client_q: Vec<VecDeque<(Packet, SimTime)>>,
     arf: Vec<Option<Arf>>,
@@ -295,37 +373,11 @@ impl<'c, O: Observer> Sim<'c, O> {
         // Build flow runtimes.
         let warmup_end = SimTime::ZERO + cfg.warmup;
         let mut flows = Vec::new();
+        let mut station_flows = Vec::with_capacity(n + 1);
         for (i, st) in cfg.stations.iter().enumerate() {
+            station_flows.push(flows.len());
             for spec in &st.flows {
-                let id = FlowId(flows.len());
-                let limiter = spec
-                    .rate_limit_bps
-                    .filter(|_| spec.transport == Transport::Tcp)
-                    .map(|bps| RateLimiter::new(bps, 2 * cfg.tcp.mss));
-                let (tcp_tx, tcp_rx, udp) = match spec.transport {
-                    Transport::Tcp => (
-                        Some(TcpSender::new(
-                            id,
-                            cfg.tcp.clone(),
-                            spec.task_bytes,
-                            limiter,
-                        )),
-                        Some(TcpReceiver::new(id, cfg.tcp.clone())),
-                        None,
-                    ),
-                    Transport::Udp => (
-                        None,
-                        None,
-                        Some(UdpSource::new(
-                            id,
-                            UdpConfig {
-                                datagram_bytes: 1500,
-                                rate_bps: spec.rate_limit_bps,
-                                task_bytes: spec.task_bytes,
-                            },
-                        )),
-                    ),
-                };
+                let (tcp_tx, tcp_rx, udp) = transport_for(FlowId(flows.len()), spec, cfg);
                 flows.push(FlowRt {
                     station: i,
                     transport: spec.transport,
@@ -339,11 +391,12 @@ impl<'c, O: Observer> Sim<'c, O> {
                     meter: RateMeter::new(warmup_end),
                     metered_bytes: 0,
                     completion: None,
-                    latency: Histogram::new(0.0, 2_000.0, 400),
+                    latency: None,
                     pump_pending: false,
                 });
             }
         }
+        station_flows.push(flows.len());
         // A topology driver may start some stations unassociated (they
         // roam in later); single-cell runs associate everyone at t=0.
         let is_active = |st: usize| active.is_none_or(|m| m[st]);
@@ -424,7 +477,10 @@ impl<'c, O: Observer> Sim<'c, O> {
             pending_wake: None,
             mac,
             sched,
+            dirty_flows: IndexSet::new(flows.len()),
+            dirty_nodes: IndexSet::new(n + 1),
             flows,
+            station_flows,
             client_q: vec![VecDeque::new(); n + 1],
             arf,
             fixed_rate,
@@ -453,8 +509,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                 .observe(instr.queue_depth, self.queue.len() as f64);
         }
         self.dispatch(ev);
-        self.pump_all();
-        self.kick_all();
+        self.pump_dirty();
+        self.kick();
         self.ensure_sched_wake();
         self.advance_instr();
         Some((t, label))
@@ -476,6 +532,11 @@ impl<'c, O: Observer> Sim<'c, O> {
             Regulate::PerStation => ClientId(self.flows[flow].station),
             Regulate::PerFlow => ClientId(flow),
         }
+    }
+
+    /// The flows `station` owns.
+    fn flows_of(&self, station: usize) -> Range<usize> {
+        self.station_flows[station]..self.station_flows[station + 1]
     }
 
     /// The station index behind a scheduler key.
@@ -686,6 +747,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if epoch != self.flows[flow].epoch {
                     return; // armed by a pre-handoff incarnation
                 }
+                self.dirty_flows.insert(flow);
                 let now = self.now;
                 let mut fx = Vec::new();
                 let fired = match self.flows[flow].tcp_tx.as_mut() {
@@ -709,6 +771,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if epoch != self.flows[flow].epoch {
                     return;
                 }
+                self.dirty_flows.insert(flow);
                 let fx = match self.flows[flow].tcp_rx.as_mut() {
                     Some(rx) => rx.on_delack_fired(generation),
                     None => Vec::new(),
@@ -727,11 +790,13 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
             }
             Event::Pump { flow } => {
+                // The pump pass after this dispatch does the work.
                 self.flows[flow].pump_pending = false;
-                // pump_all (called after dispatch) does the work.
+                self.dirty_flows.insert(flow);
             }
             Event::StartFlow { flow } => {
                 self.flows[flow].started = true;
+                self.dirty_flows.insert(flow);
             }
             Event::WarmupDone => {
                 for node in 0..self.client_q.len() {
@@ -910,7 +975,10 @@ impl<'c, O: Observer> Sim<'c, O> {
         };
         if pkt.is_data() && self.now >= SimTime::ZERO + self.cfg.warmup {
             let ms = self.now.saturating_since(born).as_secs_f64() * 1e3;
-            self.flows[pkt.flow.index()].latency.record(ms);
+            self.flows[pkt.flow.index()]
+                .latency
+                .get_or_insert_with(|| Histogram::new(0.0, 2_000.0, 400))
+                .record(ms);
         }
         if frame.dst == AP {
             // Uplink: forward across the backbone.
@@ -919,6 +987,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         } else {
             // Downlink: hand to the client-side endpoint.
             let flow = pkt.flow.index();
+            self.dirty_flows.insert(flow);
             match pkt.kind {
                 PacketKind::TcpData { seq } => {
                     let now = self.now;
@@ -951,6 +1020,10 @@ impl<'c, O: Observer> Sim<'c, O> {
         let pkt = self.in_transit.remove(&frame.handle);
         let node = client_node(&frame);
         let sent_by_ap = frame.src == AP;
+        if !sent_by_ap {
+            // The client's MAC is free for the next queued frame.
+            self.dirty_nodes.insert(node);
+        }
         let key = match (self.cfg.regulate, pkt) {
             (Regulate::PerFlow, Some((p, _))) => self.reg_key(p.flow.index()),
             _ => ClientId(node - 1),
@@ -1009,6 +1082,7 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     fn on_wired_to_host(&mut self, pkt: Packet) {
         let flow = pkt.flow.index();
+        self.dirty_flows.insert(flow);
         match pkt.kind {
             PacketKind::TcpData { seq } => {
                 // Uplink flow's receiver lives on the wired host.
@@ -1090,6 +1164,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                             let node = f.station + 1;
                             if self.client_q[node].len() < self.cfg.client_queue_cap {
                                 self.client_q[node].push_back((ack, self.now));
+                                self.dirty_nodes.insert(node);
                                 self.emit_client_queue(node);
                             }
                         }
@@ -1118,17 +1193,40 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     // -- traffic pumping and MAC feeding --------------------------------
 
-    fn pump_all(&mut self) {
-        for flow in 0..self.flows.len() {
-            if !self.flows[flow].started {
-                continue;
-            }
-            match (self.flows[flow].transport, self.flows[flow].direction) {
-                (Transport::Tcp, Direction::Uplink) => self.pump_tcp_uplink(flow),
-                (Transport::Tcp, Direction::Downlink) => self.pump_tcp_downlink(flow),
-                (Transport::Udp, Direction::Uplink) => self.pump_udp_uplink(flow),
-                (Transport::Udp, Direction::Downlink) => self.pump_udp_downlink(flow),
-            }
+    /// Pumps the dirty flows in ascending order (see the module docs).
+    fn pump_dirty(&mut self) {
+        let mut from = 0;
+        while let Some(flow) = self.dirty_flows.take_from(from) {
+            from = flow + 1;
+            self.pump(flow);
+        }
+    }
+
+    fn pump(&mut self, flow: usize) {
+        let f = &self.flows[flow];
+        if !f.started {
+            return;
+        }
+        let (transport, direction) = (f.transport, f.direction);
+        match (transport, direction) {
+            (Transport::Tcp, Direction::Uplink) => self.pump_tcp_uplink(flow),
+            (Transport::Tcp, Direction::Downlink) => self.pump_tcp_downlink(flow),
+            (Transport::Udp, Direction::Uplink) => self.pump_udp_uplink(flow),
+            (Transport::Udp, Direction::Downlink) => self.pump_udp_downlink(flow),
+        }
+        let now = self.now;
+        let f = &self.flows[flow];
+        let wake = match (&f.tcp_tx, &f.udp) {
+            (Some(tx), _) => tx.next_app_ready(now),
+            (_, Some(u)) => u.next_ready(now),
+            (None, None) => None,
+        };
+        if let Some(at) = wake {
+            self.schedule_pump(flow, at);
+        }
+        // Sticky flows stay on the work-list (see the module docs).
+        if wake.is_some() || (transport, direction) == (Transport::Udp, Direction::Downlink) {
+            self.dirty_flows.insert(flow);
         }
     }
 
@@ -1158,16 +1256,10 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
         }
         if pushed {
+            self.dirty_nodes.insert(node);
             self.emit_client_queue(node);
         }
         self.apply_sender_effects(flow, fx);
-        if let Some(at) = self.flows[flow]
-            .tcp_tx
-            .as_ref()
-            .and_then(|tx| tx.next_app_ready(now))
-        {
-            self.schedule_pump(flow, at);
-        }
     }
 
     fn pump_tcp_downlink(&mut self, flow: usize) {
@@ -1187,13 +1279,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
         }
         self.apply_sender_effects(flow, fx);
-        if let Some(at) = self.flows[flow]
-            .tcp_tx
-            .as_ref()
-            .and_then(|tx| tx.next_app_ready(now))
-        {
-            self.schedule_pump(flow, at);
-        }
     }
 
     fn pump_udp_uplink(&mut self, flow: usize) {
@@ -1214,14 +1299,8 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
         }
         if pushed {
+            self.dirty_nodes.insert(node);
             self.emit_client_queue(node);
-        }
-        if let Some(at) = self.flows[flow]
-            .udp
-            .as_ref()
-            .and_then(|u| u.next_ready(now))
-        {
-            self.schedule_pump(flow, at);
         }
     }
 
@@ -1259,16 +1338,11 @@ impl<'c, O: Observer> Sim<'c, O> {
         if pushed {
             self.emit_ap_queue(key);
         }
-        if let Some(at) = self.flows[flow]
-            .udp
-            .as_ref()
-            .and_then(|u| u.next_ready(now))
-        {
-            self.schedule_pump(flow, at);
-        }
     }
 
-    fn kick_all(&mut self) {
+    /// Feeds idle MACs: the AP from its scheduler, then the dirty
+    /// client nodes from their interface queues in ascending order.
+    fn kick(&mut self) {
         // AP: MACTXEVENT — feed one frame whenever the AP MAC is idle.
         if self.mac.can_accept(AP) {
             if let Some(q) = self.sched.dequeue(self.now) {
@@ -1314,9 +1388,16 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
         }
         // Clients: head of interface queue.
-        for node in 1..self.client_q.len() {
+        let mut from = 0;
+        while let Some(node) = self.dirty_nodes.take_from(from) {
+            from = node + 1;
             if self.mac.can_accept(NodeId(node)) {
                 if let Some((pkt, born)) = self.client_q[node].pop_front() {
+                    // Room in the queue: the station's uplink pumps may
+                    // have more to send.
+                    for flow in self.flows_of(node - 1) {
+                        self.dirty_flows.insert(flow);
+                    }
                     self.emit_client_queue(node);
                     let handle = self.new_handle(pkt, born);
                     if self.obs.active() {
@@ -1376,17 +1457,12 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     /// Scheduler keys owned by `station` under the configured
     /// regulation granularity.
-    fn keys_of_station(&self, station: usize) -> Vec<ClientId> {
-        match self.cfg.regulate {
-            Regulate::PerStation => vec![ClientId(station)],
-            Regulate::PerFlow => self
-                .flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.station == station)
-                .map(|(i, _)| ClientId(i))
-                .collect(),
-        }
+    fn keys_of_station(&self, station: usize) -> impl Iterator<Item = ClientId> {
+        let keys = match self.cfg.regulate {
+            Regulate::PerStation => station..station + 1,
+            Regulate::PerFlow => self.flows_of(station),
+        };
+        keys.map(ClientId)
     }
 
     /// Replaces a flow's transport state with a fresh incarnation
@@ -1394,35 +1470,8 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// TCP state does not survive the handoff). Goodput and latency
     /// accounting are cumulative across incarnations.
     fn rebuild_flow(&mut self, flow: usize, spec: &FlowSpec, now: SimTime) {
-        let id = FlowId(flow);
-        let limiter = spec
-            .rate_limit_bps
-            .filter(|_| spec.transport == Transport::Tcp)
-            .map(|bps| RateLimiter::new(bps, 2 * self.cfg.tcp.mss));
-        let (tcp_tx, tcp_rx, udp) = match spec.transport {
-            Transport::Tcp => (
-                Some(TcpSender::new(
-                    id,
-                    self.cfg.tcp.clone(),
-                    spec.task_bytes,
-                    limiter,
-                )),
-                Some(TcpReceiver::new(id, self.cfg.tcp.clone())),
-                None,
-            ),
-            Transport::Udp => (
-                None,
-                None,
-                Some(UdpSource::new(
-                    id,
-                    UdpConfig {
-                        datagram_bytes: 1500,
-                        rate_bps: spec.rate_limit_bps,
-                        task_bytes: spec.task_bytes,
-                    },
-                )),
-            ),
-        };
+        let (tcp_tx, tcp_rx, udp) = transport_for(FlowId(flow), spec, self.cfg);
+        self.dirty_flows.insert(flow);
         let f = &mut self.flows[flow];
         f.start = now;
         f.started = true;
@@ -1443,20 +1492,14 @@ impl<'c, O: Observer> Sim<'c, O> {
             self.sched.on_associate_weighted(key, weight, now);
         }
         let cfg = self.cfg;
-        let mut flow = 0;
-        for (s, st) in cfg.stations.iter().enumerate() {
-            for spec in &st.flows {
-                if s == station {
-                    self.rebuild_flow(flow, spec, now);
-                }
-                flow += 1;
-            }
+        for (flow, spec) in self.flows_of(station).zip(&cfg.stations[station].flows) {
+            self.rebuild_flow(flow, spec, now);
         }
         // The association happens between events on the shared
         // timeline, so prime traffic and the MAC here rather than
         // waiting for this cell's next dispatch.
-        self.pump_all();
-        self.kick_all();
+        self.pump_dirty();
+        self.kick();
         self.ensure_sched_wake();
     }
 
@@ -1479,15 +1522,14 @@ impl<'c, O: Observer> Sim<'c, O> {
             self.client_q[node].clear();
             self.emit_client_queue(node);
         }
-        for f in self.flows.iter_mut() {
-            if f.station == station {
-                f.epoch += 1;
-                f.started = false;
-                f.tcp_tx = None;
-                f.tcp_rx = None;
-                f.udp = None;
-                f.pump_pending = false;
-            }
+        let flows = self.flows_of(station);
+        for f in &mut self.flows[flows] {
+            f.epoch += 1;
+            f.started = false;
+            f.tcp_tx = None;
+            f.tcp_rx = None;
+            f.udp = None;
+            f.pump_pending = false;
         }
     }
 
@@ -1514,8 +1556,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                 completion: f.completion,
                 retransmits,
                 timeouts,
-                latency_p50_ms: f.latency.quantile(0.5),
-                latency_p95_ms: f.latency.quantile(0.95),
+                latency_p50_ms: f.latency.as_ref().and_then(|h| h.quantile(0.5)),
+                latency_p95_ms: f.latency.as_ref().and_then(|h| h.quantile(0.95)),
             });
         }
         let n = self.cfg.stations.len();
@@ -1575,6 +1617,44 @@ impl<'c, O: Observer> Sim<'c, O> {
             trace: self.trace.take(),
             tbr_rates,
         }
+    }
+}
+
+/// Fresh transport endpoints for flow `id`: a sender and a receiver
+/// for TCP, a source for UDP.
+fn transport_for(
+    id: FlowId,
+    spec: &FlowSpec,
+    cfg: &NetworkConfig,
+) -> (Option<TcpSender>, Option<TcpReceiver>, Option<UdpSource>) {
+    match spec.transport {
+        Transport::Tcp => {
+            let limiter = spec
+                .rate_limit_bps
+                .map(|bps| RateLimiter::new(bps, 2 * cfg.tcp.mss));
+            (
+                Some(TcpSender::new(
+                    id,
+                    cfg.tcp.clone(),
+                    spec.task_bytes,
+                    limiter,
+                )),
+                Some(TcpReceiver::new(id, cfg.tcp.clone())),
+                None,
+            )
+        }
+        Transport::Udp => (
+            None,
+            None,
+            Some(UdpSource::new(
+                id,
+                UdpConfig {
+                    datagram_bytes: 1500,
+                    rate_bps: spec.rate_limit_bps,
+                    task_bytes: spec.task_bytes,
+                },
+            )),
+        ),
     }
 }
 
@@ -1751,10 +1831,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// its flow incarnations in this cell. Drivers difference this at
     /// handoff boundaries for pre/post-handoff roaming throughput.
     pub fn station_goodput_bytes(&self, station: usize) -> u64 {
-        self.sim
-            .flows
+        self.sim.flows[self.sim.flows_of(station)]
             .iter()
-            .filter(|f| f.station == station)
             .map(|f| f.meter.bytes())
             .sum()
     }
@@ -1803,6 +1881,119 @@ mod tests {
             for (j, b) in labels.iter().enumerate().skip(i + 1) {
                 assert_ne!(a, b, "variants {i} and {j} share the label {a:?}");
             }
+        }
+    }
+
+    #[test]
+    fn index_set_drains_in_ascending_order() {
+        let mut set = IndexSet::new(200);
+        for i in [130, 3, 64, 63, 199, 0] {
+            set.insert(i);
+        }
+        set.insert(64); // inserting twice keeps one member
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(i) = set.take_from(from) {
+            from = i + 1;
+            seen.push(i);
+        }
+        assert_eq!(seen, [0, 3, 63, 64, 130, 199]);
+        assert_eq!(set.take_from(0), None, "a pass empties the set");
+    }
+
+    #[test]
+    fn index_set_visits_marks_above_the_cursor_in_the_same_pass() {
+        let mut set = IndexSet::new(128);
+        set.insert(5);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(i) = set.take_from(from) {
+            from = i + 1;
+            seen.push(i);
+            if i == 5 {
+                set.insert(70); // above the cursor, in another word
+                set.insert(6);
+            }
+        }
+        assert_eq!(seen, [5, 6, 70]);
+    }
+
+    #[test]
+    fn index_set_keeps_marks_at_or_below_the_cursor_for_the_next_pass() {
+        let mut set = IndexSet::new(128);
+        set.insert(9);
+        set.insert(100);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(i) = set.take_from(from) {
+            from = i + 1;
+            seen.push(i);
+            if i == 100 {
+                set.insert(100); // the visited member re-marks itself
+                set.insert(2);
+            }
+        }
+        assert_eq!(seen, [9, 100]);
+        let mut next = Vec::new();
+        let mut from = 0;
+        while let Some(i) = set.take_from(from) {
+            from = i + 1;
+            next.push(i);
+        }
+        assert_eq!(next, [2, 100]);
+    }
+
+    /// A station that leaves while its interface queue is full loses
+    /// the queued packets; when it comes back its fresh flows must be
+    /// pumped and its node kicked again, or it stays silent.
+    #[test]
+    fn reassociated_station_with_a_full_queue_delivers_again() {
+        use crate::scenarios;
+        let mut cfg = scenarios::uploaders(
+            &[DataRate::B11, DataRate::B1],
+            SchedulerKind::Tbr(Default::default()),
+        );
+        // The slow station adds a saturating UDP uplink, which keeps its
+        // small interface queue full.
+        let slow = 1;
+        cfg.stations[slow]
+            .flows
+            .push(FlowSpec::udp(Direction::Uplink));
+        cfg.client_queue_cap = 4;
+        cfg.duration = SimDuration::from_secs(6);
+        cfg.warmup = SimDuration::from_secs(1);
+        let mut obs = NullObserver;
+        let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
+        let run_until = |cell: &mut CellSim<'_, NullObserver>, secs: u64| {
+            let until = SimTime::ZERO + SimDuration::from_secs(secs);
+            while cell.peek_time().is_some_and(|t| t <= until) {
+                cell.step();
+            }
+        };
+        run_until(&mut cell, 2);
+        let deadline = SimTime::ZERO + SimDuration::from_secs(3);
+        while cell.sim.client_q[slow + 1].len() < cfg.client_queue_cap {
+            let t = cell.step();
+            assert!(t.is_some_and(|t| t < deadline), "queue never filled");
+        }
+        cell.disassociate(slow, cell.now());
+        run_until(&mut cell, 3);
+        let flows = cell.sim.flows_of(slow);
+        let delivered = |cell: &CellSim<'_, NullObserver>| -> Vec<u64> {
+            cell.sim.flows[flows.clone()]
+                .iter()
+                .map(|f| f.meter.bytes())
+                .collect()
+        };
+        let before = delivered(&cell);
+        cell.associate(slow, cell.now());
+        run_until(&mut cell, 6);
+        let after = delivered(&cell);
+        for (flow, (b, a)) in flows.clone().zip(before.iter().zip(&after)) {
+            assert!(
+                a > b,
+                "flow {flow} silent after re-association ({b} -> {a} bytes)"
+            );
         }
     }
 

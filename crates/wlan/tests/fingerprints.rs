@@ -12,10 +12,11 @@
 //! recorded run is byte-identical to a plain `run`.
 
 use airtime_obs::{fp_hex, FlightRecorder};
-use airtime_phy::DataRate::{B1, B11};
-use airtime_sim::SimDuration;
+use airtime_phy::DataRate::{self, B1, B11, B2};
+use airtime_sim::{SimDuration, SimTime};
 use airtime_wlan::{
-    run, run_observed, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
+    run, run_observed, scenarios, Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate,
+    SchedulerKind, StationConfig, Transport,
 };
 
 /// Paper-length presets cut to test length without disturbing a
@@ -26,6 +27,53 @@ fn shorten(mut cfg: NetworkConfig) -> NetworkConfig {
         cfg.warmup = SimDuration::from_millis(500);
     }
     cfg
+}
+
+/// The engine's rarer pump and kick paths in one cell, after
+/// `examples/scenarios/worklist_edges.toml`: a rate-limited TCP uplink
+/// and a paced UDP downlink on one station, a paced UDP uplink that
+/// starts late, a greedy TCP downlink next to a saturating UDP
+/// downlink, a two-packet client queue, per-flow regulation and client
+/// cooperation.
+fn worklist_edges(scheduler: SchedulerKind) -> NetworkConfig {
+    let flow = |transport, direction, rate_limit_bps| FlowSpec {
+        transport,
+        direction,
+        start: SimTime::ZERO,
+        task_bytes: None,
+        rate_limit_bps,
+    };
+    let station = |rate: DataRate, flows| StationConfig {
+        link: LinkSpec::Fixed { rate, fer: 0.01 },
+        flows,
+        weight: 1.0,
+    };
+    let late_udp_up = FlowSpec {
+        start: SimTime::ZERO + SimDuration::from_secs(1),
+        ..flow(Transport::Udp, Direction::Uplink, Some(400_000.0))
+    };
+    let stations = vec![
+        station(
+            B11,
+            vec![
+                flow(Transport::Tcp, Direction::Uplink, Some(1_500_000.0)),
+                flow(Transport::Udp, Direction::Downlink, Some(800_000.0)),
+            ],
+        ),
+        station(B2, vec![late_udp_up]),
+        station(
+            B1,
+            vec![
+                flow(Transport::Tcp, Direction::Downlink, None),
+                flow(Transport::Udp, Direction::Downlink, None),
+            ],
+        ),
+    ];
+    let mut cfg = NetworkConfig::new(stations, scheduler);
+    cfg.regulate = Regulate::PerFlow;
+    cfg.client_queue_cap = 2;
+    cfg.client_cooperation = true;
+    shorten(cfg)
 }
 
 /// The headline presets with their pinned fingerprints.
@@ -83,6 +131,21 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
                 SchedulerKind::maxmin(),
             )),
             "216b7bb5cdcc2ab2",
+        ),
+        (
+            "table4/bottleneck/tbr",
+            shorten(scenarios::bottleneck_table4(SchedulerKind::tbr())),
+            "030a12b14ad383a0",
+        ),
+        (
+            "worklist_edges/tbr",
+            worklist_edges(SchedulerKind::tbr()),
+            "0c7ff4783d644002",
+        ),
+        (
+            "worklist_edges/rr",
+            worklist_edges(SchedulerKind::RoundRobin),
+            "c6289683bfa64ca4",
         ),
     ]
 }

@@ -24,3 +24,48 @@ fn run_rejects_out_of_range_secs() {
         );
     }
 }
+
+/// Writes `text` to a scenario file named `name` under the test's
+/// scratch directory and runs it; returns the exit code, stderr and
+/// the file's path.
+fn run_scenario(name: &str, text: &str) -> (Option<i32>, String, String) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("scenario file written");
+    let path = path.display().to_string();
+    let out = cli(&["run", "--scenario", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr, path)
+}
+
+#[test]
+fn scenario_rejects_zero_client_queue_cap() {
+    // Once ran to `total 0.000 Mb/s` and exited 0.
+    let (code, stderr, path) = run_scenario(
+        "zero_client_queue_cap.toml",
+        "duration_s = 3\nwarmup_s = 1\nclient_queue_cap = 0\n[[station]]\nrate = \"11\"\n",
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{path}:3: key 'client_queue_cap' expects a positive packet count"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn scenario_rejects_zero_rate_limit() {
+    // Once panicked in the TCP sender's token bucket (exit 101).
+    let (code, stderr, path) = run_scenario(
+        "zero_rate_limit.toml",
+        "duration_s = 3\nwarmup_s = 1\n[[station]]\nrate = \"11\"\n\
+         [[station.flow]]\ndirection = \"up\"\nrate_limit_bps = 0.0\n",
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{path}:7: key 'rate_limit_bps' expects a positive, finite bit rate"
+        )),
+        "{stderr}"
+    );
+}
