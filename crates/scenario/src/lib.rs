@@ -1,8 +1,8 @@
 //! `airtime-scenario` — the declarative experiment engine.
 //!
-//! Every figure and table binary in `airtime-bench` is a hand-coded
-//! loop over `run(&cfg)` calls. This crate replaces that pattern with
-//! data: a scenario *file* (a TOML subset, parsed with zero
+//! Every simulated table and figure of the paper is defined here as
+//! data rather than as a hand-coded loop over `run(&cfg)` calls: a
+//! scenario *file* (a TOML subset, parsed with zero
 //! dependencies) declares the stations, links, traffic, scheduler,
 //! duration and seed of an experiment; a `[sweep]` section declares
 //! axes over any of those; and the engine expands the axes into a

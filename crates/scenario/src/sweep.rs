@@ -15,7 +15,7 @@
 //!
 //! The matrix is the cartesian product in declaration order: the first
 //! axis varies slowest, the last fastest — exactly the nesting order of
-//! the `for` loops a hand-written bench binary would use. Job indices,
+//! the equivalent hand-written `for` loops. Job indices,
 //! and therefore output row order, depend only on the file, never on
 //! which worker finishes first.
 

@@ -1,13 +1,14 @@
 //! End-to-end tests of the scenario engine: the shipped example files
-//! parse, compile and expand to the matrices their bench-binary
-//! counterparts hard-code, and a sweep's emitted documents are
-//! byte-identical regardless of worker-thread count.
+//! parse, compile and expand to the same runs the `wlan::scenarios`
+//! builders construct, seed for seed, and a sweep's emitted documents
+//! are byte-identical regardless of worker-thread count.
 
 use std::path::{Path, PathBuf};
 
 use airtime_core::TbrConfig;
 use airtime_phy::DataRate;
 use airtime_scenario::toml::Value;
+use airtime_scenario::tournament::{compile_tournament, expand_tournament, TournamentJob};
 use airtime_scenario::{
     compile, compile_runnable, emit, expand, load, run_sweep, run_sweep_text, CheckOutcome,
 };
@@ -25,8 +26,8 @@ fn fig2_example_matches_the_bench_binary_setup() {
     let path = example("fig2_dcf_anomaly.toml");
     let doc = load(&path).unwrap();
     let spec = compile(&doc, "fig2").unwrap();
-    // The `fig2_dcf_anomaly` binary runs `measure(uploaders(..))`:
-    // 60 s after a 5 s warm-up, seed 1, FIFO, two fixed 11M links.
+    // `scenarios::uploaders` with the presets' standard length: 60 s
+    // after a 5 s warm-up, seed 1, FIFO, two fixed 11M links.
     assert_eq!(spec.cfg.duration, SimDuration::from_secs(60));
     assert_eq!(spec.cfg.warmup, SimDuration::from_secs(5));
     assert_eq!(spec.cfg.seed, 1);
@@ -66,8 +67,8 @@ fn fig9_example_expands_to_the_binary_loop_nest() {
     let names: Vec<&str> = axes.iter().map(|a| a.name.as_str()).collect();
     assert_eq!(names, ["direction", "station.1.rate", "scheduler"]);
     assert_eq!(jobs.len(), 12);
-    // Row-major: direction slowest, scheduler fastest — the binary's
-    // `for direction { for slow { normal; tbr } }` order.
+    // Row-major: direction slowest, scheduler fastest — the order of
+    // the paper's figure (per direction, per slow rate, normal then tbr).
     let coord =
         |i: usize| -> Vec<&str> { jobs[i].coords.iter().map(|(_, v)| v.as_str()).collect() };
     assert_eq!(coord(0), ["down", "5.5", "rr"]);
@@ -79,14 +80,15 @@ fn fig9_example_expands_to_the_binary_loop_nest() {
 
 /// Shortens both configs identically and checks that running them
 /// yields bit-identical results — the scenario file is the same
-/// experiment as the binary's hard-coded config, seed for seed.
-fn assert_runs_agree(name: &str, mut from_toml: NetworkConfig, mut from_binary: NetworkConfig) {
-    for cfg in [&mut from_toml, &mut from_binary] {
+/// experiment as the config the scenarios builder constructs, seed for
+/// seed.
+fn assert_runs_agree(name: &str, mut from_toml: NetworkConfig, mut from_builder: NetworkConfig) {
+    for cfg in [&mut from_toml, &mut from_builder] {
         cfg.duration = SimDuration::from_secs(3);
         cfg.warmup = SimDuration::from_secs(1);
     }
     let a = airtime_wlan::run(&from_toml);
-    let b = airtime_wlan::run(&from_binary);
+    let b = airtime_wlan::run(&from_builder);
     assert_eq!(a.total_goodput_mbps, b.total_goodput_mbps, "{name}");
     assert_eq!(a.mac.attempts, b.mac.attempts, "{name}");
     assert_eq!(a.mac.collision_events, b.mac.collision_events, "{name}");
@@ -107,7 +109,7 @@ fn table3_example_agrees_with_the_bench_binary_seed_for_seed() {
     assert_eq!(axes[0].name, "scheduler");
     assert_eq!(jobs.len(), 2);
     assert_eq!(jobs[0].spec.rate_labels, ["1M", "2M", "11M", "11M"]);
-    // The binary runs `measure(four_node_mix(..))`: 60 s, 5 s warm-up.
+    // The preset keeps the standard 60 s run after a 5 s warm-up.
     assert_eq!(jobs[0].spec.cfg.duration, SimDuration::from_secs(60));
     assert_eq!(jobs[0].spec.cfg.warmup, SimDuration::from_secs(5));
     for (job, sched) in jobs
@@ -126,8 +128,7 @@ fn table3_example_agrees_with_the_bench_binary_seed_for_seed() {
 fn fig4_example_agrees_with_the_bench_binary_seed_for_seed() {
     let doc = load(&example("fig4_updown_baseline.toml")).unwrap();
     let (axes, jobs) = expand(&doc, "fig4").unwrap();
-    // The binary nests `for transport { for direction }`; the sweep's
-    // row-major order must match: transport slowest, direction fastest.
+    // Row-major order: transport slowest, direction fastest.
     let names: Vec<&str> = axes.iter().map(|a| a.name.as_str()).collect();
     assert_eq!(names, ["station.0.transport", "direction"]);
     assert_eq!(jobs.len(), 4);
@@ -151,10 +152,86 @@ fn fig4_example_agrees_with_the_bench_binary_seed_for_seed() {
 fn table4_example_rate_limits_the_second_uploader() {
     let doc = load(&example("table4_bottleneck.toml")).unwrap();
     let (_, jobs) = expand(&doc, "table4").unwrap();
-    assert_eq!(jobs.len(), 2);
+    assert_eq!(jobs.len(), 3); // fifo, rr, tbr
     let cfg = &jobs[0].spec.cfg;
     assert_eq!(cfg.stations[1].flows[0].rate_limit_bps, Some(2_100_000.0));
     assert_eq!(cfg.stations[0].flows[0].rate_limit_bps, None);
+    // Job 0 is the paper's Exp-Normal column: a stock FIFO AP.
+    assert_eq!(jobs[0].coords[0].1, "fifo");
+    assert_runs_agree(
+        "table4/fifo",
+        jobs[0].spec.cfg.clone(),
+        scenarios::bottleneck_table4(SchedulerKind::Fifo),
+    );
+}
+
+/// Expands a `[tournament]` preset into its job matrix and checks the
+/// standard run length every paper preset shares.
+fn tournament_jobs(name: &str) -> Vec<TournamentJob> {
+    let doc = load(&example(name)).unwrap();
+    let base = compile(&doc, name).unwrap();
+    let t = compile_tournament(&doc, &base).unwrap().unwrap();
+    let jobs = expand_tournament(&base, &t);
+    for job in &jobs {
+        assert_eq!(job.spec.cfg.duration, SimDuration::from_secs(60), "{name}");
+        assert_eq!(job.spec.cfg.warmup, SimDuration::from_secs(5), "{name}");
+        assert_eq!(job.spec.cfg.seed, 1, "{name}");
+    }
+    jobs
+}
+
+#[test]
+fn paper_tournaments_agree_with_the_scenarios_builder() {
+    use DataRate::{B1, B11, B5_5};
+    // (preset, job count, job, family, mix, direction, builder config)
+    let cases = [
+        (
+            "fig3_fairness_notions.toml", // {fifo, tbr} x 3 mixes x up
+            6,
+            4,
+            "tbr",
+            "1,11",
+            "up",
+            scenarios::uploaders(&[B1, B11], SchedulerKind::tbr()),
+        ),
+        (
+            "fig8_tbr_same_rate.toml", // {rr, tbr} x 2 mixes x {up, down}
+            8,
+            3,
+            "rr",
+            "1,1",
+            "down",
+            scenarios::downloaders(&[B1, B1], SchedulerKind::RoundRobin),
+        ),
+        (
+            "table2_gamma.toml", // fifo x the four 802.11b rates x up
+            4,
+            1,
+            "fifo",
+            "5.5,5.5",
+            "up",
+            scenarios::uploaders(&[B5_5, B5_5], SchedulerKind::Fifo),
+        ),
+    ];
+    for (preset, count, index, family, mix, direction, cfg) in cases {
+        let jobs = tournament_jobs(preset);
+        assert_eq!(jobs.len(), count, "{preset}");
+        let job = &jobs[index];
+        assert_eq!(
+            (
+                job.family.as_str(),
+                job.mix.as_str(),
+                job.direction.as_str()
+            ),
+            (family, mix, direction),
+            "{preset}"
+        );
+        assert_runs_agree(
+            &format!("{preset}/{family}/{mix}/{direction}"),
+            job.spec.cfg.clone(),
+            cfg,
+        );
+    }
 }
 
 /// The acceptance property: because each job's seed travels inside its
@@ -206,8 +283,8 @@ fn ablation_bucket_depth_example_agrees_with_the_bench_binary() {
     let (axes, jobs) = expand(&doc, "bucket").unwrap();
     assert_eq!(axes[0].name, "scheduler.bucket_ms");
     assert_eq!(jobs.len(), 6);
-    // Job 2 is the 20 ms bucket; the binary builds the same TbrConfig
-    // by hand (initial grant clamped to the 5 ms default).
+    // Job 2 is the 20 ms bucket: the same TbrConfig built by hand
+    // (initial grant clamped to the 5 ms default).
     let tc = TbrConfig {
         bucket: SimDuration::from_millis(20),
         initial_tokens: SimDuration::from_millis(5),
@@ -259,21 +336,33 @@ fn ablation_retry_info_example_agrees_with_the_bench_binary() {
     let doc = load(&example("ablation_retry_info.toml")).unwrap();
     let (axes, jobs) = expand(&doc, "retry").unwrap();
     let names: Vec<&str> = axes.iter().map(|a| a.name.as_str()).collect();
-    assert_eq!(names, ["station.1.fer", "uplink_retry_info"]);
-    assert_eq!(jobs.len(), 4);
-    // Job 3 is the binary's "exact retry info, 20% loss" row.
-    assert!(jobs[3].spec.cfg.uplink_retry_info);
-    let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], SchedulerKind::tbr());
-    cfg.uplink_retry_info = true;
-    cfg.stations[1].link = airtime_wlan::LinkSpec::Fixed {
-        rate: DataRate::B1,
-        fer: 0.2,
-    };
-    assert_runs_agree(
-        "ablation/retry=exact/fer=0.2",
-        jobs[3].spec.cfg.clone(),
-        cfg,
+    assert_eq!(
+        names,
+        [
+            "station.1.fer",
+            "uplink_retry_info",
+            "uplink_loss_estimator"
+        ]
     );
+    assert_eq!(jobs.len(), 8);
+    // At 20% loss, job 5 is the §4.2 loss-estimator heuristic and job 6
+    // exact retry information.
+    for (job, retry_info, estimator) in [(5, false, true), (6, true, false)] {
+        assert_eq!(jobs[job].spec.cfg.uplink_retry_info, retry_info);
+        assert_eq!(jobs[job].spec.cfg.uplink_loss_estimator, estimator);
+        let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], SchedulerKind::tbr());
+        cfg.uplink_retry_info = retry_info;
+        cfg.uplink_loss_estimator = estimator;
+        cfg.stations[1].link = airtime_wlan::LinkSpec::Fixed {
+            rate: DataRate::B1,
+            fer: 0.2,
+        };
+        assert_runs_agree(
+            &format!("ablation/retry={retry_info}/estimator={estimator}/fer=0.2"),
+            jobs[job].spec.cfg.clone(),
+            cfg,
+        );
+    }
 }
 
 #[test]

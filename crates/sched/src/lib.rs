@@ -15,7 +15,7 @@
 //!   discipline.
 //! - [`FAMILIES`] — the single registry of family names and their
 //!   default configurations, shared by the scenario compiler, the CLI,
-//!   the tournament runner and the bench binaries (one list, no drift).
+//!   the tournament runner and the family ablation (one list, no drift).
 //!
 //! The baseline families (FIFO / round-robin / DRR / TBR / TXOP) are
 //! re-exported from `airtime-core`; this crate adds two contenders from
@@ -162,7 +162,7 @@ pub struct Family {
 /// source of truth and the only place a family name is written:
 /// [`SchedulerKind::from_family`] and [`SchedulerKind::family`] look
 /// names up here, and the scenario compiler, `airtime-cli --sched`, the
-/// `[tournament]` runner and the ablation bench all enumerate it.
+/// `[tournament]` runner and the family ablation preset all enumerate it.
 pub const FAMILIES: &[Family] = &[
     Family {
         name: "fifo",

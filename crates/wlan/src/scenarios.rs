@@ -1,9 +1,12 @@
 //! Ready-made configurations for every experiment in the paper.
 //!
 //! Each function returns a [`NetworkConfig`] matching one of the
-//! paper's setups; the `airtime-bench` binaries run them and print the
-//! corresponding table or figure. Durations here are the full
-//! paper-faithful ones; tests shorten them via the returned struct.
+//! paper's setups. The scenario presets under `examples/scenarios/`
+//! define the same runs as data (`crates/scenario/tests/engine.rs` pins
+//! each preset to its builder, seed for seed), and the integration
+//! tests and examples call the builders directly. Durations here are
+//! the full paper-faithful ones; tests shorten them via the returned
+//! struct.
 
 use airtime_phy::{DataRate, Wall};
 use airtime_sim::SimTime;

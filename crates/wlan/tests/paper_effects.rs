@@ -1,6 +1,7 @@
 //! End-to-end reproduction checks: each test asserts the *shape* of one
-//! of the paper's experimental findings on shortened runs (the bench
-//! binaries run the full-length versions and print the actual tables).
+//! of the paper's experimental findings on shortened runs (the presets
+//! and examples named in EXPERIMENTS.md run the full-length versions and
+//! print the actual tables).
 
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;

@@ -1,5 +1,7 @@
 //! Trace analysis walkthrough: is the regime the paper worries about
-//! real? (Figures 1 and 5 on synthetic campus workloads.)
+//! real? Figure 1's workshop sessions and Figure 5's busy intervals, on
+//! synthetic campus workloads. (Figure 1's EXP-1 bar comes from the
+//! `exp1_office` example.)
 //!
 //! ```text
 //! cargo run --release --example campus_trace
@@ -12,44 +14,66 @@ use airtime::trace::{
 };
 
 fn main() {
-    // 1. Rate diversity in a one-room workshop.
-    let trace = workshop_trace(&WorkshopConfig::ws2(), 42);
-    println!(
-        "workshop session: {} users, {} frames, {:.1} MB",
-        trace.user_count(),
-        trace.records.len(),
-        trace.total_bytes() as f64 / 1e6
-    );
-    for (rate, frac) in bytes_by_rate(&trace) {
-        if frac > 0.0 {
-            println!("  {rate:>5}: {:5.1}% of bytes", frac * 100.0);
-        }
+    // Figure 1: rate diversity in three one-room workshop sessions.
+    println!("Figure 1: fraction of bytes sent at each data rate\n");
+    println!("session     1M     2M   5.5M    11M  below 11M");
+    for (label, cfg) in [
+        ("WS-1", WorkshopConfig::ws1()),
+        ("WS-2", WorkshopConfig::ws2()),
+        ("WS-3", WorkshopConfig::ws3()),
+    ] {
+        let fracs = bytes_by_rate(&workshop_trace(&cfg, 2004));
+        let at = |rate| {
+            fracs
+                .iter()
+                .find(|(r, _)| *r == rate)
+                .map_or(0.0, |(_, f)| f * 100.0)
+        };
+        println!(
+            "{label:<7} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>9.1}%",
+            at(DataRate::B1),
+            at(DataRate::B2),
+            at(DataRate::B5_5),
+            at(DataRate::B11),
+            100.0 - at(DataRate::B11),
+        );
     }
-    let below_11: f64 = bytes_by_rate(&trace)
-        .iter()
-        .filter(|(r, _)| *r != DataRate::B11)
-        .map(|(_, f)| f)
-        .sum();
-    println!(
-        "  -> {:.0}% of bytes below 11M: rate diversity is real\n",
-        below_11 * 100.0
-    );
+    println!("(paper: mostly 11M, with real diversity below; WS-2 >30% below 11M)\n");
 
-    // 2. Congestion with company in a residence hall.
-    let trace = residence_trace(&ResidenceConfig::default(), 7);
+    // Figure 5: congestion with company in a residence hall.
+    let trace = residence_trace(&ResidenceConfig::default(), 2002);
     let b = busy_intervals(&trace, SimDuration::from_secs(1), 4.0);
+    println!("Figure 5: heaviest user's share of busy (>4 Mb/s) 1 s intervals\n");
     println!(
-        "residence AP: {} busy seconds out of {} observed",
-        b.busy, b.windows
+        "windows inspected: {}   busy: {} ({:.1}%)",
+        b.windows,
+        b.busy,
+        b.busy as f64 / b.windows as f64 * 100.0
     );
     println!(
-        "  heaviest user's mean share in busy seconds: {:.0}%",
+        "mean heaviest-user share in busy windows: {:.1}%",
         b.mean_heaviest() * 100.0
     );
     println!(
-        "  busy seconds where one user was effectively alone: {:.0}%",
+        "busy windows where the heaviest user was effectively alone (>99%): {:.1}%\n",
         b.solo_fraction(0.99) * 100.0
     );
-    println!("  -> congestion almost always involves multiple users, so the");
-    println!("     choice of fairness notion decides real aggregate throughput");
+    // A textual view of the figure's scatter.
+    println!("heaviest share  busy windows  fraction");
+    let edges = [0.0, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.01];
+    for w in edges.windows(2) {
+        let count = b
+            .heaviest_fraction
+            .iter()
+            .filter(|&&f| f >= w[0] && f < w[1])
+            .count();
+        println!(
+            "{:<14}  {count:>12}  {:>7.1}%",
+            format!("{:.0}-{:.0}%", w[0] * 100.0, w[1].min(1.0) * 100.0),
+            count as f64 / b.busy.max(1) as f64 * 100.0
+        );
+    }
+    println!("\n(paper: the heaviest user usually moves most of the bytes but");
+    println!(" almost never saturates the AP alone, so the choice of fairness");
+    println!(" notion decides real aggregate throughput)");
 }

@@ -18,7 +18,7 @@ use airtime::wlan::{run, scenarios, SchedulerKind};
 
 fn main() {
     let mut cfg = scenarios::exp1_office(SchedulerKind::RoundRobin);
-    cfg.duration = SimDuration::from_secs(30);
+    cfg.duration = SimDuration::from_secs(60);
     cfg.warmup = SimDuration::from_secs(2);
     let report = run(&cfg);
     let trace = report.trace.as_ref().expect("EXP-1 records a trace");
@@ -30,7 +30,7 @@ fn main() {
     }
     println!("\nbytes on the air per rate (the paper's Figure 1 EXP-1 bar):");
     for (rate, frac) in bytes_by_rate(trace) {
-        if frac > 0.001 {
+        if frac > 0.0 {
             println!("  {rate:>5}: {:5.1}%", frac * 100.0);
         }
     }
@@ -40,7 +40,7 @@ fn main() {
         .map(|(_, f)| *f)
         .unwrap_or(0.0);
     println!(
-        "\n{:.0}% of bytes at the lowest rate (paper: \"more than 50%\")",
+        "\n{:.1}% of bytes at the lowest rate (paper: \"more than 50%\")",
         f1 * 100.0
     );
     // Export for external analysis.

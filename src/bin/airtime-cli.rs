@@ -9,12 +9,15 @@
 //! airtime-cli --help
 //! ```
 //!
-//! (The per-paper tables and figures have dedicated binaries in
-//! `airtime-bench`; this tool is for ad-hoc configurations.)
+//! The paper's tables and figures are presets under
+//! `examples/scenarios/` (run with `sweep` or `tournament`), `predict`
+//! for the analytic rows, and the cargo examples `campus_trace`,
+//! `exp1_office` and `task_completion`; EXPERIMENTS.md names the one
+//! command behind each.
 
 use std::path::PathBuf;
 
-use airtime::model::{gamma_measured, rf_allocation, tf_allocation, NodeSpec};
+use airtime::model::{gamma_measured, gamma_tcp_table2, rf_allocation, tf_allocation, NodeSpec};
 use airtime::obs::json::{array_f64, Obj};
 use airtime::obs::prof::{alloc_stats, dist_json, set_alloc_counting, DEFAULT_TRACE_CAP, HOST_PID};
 use airtime::obs::{
@@ -61,6 +64,9 @@ USAGE:
                                     (written by run --record) as a
                                     causal event log
     airtime-cli predict [OPTIONS]   analytic RF/TF predictions (Eqs 6/12)
+                                    and each rate's γ(d,1500,2): the
+                                    paper's Table 2 value and the
+                                    closed-form model
 
 OPTIONS (run):
     --scenario <file>   load a full NetworkConfig from a scenario file
@@ -335,6 +341,15 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                 args.json_path = Some(PathBuf::from(value()?))
             }
             "--json" => args.json = true,
+            // `run` reads a scenario only through `--scenario`; a bare
+            // file name there (or after `predict`) would otherwise be
+            // dropped and the default cell run in its place.
+            other if !other.starts_with('-') && (cmd == "run" || cmd == "predict") => {
+                return Err(format!(
+                    "unexpected argument '{other}': `{cmd}` takes no positional arguments \
+                     (to run a scenario file, use `airtime-cli run --scenario {other}`)"
+                ))
+            }
             other
                 if !other.starts_with('-') && (cmd == "profile" || args.positionals.is_empty()) =>
             {
@@ -743,33 +758,29 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     });
     let outcome = airtime::scenario::run_sweep(&doc, &file, threads).map_err(|e| e.to_string())?;
 
-    let mut out = airtime::bench::Output::new(
-        &format!("sweep '{}' — {} cells", outcome.name, outcome.cells.len()),
-        None,
-    );
-    print_sweep_table(&mut out, &outcome);
-    out.note(&format!(
+    println!("sweep '{}' — {} cells\n", outcome.name, outcome.cells.len());
+    print_sweep_table(&outcome);
+    println!(
         "{} worker thread(s); jobs per thread: {:?}",
         outcome.stats.threads_used(),
         outcome.stats.per_thread_jobs
-    ));
+    );
 
     if let Some(p) = &a.json_path {
         let doc = airtime::scenario::emit::to_json(&outcome.name, &outcome.axes, &outcome.cells);
         std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        out.note(&format!("JSON matrix written to {}", p.display()));
+        println!("JSON matrix written to {}", p.display());
     }
     if let Some(p) = &a.csv {
         let doc = airtime::scenario::emit::to_csv(&outcome.name, &outcome.axes, &outcome.cells);
         std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        out.note(&format!("CSV matrix written to {}", p.display()));
+        println!("CSV matrix written to {}", p.display());
     }
 
     let failed = outcome.failed_cells();
     if failed > 0 {
-        out.note(&format!("{failed} cell(s) failed their baseline check"));
+        println!("{failed} cell(s) failed their baseline check");
     }
-    out.finish();
     if outcome.strict_failure {
         return Err(format!(
             "{failed} cell(s) failed the baseline check and the scenario sets [check] strict = true"
@@ -801,15 +812,12 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
     let outcome =
         airtime::scenario::run_tournament(&doc, &file, threads).map_err(|e| e.to_string())?;
 
-    let mut out = airtime::bench::Output::new(
-        &format!(
-            "tournament '{}' — {} families x {} mixes x {} direction(s)",
-            outcome.name,
-            outcome.families.len(),
-            outcome.mixes.len(),
-            outcome.directions.len()
-        ),
-        None,
+    println!(
+        "tournament '{}' — {} families x {} mixes x {} direction(s)\n",
+        outcome.name,
+        outcome.families.len(),
+        outcome.mixes.len(),
+        outcome.directions.len()
     );
     let rows: Vec<Vec<String>> = outcome
         .rows
@@ -829,7 +837,7 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
             ]
         })
         .collect();
-    out.table(
+    print_table(
         "",
         &[
             "job",
@@ -865,28 +873,28 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
             })
         })
         .collect();
-    out.table(
+    print_table(
         "per station",
         &[
             "job", "family", "rate", "Mb/s", "airtime", "q p50 ms", "q p95 ms", "q p99 ms",
         ],
         &station_rows,
     );
-    out.note(&format!(
+    println!(
         "{} worker thread(s); jobs per thread: {:?}",
         outcome.stats.threads_used(),
         outcome.stats.per_thread_jobs
-    ));
+    );
 
     if let Some(p) = &a.json_path {
         let doc = airtime::scenario::tournament::to_json(&outcome);
         std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        out.note(&format!("JSON matrix written to {}", p.display()));
+        println!("JSON matrix written to {}", p.display());
     }
     if let Some(p) = &a.csv {
         let doc = airtime::scenario::tournament::to_csv(&outcome);
         std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        out.note(&format!("CSV matrix written to {}", p.display()));
+        println!("CSV matrix written to {}", p.display());
     }
 
     let failed = outcome
@@ -895,9 +903,8 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
         .filter(|r| matches!(r.check, airtime::scenario::CheckOutcome::Fail(_)))
         .count();
     if failed > 0 {
-        out.note(&format!("{failed} row(s) failed their baseline check"));
+        println!("{failed} row(s) failed their baseline check");
     }
-    out.finish();
     if outcome.strict_failure {
         return Err(format!(
             "{failed} row(s) failed the baseline check and the scenario sets [check] strict = true"
@@ -909,7 +916,7 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
 /// The per-cell stdout table for `sweep`: one row per matrix cell.
 /// Topology sweeps (any cell with roaming metrics) grow handoff /
 /// drop / outage / audit columns plus per-radio-cell goodputs.
-fn print_sweep_table(out: &mut airtime::bench::Output, outcome: &airtime::scenario::SweepOutcome) {
+fn print_sweep_table(outcome: &airtime::scenario::SweepOutcome) {
     let topo = outcome.cells.iter().any(|c| c.roam.is_some());
     let mut header: Vec<&str> = vec!["cell"];
     for ax in &outcome.axes {
@@ -951,7 +958,43 @@ fn print_sweep_table(out: &mut airtime::bench::Output, outcome: &airtime::scenar
             row
         })
         .collect();
-    out.table("", &header, &rows);
+    print_table("", &header, &rows);
+}
+
+/// Prints an aligned table: an optional heading, the header row, a
+/// rule, the data rows, then a blank line. Columns are separated by two
+/// spaces and right-aligned except the first.
+fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
+    if !heading.is_empty() {
+        println!("{heading}");
+    }
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        assert_eq!(row.len(), header.len(), "ragged table row");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let line = |cells: Vec<&str>| {
+        let mut line = String::new();
+        for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
+            if i == 0 {
+                line.push_str(&format!("{cell:<w$}"));
+            } else {
+                line.push_str(&format!("  {cell:>w$}"));
+            }
+        }
+        println!("{line}");
+    };
+    line(header.to_vec());
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
+    );
+    for row in rows {
+        line(row.iter().map(String::as_str).collect());
+    }
+    println!();
 }
 
 fn cmd_inspect(a: &Args) -> Result<(), String> {
@@ -1355,16 +1398,21 @@ fn cmd_predict(a: &Args) {
     let rf = rf_allocation(&specs);
     let tf = tf_allocation(&specs);
     println!("analytic predictions (Eq 6 vs Eq 12), TCP, 1500 B packets\n");
-    println!("station  rate   RF Mb/s  RF time   TF Mb/s  TF time");
-    for i in 0..specs.len() {
+    println!("station  rate   RF Mb/s  RF time   TF Mb/s  TF time  γ paper  γ model");
+    for (i, &rate) in a.rates.iter().enumerate() {
+        // Table 2's columns: the paper's measured γ(d,1500,2), where it
+        // gives one, and the closed-form model of the same quantity.
+        let paper = gamma_measured(rate).map_or("-".to_string(), |g| format!("{g:.3}"));
         println!(
-            "{:>7}  {:>4}  {:>7.3}  {:>6.1}%  {:>8.3}  {:>6.1}%",
+            "{:>7}  {:>4}  {:>7.3}  {:>6.1}%  {:>8.3}  {:>6.1}%  {:>7}  {:>7.3}",
             i + 1,
-            a.rates[i].to_string(),
+            rate.to_string(),
             rf.throughput[i],
             rf.occupancy[i] * 100.0,
             tf.throughput[i],
             tf.occupancy[i] * 100.0,
+            paper,
+            gamma_tcp_table2(rate),
         );
     }
     println!(
@@ -1410,5 +1458,16 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "ragged table row")]
+    fn ragged_rows_panic() {
+        print_table("", &["a", "b"], &[vec!["x".into()]]);
     }
 }

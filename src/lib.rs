@@ -23,7 +23,6 @@
 //! | [`obs`] | `airtime-obs` | structured event tracing, metrics registry, JSONL/CSV tools |
 //! | [`topo`] | `airtime-topo` | multi-cell topologies: AP placement, mobility, association/handoff |
 //! | [`scenario`] | `airtime-scenario` | declarative scenario files, sweeps, parallel execution |
-//! | [`bench`] | `airtime-bench` | paper table/figure binaries and their shared output sink |
 //!
 //! # Quickstart
 //!
@@ -44,7 +43,6 @@
 //! assert!(after.total_goodput_mbps > 1.5 * before.total_goodput_mbps);
 //! ```
 
-pub use airtime_bench as bench;
 pub use airtime_core as core;
 pub use airtime_mac as mac;
 pub use airtime_model as model;

@@ -69,3 +69,34 @@ fn scenario_rejects_zero_rate_limit() {
         "{stderr}"
     );
 }
+
+#[test]
+fn run_and_predict_reject_a_stray_positional() {
+    // `run --secs 2 cell.toml` once ran the default 11,1 cell and exited
+    // 0 without reading the file the user meant to pass via --scenario.
+    for cmd in ["run", "predict"] {
+        let out = cli(&[cmd, "--secs", "2", "cell.toml"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(0), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("unexpected argument 'cell.toml'")
+                && stderr.contains("--scenario cell.toml"),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn predict_prints_the_paper_and_model_gamma() {
+    // Table 2's two analytic columns for 11M: the paper's measured
+    // γ(11M, 1500, 2) and the closed-form `gamma_tcp_table2`.
+    let out = cli(&["predict", "--rates", "11,1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("1 ") && l.contains("11M"))
+        .unwrap_or_else(|| panic!("no 11M station row in:\n{stdout}"));
+    let cols: Vec<&str> = row.split_whitespace().collect();
+    assert_eq!(cols[cols.len() - 2..], ["5.189", "5.298"], "{row}");
+}
