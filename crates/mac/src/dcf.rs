@@ -27,8 +27,13 @@
 //! - A failed exchange occupies the medium for the same span as a
 //!   successful one (data + SIFS + ACK): the sender's ACK-timeout is of
 //!   that order, and EIFS deferral by third parties is folded into it.
-//! - Backoff left over when a station goes idle does not decay until its
-//!   next frame; saturated senders (the paper's regime) are unaffected.
+//! - Backoff a station carries into an idle spell (its post-transmission
+//!   draw, with no frame pending) counts down only while some other
+//!   station's countdown runs: each countdown advance subtracts the
+//!   elapsed slots from every carried backoff, idle stations' included.
+//!   Over an idle medium with no contender it stays frozen until the
+//!   station's next frame, where real DCF would keep counting.
+//!   Saturated senders (the paper's regime) are unaffected.
 
 use airtime_phy::{LinkErrorModel, Phy80211b};
 use airtime_sim::{SimDuration, SimRng, SimTime};

@@ -18,6 +18,10 @@ struct Driver {
     delivered: Vec<Frame>,
     finals: Vec<(Frame, FrameOutcome, SimDuration)>,
     attempts: u64,
+    /// `(sender, end of the exchange)` of every attempt.
+    exchange_ends: Vec<(NodeId, SimTime)>,
+    /// `(station, slots)` of every backoff draw the world reports.
+    draws: Vec<(NodeId, u32)>,
     next_handle: u64,
 }
 
@@ -40,6 +44,8 @@ impl Driver {
             delivered: Vec::new(),
             finals: Vec::new(),
             attempts: 0,
+            exchange_ends: Vec::new(),
+            draws: Vec::new(),
             next_handle: 0,
         }
     }
@@ -54,8 +60,12 @@ impl Driver {
                     outcome,
                     airtime_total,
                 } => self.finals.push((frame, outcome, airtime_total)),
-                MacEffect::Attempt { .. } => self.attempts += 1,
-                MacEffect::BackoffDrawn { .. } | MacEffect::AirtimeSlice { .. } => {}
+                MacEffect::Attempt { frame, .. } => {
+                    self.attempts += 1;
+                    self.exchange_ends.push((frame.src, self.now));
+                }
+                MacEffect::BackoffDrawn { node, slots, .. } => self.draws.push((node, slots)),
+                MacEffect::AirtimeSlice { .. } => {}
             }
         }
     }
@@ -98,6 +108,15 @@ impl Driver {
             }
         }
         self.now = end;
+    }
+
+    /// Delivers every pending event, offering nothing new.
+    fn drain(&mut self) {
+        while let Some((t, ev)) = self.queue.pop() {
+            self.now = t;
+            let effects = self.world.handle(t, ev);
+            self.apply(effects);
+        }
     }
 
     fn delivered_from(&self, src: NodeId) -> usize {
@@ -468,5 +487,67 @@ fn rts_makes_collisions_cheap() {
     assert!(
         frac_prot < frac_plain,
         "protected collision time {frac_prot} vs {frac_plain}"
+    );
+}
+
+/// The post-transmission backoff a station carries into an idle spell
+/// counts down with everyone else's: every countdown that runs for
+/// another contender subtracts its elapsed slots from all carried
+/// backoffs, idle stations' included. Only over an idle medium with no
+/// contender does the carried backoff stay frozen until the station's
+/// next frame.
+#[test]
+fn carried_backoff_decays_while_others_count_down() {
+    let phy = Phy80211b::default();
+    // Station 1 sends one frame, idles while station 2 is saturated
+    // until `contended` (or not at all), then offers a second frame
+    // into an idle medium. Returns the backoff it carried and the wait
+    // from that offer to the start of its exchange.
+    let second_access = |contended: Option<SimTime>| {
+        let mut d = Driver::new(perfect_links(3), 5);
+        d.world.set_emit_backoff(true);
+        d.offer(NodeId(1), AP, 1500, DataRate::B11);
+        d.drain();
+        let carried = match d.draws[..] {
+            [(NodeId(1), slots)] => slots,
+            ref other => panic!("expected one post-transmission draw, got {other:?}"),
+        };
+        // Offered at t = 0 into an idle medium, the first frame went
+        // out exactly DIFS later.
+        let span = d.exchange_ends[0].1 - (SimTime::ZERO + phy.difs());
+        if let Some(end) = contended {
+            d.offer(NodeId(2), AP, 1500, DataRate::B11);
+            while let Some((t, ev)) = d.queue.pop() {
+                d.now = t;
+                let effects = d.world.handle(t, ev);
+                d.apply(effects);
+                if t < end && d.world.can_accept(NodeId(2)) {
+                    d.offer(NodeId(2), AP, 1500, DataRate::B11);
+                }
+            }
+        }
+        let offered = d.now + SimDuration::from_millis(10);
+        d.now = offered;
+        d.offer(NodeId(1), AP, 1500, DataRate::B11);
+        d.drain();
+        let (src, end) = *d.exchange_ends.last().expect("second attempt");
+        assert_eq!(src, NodeId(1));
+        assert_eq!(d.delivered_from(NodeId(1)), 2);
+        (carried, end - span - offered)
+    };
+    let (carried, frozen) = second_access(None);
+    assert!(
+        carried >= 2,
+        "seed must draw a telling backoff, got {carried}"
+    );
+    assert!(
+        frozen >= phy.slot * carried as u64,
+        "idle medium: all {carried} carried slots must be counted, waited {frozen}"
+    );
+    let (again, decayed) = second_access(Some(SimTime::from_millis(100)));
+    assert_eq!(again, carried);
+    assert!(
+        decayed < phy.slot,
+        "station 2's countdowns must have used up the carried backoff, waited {decayed}"
     );
 }

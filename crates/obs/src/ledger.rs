@@ -37,7 +37,7 @@ use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
 use crate::event::{parse_line, AirtimeCategory, EventRecord, RunPhase};
-use crate::observer::Observer;
+use crate::observer::{Hook, Observer};
 
 /// Conservation slack: Σ slices must match the audited window within
 /// this many nanoseconds (the issue's ±1 µs; the arithmetic is exact,
@@ -280,6 +280,10 @@ impl AirtimeLedger {
 }
 
 impl Observer for AirtimeLedger {
+    fn wants(&self, hook: Hook) -> bool {
+        matches!(hook, Hook::TxAttempt | Hook::AirtimeSlice | Hook::RunMark)
+    }
+
     fn on_tx_attempt(&mut self, rec: EventRecord) {
         self.record(&rec);
     }

@@ -15,6 +15,15 @@
 //!   buffered file (the `--events` flag of `airtime-cli run`).
 //! - [`MemoryObserver`] — collects records in a `Vec` for tests.
 //!
+//! An observer names the hooks it reads in [`Observer::wants`], and the
+//! engine builds only those records: emission sites gate on
+//! `wants(hook)`, read once per run into a [`HookSet`]. An observer that
+//! overrides a hook must list it in `wants`; the default wants every
+//! hook while [`Observer::active`] is true. [`SpanCollector`],
+//! [`FlightRecorder`], [`AirtimeLedger`] and [`ChromeTraceObserver`]
+//! list exactly the hooks they override, and [`TeeObserver`] wants the
+//! union of its sides.
+//!
 //! [`MetricsRegistry`] complements the event stream with named
 //! counters, gauges, and histograms plus a periodic snapshot series,
 //! exported as JSON (the `--metrics` flag). [`inspect`] turns a JSONL
@@ -37,7 +46,9 @@ pub use event::{
 pub use inspect::{summarize, summarize_file, InspectSummary};
 pub use ledger::{AirtimeLedger, AuditReport, AUDIT_TOLERANCE_NS, CELL};
 pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry};
-pub use observer::{JsonlObserver, MemoryObserver, NullObserver, Observer, TeeObserver};
+pub use observer::{
+    Hook, HookSet, JsonlObserver, MemoryObserver, NullObserver, Observer, TeeObserver,
+};
 pub use prof::{
     render_perf_report, AllocStats, ChromeTrace, ChromeTraceObserver, CountingAlloc, PhaseProfiler,
 };

@@ -3,7 +3,9 @@
 //! The simulator is generic over `O: Observer`, so with
 //! [`NullObserver`] every hook monomorphises to an empty inline body
 //! guarded by `active() == false` — the instrumented and plain builds
-//! run the same machine code on the hot path. [`JsonlObserver`] streams
+//! run the same machine code on the hot path. An active observer names
+//! the hooks it reads in [`Observer::wants`]; the engine builds no
+//! record for any other hook. [`JsonlObserver`] streams
 //! records to a buffered file; [`MemoryObserver`] collects them in a
 //! `Vec` for tests and in-process analysis.
 
@@ -18,22 +20,36 @@ use crate::event::EventRecord;
 /// Receives structured events from the simulator.
 ///
 /// All hooks have empty default bodies, so an implementation only
-/// overrides what it cares about. Emission sites must check
-/// [`Observer::active`] before doing *any* work to build a record —
-/// that keeps record construction entirely off the uninstrumented hot
-/// path:
+/// overrides what it cares about. Each hook has a [`Hook`] name, and
+/// emission sites ask [`Observer::wants`] for that name before doing
+/// *any* work to build its record — that keeps record construction off
+/// the hot path for every hook no attached observer reads:
 ///
 /// ```ignore
-/// if obs.active() {
+/// if obs.wants(Hook::Collision) {
 ///     obs.on_collision(EventRecord::Collision { .. });
 /// }
 /// ```
+///
+/// The contract: an observer that overrides a hook must list that hook
+/// in [`Observer::wants`], or it may never be called. The default
+/// `wants` answers [`Observer::active`] for every hook, so an observer
+/// that does not override it receives every record while active.
 pub trait Observer {
-    /// Whether this observer wants events at all. Emission sites gate
-    /// record construction on this; `NullObserver` returns `false` and
+    /// Whether this observer wants events at all. Emission sites test
+    /// it before [`Observer::wants`]; `NullObserver` returns `false` and
     /// the whole branch folds away under monomorphisation.
     fn active(&self) -> bool {
         true
+    }
+
+    /// Whether this observer reads `hook`. The engine asks once per
+    /// hook when a run starts and skips building the records nobody
+    /// reads; a forwarding observer also uses it to pass a record only
+    /// to the sides that want it. Override it to name exactly the
+    /// hooks the observer overrides.
+    fn wants(&self, _hook: Hook) -> bool {
+        self.active()
     }
 
     /// A coarse MAC lifecycle marker ([`EventRecord::Mac`]).
@@ -93,8 +109,83 @@ pub trait Observer {
     }
 }
 
-/// The do-nothing observer: `active()` is `false` and every hook is an
-/// inlined no-op, so instrumentation costs nothing when unused.
+/// Names one [`Observer`] hook, for [`Observer::wants`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Hook {
+    /// [`Observer::on_mac_event`].
+    MacEvent,
+    /// [`Observer::on_tx_attempt`].
+    TxAttempt,
+    /// [`Observer::on_collision`].
+    Collision,
+    /// [`Observer::on_backoff`].
+    Backoff,
+    /// [`Observer::on_sched_decision`].
+    SchedDecision,
+    /// [`Observer::on_token_update`].
+    TokenUpdate,
+    /// [`Observer::on_tcp_event`].
+    TcpEvent,
+    /// [`Observer::on_queue_change`].
+    QueueChange,
+    /// [`Observer::on_airtime_slice`].
+    AirtimeSlice,
+    /// [`Observer::on_frame_span`].
+    FrameSpan,
+    /// [`Observer::on_run_mark`].
+    RunMark,
+    /// [`Observer::on_dispatch`].
+    Dispatch,
+    /// [`Observer::on_handoff`].
+    Handoff,
+}
+
+impl Hook {
+    /// Every hook, in declaration order.
+    pub const ALL: [Hook; 13] = [
+        Hook::MacEvent,
+        Hook::TxAttempt,
+        Hook::Collision,
+        Hook::Backoff,
+        Hook::SchedDecision,
+        Hook::TokenUpdate,
+        Hook::TcpEvent,
+        Hook::QueueChange,
+        Hook::AirtimeSlice,
+        Hook::FrameSpan,
+        Hook::RunMark,
+        Hook::Dispatch,
+        Hook::Handoff,
+    ];
+}
+
+/// The set of hooks an observer wants, read once so that each emission
+/// site tests one bit instead of calling [`Observer::wants`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HookSet(u16);
+
+impl HookSet {
+    /// The hooks `obs` wants.
+    pub fn of<O: Observer + ?Sized>(obs: &O) -> Self {
+        let mut bits = 0;
+        for h in Hook::ALL {
+            if obs.wants(h) {
+                bits |= 1 << h as u16;
+            }
+        }
+        HookSet(bits)
+    }
+
+    /// Whether `hook` is in the set.
+    #[inline]
+    pub fn has(self, hook: Hook) -> bool {
+        self.0 & (1 << hook as u16) != 0
+    }
+}
+
+/// The do-nothing observer: `active()` is `false`, so it wants no hook,
+/// and every hook is an inlined no-op — instrumentation costs nothing
+/// when unused.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullObserver;
 
@@ -279,7 +370,9 @@ impl Observer for MemoryObserver {
 
 /// Fans every event out to two observers (for `run --events --ledger`,
 /// where the trace file and the in-process ledger both want the
-/// stream). Active when either side is.
+/// stream). Active when either side is, and wants the union of the
+/// hooks its sides want; each record goes only to a side that wants
+/// it.
 #[derive(Debug, Default)]
 pub struct TeeObserver<A, B> {
     /// First receiver.
@@ -295,11 +388,20 @@ impl<A: Observer, B: Observer> TeeObserver<A, B> {
     }
 }
 
+/// Forwards a record hook to each side that wants it, cloning the
+/// record only when both do.
 macro_rules! tee_forward {
-    ($($hook:ident),*) => {
+    ($($hook:ident => $name:ident),*) => {
         $(fn $hook(&mut self, rec: EventRecord) {
-            self.a.$hook(rec.clone());
-            self.b.$hook(rec);
+            match (self.a.wants(Hook::$name), self.b.wants(Hook::$name)) {
+                (true, true) => {
+                    self.a.$hook(rec.clone());
+                    self.b.$hook(rec);
+                }
+                (true, false) => self.a.$hook(rec),
+                (false, true) => self.b.$hook(rec),
+                (false, false) => {}
+            }
         })*
     };
 }
@@ -309,28 +411,40 @@ impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
         self.a.active() || self.b.active()
     }
 
+    fn wants(&self, hook: Hook) -> bool {
+        self.a.wants(hook) || self.b.wants(hook)
+    }
+
     tee_forward!(
-        on_mac_event,
-        on_tx_attempt,
-        on_collision,
-        on_backoff,
-        on_sched_decision,
-        on_token_update,
-        on_tcp_event,
-        on_queue_change,
-        on_airtime_slice,
-        on_frame_span,
-        on_run_mark
+        on_mac_event => MacEvent,
+        on_tx_attempt => TxAttempt,
+        on_collision => Collision,
+        on_backoff => Backoff,
+        on_sched_decision => SchedDecision,
+        on_token_update => TokenUpdate,
+        on_tcp_event => TcpEvent,
+        on_queue_change => QueueChange,
+        on_airtime_slice => AirtimeSlice,
+        on_frame_span => FrameSpan,
+        on_run_mark => RunMark
     );
 
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
-        self.a.on_dispatch(t, seq, label);
-        self.b.on_dispatch(t, seq, label);
+        if self.a.wants(Hook::Dispatch) {
+            self.a.on_dispatch(t, seq, label);
+        }
+        if self.b.wants(Hook::Dispatch) {
+            self.b.on_dispatch(t, seq, label);
+        }
     }
 
     fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
-        self.a.on_handoff(t, station, from, to);
-        self.b.on_handoff(t, station, from, to);
+        if self.a.wants(Hook::Handoff) {
+            self.a.on_handoff(t, station, from, to);
+        }
+        if self.b.wants(Hook::Handoff) {
+            self.b.on_handoff(t, station, from, to);
+        }
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -398,6 +512,62 @@ mod tests {
         assert!(o.finish().is_ok());
         let inactive = TeeObserver::new(NullObserver, NullObserver);
         assert!(!inactive.active());
+    }
+
+    #[test]
+    fn null_observer_wants_nothing() {
+        for h in Hook::ALL {
+            assert!(!NullObserver.wants(h), "{h:?}");
+        }
+        assert_eq!(HookSet::of(&NullObserver), HookSet::default());
+    }
+
+    #[test]
+    fn tee_wants_the_union_of_its_sides() {
+        use crate::ledger::AirtimeLedger;
+        use crate::spans::SpanCollector;
+        let tee = TeeObserver::new(SpanCollector::new(), AirtimeLedger::new());
+        for h in Hook::ALL {
+            assert_eq!(tee.wants(h), tee.a.wants(h) || tee.b.wants(h), "{h:?}");
+        }
+        let set = HookSet::of(&tee);
+        assert!(set.has(Hook::FrameSpan) && set.has(Hook::TxAttempt));
+        assert!(!set.has(Hook::Backoff) && !set.has(Hook::Dispatch));
+        // An observer that keeps the default wants everything.
+        let full = TeeObserver::new(SpanCollector::new(), MemoryObserver::new());
+        assert!(Hook::ALL.iter().all(|&h| full.wants(h)));
+    }
+
+    /// Counts every record it is handed, and wants only run marks.
+    #[derive(Default)]
+    struct RunMarksOnly {
+        calls: usize,
+    }
+
+    impl Observer for RunMarksOnly {
+        fn wants(&self, hook: Hook) -> bool {
+            hook == Hook::RunMark
+        }
+
+        fn on_mac_event(&mut self, _rec: EventRecord) {
+            self.calls += 1;
+        }
+
+        fn on_run_mark(&mut self, _rec: EventRecord) {
+            self.calls += 1;
+        }
+    }
+
+    #[test]
+    fn tee_forwards_a_record_only_to_a_side_that_wants_it() {
+        let mut o = TeeObserver::new(RunMarksOnly::default(), MemoryObserver::new());
+        o.on_mac_event(sample(1));
+        o.on_run_mark(EventRecord::RunMark {
+            t: SimTime::ZERO,
+            phase: crate::event::RunPhase::Warmup,
+        });
+        assert_eq!(o.a.calls, 1);
+        assert_eq!(o.b.events.len(), 2);
     }
 
     struct FailingWriter;

@@ -40,7 +40,7 @@ use airtime_sim::NsHist;
 
 use crate::event::EventRecord;
 use crate::json::{self, Json, Obj};
-use crate::observer::Observer;
+use crate::observer::{Hook, Observer};
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event JSON
@@ -295,6 +295,19 @@ impl ChromeTraceObserver {
 }
 
 impl Observer for ChromeTraceObserver {
+    fn wants(&self, hook: Hook) -> bool {
+        matches!(
+            hook,
+            Hook::AirtimeSlice
+                | Hook::FrameSpan
+                | Hook::SchedDecision
+                | Hook::RunMark
+                | Hook::QueueChange
+                | Hook::TokenUpdate
+                | Hook::TcpEvent
+        )
+    }
+
     fn on_airtime_slice(&mut self, rec: EventRecord) {
         if let EventRecord::AirtimeSlice {
             start,

@@ -51,9 +51,9 @@ use std::fmt::Write as _;
 
 use airtime_sim::SimTime;
 
-use crate::event::EventRecord;
+use crate::event::{EventRecord, QueueSite};
 use crate::json::{parse_flat, Obj, Value};
-use crate::observer::Observer;
+use crate::observer::{Hook, Observer};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,12 +68,115 @@ pub const DEFAULT_RING_CAPACITY: usize = 2 * DEFAULT_CHECKPOINT_INTERVAL as usiz
 
 /// FNV-1a over a byte slice, seeded so distinct field orders hash
 /// differently.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
+const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     h
+}
+
+/// The hash state after an event's label and its `0xff` separator: the
+/// part of every event hash that depends on the label alone.
+const fn label_prefix(label: &str) -> u64 {
+    fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), &[0xff])
+}
+
+const DECIDE_PREFIX: u64 = label_prefix("sched.decide");
+const QUEUE_PREFIX: u64 = label_prefix("queue.change");
+const HANDOFF_PREFIX: u64 = label_prefix("handoff");
+
+/// Where [`Detail::write`] puts its ASCII text: a `String` for a
+/// retained event, or straight into an FNV hash when only the
+/// fingerprint needs it. Both receive the same bytes.
+trait DetailSink {
+    fn text(&mut self, ascii: &[u8]);
+
+    /// `v` in decimal, the bytes `format!("{v}")` produces.
+    fn dec(&mut self, v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        let mut v = v;
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.text(&buf[i..]);
+    }
+}
+
+impl DetailSink for String {
+    fn text(&mut self, ascii: &[u8]) {
+        self.push_str(std::str::from_utf8(ascii).expect("detail text is ASCII"));
+    }
+}
+
+/// An FNV-1a hash in progress.
+struct FnvSink(u64);
+
+impl DetailSink for FnvSink {
+    fn text(&mut self, ascii: &[u8]) {
+        self.0 = fnv1a(self.0, ascii);
+    }
+}
+
+/// The human-readable payload of a recorded event, kept as raw fields
+/// until something needs its text.
+enum Detail {
+    None,
+    Decide { client: u64, bytes: u64, qlen: u64 },
+    Queue { site: QueueSite, key: u64, len: u64 },
+    Handoff { from: Option<u64>, to: Option<u64> },
+}
+
+impl Detail {
+    fn write(self, w: &mut impl DetailSink) {
+        match self {
+            Detail::None => {}
+            Detail::Decide {
+                client,
+                bytes,
+                qlen,
+            } => {
+                w.text(b"client=");
+                w.dec(client);
+                w.text(b" bytes=");
+                w.dec(bytes);
+                w.text(b" qlen=");
+                w.dec(qlen);
+            }
+            Detail::Queue { site, key, len } => {
+                w.text(match site {
+                    QueueSite::Ap => b"site=Ap key=",
+                    QueueSite::Client => b"site=Client key=",
+                });
+                w.dec(key);
+                w.text(b" len=");
+                w.dec(len);
+            }
+            Detail::Handoff { from, to } => {
+                for (name, c) in [(&b"from="[..], from), (b" to=", to)] {
+                    w.text(name);
+                    match c {
+                        Some(c) => w.dec(c),
+                        None => w.text(b"-"),
+                    }
+                }
+            }
+        }
+    }
+
+    fn into_text(self) -> String {
+        let mut s = String::new();
+        self.write(&mut s);
+        s
+    }
 }
 
 /// Order-sensitive fold of one event hash into a rolling fingerprint.
@@ -170,6 +273,10 @@ pub struct FlightRecorder {
     /// (fingerprinting still covers the whole stream).
     window: Option<(u64, u64)>,
     station_fp: BTreeMap<u64, u64>,
+    /// [`label_prefix`] of each dispatch label seen so far, keyed by
+    /// the label's address: labels are `'static`, and a label that
+    /// appears at two addresses just takes two entries.
+    labels: Vec<(&'static str, u64)>,
     /// Test hook: perturb the record at this stream index before
     /// folding, manufacturing a deterministic synthetic divergence.
     inject_at: Option<u64>,
@@ -197,6 +304,7 @@ impl FlightRecorder {
             dropped: 0,
             window: None,
             station_fp: BTreeMap::new(),
+            labels: Vec::new(),
             inject_at: None,
         }
     }
@@ -276,54 +384,66 @@ impl FlightRecorder {
         &self.station_fp
     }
 
-    /// Folds one canonical event into the stream. Fingerprinting works
-    /// on the raw parts, so the hot fingerprint-only configuration
-    /// (capacity 0) never allocates; a [`RecordedEvent`] is only built
-    /// when the ring actually retains this index.
+    /// Folds one canonical event into the stream. `prefix` is
+    /// [`label_prefix`] of `label`. Fingerprinting works on the raw
+    /// parts, so the hot fingerprint-only configuration (capacity 0)
+    /// never allocates; the detail text and a [`RecordedEvent`] are
+    /// only built when the ring retains this index or the injected
+    /// divergence lands on it.
     fn push(
         &mut self,
         t: SimTime,
         mut seq: u64,
         label: &str,
-        detail: String,
+        prefix: u64,
+        detail: Detail,
         station: Option<u64>,
     ) {
-        let mut detail = detail;
-        if self.inject_at == Some(self.events) {
-            // A one-bit lie: the injected event claims the wrong queue
-            // ordinal, exactly what a real determinism bug looks like.
-            seq = seq.wrapping_add(1);
-            detail.push_str(" [injected]");
-        }
-        let mut h = fnv1a(FNV_OFFSET, label.as_bytes());
-        h = fnv1a(h, &[0xff]);
-        h = fnv1a(h, &t.as_nanos().to_le_bytes());
-        h = fnv1a(h, detail.as_bytes());
+        let retain = match self.window {
+            Some((a, b)) => self.events >= a && self.events < b,
+            None => self.capacity > 0,
+        };
+        let injected = self.inject_at == Some(self.events);
+        let mut h = fnv1a(prefix, &t.as_nanos().to_le_bytes());
+        let text = if retain || injected {
+            let mut text = detail.into_text();
+            if injected {
+                // A one-bit lie: the injected event claims the wrong
+                // queue ordinal, exactly what a real determinism bug
+                // looks like.
+                seq = seq.wrapping_add(1);
+                text.push_str(" [injected]");
+            }
+            h = fnv1a(h, text.as_bytes());
+            Some(text)
+        } else {
+            let mut sink = FnvSink(h);
+            detail.write(&mut sink);
+            h = sink.0;
+            None
+        };
         h = fnv1a(h, &station.unwrap_or(u64::MAX).to_le_bytes());
         self.fp = fold(self.fp, h);
         if let Some(s) = station {
             let sfp = self.station_fp.entry(s).or_insert(FNV_OFFSET);
             *sfp = fold(*sfp, h);
         }
-        let retain = match self.window {
-            Some((a, b)) => self.events >= a && self.events < b,
-            None => self.capacity > 0,
-        };
-        if retain {
-            if self.window.is_none() && self.ring.len() >= self.capacity {
-                self.ring.pop_front();
-                self.dropped += 1;
+        match text {
+            Some(detail) if retain => {
+                if self.window.is_none() && self.ring.len() >= self.capacity {
+                    self.ring.pop_front();
+                    self.dropped += 1;
+                }
+                self.ring.push_back(RecordedEvent {
+                    index: self.events,
+                    t,
+                    seq,
+                    label: label.to_string(),
+                    detail,
+                    station,
+                });
             }
-            self.ring.push_back(RecordedEvent {
-                index: self.events,
-                t,
-                seq,
-                label: label.to_string(),
-                detail,
-                station,
-            });
-        } else {
-            self.dropped += 1;
+            _ => self.dropped += 1,
         }
         self.events += 1;
         self.last_t = t;
@@ -334,6 +454,16 @@ impl FlightRecorder {
                 fp: self.fp,
             });
         }
+    }
+
+    /// [`label_prefix`] of a dispatch label, cached per label.
+    fn dispatch_prefix(&mut self, label: &'static str) -> u64 {
+        if let Some(&(_, h)) = self.labels.iter().find(|(l, _)| std::ptr::eq(*l, label)) {
+            return h;
+        }
+        let h = label_prefix(label);
+        self.labels.push((label, h));
+        h
     }
 
     /// Serializes the recording as JSONL (header, checkpoints, then
@@ -384,6 +514,13 @@ impl FlightRecorder {
 }
 
 impl Observer for FlightRecorder {
+    fn wants(&self, hook: Hook) -> bool {
+        matches!(
+            hook,
+            Hook::Dispatch | Hook::SchedDecision | Hook::QueueChange | Hook::Handoff
+        )
+    }
+
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
         // Wake-up bookkeeping, not causality: a tick lands wherever the
         // scheduler's conservative unblock estimate put it, so tick
@@ -392,7 +529,8 @@ impl Observer for FlightRecorder {
         if label == "sched.tick" {
             return;
         }
-        self.push(t, seq, label, String::new(), None);
+        let prefix = self.dispatch_prefix(label);
+        self.push(t, seq, label, prefix, Detail::None, None);
     }
 
     fn on_sched_decision(&mut self, rec: EventRecord) {
@@ -403,40 +541,25 @@ impl Observer for FlightRecorder {
             queue_len,
         } = rec
         {
-            self.push(
-                t,
-                0,
-                "sched.decide",
-                format!("client={client} bytes={bytes} qlen={queue_len}"),
-                Some(client),
-            );
+            let detail = Detail::Decide {
+                client,
+                bytes,
+                qlen: queue_len,
+            };
+            self.push(t, 0, "sched.decide", DECIDE_PREFIX, detail, Some(client));
         }
     }
 
     fn on_queue_change(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
-            self.push(
-                t,
-                0,
-                "queue.change",
-                format!("site={site:?} key={key} len={len}"),
-                Some(key),
-            );
+            let detail = Detail::Queue { site, key, len };
+            self.push(t, 0, "queue.change", QUEUE_PREFIX, detail, Some(key));
         }
     }
 
     fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
-        let show = |c: Option<u64>| match c {
-            Some(c) => c.to_string(),
-            None => "-".to_string(),
-        };
-        self.push(
-            t,
-            0,
-            "handoff",
-            format!("from={} to={}", show(from), show(to)),
-            Some(station),
-        );
+        let detail = Detail::Handoff { from, to };
+        self.push(t, 0, "handoff", HANDOFF_PREFIX, detail, Some(station));
     }
 }
 
@@ -696,6 +819,48 @@ mod tests {
             feed(&mut full, 10);
             full.fingerprint()
         });
+    }
+
+    #[test]
+    fn unretained_details_hash_like_their_text() {
+        // The fingerprint-only path hashes the detail without building
+        // it; it must fold exactly the bytes the retained path formats.
+        fn feed_mixed(rec: &mut FlightRecorder) {
+            for (i, v) in [0, 7, 10, 99, 1500, u64::MAX].into_iter().enumerate() {
+                let t = SimTime::from_micros(i as u64);
+                rec.on_dispatch(t, i as u64, "mac.tx_end");
+                rec.on_sched_decision(EventRecord::SchedDecision {
+                    t,
+                    client: i as u64,
+                    bytes: v,
+                    queue_len: v / 3,
+                });
+                for site in [QueueSite::Ap, QueueSite::Client] {
+                    rec.on_queue_change(EventRecord::QueueChange {
+                        t,
+                        site,
+                        key: v,
+                        len: i as u64,
+                    });
+                }
+                rec.on_handoff(t, v, Some(v), None);
+            }
+        }
+        let mut bare = FlightRecorder::new().with_capacity(0);
+        let mut full = FlightRecorder::new();
+        feed_mixed(&mut bare);
+        feed_mixed(&mut full);
+        assert_eq!(bare.fingerprint(), full.fingerprint());
+        assert_eq!(bare.station_fingerprints(), full.station_fingerprints());
+        let details: Vec<&str> = full.ring().map(|e| e.detail.as_str()).collect();
+        let (v, site) = (u64::MAX, QueueSite::Client);
+        for text in [
+            format!("client=5 bytes={v} qlen={}", v / 3),
+            format!("site={site:?} key={v} len=5"),
+            format!("from={v} to=-"),
+        ] {
+            assert!(details.contains(&text.as_str()), "{text}");
+        }
     }
 
     #[test]

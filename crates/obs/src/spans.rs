@@ -32,7 +32,7 @@ use airtime_sim::SimTime;
 
 use crate::csv::Csv;
 use crate::event::{parse_line, EventRecord, RunPhase};
-use crate::observer::Observer;
+use crate::observer::{Hook, Observer};
 
 /// The percentiles every delay column reports.
 pub const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
@@ -243,6 +243,10 @@ impl SpanCollector {
 }
 
 impl Observer for SpanCollector {
+    fn wants(&self, hook: Hook) -> bool {
+        matches!(hook, Hook::FrameSpan | Hook::RunMark)
+    }
+
     fn on_frame_span(&mut self, rec: EventRecord) {
         self.record(&rec);
     }

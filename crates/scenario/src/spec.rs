@@ -207,14 +207,27 @@ fn want_u64(e: &Entry) -> Result<u64, CompileError> {
     }
 }
 
-/// A flow's `rate_limit_bps`: a positive, finite bit rate (a zero rate
-/// would never release a packet).
-fn want_rate_bps(e: &Entry) -> Result<f64, CompileError> {
+/// `flow`'s `rate_limit_bps`: a positive, finite bit rate fast enough
+/// to release one packet of the flow within the run (a slower pacer
+/// would never send). `run` supplies the run length and segment size.
+fn want_rate_bps(e: &Entry, flow: &FlowSpec, run: &NetworkConfig) -> Result<f64, CompileError> {
     let bps = want_f64(e)?;
     if !(bps.is_finite() && bps > 0.0) {
         return err(
             e.line,
             format!("key 'rate_limit_bps' expects a positive, finite bit rate, got {bps}"),
+        );
+    }
+    let bytes = flow.paced_packet_bytes(run);
+    let secs = run.duration.as_secs_f64();
+    let min_bps = (bytes * 8) as f64 / secs;
+    if bps < min_bps {
+        return err(
+            e.line,
+            format!(
+                "key 'rate_limit_bps' = {bps:?} cannot release one {bytes}-byte packet within \
+                 duration_s = {secs}; the minimum is {min_bps} bit/s"
+            ),
         );
     }
     Ok(bps)
@@ -532,7 +545,11 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
     Ok(kind)
 }
 
-fn compile_flow(t: &Table, default_direction: Direction) -> Result<FlowSpec, CompileError> {
+fn compile_flow(
+    t: &Table,
+    default_direction: Direction,
+    run: &NetworkConfig,
+) -> Result<FlowSpec, CompileError> {
     check_keys(t, "station.flow", FLOW_KEYS)?;
     let mut flow = FlowSpec {
         transport: Transport::Tcp,
@@ -554,7 +571,7 @@ fn compile_flow(t: &Table, default_direction: Direction) -> Result<FlowSpec, Com
         flow.task_bytes = Some(want_u64(e)?);
     }
     if let Some(e) = t.get("rate_limit_bps") {
-        flow.rate_limit_bps = Some(want_rate_bps(e)?);
+        flow.rate_limit_bps = Some(want_rate_bps(e, &flow, run)?);
     }
     Ok(flow)
 }
@@ -674,6 +691,7 @@ fn compile_station(
     t: &Table,
     idx: usize,
     default_direction: Direction,
+    run: &NetworkConfig,
 ) -> Result<(StationConfig, PlacementDecl, usize), CompileError> {
     check_keys(t, "station", STATION_KEYS)?;
 
@@ -788,7 +806,7 @@ fn compile_station(
             flow.task_bytes = Some(want_u64(e)?);
         }
         if let Some(e) = t.get("rate_limit_bps") {
-            flow.rate_limit_bps = Some(want_rate_bps(e)?);
+            flow.rate_limit_bps = Some(want_rate_bps(e, &flow, run)?);
         }
         vec![flow]
     } else {
@@ -806,7 +824,7 @@ fn compile_station(
         }
         let mut flows = Vec::new();
         for ft in flow_tables {
-            flows.push(compile_flow(ft, d)?);
+            flows.push(compile_flow(ft, d, run)?);
         }
         flows
     };
@@ -1060,6 +1078,17 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         None => Direction::Uplink,
     };
 
+    // Stations compile against a config that already carries the run
+    // length, since a flow's `rate_limit_bps` is checked against it.
+    let scheduler = compile_scheduler(doc)?;
+    let mut cfg = NetworkConfig::new(Vec::new(), scheduler);
+    if let Some(e) = doc.get("duration_s") {
+        cfg.duration = duration_secs(e)?;
+        if cfg.duration.is_zero() {
+            return err(e.line, "key 'duration_s' expects a positive duration");
+        }
+    }
+
     let station_tables = doc.array_tables("station");
     // A [tournament] scenario populates its stations from the rate
     // mixes, so the base file may legitimately declare none.
@@ -1072,7 +1101,7 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     let mut stations = Vec::new();
     let mut placements = Vec::new();
     for (i, t) in station_tables.iter().enumerate() {
-        let (st, place, count) = compile_station(doc, t, i, default_direction)?;
+        let (st, place, count) = compile_station(doc, t, i, default_direction, &cfg)?;
         for _ in 0..count {
             stations.push(st.clone());
             placements.push(place.clone());
@@ -1096,17 +1125,10 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
             .collect();
     }
 
-    let scheduler = compile_scheduler(doc)?;
-    let mut cfg = NetworkConfig::new(stations, scheduler);
+    cfg.stations = stations;
 
     if let Some(e) = doc.get("seed") {
         cfg.seed = want_u64(e)?;
-    }
-    if let Some(e) = doc.get("duration_s") {
-        cfg.duration = duration_secs(e)?;
-        if cfg.duration.is_zero() {
-            return err(e.line, "key 'duration_s' expects a positive duration");
-        }
     }
     if let Some(e) = doc.get("warmup_s") {
         cfg.warmup = duration_secs(e)?;
@@ -1529,6 +1551,37 @@ x_ft = 60
                 "for {text:?}: {e}"
             );
         }
+    }
+
+    #[test]
+    fn rate_limit_too_low_to_release_one_packet_is_rejected() {
+        // `rate_limit_bps = 1e-300` on a UDP flow once ran to
+        // 0.000 Mb/s: its pacer never released a datagram. The floor is
+        // one packet per run: a 1500-byte datagram or a 1460-byte TCP
+        // segment over `duration_s`. Both spellings of a flow are
+        // checked.
+        for (text, line, min) in [
+            (
+                "duration_s = 3\n[[station]]\nrate = \"11\"\ntransport = \"udp\"\nrate_limit_bps = 1e-300\n",
+                5,
+                "the minimum is 4000 bit/s",
+            ),
+            (
+                "duration_s = 4\n[[station]]\nrate = \"11\"\n[[station.flow]]\nrate_limit_bps = 2919\n",
+                5,
+                "the minimum is 2920 bit/s",
+            ),
+        ] {
+            let e = compile_text(text).unwrap_err();
+            assert_eq!(e.line, line, "for {text:?}: {e}");
+            assert!(e.msg.contains(min), "for {text:?}: {e}");
+        }
+        // Exactly one packet per run is accepted.
+        let spec = compile_text(
+            "duration_s = 4\n[[station]]\nrate = \"11\"\n[[station.flow]]\nrate_limit_bps = 2920\n",
+        )
+        .unwrap();
+        assert_eq!(spec.cfg.stations[0].flows[0].rate_limit_bps, Some(2920.0));
     }
 
     #[test]

@@ -82,7 +82,19 @@ pub struct FlowSpec {
     pub rate_limit_bps: Option<f64>,
 }
 
+/// Size of every UDP datagram the engine sends, headers included.
+pub(crate) const UDP_DATAGRAM_BYTES: u64 = 1500;
+
 impl FlowSpec {
+    /// The bytes one packet of this flow draws from its rate limiter:
+    /// a UDP datagram, or one TCP segment of `cfg.tcp.mss` bytes.
+    pub fn paced_packet_bytes(&self, cfg: &NetworkConfig) -> u64 {
+        match self.transport {
+            Transport::Udp => UDP_DATAGRAM_BYTES,
+            Transport::Tcp => cfg.tcp.mss,
+        }
+    }
+
     /// A greedy TCP flow in `direction`, fluid model.
     pub fn tcp(direction: Direction) -> Self {
         FlowSpec {

@@ -60,8 +60,8 @@ use airtime_net::{
     UdpConfig, UdpSource,
 };
 use airtime_obs::{
-    AirtimeCategory, CounterId, EventRecord, GaugeId, HistId, MacPhase, MetricsRegistry,
-    NullObserver, Observer, QueueSite, RunPhase, TcpPhase, TokenCause,
+    AirtimeCategory, CounterId, EventRecord, GaugeId, HistId, Hook, HookSet, MacPhase,
+    MetricsRegistry, NullObserver, Observer, QueueSite, RunPhase, TcpPhase, TokenCause,
 };
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
 use airtime_sched::Scheduler;
@@ -165,7 +165,7 @@ impl IndexSet {
 
 /// Lifecycle of one MAC-level frame, tracked from queue entry to the
 /// MAC's final verdict and emitted as an [`EventRecord::FrameSpan`].
-/// Only populated when the observer is active.
+/// Only populated when the observer wants frame spans.
 struct SpanTrack {
     station: u64,
     bytes: u64,
@@ -208,6 +208,8 @@ struct Instr<'m> {
 struct Sim<'c, O: Observer> {
     cfg: &'c NetworkConfig,
     obs: &'c mut O,
+    /// The hooks `obs` wants, read once at construction.
+    hooks: HookSet,
     instr: Option<Instr<'c>>,
     now: SimTime,
     queue: EventQueue<Event>,
@@ -232,9 +234,11 @@ struct Sim<'c, O: Observer> {
     /// Frame handle → (packet, time it entered the AP/client queue),
     /// for frames in the MAC or AP queues.
     in_transit: HashMap<u64, (Packet, SimTime)>,
-    /// Frame handle → lifecycle span, from MAC offer to TxFinal.
-    /// Empty unless the observer is active.
-    spans: HashMap<u64, SpanTrack>,
+    /// Per node, the lifecycle span of the frame its MAC holds, from
+    /// `offer_frame` to TxFinal. A MAC holds at most one frame, so one
+    /// slot per node is enough. No slots unless the observer wants
+    /// frame spans.
+    spans: Vec<Option<SpanTrack>>,
     next_handle: u64,
     occupancy_at_warmup: Vec<SimDuration>,
     busy_at_warmup: SimDuration,
@@ -367,8 +371,9 @@ impl<'c, O: Observer> Sim<'c, O> {
         );
         // Backoff draws happen either way; these only control whether
         // the MAC reports them as effects — neither touches the RNG.
-        mac.set_emit_backoff(obs.active());
-        mac.set_emit_airtime(obs.active());
+        let hooks = HookSet::of(&*obs);
+        mac.set_emit_backoff(hooks.has(Hook::Backoff));
+        mac.set_emit_airtime(hooks.has(Hook::AirtimeSlice));
         let mut sched: Box<dyn Scheduler> = cfg.scheduler.build();
         // Build flow runtimes.
         let warmup_end = SimTime::ZERO + cfg.warmup;
@@ -471,6 +476,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         Sim {
             cfg,
             obs,
+            hooks,
             instr,
             now: SimTime::ZERO,
             queue,
@@ -485,7 +491,11 @@ impl<'c, O: Observer> Sim<'c, O> {
             arf,
             fixed_rate,
             in_transit: HashMap::new(),
-            spans: HashMap::new(),
+            spans: if hooks.has(Hook::FrameSpan) {
+                (0..=n).map(|_| None).collect()
+            } else {
+                Vec::new()
+            },
             next_handle: 0,
             occupancy_at_warmup: vec![SimDuration::ZERO; n + 1],
             busy_at_warmup: SimDuration::ZERO,
@@ -500,7 +510,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         let (t, ev) = self.queue.pop()?;
         self.now = t;
         let label = event_label(&ev);
-        if self.obs.active() {
+        if self.wants(Hook::Dispatch) {
             self.obs.on_dispatch(t, self.queue.last_seq(), label);
         }
         if let Some(instr) = self.instr.as_mut() {
@@ -662,21 +672,30 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// end-of-run mark, so that a trace audits on its own: the slices
     /// tile `[0, end]` exactly.
     fn finish_airtime(&mut self, end: SimTime) {
-        if !self.obs.active() {
-            return;
+        if self.wants(Hook::AirtimeSlice) {
+            let fx = self.mac.drain_airtime_tail(end);
+            self.apply_mac_effects(fx);
         }
-        let fx = self.mac.drain_airtime_tail(end);
-        self.apply_mac_effects(fx);
-        self.obs.on_run_mark(EventRecord::RunMark {
-            t: end,
-            phase: RunPhase::End,
-        });
+        if self.wants(Hook::RunMark) {
+            self.obs.on_run_mark(EventRecord::RunMark {
+                t: end,
+                phase: RunPhase::End,
+            });
+        }
     }
 
     // -- observer emission helpers ---------------------------------------
 
+    /// Whether the observer reads `hook`: every emission site asks
+    /// before building its record. `active()` comes first so that with
+    /// a `NullObserver` the whole site folds away.
+    #[inline]
+    fn wants(&self, hook: Hook) -> bool {
+        self.obs.active() && self.hooks.has(hook)
+    }
+
     fn emit_ap_queue(&mut self, key: ClientId) {
-        if self.obs.active() {
+        if self.wants(Hook::QueueChange) {
             let len = self.sched.queue_len(key) as u64;
             self.obs.on_queue_change(EventRecord::QueueChange {
                 t: self.now,
@@ -688,7 +707,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     fn emit_client_queue(&mut self, node: usize) {
-        if self.obs.active() {
+        if self.wants(Hook::QueueChange) {
             self.obs.on_queue_change(EventRecord::QueueChange {
                 t: self.now,
                 site: QueueSite::Client,
@@ -699,7 +718,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     fn emit_tokens(&mut self, key: ClientId, cause: TokenCause) {
-        if self.obs.active() {
+        if self.wants(Hook::TokenUpdate) {
             if let (Some(tokens), Some(rate)) = (
                 self.sched.token_balance_ns(key),
                 self.sched.token_fill_rate(key),
@@ -716,7 +735,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     fn emit_tcp(&mut self, flow: usize, phase: TcpPhase) {
-        if self.obs.active() {
+        if self.wants(Hook::TcpEvent) {
             if let Some(tx) = self.flows[flow].tcp_tx.as_ref() {
                 self.obs.on_tcp_event(EventRecord::Tcp {
                     t: self.now,
@@ -783,7 +802,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     self.pending_wake = None;
                 }
                 self.sched.on_tick(self.now);
-                if self.obs.active() {
+                if self.wants(Hook::TokenUpdate) {
                     for k in 0..self.key_count() {
                         self.emit_tokens(ClientId(k), TokenCause::Fill);
                     }
@@ -806,7 +825,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 // In-stream warm-up mark: ledger readers latch their
                 // measurement window at exactly the point the report's
                 // occupancy baseline is taken.
-                if self.obs.active() {
+                if self.wants(Hook::RunMark) {
                     self.obs.on_run_mark(EventRecord::RunMark {
                         t: self.now,
                         phase: RunPhase::Warmup,
@@ -817,7 +836,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     fn apply_mac_effects(&mut self, effects: Vec<MacEffect>) {
-        if self.obs.active() {
+        if self.wants(Hook::Collision) {
             // One collision record per busy period: the MAC reports a
             // colliding attempt for each involved station in the same
             // effects batch.
@@ -846,7 +865,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             match e {
                 MacEffect::Schedule { at, event } => self.queue.schedule(at, Event::Mac(event)),
                 MacEffect::BackoffDrawn { node, slots, cw } => {
-                    if self.obs.active() {
+                    if self.wants(Hook::Backoff) {
                         self.obs.on_backoff(EventRecord::Backoff {
                             t: self.now,
                             node: node.index() as u64,
@@ -861,7 +880,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     client,
                     kind,
                 } => {
-                    if self.obs.active() {
+                    if self.wants(Hook::AirtimeSlice) {
                         let category = match kind {
                             SliceKind::DataTx => AirtimeCategory::DataTx,
                             SliceKind::Ack => AirtimeCategory::Ack,
@@ -887,7 +906,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     retry,
                 } => {
                     let node = client_node(&frame);
-                    if self.obs.active() {
+                    if self.wants(Hook::TxAttempt) {
                         self.obs.on_tx_attempt(EventRecord::TxAttempt {
                             t: self.now,
                             node: frame.src.index() as u64,
@@ -898,10 +917,14 @@ impl<'c, O: Observer> Sim<'c, O> {
                             retry: retry as u64,
                             airtime,
                         });
-                        if let Some(s) = self.spans.get_mut(&frame.handle) {
-                            s.attempts += 1;
-                            s.first_tx.get_or_insert(self.now);
-                        }
+                    }
+                    if let Some(s) = self
+                        .spans
+                        .get_mut(frame.src.index())
+                        .and_then(Option::as_mut)
+                    {
+                        s.attempts += 1;
+                        s.first_tx.get_or_insert(self.now);
                     }
                     if let Some(instr) = self.instr.as_mut() {
                         instr
@@ -937,7 +960,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     outcome,
                     airtime_total,
                 } => {
-                    if self.obs.active() {
+                    if self.wants(Hook::MacEvent) {
                         let phase = match outcome {
                             FrameOutcome::Delivered => MacPhase::TxEnd,
                             FrameOutcome::Dropped => MacPhase::Drop,
@@ -947,19 +970,19 @@ impl<'c, O: Observer> Sim<'c, O> {
                             phase,
                             node: frame.src.index() as u64,
                         });
-                        if let Some(s) = self.spans.remove(&frame.handle) {
-                            self.obs.on_frame_span(EventRecord::FrameSpan {
-                                t: self.now,
-                                station: s.station,
-                                bytes: s.bytes,
-                                enqueue: s.enqueue,
-                                release: s.release,
-                                first_tx: s.first_tx.unwrap_or(s.release),
-                                attempts: s.attempts,
-                                airtime: airtime_total,
-                                delivered: matches!(outcome, FrameOutcome::Delivered),
-                            });
-                        }
+                    }
+                    if let Some(s) = self.spans.get_mut(frame.src.index()).and_then(Option::take) {
+                        self.obs.on_frame_span(EventRecord::FrameSpan {
+                            t: self.now,
+                            station: s.station,
+                            bytes: s.bytes,
+                            enqueue: s.enqueue,
+                            release: s.release,
+                            first_tx: s.first_tx.unwrap_or(s.release),
+                            attempts: s.attempts,
+                            airtime: airtime_total,
+                            delivered: matches!(outcome, FrameOutcome::Delivered),
+                        });
                     }
                     self.on_tx_final(frame, outcome, airtime_total)
                 }
@@ -1346,7 +1369,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         // AP: MACTXEVENT — feed one frame whenever the AP MAC is idle.
         if self.mac.can_accept(AP) {
             if let Some(q) = self.sched.dequeue(self.now) {
-                if self.obs.active() {
+                if self.wants(Hook::SchedDecision) {
                     self.obs.on_sched_decision(EventRecord::SchedDecision {
                         t: self.now,
                         client: q.client.index() as u64,
@@ -1356,22 +1379,19 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
                 let station = self.station_of_key(q.client);
                 let node = station + 1;
-                if self.obs.active() {
+                if self.wants(Hook::FrameSpan) {
                     let enqueue = self
                         .in_transit
                         .get(&q.handle)
                         .map_or(self.now, |&(_, born)| born);
-                    self.spans.insert(
-                        q.handle,
-                        SpanTrack {
-                            station: node as u64,
-                            bytes: q.bytes,
-                            enqueue,
-                            release: self.now,
-                            first_tx: None,
-                            attempts: 0,
-                        },
-                    );
+                    self.spans[AP.index()] = Some(SpanTrack {
+                        station: node as u64,
+                        bytes: q.bytes,
+                        enqueue,
+                        release: self.now,
+                        first_tx: None,
+                        attempts: 0,
+                    });
                 }
                 let frame = Frame {
                     src: AP,
@@ -1400,18 +1420,15 @@ impl<'c, O: Observer> Sim<'c, O> {
                     }
                     self.emit_client_queue(node);
                     let handle = self.new_handle(pkt, born);
-                    if self.obs.active() {
-                        self.spans.insert(
-                            handle,
-                            SpanTrack {
-                                station: node as u64,
-                                bytes: pkt.bytes,
-                                enqueue: born,
-                                release: self.now,
-                                first_tx: None,
-                                attempts: 0,
-                            },
-                        );
+                    if self.wants(Hook::FrameSpan) {
+                        self.spans[node] = Some(SpanTrack {
+                            station: node as u64,
+                            bytes: pkt.bytes,
+                            enqueue: born,
+                            release: self.now,
+                            first_tx: None,
+                            attempts: 0,
+                        });
                     }
                     let frame = Frame {
                         src: NodeId(node),
@@ -1649,7 +1666,7 @@ fn transport_for(
             Some(UdpSource::new(
                 id,
                 UdpConfig {
-                    datagram_bytes: 1500,
+                    datagram_bytes: crate::config::UDP_DATAGRAM_BYTES,
                     rate_bps: spec.rate_limit_bps,
                     task_bytes: spec.task_bytes,
                 },
@@ -1782,7 +1799,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// Feeds an association change into this cell's observer lane —
     /// the topology engine calls it on every handoff/drop so flight-
     /// recorder fingerprints capture roaming causality. Gated on
-    /// `active()`: with a `NullObserver` the call folds away.
+    /// `wants(Hook::Handoff)`: with a `NullObserver` the call folds
+    /// away.
     pub fn observe_handoff(
         &mut self,
         t: SimTime,
@@ -1790,7 +1808,7 @@ impl<'c, O: Observer> CellSim<'c, O> {
         from: Option<u64>,
         to: Option<u64>,
     ) {
-        if self.sim.obs.active() {
+        if self.sim.wants(Hook::Handoff) {
             self.sim.obs.on_handoff(t, station, from, to);
         }
     }

@@ -71,6 +71,25 @@ fn scenario_rejects_zero_rate_limit() {
 }
 
 #[test]
+fn scenario_rejects_a_rate_limit_too_low_to_send() {
+    // Once ran to `0.000 Mb/s` and exited 0: the pacer never released
+    // a datagram.
+    let (code, stderr, path) = run_scenario(
+        "tiny_rate_limit.toml",
+        "duration_s = 3\nwarmup_s = 1\n[[station]]\nrate = \"11\"\n\
+         transport = \"udp\"\nrate_limit_bps = 1e-300\n",
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{path}:6: key 'rate_limit_bps' = 1e-300 cannot release one 1500-byte packet \
+             within duration_s = 3; the minimum is 4000 bit/s"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn run_and_predict_reject_a_stray_positional() {
     // `run --secs 2 cell.toml` once ran the default 11,1 cell and exited
     // 0 without reading the file the user meant to pass via --scenario.
