@@ -21,7 +21,7 @@ pub enum MacPhase {
 }
 
 impl MacPhase {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MacPhase::TxStart => "tx_start",
             MacPhase::TxEnd => "tx_end",

@@ -89,12 +89,12 @@ pub trait Observer {
     fn on_run_mark(&mut self, _rec: EventRecord) {}
 
     /// The event loop dispatched the event stamped `(t, seq)` whose
-    /// handler is named `label`. This is the flight recorder's spine:
-    /// the `(time, seq)` pair is the queue's total order, so a stream
-    /// of these uniquely identifies an execution. Deliberately *not* an
-    /// [`EventRecord`] — no allocation, no wire format, just three
-    /// words — so the emission site stays cheap even when a recorder
-    /// is attached.
+    /// handler is named `label`: engine bookkeeping (which timers pop,
+    /// in which queue order), for profilers and debugging tools. The
+    /// flight recorder does not want it; its fingerprint covers
+    /// behaviour only. Deliberately *not* an [`EventRecord`] — no
+    /// allocation, no wire format, just three words — so the emission
+    /// site stays cheap.
     fn on_dispatch(&mut self, _t: SimTime, _seq: u64, _label: &'static str) {}
 
     /// A station changed cell association: `from`/`to` are cell ids

@@ -3,16 +3,17 @@
 //!
 //! The simulator's load-bearing guarantee is byte-identical output
 //! across repeated runs, sweep thread counts, and refactors that are
-//! not meant to change behaviour. Whole-report comparison can tell you *that* two runs diverged, but not
-//! *where*. [`FlightRecorder`] closes that gap: it observes the
-//! canonical causal stream — every dispatched event's `(time, seq)`
-//! stamp and handler label, every scheduler decision, queue change,
-//! and handoff — and folds it into a rolling 64-bit FNV-1a
-//! fingerprint, checkpointed every N events. Two runs that executed
-//! the same causal history produce identical checkpoint streams; the
-//! first checkpoint that differs brackets the first divergent event to
-//! a window of N, and a re-run recording just that window pins it to
-//! an exact `(time, seq, label)`.
+//! not meant to change behaviour. Whole-report comparison can tell you
+//! *that* two runs diverged, but not *where*. [`FlightRecorder`] closes
+//! that gap: it observes the canonical behavioural stream — every
+//! scheduler decision, queue change, handoff, transmission attempt and
+//! MAC final verdict — and folds it into a rolling 64-bit fingerprint
+//! (a multiply-xorshift fold over each event's fields, one 64-bit word
+//! at a time), checkpointed every N events. Two runs that behaved
+//! alike produce identical checkpoint streams; the first checkpoint
+//! that differs brackets the first divergent event to a window of N,
+//! and a re-run recording just that window pins it to an exact
+//! `(time, label, detail)`.
 //!
 //! The recorder keeps the most recent events in a bounded ring (the
 //! "flight recorder" proper: history survives a crash-adjacent
@@ -21,44 +22,46 @@
 //! re-runs. Fingerprinting itself never allocates per event beyond the
 //! optional ring entry.
 //!
-//! Per-station sub-fingerprints (folded from scheduler decisions and
-//! handoffs touching that station) localize a divergence to *who* as
-//! well as *when*; in topology runs each cell carries its own recorder
-//! lane, giving per-cell sub-fingerprints for free.
+//! Per-station sub-fingerprints (folded from the events attributed to
+//! each station) localize a divergence to *who* as well as *when*; in
+//! topology runs each cell carries its own recorder lane, giving
+//! per-cell sub-fingerprints for free.
 //!
 //! # What "canonical" means
 //!
-//! The stream must be identical across runs that are *supposed* to be
-//! equivalent, so two pieces of engine bookkeeping are deliberately
-//! kept out of the fingerprint:
+//! The stream holds what the simulated network *did*, never how the
+//! engine got there:
 //!
-//! - `sched.tick` dispatches are excluded entirely. A tick is a
-//!   wake-up the engine places at the scheduler's *estimate* of when
-//!   it unblocks; estimates are conservative by contract, so a wake
-//!   may land early and do nothing. The ticks' causal *effects* —
-//!   scheduler decisions, queue changes — are what the stream
-//!   captures, and a sharper estimate leaves the fingerprint alone.
-//! - The queue `seq` stamp is recorded for debugging (it names the
-//!   push that created a dispatch) but not hashed: every push consumes
-//!   a sequence number, wake-ups included, so moving one wake-up would
-//!   shift every later event's raw seq without changing causality.
-//!   Ordering is still fully covered — the fold is order-sensitive, so
-//!   two streams that dispatch the same events in a different order
-//!   fingerprint differently.
+//! - Scheduler decisions (who the AP serves, how much, how much is
+//!   left queued), queue changes at the AP and the clients, handoffs,
+//!   every transmission attempt (sender, billed client, size, rate,
+//!   outcome, retry index, airtime) and every frame's final MAC
+//!   verdict (delivered or dropped).
+//! - Event-loop dispatches are not part of it: the recorder does not
+//!   want [`Hook::Dispatch`]. Which timers the engine keeps queued,
+//!   whether a superseded timer still pops and is ignored, how many
+//!   wake-ups a blocked scheduler gets and the raw queue sequence
+//!   numbers are all bookkeeping. Changing them leaves the fingerprint
+//!   alone unless the network behaves differently as a result.
+//! - Ordering is still fully covered: the fold is order-sensitive, so
+//!   two streams with the same events in a different order fingerprint
+//!   differently.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use airtime_sim::SimTime;
 
-use crate::event::{EventRecord, QueueSite};
+use crate::event::{EventRecord, MacPhase, QueueSite};
 use crate::json::{parse_flat, Obj, Value};
 use crate::observer::{Hook, Observer};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Seed of every hash: the FNV-1a 64-bit offset basis.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of [`mix`] (2^64 / φ).
+const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Events per fingerprint checkpoint unless overridden.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
@@ -66,9 +69,19 @@ pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 /// window on either side of a divergence.
 pub const DEFAULT_RING_CAPACITY: usize = 2 * DEFAULT_CHECKPOINT_INTERVAL as usize;
 
-/// FNV-1a over a byte slice, seeded so distinct field orders hash
-/// differently.
-const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// Folds one 64-bit word into a hash. Each step is a bijection of the
+/// state for a given word (xor, odd multiply, xorshift), so two streams
+/// that differ in a single word always end on different hashes.
+const fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(MIX_MUL);
+    h ^ (h >> 29)
+}
+
+/// The hash of a label's text (FNV-1a): the seed of every event hash
+/// with that label.
+const fn label_seed(label: &str) -> u64 {
+    let bytes = label.as_bytes();
+    let mut h = SEED;
     let mut i = 0;
     while i < bytes.len() {
         h ^= bytes[i] as u64;
@@ -78,110 +91,90 @@ const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The hash state after an event's label and its `0xff` separator: the
-/// part of every event hash that depends on the label alone.
-const fn label_prefix(label: &str) -> u64 {
-    fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), &[0xff])
-}
+const DECIDE_SEED: u64 = label_seed("sched.decide");
+const QUEUE_SEED: u64 = label_seed("queue.change");
+const HANDOFF_SEED: u64 = label_seed("handoff");
+const ATTEMPT_SEED: u64 = label_seed("tx.attempt");
+const FINAL_SEED: u64 = label_seed("mac.final");
+/// Folded into an event the injected-divergence test hook perturbs.
+const INJECTED: u64 = label_seed("[injected]");
 
-const DECIDE_PREFIX: u64 = label_prefix("sched.decide");
-const QUEUE_PREFIX: u64 = label_prefix("queue.change");
-const HANDOFF_PREFIX: u64 = label_prefix("handoff");
-
-/// Where [`Detail::write`] puts its ASCII text: a `String` for a
-/// retained event, or straight into an FNV hash when only the
-/// fingerprint needs it. Both receive the same bytes.
-trait DetailSink {
-    fn text(&mut self, ascii: &[u8]);
-
-    /// `v` in decimal, the bytes `format!("{v}")` produces.
-    fn dec(&mut self, v: u64) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = v;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.text(&buf[i..]);
-    }
-}
-
-impl DetailSink for String {
-    fn text(&mut self, ascii: &[u8]) {
-        self.push_str(std::str::from_utf8(ascii).expect("detail text is ASCII"));
-    }
-}
-
-/// An FNV-1a hash in progress.
-struct FnvSink(u64);
-
-impl DetailSink for FnvSink {
-    fn text(&mut self, ascii: &[u8]) {
-        self.0 = fnv1a(self.0, ascii);
-    }
-}
-
-/// The human-readable payload of a recorded event, kept as raw fields
-/// until something needs its text.
+/// The payload of a recorded event, kept as raw fields: the fingerprint
+/// folds them as words, and text is built only for a retained event.
 enum Detail {
-    None,
     Decide { client: u64, bytes: u64, qlen: u64 },
     Queue { site: QueueSite, key: u64, len: u64 },
     Handoff { from: Option<u64>, to: Option<u64> },
+    Attempt(Attempt),
+    Final { phase: MacPhase, node: u64 },
+}
+
+/// The fields of one [`EventRecord::TxAttempt`] the fingerprint covers.
+struct Attempt {
+    node: u64,
+    client: u64,
+    bytes: u64,
+    /// PHY rate in tenths of a Mbit/s (every 802.11 rate is a whole
+    /// number of them).
+    rate_tenths: u64,
+    success: bool,
+    retry: u64,
+    airtime_ns: u64,
 }
 
 impl Detail {
-    fn write(self, w: &mut impl DetailSink) {
-        match self {
-            Detail::None => {}
+    /// Folds the fields into `h`, one word each (`u64::MAX` for an
+    /// absent cell id).
+    fn hash(&self, h: u64) -> u64 {
+        match *self {
             Detail::Decide {
                 client,
                 bytes,
                 qlen,
-            } => {
-                w.text(b"client=");
-                w.dec(client);
-                w.text(b" bytes=");
-                w.dec(bytes);
-                w.text(b" qlen=");
-                w.dec(qlen);
-            }
-            Detail::Queue { site, key, len } => {
-                w.text(match site {
-                    QueueSite::Ap => b"site=Ap key=",
-                    QueueSite::Client => b"site=Client key=",
-                });
-                w.dec(key);
-                w.text(b" len=");
-                w.dec(len);
-            }
+            } => mix(mix(mix(h, client), bytes), qlen),
+            Detail::Queue { site, key, len } => mix(mix(mix(h, site as u64), key), len),
             Detail::Handoff { from, to } => {
-                for (name, c) in [(&b"from="[..], from), (b" to=", to)] {
-                    w.text(name);
-                    match c {
-                        Some(c) => w.dec(c),
-                        None => w.text(b"-"),
-                    }
-                }
+                mix(mix(h, from.unwrap_or(u64::MAX)), to.unwrap_or(u64::MAX))
             }
+            Detail::Attempt(ref a) => [
+                a.client,
+                a.bytes,
+                a.rate_tenths,
+                a.success as u64,
+                a.retry,
+                a.airtime_ns,
+            ]
+            .into_iter()
+            .fold(mix(h, a.node), mix),
+            Detail::Final { phase, node } => mix(mix(h, phase as u64), node),
         }
     }
 
-    fn into_text(self) -> String {
-        let mut s = String::new();
-        self.write(&mut s);
-        s
+    fn text(&self) -> String {
+        match self {
+            Detail::Decide {
+                client,
+                bytes,
+                qlen,
+            } => format!("client={client} bytes={bytes} qlen={qlen}"),
+            Detail::Queue { site, key, len } => format!("site={site:?} key={key} len={len}"),
+            Detail::Handoff { from, to } => {
+                let id = |c: &Option<u64>| c.map_or("-".to_string(), |c| c.to_string());
+                format!("from={} to={}", id(from), id(to))
+            }
+            Detail::Attempt(a) => format!(
+                "node={} client={} bytes={} rate={} {} retry={} air_ns={}",
+                a.node,
+                a.client,
+                a.bytes,
+                a.rate_tenths as f64 / 10.0,
+                if a.success { "ok" } else { "fail" },
+                a.retry,
+                a.airtime_ns
+            ),
+            Detail::Final { phase, node } => format!("{} node={node}", phase.as_str()),
+        }
     }
-}
-
-/// Order-sensitive fold of one event hash into a rolling fingerprint.
-fn fold(fp: u64, h: u64) -> u64 {
-    (fp ^ h).wrapping_mul(FNV_PRIME)
 }
 
 /// Formats a fingerprint the way every surface prints it: 16 lowercase
@@ -197,13 +190,8 @@ pub struct RecordedEvent {
     pub index: u64,
     /// Simulation time of the event.
     pub t: SimTime,
-    /// Queue sequence stamp (0 for records that don't carry one, e.g.
-    /// scheduler decisions emitted between dispatches). Debugging
-    /// context only — not part of the fingerprint, because raw seqs
-    /// count wake-up pushes too (see the module docs).
-    pub seq: u64,
-    /// What happened: a dispatch label (`"mac.slot"`), `"sched.decide"`,
-    /// `"queue.change"`, or `"handoff"`.
+    /// What happened: `"sched.decide"`, `"queue.change"`, `"handoff"`,
+    /// `"tx.attempt"` or `"mac.final"`.
     pub label: String,
     /// Human-readable payload (client, bytes, queue length, ...).
     pub detail: String,
@@ -213,9 +201,8 @@ pub struct RecordedEvent {
 
 impl RecordedEvent {
     /// Whether two events describe the same causal occurrence: same
-    /// time, label, detail, and station. `seq` (and `index`) are
-    /// positional context, not identity — two equivalent runs can
-    /// disagree on raw seqs without having diverged.
+    /// time, label, detail, and station. `index` is positional
+    /// context, not identity.
     pub fn causal_eq(&self, other: &RecordedEvent) -> bool {
         self.t == other.t
             && self.label == other.label
@@ -226,10 +213,9 @@ impl RecordedEvent {
     /// One causal-log line, the format `replay` prints.
     pub fn render(&self) -> String {
         let mut line = format!(
-            "#{:<10} t={:>14.9}s seq={:<10} {:<16}",
+            "#{:<10} t={:>14.9}s {:<16}",
             self.index,
             self.t.as_secs_f64(),
-            self.seq,
             self.label
         );
         if let Some(s) = self.station {
@@ -273,10 +259,6 @@ pub struct FlightRecorder {
     /// (fingerprinting still covers the whole stream).
     window: Option<(u64, u64)>,
     station_fp: BTreeMap<u64, u64>,
-    /// [`label_prefix`] of each dispatch label seen so far, keyed by
-    /// the label's address: labels are `'static`, and a label that
-    /// appears at two addresses just takes two entries.
-    labels: Vec<(&'static str, u64)>,
     /// Test hook: perturb the record at this stream index before
     /// folding, manufacturing a deterministic synthetic divergence.
     inject_at: Option<u64>,
@@ -296,7 +278,7 @@ impl FlightRecorder {
             interval: DEFAULT_CHECKPOINT_INTERVAL,
             cell: None,
             events: 0,
-            fp: FNV_OFFSET,
+            fp: SEED,
             last_t: SimTime::ZERO,
             checkpoints: Vec::new(),
             ring: VecDeque::new(),
@@ -304,7 +286,6 @@ impl FlightRecorder {
             dropped: 0,
             window: None,
             station_fp: BTreeMap::new(),
-            labels: Vec::new(),
             inject_at: None,
         }
     }
@@ -338,10 +319,10 @@ impl FlightRecorder {
         self
     }
 
-    /// Test hook: perturb the event at stream index `index` (its `seq`
-    /// is bumped and its detail tagged — the tag is what corrupts the
-    /// fingerprint stream from that point on). Lets the divergence
-    /// machinery be exercised without a real bug.
+    /// Test hook: perturb the event at stream index `index` (its detail
+    /// is tagged, which corrupts the fingerprint stream from that point
+    /// on). Lets the divergence machinery be exercised without a real
+    /// bug.
     pub fn with_injected_divergence(mut self, index: u64) -> Self {
         self.inject_at = Some(index);
         self
@@ -378,24 +359,24 @@ impl FlightRecorder {
         self.ring.iter()
     }
 
-    /// Per-station sub-fingerprints (folded from scheduler decisions,
-    /// queue changes, and handoffs attributed to each station).
+    /// Per-station sub-fingerprints (folded from the events attributed
+    /// to each station: a decision's or queue's key, a handoff's
+    /// station, an attempt's billed client, a final verdict's sender).
     pub fn station_fingerprints(&self) -> &BTreeMap<u64, u64> {
         &self.station_fp
     }
 
-    /// Folds one canonical event into the stream. `prefix` is
-    /// [`label_prefix`] of `label`. Fingerprinting works on the raw
-    /// parts, so the hot fingerprint-only configuration (capacity 0)
-    /// never allocates; the detail text and a [`RecordedEvent`] are
-    /// only built when the ring retains this index or the injected
-    /// divergence lands on it.
+    /// Folds one canonical event into the stream. `seed` is
+    /// [`label_seed`] of `label`. The hash covers the time, the raw
+    /// fields and the station, one word each, so the fingerprint-only
+    /// configuration (capacity 0) never allocates; the detail text and
+    /// a [`RecordedEvent`] are built only when the ring retains this
+    /// index.
     fn push(
         &mut self,
         t: SimTime,
-        mut seq: u64,
-        label: &str,
-        prefix: u64,
+        label: &'static str,
+        seed: u64,
         detail: Detail,
         station: Option<u64>,
     ) {
@@ -404,32 +385,25 @@ impl FlightRecorder {
             None => self.capacity > 0,
         };
         let injected = self.inject_at == Some(self.events);
-        let mut h = fnv1a(prefix, &t.as_nanos().to_le_bytes());
-        let text = if retain || injected {
-            let mut text = detail.into_text();
+        let mut h = detail.hash(mix(seed, t.as_nanos()));
+        if injected {
+            h = mix(h, INJECTED);
+        }
+        h = mix(h, station.unwrap_or(u64::MAX));
+        self.fp = mix(self.fp, h);
+        if let Some(s) = station {
+            let sfp = self.station_fp.entry(s).or_insert(SEED);
+            *sfp = mix(*sfp, h);
+        }
+        let text = retain.then(|| {
+            let mut text = detail.text();
             if injected {
-                // A one-bit lie: the injected event claims the wrong
-                // queue ordinal, exactly what a real determinism bug
-                // looks like.
-                seq = seq.wrapping_add(1);
                 text.push_str(" [injected]");
             }
-            h = fnv1a(h, text.as_bytes());
-            Some(text)
-        } else {
-            let mut sink = FnvSink(h);
-            detail.write(&mut sink);
-            h = sink.0;
-            None
-        };
-        h = fnv1a(h, &station.unwrap_or(u64::MAX).to_le_bytes());
-        self.fp = fold(self.fp, h);
-        if let Some(s) = station {
-            let sfp = self.station_fp.entry(s).or_insert(FNV_OFFSET);
-            *sfp = fold(*sfp, h);
-        }
+            text
+        });
         match text {
-            Some(detail) if retain => {
+            Some(detail) => {
                 if self.window.is_none() && self.ring.len() >= self.capacity {
                     self.ring.pop_front();
                     self.dropped += 1;
@@ -437,7 +411,6 @@ impl FlightRecorder {
                 self.ring.push_back(RecordedEvent {
                     index: self.events,
                     t,
-                    seq,
                     label: label.to_string(),
                     detail,
                     station,
@@ -454,16 +427,6 @@ impl FlightRecorder {
                 fp: self.fp,
             });
         }
-    }
-
-    /// [`label_prefix`] of a dispatch label, cached per label.
-    fn dispatch_prefix(&mut self, label: &'static str) -> u64 {
-        if let Some(&(_, h)) = self.labels.iter().find(|(l, _)| std::ptr::eq(*l, label)) {
-            return h;
-        }
-        let h = label_prefix(label);
-        self.labels.push((label, h));
-        h
     }
 
     /// Serializes the recording as JSONL (header, checkpoints, then
@@ -500,7 +463,6 @@ impl FlightRecorder {
             o.str("kind", "ev")
                 .u64("index", ev.index)
                 .u64("t_ns", ev.t.as_nanos())
-                .u64("seq", ev.seq)
                 .str("label", &ev.label)
                 .str("detail", &ev.detail);
             if let Some(s) = ev.station {
@@ -515,22 +477,47 @@ impl FlightRecorder {
 
 impl Observer for FlightRecorder {
     fn wants(&self, hook: Hook) -> bool {
+        // Behaviour only: no `Dispatch` (see the module docs).
         matches!(
             hook,
-            Hook::Dispatch | Hook::SchedDecision | Hook::QueueChange | Hook::Handoff
+            Hook::SchedDecision
+                | Hook::QueueChange
+                | Hook::Handoff
+                | Hook::TxAttempt
+                | Hook::MacEvent
         )
     }
 
-    fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
-        // Wake-up bookkeeping, not causality: a tick lands wherever the
-        // scheduler's conservative unblock estimate put it, so tick
-        // dispatches stay out of the canonical stream (their causal
-        // effects arrive via on_sched_decision / on_queue_change).
-        if label == "sched.tick" {
-            return;
+    fn on_tx_attempt(&mut self, rec: EventRecord) {
+        if let EventRecord::TxAttempt {
+            t,
+            node,
+            client,
+            bytes,
+            rate_mbps,
+            success,
+            retry,
+            airtime,
+        } = rec
+        {
+            let detail = Detail::Attempt(Attempt {
+                node,
+                client,
+                bytes,
+                rate_tenths: (rate_mbps * 10.0).round() as u64,
+                success,
+                retry,
+                airtime_ns: airtime.as_nanos(),
+            });
+            self.push(t, "tx.attempt", ATTEMPT_SEED, detail, Some(client));
         }
-        let prefix = self.dispatch_prefix(label);
-        self.push(t, seq, label, prefix, Detail::None, None);
+    }
+
+    fn on_mac_event(&mut self, rec: EventRecord) {
+        if let EventRecord::Mac { t, phase, node } = rec {
+            let detail = Detail::Final { phase, node };
+            self.push(t, "mac.final", FINAL_SEED, detail, Some(node));
+        }
     }
 
     fn on_sched_decision(&mut self, rec: EventRecord) {
@@ -546,20 +533,20 @@ impl Observer for FlightRecorder {
                 bytes,
                 qlen: queue_len,
             };
-            self.push(t, 0, "sched.decide", DECIDE_PREFIX, detail, Some(client));
+            self.push(t, "sched.decide", DECIDE_SEED, detail, Some(client));
         }
     }
 
     fn on_queue_change(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
             let detail = Detail::Queue { site, key, len };
-            self.push(t, 0, "queue.change", QUEUE_PREFIX, detail, Some(key));
+            self.push(t, "queue.change", QUEUE_SEED, detail, Some(key));
         }
     }
 
     fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
         let detail = Detail::Handoff { from, to };
-        self.push(t, 0, "handoff", HANDOFF_PREFIX, detail, Some(station));
+        self.push(t, "handoff", HANDOFF_SEED, detail, Some(station));
     }
 }
 
@@ -623,7 +610,6 @@ impl Recording {
                     t: SimTime::from_nanos(
                         get_u64("t_ns").ok_or(format!("line {}: ev missing t_ns", no + 1))?,
                     ),
-                    seq: get_u64("seq").unwrap_or(0),
                     label: get("label")
                         .and_then(Value::as_str)
                         .unwrap_or("")
@@ -719,9 +705,22 @@ pub fn first_divergent_event<'a>(
 mod tests {
     use super::*;
 
+    fn attempt(t: SimTime, node: u64, success: bool) -> EventRecord {
+        EventRecord::TxAttempt {
+            t,
+            node,
+            client: node.max(1),
+            bytes: 1500,
+            rate_mbps: 5.5,
+            success,
+            retry: 0,
+            airtime: airtime_sim::SimDuration::from_micros(2_300),
+        }
+    }
+
     fn feed(rec: &mut FlightRecorder, n: u64) {
         for i in 0..n {
-            rec.on_dispatch(SimTime::from_micros(i), i, "test.evt");
+            rec.on_tx_attempt(attempt(SimTime::from_micros(i), i % 3, true));
         }
     }
 
@@ -741,10 +740,12 @@ mod tests {
     fn order_matters() {
         let mut a = FlightRecorder::new();
         let mut b = FlightRecorder::new();
-        a.on_dispatch(SimTime::from_micros(1), 0, "x");
-        a.on_dispatch(SimTime::from_micros(2), 1, "y");
-        b.on_dispatch(SimTime::from_micros(2), 1, "y");
-        b.on_dispatch(SimTime::from_micros(1), 0, "x");
+        let x = attempt(SimTime::from_micros(1), 1, true);
+        let y = attempt(SimTime::from_micros(1), 2, false);
+        a.on_tx_attempt(x.clone());
+        a.on_tx_attempt(y.clone());
+        b.on_tx_attempt(y);
+        b.on_tx_attempt(x);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
@@ -779,27 +780,74 @@ mod tests {
         let (ca, cb) = first_divergent_event(&a, &b).expect("streams diverge");
         let (ca, cb) = (ca.unwrap(), cb.unwrap());
         assert_eq!(ca.index, 37);
-        assert_eq!(ca.seq, 37);
-        assert_eq!(cb.seq, 38);
+        assert_eq!(cb.index, 37);
+        assert!(!ca.detail.contains("injected"));
         assert!(cb.detail.contains("injected"));
     }
 
     #[test]
     fn raw_seq_and_tick_dispatches_stay_out_of_the_fingerprint() {
-        // Same causal stream, shifted raw seqs (what an extra wake-up
-        // push looks like): identical fingerprints.
-        let mut woken = FlightRecorder::new();
+        // The same behaviour with different engine bookkeeping around
+        // it (extra timer pops, wake-up ticks, shifted raw seqs):
+        // identical fingerprints. Dispatches never enter the stream.
+        let mut busy = FlightRecorder::new();
         let mut plain = FlightRecorder::new();
+        assert!(!busy.wants(Hook::Dispatch));
         for i in 0..50u64 {
-            woken.on_dispatch(SimTime::from_micros(i), 2 * i + 1, "mac.tx_end");
-            plain.on_dispatch(SimTime::from_micros(i), i, "mac.tx_end");
+            let t = SimTime::from_micros(i);
+            busy.on_dispatch(t, 2 * i + 1, "tcp.rto");
+            busy.on_dispatch(t, 2 * i + 2, "sched.tick");
+            busy.on_tx_attempt(attempt(t, 1, true));
+            plain.on_tx_attempt(attempt(t, 1, true));
         }
-        assert_eq!(woken.fingerprint(), plain.fingerprint());
-        // sched.tick dispatches are wake-up bookkeeping and never
-        // enter the stream.
-        woken.on_dispatch(SimTime::from_micros(99), 7, "sched.tick");
-        assert_eq!(woken.events(), 50);
-        assert_eq!(woken.fingerprint(), plain.fingerprint());
+        assert_eq!(busy.events(), 50);
+        assert_eq!(busy.fingerprint(), plain.fingerprint());
+        assert_eq!(busy.checkpoints(), plain.checkpoints());
+    }
+
+    #[test]
+    fn every_behavioural_hook_moves_the_fingerprint() {
+        let t = SimTime::from_micros(5);
+        let base = attempt(t, 1, true);
+        let with = |f: fn(&mut f64, &mut u64, &mut airtime_sim::SimDuration)| {
+            let mut rec = base.clone();
+            if let EventRecord::TxAttempt {
+                rate_mbps,
+                retry,
+                airtime,
+                ..
+            } = &mut rec
+            {
+                f(rate_mbps, retry, airtime);
+            }
+            rec
+        };
+        let records = [
+            attempt(t, 2, true),
+            attempt(t, 1, false),
+            with(|rate, _, _| *rate = 11.0),
+            with(|_, retry, _| *retry = 1),
+            with(|_, _, air| *air += airtime_sim::SimDuration::from_nanos(1)),
+        ];
+        let fp = |rec: EventRecord| {
+            let mut r = FlightRecorder::new().with_capacity(0);
+            r.on_tx_attempt(rec);
+            r.fingerprint()
+        };
+        let reference = fp(base);
+        for rec in records {
+            assert_ne!(fp(rec.clone()), reference, "{rec:?}");
+        }
+        let finals: Vec<u64> = [MacPhase::TxEnd, MacPhase::Drop]
+            .into_iter()
+            .map(|phase| {
+                let mut r = FlightRecorder::new();
+                r.on_mac_event(EventRecord::Mac { t, phase, node: 2 });
+                assert_eq!(r.station_fingerprints().len(), 1);
+                r.fingerprint()
+            })
+            .collect();
+        assert_ne!(finals[0], finals[1]);
     }
 
     #[test]
@@ -822,13 +870,28 @@ mod tests {
     }
 
     #[test]
-    fn unretained_details_hash_like_their_text() {
-        // The fingerprint-only path hashes the detail without building
-        // it; it must fold exactly the bytes the retained path formats.
+    fn retained_and_bare_recorders_fingerprint_alike() {
+        // Text is built only for retained events and is not hashed: a
+        // ring-buffered recorder and a bare fingerprinter agree, and the
+        // retained text renders every field.
         fn feed_mixed(rec: &mut FlightRecorder) {
             for (i, v) in [0, 7, 10, 99, 1500, u64::MAX].into_iter().enumerate() {
                 let t = SimTime::from_micros(i as u64);
-                rec.on_dispatch(t, i as u64, "mac.tx_end");
+                rec.on_tx_attempt(EventRecord::TxAttempt {
+                    t,
+                    node: v,
+                    client: i as u64,
+                    bytes: v,
+                    rate_mbps: [1.0, 2.0, 5.5, 11.0, 54.0, 0.0][i],
+                    success: i % 2 == 0,
+                    retry: v,
+                    airtime: airtime_sim::SimDuration::from_nanos(v / 7),
+                });
+                rec.on_mac_event(EventRecord::Mac {
+                    t,
+                    phase: [MacPhase::TxEnd, MacPhase::Drop][i % 2],
+                    node: v,
+                });
                 rec.on_sched_decision(EventRecord::SchedDecision {
                     t,
                     client: i as u64,
@@ -858,6 +921,15 @@ mod tests {
             format!("client=5 bytes={v} qlen={}", v / 3),
             format!("site={site:?} key={v} len=5"),
             format!("from={v} to=-"),
+            format!(
+                "node={v} client=5 bytes={v} rate=0 fail retry={v} air_ns={}",
+                v / 7
+            ),
+            "node=10 client=2 bytes=10 rate=5.5 ok retry=10 air_ns=1".to_string(),
+            "node=99 client=3 bytes=99 rate=11 fail retry=99 air_ns=14".to_string(),
+            "node=1500 client=4 bytes=1500 rate=54 ok retry=1500 air_ns=214".to_string(),
+            format!("drop node={v}"),
+            "tx_end node=10".to_string(),
         ] {
             assert!(details.contains(&text.as_str()), "{text}");
         }
@@ -914,7 +986,7 @@ mod tests {
         assert_eq!(parsed.events, ring);
         // The rendered window shows the causal log.
         let log = parsed.render_window(Some(18), Some(21));
-        assert!(log.contains("test.evt"));
+        assert!(log.contains("tx.attempt"));
         assert!(log.contains("sched.decide"));
         assert!(log.contains("client=1"));
     }

@@ -159,8 +159,8 @@ impl SweepOutcome {
 /// Folds per-radio-cell lane fingerprints (in cell order) into the one
 /// fingerprint a topology sweep cell reports.
 pub fn combine_fps(fps: impl Iterator<Item = u64>) -> u64 {
-    // Same FNV fold the recorder itself uses, so a one-lane topology
-    // still differs from the bare lane (the fold re-mixes it).
+    // An order-sensitive FNV-style fold, so a one-lane topology still
+    // differs from the bare lane (the fold re-mixes it).
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     fps.fold(FNV_OFFSET, |acc, fp| (acc ^ fp).wrapping_mul(FNV_PRIME))

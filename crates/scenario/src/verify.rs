@@ -4,7 +4,7 @@
 //! build wrote — compares the fingerprint checkpoint streams, and — on
 //! a mismatch — bisects to the first divergent checkpoint, re-runs
 //! recording only that window, and pins the exact first divergent
-//! `(time, seq, label)`.
+//! `(time, label, detail)`.
 //!
 //! The repeat run catches nondeterminism inside one build (a hash-order
 //! dependence, say: every run draws fresh `HashMap` seeds). The golden

@@ -59,7 +59,7 @@ USAGE:
                                     it against a golden recording,
                                     compare flight-recorder fingerprints,
                                     and on mismatch pin the first
-                                    divergent (time, seq, label) event
+                                    divergent (time, label) event
     airtime-cli replay <recording>  pretty-print a flight recording
                                     (written by run --record) as a
                                     causal event log

@@ -1,5 +1,6 @@
-//! End-to-end checks of `airtime-cli` argument validation: bad input
-//! exits 1 with a message instead of panicking.
+//! End-to-end checks of `airtime-cli`: bad input exits 1 with a
+//! message instead of panicking, and the committed determinism goldens
+//! still match their presets.
 
 use std::process::Command;
 
@@ -118,4 +119,32 @@ fn predict_prints_the_paper_and_model_gamma() {
         .unwrap_or_else(|| panic!("no 11M station row in:\n{stdout}"));
     let cols: Vec<&str> = row.split_whitespace().collect();
     assert_eq!(cols[cols.len() - 2..], ["5.189", "5.298"], "{row}");
+}
+
+/// The presets whose golden recordings live under `examples/recordings/`
+/// (topologies keep one `<stem>.cell<i>.jsonl` per cell).
+const GOLDEN_PRESETS: [&str; 7] = [
+    "fig9_mixed_rate",
+    "roam_three_cells",
+    "pf_mixed_rate",
+    "maxmin_mixed_rate",
+    "cochannel_pair",
+    "table4_bottleneck",
+    "worklist_edges",
+];
+
+#[test]
+fn committed_recordings_match_their_presets() {
+    // A behaviour change that forgets to re-record a golden fails here,
+    // not only in CI's shell loop.
+    let root = env!("CARGO_MANIFEST_DIR");
+    for preset in GOLDEN_PRESETS {
+        let scenario = format!("{root}/examples/scenarios/{preset}.toml");
+        let golden = format!("{root}/examples/recordings/{preset}.jsonl");
+        let out = cli(&["verify-determinism", &scenario, "--against", &golden]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{preset}:\n{stdout}\n{stderr}");
+        assert!(stdout.contains("PASS"), "{preset}:\n{stdout}");
+    }
 }
