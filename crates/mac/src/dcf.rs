@@ -62,7 +62,9 @@ pub struct DcfConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MacEvent {
     /// A scheduled contention resolution point. Stale generations are
-    /// ignored, so the embedder never needs to cancel events.
+    /// ignored, so the embedder never needs to cancel events; each one
+    /// supersedes every earlier one, so an embedder may also keep only
+    /// the latest.
     AccessResolved {
         /// Generation stamp; compared against the world's current one.
         generation: u64,
@@ -221,6 +223,9 @@ pub struct DcfWorld {
     anchor: SimTime,
     countdown_active: bool,
     generation: u64,
+    /// When the live `AccessResolved` (the one stamped `generation`)
+    /// is due, if one is live.
+    access_at: Option<SimTime>,
     /// End of the cell-wide deferral a co-channel neighbour's busy
     /// period imposes (see [`DcfWorld::defer_medium`]).
     medium_defer: Option<SimTime>,
@@ -271,6 +276,7 @@ impl DcfWorld {
             anchor: SimTime::ZERO,
             countdown_active: false,
             generation: 0,
+            access_at: None,
             medium_defer: None,
             in_flight: Vec::new(),
             winners: Vec::new(),
@@ -434,6 +440,7 @@ impl DcfWorld {
                 self.sync_countdown(now);
             }
             self.generation += 1; // Invalidate any scheduled access.
+            self.access_at = None;
             self.countdown_active = false;
             self.contention_since = None;
         }
@@ -450,8 +457,11 @@ impl DcfWorld {
         let mut effects = Vec::new();
         match event {
             MacEvent::AccessResolved { generation } => {
-                if generation == self.generation && self.busy_until.is_none() {
-                    self.on_access(now, &mut effects);
+                if generation == self.generation {
+                    self.access_at = None;
+                    if self.busy_until.is_none() {
+                        self.on_access(now, &mut effects);
+                    }
                 }
             }
             MacEvent::TxEnd => self.on_tx_end(now, &mut effects),
@@ -505,16 +515,19 @@ impl DcfWorld {
     }
 
     /// Recomputes and schedules the next contention-resolution point.
+    /// When the live access event is already due at that instant it
+    /// stays as it is: no new generation, no second event.
     fn reschedule_access(&mut self, now: SimTime, effects: &mut Vec<MacEffect>) {
         if self.busy_until.is_some_and(|t| now < t) {
             return; // TxEnd will reschedule.
         }
-        self.generation += 1; // Invalidate any previously scheduled access.
         let Some(min_b) = (0..self.stations.len())
             .filter(|&i| self.is_contender(i, now))
             .map(|i| self.stations[i].backoff.unwrap_or(0))
             .min()
         else {
+            self.generation += 1; // Invalidate any scheduled access.
+            self.access_at = None;
             self.countdown_active = false;
             self.contention_since = None;
             return;
@@ -524,8 +537,14 @@ impl DcfWorld {
         }
         // The advance shrinks every counter alike, the minimum included.
         let min_b = min_b.saturating_sub(self.sync_countdown(now));
+        let at = self.anchor + self.slot() * min_b as u64;
+        if self.access_at == Some(at) {
+            return;
+        }
+        self.generation += 1; // Invalidate any previously scheduled access.
+        self.access_at = Some(at);
         effects.push(MacEffect::Schedule {
-            at: self.anchor + self.slot() * min_b as u64,
+            at,
             event: MacEvent::AccessResolved {
                 generation: self.generation,
             },

@@ -19,7 +19,9 @@
 //!
 //! Timer cancellation uses generation stamps (like the MAC crate): the
 //! embedder never needs to delete events, it just delivers them and the
-//! state machine ignores stale generations.
+//! state machine ignores stale generations. Each arm supersedes the
+//! previous one, so an embedder may also keep only the latest arm per
+//! timer (an `airtime_sim::EventQueue` deadline).
 
 use std::collections::BTreeSet;
 

@@ -3,7 +3,9 @@
 //!
 //! These exercise the whole sender↔receiver loop — ack clocking, delayed
 //! acks, fast retransmit, RTO recovery, app-level rate limiting — the
-//! dynamics the WLAN experiments later rely on.
+//! dynamics the WLAN experiments later rely on — and check that keeping
+//! each timer as one event-queue deadline fires exactly the timers that
+//! one event per arm would.
 
 use std::collections::VecDeque;
 
@@ -11,7 +13,24 @@ use airtime_net::{
     FlowId, Packet, PacketKind, RateLimiter, ReceiverEffect, SenderEffect, TcpConfig, TcpReceiver,
     TcpSender,
 };
-use airtime_sim::{EventQueue, SimDuration, SimTime};
+use airtime_sim::{EventQueue, SimDuration, SimRng, SimTime};
+
+/// Event-queue deadline keys of the two timers.
+const RTO: usize = 0;
+const DELACK: usize = 1;
+
+/// How the harness queues timer arms.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Timers {
+    /// One queued event per arm; superseded ones pop and are ignored.
+    EventPerArm,
+    /// One deadline per timer ([`EventQueue::arm`]).
+    Deadline,
+}
+
+/// A timer expiry that took effect: `'R'` for an RTO that timed out,
+/// `'D'` for a delayed ACK that sent one, with its time and generation.
+type Fire = (char, SimTime, u64);
 
 #[derive(Clone, Copy, Debug)]
 enum Ev {
@@ -42,6 +61,8 @@ struct Loopback {
     completed_at: Option<SimTime>,
     data_packets_on_wire: u64,
     ack_packets_on_wire: u64,
+    timers: Timers,
+    fires: Vec<Fire>,
 }
 
 impl Loopback {
@@ -60,6 +81,15 @@ impl Loopback {
             completed_at: None,
             data_packets_on_wire: 0,
             ack_packets_on_wire: 0,
+            timers: Timers::EventPerArm,
+            fires: Vec::new(),
+        }
+    }
+
+    fn arm(&mut self, key: usize, at: SimTime, ev: Ev) {
+        match self.timers {
+            Timers::EventPerArm => self.queue.schedule(at, ev),
+            Timers::Deadline => self.queue.arm(key, at, ev),
         }
     }
 
@@ -67,7 +97,7 @@ impl Loopback {
         for e in fx {
             match e {
                 SenderEffect::ArmRto { at, generation } => {
-                    self.queue.schedule(at, Ev::RtoFired(generation));
+                    self.arm(RTO, at, Ev::RtoFired(generation));
                 }
                 SenderEffect::Complete => self.completed_at = Some(self.now),
             }
@@ -83,7 +113,7 @@ impl Loopback {
                     self.queue.schedule(self.now + self.delay, Ev::Arrive(pkt));
                 }
                 ReceiverEffect::ArmDelAck { at, generation } => {
-                    self.queue.schedule(at, Ev::DelAckFired(generation));
+                    self.arm(DELACK, at, Ev::DelAckFired(generation));
                 }
             }
         }
@@ -143,12 +173,19 @@ impl Loopback {
                 },
                 Ev::RtoFired(generation) => {
                     let mut fx = Vec::new();
+                    let before = self.sender.stats().2;
                     self.sender.on_rto_fired(t, generation, &mut fx);
+                    if self.sender.stats().2 > before {
+                        self.fires.push(('R', t, generation));
+                    }
                     self.sender_effects(fx);
                     self.pump_sender();
                 }
                 Ev::DelAckFired(generation) => {
                     let fx = self.receiver.on_delack_fired(generation);
+                    if !fx.is_empty() {
+                        self.fires.push(('D', t, generation));
+                    }
                     self.receiver_effects(fx);
                 }
                 Ev::Pump => self.pump_sender(),
@@ -307,4 +344,63 @@ fn deterministic_replay() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn deadline_timers_fire_like_one_event_per_arm() {
+    // Random paths — delay, bottleneck, losses, app limit, task size —
+    // run once queueing an event per timer arm and once through one
+    // deadline per timer. The timers that take effect must be the same
+    // `(time, generation)` sequence, and so must the whole run.
+    let mss = TcpConfig::default().mss;
+    let mut rng = SimRng::new(2004);
+    let mut fired = std::collections::BTreeMap::new();
+    for case in 0..60 {
+        let delay = SimDuration::from_micros(200 + rng.below(20_000));
+        let service = rng
+            .chance(0.7)
+            .then(|| SimDuration::from_micros(100 + rng.below(6_000)));
+        let limit = rng
+            .chance(0.3)
+            .then(|| 200_000.0 + rng.below(4_000_000) as f64);
+        let task = rng.chance(0.5).then(|| (20 + rng.below(400)) * mss);
+        // Scattered single losses (fast retransmit) and bursts, which
+        // with a small window need the retransmission timer.
+        let mut drops: Vec<u64> = (0..rng.below(8)).map(|_| rng.below(300)).collect();
+        for _ in 0..rng.below(3) {
+            let start = rng.below(300);
+            drops.extend(start..start + 2 + rng.below(6));
+        }
+        let run = |timers| {
+            let limiter = limit.map(|bps| RateLimiter::new(bps, 2 * mss));
+            let sender = TcpSender::new(FlowId(0), TcpConfig::default(), task, limiter);
+            let mut lb = Loopback::new(sender, delay, service);
+            lb.timers = timers;
+            lb.drop_list = drops.clone();
+            lb.run_until(SimTime::from_secs(4));
+            let stats = lb.sender.stats();
+            let high_water = lb.queue.high_water();
+            let outcome = (
+                lb.completed_at,
+                lb.data_packets_on_wire,
+                lb.ack_packets_on_wire,
+                stats,
+                lb.receiver.contiguous_segments(),
+            );
+            (lb.fires, outcome, high_water)
+        };
+        let (per_arm, per_arm_outcome, per_arm_hw) = run(Timers::EventPerArm);
+        let (deadline, deadline_outcome, deadline_hw) = run(Timers::Deadline);
+        assert_eq!(per_arm, deadline, "case {case}: timers fired differently");
+        assert_eq!(per_arm_outcome, deadline_outcome, "case {case}");
+        assert!(deadline_hw <= per_arm_hw, "case {case}");
+        for (kind, ..) in &deadline {
+            *fired.entry(*kind).or_insert(0) += 1;
+        }
+    }
+    // Both timers must have taken effect often enough to mean something.
+    assert!(
+        fired.get(&'R').is_some_and(|&n| n >= 20) && fired.get(&'D').is_some_and(|&n| n >= 20),
+        "too few timers took effect: {fired:?}"
+    );
 }

@@ -207,7 +207,7 @@ fn roam_preset_fingerprint_matches_golden() {
     // an intentional behavioral change, copy the actual value from the
     // failure message.
     assert_eq!(
-        outcome.fp, "1d284a1065faf2b7",
+        outcome.fp, "708f050c93430b58",
         "roam fingerprint moved — update the golden if intentional"
     );
 }

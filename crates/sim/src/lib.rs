@@ -7,7 +7,8 @@
 //!   runs are bit-for-bit reproducible.
 //! - [`queue`]: the deterministic event queue ([`EventQueue`]) that breaks
 //!   ties in insertion order — essential when many events share a
-//!   timestamp (common in slotted MAC simulations).
+//!   timestamp (common in slotted MAC simulations) — and keeps one entry
+//!   per re-armable timer deadline.
 //! - [`rng`]: a seedable random-number wrapper ([`SimRng`]) with independent
 //!   substreams so adding randomness to one component does not perturb
 //!   another.

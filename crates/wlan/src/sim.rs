@@ -28,7 +28,8 @@
 //!
 //! A flow is marked by:
 //! - a `StartFlow` or `Pump` event;
-//! - a current-epoch `RtoFired` or `DelAckFired`;
+//! - a due `RtoFired` or `DelAckFired` (the queue pops only a timer's
+//!   latest arm, see the timers section below);
 //! - a TCP ack, TCP data or UDP datagram handed to it
 //!   (`on_delivered`, `on_wired_to_host`);
 //! - `rebuild_flow` (a fresh incarnation at association);
@@ -47,6 +48,22 @@
 //! uplink pump or a TCP ack from a downlink receiver) and by the
 //! `TxFinal` of a frame it sent, which frees its MAC. The AP is kicked,
 //! and the scheduler wake checked, after every dispatch.
+//!
+//! # Timers
+//!
+//! Re-armable timers are event-queue deadlines ([`EventQueue::arm`]):
+//! each flow's retransmission timer and delayed-ACK timer, and the
+//! MAC's next contention point (each `AccessResolved` the MAC asks for
+//! supersedes the previous one). A deadline keeps one queue entry
+//! however often it is re-armed and pops only its latest arm, at the
+//! armed instant. So a TCP ack that pushes the retransmission timer
+//! out costs a slot update, not a queued event that later pops and is
+//! ignored. A handoff disarms the departing incarnation's timers.
+//!
+//! Every dispatch is followed by the AP kick, so removing dead
+//! dispatches removes AP consults too. That moves results only where
+//! such a consult could change anything: a TBR AP holding a backlog
+//! it has no tokens for, which a later consult may release.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -75,6 +92,19 @@ use crate::report::{FlowReport, NodeReport, Report};
 
 const AP: NodeId = NodeId(0);
 
+/// Event-queue deadline key of the MAC's next contention point.
+const ACCESS_DEADLINE: usize = 0;
+
+/// Deadline key of `flow`'s retransmission timer.
+fn rto_deadline(flow: usize) -> usize {
+    1 + 2 * flow
+}
+
+/// Deadline key of `flow`'s delayed-ACK timer.
+fn delack_deadline(flow: usize) -> usize {
+    2 + 2 * flow
+}
+
 #[derive(Clone, Copy, Debug)]
 enum Event {
     Mac(MacEvent),
@@ -82,19 +112,16 @@ enum Event {
     WiredToAp(Packet),
     /// A packet finished crossing the wire towards its wired host.
     WiredToHost(Packet),
+    /// A flow's retransmission timer, armed as its deadline
+    /// ([`rto_deadline`]): only the latest arm pops.
     RtoFired {
         flow: usize,
         generation: u64,
-        /// Flow incarnation stamp: a handoff re-creates the flow's
-        /// transport state, and timers armed by the previous
-        /// incarnation must not fire into the new one (their
-        /// generation counters restart and can collide).
-        epoch: u64,
     },
+    /// A flow's delayed-ACK timer ([`delack_deadline`]).
     DelAckFired {
         flow: usize,
         generation: u64,
-        epoch: u64,
     },
     SchedTick,
     Pump {
@@ -112,10 +139,6 @@ struct FlowRt {
     direction: Direction,
     start: SimTime,
     started: bool,
-    /// Incarnation counter, bumped whenever a handoff tears the flow's
-    /// transport state down. Timer events stamped with an older epoch
-    /// are stale and ignored. Always 0 in single-cell runs.
-    epoch: u64,
     tcp_tx: Option<TcpSender>,
     tcp_rx: Option<TcpReceiver>,
     udp: Option<UdpSource>,
@@ -389,7 +412,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                     direction: spec.direction,
                     start: spec.start,
                     started: false,
-                    epoch: 0,
                     tcp_tx,
                     tcp_rx,
                     udp,
@@ -758,14 +780,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
             Event::WiredToAp(pkt) => self.on_wired_to_ap(pkt),
             Event::WiredToHost(pkt) => self.on_wired_to_host(pkt),
-            Event::RtoFired {
-                flow,
-                generation,
-                epoch,
-            } => {
-                if epoch != self.flows[flow].epoch {
-                    return; // armed by a pre-handoff incarnation
-                }
+            Event::RtoFired { flow, generation } => {
                 self.dirty_flows.insert(flow);
                 let now = self.now;
                 let mut fx = Vec::new();
@@ -782,14 +797,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
                 self.apply_sender_effects(flow, fx);
             }
-            Event::DelAckFired {
-                flow,
-                generation,
-                epoch,
-            } => {
-                if epoch != self.flows[flow].epoch {
-                    return;
-                }
+            Event::DelAckFired { flow, generation } => {
                 self.dirty_flows.insert(flow);
                 let fx = match self.flows[flow].tcp_rx.as_mut() {
                     Some(rx) => rx.on_delack_fired(generation),
@@ -863,6 +871,13 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
         for e in effects {
             match e {
+                MacEffect::Schedule {
+                    at,
+                    event: event @ MacEvent::AccessResolved { .. },
+                } => {
+                    // Each access event supersedes the previous one.
+                    self.queue.arm(ACCESS_DEADLINE, at, Event::Mac(event));
+                }
                 MacEffect::Schedule { at, event } => self.queue.schedule(at, Event::Mac(event)),
                 MacEffect::BackoffDrawn { node, slots, cw } => {
                     if self.wants(Hook::Backoff) {
@@ -1151,15 +1166,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         for e in effects {
             match e {
                 SenderEffect::ArmRto { at, generation } => {
-                    let epoch = self.flows[flow].epoch;
-                    self.queue.schedule(
-                        at,
-                        Event::RtoFired {
-                            flow,
-                            generation,
-                            epoch,
-                        },
-                    );
+                    self.queue
+                        .arm(rto_deadline(flow), at, Event::RtoFired { flow, generation });
                 }
                 SenderEffect::Complete => {
                     let started = self.flows[flow].start;
@@ -1200,14 +1208,10 @@ impl<'c, O: Observer> Sim<'c, O> {
                     }
                 }
                 ReceiverEffect::ArmDelAck { at, generation } => {
-                    let epoch = self.flows[flow].epoch;
-                    self.queue.schedule(
+                    self.queue.arm(
+                        delack_deadline(flow),
                         at,
-                        Event::DelAckFired {
-                            flow,
-                            generation,
-                            epoch,
-                        },
+                        Event::DelAckFired { flow, generation },
                     );
                 }
             }
@@ -1540,8 +1544,13 @@ impl<'c, O: Observer> Sim<'c, O> {
             self.emit_client_queue(node);
         }
         let flows = self.flows_of(station);
+        for flow in flows.clone() {
+            // The old incarnation's timers must not fire into the next
+            // one: its generation counters restart and can collide.
+            self.queue.disarm(rto_deadline(flow));
+            self.queue.disarm(delack_deadline(flow));
+        }
         for f in &mut self.flows[flows] {
-            f.epoch += 1;
             f.started = false;
             f.tcp_tx = None;
             f.tcp_rx = None;
@@ -1881,12 +1890,10 @@ mod tests {
             Event::RtoFired {
                 flow: 0,
                 generation: 0,
-                epoch: 0,
             },
             Event::DelAckFired {
                 flow: 0,
                 generation: 0,
-                epoch: 0,
             },
             Event::SchedTick,
             Event::Pump { flow: 0 },
@@ -2012,6 +2019,52 @@ mod tests {
                 a > b,
                 "flow {flow} silent after re-association ({b} -> {a} bytes)"
             );
+        }
+    }
+
+    /// Re-armed timers keep one queue entry each: a saturated fig9
+    /// 11+1 TBR cell, where every ack re-arms a retransmission timer,
+    /// never holds two timer events for one flow, and its queue stays
+    /// a few dozen entries deep.
+    #[test]
+    fn a_saturated_cell_queues_one_entry_per_timer() {
+        use crate::scenarios;
+        for direction in [Direction::Uplink, Direction::Downlink] {
+            let mut cfg = scenarios::tcp_stations(
+                &[DataRate::B11, DataRate::B1],
+                direction,
+                SchedulerKind::tbr(),
+            );
+            cfg.duration = SimDuration::from_secs(20);
+            let mut obs = NullObserver;
+            let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
+            let flows = cell.sim.flows.len();
+            let end = SimTime::ZERO + cfg.duration;
+            let (mut rtos, mut delacks) = (0u64, 0u64);
+            while cell.peek_time().is_some_and(|t| t <= end) {
+                let (_, label) = cell.step_labeled().expect("an event was peeked");
+                rtos += u64::from(label == "tcp.rto");
+                delacks += u64::from(label == "tcp.delack");
+                let mut per_flow = vec![(0, 0); flows];
+                for (_, ev) in cell.sim.queue.pending() {
+                    match *ev {
+                        Event::RtoFired { flow, .. } => per_flow[flow].0 += 1,
+                        Event::DelAckFired { flow, .. } => per_flow[flow].1 += 1,
+                        _ => {}
+                    }
+                }
+                assert!(
+                    per_flow.iter().all(|&(r, d)| r <= 1 && d <= 1),
+                    "{direction:?}: timer events per flow {per_flow:?}"
+                );
+            }
+            let hw = cell.queue_high_water();
+            assert!(hw <= 40, "{direction:?}: queue high water {hw}");
+            // Only live timers pop: every RTO dispatch is a timeout.
+            let report = cell.finish(end);
+            let timeouts: u64 = report.flows.iter().map(|f| f.timeouts).sum();
+            assert_eq!(rtos, timeouts, "{direction:?}: stale RTO dispatches");
+            assert!(delacks > 0, "{direction:?}: no delayed ACK fired");
         }
     }
 

@@ -94,7 +94,7 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
         (
             "table3/four_node_mix/tbr",
             shorten(scenarios::four_node_mix(SchedulerKind::tbr())),
-            "1562d665f17f4f4b",
+            "10e2809753687aab",
         ),
         (
             "fig4/updown/rr",
@@ -138,17 +138,17 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
         (
             "table4/bottleneck/tbr",
             shorten(scenarios::bottleneck_table4(SchedulerKind::tbr())),
-            "48e723ce974832ac",
+            "8e992f7a8fef1b86",
         ),
         (
             "worklist_edges/tbr",
             worklist_edges(SchedulerKind::tbr()),
-            "4b5dcc26e5007c4f",
+            "ca8ec381aa7ac69b",
         ),
         (
             "worklist_edges/rr",
             worklist_edges(SchedulerKind::RoundRobin),
-            "7583fb1f02720f9b",
+            "8535223780978585",
         ),
     ]
 }
