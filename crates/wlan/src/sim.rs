@@ -60,10 +60,10 @@
 //! out costs a slot update, not a queued event that later pops and is
 //! ignored. A handoff disarms the departing incarnation's timers.
 //!
-//! Every dispatch is followed by the AP kick, so removing dead
-//! dispatches removes AP consults too. That moves results only where
-//! such a consult could change anything: a TBR AP holding a backlog
-//! it has no tokens for, which a later consult may release.
+//! The AP is consulted after every dispatch, and only live timers
+//! dispatch. A TBR AP holding a backlog it has no tokens for releases
+//! it at the first consult after its balance turns positive, so its
+//! release instants follow the live events and its own wake-ups.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
