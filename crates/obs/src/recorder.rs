@@ -63,6 +63,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Odd multiplier of [`mix`] (2^64 / φ).
 const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// Station ids below this keep their sub-fingerprint in a table
+/// indexed by id; the per-event lookup is then one index, not a tree
+/// search.
+const DENSE_STATIONS: usize = 4096;
+
 /// Events per fingerprint checkpoint unless overridden.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 /// Ring capacity unless overridden: enough to hold a full checkpoint
@@ -258,7 +263,10 @@ pub struct FlightRecorder {
     /// When set, only events with `index` in `[a, b)` enter the ring
     /// (fingerprinting still covers the whole stream).
     window: Option<(u64, u64)>,
-    station_fp: BTreeMap<u64, u64>,
+    /// Sub-fingerprints of stations below [`DENSE_STATIONS`], by id.
+    dense_fp: Vec<Option<u64>>,
+    /// Sub-fingerprints of any larger station ids.
+    sparse_fp: BTreeMap<u64, u64>,
     /// Test hook: perturb the record at this stream index before
     /// folding, manufacturing a deterministic synthetic divergence.
     inject_at: Option<u64>,
@@ -285,7 +293,8 @@ impl FlightRecorder {
             capacity: DEFAULT_RING_CAPACITY,
             dropped: 0,
             window: None,
-            station_fp: BTreeMap::new(),
+            dense_fp: Vec::new(),
+            sparse_fp: BTreeMap::new(),
             inject_at: None,
         }
     }
@@ -362,8 +371,23 @@ impl FlightRecorder {
     /// Per-station sub-fingerprints (folded from the events attributed
     /// to each station: a decision's or queue's key, a handoff's
     /// station, an attempt's billed client, a final verdict's sender).
-    pub fn station_fingerprints(&self) -> &BTreeMap<u64, u64> {
-        &self.station_fp
+    pub fn station_fingerprints(&self) -> BTreeMap<u64, u64> {
+        let dense = self.dense_fp.iter().enumerate();
+        let dense = dense.filter_map(|(s, fp)| fp.map(|fp| (s as u64, fp)));
+        dense.chain(self.sparse_fp.clone()).collect()
+    }
+
+    /// The running sub-fingerprint of station `s`.
+    fn station_fp(&mut self, s: u64) -> &mut u64 {
+        match usize::try_from(s) {
+            Ok(i) if i < DENSE_STATIONS => {
+                if i >= self.dense_fp.len() {
+                    self.dense_fp.resize(i + 1, None);
+                }
+                self.dense_fp[i].get_or_insert(SEED)
+            }
+            _ => self.sparse_fp.entry(s).or_insert(SEED),
+        }
     }
 
     /// Folds one canonical event into the stream. `seed` is
@@ -392,7 +416,7 @@ impl FlightRecorder {
         h = mix(h, station.unwrap_or(u64::MAX));
         self.fp = mix(self.fp, h);
         if let Some(s) = station {
-            let sfp = self.station_fp.entry(s).or_insert(SEED);
+            let sfp = self.station_fp(s);
             *sfp = mix(*sfp, h);
         }
         let text = retain.then(|| {
