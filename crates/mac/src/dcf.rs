@@ -29,11 +29,15 @@
 //!   that order, and EIFS deferral by third parties is folded into it.
 //! - Backoff a station carries into an idle spell (its post-transmission
 //!   draw, with no frame pending) counts down only while some other
-//!   station's countdown runs: each countdown advance subtracts the
-//!   elapsed slots from every carried backoff, idle stations' included.
-//!   Over an idle medium with no contender it stays frozen until the
-//!   station's next frame, where real DCF would keep counting.
-//!   Saturated senders (the paper's regime) are unaffected.
+//!   station's countdown runs. Every backoff is kept as an expiry on one
+//!   cell-wide countdown clock, the total slots the countdown has
+//!   advanced; a station's remaining count is its expiry minus the
+//!   clock, saturating at zero, so each advance shortens every carried
+//!   backoff alike, idle and deferred stations' included. Over an idle
+//!   medium with no contender the clock stands still, and the backoff
+//!   stays frozen until the station's next frame, where real DCF would
+//!   keep counting. Saturated senders (the paper's regime) are
+//!   unaffected.
 
 use airtime_phy::{LinkErrorModel, Phy80211b};
 use airtime_sim::{SimDuration, SimRng, SimTime};
@@ -177,10 +181,14 @@ pub enum SliceKind {
 
 struct Station {
     pending: Option<Frame>,
-    /// Remaining backoff slots, measured from the world's `anchor` while
-    /// a countdown is active. `Some` whenever a frame is pending; may
-    /// carry a post-transmission backoff between frames.
-    backoff: Option<u32>,
+    /// Countdown-clock reading at which the backoff expires: the
+    /// remaining slots, measured from the world's `anchor` while a
+    /// countdown is active, are `expiry − clock`, saturating at zero.
+    /// `Some` whenever a frame is pending (a frame on the air keeps the
+    /// expiry it won with, so it reads zero); may carry a
+    /// post-transmission backoff between frames. `None` only before the
+    /// station's first frame.
+    expiry: Option<u64>,
     cw: u32,
     retries: u32,
     defer_until: Option<SimTime>,
@@ -222,6 +230,17 @@ pub struct DcfWorld {
     /// Slot-grid origin of the active countdown.
     anchor: SimTime,
     countdown_active: bool,
+    /// Slots the countdown has advanced in total: the clock every
+    /// station's backoff `expiry` is read against.
+    clock: u64,
+    /// `(expiry, id)` of every station with a pending frame and no
+    /// deferral of its own, sorted: the minimum is the head, and the
+    /// stations whose backoff has run out are a prefix.
+    contenders: Vec<(u64, usize)>,
+    /// Stations with a deferral of their own (client cooperation), in
+    /// no particular order. Their deferral may lapse before its timer
+    /// is delivered, so they are checked against `now` at each query.
+    held: Vec<usize>,
     generation: u64,
     /// When the live `AccessResolved` (the one stamped `generation`)
     /// is due, if one is live.
@@ -263,7 +282,7 @@ impl DcfWorld {
             stations: (0..n)
                 .map(|_| Station {
                     pending: None,
-                    backoff: None,
+                    expiry: None,
                     cw: cw_min,
                     retries: 0,
                     defer_until: None,
@@ -275,6 +294,9 @@ impl DcfWorld {
             busy_until: None,
             anchor: SimTime::ZERO,
             countdown_active: false,
+            clock: 0,
+            contenders: Vec::new(),
+            held: Vec::new(),
             generation: 0,
             access_at: None,
             medium_defer: None,
@@ -359,7 +381,7 @@ impl DcfWorld {
         }
         let mut effects = Vec::new();
         let medium_busy = self.busy_until.is_some_and(|t| now < t);
-        let needs_backoff = self.stations[idx].backoff.is_none();
+        let needs_backoff = self.stations[idx].expiry.is_none();
         if needs_backoff {
             // No carried post-transmission backoff: immediate access when
             // the medium is idle, fresh draw when it is busy.
@@ -377,13 +399,15 @@ impl DcfWorld {
             } else {
                 0
             };
-            self.stations[idx].backoff = Some(b);
+            self.stations[idx].expiry = Some(self.clock + b as u64);
         }
         let st = &mut self.stations[idx];
         st.pending = Some(frame);
         st.retries = 0;
         st.airtime_this_frame = SimDuration::ZERO;
+        self.list(idx);
         self.reschedule_access(now, &mut effects);
+        self.check_contenders(now);
         Ok(effects)
     }
 
@@ -399,12 +423,18 @@ impl DcfWorld {
         if until <= now || held.is_some_and(|t| t >= until) {
             return effects;
         }
-        self.stations[node.index()].defer_until = Some(until);
+        let idx = node.index();
+        if self.stations[idx].defer_until.is_none() {
+            self.unlist(idx);
+            self.held.push(idx);
+        }
+        self.stations[idx].defer_until = Some(until);
         effects.push(MacEffect::Schedule {
             at: until,
             event: MacEvent::DeferExpired { node },
         });
         self.reschedule_access(now, &mut effects);
+        self.check_contenders(now);
         effects
     }
 
@@ -430,13 +460,27 @@ impl DcfWorld {
         if until <= now || self.medium_defer.is_some_and(|t| t >= until) {
             return effects;
         }
-        let Some(first) =
-            (0..self.stations.len()).find(|&i| self.deferred_until(i).is_none_or(|t| t < until))
-        else {
+        // Stations whose own deferral outlasts the window ignore it. The
+        // per-station loop this call equals starts with the lowest index
+        // the window reaches: the "first" station.
+        let outlasts = |i: usize| self.stations[i].defer_until.is_some_and(|t| t >= until);
+        if self.held.iter().filter(|&&i| outlasts(i)).count() == self.stations.len() {
             return effects;
-        };
+        }
+        // Station `c` is the first one when every lower index outlasts.
+        let is_first = |c: usize| self.held.iter().filter(|&&i| i < c && outlasts(i)).count() == c;
         if self.busy_until.is_none_or(|t| now >= t) {
-            if (0..self.stations.len()).any(|i| i != first && self.is_contender(i, now)) {
+            // Holding the first station alone advances a running
+            // countdown to `now` when any other station still contends.
+            let advance = {
+                let mut contending = self.contending(now);
+                match (contending.next(), contending.next()) {
+                    (Some(_), Some(_)) => true,
+                    (Some((_, c)), None) => !is_first(c),
+                    (None, _) => false,
+                }
+            };
+            if advance {
                 self.sync_countdown(now);
             }
             self.generation += 1; // Invalidate any scheduled access.
@@ -449,12 +493,20 @@ impl DcfWorld {
             at: until,
             event: MacEvent::MediumDeferExpired,
         });
+        self.check_contenders(now);
         effects
     }
 
     /// Delivers a due event.
     pub fn handle(&mut self, now: SimTime, event: MacEvent) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+        let mut effects = match event {
+            // Sized up front: the cycle's ledger slices, at most four
+            // effects per finished attempt, and the next access.
+            MacEvent::TxEnd => {
+                Vec::with_capacity(self.pending_slices.len() + 4 * self.in_flight.len() + 1)
+            }
+            _ => Vec::new(),
+        };
         match event {
             MacEvent::AccessResolved { generation } => {
                 if generation == self.generation {
@@ -466,9 +518,13 @@ impl DcfWorld {
             }
             MacEvent::TxEnd => self.on_tx_end(now, &mut effects),
             MacEvent::DeferExpired { node } => {
-                let st = &mut self.stations[node.index()];
-                if st.defer_until.is_some_and(|t| t <= now) {
-                    st.defer_until = None;
+                let idx = node.index();
+                if self.stations[idx].defer_until.is_some_and(|t| t <= now) {
+                    self.stations[idx].defer_until = None;
+                    let at = self.held.iter().position(|&i| i == idx);
+                    self.held
+                        .swap_remove(at.expect("a deferred station is held"));
+                    self.list(idx);
                     // A running medium deferral still holds the station;
                     // its own expiry reschedules.
                     if self.medium_defer.is_none_or(|t| now >= t) {
@@ -483,6 +539,7 @@ impl DcfWorld {
                 }
             }
         }
+        self.check_contenders(now);
         effects
     }
 
@@ -495,9 +552,118 @@ impl DcfWorld {
         self.stations[idx].defer_until.max(self.medium_defer)
     }
 
-    fn is_contender(&self, idx: usize, now: SimTime) -> bool {
-        self.stations[idx].pending.is_some() && self.deferred_until(idx).is_none_or(|t| now >= t)
+    /// Files station `idx` in the contender list if it contends: a
+    /// pending frame and no deferral of its own. Pair every change of a
+    /// station's frame, expiry or own deferral with [`Self::unlist`]
+    /// before and this after.
+    fn list(&mut self, idx: usize) {
+        if let Some(key) = self.list_key(idx) {
+            let at = self
+                .contenders
+                .binary_search(&key)
+                .expect_err("listed twice");
+            self.contenders.insert(at, key);
+        }
     }
+
+    /// Takes station `idx` out of the contender list, if it is there.
+    fn unlist(&mut self, idx: usize) {
+        if let Some(key) = self.list_key(idx) {
+            let at = self.contenders.binary_search(&key).expect("listed");
+            self.contenders.remove(at);
+        }
+    }
+
+    /// Station `idx`'s contender-list entry, if it belongs in the list.
+    fn list_key(&self, idx: usize) -> Option<(u64, usize)> {
+        let st = &self.stations[idx];
+        if st.pending.is_some() && st.defer_until.is_none() {
+            Some((st.expiry.expect("a pending frame has a backoff"), idx))
+        } else {
+            None
+        }
+    }
+
+    /// The listed contenders, if the medium deferral lets any contend
+    /// at `now`.
+    fn listed(&self, now: SimTime) -> &[(u64, usize)] {
+        if self.medium_defer.is_none_or(|t| now >= t) {
+            &self.contenders
+        } else {
+            &[]
+        }
+    }
+
+    /// `(expiry, id)` of the held stations that contend at `now`: a
+    /// pending frame, and both their own and the medium's deferral over.
+    fn released(&self, now: SimTime) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let open = self.medium_defer.is_none_or(|t| now >= t);
+        self.held.iter().filter_map(move |&i| {
+            let st = &self.stations[i];
+            let free = open && st.defer_until.is_some_and(|t| now >= t);
+            st.pending
+                .filter(|_| free)
+                .map(|_| (st.expiry.expect("a pending frame has a backoff"), i))
+        })
+    }
+
+    /// Every station contending at `now`, listed ones first.
+    fn contending(&self, now: SimTime) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.listed(now).iter().copied().chain(self.released(now))
+    }
+
+    /// The earliest backoff expiry among the stations contending at `now`.
+    fn min_expiry(&self, now: SimTime) -> Option<u64> {
+        let head = self.listed(now).first().copied();
+        head.into_iter()
+            .chain(self.released(now))
+            .map(|(e, _)| e)
+            .min()
+    }
+
+    /// Fills `out` with the stations contending at `now` whose backoff
+    /// has run out on the clock, in id order.
+    fn collect_winners(&self, now: SimTime, out: &mut Vec<usize>) {
+        let clock = self.clock;
+        out.clear();
+        let expired = |&(e, _): &(u64, usize)| e <= clock;
+        let listed = self.listed(now).iter().copied().take_while(expired);
+        out.extend(
+            listed
+                .chain(self.released(now).filter(expired))
+                .map(|(_, i)| i),
+        );
+        out.sort_unstable();
+    }
+
+    /// Debug builds only: the minimum expiry and the winners read off the
+    /// contender list must equal those of a full per-station scan.
+    #[cfg(debug_assertions)]
+    fn check_contenders(&self, now: SimTime) {
+        let scan: Vec<(u64, usize)> = (0..self.stations.len())
+            .filter(|&i| {
+                let contends = self.deferred_until(i).is_none_or(|t| now >= t);
+                self.stations[i].pending.is_some() && contends
+            })
+            .map(|i| (self.stations[i].expiry.expect("pending"), i))
+            .collect();
+        assert_eq!(
+            self.min_expiry(now),
+            scan.iter().map(|&(e, _)| e).min(),
+            "contender list minimum at {now:?}"
+        );
+        let mut winners = Vec::new();
+        self.collect_winners(now, &mut winners);
+        let expired: Vec<usize> = scan
+            .iter()
+            .filter(|&&(e, _)| e <= self.clock)
+            .map(|&(_, i)| i)
+            .collect();
+        assert_eq!(winners, expired, "contender list winners at {now:?}");
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn check_contenders(&self, _now: SimTime) {}
 
     /// The client side of an AP↔station exchange, for occupancy
     /// attribution (§2.2: the AP is a facilitator; its transmissions
@@ -521,11 +687,7 @@ impl DcfWorld {
         if self.busy_until.is_some_and(|t| now < t) {
             return; // TxEnd will reschedule.
         }
-        let Some(min_b) = (0..self.stations.len())
-            .filter(|&i| self.is_contender(i, now))
-            .map(|i| self.stations[i].backoff.unwrap_or(0))
-            .min()
-        else {
+        let Some(min_expiry) = self.min_expiry(now) else {
             self.generation += 1; // Invalidate any scheduled access.
             self.access_at = None;
             self.countdown_active = false;
@@ -535,9 +697,9 @@ impl DcfWorld {
         if self.contention_since.is_none() {
             self.contention_since = Some(now);
         }
-        // The advance shrinks every counter alike, the minimum included.
-        let min_b = min_b.saturating_sub(self.sync_countdown(now));
-        let at = self.anchor + self.slot() * min_b as u64;
+        self.sync_countdown(now);
+        let min_b = min_expiry.saturating_sub(self.clock);
+        let at = self.anchor + self.slot() * min_b;
         if self.access_at == Some(at) {
             return;
         }
@@ -553,9 +715,8 @@ impl DcfWorld {
 
     /// Starts the backoff countdown at the next slot boundary at or
     /// after `now` (on the grid anchored DIFS after the medium went
-    /// idle), or advances a running one to it. Returns the slots the
-    /// counters advanced by.
-    fn sync_countdown(&mut self, now: SimTime) -> u32 {
+    /// idle), or advances a running one, and the clock with it, to it.
+    fn sync_countdown(&mut self, now: SimTime) {
         let slot = self.slot();
         let base = self.idle_start + self.config.phy.difs();
         // Next slot boundary ≥ max(now, base) on the grid anchored at base.
@@ -566,39 +727,23 @@ impl DcfWorld {
         if !self.countdown_active {
             self.anchor = new_anchor;
             self.countdown_active = true;
-            return 0;
+            return;
         }
         if new_anchor <= self.anchor {
-            return 0;
+            return;
         }
-        let elapsed = ((new_anchor - self.anchor) / slot) as u32;
-        for st in &mut self.stations {
-            if let Some(b) = st.backoff.as_mut() {
-                *b = b.saturating_sub(elapsed);
-            }
-        }
+        self.clock += (new_anchor - self.anchor) / slot;
         self.anchor = new_anchor;
-        elapsed
     }
 
     /// Contention resolved: the minimum countdown expired at `now`.
     fn on_access(&mut self, now: SimTime, effects: &mut Vec<MacEffect>) {
-        let slot = self.slot();
-        let elapsed = (now.saturating_since(self.anchor) / slot) as u32;
-        for st in &mut self.stations {
-            if let Some(b) = st.backoff.as_mut() {
-                *b = b.saturating_sub(elapsed);
-            }
-        }
+        self.clock += now.saturating_since(self.anchor) / self.slot();
         self.anchor = now;
         self.countdown_active = false;
 
         let mut winners = std::mem::take(&mut self.winners);
-        winners.clear();
-        winners.extend(
-            (0..self.stations.len())
-                .filter(|&i| self.is_contender(i, now) && self.stations[i].backoff == Some(0)),
-        );
+        self.collect_winners(now, &mut winners);
         if winners.is_empty() {
             self.winners = winners;
             // Stale state (e.g. the minimum-backoff station was deferred
@@ -659,7 +804,8 @@ impl DcfWorld {
                 // Per-attempt occupancy: DIFS + the attempt's air (§2.3).
                 airtime: phy.difs() + effective,
             });
-            self.stations[w].backoff = None; // consumed
+            // The winner's expiry stays: it reads zero while the frame
+            // is on the air, and TxEnd replaces it.
             if self.stations[w].retries > 0 {
                 self.stats.retries += 1;
             }
@@ -887,7 +1033,9 @@ impl DcfWorld {
                             cw,
                         });
                     }
-                    self.stations[idx].backoff = Some(b);
+                    self.unlist(idx);
+                    self.stations[idx].expiry = Some(self.clock + b as u64);
+                    self.list(idx);
                 }
             }
         }
@@ -907,11 +1055,12 @@ impl DcfWorld {
                 cw: cw_min,
             });
         }
+        self.unlist(idx);
         let st = &mut self.stations[idx];
         st.pending = None;
         st.retries = 0;
         st.cw = cw_min;
-        st.backoff = Some(b);
+        st.expiry = Some(self.clock + b as u64);
         st.airtime_this_frame = SimDuration::ZERO;
     }
 }

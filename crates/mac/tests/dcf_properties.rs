@@ -407,3 +407,47 @@ fn defer_medium_matches_a_per_node_defer_loop() {
         assert!(hits >= 10, "only {hits} mirrors hit the {name} case");
     }
 }
+
+/// Random offer / `set_defer` / `defer_medium` / advance scripts on
+/// cells of up to 40 nodes. Debug builds check the contender list
+/// against a full per-station scan after every public call, so these
+/// scripts drive that check through every transition. One transition
+/// is forced often: a backlogged station held exactly until the frame
+/// on the air ends, so its `DeferExpired` falls due on the same instant
+/// as the `TxEnd` and is delivered after it. At that `TxEnd` the
+/// station's deferral has lapsed but its timer has not fired, and it
+/// must contend.
+#[test]
+fn contender_list_tracks_random_scripts() {
+    let mut gen = SimRng::new(0xC0_57);
+    let mut same_instant = 0;
+    for case in 0..150 {
+        let n = gen.range_inclusive(2, 40) as usize;
+        let fer: Vec<f64> = (1..n).map(|_| gen.unit() * 0.3).collect();
+        let mut rig = Rig::new(n, &fer, gen.chance(0.3), gen.below(1 << 32));
+        for _ in 0..gen.range_inclusive(20, 150) {
+            let on_air = rig.world.busy_until().filter(|&t| t > rig.now);
+            if let Some(end) = on_air.filter(|_| gen.chance(0.3)) {
+                let node = NodeId(gen.below(n as u64) as usize);
+                if !rig.world.can_accept(node) {
+                    same_instant += 1;
+                }
+                let fx = rig.world.set_defer(rig.now, node, end);
+                rig.apply(fx);
+            } else {
+                rig.step(random_step(&mut gen, n), false);
+            }
+        }
+        let end = rig.now + SimDuration::from_millis(40);
+        rig.run_until(end);
+        let stats = rig.world.stats();
+        assert!(
+            stats.delivered + stats.dropped <= stats.attempts,
+            "case {case}: {stats:?}"
+        );
+    }
+    assert!(
+        same_instant >= 100,
+        "only {same_instant} deferrals of a backlogged station ended with a TxEnd"
+    );
+}
