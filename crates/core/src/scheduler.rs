@@ -263,7 +263,11 @@ pub struct QueuePool {
     /// One FIFO per registered client, in slot order.
     pub queues: Vec<VecDeque<QueuedPacket>>,
     /// Slot → client mapping (append-only).
-    pub clients: Vec<ClientId>,
+    clients: Vec<ClientId>,
+    /// Client → slot, indexed by [`ClientId::index`]: client ids are
+    /// dense station or flow indices, and slots are never reused, so
+    /// an entry once set never changes.
+    slot_by_client: Vec<Option<usize>>,
     total_budget: usize,
     drops: u64,
     policy: BufferPolicy,
@@ -280,6 +284,7 @@ impl QueuePool {
         QueuePool {
             queues: Vec::new(),
             clients: Vec::new(),
+            slot_by_client: Vec::new(),
             total_budget: total_budget.max(1),
             drops: 0,
             policy,
@@ -291,13 +296,22 @@ impl QueuePool {
     }
 
     pub fn slot_of(&self, client: ClientId) -> Option<usize> {
-        self.clients.iter().position(|&c| c == client)
+        self.slot_by_client.get(client.index()).copied().flatten()
+    }
+
+    /// Slot → client mapping, in slot order (append-only).
+    pub fn clients(&self) -> &[ClientId] {
+        &self.clients
     }
 
     pub fn add_client(&mut self, client: ClientId) -> usize {
         match self.slot_of(client) {
             Some(i) => i,
             None => {
+                if client.index() >= self.slot_by_client.len() {
+                    self.slot_by_client.resize(client.index() + 1, None);
+                }
+                self.slot_by_client[client.index()] = Some(self.clients.len());
                 self.clients.push(client);
                 self.queues.push(VecDeque::new());
                 self.red.push(RedState::default());
@@ -599,6 +613,51 @@ mod tests {
             handle,
             bytes,
         }
+    }
+
+    /// Sparse client ids (per-flow keys up to ~80) registered, flushed
+    /// and re-registered in random order: slots stay append-only and
+    /// the index agrees with a linear search over the slot table.
+    #[test]
+    fn queue_pool_index_matches_a_linear_search() {
+        let mut rng = SimRng::new(0x51_07);
+        let mut pool = QueuePool::new(400);
+        let linear = |pool: &QueuePool, c: ClientId| pool.clients().iter().position(|&x| x == c);
+        for round in 0..2_000 {
+            // Every third id up to 80: gaps on both sides of each key.
+            let client = ClientId(rng.below(27) as usize * 3 + 2);
+            let before = pool.clients().to_vec();
+            let known = linear(&pool, client);
+            match rng.below(3) {
+                0 => {
+                    let slot = pool.add_client(client);
+                    assert_eq!(Some(slot), known.or(Some(before.len())), "round {round}");
+                }
+                1 => {
+                    pool.flush_client(client);
+                }
+                _ => {
+                    let _ = pool.enqueue(pkt(client.index(), round, 100));
+                }
+            }
+            // Append-only: the old table is a prefix of the new one,
+            // growing by at most the one new client.
+            assert_eq!(
+                &pool.clients()[..before.len()],
+                &before[..],
+                "round {round}"
+            );
+            assert!(pool.clients().len() <= before.len() + 1, "round {round}");
+            for id in 0..90 {
+                let c = ClientId(id);
+                assert_eq!(
+                    pool.slot_of(c),
+                    linear(&pool, c),
+                    "round {round}: client {id}"
+                );
+            }
+        }
+        assert_eq!(pool.len(), 27, "every key registered once");
     }
 
     #[test]
