@@ -153,13 +153,17 @@ fn run_topology_inner<O: Observer>(
         .iter()
         .map(|p| p.position_at(SimDuration::ZERO))
         .collect();
-    let mut current: Vec<Option<usize>> = (0..n_st)
-        .map(|s| {
-            let rssi: Vec<f64> = (0..n_cells).map(|c| topo.rssi_dbm(pos0[s], c)).collect();
-            match topo.decide(None, &rssi) {
-                AssocDecision::Join(c) => Some(c),
-                _ => None,
-            }
+    // RSSI from each station to each AP at t = 0. A station without
+    // mobility keeps it for the whole run.
+    let rssi0: Vec<Vec<f64>> = pos0
+        .iter()
+        .map(|&p| (0..n_cells).map(|c| topo.rssi_dbm(p, c)).collect())
+        .collect();
+    let mut current: Vec<Option<usize>> = rssi0
+        .iter()
+        .map(|rssi| match topo.decide(None, rssi) {
+            AssocDecision::Join(c) => Some(c),
+            _ => None,
         })
         .collect();
 
@@ -269,6 +273,7 @@ fn run_topology_inner<O: Observer>(
         management_tick(
             topo,
             &mut cells,
+            &rssi0,
             next_tick,
             &mut current,
             &mut visit_start,
@@ -313,11 +318,13 @@ fn run_topology_inner<O: Observer>(
 }
 
 /// One management-plane tick at `now`: mobility, link refresh,
-/// association policy.
+/// association policy. `rssi0` is each station's RSSI to every AP at
+/// t = 0, which holds for stations without mobility.
 #[allow(clippy::too_many_arguments)]
 fn management_tick<O: Observer>(
     topo: &TopologyConfig,
     cells: &mut [CellSim<'_, O>],
+    rssi0: &[Vec<f64>],
     now: SimTime,
     current: &mut [Option<usize>],
     visit_start: &mut [SimTime],
@@ -326,11 +333,18 @@ fn management_tick<O: Observer>(
 ) {
     let n_cells = topo.cells.len();
     let elapsed = now.saturating_since(SimTime::ZERO);
+    let mut moving_rssi = Vec::with_capacity(n_cells);
     for s in 0..current.len() {
         let placement = &topo.placements[s];
         let moved = placement.mobility.is_some();
         let p = placement.position_at(elapsed);
-        let rssi: Vec<f64> = (0..n_cells).map(|c| topo.rssi_dbm(p, c)).collect();
+        let rssi: &[f64] = if moved {
+            moving_rssi.clear();
+            moving_rssi.extend((0..n_cells).map(|c| topo.rssi_dbm(p, c)));
+            &moving_rssi
+        } else {
+            &rssi0[s]
+        };
         // A moving station's channel to its serving AP degrades (or
         // improves) continuously; refresh the link model and, under
         // automatic rate selection, the PHY rate.
@@ -341,7 +355,7 @@ fn management_tick<O: Observer>(
                 cells[c].set_station_rate(s, topo.rate_towards(p, c, placement.rate));
             }
         }
-        match topo.decide(current[s], &rssi) {
+        match topo.decide(current[s], rssi) {
             AssocDecision::Stay => {}
             AssocDecision::Join(to) => {
                 let from = current[s];
