@@ -101,11 +101,19 @@ impl Default for TbrConfig {
 
 impl TbrConfig {
     /// Checks the tunables, naming the first offending one. A zero fill
-    /// period would replay grid instants forever, and a zero bucket caps
-    /// every balance at zero so nothing is ever released.
+    /// period would replay grid instants forever, a zero bucket caps
+    /// every balance at zero so nothing is ever released, and an
+    /// adjustment period shorter than the fill period would re-adjust
+    /// rates at every fill, on windows too short to measure demand.
     pub fn validate(&self) -> Result<(), String> {
         if self.fill_period.is_zero() {
             return Err("fill_period must be positive".into());
+        }
+        if self.adjust_period < self.fill_period {
+            return Err(format!(
+                "adjust_period must be at least fill_period ({} ms)",
+                self.fill_period.as_secs_f64() * 1e3
+            ));
         }
         if self.bucket.is_zero() {
             return Err("bucket must be positive".into());

@@ -1356,6 +1356,31 @@ strict = true
             .unwrap();
     }
 
+    /// The ROADMAP probe `adjust_period_ms = 0` once compiled and
+    /// re-adjusted rates at every fill; an adjustment period shorter
+    /// than the fill period is now a `file:line` diagnostic at its key.
+    #[test]
+    fn adjust_period_shorter_than_fill_period_is_rejected_at_its_key() {
+        for (table, line) in [
+            ("adjust_period_ms = 0", 3),
+            ("fill_period_ms = 5\nadjust_period_ms = 4", 4),
+        ] {
+            let text =
+                format!("[scheduler]\nkind = \"tbr\"\n{table}\n[[station]]\nrate = \"11\"\n");
+            let doc = crate::parse_text(&text, "cell.toml").unwrap();
+            let e = crate::compile(&doc, "cell.toml").unwrap_err().to_string();
+            assert!(
+                e.starts_with(&format!(
+                    "cell.toml:{line}: [scheduler] adjust_period must be at least fill_period"
+                )),
+                "{table}: {e}"
+            );
+        }
+        // Equal periods are allowed: one adjustment per fill.
+        compile_text("[scheduler]\nkind = \"tbr\"\nfill_period_ms = 5\nadjust_period_ms = 5\n[[station]]\nrate = \"11\"\n")
+            .unwrap();
+    }
+
     #[test]
     fn explicit_flows_and_station_count() {
         let spec = compile_text(
