@@ -299,11 +299,6 @@ impl QueuePool {
         self.slot_by_client.get(client.index()).copied().flatten()
     }
 
-    /// Slot → client mapping, in slot order (append-only).
-    pub fn clients(&self) -> &[ClientId] {
-        &self.clients
-    }
-
     pub fn add_client(&mut self, client: ClientId) -> usize {
         match self.slot_of(client) {
             Some(i) => i,
@@ -622,11 +617,11 @@ mod tests {
     fn queue_pool_index_matches_a_linear_search() {
         let mut rng = SimRng::new(0x51_07);
         let mut pool = QueuePool::new(400);
-        let linear = |pool: &QueuePool, c: ClientId| pool.clients().iter().position(|&x| x == c);
+        let linear = |pool: &QueuePool, c: ClientId| pool.clients.iter().position(|&x| x == c);
         for round in 0..2_000 {
             // Every third id up to 80: gaps on both sides of each key.
             let client = ClientId(rng.below(27) as usize * 3 + 2);
-            let before = pool.clients().to_vec();
+            let before = pool.clients.clone();
             let known = linear(&pool, client);
             match rng.below(3) {
                 0 => {
@@ -642,12 +637,8 @@ mod tests {
             }
             // Append-only: the old table is a prefix of the new one,
             // growing by at most the one new client.
-            assert_eq!(
-                &pool.clients()[..before.len()],
-                &before[..],
-                "round {round}"
-            );
-            assert!(pool.clients().len() <= before.len() + 1, "round {round}");
+            assert_eq!(&pool.clients[..before.len()], &before[..], "round {round}");
+            assert!(pool.clients.len() <= before.len() + 1, "round {round}");
             for id in 0..90 {
                 let c = ClientId(id);
                 assert_eq!(

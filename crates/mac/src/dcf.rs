@@ -473,7 +473,7 @@ impl DcfWorld {
             // Holding the first station alone advances a running
             // countdown to `now` when any other station still contends.
             let advance = {
-                let mut contending = self.contending(now);
+                let mut contending = self.listed(now).iter().copied().chain(self.released(now));
                 match (contending.next(), contending.next()) {
                     (Some(_), Some(_)) => true,
                     (Some((_, c)), None) => !is_first(c),
@@ -600,16 +600,9 @@ impl DcfWorld {
         let open = self.medium_defer.is_none_or(|t| now >= t);
         self.held.iter().filter_map(move |&i| {
             let st = &self.stations[i];
-            let free = open && st.defer_until.is_some_and(|t| now >= t);
-            st.pending
-                .filter(|_| free)
-                .map(|_| (st.expiry.expect("a pending frame has a backoff"), i))
+            let free = open && st.pending.is_some() && st.defer_until.is_some_and(|t| now >= t);
+            free.then(|| (st.expiry.expect("a pending frame has a backoff"), i))
         })
-    }
-
-    /// Every station contending at `now`, listed ones first.
-    fn contending(&self, now: SimTime) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.listed(now).iter().copied().chain(self.released(now))
     }
 
     /// The earliest backoff expiry among the stations contending at `now`.
