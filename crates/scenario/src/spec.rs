@@ -1356,9 +1356,9 @@ strict = true
             .unwrap();
     }
 
-    /// The ROADMAP probe `adjust_period_ms = 0` once compiled and
-    /// re-adjusted rates at every fill; an adjustment period shorter
-    /// than the fill period is now a `file:line` diagnostic at its key.
+    /// `adjust_period_ms = 0` once compiled and re-adjusted rates at
+    /// every fill; an adjustment period shorter than the fill period is
+    /// now a `file:line` diagnostic at its key.
     #[test]
     fn adjust_period_shorter_than_fill_period_is_rejected_at_its_key() {
         for (table, line) in [
