@@ -4,10 +4,16 @@
 //! `"type"` discriminator and a `"t_ns"` timestamp. The format is
 //! append-only: readers must ignore unknown fields (and [`parse_line`]
 //! does), so new fields can be added without breaking old traces.
+//! Every reader of a trace file streams it through one line reader
+//! that reports the lines it could not parse ([`Malformed`]).
+
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
+use std::path::Path;
 
 use airtime_sim::{SimDuration, SimTime};
 
-use crate::json::{parse_flat, Obj, Value};
+use crate::json::{self, Json, Obj};
 
 /// Where in the MAC lifecycle a [`EventRecord::Mac`] record was emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +111,7 @@ pub enum QueueSite {
 }
 
 impl QueueSite {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             QueueSite::Ap => "ap",
             QueueSite::Client => "client",
@@ -512,16 +518,33 @@ impl EventRecord {
     }
 }
 
-/// Field lookup over a parsed flat object.
-struct Fields(Vec<(String, Value)>);
+/// Field lookup over one flat JSON object: a trace or recording line.
+pub(crate) struct Fields(Vec<(String, Json)>);
 
 impl Fields {
-    fn get(&self, k: &str) -> Result<&Value, String> {
-        self.0
+    /// Decodes `line`, which must be a single object of scalar values.
+    /// Lines come from outside the process, so nesting is refused
+    /// rather than ignored.
+    pub(crate) fn parse(line: &str) -> Result<Fields, String> {
+        let Json::Obj(kvs) = json::parse(line)? else {
+            return Err("expected a JSON object".to_string());
+        };
+        if kvs
             .iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{k}'"))
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+        {
+            return Err("nested values not supported".to_string());
+        }
+        Ok(Fields(kvs))
+    }
+
+    /// The value of field `k`, if present.
+    pub(crate) fn opt(&self, k: &str) -> Option<&Json> {
+        self.0.iter().find(|(key, _)| key == k).map(|(_, v)| v)
+    }
+
+    fn get(&self, k: &str) -> Result<&Json, String> {
+        self.opt(k).ok_or_else(|| format!("missing field '{k}'"))
     }
 
     fn u64(&self, k: &str) -> Result<u64, String> {
@@ -533,9 +556,9 @@ impl Fields {
     /// Like [`Fields::u64`], but a missing field yields `default`
     /// (fields added after a trace format shipped parse this way).
     fn u64_or(&self, k: &str, default: u64) -> Result<u64, String> {
-        match self.0.iter().find(|(key, _)| key == k) {
+        match self.opt(k) {
             None => Ok(default),
-            Some((_, v)) => v
+            Some(v) => v
                 .as_u64()
                 .ok_or_else(|| format!("field '{k}' is not an integer")),
         }
@@ -565,7 +588,7 @@ impl Fields {
 /// Unknown fields are ignored; unknown `"type"` values are an error so
 /// callers can count and report them.
 pub fn parse_line(line: &str) -> Result<EventRecord, String> {
-    let f = Fields(parse_flat(line)?);
+    let f = Fields::parse(line)?;
     let t = SimTime::from_nanos(f.u64("t_ns")?);
     let rec = match f.str("type")? {
         "mac" => EventRecord::Mac {
@@ -654,6 +677,52 @@ pub fn parse_line(line: &str) -> Result<EventRecord, String> {
         other => return Err(format!("unknown record type '{other}'")),
     };
     Ok(rec)
+}
+
+/// The lines of a trace that did not parse.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Malformed {
+    /// How many lines failed.
+    pub count: u64,
+    /// The first failure: its 1-based line number and the parse error.
+    pub first: Option<(u64, String)>,
+}
+
+/// Parses every non-blank line of a JSONL trace with [`parse_line`],
+/// handing the records to `sink` in order and tallying the lines that
+/// fail.
+pub(crate) fn parse_lines<I>(lines: I, mut sink: impl FnMut(EventRecord)) -> Malformed
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut bad = Malformed::default();
+    for (i, line) in lines.into_iter().enumerate() {
+        let line = line.as_ref().trim();
+        if line.is_empty() {
+            continue;
+        }
+        match parse_line(line) {
+            Ok(rec) => sink(rec),
+            Err(e) => {
+                bad.count += 1;
+                bad.first.get_or_insert((i as u64 + 1, e));
+            }
+        }
+    }
+    bad
+}
+
+/// [`parse_lines`] over a trace on disk. Lines stream from a buffered
+/// reader one at a time, so a trace of any size is read in constant
+/// memory. An I/O error mid-file stops the scan and is returned.
+pub(crate) fn read_trace(path: &Path, sink: impl FnMut(EventRecord)) -> io::Result<Malformed> {
+    let mut io_err = None;
+    let lines = BufReader::new(File::open(path)?)
+        .lines()
+        .map_while(|line| line.map_err(|e| io_err = Some(e)).ok());
+    let bad = parse_lines(lines, sink);
+    io_err.map_or(Ok(bad), Err)
 }
 
 #[cfg(test)]
@@ -775,6 +844,42 @@ mod tests {
             }
             other => panic!("wrong record {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_nesting_and_garbage() {
+        for line in [
+            r#"{"type":"backoff","t_ns":0,"node":1,"slots":3,"cw":[15]}"#,
+            r#"{"type":"backoff","t_ns":0,"node":1,"slots":3,"cw":{"v":15}}"#,
+        ] {
+            assert_eq!(
+                parse_line(line).unwrap_err(),
+                "nested values not supported",
+                "{line}"
+            );
+        }
+        for line in [r#"{"a": 1} extra"#, r#"{"a" 1}"#, "[1]", "\"backoff\"", ""] {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_lines_counts_bad_lines_and_keeps_the_first() {
+        let good = samples()[3].to_json_line();
+        let lines = [
+            good.as_str(),
+            "",
+            "garbage",
+            good.as_str(),
+            "{\"type\":\"x\"}",
+        ];
+        let mut seen = Vec::new();
+        let bad = parse_lines(lines, |rec| seen.push(rec));
+        assert_eq!(seen, vec![samples()[3].clone(), samples()[3].clone()]);
+        assert_eq!(bad.count, 2);
+        let (line, err) = bad.first.unwrap();
+        assert_eq!(line, 3);
+        assert!(err.starts_with("bad number"), "{err}");
     }
 
     #[test]

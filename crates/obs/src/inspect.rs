@@ -4,13 +4,12 @@
 //! occupancy timelines.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io;
 use std::path::Path;
 
 use airtime_sim::SimTime;
 
-use crate::event::{parse_line, EventRecord, TcpPhase, TokenCause};
+use crate::event::{parse_lines, read_trace, EventRecord, TcpPhase, TokenCause};
 
 /// Per-station aggregates from `tx_attempt` records.
 #[derive(Clone, Debug, Default)]
@@ -97,43 +96,31 @@ struct TokenAcc {
     last_rate: f64,
 }
 
-/// Summarises an iterator of JSONL lines.
-pub fn summarize<I>(lines: I) -> InspectSummary
-where
-    I: IntoIterator,
-    I::Item: AsRef<str>,
-{
-    let mut s = InspectSummary::default();
-    let mut by_type: Vec<(String, u64)> = Vec::new();
-    let mut stations: Vec<StationSummary> = Vec::new();
-    let mut tokens: Vec<TokenAcc> = Vec::new();
-    let mut backoff_slots_sum = 0u64;
+/// The running totals behind one [`InspectSummary`].
+#[derive(Default)]
+struct Tally {
+    s: InspectSummary,
+    by_type: Vec<(String, u64)>,
+    stations: Vec<StationSummary>,
+    tokens: Vec<TokenAcc>,
+    backoff_slots_sum: u64,
+}
 
-    for line in lines {
-        let line = line.as_ref().trim();
-        if line.is_empty() {
-            continue;
-        }
-        let rec = match parse_line(line) {
-            Ok(r) => r,
-            Err(_) => {
-                s.malformed += 1;
-                continue;
-            }
-        };
-        s.total += 1;
+impl Tally {
+    fn add(&mut self, rec: EventRecord) {
+        self.s.total += 1;
         let t = rec.time();
-        if s.t_first.is_none() {
-            s.t_first = Some(t);
+        if self.s.t_first.is_none() {
+            self.s.t_first = Some(t);
         }
-        s.t_last = Some(match s.t_last {
+        self.s.t_last = Some(match self.s.t_last {
             Some(prev) => prev.max(t),
             None => t,
         });
         let kind = rec.kind().to_string();
-        match by_type.iter_mut().find(|(k, _)| *k == kind) {
+        match self.by_type.iter_mut().find(|(k, _)| *k == kind) {
             Some(slot) => slot.1 += 1,
-            None => by_type.push((kind, 1)),
+            None => self.by_type.push((kind, 1)),
         }
 
         match rec {
@@ -144,14 +131,14 @@ where
                 airtime,
                 ..
             } => {
-                let st = match stations.iter_mut().find(|st| st.node == node) {
+                let st = match self.stations.iter_mut().find(|st| st.node == node) {
                     Some(st) => st,
                     None => {
-                        stations.push(StationSummary {
+                        self.stations.push(StationSummary {
                             node,
                             ..Default::default()
                         });
-                        stations.last_mut().unwrap()
+                        self.stations.last_mut().unwrap()
                     }
                 };
                 st.attempts += 1;
@@ -164,15 +151,15 @@ where
                 st.airtime_s += airtime.as_secs_f64();
             }
             EventRecord::Collision { airtime, .. } => {
-                s.collisions += 1;
-                s.collision_airtime_s += airtime.as_secs_f64();
+                self.s.collisions += 1;
+                self.s.collision_airtime_s += airtime.as_secs_f64();
             }
             EventRecord::Backoff { slots, .. } => {
-                s.backoffs += 1;
-                backoff_slots_sum += slots;
+                self.s.backoffs += 1;
+                self.backoff_slots_sum += slots;
             }
             EventRecord::SchedDecision { .. } => {
-                s.sched_decisions += 1;
+                self.s.sched_decisions += 1;
             }
             EventRecord::TokenUpdate {
                 client,
@@ -181,10 +168,10 @@ where
                 cause,
                 ..
             } => {
-                let acc = match tokens.iter_mut().find(|a| a.client == client) {
+                let acc = match self.tokens.iter_mut().find(|a| a.client == client) {
                     Some(a) => a,
                     None => {
-                        tokens.push(TokenAcc {
+                        self.tokens.push(TokenAcc {
                             client,
                             updates: 0,
                             fills: 0,
@@ -195,7 +182,7 @@ where
                             negative: 0,
                             last_rate: rate,
                         });
-                        tokens.last_mut().unwrap()
+                        self.tokens.last_mut().unwrap()
                     }
                 };
                 acc.updates += 1;
@@ -213,7 +200,7 @@ where
             }
             EventRecord::Tcp { phase, .. } => {
                 if phase == TcpPhase::Rto {
-                    s.tcp_rtos += 1;
+                    self.s.tcp_rtos += 1;
                 }
             }
             EventRecord::Mac { .. }
@@ -224,65 +211,71 @@ where
         }
     }
 
-    by_type.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    s.by_type = by_type;
+    fn finish(self, malformed: u64) -> InspectSummary {
+        let Tally {
+            mut s,
+            mut by_type,
+            mut stations,
+            mut tokens,
+            backoff_slots_sum,
+        } = self;
+        s.malformed = malformed;
+        by_type.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        s.by_type = by_type;
 
-    if s.backoffs > 0 {
-        s.mean_backoff_slots = backoff_slots_sum as f64 / s.backoffs as f64;
+        if s.backoffs > 0 {
+            s.mean_backoff_slots = backoff_slots_sum as f64 / s.backoffs as f64;
+        }
+
+        stations.sort_by_key(|st| st.node);
+        let total_air: f64 = stations.iter().map(|st| st.airtime_s).sum();
+        for st in &mut stations {
+            st.share = if total_air > 0.0 {
+                st.airtime_s / total_air
+            } else {
+                0.0
+            };
+        }
+        s.stations = stations;
+
+        tokens.sort_by_key(|a| a.client);
+        s.tokens = tokens
+            .into_iter()
+            .map(|a| TokenSummary {
+                client: a.client,
+                updates: a.updates,
+                fills: a.fills,
+                debits: a.debits,
+                min_us: a.min_us,
+                max_us: a.max_us,
+                mean_us: a.sum_us / a.updates as f64,
+                negative_frac: a.negative as f64 / a.updates as f64,
+                last_rate: a.last_rate,
+            })
+            .collect();
+
+        s
     }
-
-    stations.sort_by_key(|st| st.node);
-    let total_air: f64 = stations.iter().map(|st| st.airtime_s).sum();
-    for st in &mut stations {
-        st.share = if total_air > 0.0 {
-            st.airtime_s / total_air
-        } else {
-            0.0
-        };
-    }
-    s.stations = stations;
-
-    tokens.sort_by_key(|a| a.client);
-    s.tokens = tokens
-        .into_iter()
-        .map(|a| TokenSummary {
-            client: a.client,
-            updates: a.updates,
-            fills: a.fills,
-            debits: a.debits,
-            min_us: a.min_us,
-            max_us: a.max_us,
-            mean_us: a.sum_us / a.updates as f64,
-            negative_frac: a.negative as f64 / a.updates as f64,
-            last_rate: a.last_rate,
-        })
-        .collect();
-
-    s
 }
 
-/// Summarises a JSONL file on disk.
-///
-/// Lines stream straight from the buffered reader into [`summarize`]
-/// one at a time, so multi-gigabyte traces are processed in constant
-/// memory. An I/O error mid-file stops the scan and is returned; the
-/// partial summary is discarded.
-pub fn summarize_file(path: &Path) -> std::io::Result<InspectSummary> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut io_err: Option<std::io::Error> = None;
-    let lines = reader.lines().map_while(|line| match line {
-        Ok(l) => Some(l),
-        Err(e) => {
-            io_err = Some(e);
-            None
-        }
-    });
-    let summary = summarize(lines);
-    match io_err {
-        Some(e) => Err(e),
-        None => Ok(summary),
-    }
+/// Summarises an iterator of JSONL lines.
+pub fn summarize<I>(lines: I) -> InspectSummary
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut tally = Tally::default();
+    let bad = parse_lines(lines, |rec| tally.add(rec));
+    tally.finish(bad.count)
+}
+
+/// Summarises a JSONL file on disk, streamed one line at a time in
+/// constant memory. An I/O error mid-file stops the scan and is
+/// returned; the partial summary is discarded.
+pub fn summarize_file(path: &Path) -> io::Result<InspectSummary> {
+    let mut tally = Tally::default();
+    let bad = read_trace(path, |rec| tally.add(rec))?;
+    Ok(tally.finish(bad.count))
 }
 
 impl fmt::Display for InspectSummary {

@@ -1,13 +1,11 @@
 //! Dependency-free JSON encoding and decoding.
 //!
-//! The observability layer needs three things from JSON: writing
-//! records/metric exports, reading back the *flat* objects the JSONL
-//! event log consists of (`{"k": 1, "s": "x", "b": true}` — use
-//! [`parse_flat`], which rejects nesting), and reading back the
-//! structured documents the workspace itself writes — perf reports,
-//! `BENCH_*.json`, Chrome traces (use [`parse`]). All three are small
-//! enough to implement here, which keeps the workspace free of
-//! registry dependencies.
+//! The observability layer needs two things from JSON: writing
+//! records/metric exports, and reading back what it wrote — the flat
+//! objects of JSONL traces and recordings, perf reports, Chrome traces
+//! — through the one decoder [`parse`]. Both are small enough to
+//! implement here, which keeps the workspace free of registry
+//! dependencies.
 
 use std::fmt::Write as _;
 
@@ -163,102 +161,7 @@ pub fn array_f64(xs: &[f64]) -> String {
     s
 }
 
-/// A parsed flat-JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// Any JSON number (integers included).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Value {
-    /// The value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if numeric and integral.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"key": scalar, ...}`) into key/value
-/// pairs, in document order. Nested objects and arrays are rejected —
-/// the event log never contains them.
-pub fn parse_flat(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut out = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing garbage after object".to_string());
-        }
-        return Ok(out);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.scalar()?;
-        out.push((key, value));
-        p.skip_ws();
-        match p.next() {
-            Some(b',') => continue,
-            Some(b'}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing garbage after object".to_string());
-    }
-    Ok(out)
-}
-
-/// A fully-parsed JSON value, nesting included.
-///
-/// [`parse_flat`] remains the right tool for the JSONL event log; this
-/// type exists for reading back structured documents the workspace
-/// itself writes — perf reports, `BENCH_*.json` files, Chrome traces.
+/// A parsed JSON value, nesting included.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// Any JSON number (integers included).
@@ -433,13 +336,12 @@ impl Parser<'_> {
         }
     }
 
-    fn scalar(&mut self) -> Result<Value, String> {
+    fn scalar(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'{') | Some(b'[') => Err("nested values not supported".to_string()),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(_) => {
                 let start = self.pos;
                 while matches!(
@@ -450,14 +352,14 @@ impl Parser<'_> {
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
                 text.parse::<f64>()
-                    .map(Value::Num)
+                    .map(Json::Num)
                     .map_err(|e| format!("bad number '{text}': {e}"))
             }
             None => Err("unexpected end of input".to_string()),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
         for want in word.bytes() {
             if self.next() != Some(want) {
                 return Err(format!("bad literal (expected '{word}')"));
@@ -515,12 +417,7 @@ impl Parser<'_> {
                     }
                 }
             }
-            _ => Ok(match self.scalar()? {
-                Value::Num(n) => Json::Num(n),
-                Value::Str(s) => Json::Str(s),
-                Value::Bool(b) => Json::Bool(b),
-                Value::Null => Json::Null,
-            }),
+            _ => self.scalar(),
         }
     }
 }
@@ -538,26 +435,56 @@ mod tests {
             .bool("d", false);
         let s = o.finish();
         assert_eq!(s, r#"{"a":"x\"y","b":7,"c":1.5,"d":false}"#);
-        let kv = parse_flat(&s).unwrap();
-        assert_eq!(kv[0].1.as_str(), Some("x\"y"));
-        assert_eq!(kv[1].1.as_u64(), Some(7));
-        assert_eq!(kv[2].1.as_f64(), Some(1.5));
-        assert_eq!(kv[3].1.as_bool(), Some(false));
+        let v = parse(&s).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_str), Some("x\"y"));
+        assert_eq!(v.get("b").and_then(Json::as_u64), Some(7));
+        assert_eq!(v.get("c").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(v.get("d").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
     fn empty_object() {
-        assert_eq!(parse_flat("{}").unwrap(), vec![]);
+        assert_eq!(parse("{}").unwrap(), Json::Obj(vec![]));
+        assert_eq!(parse(" { } ").unwrap(), Json::Obj(vec![]));
         assert_eq!(Obj::new().finish(), "{}");
     }
 
     #[test]
     fn numbers_round_trip() {
-        for v in [0.0, -1.25, 1e9, 123456789.0, 1e-6] {
+        for v in [0.0, -1.25, 1e9, 123456789.0, 1e-6, -0.0, 2.5e-300] {
             let s = Obj::new().f64("v", v).finish();
-            let kv = parse_flat(&s).unwrap();
-            assert_eq!(kv[0].1.as_f64(), Some(v), "{s}");
+            let back = parse(&s).unwrap();
+            assert_eq!(back.get("v").and_then(Json::as_f64), Some(v), "{s}");
         }
+        // Exponents, signs and integers too large for a float's exact
+        // range read back as the nearest float; non-numbers are errors.
+        assert_eq!(parse("1E3").unwrap(), Json::Num(1000.0));
+        assert_eq!(parse("-2e-2").unwrap(), Json::Num(-0.02));
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert!(parse("1.2.3").is_err());
+        assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn escapes_round_trip() {
+        let raw = "quote\" back\\ nl\n cr\r tab\t bell\u{7}";
+        let s = Obj::new().str("k", raw).finish();
+        assert_eq!(s, r#"{"k":"quote\" back\\ nl\n cr\r tab\t bell\u0007"}"#);
+        assert_eq!(
+            parse(&s).unwrap().get("k").and_then(Json::as_str),
+            Some(raw)
+        );
+        // Escapes the writer never emits still decode.
+        assert_eq!(
+            parse(r#""\/\b\f\u00e9""#).unwrap(),
+            Json::Str("/\u{8}\u{c}é".into())
+        );
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""open"#).is_err());
     }
 
     #[test]
@@ -568,17 +495,9 @@ mod tests {
 
     #[test]
     fn unicode_round_trips() {
-        let s = Obj::new().str("k", "héllo • 日本").finish();
-        let kv = parse_flat(&s).unwrap();
-        assert_eq!(kv[0].1.as_str(), Some("héllo • 日本"));
-    }
-
-    #[test]
-    fn rejects_nesting_and_garbage() {
-        assert!(parse_flat(r#"{"a": [1]}"#).is_err());
-        assert!(parse_flat(r#"{"a": {"b": 1}}"#).is_err());
-        assert!(parse_flat(r#"{"a": 1} extra"#).is_err());
-        assert!(parse_flat(r#"{"a" 1}"#).is_err());
+        let s = Obj::new().str("k", "héllo • 日本 🎉").finish();
+        let v = parse(&s).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some("héllo • 日本 🎉"));
     }
 
     #[test]

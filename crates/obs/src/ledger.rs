@@ -29,14 +29,13 @@
 //! rebuilt from a JSONL trace on disk ([`AirtimeLedger::from_file`]).
 
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io;
 use std::path::Path;
 
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
-use crate::event::{parse_line, AirtimeCategory, EventRecord, RunPhase};
+use crate::event::{read_trace, AirtimeCategory, EventRecord, Malformed, RunPhase};
 use crate::observer::{Hook, Observer};
 
 /// Conservation slack: Σ slices must match the audited window within
@@ -166,18 +165,12 @@ impl AirtimeLedger {
         self.station_cat_ns[i][cat_index(cat)] += counted_ns;
     }
 
-    /// Rebuilds a ledger from a JSONL trace on disk (malformed lines
-    /// are skipped, matching `inspect`'s tolerance).
-    pub fn from_file(path: &Path) -> std::io::Result<Self> {
-        let reader = BufReader::new(File::open(path)?);
+    /// Rebuilds a ledger from a JSONL trace on disk, with the lines
+    /// that did not parse (they are skipped).
+    pub fn from_file(path: &Path) -> io::Result<(Self, Malformed)> {
         let mut ledger = AirtimeLedger::new();
-        for line in reader.lines() {
-            let line = line?;
-            if let Ok(rec) = parse_line(line.trim()) {
-                ledger.record(&rec);
-            }
-        }
-        Ok(ledger)
+        let bad = read_trace(path, |rec| ledger.record(&rec))?;
+        Ok((ledger, bad))
     }
 
     /// Slices accumulated.
@@ -243,9 +236,11 @@ impl AirtimeLedger {
             gap_ns: self.gap_ns,
             overlap_ns: self.overlap_ns,
             slices: self.slices,
+            complete: self.end.is_some(),
             conserved: error_ns.unsigned_abs() <= AUDIT_TOLERANCE_NS
                 && self.gap_ns == 0
-                && self.overlap_ns == 0,
+                && self.overlap_ns == 0
+                && self.end.is_some(),
         }
     }
 
@@ -312,8 +307,12 @@ pub struct AuditReport {
     pub overlap_ns: u64,
     /// Slices that contributed.
     pub slices: u64,
-    /// Whether conservation held: |error| ≤ [`AUDIT_TOLERANCE_NS`] and
-    /// the slices tiled with no gaps or overlaps.
+    /// Whether the end-of-run mark was seen. A trace without it was cut
+    /// short, so its window ends wherever the cut fell.
+    pub complete: bool,
+    /// Whether conservation held: the stream was complete,
+    /// |error| ≤ [`AUDIT_TOLERANCE_NS`], and the slices tiled with no
+    /// gaps or overlaps.
     pub conserved: bool,
 }
 
@@ -332,6 +331,12 @@ impl fmt::Display for AuditReport {
         )?;
         writeln!(f, "  accounted {:.6} s", self.accounted.as_secs_f64())?;
         writeln!(f, "  error     {} ns", self.error_ns)?;
+        if !self.complete {
+            writeln!(
+                f,
+                "  incomplete: no end-of-run mark (the trace was cut short)"
+            )?;
+        }
         if self.gap_ns > 0 || self.overlap_ns > 0 {
             writeln!(
                 f,
@@ -376,13 +381,21 @@ mod tests {
         l.record(&slice(0, 100, CELL, AirtimeCategory::Idle));
         l.record(&slice(100, 50, 1, AirtimeCategory::Backoff));
         l.record(&slice(150, 800, 1, AirtimeCategory::DataTx));
+        // Cut here, the stream tiles but never saw its end: a truncated
+        // trace, which must not pass.
+        let a = l.audit();
+        assert!(!a.conserved && !a.complete, "{a}");
+        assert!(a.to_string().contains("no end-of-run mark"), "{a}");
+        // Nor does an empty one.
+        let a = AirtimeLedger::new().audit();
+        assert!(!a.conserved && !a.complete, "{a}");
         l.record(&slice(950, 50, 1, AirtimeCategory::Ack));
         l.record(&EventRecord::RunMark {
             t: SimTime::from_micros(1000),
             phase: RunPhase::End,
         });
         let a = l.audit();
-        assert!(a.conserved, "{a}");
+        assert!(a.conserved && a.complete, "{a}");
         assert_eq!(a.error_ns, 0);
         assert_eq!(a.window, SimDuration::from_micros(1000));
         assert_eq!(

@@ -41,7 +41,8 @@ pub mod recorder;
 pub mod spans;
 
 pub use event::{
-    parse_line, AirtimeCategory, EventRecord, MacPhase, QueueSite, RunPhase, TcpPhase, TokenCause,
+    parse_line, AirtimeCategory, EventRecord, MacPhase, Malformed, QueueSite, RunPhase, TcpPhase,
+    TokenCause,
 };
 pub use inspect::{summarize, summarize_file, InspectSummary};
 pub use ledger::{AirtimeLedger, AuditReport, AUDIT_TOLERANCE_NS, CELL};
@@ -49,9 +50,7 @@ pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry};
 pub use observer::{
     Hook, HookSet, JsonlObserver, MemoryObserver, NullObserver, Observer, TeeObserver,
 };
-pub use prof::{
-    render_perf_report, AllocStats, ChromeTrace, ChromeTraceObserver, CountingAlloc, PhaseProfiler,
-};
+pub use prof::{render_perf_report, AllocStats, ChromeTrace, ChromeTraceObserver, CountingAlloc};
 pub use recorder::{
     first_divergent_checkpoint, first_divergent_event, fp_hex, Checkpoint, FlightRecorder,
     RecordedEvent, Recording, DEFAULT_CHECKPOINT_INTERVAL,

@@ -1,5 +1,5 @@
-//! The unified profiling layer: Chrome-trace export, a hierarchical
-//! phase profiler, allocation counters, and perf-report rendering.
+//! The unified profiling layer: Chrome-trace export, allocation
+//! counters, and perf-report rendering.
 //!
 //! Everything here observes the *host* side of a run — wall-clock
 //! time, allocation counts, trace files — and never touches simulated
@@ -7,7 +7,7 @@
 //! results (the same contract as [`crate::Observer`] and
 //! `airtime_sim::LoopProfiler`).
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`ChromeTrace`] renders trace events in the Chrome trace-event
 //!   JSON format (`{"traceEvents": [...]}`), loadable in Perfetto or
@@ -18,9 +18,6 @@
 //!   instants, and counter tracks for queues, token buckets, and TCP
 //!   windows. Topology runs give each cell its own `pid`, so cells
 //!   appear as separate processes — per-cell lanes — in the viewer.
-//! - [`PhaseProfiler`] times nested host-side phases (enter/exit) into
-//!   per-path [`NsHist`] distributions at near-zero cost when
-//!   disabled (a single branch per call).
 //! - [`CountingAlloc`] wraps the system allocator behind an atomic
 //!   gate so binaries that install it can report allocation counts
 //!   per profiled region.
@@ -34,7 +31,6 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 use airtime_sim::NsHist;
 
@@ -400,7 +396,7 @@ impl Observer for ChromeTraceObserver {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
             self.trace.counter(
                 self.pid,
-                &format!("queue {} {key}", site_str(site)),
+                &format!("queue {} {key}", site.as_str()),
                 t.as_nanos(),
                 "len",
                 len as f64,
@@ -456,104 +452,6 @@ impl Observer for ChromeTraceObserver {
 
     fn finish(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-fn site_str(site: crate::event::QueueSite) -> &'static str {
-    match site {
-        crate::event::QueueSite::Ap => "ap",
-        crate::event::QueueSite::Client => "client",
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical phase profiler
-// ---------------------------------------------------------------------------
-
-/// Times nested host-side phases into per-path [`NsHist`]s.
-///
-/// Phases nest: `enter("drain")`, `enter("step")`, `exit()`, `exit()`
-/// records one sample under `drain/step` and one under `drain`. When
-/// constructed disabled, every call is a single predictable branch —
-/// cheap enough to leave in release binaries.
-#[derive(Debug)]
-pub struct PhaseProfiler {
-    enabled: bool,
-    // (node index, entry time); the stack top is the open phase.
-    stack: Vec<(usize, Instant)>,
-    nodes: Vec<PhaseNode>,
-}
-
-#[derive(Debug)]
-struct PhaseNode {
-    label: &'static str,
-    parent: Option<usize>,
-    hist: NsHist,
-}
-
-impl PhaseProfiler {
-    /// A profiler; disabled ones never record anything.
-    pub fn new(enabled: bool) -> Self {
-        PhaseProfiler {
-            enabled,
-            stack: Vec::new(),
-            nodes: Vec::new(),
-        }
-    }
-
-    /// Whether this profiler records.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Opens a phase nested under the currently open one.
-    #[inline]
-    pub fn enter(&mut self, label: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let parent = self.stack.last().map(|(i, _)| *i);
-        let idx = self
-            .nodes
-            .iter()
-            .position(|n| n.label == label && n.parent == parent)
-            .unwrap_or_else(|| {
-                self.nodes.push(PhaseNode {
-                    label,
-                    parent,
-                    hist: NsHist::new(),
-                });
-                self.nodes.len() - 1
-            });
-        self.stack.push((idx, Instant::now()));
-    }
-
-    /// Closes the innermost open phase, recording its wall time.
-    /// A no-op when disabled or when no phase is open.
-    #[inline]
-    pub fn exit(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        if let Some((idx, t0)) = self.stack.pop() {
-            self.nodes[idx].hist.record(t0.elapsed());
-        }
-    }
-
-    /// All recorded phases as `("outer/inner", hist)` rows, parents
-    /// before children, in first-seen order among siblings.
-    pub fn flatten(&self) -> Vec<(String, NsHist)> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let mut path = n.label.to_string();
-            let mut p = n.parent;
-            while let Some(pi) = p {
-                path = format!("{}/{}", self.nodes[pi].label, path);
-                p = self.nodes[pi].parent;
-            }
-            out.push((path, n.hist.clone()));
-        }
-        out
     }
 }
 
@@ -1008,34 +906,6 @@ mod tests {
         assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("big"));
         assert_eq!(spans[0].get("ts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(spans[1].get("ts").and_then(Json::as_f64), Some(100.0));
-    }
-
-    #[test]
-    fn phase_profiler_builds_hierarchical_paths() {
-        let mut p = PhaseProfiler::new(true);
-        p.enter("drain");
-        p.enter("step");
-        p.exit();
-        p.enter("step");
-        p.exit();
-        p.exit();
-        p.enter("management");
-        p.exit();
-        let flat = p.flatten();
-        let paths: Vec<&str> = flat.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(paths, ["drain", "drain/step", "management"]);
-        let step = &flat[1].1;
-        assert_eq!(step.count(), 2);
-        assert_eq!(flat[0].1.count(), 1);
-    }
-
-    #[test]
-    fn disabled_phase_profiler_records_nothing() {
-        let mut p = PhaseProfiler::new(false);
-        p.enter("x");
-        p.exit();
-        p.exit(); // unbalanced exit must not panic
-        assert!(p.flatten().is_empty());
     }
 
     #[test]

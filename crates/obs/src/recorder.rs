@@ -52,8 +52,8 @@ use std::fmt::Write as _;
 
 use airtime_sim::SimTime;
 
-use crate::event::{EventRecord, MacPhase, QueueSite};
-use crate::json::{parse_flat, Obj, Value};
+use crate::event::{EventRecord, Fields, MacPhase, QueueSite};
+use crate::json::{Json, Obj};
 use crate::observer::{Hook, Observer};
 
 /// Seed of every hash: the FNV-1a 64-bit offset basis.
@@ -337,35 +337,9 @@ impl FlightRecorder {
         self
     }
 
-    /// Total events folded into the fingerprint so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// The rolling fingerprint over everything seen so far.
     pub fn fingerprint(&self) -> u64 {
         self.fp
-    }
-
-    /// Which cell this lane records, if tagged.
-    pub fn cell(&self) -> Option<u64> {
-        self.cell
-    }
-
-    /// The checkpoint stream so far.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
-    }
-
-    /// Events evicted from the ring (recorded but no longer
-    /// retrievable).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events, oldest first.
-    pub fn ring(&self) -> impl Iterator<Item = &RecordedEvent> {
-        self.ring.iter()
     }
 
     /// Per-station sub-fingerprints (folded from the events attributed
@@ -453,49 +427,18 @@ impl FlightRecorder {
         }
     }
 
-    /// Serializes the recording as JSONL (header, checkpoints, then
-    /// retained events).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let mut header = Obj::new();
-        header
-            .str("schema", "airtime-recording")
-            .u64("version", 1)
-            .u64("interval", self.interval)
-            .u64("events", self.events)
-            .str("fp", &fp_hex(self.fp))
-            .u64("dropped", self.dropped);
-        if let Some(c) = self.cell {
-            header.u64("cell", c);
+    /// What the recorder holds so far, as the [`Recording`] a golden
+    /// file parses into.
+    pub fn recording(&self) -> Recording {
+        Recording {
+            interval: self.interval,
+            cell: self.cell,
+            total_events: self.events,
+            fp: fp_hex(self.fp),
+            dropped: self.dropped,
+            checkpoints: self.checkpoints.clone(),
+            events: self.ring.iter().cloned().collect(),
         }
-        out.push_str(&header.finish());
-        out.push('\n');
-        for cp in &self.checkpoints {
-            out.push_str(
-                Obj::new()
-                    .str("kind", "cp")
-                    .u64("events", cp.events)
-                    .u64("t_ns", cp.t.as_nanos())
-                    .str("fp", &fp_hex(cp.fp))
-                    .finish()
-                    .as_str(),
-            );
-            out.push('\n');
-        }
-        for ev in &self.ring {
-            let mut o = Obj::new();
-            o.str("kind", "ev")
-                .u64("index", ev.index)
-                .u64("t_ns", ev.t.as_nanos())
-                .str("label", &ev.label)
-                .str("detail", &ev.detail);
-            if let Some(s) = ev.station {
-                o.u64("station", s);
-            }
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -574,9 +517,11 @@ impl Observer for FlightRecorder {
     }
 }
 
-/// A parsed recording: what [`FlightRecorder::to_jsonl`] round-trips
-/// through, and what `airtime-cli replay` loads.
-#[derive(Clone, Debug, Default)]
+/// A flight recording: what [`FlightRecorder::recording`] returns,
+/// what a golden file parses into, and what `airtime-cli replay`
+/// loads. It owns the JSONL format both ways ([`Recording::to_jsonl`]
+/// and [`Recording::parse`]).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Recording {
     /// Checkpoint interval the recorder ran with.
     pub interval: u64,
@@ -595,7 +540,52 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Parses the JSONL format produced by [`FlightRecorder::to_jsonl`].
+    /// Serializes the recording as JSONL (header, checkpoints, then
+    /// retained events): the format [`Recording::parse`] reads.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        let mut header = Obj::new();
+        header
+            .str("schema", "airtime-recording")
+            .u64("version", 1)
+            .u64("interval", self.interval)
+            .u64("events", self.total_events)
+            .str("fp", &self.fp)
+            .u64("dropped", self.dropped);
+        if let Some(c) = self.cell {
+            header.u64("cell", c);
+        }
+        out.push_str(&header.finish());
+        out.push('\n');
+        for cp in &self.checkpoints {
+            out.push_str(
+                Obj::new()
+                    .str("kind", "cp")
+                    .u64("events", cp.events)
+                    .u64("t_ns", cp.t.as_nanos())
+                    .str("fp", &fp_hex(cp.fp))
+                    .finish()
+                    .as_str(),
+            );
+            out.push('\n');
+        }
+        for ev in &self.events {
+            let mut o = Obj::new();
+            o.str("kind", "ev")
+                .u64("index", ev.index)
+                .u64("t_ns", ev.t.as_nanos())
+                .str("label", &ev.label)
+                .str("detail", &ev.detail);
+            if let Some(s) = ev.station {
+                o.u64("station", s);
+            }
+            out.push_str(&o.finish());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Parses the JSONL format produced by [`Recording::to_jsonl`].
     pub fn parse(text: &str) -> Result<Recording, String> {
         let mut rec = Recording::default();
         let mut saw_header = false;
@@ -603,46 +593,35 @@ impl Recording {
             if line.trim().is_empty() {
                 continue;
             }
-            let fields = parse_flat(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-            let get_u64 = |k: &str| get(k).and_then(Value::as_u64);
+            let f = Fields::parse(line).map_err(|e| format!("line {}: {e}", no + 1))?;
+            let num = |k: &str| f.opt(k).and_then(Json::as_u64);
+            let text = |k: &str| f.opt(k).and_then(Json::as_str).unwrap_or("");
+            let need =
+                |kind: &str, k: &str| num(k).ok_or(format!("line {}: {kind} missing {k}", no + 1));
             if !saw_header {
-                match get("schema").and_then(Value::as_str) {
-                    Some("airtime-recording") => {}
-                    _ => return Err("not an airtime-recording file".into()),
+                if text("schema") != "airtime-recording" {
+                    return Err("not an airtime-recording file".into());
                 }
-                rec.interval = get_u64("interval").unwrap_or(DEFAULT_CHECKPOINT_INTERVAL);
-                rec.total_events = get_u64("events").unwrap_or(0);
-                rec.fp = get("fp").and_then(Value::as_str).unwrap_or("").to_string();
-                rec.dropped = get_u64("dropped").unwrap_or(0);
-                rec.cell = get_u64("cell");
+                rec.interval = num("interval").unwrap_or(DEFAULT_CHECKPOINT_INTERVAL);
+                rec.total_events = num("events").unwrap_or(0);
+                rec.fp = text("fp").to_string();
+                rec.dropped = num("dropped").unwrap_or(0);
+                rec.cell = num("cell");
                 saw_header = true;
                 continue;
             }
-            match get("kind").and_then(Value::as_str) {
+            match f.opt("kind").and_then(Json::as_str) {
                 Some("cp") => rec.checkpoints.push(Checkpoint {
-                    events: get_u64("events")
-                        .ok_or(format!("line {}: cp missing events", no + 1))?,
-                    t: SimTime::from_nanos(
-                        get_u64("t_ns").ok_or(format!("line {}: cp missing t_ns", no + 1))?,
-                    ),
-                    fp: parse_fp_hex(get("fp").and_then(Value::as_str).unwrap_or(""))
-                        .ok_or(format!("line {}: bad cp fp", no + 1))?,
+                    events: need("cp", "events")?,
+                    t: SimTime::from_nanos(need("cp", "t_ns")?),
+                    fp: parse_fp_hex(text("fp")).ok_or(format!("line {}: bad cp fp", no + 1))?,
                 }),
                 Some("ev") => rec.events.push(RecordedEvent {
-                    index: get_u64("index").ok_or(format!("line {}: ev missing index", no + 1))?,
-                    t: SimTime::from_nanos(
-                        get_u64("t_ns").ok_or(format!("line {}: ev missing t_ns", no + 1))?,
-                    ),
-                    label: get("label")
-                        .and_then(Value::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    detail: get("detail")
-                        .and_then(Value::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    station: get_u64("station"),
+                    index: need("ev", "index")?,
+                    t: SimTime::from_nanos(need("ev", "t_ns")?),
+                    label: text("label").to_string(),
+                    detail: text("detail").to_string(),
+                    station: num("station"),
                 }),
                 other => return Err(format!("line {}: unknown kind {other:?}", no + 1)),
             }
@@ -755,9 +734,12 @@ mod tests {
         feed(&mut a, 100);
         feed(&mut b, 100);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.checkpoints(), b.checkpoints());
-        assert_eq!(a.checkpoints().len(), 12);
-        assert!(first_divergent_checkpoint(a.checkpoints(), b.checkpoints()).is_none());
+        assert_eq!(a.recording().checkpoints, b.recording().checkpoints);
+        assert_eq!(a.recording().checkpoints.len(), 12);
+        assert!(
+            first_divergent_checkpoint(&a.recording().checkpoints, &b.recording().checkpoints)
+                .is_none()
+        );
     }
 
     #[test]
@@ -784,10 +766,16 @@ mod tests {
         // Checkpoints cover events [0,10), [10,20), ... — index 37 is
         // inside the 4th checkpoint (ordinal 3).
         assert_eq!(
-            first_divergent_checkpoint(clean.checkpoints(), dirty.checkpoints()),
+            first_divergent_checkpoint(
+                &clean.recording().checkpoints,
+                &dirty.recording().checkpoints
+            ),
             Some(3)
         );
-        assert_eq!(clean.checkpoints()[2], dirty.checkpoints()[2]);
+        assert_eq!(
+            clean.recording().checkpoints[2],
+            dirty.recording().checkpoints[2]
+        );
     }
 
     #[test]
@@ -798,8 +786,8 @@ mod tests {
             .with_injected_divergence(37);
         feed(&mut clean, 100);
         feed(&mut dirty, 100);
-        let a: Vec<_> = clean.ring().cloned().collect();
-        let b: Vec<_> = dirty.ring().cloned().collect();
+        let a: Vec<_> = clean.recording().events;
+        let b: Vec<_> = dirty.recording().events;
         assert_eq!(a.len(), 10);
         let (ca, cb) = first_divergent_event(&a, &b).expect("streams diverge");
         let (ca, cb) = (ca.unwrap(), cb.unwrap());
@@ -824,9 +812,9 @@ mod tests {
             busy.on_tx_attempt(attempt(t, 1, true));
             plain.on_tx_attempt(attempt(t, 1, true));
         }
-        assert_eq!(busy.events(), 50);
+        assert_eq!(busy.recording().total_events, 50);
         assert_eq!(busy.fingerprint(), plain.fingerprint());
-        assert_eq!(busy.checkpoints(), plain.checkpoints());
+        assert_eq!(busy.recording().checkpoints, plain.recording().checkpoints);
     }
 
     #[test]
@@ -878,14 +866,14 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let mut rec = FlightRecorder::new().with_capacity(16);
         feed(&mut rec, 100);
-        assert_eq!(rec.ring().count(), 16);
-        assert_eq!(rec.dropped(), 84);
-        assert_eq!(rec.ring().next().unwrap().index, 84);
+        assert_eq!(rec.recording().events.len(), 16);
+        assert_eq!(rec.recording().dropped, 84);
+        assert_eq!(rec.recording().events[0].index, 84);
         // Capacity zero: pure fingerprinter, everything dropped.
         let mut bare = FlightRecorder::new().with_capacity(0);
         feed(&mut bare, 10);
-        assert_eq!(bare.ring().count(), 0);
-        assert_eq!(bare.dropped(), 10);
+        assert_eq!(bare.recording().events.len(), 0);
+        assert_eq!(bare.recording().dropped, 10);
         assert_eq!(bare.fingerprint(), {
             let mut full = FlightRecorder::new();
             feed(&mut full, 10);
@@ -939,7 +927,8 @@ mod tests {
         feed_mixed(&mut full);
         assert_eq!(bare.fingerprint(), full.fingerprint());
         assert_eq!(bare.station_fingerprints(), full.station_fingerprints());
-        let details: Vec<&str> = full.ring().map(|e| e.detail.as_str()).collect();
+        let full = full.recording();
+        let details: Vec<&str> = full.events.iter().map(|e| e.detail.as_str()).collect();
         let (v, site) = (u64::MAX, QueueSite::Client);
         for text in [
             format!("client=5 bytes={v} qlen={}", v / 3),
@@ -981,8 +970,8 @@ mod tests {
         let mut rec = FlightRecorder::new();
         rec.on_handoff(SimTime::from_secs(1), 3, Some(0), Some(1));
         rec.on_handoff(SimTime::from_secs(2), 3, Some(1), None);
-        assert_eq!(rec.events(), 2);
-        let evs: Vec<_> = rec.ring().collect();
+        assert_eq!(rec.recording().total_events, 2);
+        let evs = rec.recording().events;
         assert_eq!(evs[0].label, "handoff");
         assert_eq!(evs[0].detail, "from=0 to=1");
         assert_eq!(evs[1].detail, "from=1 to=-");
@@ -999,20 +988,35 @@ mod tests {
             bytes: 1500,
             queue_len: 0,
         });
-        let text = rec.to_jsonl();
+        let text = rec.recording().to_jsonl();
         let parsed = Recording::parse(&text).unwrap();
+        assert_eq!(parsed, rec.recording());
         assert_eq!(parsed.cell, Some(2));
         assert_eq!(parsed.interval, 8);
         assert_eq!(parsed.total_events, 21);
         assert_eq!(parsed.fp, fp_hex(rec.fingerprint()));
-        assert_eq!(parsed.checkpoints, rec.checkpoints());
-        let ring: Vec<_> = rec.ring().cloned().collect();
-        assert_eq!(parsed.events, ring);
         // The rendered window shows the causal log.
         let log = parsed.render_window(Some(18), Some(21));
         assert!(log.contains("tx.attempt"));
         assert!(log.contains("sched.decide"));
         assert!(log.contains("client=1"));
+    }
+
+    #[test]
+    fn every_recorder_mode_round_trips() {
+        // A ring that evicted, a retained window, and a pure
+        // fingerprinter (capacity 0) that keeps no events at all.
+        for mut rec in [
+            FlightRecorder::new().with_interval(4).with_capacity(5),
+            FlightRecorder::new().with_interval(4).with_window(6, 11),
+            FlightRecorder::new().with_interval(4).with_capacity(0),
+        ] {
+            feed(&mut rec, 17);
+            let r = rec.recording();
+            assert_eq!(Recording::parse(&r.to_jsonl()).unwrap(), r);
+            assert_eq!(r.total_events, 17);
+            assert_eq!(r.dropped + r.events.len() as u64, 17);
+        }
     }
 
     #[test]
@@ -1028,7 +1032,7 @@ mod tests {
         feed(&mut a, 30);
         feed(&mut b, 50);
         assert_eq!(
-            first_divergent_checkpoint(a.checkpoints(), b.checkpoints()),
+            first_divergent_checkpoint(&a.recording().checkpoints, &b.recording().checkpoints),
             Some(3)
         );
     }

@@ -24,14 +24,13 @@
 //! ledger, it resets at the warm-up [`EventRecord::RunMark`].
 
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io;
 use std::path::Path;
 
 use airtime_sim::SimTime;
 
 use crate::csv::Csv;
-use crate::event::{parse_line, EventRecord, RunPhase};
+use crate::event::{read_trace, EventRecord, Malformed, RunPhase};
 use crate::observer::{Hook, Observer};
 
 /// The percentiles every delay column reports.
@@ -156,17 +155,12 @@ impl SpanCollector {
             .push(first_tx.saturating_since(release).as_secs_f64() * ms);
     }
 
-    /// Rebuilds a collector from a JSONL trace on disk.
-    pub fn from_file(path: &Path) -> std::io::Result<Self> {
-        let reader = BufReader::new(File::open(path)?);
+    /// Rebuilds a collector from a JSONL trace on disk, with the lines
+    /// that did not parse (they are skipped).
+    pub fn from_file(path: &Path) -> io::Result<(Self, Malformed)> {
         let mut c = SpanCollector::new();
-        for line in reader.lines() {
-            let line = line?;
-            if let Ok(rec) = parse_line(line.trim()) {
-                c.record(&rec);
-            }
-        }
-        Ok(c)
+        let bad = read_trace(path, |rec| c.record(&rec))?;
+        Ok((c, bad))
     }
 
     /// Spans accumulated since the last warm-up mark.

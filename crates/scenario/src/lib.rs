@@ -31,7 +31,8 @@
 //!
 //! ```no_run
 //! let text = std::fs::read_to_string("examples/scenarios/fig2_dcf_anomaly.toml").unwrap();
-//! let outcome = airtime_scenario::run_sweep_text(&text, "fig2_dcf_anomaly.toml", 4).unwrap();
+//! let doc = airtime_scenario::parse_text(&text, "fig2_dcf_anomaly.toml").unwrap();
+//! let outcome = airtime_scenario::run_sweep(&doc, "fig2_dcf_anomaly.toml", 4).unwrap();
 //! println!("{}", airtime_scenario::emit::to_csv(&outcome.name, &outcome.axes, &outcome.cells));
 //! ```
 
@@ -52,8 +53,7 @@ pub use pool::PoolStats;
 pub use spec::{CheckProperty, CheckSpec, ScenarioSpec, MAX_DURATION_SECS};
 pub use sweep::{Axis, Job};
 pub use tournament::{
-    run_tournament, run_tournament_text, TournamentOutcome, TournamentRow, TournamentSpec,
-    TournamentStation,
+    run_tournament, TournamentOutcome, TournamentRow, TournamentSpec, TournamentStation,
 };
 pub use verify::{verify_determinism, Divergence, VerifyOptions, VerifyOutcome};
 
@@ -256,16 +256,6 @@ pub fn run_sweep(
         audit_failure,
         ..outcome
     })
-}
-
-/// Convenience: parse text and run the sweep in one call.
-pub fn run_sweep_text(
-    text: &str,
-    file: &str,
-    threads: usize,
-) -> Result<SweepOutcome, ScenarioError> {
-    let doc = parse_text(text, file)?;
-    run_sweep(&doc, file, threads)
 }
 
 #[cfg(test)]

@@ -385,7 +385,6 @@ const ROOT_KEYS: &[&str] = &[
     "uplink_loss_estimator",
     "client_cooperation",
     "retry_rate_fallback",
-    "record_trace",
     "rts_threshold",
     "regulate",
 ];
@@ -1162,9 +1161,6 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     if let Some(e) = doc.get("retry_rate_fallback") {
         cfg.retry_rate_fallback = want_bool(e)?;
     }
-    if let Some(e) = doc.get("record_trace") {
-        cfg.record_trace = want_bool(e)?;
-    }
     if let Some(e) = doc.get("rts_threshold") {
         cfg.rts_threshold = Some(want_u64(e)?);
     }
@@ -1669,5 +1665,11 @@ x_ft = 60
         assert!(e.msg.contains("longer than one simulated day"), "{e}");
         let e = compile_text("").unwrap_err();
         assert!(e.msg.contains("no [[station]]"), "{e}");
+        // `record_trace` was a key until the frame sniffer became an
+        // observer; a file still setting it fails at that line.
+        let e = compile_text("seed = 1\nrecord_trace = true\n[[station]]\nrate = \"11\"\n")
+            .unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("unknown key 'record_trace'"), "{e}");
     }
 }

@@ -420,16 +420,6 @@ pub fn run_tournament(
     })
 }
 
-/// Convenience: parse text and run the tournament in one call.
-pub fn run_tournament_text(
-    text: &str,
-    file: &str,
-    threads: usize,
-) -> Result<TournamentOutcome, ScenarioError> {
-    let doc = crate::parse_text(text, file)?;
-    run_tournament(&doc, file, threads)
-}
-
 /// The whole tournament as one JSON document.
 pub fn to_json(out: &TournamentOutcome) -> String {
     use airtime_obs::json::Obj;

@@ -26,8 +26,8 @@
 use std::fmt::Write as _;
 
 use airtime_obs::{
-    first_divergent_checkpoint, first_divergent_event, fp_hex, Checkpoint, FlightRecorder,
-    RecordedEvent, Recording, DEFAULT_CHECKPOINT_INTERVAL,
+    first_divergent_checkpoint, first_divergent_event, fp_hex, FlightRecorder, RecordedEvent,
+    Recording, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use airtime_sim::SimTime;
 
@@ -154,47 +154,14 @@ impl Divergence {
     }
 }
 
-/// One radio-cell lane of a pass or a golden recording.
-struct Lane {
-    checkpoints: Vec<Checkpoint>,
-    events: u64,
-    fp: String,
-    /// Events a golden recording kept (always empty for live passes,
-    /// which re-run a window on demand instead).
-    retained: Vec<RecordedEvent>,
-}
-
-impl Lane {
-    fn of_recorder(rec: &FlightRecorder) -> Lane {
-        Lane {
-            checkpoints: rec.checkpoints().to_vec(),
-            events: rec.events(),
-            fp: fp_hex(rec.fingerprint()),
-            retained: Vec::new(),
-        }
-    }
-
-    fn of_recording(rec: &Recording) -> Lane {
-        Lane {
-            checkpoints: rec.checkpoints.clone(),
-            events: rec.total_events,
-            fp: rec.fp.clone(),
-            retained: rec.events.clone(),
-        }
-    }
-
-    /// Ordinal of the first checkpoint window where `other` departs
-    /// from this lane. When every full checkpoint agrees but the
-    /// totals differ, the break is in the partial tail after the last
-    /// checkpoint.
-    fn first_divergent_window(&self, other: &Lane) -> Option<usize> {
-        match first_divergent_checkpoint(&self.checkpoints, &other.checkpoints) {
-            Some(cp) => Some(cp),
-            None if self.events != other.events || self.fp != other.fp => {
-                Some(self.checkpoints.len())
-            }
-            None => None,
-        }
+/// Ordinal of the first checkpoint window where lane `b` departs from
+/// lane `a`. When every full checkpoint agrees but the totals differ,
+/// the break is in the partial tail after the last checkpoint.
+fn first_divergent_window(a: &Recording, b: &Recording) -> Option<usize> {
+    match first_divergent_checkpoint(&a.checkpoints, &b.checkpoints) {
+        Some(cp) => Some(cp),
+        None if a.total_events != b.total_events || a.fp != b.fp => Some(a.checkpoints.len()),
+        None => None,
     }
 }
 
@@ -271,32 +238,32 @@ fn recorder(opts: &VerifyOptions, interval: u64, pass: &str, cell: Option<u64>) 
 }
 
 /// Compares `pass` against `reference` lane by lane, pinning each
-/// break: live passes re-run recording only the divergent window, a
-/// golden contributes the events it kept there.
+/// break: live passes (which keep no events) re-run recording only the
+/// divergent window, a golden contributes the events it kept there.
 fn compare(
     spec: &ScenarioSpec,
     opts: &VerifyOptions,
     interval: u64,
-    reference: (&str, &[Lane]),
-    pass: (&str, &[Lane]),
+    reference: (&str, &[Recording]),
+    pass: (&str, &[Recording]),
 ) -> Vec<Divergence> {
-    let window = |name: &str, lanes: &[Lane], lane: usize, a: u64, b: u64| {
+    let window = |name: &str, lanes: &[Recording], lane: usize, a: u64, b: u64| {
         if name == GOLDEN {
             return lanes[lane]
-                .retained
+                .events
                 .iter()
                 .filter(|e| (a..b).contains(&e.index))
                 .cloned()
                 .collect::<Vec<_>>();
         }
-        let recs = record(spec, |cell| {
+        let mut recs = record(spec, |cell| {
             recorder(opts, interval, name, cell).with_window(a, b)
         });
-        recs[lane].ring().cloned().collect()
+        recs.swap_remove(lane).recording().events
     };
     let mut out = Vec::new();
     for (lane, (r, p)) in reference.1.iter().zip(pass.1).enumerate() {
-        let Some(cp) = r.first_divergent_window(p) else {
+        let Some(cp) = first_divergent_window(r, p) else {
             continue;
         };
         let (a, b) = (cp as u64 * interval, (cp as u64 + 1) * interval);
@@ -363,8 +330,7 @@ pub fn verify_determinism(
                     "the golden's lane recordings use different checkpoint intervals".into(),
                 ));
             }
-            let lanes: Vec<Lane> = recs.iter().map(Lane::of_recording).collect();
-            (Some(lanes), interval)
+            (Some(recs), interval)
         }
     };
     // Fingerprint-only passes; `compare` re-runs a window when it
@@ -374,16 +340,17 @@ pub fn verify_determinism(
             recorder(opts, interval, name, cell).with_capacity(0)
         })
     };
+    let recordings = |recs: &[FlightRecorder]| recs.iter().map(FlightRecorder::recording).collect();
     let run = pass(PASSES[0]);
-    let run_lanes: Vec<Lane> = run.iter().map(Lane::of_recorder).collect();
-    let repeat: Vec<Lane> = pass(PASSES[1]).iter().map(Lane::of_recorder).collect();
+    let run_lanes: Vec<Recording> = recordings(&run);
+    let repeat: Vec<Recording> = recordings(&pass(PASSES[1]));
     let mut divergences = Vec::new();
-    if let Some(golden) = &golden {
+    if let Some(golden) = golden {
         divergences.extend(compare(
             spec,
             opts,
             interval,
-            (GOLDEN, golden),
+            (GOLDEN, golden.as_slice()),
             (PASSES[0], &run_lanes),
         ));
     }
@@ -414,13 +381,13 @@ pub fn verify_determinism(
     }
     Ok(VerifyOutcome {
         name: spec.name.clone(),
-        events: run.iter().map(FlightRecorder::events).sum(),
+        events: run_lanes.iter().map(|r| r.total_events).sum(),
         fp: fp_hex(match &spec.topo {
             None => run[0].fingerprint(),
             Some(_) => combine_fps(run.iter().map(FlightRecorder::fingerprint)),
         }),
         against: golden.is_some(),
-        recordings: run.iter().map(FlightRecorder::to_jsonl).collect(),
+        recordings: run_lanes.iter().map(Recording::to_jsonl).collect(),
         divergences,
         sweep_mismatches,
         swept,

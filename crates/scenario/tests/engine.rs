@@ -10,10 +10,16 @@ use airtime_phy::DataRate;
 use airtime_scenario::toml::Value;
 use airtime_scenario::tournament::{compile_tournament, expand_tournament, TournamentJob};
 use airtime_scenario::{
-    compile, compile_runnable, emit, expand, load, run_sweep, run_sweep_text, CheckOutcome,
+    compile, compile_runnable, emit, expand, load, parse_text, run_sweep, CheckOutcome,
+    ScenarioError, SweepOutcome,
 };
 use airtime_sim::SimDuration;
 use airtime_wlan::{scenarios, Direction, NetworkConfig, SchedulerKind, Transport};
+
+/// Parses a scenario held in a string and runs its sweep.
+fn sweep_text(text: &str, file: &str, threads: usize) -> Result<SweepOutcome, ScenarioError> {
+    run_sweep(&parse_text(text, file)?, file, threads)
+}
 
 fn example(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -259,8 +265,8 @@ rate = "2"
 scheduler = ["rr", "tbr"]
 seed = [7, 8]
 "#;
-    let one = run_sweep_text(text, "det.toml", 1).unwrap();
-    let four = run_sweep_text(text, "det.toml", 4).unwrap();
+    let one = sweep_text(text, "det.toml", 1).unwrap();
+    let four = sweep_text(text, "det.toml", 4).unwrap();
     assert_eq!(one.stats.threads_used(), 1);
     // 4 workers were spawned and between them completed every job (how
     // many each grabbed is a scheduling race — on a loaded or
@@ -480,7 +486,7 @@ rate = "11"
 [sweep]
 "station.1.rate" = ["11", "1"]
 "#;
-    let out = run_sweep_text(text, "fig2-short.toml", 2).unwrap();
+    let out = sweep_text(text, "fig2-short.toml", 2).unwrap();
     assert_eq!(out.cells.len(), 2);
     assert!(out.cells[0].total_mbps > 1.8 * out.cells[1].total_mbps);
     for c in &out.cells {

@@ -157,7 +157,7 @@ fn recorder_view(r: FlightRecorder) -> (String, Vec<(u64, u64)>) {
         .iter()
         .map(|(&s, &fp)| (s, fp))
         .collect();
-    (r.to_jsonl(), stations)
+    (r.recording().to_jsonl(), stations)
 }
 
 fn ledger_view(l: AirtimeLedger) -> (String, String) {

@@ -148,7 +148,7 @@ fn golden_that_keeps_events_pins_the_exact_event() {
         .with_interval(256)
         .with_window(900, 1024);
     airtime_wlan::run_observed(&spec.cfg, &mut rec);
-    let golden = Recording::parse(&rec.to_jsonl()).unwrap();
+    let golden = rec.recording();
     assert_eq!(golden.events.first().map(|e| e.index), Some(900));
     let opts = VerifyOptions {
         against: Some(vec![golden]),

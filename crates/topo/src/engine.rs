@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use airtime_obs::{Observer, PhaseProfiler};
+use airtime_obs::Observer;
 use airtime_sim::{LoopProfiler, NsHist, SimDuration, SimTime};
 use airtime_wlan::{CellSim, NetworkConfig};
 
@@ -59,29 +59,36 @@ pub struct TopoProfile {
     pub events: u64,
     /// Dispatch-cost distributions per event label, all cells merged.
     pub labels: Vec<(&'static str, NsHist)>,
-    /// Driver phases (`drain`, `drain/mirror`, `management`) as
-    /// hierarchical paths.
+    /// Driver phases as hierarchical paths, in this order: `drain` (one
+    /// sample per pass to a management boundary), `drain/mirror` (one
+    /// per busy window offered to co-channel neighbours inside a pass)
+    /// and `management` (one per tick). A phase that never ran is
+    /// absent.
     pub phases: Vec<(String, NsHist)>,
     /// Per-cell lane stats, index-aligned with the topology's cells.
     pub cells: Vec<CellLaneProfile>,
 }
 
+/// The driver phases, as [`TopoProfile::phases`] labels them, indexed
+/// by [`DRAIN`], [`MIRROR`] and [`MANAGEMENT`].
+const PHASES: [&str; 3] = ["drain", "drain/mirror", "management"];
+const DRAIN: usize = 0;
+const MIRROR: usize = 1;
+const MANAGEMENT: usize = 2;
+
 /// Host-side measurement state threaded through a profiled run.
 struct TopoProbe {
     started: Instant,
-    phases: PhaseProfiler,
+    phases: [NsHist; 3],
     labels: LoopProfiler,
     per_cell: Vec<NsHist>,
 }
 
-impl TopoProbe {
-    fn new(n_cells: usize) -> Self {
-        TopoProbe {
-            started: Instant::now(),
-            phases: PhaseProfiler::new(true),
-            labels: LoopProfiler::new(),
-            per_cell: vec![NsHist::new(); n_cells],
-        }
+/// Records the time since `t0` under `phase` when profiling (`t0` is
+/// `Some` exactly then, so the unprofiled path reads no clock).
+fn phase_done(probe: Option<&mut TopoProbe>, t0: Option<Instant>, phase: usize) {
+    if let (Some(p), Some(t0)) = (probe, t0) {
+        p.phases[phase].record(t0.elapsed());
     }
 }
 
@@ -108,14 +115,24 @@ pub fn run_topology_profiled<O: Observer>(
     obs: &mut [O],
 ) -> (TopoReport, TopoProfile) {
     let n_cells = topo.cells.len();
-    let mut probe = TopoProbe::new(n_cells);
+    let mut probe = TopoProbe {
+        started: Instant::now(),
+        phases: [NsHist::new(), NsHist::new(), NsHist::new()],
+        labels: LoopProfiler::new(),
+        per_cell: vec![NsHist::new(); n_cells],
+    };
     let (report, cells) = run_topology_inner(topo, obs, Some(&mut probe));
     let events: u64 = cells.iter().map(|(e, _)| e).sum();
     let profile = TopoProfile {
         wall_s: probe.started.elapsed().as_secs_f64(),
         events,
         labels: probe.labels.dists(),
-        phases: probe.phases.flatten(),
+        phases: PHASES
+            .iter()
+            .zip(probe.phases)
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(path, h)| (path.to_string(), h))
+            .collect(),
         cells: cells
             .into_iter()
             .zip(probe.per_cell)
@@ -215,9 +232,7 @@ fn run_topology_inner<O: Observer>(
         let boundary = next_tick.min(end);
         // Drain events up to the boundary, always the globally
         // earliest first.
-        if let Some(p) = probe.as_deref_mut() {
-            p.phases.enter("drain");
-        }
+        let drain_t0 = probe.is_some().then(Instant::now);
         loop {
             let mut best: Option<(SimTime, usize)> = None;
             for (i, cell) in cells.iter_mut().enumerate() {
@@ -247,29 +262,21 @@ fn run_topology_inner<O: Observer>(
             // Mirror the busy window into co-channel neighbours; a
             // window a neighbour already holds is a no-op there.
             if let Some(busy_end) = cells[i].busy_until() {
-                if let Some(p) = probe.as_deref_mut() {
-                    p.phases.enter("mirror");
-                }
+                let t0 = probe.is_some().then(Instant::now);
                 let channel = topo.cells[i].channel;
                 for (j, cell) in cells.iter_mut().enumerate() {
                     if j != i && topo.cells[j].channel == channel {
                         cell.defer_all(t, busy_end);
                     }
                 }
-                if let Some(p) = probe.as_deref_mut() {
-                    p.phases.exit();
-                }
+                phase_done(probe.as_deref_mut(), t0, MIRROR);
             }
         }
-        if let Some(p) = probe.as_deref_mut() {
-            p.phases.exit();
-        }
+        phase_done(probe.as_deref_mut(), drain_t0, DRAIN);
         if next_tick > end {
             break;
         }
-        if let Some(p) = probe.as_deref_mut() {
-            p.phases.enter("management");
-        }
+        let t0 = probe.is_some().then(Instant::now);
         management_tick(
             topo,
             &mut cells,
@@ -280,9 +287,7 @@ fn run_topology_inner<O: Observer>(
             &mut bytes_at_join,
             &mut roaming,
         );
-        if let Some(p) = probe.as_deref_mut() {
-            p.phases.exit();
-        }
+        phase_done(probe.as_deref_mut(), t0, MANAGEMENT);
         next_tick += topo.assoc_tick;
     }
 

@@ -21,7 +21,8 @@
 //! ```
 //! use airtime_phy::DataRate;
 //! use airtime_sim::SimDuration;
-//! use airtime_topo::{run_topo, Placement, Point, TopologyConfig, WaypointPath, RatePolicy};
+//! use airtime_obs::NullObserver;
+//! use airtime_topo::{run_topology, Placement, Point, TopologyConfig, WaypointPath, RatePolicy};
 //! use airtime_wlan::{scenarios, SchedulerKind};
 //!
 //! // Two cells, one walker crossing between them.
@@ -39,7 +40,7 @@
 //!     )),
 //!     rate: RatePolicy::Pinned(DataRate::B1),
 //! };
-//! let report = run_topo(&topo);
+//! let report = run_topology(&topo, &mut [NullObserver; 2]);
 //! assert_eq!(report.cells.len(), 2);
 //! ```
 
@@ -54,11 +55,3 @@ pub use engine::{run_topology, run_topology_profiled, CellLaneProfile, TopoProfi
 pub use geom::Point;
 pub use mobility::WaypointPath;
 pub use report::{HandoffRecord, RoamingReport, TopoReport, Visit};
-
-use airtime_obs::NullObserver;
-
-/// Runs a topology without instrumentation.
-pub fn run_topo(topo: &TopologyConfig) -> TopoReport {
-    let mut obs: Vec<NullObserver> = vec![NullObserver; topo.cells.len()];
-    run_topology(topo, &mut obs)
-}

@@ -61,6 +61,32 @@ fn lane_stats_account_for_every_event() {
 }
 
 #[test]
+fn driver_phases_come_in_a_fixed_order() {
+    // Every busy window enters the mirror phase, whether or not a
+    // neighbour shares the channel.
+    for channels in [[1, 6], [1, 1]] {
+        let mut topo = two_cells();
+        for (cell, ch) in topo.cells.iter_mut().zip(channels) {
+            cell.channel = ch;
+        }
+        let (_, tp) = run_topology_profiled(&topo, &mut [NullObserver, NullObserver]);
+        let paths: Vec<&str> = tp.phases.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            paths,
+            ["drain", "drain/mirror", "management"],
+            "channels {channels:?}"
+        );
+        // One drain pass per management boundary, plus the final one.
+        let count = |path: &str| tp.phases.iter().find(|(p, _)| p == path).unwrap().1.count();
+        assert_eq!(
+            count("drain"),
+            count("management") + 1,
+            "channels {channels:?}"
+        );
+    }
+}
+
+#[test]
 fn per_cell_traces_merge_into_one_document() {
     let topo = two_cells();
     let mut obs: Vec<ChromeTraceObserver> = (0..2)

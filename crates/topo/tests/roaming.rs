@@ -6,10 +6,15 @@ use airtime_obs::{AirtimeLedger, NullObserver};
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;
 use airtime_topo::{
-    run_topo, run_topology, run_topology_profiled, Placement, Point, RatePolicy, TopologyConfig,
+    run_topology, run_topology_profiled, Placement, Point, RatePolicy, TopoReport, TopologyConfig,
     WaypointPath,
 };
 use airtime_wlan::{scenarios, Report, SchedulerKind};
+
+/// Runs `topo` with no observers.
+fn run_topo(topo: &TopologyConfig) -> TopoReport {
+    run_topology(topo, &mut vec![NullObserver; topo.cells.len()])
+}
 
 /// Three APs in a 150 ft line on distinct channels, one 11 Mbit/s
 /// resident uploader per cell, and a 1 Mbit/s walker crossing the

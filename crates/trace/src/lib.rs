@@ -16,8 +16,9 @@
 //! figure pipeline, synthetic frames), and [`analysis`] implements the
 //! actual measurements — per-rate byte fractions, busy-interval
 //! detection at the paper's 4 Mbit/s threshold, and heaviest-user
-//! shares. The analysis code runs identically on traces exported from
-//! the `airtime-wlan` simulator (that is how the EXP-1 bars of
+//! shares. The analysis code runs identically on a simulated capture:
+//! a [`Trace`] is an `airtime-obs` observer, so attaching one to an
+//! `airtime-wlan` run sniffs its frames (that is how the EXP-1 bars of
 //! Figure 1 are produced).
 
 pub mod analysis;

@@ -1,5 +1,11 @@
 //! Frame-trace records — what a passive sniffer sees.
+//!
+//! A [`Trace`] is also the sniffer itself: it is an [`Observer`] that
+//! reads only transmission attempts, so attaching one to a simulator
+//! run captures every data frame the way a monitor-mode card would.
 
+use airtime_obs::{EventRecord, Hook, Observer};
+use airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES;
 use airtime_phy::DataRate;
 use airtime_sim::{SimDuration, SimTime};
 
@@ -118,7 +124,8 @@ impl Trace {
             let bps: u64 = next("rate_bps")?
                 .parse()
                 .map_err(|e| format!("line {lineno}: {e}"))?;
-            let rate = rate_from_bps(bps).ok_or(format!("line {lineno}: unknown rate {bps}"))?;
+            let rate = find_rate(|r| r.bps() == bps)
+                .ok_or(format!("line {lineno}: unknown rate {bps}"))?;
             let bytes: u64 = next("bytes")?
                 .parse()
                 .map_err(|e| format!("line {lineno}: {e}"))?;
@@ -136,11 +143,42 @@ impl Trace {
     }
 }
 
-/// Inverse of [`DataRate::bps`].
-fn rate_from_bps(bps: u64) -> Option<DataRate> {
-    let mut all = DataRate::ALL_B.to_vec();
-    all.extend(DataRate::ALL_G);
-    all.into_iter().find(|r| r.bps() == bps)
+/// The 802.11b or 802.11g rate `pred` selects.
+fn find_rate(pred: impl Fn(DataRate) -> bool) -> Option<DataRate> {
+    DataRate::ALL_B
+        .into_iter()
+        .chain(DataRate::ALL_G)
+        .find(|&r| pred(r))
+}
+
+/// The sniffer: every transmission attempt becomes one captured frame,
+/// billed to its client (the AP is node 0, so user = client − 1) and
+/// sized on the air (payload plus MAC header and FCS).
+impl Observer for Trace {
+    fn wants(&self, hook: Hook) -> bool {
+        hook == Hook::TxAttempt
+    }
+
+    fn on_tx_attempt(&mut self, rec: EventRecord) {
+        if let EventRecord::TxAttempt {
+            t,
+            node,
+            client,
+            bytes,
+            rate_mbps,
+            ..
+        } = rec
+        {
+            self.push(FrameRecord {
+                at: t,
+                user: client as usize - 1,
+                rate: find_rate(|r| r.mbps() == rate_mbps)
+                    .unwrap_or_else(|| panic!("no 802.11b/g rate of {rate_mbps} Mbit/s")),
+                bytes: bytes + MAC_DATA_OVERHEAD_BYTES,
+                downlink: node == 0,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +204,38 @@ mod tests {
         assert_eq!(t.total_bytes(), 600);
         assert_eq!(t.user_count(), 2);
         assert_eq!(t.records.len(), 3);
+    }
+
+    #[test]
+    fn sniffer_rebuilds_frames_from_attempts() {
+        let attempt = |node, client, rate_mbps| EventRecord::TxAttempt {
+            t: SimTime::from_millis(3),
+            node,
+            client,
+            bytes: 1500,
+            rate_mbps,
+            success: false,
+            retry: 1,
+            airtime: SimDuration::from_micros(1617),
+        };
+        let mut t = Trace::new(SimDuration::from_secs(1));
+        assert!(t.wants(Hook::TxAttempt) && !t.wants(Hook::AirtimeSlice));
+        t.on_tx_attempt(attempt(0, 2, 5.5));
+        t.on_tx_attempt(attempt(1, 1, 54.0));
+        let frame = |user, rate, downlink| FrameRecord {
+            at: SimTime::from_millis(3),
+            user,
+            rate,
+            bytes: 1500 + MAC_DATA_OVERHEAD_BYTES,
+            downlink,
+        };
+        assert_eq!(
+            t.records,
+            vec![
+                frame(1, DataRate::B5_5, true),
+                frame(0, DataRate::G54, false)
+            ]
+        );
     }
 
     #[test]

@@ -177,8 +177,6 @@ pub struct NetworkConfig {
     /// transmissions while their airtime balance is negative (needed
     /// only for heavy uplink UDP).
     pub client_cooperation: bool,
-    /// Record a sniffer-style frame trace in the report.
-    pub record_trace: bool,
     /// Multi-rate retry chains at the MAC (real rate-adaptive cards).
     /// Off for the paper's manually-pinned-rate experiments; on for the
     /// EXP-1 office scenario.
@@ -214,7 +212,6 @@ impl NetworkConfig {
             client_queue_cap: 50,
             uplink_retry_info: false,
             client_cooperation: false,
-            record_trace: false,
             retry_rate_fallback: false,
             arf: airtime_phy::ArfConfig::default(),
             rts_threshold: None,

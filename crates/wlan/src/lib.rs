@@ -10,9 +10,10 @@
 //!
 //! [`NetworkConfig`] describes an experiment; [`run`] executes it
 //! deterministically and returns a [`Report`] with per-flow goodputs,
-//! per-node channel-occupancy shares, task completion times, MAC
-//! statistics and (optionally) a sniffer-style frame trace for the
-//! `airtime-trace` analyses.
+//! per-node channel-occupancy shares, task completion times and MAC
+//! statistics. A sniffer-style frame trace for the `airtime-trace`
+//! analyses is an observer: pass an `airtime_trace::Trace` to
+//! [`run_observed`].
 //!
 //! [`scenarios`] contains ready-made configurations for every
 //! experiment in the paper's evaluation (Figures 2–4, 8, 9; Tables 2–4)

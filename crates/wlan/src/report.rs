@@ -2,7 +2,6 @@
 
 use airtime_mac::MacStats;
 use airtime_sim::{SimDuration, SimTime};
-use airtime_trace::Trace;
 
 use crate::config::{Direction, Transport};
 
@@ -66,8 +65,6 @@ pub struct Report {
     pub utilization: f64,
     /// Simulated time at the end of the run.
     pub end: SimTime,
-    /// Optional sniffer-style trace (if requested).
-    pub trace: Option<Trace>,
     /// Final TBR token-refill rates per station (when TBR was the
     /// scheduler) — exposes what ADJUSTRATEEVENT converged to.
     pub tbr_rates: Option<Vec<f64>>,
@@ -130,7 +127,6 @@ mod tests {
             sched_drops: 0,
             utilization: 0.0,
             end: SimTime::ZERO,
-            trace: None,
             tbr_rates: None,
         }
     }

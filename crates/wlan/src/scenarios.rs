@@ -91,7 +91,6 @@ pub fn exp1_office(scheduler: SchedulerKind) -> NetworkConfig {
         })
         .collect();
     let mut cfg = NetworkConfig::new(stations, scheduler);
-    cfg.record_trace = true;
     cfg.retry_rate_fallback = true;
     cfg.arf.adaptive = true; // AARF: stop paying for hopeless probes
     cfg
@@ -208,9 +207,8 @@ mod tests {
     }
 
     #[test]
-    fn exp1_has_trace_and_path_links() {
+    fn exp1_has_path_links() {
         let cfg = exp1_office(SchedulerKind::RoundRobin);
-        assert!(cfg.record_trace);
         assert_eq!(cfg.stations.len(), 4);
         assert!(cfg
             .stations

@@ -83,7 +83,6 @@ use airtime_obs::{
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
 use airtime_sched::Scheduler;
 use airtime_sim::{EventQueue, Histogram, RateMeter, SimDuration, SimRng, SimTime};
-use airtime_trace::{FrameRecord, Trace};
 
 use crate::config::{
     Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind, Transport,
@@ -265,7 +264,6 @@ struct Sim<'c, O: Observer> {
     next_handle: u64,
     occupancy_at_warmup: Vec<SimDuration>,
     busy_at_warmup: SimDuration,
-    trace: Option<Trace>,
     /// EWMA of observed downlink attempt-failure rate per node (the
     /// §4.2 loss estimator's input).
     fer_est: Vec<f64>,
@@ -521,7 +519,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             next_handle: 0,
             occupancy_at_warmup: vec![SimDuration::ZERO; n + 1],
             busy_at_warmup: SimDuration::ZERO,
-            trace: cfg.record_trace.then(|| Trace::new(cfg.duration)),
             fer_est: vec![0.0; n + 1],
         }
     }
@@ -958,15 +955,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                         } else {
                             a.on_failure(self.now);
                         }
-                    }
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.push(FrameRecord {
-                            at: self.now,
-                            user: node - 1,
-                            rate: frame.rate,
-                            bytes: frame.msdu_bytes + airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES,
-                            downlink: frame.src == AP,
-                        });
                     }
                 }
                 MacEffect::Delivered { frame } => self.on_delivered(frame),
@@ -1561,7 +1549,7 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     // -- results ---------------------------------------------------------
 
-    fn report(mut self) -> Report {
+    fn report(self) -> Report {
         let end = self.now;
         let mut flow_reports = Vec::new();
         for (i, f) in self.flows.iter().enumerate() {
@@ -1640,7 +1628,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                 busy.as_secs_f64() / measured_span.as_secs_f64()
             },
             end,
-            trace: self.trace.take(),
             tbr_rates,
         }
     }

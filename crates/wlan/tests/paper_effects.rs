@@ -5,12 +5,31 @@
 
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;
-use airtime_wlan::{run, scenarios, Direction, NetworkConfig, SchedulerKind, Transport};
+use airtime_trace::Trace;
+use airtime_wlan::{
+    run, run_observed, scenarios, Direction, NetworkConfig, Report, SchedulerKind, Transport,
+};
 
 fn shortened(mut cfg: NetworkConfig, secs: u64) -> NetworkConfig {
     cfg.duration = SimDuration::from_secs(secs);
     cfg.warmup = SimDuration::from_secs(3);
     cfg
+}
+
+/// Runs `cfg` with a sniffer attached and returns the report and the
+/// captured frame trace.
+fn sniffed(cfg: &NetworkConfig) -> (Report, Trace) {
+    let mut trace = Trace::new(cfg.duration);
+    let r = run_observed(cfg, &mut trace);
+    (r, trace)
+}
+
+/// The EXP-1 office run at 20 s with a 2 s warm-up, sniffed.
+fn exp1_capture() -> (Report, Trace) {
+    let mut cfg = scenarios::exp1_office(SchedulerKind::RoundRobin);
+    cfg.duration = SimDuration::from_secs(20);
+    cfg.warmup = SimDuration::from_secs(2);
+    sniffed(&cfg)
 }
 
 #[test]
@@ -229,12 +248,8 @@ fn table3_four_node_mix_under_both_schedulers() {
 
 #[test]
 fn exp1_rate_diversity_from_rate_adaptation() {
-    let mut cfg = scenarios::exp1_office(SchedulerKind::RoundRobin);
-    cfg.duration = SimDuration::from_secs(20);
-    cfg.warmup = SimDuration::from_secs(2);
-    let r = run(&cfg);
-    let trace = r.trace.as_ref().expect("trace requested");
-    let fracs = airtime_trace::bytes_by_rate(trace);
+    let (r, trace) = exp1_capture();
+    let fracs = airtime_trace::bytes_by_rate(&trace);
     let get = |rate| {
         fracs
             .iter()
@@ -264,6 +279,22 @@ fn exp1_rate_diversity_from_rate_adaptation() {
     for f in &r.flows {
         assert!((f.goodput_mbps / mean - 1.0).abs() < 0.15);
     }
+}
+
+#[test]
+fn exp1_sniffer_capture_is_pinned() {
+    // The capture the engine built in-line before the sniffer became an
+    // observer: the sink must rebuild it record for record.
+    let (_, trace) = exp1_capture();
+    let fnv = format!("{:?}", trace.records)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(trace.records.len(), 2313);
+    assert_eq!(trace.total_bytes(), 3_552_768);
+    assert_eq!(fnv, 0xb2ab_0543_610c_613d, "{fnv:#018x}");
+    assert_eq!(trace.duration, SimDuration::from_secs(20));
 }
 
 #[test]
@@ -451,14 +482,9 @@ fn short_term_fairness_improves_with_smaller_bucket() {
             initial_tokens: D::from_millis(bucket_ms.min(5)),
             ..TbrConfig::default()
         };
-        let mut cfg =
-            scenarios::downloaders(&[DataRate::B11, DataRate::B1], SchedulerKind::Tbr(tc));
-        cfg.record_trace = true;
-        let r = run(&shortened(cfg, 15));
-        let tl = airtime_trace::airtime_fairness_timeline(
-            r.trace.as_ref().unwrap(),
-            D::from_millis(750),
-        );
+        let cfg = scenarios::downloaders(&[DataRate::B11, DataRate::B1], SchedulerKind::Tbr(tc));
+        let (_, trace) = sniffed(&shortened(cfg, 15));
+        let tl = airtime_trace::airtime_fairness_timeline(&trace, D::from_millis(750));
         let vals: Vec<f64> = tl.into_iter().flatten().collect();
         vals.iter().sum::<f64>() / vals.len() as f64
     };

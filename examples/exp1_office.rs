@@ -9,19 +9,20 @@
 //! walls, 30 ft through two thick walls. AARF settles each link at the
 //! rate its SNR supports; the byte mix on the air reproduces the
 //! paper's Figure 1 EXP-1 bar (>50% of bytes at 1 Mbit/s), and the
-//! exported CSV can be fed to external tooling.
+//! exported CSV can be fed to external tooling. The sniffer is a
+//! `Trace` attached to the run as an observer.
 
 use airtime::phy::DataRate;
 use airtime::sim::SimDuration;
-use airtime::trace::bytes_by_rate;
-use airtime::wlan::{run, scenarios, SchedulerKind};
+use airtime::trace::{bytes_by_rate, Trace};
+use airtime::wlan::{run_observed, scenarios, SchedulerKind};
 
 fn main() {
     let mut cfg = scenarios::exp1_office(SchedulerKind::RoundRobin);
     cfg.duration = SimDuration::from_secs(60);
     cfg.warmup = SimDuration::from_secs(2);
-    let report = run(&cfg);
-    let trace = report.trace.as_ref().expect("EXP-1 records a trace");
+    let mut trace = Trace::new(cfg.duration);
+    let report = run_observed(&cfg, &mut trace);
 
     println!("EXP-1: saturating UDP to four receivers behind walls\n");
     println!("per-receiver goodput (round-robin AP => equal bytes):");
@@ -29,12 +30,12 @@ fn main() {
         println!("  node {}: {:.2} Mbit/s", f.station + 1, f.goodput_mbps);
     }
     println!("\nbytes on the air per rate (the paper's Figure 1 EXP-1 bar):");
-    for (rate, frac) in bytes_by_rate(trace) {
+    for (rate, frac) in bytes_by_rate(&trace) {
         if frac > 0.0 {
             println!("  {rate:>5}: {:5.1}%", frac * 100.0);
         }
     }
-    let f1 = bytes_by_rate(trace)
+    let f1 = bytes_by_rate(&trace)
         .iter()
         .find(|(r, _)| *r == DataRate::B1)
         .map(|(_, f)| *f)

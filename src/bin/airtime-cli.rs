@@ -409,15 +409,16 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         }
         let mut rec = FlightRecorder::new();
         let r = run_instrumented(&cfg, &mut rec, registry.as_mut());
-        std::fs::write(path, rec.to_jsonl())
+        let recording = rec.recording();
+        std::fs::write(path, recording.to_jsonl())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !a.json {
             println!(
                 "flight recording written to {} ({} events, {} retained, fp {})\n",
                 path.display(),
-                rec.events(),
-                rec.ring().count(),
-                fp_hex(rec.fingerprint())
+                recording.total_events,
+                recording.events.len(),
+                recording.fp
             );
         }
         r
@@ -575,14 +576,15 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
         // One recording per radio cell lane: `<stem>.cell<i>[.ext]`.
         for (i, o) in obs.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
-            std::fs::write(&p, o.b.to_jsonl())
+            let recording = o.b.recording();
+            std::fs::write(&p, recording.to_jsonl())
                 .map_err(|e| format!("writing {}: {e}", p.display()))?;
             if !a.json {
                 println!(
                     "cell {i} flight recording written to {} ({} events, fp {})",
                     p.display(),
-                    o.b.events(),
-                    fp_hex(o.b.fingerprint())
+                    recording.total_events,
+                    recording.fp
                 );
             }
         }
@@ -1039,13 +1041,22 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
     }
     if a.spans || a.audit {
         if a.spans {
-            let spans = SpanCollector::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
+            let (spans, _) =
+                SpanCollector::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
             print!("{spans}");
         }
         if a.audit {
-            let ledger = AirtimeLedger::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
+            let (ledger, bad) =
+                AirtimeLedger::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
             let audit = ledger.audit();
             print!("{audit}");
+            // Lines that did not parse hold records the audit never saw.
+            if let Some((line, e)) = bad.first {
+                return Err(format!(
+                    "{path}:{line}: {e} ({} malformed lines)",
+                    bad.count
+                ));
+            }
             if !audit.conserved {
                 return Err("airtime conservation audit failed".into());
             }
