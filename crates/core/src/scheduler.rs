@@ -64,8 +64,9 @@ pub enum EnqueueOutcome {
 /// APPTXEVENT → [`enqueue`](Scheduler::enqueue),
 /// MACTXEVENT → [`dequeue`](Scheduler::dequeue),
 /// COMPLETEEVENT → [`on_complete`](Scheduler::on_complete),
-/// FILLEVENT/ADJUSTRATEEVENT → [`on_tick`](Scheduler::on_tick)
-/// (driven at [`tick_period`](Scheduler::tick_period)).
+/// ADJUSTRATEEVENT → [`on_tick`](Scheduler::on_tick) (on the
+/// [`tick_period`](Scheduler::tick_period) grid; TBR's FILLEVENT is a
+/// closed-form read, not an event).
 ///
 /// Beyond the paper's handlers, the trait carries the hooks an embedding
 /// simulator needs to treat every family uniformly: the §4.5 weighted
@@ -117,29 +118,38 @@ pub trait Scheduler {
     ) {
     }
 
-    /// Periodic maintenance (token refill, rate adjustment) up to `now`.
-    /// A no-op for disciplines without a [`tick_period`](Scheduler::tick_period).
+    /// Brings time-driven state (releases, rate adjustment) up to
+    /// `now`. A consult like any other: it must not change what the
+    /// scheduler does. A no-op for disciplines without a
+    /// [`tick_period`](Scheduler::tick_period).
     fn on_tick(&mut self, _now: SimTime) {}
 
-    /// The grid on which the scheduler's periodic work falls; `None` (the
-    /// default) for disciplines that need no timer.
+    /// The grid on which the scheduler's time-driven work falls; `None`
+    /// (the default) for disciplines that need no timer.
     ///
     /// Simulators never tick a scheduler at every grid instant. A
-    /// scheduler with a period must replay the grid instants it missed
-    /// on every entry point, at their exact timestamps, so its state is
-    /// a pure function of the consult sequence; the driver calls
-    /// [`on_tick`](Scheduler::on_tick) only at the wake-ups
-    /// [`next_wake`](Scheduler::next_wake) asks for and at the end of
-    /// a run.
+    /// scheduler with a period runs the work due on its grid at the
+    /// grid instants themselves, whichever entry point comes next, and
+    /// keeps its clocks lazy (TBR reads each balance in closed form).
+    /// Its state is then a pure function of the writes — enqueues,
+    /// dequeues, completions, (dis)associations — and consults at any
+    /// other instants ([`on_tick`](Scheduler::on_tick),
+    /// [`next_wake`](Scheduler::next_wake),
+    /// [`has_eligible`](Scheduler::has_eligible)) change nothing. The
+    /// driver calls `on_tick` only at the wake-ups `next_wake` asks for
+    /// and at the end of a run.
     fn tick_period(&self) -> Option<SimDuration> {
         None
     }
 
-    /// When the scheduler is blocked (backlog but nothing eligible),
-    /// the instant by which it wants to be consulted again. Estimates
-    /// must be conservative: an early wake is a harmless no-op, a late
-    /// one would hold an eligible packet back. `None` when no wake-up
-    /// is needed.
+    /// When nothing is eligible, the exact instant something may next
+    /// become eligible: the first release instant, or earlier work on
+    /// the grid that may move it (TBR's rate adjustment). At that
+    /// instant [`has_eligible`](Scheduler::has_eligible) turns true
+    /// unless that earlier work postponed the release; one grid step
+    /// before, it is false. `None` when no wake-up is needed. The
+    /// driver keeps one deadline armed there, so the release instant
+    /// does not depend on which other events happen to be dispatched.
     fn next_wake(&self, _now: SimTime) -> Option<SimTime> {
         None
     }
@@ -155,7 +165,10 @@ pub trait Scheduler {
 
     /// True when [`dequeue`](Scheduler::dequeue) would return a packet.
     /// The default — any backlog — holds for every work-conserving
-    /// discipline; regulators that hold packets back override it.
+    /// discipline; regulators that hold packets back override it with
+    /// an O(1) read (TBR: a non-empty eligible ring, or a release
+    /// instant at or before `now`), since the driver asks after every
+    /// dispatch.
     fn has_eligible(&self, _now: SimTime) -> bool {
         self.backlog() > 0
     }

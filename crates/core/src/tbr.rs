@@ -9,19 +9,22 @@
 //!
 //! - **ASSOCIATEEVENT** ([`TbrScheduler::on_associate`]): create the
 //!   client's queue, initialise `tokens`, `bucket` and `rate`.
-//! - **FILLEVENT** (inside [`TbrScheduler::on_tick`]): add
-//!   `elapsed × rateᵢ` tokens, capped at `bucketᵢ`.
+//! - **FILLEVENT** (lazy): a balance read at `t` is
+//!   `min(bucketᵢ, tokensᵢ + rateᵢ·(t − as_ofᵢ))`, from the balance
+//!   and instant of its last write; a client in debt resumes at the
+//!   first `fill_period` grid instant that read turns positive.
 //! - **APPTXEVENT** ([`TbrScheduler::enqueue`]): queue a packet on its
 //!   client's queue (any buffer policy works; drop-tail here, §4.4).
 //! - **MACTXEVENT** ([`TbrScheduler::dequeue`]): when the MAC can take a
 //!   frame, pick round-robin among queues that are non-empty *and* have
-//!   positive tokens. Round-robin choice only affects short-term
-//!   fairness, not correctness (§4.1).
+//!   positive tokens (a ring of eligible keys). Round-robin choice only
+//!   affects short-term fairness, not correctness (§4.1).
 //! - **COMPLETEEVENT** ([`TbrScheduler::on_complete`]): debit the
 //!   client's tokens by the exchange's measured channel occupancy —
 //!   including retransmissions, and for *both* uplink and downlink
 //!   frames, since the AP is only a facilitator (§2.2).
-//! - **ADJUSTRATEEVENT** (inside [`TbrScheduler::on_tick`]): keep the
+//! - **ADJUSTRATEEVENT** (at its grid instant, run by whichever entry
+//!   point comes first at or after it): keep the
 //!   channel fully utilised without violating max-min fairness by
 //!   moving rate from the most under-utilising client (half its excess
 //!   at a time) to the clients that consumed their full allocation
@@ -33,6 +36,9 @@
 //! the optional client-side defer (the notification-bit mechanism of
 //! §4.1), which `airtime-wlan` implements as an extension.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::buffer::BufferPolicy;
@@ -41,7 +47,10 @@ use crate::scheduler::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Schedu
 /// Tunables for [`TbrScheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct TbrConfig {
-    /// FILLEVENT period (token refill granularity).
+    /// The release grid: a client in debt resumes at the first multiple
+    /// of this period where its balance reads positive. Balances
+    /// themselves accrue continuously. Rate adjustments fall on this
+    /// grid too.
     pub fill_period: SimDuration,
     /// ADJUSTRATEEVENT period.
     pub adjust_period: SimDuration,
@@ -101,7 +110,7 @@ impl Default for TbrConfig {
 
 impl TbrConfig {
     /// Checks the tunables, naming the first offending one. A zero fill
-    /// period would replay grid instants forever, a zero bucket caps
+    /// period leaves no release grid, a zero bucket caps
     /// every balance at zero so nothing is ever released, and an
     /// adjustment period shorter than the fill period would re-adjust
     /// rates at every fill, on windows too short to measure demand.
@@ -132,9 +141,31 @@ impl TbrConfig {
     }
 }
 
+/// Where a key sits in the release machinery.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Listed {
+    /// Empty queue or closed account: in neither structure.
+    Idle,
+    /// Backlogged with a positive balance: served from the ring.
+    Ring,
+    /// Backlogged and waiting for `release_at`: on the blocked heap.
+    Blocked,
+}
+
 struct ClientState {
-    /// Channel-time balance in nanoseconds (may be negative).
+    /// Channel-time balance in nanoseconds (may be negative) as of
+    /// `as_of`. Only debits, rate changes and (dis)association write
+    /// it; every other read is [`ClientState::balance_at`].
     tokens: f64,
+    as_of: SimTime,
+    /// From when on the balance reads positive: at or before `as_of`
+    /// when it already does, otherwise the first `fill_period` grid
+    /// instant where [`ClientState::balance_at`] turns positive
+    /// ([`SimTime::FAR_FUTURE`] while the rate is zero).
+    release_at: SimTime,
+    listed: Listed,
+    /// The key has an entry in the ring, possibly a stale one.
+    in_ring: bool,
     /// Token refill rate as a fraction of wall-clock time.
     rate: f64,
     /// QoS weight (1.0 = equal share).
@@ -151,22 +182,56 @@ struct ClientState {
     /// Smoothed share of consumed airtime across adjustment windows.
     usage_ewma: Option<f64>,
     /// False after DISASSOCIATEEVENT: the slot persists (pool slots are
-    /// append-only) but the client holds no rate, receives no fills and
+    /// append-only) but the client holds no rate, accrues no tokens and
     /// is excluded from adjustment until it re-associates.
     active: bool,
 }
 
+impl ClientState {
+    /// The balance at `t ≥ as_of`: FILLEVENT in closed form. Tokens
+    /// only rise between writes, so one clamp at the read equals a
+    /// clamp at every fill.
+    fn balance_at(&self, t: SimTime, cap: f64) -> f64 {
+        let dt = t.saturating_since(self.as_of).as_nanos();
+        if dt == 0 {
+            return self.tokens;
+        }
+        (self.tokens + dt as f64 * self.rate).min(cap)
+    }
+
+    /// Writes the balance at `t` back as the stored one.
+    fn materialize(&mut self, t: SimTime, cap: f64) {
+        self.tokens = self.balance_at(t, cap);
+        self.as_of = t;
+    }
+}
+
 /// The Time-based Regulator.
+///
+/// Per packet it does O(log keys) work: eligible keys wait in a
+/// round-robin ring, blocked ones in a min-heap on their release
+/// instant, and balances are read lazily. Only the rate adjustment
+/// and (dis)association visit every key.
 pub struct TbrScheduler {
     config: TbrConfig,
     pool: QueuePool,
     states: Vec<ClientState>,
-    next_rr: usize,
-    last_fill: SimTime,
-    last_adjust: SimTime,
-    /// The next FILLEVENT grid instant (multiples of `fill_period`)
-    /// that has not been replayed yet. See [`TbrScheduler::catch_up`].
-    next_grid: SimTime,
+    /// Eligible keys in service order. An entry whose key has since
+    /// left [`Listed::Ring`] is dropped when it reaches the front.
+    ring: VecDeque<usize>,
+    /// Keys currently [`Listed::Ring`].
+    eligible: usize,
+    /// Packets buffered across all keys.
+    backlog: usize,
+    /// Blocked keys by `(release_at, slot)`. The top entry is always
+    /// live; superseded entries below it are dropped as they surface.
+    blocked: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// The instant the regulator has caught up to.
+    clock: SimTime,
+    /// The next ADJUSTRATEEVENT, a multiple of `adjust_step`.
+    next_adjust: SimTime,
+    /// `adjust_period` rounded up to the fill grid.
+    adjust_step: SimDuration,
     /// Total channel time debited, per client (measurement).
     debited: Vec<f64>,
 }
@@ -181,45 +246,226 @@ impl TbrScheduler {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
+        let p = config.fill_period.as_nanos();
+        let adjust_step = SimDuration::from_nanos(config.adjust_period.as_nanos().div_ceil(p) * p);
         TbrScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,
             states: Vec::new(),
-            next_rr: 0,
-            last_fill: SimTime::ZERO,
-            last_adjust: SimTime::ZERO,
-            next_grid: SimTime::ZERO + config.fill_period,
+            ring: VecDeque::new(),
+            eligible: 0,
+            backlog: 0,
+            blocked: BinaryHeap::new(),
+            clock: SimTime::ZERO,
+            next_adjust: SimTime::ZERO + adjust_step,
+            adjust_step,
             debited: Vec::new(),
         }
     }
 
-    /// Replays every FILLEVENT/ADJUSTRATEEVENT grid instant up to
-    /// `now`, exactly as a periodic timer would have fired them.
-    ///
-    /// This is what lets the simulator skip idle ticks: fills and
-    /// adjustments always execute at the same timestamps — multiples of
-    /// `fill_period` — whether a wake-up drove them or an
-    /// enqueue/dequeue/complete arrived after an idle stretch. Since
-    /// `f64` addition is not associative, replaying the *same instants*
-    /// (rather than one analytically equivalent lump fill) is the only
-    /// way the trajectory stays bit-for-bit identical to ticking at
-    /// every grid instant. Every entry point calls this first, so token
-    /// and rate state is a pure function of the consult-time sequence.
-    fn catch_up(&mut self, now: SimTime) {
-        while self.next_grid <= now {
-            let g = self.next_grid;
-            self.fill(g);
-            if g.saturating_since(self.last_adjust) >= self.config.adjust_period {
-                self.last_adjust = g;
-                self.adjust_rates(g);
+    fn cap(&self) -> f64 {
+        self.config.bucket.as_nanos() as f64
+    }
+
+    /// Brings the regulator to `now` (never backwards) and returns the
+    /// instant it is at. Runs every ADJUSTRATEEVENT due by then at its
+    /// own instant, with the releases that precede it, so the state is
+    /// a pure function of the writes (debits, enqueues, dequeues,
+    /// associations) whatever the consult times.
+    fn catch_up(&mut self, now: SimTime) -> SimTime {
+        let now = now.max(self.clock);
+        while self.next_adjust <= now {
+            let a = self.next_adjust;
+            self.release_until(a);
+            self.clock = a;
+            self.adjust_rates(a);
+            self.next_adjust = a + self.adjust_step;
+        }
+        self.release_until(now);
+        self.clock = now;
+        now
+    }
+
+    /// Moves every blocked key whose release instant is at or before
+    /// `t` onto the ring, in release order.
+    fn release_until(&mut self, t: SimTime) {
+        while let Some(&Reverse((at, slot))) = self.blocked.peek() {
+            if at > t {
+                break;
             }
-            self.next_grid = g + self.config.fill_period;
+            self.blocked.pop();
+            self.set_listing(slot, Listed::Ring);
+            self.settle_blocked();
         }
     }
 
+    /// Files `slot` under `want`, keeping the eligible count and the
+    /// ring in step; the blocked heap is the caller's.
+    fn set_listing(&mut self, slot: usize, want: Listed) {
+        let s = &mut self.states[slot];
+        if s.listed == Listed::Ring {
+            self.eligible -= 1;
+        }
+        if want == Listed::Ring {
+            self.eligible += 1;
+            if !s.in_ring {
+                s.in_ring = true;
+                self.ring.push_back(slot);
+            }
+        }
+        s.listed = want;
+    }
+
+    /// Drops superseded entries off the top of the blocked heap.
+    fn settle_blocked(&mut self) {
+        while let Some(&Reverse((at, slot))) = self.blocked.peek() {
+            let s = &self.states[slot];
+            if s.listed == Listed::Blocked && s.release_at == at {
+                break;
+            }
+            self.blocked.pop();
+        }
+    }
+
+    /// The first instant `s`'s balance reads positive (see
+    /// [`ClientState::release_at`]). The closed form lands within a
+    /// grid step of it; the two loops settle float rounding against
+    /// the very read eligibility is defined by.
+    fn release_instant(&self, s: &ClientState) -> SimTime {
+        if s.tokens > 0.0 {
+            return s.as_of;
+        }
+        if s.rate <= 0.0 {
+            return SimTime::FAR_FUTURE;
+        }
+        let p = self.config.fill_period.as_nanos();
+        let cap = self.cap();
+        let cross = s.as_of.as_nanos() as f64 + -s.tokens / s.rate;
+        let k = (cross / p as f64).ceil();
+        if k >= (SimTime::FAR_FUTURE.as_nanos() / p) as f64 {
+            return SimTime::FAR_FUTURE;
+        }
+        // No grid instant at or before `as_of` reads positive (the
+        // balance there is the stored, non-positive one), so the
+        // downward loop stops at `as_of` by itself.
+        let positive = |k: u64| s.balance_at(SimTime::from_nanos(k * p), cap) > 0.0;
+        let mut k = k as u64;
+        while !positive(k) {
+            k += 1;
+        }
+        while positive(k - 1) {
+            k -= 1;
+        }
+        SimTime::from_nanos(k * p)
+    }
+
+    /// The listing `slot`'s backlog and release instant call for.
+    fn listing(&self, slot: usize) -> Listed {
+        let s = &self.states[slot];
+        if !s.active || self.pool.queues[slot].is_empty() {
+            Listed::Idle
+        } else if s.release_at <= self.clock {
+            Listed::Ring
+        } else {
+            Listed::Blocked
+        }
+    }
+
+    /// Re-files `slot` after a write; `old_release` is its release
+    /// instant before the write.
+    fn refile(&mut self, slot: usize, old_release: SimTime) {
+        let want = self.listing(slot);
+        let s = &self.states[slot];
+        if s.listed == want && (want != Listed::Blocked || s.release_at == old_release) {
+            return;
+        }
+        self.set_listing(slot, want);
+        if want == Listed::Blocked {
+            self.blocked
+                .push(Reverse((self.states[slot].release_at, slot)));
+        }
+        self.settle_blocked();
+    }
+
+    /// After the rates changed at `clock`: recomputes the release
+    /// instant of every key in debt and rebuilds the blocked heap. A
+    /// key with a positive balance keeps its listing and its release
+    /// instant (at or before `as_of`).
+    fn refile_debtors(&mut self) {
+        self.blocked.clear();
+        for slot in 0..self.states.len() {
+            if self.states[slot].tokens > 0.0 {
+                continue;
+            }
+            let release = self.release_instant(&self.states[slot]);
+            self.states[slot].release_at = release;
+            let want = self.listing(slot);
+            self.set_listing(slot, want);
+            if want == Listed::Blocked {
+                self.blocked.push(Reverse((release, slot)));
+            }
+        }
+    }
+
+    /// Debug builds only: the ring, the blocked heap and the counters
+    /// must agree with a scan of every key's backlog and balance.
+    #[cfg(debug_assertions)]
+    fn check_listings(&self) {
+        let mut ring_entries = vec![0usize; self.states.len()];
+        for &i in &self.ring {
+            ring_entries[i] += 1;
+        }
+        for (i, s) in self.states.iter().enumerate() {
+            if s.tokens > 0.0 {
+                assert!(
+                    s.release_at <= s.as_of,
+                    "key {i}: positive but released later"
+                );
+            } else {
+                assert_eq!(
+                    s.release_at,
+                    self.release_instant(s),
+                    "key {i}: release instant"
+                );
+            }
+            assert_eq!(s.listed, self.listing(i), "key {i} at {:?}", self.clock);
+            assert_eq!(
+                ring_entries[i],
+                usize::from(s.in_ring),
+                "key {i}: ring entries"
+            );
+            assert!(
+                s.listed != Listed::Ring || s.in_ring,
+                "key {i}: eligible off the ring"
+            );
+            if s.listed == Listed::Blocked {
+                assert!(
+                    self.blocked
+                        .iter()
+                        .any(|&Reverse(e)| e == (s.release_at, i)),
+                    "key {i}: blocked off the heap"
+                );
+            }
+        }
+        let ring_keys = self.states.iter().filter(|s| s.listed == Listed::Ring);
+        assert_eq!(self.eligible, ring_keys.count(), "eligible count");
+        assert_eq!(self.backlog, self.pool.backlog(), "backlog count");
+        if let Some(&Reverse((at, i))) = self.blocked.peek() {
+            let s = &self.states[i];
+            assert!(
+                s.listed == Listed::Blocked && s.release_at == at,
+                "stale heap top"
+            );
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn check_listings(&self) {}
+
     /// Resets every rate to its weighted fair share (membership or
-    /// weight changed).
+    /// weight changed) at `now`.
     fn reset_rates(&mut self, now: SimTime) {
+        let cap = self.cap();
         let total_w: f64 = self
             .states
             .iter()
@@ -227,10 +473,14 @@ impl TbrScheduler {
             .map(|s| s.weight)
             .sum();
         for s in &mut self.states {
+            if s.active {
+                s.materialize(now, cap);
+            }
             s.rate = if s.active { s.weight / total_w } else { 0.0 };
             s.actual = 0.0;
             s.start = now;
         }
+        self.refile_debtors();
     }
 
     /// Total channel time ever debited to a client.
@@ -240,20 +490,8 @@ impl TbrScheduler {
             .map(|i| SimDuration::from_nanos(self.debited[i].max(0.0) as u64))
     }
 
-    fn fill(&mut self, now: SimTime) {
-        let elapsed = now.saturating_since(self.last_fill).as_nanos() as f64;
-        if elapsed <= 0.0 {
-            return;
-        }
-        self.last_fill = now;
-        let cap = self.config.bucket.as_nanos() as f64;
-        for s in &mut self.states {
-            if s.active {
-                s.tokens = (s.tokens + elapsed * s.rate).min(cap);
-            }
-        }
-    }
-
+    /// ADJUSTRATEEVENT at `now`: balances accrue at the old rates up to
+    /// `now`, then the rates move and every key is refiled.
     fn adjust_rates(&mut self, now: SimTime) {
         // Only current members participate; disassociated slots hold no
         // rate and must neither donate nor receive. With every slot
@@ -262,6 +500,10 @@ impl TbrScheduler {
         let act: Vec<usize> = (0..self.states.len())
             .filter(|&i| self.states[i].active)
             .collect();
+        let cap = self.cap();
+        for &i in &act {
+            self.states[i].materialize(now, cap);
+        }
         let n = act.len();
         let total_actual: f64 = act.iter().map(|&i| self.states[i].actual).sum();
         let span_ns = act
@@ -355,6 +597,7 @@ impl TbrScheduler {
                 s.backlog_since = Some(now);
             }
         }
+        self.refile_debtors();
     }
 }
 
@@ -363,6 +606,7 @@ impl Scheduler for TbrScheduler {
         // Idempotent while associated: re-association keeps any
         // explicitly set weight. A disassociated slot re-registers from
         // scratch with the default weight.
+        let now = self.catch_up(now);
         match self.pool.slot_of(client) {
             Some(slot) if self.states[slot].active => {}
             _ => self.on_associate_weighted(client, 1.0, now),
@@ -374,15 +618,18 @@ impl Scheduler for TbrScheduler {
     /// default equal share.
     fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
         assert!(weight > 0.0, "weight must be positive");
-        // Replay outstanding grid instants under the *old* membership
-        // before it changes — otherwise a catch-up after this call
-        // would fill pre-association instants at the new rates and
-        // diverge from the per-instant trajectory.
-        self.catch_up(now);
+        // Run the adjustments due before the membership changes, under
+        // the old membership.
+        let now = self.catch_up(now);
         let slot = self.pool.add_client(client);
+        let initial = self.config.initial_tokens.as_nanos() as f64;
         if slot >= self.states.len() {
             self.states.push(ClientState {
-                tokens: self.config.initial_tokens.as_nanos() as f64,
+                tokens: initial,
+                as_of: now,
+                release_at: now,
+                listed: Listed::Idle,
+                in_ring: false,
                 rate: 0.0,
                 weight,
                 actual: 0.0,
@@ -400,7 +647,9 @@ impl Scheduler for TbrScheduler {
             // of its previous stint (debt was settled by leaving; usage
             // history would poison the adjuster's EWMA).
             let s = &mut self.states[slot];
-            s.tokens = self.config.initial_tokens.as_nanos() as f64;
+            s.tokens = initial;
+            s.as_of = now;
+            s.release_at = now;
             s.weight = weight;
             s.actual = 0.0;
             s.start = now;
@@ -413,6 +662,7 @@ impl Scheduler for TbrScheduler {
             self.states[slot].weight = weight;
         }
         self.reset_rates(now);
+        self.check_listings();
     }
 
     /// Disassociates `client`: flushes its queue, drops its token
@@ -420,14 +670,16 @@ impl Scheduler for TbrScheduler {
     /// association, §4.2 keys accounts on the association lifetime) and
     /// redistributes its rate among the remaining members.
     fn on_disassociate(&mut self, client: ClientId, now: SimTime) -> Vec<QueuedPacket> {
-        self.catch_up(now);
+        let now = self.catch_up(now);
         let Some(slot) = self.pool.slot_of(client) else {
             return Vec::new();
         };
         let flushed = self.pool.flush_client(client);
+        self.backlog -= flushed.len();
         let s = &mut self.states[slot];
         s.active = false;
         s.tokens = 0.0;
+        s.as_of = now;
         s.rate = 0.0;
         s.actual = 0.0;
         s.demand_time = 0.0;
@@ -435,11 +687,12 @@ impl Scheduler for TbrScheduler {
         s.low_demand_streak = 0;
         s.usage_ewma = None;
         self.reset_rates(now);
+        self.check_listings();
         flushed
     }
 
     fn enqueue(&mut self, pkt: QueuedPacket, now: SimTime) -> EnqueueOutcome {
-        self.catch_up(now);
+        let now = self.catch_up(now);
         if self.pool.slot_of(pkt.client).is_none() {
             self.on_associate(pkt.client, now);
         }
@@ -452,34 +705,47 @@ impl Scheduler for TbrScheduler {
         }
         let was_empty = self.pool.queues[slot].is_empty();
         let outcome = self.pool.enqueue(pkt);
-        if was_empty
-            && outcome == EnqueueOutcome::Accepted
-            && self.states[slot].backlog_since.is_none()
-        {
-            self.states[slot].backlog_since = Some(now);
+        if outcome == EnqueueOutcome::Accepted {
+            self.backlog += 1;
         }
+        if was_empty && outcome == EnqueueOutcome::Accepted {
+            if self.states[slot].backlog_since.is_none() {
+                self.states[slot].backlog_since = Some(now);
+            }
+            let release = self.states[slot].release_at;
+            self.refile(slot, release);
+        }
+        self.check_listings();
         outcome
     }
 
+    /// Serves the ring's front key. It goes to the back while it stays
+    /// backlogged: its balance is only debited at completion.
     fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
-        self.catch_up(now);
-        self.fill(now);
-        let n = self.pool.len();
-        for k in 0..n {
-            let i = (self.next_rr + k) % n;
-            if self.states[i].tokens > 0.0 {
-                if let Some(pkt) = self.pool.queues[i].pop_front() {
-                    self.next_rr = (i + 1) % n;
-                    if self.pool.queues[i].is_empty() {
-                        if let Some(since) = self.states[i].backlog_since.take() {
-                            self.states[i].demand_time +=
-                                now.saturating_since(since).as_nanos() as f64;
-                        }
-                    }
-                    return Some(pkt);
-                }
+        let now = self.catch_up(now);
+        while let Some(i) = self.ring.pop_front() {
+            let s = &mut self.states[i];
+            if s.listed != Listed::Ring {
+                s.in_ring = false;
+                continue;
             }
+            let pkt = self.pool.queues[i]
+                .pop_front()
+                .expect("a ring key is backlogged");
+            self.backlog -= 1;
+            if self.pool.queues[i].is_empty() {
+                s.in_ring = false;
+                if let Some(since) = s.backlog_since.take() {
+                    s.demand_time += now.saturating_since(since).as_nanos() as f64;
+                }
+                self.set_listing(i, Listed::Idle);
+            } else {
+                self.ring.push_back(i);
+            }
+            self.check_listings();
+            return Some(pkt);
         }
+        self.check_listings();
         None
     }
 
@@ -490,10 +756,9 @@ impl Scheduler for TbrScheduler {
         _sent_by_ap: bool,
         now: SimTime,
     ) {
-        // Catch up first: at a timestamp shared with a grid instant,
-        // the debit must land after the grid's fill/adjust whether or
-        // not a wake-up event happened to pop first at that instant.
-        self.catch_up(now);
+        // At a timestamp shared with an adjustment instant, the debit
+        // lands after the adjustment whatever consulted first.
+        let now = self.catch_up(now);
         let slot = match self.pool.slot_of(client) {
             Some(s) => s,
             None => {
@@ -504,6 +769,7 @@ impl Scheduler for TbrScheduler {
             }
         };
         let t = airtime.as_nanos() as f64;
+        let cap = self.cap();
         let s = &mut self.states[slot];
         if !s.active {
             // A frame already at the MAC when its station disassociated
@@ -515,85 +781,59 @@ impl Scheduler for TbrScheduler {
         // repaid — that *is* the regulation. (An earlier draft clamped
         // the deficit, which quietly subsidised slow clients whose
         // single exchange exceeded the clamp.)
+        s.materialize(now, cap);
         s.tokens -= t;
         s.actual += t;
         self.debited[slot] += t;
+        let old = s.release_at;
+        let release = self.release_instant(&self.states[slot]);
+        self.states[slot].release_at = release;
+        self.refile(slot, old);
+        self.check_listings();
     }
 
     fn on_tick(&mut self, now: SimTime) {
         self.catch_up(now);
-        self.fill(now);
-        if now.saturating_since(self.last_adjust) >= self.config.adjust_period {
-            self.last_adjust = now;
-            self.adjust_rates(now);
-        }
+        self.check_listings();
     }
 
     fn tick_period(&self) -> Option<SimDuration> {
         Some(self.config.fill_period)
     }
 
+    /// The earliest blocked release, or the next adjustment if that
+    /// comes first (it may move releases earlier). Exact: the wake
+    /// finds the key eligible, one `fill_period` earlier would not.
     fn next_wake(&self, now: SimTime) -> Option<SimTime> {
-        let p = self.config.fill_period.as_nanos();
-        // First grid index strictly after `now` that has not been
-        // replayed (callers catch up before asking, making these equal;
-        // the max guards a stale call).
-        let first_k = (self.next_grid.as_nanos() / p).max(now.as_nanos() / p + 1);
-        let last_fill = self.last_fill.as_nanos() as f64;
-        let mut k_min: Option<u64> = None;
-        for (i, s) in self.states.iter().enumerate() {
-            if self.pool.queues[i].is_empty() || s.tokens > 0.0 {
-                continue;
-            }
-            // Tokens are as-of `last_fill`; project the refill forward
-            // to the grid instant where the balance crosses zero, then
-            // wake two grid steps early — the stepwise replay and this
-            // analytic estimate can disagree by float rounding, and an
-            // early wake is a no-op while a late one changes behaviour.
-            let k = if s.rate > 0.0 {
-                let cross = last_fill + (-s.tokens) / s.rate;
-                let k = (cross / p as f64).ceil();
-                if k.is_finite() && k >= 0.0 && k < (u64::MAX / p) as f64 {
-                    (k as u64).saturating_sub(2).max(first_k)
-                } else {
-                    u64::MAX / p
-                }
-            } else {
-                // No refill until the next rate adjustment.
-                u64::MAX / p
-            };
-            k_min = Some(k_min.map_or(k, |m: u64| m.min(k)));
-        }
-        let k = k_min?;
-        // Rates can change at the next ADJUSTRATEEVENT; never sleep
-        // past it.
-        let adjust_due = self.last_adjust + self.config.adjust_period;
-        let k_adjust = adjust_due.as_nanos().div_ceil(p).max(first_k);
-        Some(SimTime::from_nanos(k.min(k_adjust).saturating_mul(p)))
+        let &Reverse((at, _)) = self.blocked.peek()?;
+        Some(at.min(self.next_adjust).max(now))
     }
 
     fn backlog(&self) -> usize {
-        self.pool.backlog()
+        self.backlog
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
         self.pool.queue_len(client)
     }
 
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        // Tokens refill lazily in `dequeue`, so a queue blocked on
-        // tokens counts as eligible only if a fill "now" would unblock
-        // it; callers that get `true` here but `None` from `dequeue`
-        // should retry at the next tick.
-        (0..self.pool.len()).any(|i| !self.pool.queues[i].is_empty() && self.states[i].tokens > 0.0)
+    fn has_eligible(&self, now: SimTime) -> bool {
+        self.eligible > 0
+            || self
+                .blocked
+                .peek()
+                .is_some_and(|&Reverse((at, _))| at <= now)
     }
 
     fn drops(&self) -> u64 {
         self.pool.drops()
     }
 
+    /// The balance at the instant the regulator last caught up to.
     fn token_balance_ns(&self, client: ClientId) -> Option<f64> {
-        self.pool.slot_of(client).map(|i| self.states[i].tokens)
+        self.pool
+            .slot_of(client)
+            .map(|i| self.states[i].balance_at(self.clock, self.cap()))
     }
 
     fn token_fill_rate(&self, client: ClientId) -> Option<f64> {
@@ -605,6 +845,7 @@ impl Scheduler for TbrScheduler {
 mod tests {
     use super::*;
     use crate::scheduler::RoundRobinScheduler;
+    use airtime_sim::SimRng;
 
     const AIRTIME_11M: SimDuration = SimDuration::from_micros(1617); // 1500 B at 11 Mbit/s
     const AIRTIME_1M: SimDuration = SimDuration::from_micros(12_854); // 1500 B at 1 Mbit/s
@@ -986,111 +1227,194 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_catch_up_is_bitwise_identical_to_dense_ticking() {
-        // Two regulators see the same consult sequence; one also gets a
-        // dense `on_tick` at every fill-period grid instant, the other
-        // relies on entry-point catch-up alone. Because catch-up
-        // replays fills and adjustments at the exact grid timestamps,
-        // token and rate state must agree *bit for bit* — not merely
-        // within tolerance — at every consult.
-        let mk = || {
-            let mut t = TbrScheduler::new(TbrConfig::default());
-            t.on_associate(ClientId(0), SimTime::ZERO);
-            t.on_associate(ClientId(1), SimTime::ZERO);
-            t
-        };
-        let mut dense = mk();
-        let mut lazy = mk();
-        let tick = dense.tick_period().unwrap();
-        let mut next_tick = SimTime::ZERO + tick;
-        // Irregular consult times: sub-tick jitter, multi-tick stalls,
-        // and idle gaps spanning the 1 s adjustment boundary.
-        let mut now = SimTime::ZERO;
-        let gaps_us = [
-            150u64, 3_900, 12, 800_000, 40, 2_500_000, 7, 133, 600_000, 90_000,
-        ];
-        for (i, &gap) in gaps_us.iter().cycle().take(60).enumerate() {
-            now += SimDuration::from_micros(gap);
-            while next_tick <= now {
-                dense.on_tick(next_tick);
-                next_tick += tick;
+    /// One random operation a driver could perform at `now`.
+    fn random_op<S: Scheduler>(
+        s: &mut S,
+        rng: &mut SimRng,
+        n: usize,
+        now: SimTime,
+    ) -> Option<QueuedPacket> {
+        let c = rng.below(n as u64) as usize;
+        match rng.below(10) {
+            0..=3 => {
+                s.enqueue(pkt(c, 1500), now);
+                None
             }
-            match i % 3 {
-                0 => {
-                    dense.enqueue(pkt(i % 2, 1500), now);
-                    lazy.enqueue(pkt(i % 2, 1500), now);
+            4..=6 => {
+                let p = s.dequeue(now);
+                if let Some(p) = p {
+                    let us = 300 + rng.below(13_000);
+                    s.on_complete(p.client, SimDuration::from_micros(us), true, now);
                 }
-                1 => {
-                    let a = dense.dequeue(now);
-                    let b = lazy.dequeue(now);
-                    assert_eq!(a, b, "dequeue diverged at consult {i}");
-                    if let Some(p) = a {
-                        dense.on_complete(p.client, AIRTIME_11M, true, now);
-                        lazy.on_complete(p.client, AIRTIME_11M, true, now);
-                    }
-                }
-                _ => {
-                    dense.on_complete(ClientId(i % 2), AIRTIME_1M, false, now);
-                    lazy.on_complete(ClientId(i % 2), AIRTIME_1M, false, now);
-                }
+                p
             }
-            for c in 0..2 {
-                let td = dense.token_balance_ns(ClientId(c)).unwrap();
-                let tl = lazy.token_balance_ns(ClientId(c)).unwrap();
-                assert_eq!(
-                    td.to_bits(),
-                    tl.to_bits(),
-                    "tokens diverged at consult {i}: {td} vs {tl}"
-                );
-                let rd = dense.token_fill_rate(ClientId(c)).unwrap();
-                let rl = lazy.token_fill_rate(ClientId(c)).unwrap();
-                assert_eq!(
-                    rd.to_bits(),
-                    rl.to_bits(),
-                    "rates diverged at consult {i}: {rd} vs {rl}"
-                );
+            7 | 8 => {
+                let us = 300 + rng.below(13_000);
+                s.on_complete(ClientId(c), SimDuration::from_micros(us), false, now);
+                None
+            }
+            _ => {
+                if rng.chance(0.5) {
+                    s.on_disassociate(ClientId(c), now);
+                } else {
+                    s.on_associate(ClientId(c), now);
+                }
+                None
             }
         }
     }
 
     #[test]
-    fn next_wake_is_conservative_and_grid_aligned() {
+    fn lazy_catch_up_is_bitwise_identical_to_dense_ticking() {
+        // Property: consults change nothing. Two regulators see the
+        // same writes (enqueues, dequeues, debits, association churn);
+        // one is also consulted — `has_eligible`, `next_wake` and
+        // `on_tick` — at random instants in between, as densely as a
+        // per-grid timer or as sparsely as an idle cell. Every dequeue,
+        // balance and rate must agree bit for bit, not merely within
+        // tolerance.
+        for seed in 0..40u64 {
+            let mut rng = SimRng::new(seed);
+            let n = 2 + rng.below(4) as usize;
+            let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.below(3) as f64).collect();
+            // Half the seeds start with a token so small that blocking
+            // begins at the first debit.
+            let initial_us = if seed % 2 == 0 { 1 } else { 5_000 };
+            let mk = || {
+                let mut t = TbrScheduler::new(TbrConfig {
+                    initial_tokens: SimDuration::from_micros(initial_us),
+                    ..TbrConfig::default()
+                });
+                for (c, &w) in weights.iter().enumerate() {
+                    t.on_associate_weighted(ClientId(c), w, SimTime::ZERO);
+                }
+                t
+            };
+            let mut plain = mk();
+            let mut probed = mk();
+            let mut now = SimTime::ZERO;
+            for step in 0..600 {
+                let gap_us = match rng.below(4) {
+                    0 => rng.below(200),
+                    1 => rng.below(6_000),
+                    2 => rng.below(60_000),
+                    _ => rng.below(1_500_000),
+                };
+                let next = now + SimDuration::from_micros(gap_us);
+                let mut probes: Vec<u64> = (0..rng.below(4))
+                    .map(|_| rng.below(gap_us * 1_000 + 1))
+                    .collect();
+                probes.sort_unstable();
+                for off in probes {
+                    let t = now + SimDuration::from_nanos(off);
+                    let _ = probed.has_eligible(t);
+                    let _ = probed.next_wake(t);
+                    probed.on_tick(t);
+                }
+                now = next;
+                // Both draw the op from the same stream position.
+                let mut twin = rng.clone();
+                let a = random_op(&mut plain, &mut rng, n, now);
+                let b = random_op(&mut probed, &mut twin, n, now);
+                assert_eq!(a, b, "seed {seed}: dequeue diverged at step {step}");
+                assert_eq!(plain.has_eligible(now), probed.has_eligible(now));
+                assert_eq!(plain.next_wake(now), probed.next_wake(now));
+                for c in 0..n {
+                    let (tp, tq) = (
+                        plain.token_balance_ns(ClientId(c)).unwrap(),
+                        probed.token_balance_ns(ClientId(c)).unwrap(),
+                    );
+                    assert_eq!(
+                        tp.to_bits(),
+                        tq.to_bits(),
+                        "seed {seed} step {step}: tokens {tp} vs {tq}"
+                    );
+                    let (rp, rq) = (
+                        plain.token_fill_rate(ClientId(c)).unwrap(),
+                        probed.token_fill_rate(ClientId(c)).unwrap(),
+                    );
+                    assert_eq!(
+                        rp.to_bits(),
+                        rq.to_bits(),
+                        "seed {seed} step {step}: rates {rp} vs {rq}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_wake_is_exact_and_grid_aligned() {
+        let period = TbrConfig::default().fill_period;
+        for seed in 0..200u64 {
+            let mut rng = SimRng::new(seed);
+            let mut tbr = TbrScheduler::new(TbrConfig {
+                initial_tokens: SimDuration::from_micros(1),
+                ..TbrConfig::default()
+            });
+            let n = 2 + rng.below(6) as usize;
+            for c in 0..n {
+                tbr.on_associate(ClientId(c), SimTime::ZERO);
+            }
+            // Unblocked (no backlog): no wake needed.
+            assert_eq!(tbr.next_wake(SimTime::ZERO), None);
+            let now = SimTime::from_micros(rng.below(200_000));
+            tbr.enqueue(pkt(0, 1500), now);
+            let p = tbr.dequeue(now).expect("initial tokens release");
+            let balance = tbr.token_balance_ns(ClientId(0)).unwrap() as u64;
+            let debt = SimDuration::from_nanos(balance + 1 + rng.below(40_000_000));
+            tbr.on_complete(p.client, debt, true, now);
+            tbr.enqueue(pkt(0, 1500), now);
+            assert!(tbr.dequeue(now).is_none(), "negative balance blocks");
+            assert!(!tbr.has_eligible(now));
+            let wake = tbr.next_wake(now).expect("blocked queue wants a wake");
+            assert!(wake > now);
+            assert_eq!(
+                wake.as_nanos() % period.as_nanos(),
+                0,
+                "wake lands on the grid"
+            );
+            assert!(
+                wake < SimTime::from_secs(1),
+                "release precedes the first adjustment"
+            );
+            // Exact: one grid step earlier the balance is not positive
+            // and nothing is eligible; at the wake the key releases.
+            let before = SimTime::from_nanos(wake.as_nanos() - period.as_nanos());
+            assert!(
+                !tbr.has_eligible(before),
+                "seed {seed}: eligible before the wake"
+            );
+            if before >= now {
+                tbr.on_tick(before);
+                assert!(tbr.token_balance_ns(ClientId(0)).unwrap() <= 0.0);
+            }
+            assert!(
+                tbr.has_eligible(wake),
+                "seed {seed}: not eligible at the wake"
+            );
+            tbr.on_tick(wake);
+            assert!(tbr.token_balance_ns(ClientId(0)).unwrap() > 0.0);
+            assert_eq!(tbr.dequeue(wake).map(|p| p.client), Some(ClientId(0)));
+        }
+    }
+
+    #[test]
+    fn next_wake_stops_at_the_next_adjustment() {
+        // A debt that outlasts the adjustment instant: rates may move
+        // there, so the wake must not sleep past it.
         let mut tbr = TbrScheduler::new(TbrConfig {
             initial_tokens: SimDuration::from_micros(1),
             ..TbrConfig::default()
         });
-        let now = SimTime::ZERO;
-        tbr.on_associate(ClientId(0), now);
-        tbr.on_associate(ClientId(1), now);
-        // Unblocked (no backlog): no wake needed.
-        assert_eq!(tbr.next_wake(now), None);
+        tbr.on_associate(ClientId(0), SimTime::ZERO);
+        tbr.on_associate(ClientId(1), SimTime::ZERO);
+        let now = SimTime::from_millis(900);
         tbr.enqueue(pkt(0, 1500), now);
-        let p = tbr.dequeue(now).expect("initial tokens release");
-        tbr.on_complete(p.client, AIRTIME_1M, true, now);
+        let p = tbr.dequeue(now).unwrap();
+        tbr.on_complete(p.client, SimDuration::from_millis(400), true, now);
         tbr.enqueue(pkt(0, 1500), now);
-        assert!(tbr.dequeue(now).is_none(), "negative balance blocks");
-        // Blocked: the wake must be a future fill-grid instant, and at
-        // or before the instant the stepwise refill actually unblocks
-        // the client (~26 ms at rate 0.5 for a 12.85 ms debt).
-        let wake = tbr.next_wake(now).expect("blocked queue wants a wake");
-        let period = TbrConfig::default().fill_period.as_nanos();
-        assert!(wake > now);
-        assert_eq!(wake.as_nanos() % period, 0, "wake lands on the grid");
-        assert!(wake <= SimTime::from_millis(26), "wake {wake:?} too late");
-        // Driving ticks from the wake onward unblocks within two grid
-        // steps (the conservative margin).
-        let mut t = wake;
-        let mut unblocked = false;
-        for _ in 0..3 {
-            tbr.on_tick(t);
-            if tbr.has_eligible(t) {
-                unblocked = true;
-                break;
-            }
-            t += TbrConfig::default().fill_period;
-        }
-        assert!(unblocked, "wake estimate missed the unblock instant");
+        assert_eq!(tbr.next_wake(now), Some(SimTime::from_secs(1)));
     }
 
     #[test]

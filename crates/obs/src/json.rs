@@ -98,6 +98,14 @@ impl Obj {
         self
     }
 
+    /// Adds a float field that may be absent: `null` for `None`.
+    pub fn opt_f64(&mut self, k: &str, v: Option<f64>) -> &mut Self {
+        match v {
+            Some(v) => self.f64(k, v),
+            None => self.raw(k, "null"),
+        }
+    }
+
     /// Adds a boolean field.
     pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
         self.key(k);

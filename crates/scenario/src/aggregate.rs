@@ -65,9 +65,11 @@ pub struct Cell {
     pub total_mbps: f64,
     /// Post-warm-up medium utilization.
     pub utilization: f64,
-    /// Jain's fairness index over per-station goodputs.
+    /// Jain's fairness index over per-station goodputs; NaN when no
+    /// station delivered anything (see [`jain_defined`]).
     pub jain_throughput: f64,
-    /// Jain's fairness index over per-station airtime shares.
+    /// Jain's fairness index over per-station airtime shares; NaN when
+    /// undefined.
     pub jain_airtime: f64,
     /// Baseline-property verdict.
     pub check: CheckOutcome,
@@ -157,17 +159,25 @@ fn evaluate_check(spec: &ScenarioSpec, report: &Report) -> CheckOutcome {
         }
         CheckProperty::ThroughputFair => {
             let goodputs: Vec<f64> = report.nodes.iter().map(|nd| nd.goodput_mbps).collect();
-            let jain = jain_index(&goodputs);
-            if jain >= 1.0 - tol {
-                CheckOutcome::Pass
-            } else {
-                CheckOutcome::Fail(format!(
+            match jain_index(&goodputs) {
+                Some(jain) if jain >= 1.0 - tol => CheckOutcome::Pass,
+                Some(jain) => CheckOutcome::Fail(format!(
                     "throughput Jain index {jain:.3} below {:.3}",
                     1.0 - tol
-                ))
+                )),
+                None => CheckOutcome::Fail(
+                    "no station delivered goodput: throughput Jain index undefined".into(),
+                ),
             }
         }
     }
+}
+
+/// A Jain column value as `Some(index)`, or `None` where it is
+/// undefined (stored as NaN). Emitters print `None` as `n/a` in text,
+/// `null` in JSON and an empty CSV field.
+pub fn jain_defined(v: f64) -> Option<f64> {
+    (!v.is_nan()).then_some(v)
 }
 
 /// Reduces one finished job to its [`Cell`]. `delays` is the job's
@@ -203,8 +213,8 @@ pub fn aggregate(
         coords,
         total_mbps: report.total_goodput_mbps,
         utilization: report.utilization,
-        jain_throughput: jain_index(&goodputs),
-        jain_airtime: jain_index(&shares),
+        jain_throughput: jain_index(&goodputs).unwrap_or(f64::NAN),
+        jain_airtime: jain_index(&shares).unwrap_or(f64::NAN),
         check: evaluate_check(spec, report),
         fp: None,
         stations,
@@ -285,8 +295,8 @@ pub fn aggregate_topology(
         coords,
         total_mbps: tr.total_goodput_mbps(),
         utilization: tr.cells.iter().map(|c| c.utilization).fold(0.0, f64::max),
-        jain_throughput: jain_index(&goodputs),
-        jain_airtime: jain_index(&shares),
+        jain_throughput: jain_index(&goodputs).unwrap_or(f64::NAN),
+        jain_airtime: jain_index(&shares).unwrap_or(f64::NAN),
         check: CheckOutcome::Skipped,
         fp: None,
         stations,

@@ -10,7 +10,7 @@
 use airtime_obs::csv::Csv;
 use airtime_obs::json::{num, Obj};
 
-use crate::aggregate::{Cell, CheckOutcome};
+use crate::aggregate::{jain_defined, Cell, CheckOutcome};
 use crate::sweep::Axis;
 
 /// Schema identifier stamped into both documents.
@@ -77,8 +77,8 @@ pub fn to_json(scenario: &str, axes: &[Axis], cells: &[Cell]) -> String {
             .raw("stations", &stations)
             .f64("total_mbps", c.total_mbps)
             .f64("utilization", c.utilization)
-            .f64("jain_throughput", c.jain_throughput)
-            .f64("jain_airtime", c.jain_airtime)
+            .opt_f64("jain_throughput", jain_defined(c.jain_throughput))
+            .opt_f64("jain_airtime", jain_defined(c.jain_airtime))
             .str("check", c.check.label());
         if let CheckOutcome::Fail(reason) = &c.check {
             o.str("check_reason", reason);
@@ -163,8 +163,8 @@ pub fn to_csv(scenario: &str, axes: &[Axis], cells: &[Cell]) -> String {
         cells_row.extend(c.coords.iter().map(|(_, v)| v.clone()));
         cells_row.push(num(c.total_mbps));
         cells_row.push(num(c.utilization));
-        cells_row.push(num(c.jain_throughput));
-        cells_row.push(num(c.jain_airtime));
+        cells_row.push(jain_defined(c.jain_throughput).map_or_else(String::new, num));
+        cells_row.push(jain_defined(c.jain_airtime).map_or_else(String::new, num));
         cells_row.push(c.check.label().to_string());
         if has_fp {
             cells_row.push(c.fp.clone().unwrap_or_default());

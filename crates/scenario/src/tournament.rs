@@ -106,9 +106,10 @@ pub struct TournamentRow {
     pub total_mbps: f64,
     /// Channel busy fraction over the measured span.
     pub utilization: f64,
-    /// Jain's index of per-station goodput.
+    /// Jain's index of per-station goodput; NaN when undefined (see
+    /// [`aggregate::jain_defined`]).
     pub jain_throughput: f64,
-    /// Jain's index of per-station airtime.
+    /// Jain's index of per-station airtime; NaN when undefined.
     pub jain_airtime: f64,
     /// Baseline-property verdict for this family.
     pub check: CheckOutcome,
@@ -470,8 +471,11 @@ pub fn to_json(out: &TournamentOutcome) -> String {
             .str("direction", &r.direction)
             .f64("total_mbps", r.total_mbps)
             .f64("utilization", r.utilization)
-            .f64("jain_throughput", r.jain_throughput)
-            .f64("jain_airtime", r.jain_airtime)
+            .opt_f64(
+                "jain_throughput",
+                aggregate::jain_defined(r.jain_throughput),
+            )
+            .opt_f64("jain_airtime", aggregate::jain_defined(r.jain_airtime))
             .str("check", r.check.label());
         if let CheckOutcome::Fail(reason) = &r.check {
             o.str("check_reason", reason);
@@ -521,8 +525,8 @@ pub fn to_csv(out: &TournamentOutcome) -> String {
             r.direction.clone(),
             num(r.total_mbps),
             num(r.utilization),
-            num(r.jain_throughput),
-            num(r.jain_airtime),
+            aggregate::jain_defined(r.jain_throughput).map_or_else(String::new, num),
+            aggregate::jain_defined(r.jain_airtime).map_or_else(String::new, num),
             r.check.label().to_string(),
             r.fp.clone(),
         ];

@@ -207,7 +207,7 @@ fn roam_preset_fingerprint_matches_golden() {
     // an intentional behavioral change, copy the actual value from the
     // failure message.
     assert_eq!(
-        outcome.fp, "708f050c93430b58",
+        outcome.fp, "2723b4aca1f3cd47",
         "roam fingerprint moved — update the golden if intentional"
     );
 }

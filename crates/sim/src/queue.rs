@@ -203,6 +203,11 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The instant deadline `key` is armed for, if it is armed.
+    pub fn armed(&self, key: usize) -> Option<SimTime> {
+        self.slots.get(key)?.armed.as_ref().map(|e| e.time)
+    }
+
     /// Disarms deadline `key`: whatever it was armed with will not pop.
     /// A no-op for a key that is not armed.
     pub fn disarm(&mut self, key: usize) {

@@ -312,16 +312,13 @@ pub fn mbps(bytes: u64, span: SimDuration) -> f64 {
 /// Jain's fairness index over non-negative allocations.
 ///
 /// Returns 1.0 for perfectly equal shares and approaches `1/n` as one
-/// entity dominates. Empty or all-zero input yields 1.0 (vacuously fair).
-pub fn jain_index(xs: &[f64]) -> f64 {
+/// entity dominates. Empty or all-zero input has no index (`None`): an
+/// allocation of nothing is neither fair nor unfair.
+pub fn jain_index(xs: &[f64]) -> Option<f64> {
     let n = xs.len() as f64;
     let sum: f64 = xs.iter().sum();
     let sumsq: f64 = xs.iter().map(|x| x * x).sum();
-    if n == 0.0 || sumsq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (n * sumsq)
-    }
+    (sumsq > 0.0).then(|| sum * sum / (n * sumsq))
 }
 
 #[cfg(test)]
@@ -444,11 +441,11 @@ mod tests {
 
     #[test]
     fn jain_index_cases() {
-        assert!((jain_index(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        let one_hog = jain_index(&[1.0, 0.0, 0.0, 0.0]);
+        assert!((jain_index(&[1.0, 1.0, 1.0, 1.0]).unwrap() - 1.0).abs() < 1e-12);
+        let one_hog = jain_index(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         assert!((one_hog - 0.25).abs() < 1e-12);
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
+        assert_eq!(jain_index(&[]), None);
+        assert_eq!(jain_index(&[0.0, 0.0]), None);
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //!   latest arm, see the timers section below);
 //! - a TCP ack, TCP data or UDP datagram handed to it
 //!   (`on_delivered`, `on_wired_to_host`);
-//! - `rebuild_flow` (a fresh incarnation at association);
-//! - a pop from its station's client queue, which marks every flow of
-//!   that station.
+//! - `rebuild_flow` (a fresh incarnation at association).
+//!
+//! A pop from a station's client queue pumps every flow of that station
+//! at once, in the kick that popped it, so the queue is refilled in the
+//! same step.
 //!
 //! Some flows are *sticky*: they re-mark themselves after each pump,
 //! so they are polled after every dispatch:
@@ -52,18 +54,19 @@
 //! # Timers
 //!
 //! Re-armable timers are event-queue deadlines ([`EventQueue::arm`]):
-//! each flow's retransmission timer and delayed-ACK timer, and the
-//! MAC's next contention point (each `AccessResolved` the MAC asks for
-//! supersedes the previous one). A deadline keeps one queue entry
+//! each flow's retransmission timer and delayed-ACK timer, the MAC's
+//! next contention point (each `AccessResolved` the MAC asks for
+//! supersedes the previous one) and the AP scheduler's wake-up. A deadline keeps one queue entry
 //! however often it is re-armed and pops only its latest arm, at the
 //! armed instant. So a TCP ack that pushes the retransmission timer
 //! out costs a slot update, not a queued event that later pops and is
 //! ignored. A handoff disarms the departing incarnation's timers.
 //!
-//! The AP is consulted after every dispatch, and only live timers
-//! dispatch. A TBR AP holding a backlog it has no tokens for releases
-//! it at the first consult after its balance turns positive, so its
-//! release instants follow the live events and its own wake-ups.
+//! The AP is consulted after every dispatch. While nothing is eligible
+//! its wake-up stays armed at the scheduler's `next_wake`, the exact
+//! instant something may next become eligible. A TBR AP holding a
+//! backlog it has no tokens for thus releases it at its own release
+//! instant, whatever other events are dispatched around it.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -94,14 +97,17 @@ const AP: NodeId = NodeId(0);
 /// Event-queue deadline key of the MAC's next contention point.
 const ACCESS_DEADLINE: usize = 0;
 
+/// Deadline key of the AP scheduler's wake-up.
+const SCHED_DEADLINE: usize = 1;
+
 /// Deadline key of `flow`'s retransmission timer.
 fn rto_deadline(flow: usize) -> usize {
-    1 + 2 * flow
+    2 + 2 * flow
 }
 
 /// Deadline key of `flow`'s delayed-ACK timer.
 fn delack_deadline(flow: usize) -> usize {
-    2 + 2 * flow
+    3 + 2 * flow
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -122,6 +128,7 @@ enum Event {
         flow: usize,
         generation: u64,
     },
+    /// The AP scheduler's wake-up, armed as [`SCHED_DEADLINE`].
     SchedTick,
     Pump {
         flow: usize,
@@ -238,9 +245,6 @@ struct Sim<'c, O: Observer> {
     mac: DcfWorld,
     /// The pluggable AP discipline (any `airtime-sched` family).
     sched: Box<dyn Scheduler>,
-    /// The earliest scheduler wake-up currently sitting in the event
-    /// queue, if any — avoids flooding the queue with duplicate wakes.
-    pending_wake: Option<SimTime>,
     flows: Vec<FlowRt>,
     /// Flows are built station-major: station `s` owns flows
     /// `station_flows[s]..station_flows[s + 1]`.
@@ -500,7 +504,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             instr,
             now: SimTime::ZERO,
             queue,
-            pending_wake: None,
             mac,
             sched,
             dirty_flows: IndexSet::new(flows.len()),
@@ -803,9 +806,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                 self.apply_receiver_effects(flow, fx);
             }
             Event::SchedTick => {
-                if self.pending_wake.is_some_and(|w| w <= self.now) {
-                    self.pending_wake = None;
-                }
                 self.sched.on_tick(self.now);
                 if self.wants(Hook::TokenUpdate) {
                     for k in 0..self.key_count() {
@@ -1405,11 +1405,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             from = node + 1;
             if self.mac.can_accept(NodeId(node)) {
                 if let Some((pkt, born)) = self.client_q[node].pop_front() {
-                    // Room in the queue: the station's uplink pumps may
-                    // have more to send.
-                    for flow in self.flows_of(node - 1) {
-                        self.dirty_flows.insert(flow);
-                    }
                     self.emit_client_queue(node);
                     let handle = self.new_handle(pkt, born);
                     if self.wants(Hook::FrameSpan) {
@@ -1434,31 +1429,31 @@ impl<'c, O: Observer> Sim<'c, O> {
                         .offer_frame(self.now, frame)
                         .expect("client MAC was idle");
                     self.apply_mac_effects(fx);
+                    // Room in the queue: the station's uplink pumps may
+                    // have more to send, and they refill it in this step.
+                    for flow in self.flows_of(node - 1) {
+                        self.pump(flow);
+                    }
                 }
             }
         }
     }
 
-    /// If the scheduler is blocked (backlogged but nothing eligible — a
-    /// TBR queue waiting on tokens), make sure a `SchedTick` wake-up
-    /// sits in the event queue at the scheduler's requested instant.
-    /// Idle fill-grid instants never become events: the scheduler
-    /// replays them itself on its next consult. Runs after every
-    /// dispatch; a no-op when the scheduler needs no timer, or when
-    /// traffic will consult the scheduler anyway.
+    /// If the scheduler is blocked (nothing eligible, and a wake-up
+    /// wanted — a TBR queue waiting on tokens), keeps its deadline
+    /// armed at the instant it asks for, so a blocked AP releases at
+    /// its own release instant whatever else is dispatched. Runs after
+    /// every dispatch; a no-op when the scheduler needs no timer, when
+    /// something is eligible, or when the deadline already stands.
     fn ensure_sched_wake(&mut self) {
-        if self.sched.tick_period().is_none() {
-            return;
-        }
-        if self.sched.backlog() == 0 || self.sched.has_eligible(self.now) {
+        if self.sched.tick_period().is_none() || self.sched.has_eligible(self.now) {
             return;
         }
         let Some(at) = self.sched.next_wake(self.now) else {
             return;
         };
-        if self.pending_wake.is_none_or(|w| at < w) {
-            self.queue.schedule(at, Event::SchedTick);
-            self.pending_wake = Some(at);
+        if self.queue.armed(SCHED_DEADLINE) != Some(at) {
+            self.queue.arm(SCHED_DEADLINE, at, Event::SchedTick);
         }
     }
 
@@ -2012,7 +2007,9 @@ mod tests {
     /// Re-armed timers keep one queue entry each: a saturated fig9
     /// 11+1 TBR cell, where every ack re-arms a retransmission timer,
     /// never holds two timer events for one flow, and its queue stays
-    /// a few dozen entries deep.
+    /// a few dozen entries deep. A delayed ACK fires rarely in the
+    /// saturated downlink cell (first at 26.7 s), so the run is 30 s
+    /// long for each direction to pop one.
     #[test]
     fn a_saturated_cell_queues_one_entry_per_timer() {
         use crate::scenarios;
@@ -2022,7 +2019,7 @@ mod tests {
                 direction,
                 SchedulerKind::tbr(),
             );
-            cfg.duration = SimDuration::from_secs(20);
+            cfg.duration = SimDuration::from_secs(30);
             let mut obs = NullObserver;
             let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
             let flows = cell.sim.flows.len();
@@ -2089,5 +2086,54 @@ mod tests {
                 assert_eq!(a.retransmits, b.retransmits);
             }
         }
+    }
+
+    /// Steps `cfg` through the cell facade with `extra` events mixed
+    /// in; returns the flight-recorder fingerprint and the report.
+    fn run_with_extra(cfg: &NetworkConfig, extra: &[(SimTime, Event)]) -> (String, String) {
+        let mut rec = airtime_obs::FlightRecorder::new().with_capacity(0);
+        let end = SimTime::ZERO + cfg.duration;
+        let report = {
+            let mut cell = CellSim::new(cfg, &mut rec, &vec![true; cfg.stations.len()]);
+            for &(t, ev) in extra {
+                cell.sim.queue.schedule(t, ev);
+            }
+            while cell.peek_time().is_some_and(|t| t <= end) {
+                cell.step();
+            }
+            cell.finish(end)
+        };
+        (
+            airtime_obs::fp_hex(rec.fingerprint()),
+            format!("{report:?}"),
+        )
+    }
+
+    #[test]
+    fn no_op_events_move_nothing_in_a_token_blocked_cell() {
+        // The 11+1 uplink TBR cell of Fig 9: the acks of the slow
+        // station wait on tokens at the AP. A blocked AP releases at
+        // its own release instants, so scheduler wakes nobody asked
+        // for — each a consult plus the full pump, kick and wake glue
+        // of a dispatch — must not move a single decision, queue
+        // change or report field.
+        use crate::scenarios;
+        let mut cfg = scenarios::tcp_stations(
+            &[DataRate::B11, DataRate::B1],
+            Direction::Uplink,
+            SchedulerKind::tbr(),
+        );
+        cfg.duration = SimDuration::from_secs(20);
+        let base = run_with_extra(&cfg, &[]);
+        let mut rng = SimRng::new(11);
+        let extra: Vec<(SimTime, Event)> = (0..3_000)
+            .map(|_| {
+                let t = SimTime::from_nanos(rng.below(20_000_000_000));
+                (t, Event::SchedTick)
+            })
+            .collect();
+        let got = run_with_extra(&cfg, &extra);
+        assert_eq!(got.0, base.0, "fingerprint moved");
+        assert_eq!(got.1, base.1, "report moved");
     }
 }

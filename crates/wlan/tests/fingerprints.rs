@@ -94,7 +94,7 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
         (
             "table3/four_node_mix/tbr",
             shorten(scenarios::four_node_mix(SchedulerKind::tbr())),
-            "10e2809753687aab",
+            "67e10a314d2ff37f",
         ),
         (
             "fig4/updown/rr",
@@ -113,7 +113,7 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
                 Direction::Downlink,
                 SchedulerKind::tbr(),
             )),
-            "023d0f99c668e6c0",
+            "d9cfc7732a7dcd1a",
         ),
         // The two scheduler-zoo contenders on the same fig9-class cell:
         // these goldens pin their *decisions*.
@@ -138,17 +138,17 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
         (
             "table4/bottleneck/tbr",
             shorten(scenarios::bottleneck_table4(SchedulerKind::tbr())),
-            "8e992f7a8fef1b86",
+            "a6a5897251acdbab",
         ),
         (
             "worklist_edges/tbr",
             worklist_edges(SchedulerKind::tbr()),
-            "ca8ec381aa7ac69b",
+            "6559d89f80799068",
         ),
         (
             "worklist_edges/rr",
             worklist_edges(SchedulerKind::RoundRobin),
-            "8535223780978585",
+            "d2b56417be18e775",
         ),
     ]
 }

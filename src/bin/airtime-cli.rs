@@ -832,8 +832,8 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
                 r.direction.clone(),
                 format!("{:.3}", r.total_mbps),
                 format!("{:.1}", r.utilization * 100.0),
-                format!("{:.3}", r.jain_throughput),
-                format!("{:.3}", r.jain_airtime),
+                jain_text(r.jain_throughput),
+                jain_text(r.jain_airtime),
                 r.check.label().to_string(),
                 r.fp.clone(),
             ]
@@ -936,8 +936,8 @@ fn print_sweep_table(outcome: &airtime::scenario::SweepOutcome) {
             row.extend(c.coords.iter().map(|(_, v)| v.clone()));
             row.push(format!("{:.3}", c.total_mbps));
             row.push(format!("{:.1}", c.utilization * 100.0));
-            row.push(format!("{:.3}", c.jain_throughput));
-            row.push(format!("{:.3}", c.jain_airtime));
+            row.push(jain_text(c.jain_throughput));
+            row.push(jain_text(c.jain_airtime));
             row.push(c.check.label().to_string());
             if topo {
                 match &c.roam {
@@ -966,6 +966,12 @@ fn print_sweep_table(outcome: &airtime::scenario::SweepOutcome) {
 /// Prints an aligned table: an optional heading, the header row, a
 /// rule, the data rows, then a blank line. Columns are separated by two
 /// spaces and right-aligned except the first.
+/// A Jain column for a text table: `n/a` where the index is undefined.
+fn jain_text(v: f64) -> String {
+    airtime::scenario::aggregate::jain_defined(v)
+        .map_or_else(|| "n/a".into(), |v| format!("{v:.3}"))
+}
+
 fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
     if !heading.is_empty() {
         println!("{heading}");

@@ -91,6 +91,93 @@ fn scenario_rejects_a_rate_limit_too_low_to_send() {
 }
 
 #[test]
+fn jain_over_no_throughput_reads_n_a() {
+    // The roaming preset with an association floor no station reaches:
+    // nothing is delivered, so there is no allocation to call fair.
+    // Its Jain columns once read 1.000 (perfect fairness) over
+    // 0.000 Mb/s.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let preset =
+        std::fs::read_to_string(format!("{root}/examples/scenarios/roam_three_cells.toml"))
+            .expect("preset readable");
+    let probe = preset.replace(
+        "hysteresis_db = 6.0\n",
+        "hysteresis_db = 6.0\nmin_rssi_dbm = 1000\n",
+    );
+    assert_ne!(probe, preset, "the preset's [topology] table moved");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("unreachable_floor.toml");
+    std::fs::write(&path, probe).expect("scenario file written");
+    let (json, csv) = (
+        dir.join("unreachable_floor.json"),
+        dir.join("unreachable_floor.csv"),
+    );
+    let out = cli(&[
+        "sweep",
+        &path.display().to_string(),
+        "--json",
+        &json.display().to_string(),
+        "--csv",
+        &csv.display().to_string(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains(" 0.000 ")).collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    for row in rows {
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols[4..6], ["n/a", "n/a"], "{row}");
+    }
+    let json = std::fs::read_to_string(json).expect("JSON written");
+    assert_eq!(
+        json.matches(r#""jain_throughput":null,"jain_airtime":null"#)
+            .count(),
+        2
+    );
+    let csv = std::fs::read_to_string(csv).expect("CSV written");
+    for row in csv.lines().skip(2) {
+        // job, scheduler, total_mbps, utilization, then the two Jain
+        // fields, empty.
+        assert!(row.split(',').nth(4).is_some_and(str::is_empty), "{row}");
+        assert!(row.split(',').nth(5).is_some_and(str::is_empty), "{row}");
+    }
+    // A throughput-fair check over a cell that delivers nothing fails
+    // instead of passing on the vacuous index.
+    let dead = dir.join("dead_links.toml");
+    std::fs::write(
+        &dead,
+        "duration_s = 3\nwarmup_s = 1\n[scheduler]\nkind = \"rr\"\n\
+         [[station]]\nrate = \"11\"\nfer = 0.999999\n\
+         [[station]]\nrate = \"1\"\nfer = 0.999999\n",
+    )
+    .expect("scenario file written");
+    let json = dir.join("dead_links.json");
+    let out = cli(&[
+        "sweep",
+        &dead.display().to_string(),
+        "--json",
+        &json.display().to_string(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(" n/a ") && stdout.contains(" fail"),
+        "{stdout}"
+    );
+    let json = std::fs::read_to_string(json).expect("JSON written");
+    assert!(
+        json.contains(
+            r#""check":"fail","check_reason":"no station delivered goodput: throughput Jain index undefined""#
+        ),
+        "{json}"
+    );
+}
+
+#[test]
 fn run_and_predict_reject_a_stray_positional() {
     // `run --secs 2 cell.toml` once ran the default 11,1 cell and exited
     // 0 without reading the file the user meant to pass via --scenario.

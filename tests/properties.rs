@@ -66,7 +66,7 @@ fn rf_equalises_throughput() {
         for &r in &alloc.throughput {
             assert!((r - first).abs() / first < 1e-9);
         }
-        assert!((jain_index(&alloc.throughput) - 1.0).abs() < 1e-9);
+        assert!((jain_index(&alloc.throughput).unwrap() - 1.0).abs() < 1e-9);
     }
 }
 
