@@ -221,8 +221,6 @@ pub struct TbrScheduler {
     ring: VecDeque<usize>,
     /// Keys currently [`Listed::Ring`].
     eligible: usize,
-    /// Packets buffered across all keys.
-    backlog: usize,
     /// Blocked keys by `(release_at, slot)`. The top entry is always
     /// live; superseded entries below it are dropped as they surface.
     blocked: BinaryHeap<Reverse<(SimTime, usize)>>,
@@ -254,7 +252,6 @@ impl TbrScheduler {
             states: Vec::new(),
             ring: VecDeque::new(),
             eligible: 0,
-            backlog: 0,
             blocked: BinaryHeap::new(),
             clock: SimTime::ZERO,
             next_adjust: SimTime::ZERO + adjust_step,
@@ -388,13 +385,16 @@ impl TbrScheduler {
     }
 
     /// After the rates changed at `clock`: recomputes the release
-    /// instant of every key in debt and rebuilds the blocked heap. A
-    /// key with a positive balance keeps its listing and its release
-    /// instant (at or before `as_of`).
+    /// instant of every key in debt or blocked and rebuilds the blocked
+    /// heap. A blocked key whose balance turned positive off the grid,
+    /// between its crossing and its grid release, becomes eligible. Any
+    /// other key with a positive balance keeps its listing and its
+    /// release instant (at or before `as_of`).
     fn refile_debtors(&mut self) {
         self.blocked.clear();
         for slot in 0..self.states.len() {
-            if self.states[slot].tokens > 0.0 {
+            let s = &self.states[slot];
+            if s.tokens > 0.0 && s.listed != Listed::Blocked {
                 continue;
             }
             let release = self.release_instant(&self.states[slot]);
@@ -449,7 +449,6 @@ impl TbrScheduler {
         }
         let ring_keys = self.states.iter().filter(|s| s.listed == Listed::Ring);
         assert_eq!(self.eligible, ring_keys.count(), "eligible count");
-        assert_eq!(self.backlog, self.pool.backlog(), "backlog count");
         if let Some(&Reverse((at, i))) = self.blocked.peek() {
             let s = &self.states[i];
             assert!(
@@ -675,7 +674,6 @@ impl Scheduler for TbrScheduler {
             return Vec::new();
         };
         let flushed = self.pool.flush_client(client);
-        self.backlog -= flushed.len();
         let s = &mut self.states[slot];
         s.active = false;
         s.tokens = 0.0;
@@ -705,9 +703,6 @@ impl Scheduler for TbrScheduler {
         }
         let was_empty = self.pool.queues[slot].is_empty();
         let outcome = self.pool.enqueue(pkt);
-        if outcome == EnqueueOutcome::Accepted {
-            self.backlog += 1;
-        }
         if was_empty && outcome == EnqueueOutcome::Accepted {
             if self.states[slot].backlog_since.is_none() {
                 self.states[slot].backlog_since = Some(now);
@@ -732,7 +727,6 @@ impl Scheduler for TbrScheduler {
             let pkt = self.pool.queues[i]
                 .pop_front()
                 .expect("a ring key is backlogged");
-            self.backlog -= 1;
             if self.pool.queues[i].is_empty() {
                 s.in_ring = false;
                 if let Some(since) = s.backlog_since.take() {
@@ -810,7 +804,7 @@ impl Scheduler for TbrScheduler {
     }
 
     fn backlog(&self) -> usize {
-        self.backlog
+        self.pool.backlog()
     }
 
     fn queue_len(&self, client: ClientId) -> usize {
@@ -1415,6 +1409,39 @@ mod tests {
         tbr.on_complete(p.client, SimDuration::from_millis(400), true, now);
         tbr.enqueue(pkt(0, 1500), now);
         assert_eq!(tbr.next_wake(now), Some(SimTime::from_secs(1)));
+    }
+
+    #[test]
+    fn off_grid_membership_change_releases_a_key_past_its_crossing() {
+        // Key 0 is debited 9.75 ms against 5 ms of initial tokens at
+        // t = 0. With 2 keys (rate 1/2) its balance crosses zero at
+        // 9.5 ms and its grid release is 10 ms; with 3 keys (rate 1/3)
+        // at 14.25 ms and 16 ms. A membership change between the two
+        // re-files it with a positive balance: it must dequeue.
+        for (n, at_us) in [(2, 9_700), (3, 15_000)] {
+            let mut tbr = TbrScheduler::new(TbrConfig::default());
+            for c in 0..n {
+                tbr.on_associate(ClientId(c), SimTime::ZERO);
+            }
+            tbr.enqueue(pkt(0, 1500), SimTime::ZERO);
+            let p = tbr.dequeue(SimTime::ZERO).unwrap();
+            tbr.on_complete(
+                p.client,
+                SimDuration::from_micros(9_750),
+                true,
+                SimTime::ZERO,
+            );
+            tbr.enqueue(pkt(0, 1500), SimTime::ZERO);
+            let at = SimTime::from_micros(at_us);
+            if n == 2 {
+                tbr.on_associate(ClientId(2), at);
+            } else {
+                tbr.on_disassociate(ClientId(2), at);
+            }
+            assert!(tbr.token_balance_ns(ClientId(0)).unwrap() > 0.0);
+            assert!(tbr.has_eligible(at), "{n} keys: not eligible");
+            assert_eq!(tbr.dequeue(at).map(|p| p.client), Some(ClientId(0)));
+        }
     }
 
     #[test]

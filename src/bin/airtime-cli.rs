@@ -963,15 +963,15 @@ fn print_sweep_table(outcome: &airtime::scenario::SweepOutcome) {
     print_table("", &header, &rows);
 }
 
-/// Prints an aligned table: an optional heading, the header row, a
-/// rule, the data rows, then a blank line. Columns are separated by two
-/// spaces and right-aligned except the first.
 /// A Jain column for a text table: `n/a` where the index is undefined.
 fn jain_text(v: f64) -> String {
     airtime::scenario::aggregate::jain_defined(v)
         .map_or_else(|| "n/a".into(), |v| format!("{v:.3}"))
 }
 
+/// Prints an aligned table: an optional heading, the header row, a
+/// rule, the data rows, then a blank line. Columns are separated by two
+/// spaces and right-aligned except the first.
 fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
     if !heading.is_empty() {
         println!("{heading}");
