@@ -44,12 +44,14 @@
 //! ```
 
 pub mod buffer;
+pub mod config;
 pub mod fairness;
 pub mod scheduler;
 pub mod tbr;
 pub mod txop;
 
 pub use buffer::{BufferPolicy, RedConfig};
+pub use config::ConfigError;
 pub use fairness::{
     airtime_shares, max_min_allocation, throughput_gap, waterfill_airtime, waterfill_airtime_into,
 };

@@ -42,6 +42,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::buffer::BufferPolicy;
+use crate::config::ConfigError;
 use crate::scheduler::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
 
 /// Tunables for [`TbrScheduler`].
@@ -114,18 +115,24 @@ impl TbrConfig {
     /// every balance at zero so nothing is ever released, and an
     /// adjustment period shorter than the fill period would re-adjust
     /// rates at every fill, on windows too short to measure demand.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.fill_period.is_zero() {
-            return Err("fill_period must be positive".into());
+            return Err(ConfigError::new(
+                "fill_period_ms",
+                "fill_period must be positive",
+            ));
         }
         if self.adjust_period < self.fill_period {
-            return Err(format!(
-                "adjust_period must be at least fill_period ({} ms)",
-                self.fill_period.as_secs_f64() * 1e3
+            return Err(ConfigError::new(
+                "adjust_period_ms",
+                format!(
+                    "adjust_period must be at least fill_period ({} ms)",
+                    self.fill_period.as_secs_f64() * 1e3
+                ),
             ));
         }
         if self.bucket.is_zero() {
-            return Err("bucket must be positive".into());
+            return Err(ConfigError::new("bucket_ms", "bucket must be positive"));
         }
         for (name, v) in [
             ("excess_threshold", self.excess_threshold),
@@ -134,7 +141,10 @@ impl TbrConfig {
             ("restitution", self.restitution),
         ] {
             if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("{name} must be a finite non-negative number"));
+                return Err(ConfigError::new(
+                    name,
+                    format!("{name} must be a finite non-negative number"),
+                ));
             }
         }
         Ok(())
@@ -241,9 +251,7 @@ impl TbrScheduler {
     ///
     /// Panics when [`TbrConfig::validate`] rejects `config`.
     pub fn new(config: TbrConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let p = config.fill_period.as_nanos();
         let adjust_step = SimDuration::from_nanos(config.adjust_period.as_nanos().div_ceil(p) * p);
         TbrScheduler {

@@ -21,6 +21,7 @@
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::buffer::BufferPolicy;
+use crate::config::ConfigError;
 use crate::scheduler::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
 
 /// Configuration for [`TxopScheduler`].
@@ -48,9 +49,9 @@ impl Default for TxopConfig {
 impl TxopConfig {
     /// Checks the tunables: a zero quantum never opens a grant, so
     /// nothing would ever be released.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.quantum.is_zero() {
-            return Err("quantum must be positive".into());
+            return Err(ConfigError::new("quantum_ms", "quantum must be positive"));
         }
         Ok(())
     }
@@ -78,9 +79,7 @@ impl TxopScheduler {
     ///
     /// Panics when [`TxopConfig::validate`] rejects `config`.
     pub fn new(config: TxopConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         TxopScheduler {
             config,
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),

@@ -83,7 +83,8 @@ use airtime_phy::{DataRate, RateSet, Wall};
 use airtime_sim::{SimDuration, SimTime};
 use airtime_topo::{CellSpec, Placement, Point, RatePolicy, TopologyConfig, WaypointPath};
 use airtime_wlan::{
-    Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind, StationConfig, Transport,
+    ConfigError, Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind,
+    StationConfig, Transport, MAX_STATIONS,
 };
 
 use crate::toml::{Doc, Entry, Table, Value};
@@ -110,6 +111,18 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, CompileError> {
         line,
         msg: msg.into(),
     })
+}
+
+/// Maps a validator's error to the line of the key that set the
+/// offending field: the first of `tables` holding it, else the first
+/// table's own line (a default broke the rule). The range rules
+/// themselves live on the config types.
+fn locate(e: ConfigError, tables: &[&Table]) -> CompileError {
+    let line = tables
+        .iter()
+        .find_map(|t| t.get(e.field))
+        .map_or(tables[0].line, |k| k.line);
+    CompileError { line, msg: e.msg }
 }
 
 /// Which baseline property a sweep cell is checked against.
@@ -171,77 +184,52 @@ pub struct ScenarioSpec {
 
 // ---- typed accessors ----------------------------------------------------
 
-fn want_str(e: &Entry) -> Result<&str, CompileError> {
-    e.value.as_str().ok_or_else(|| CompileError {
+/// The value of `e` as `get` reads it, or a diagnostic saying that the
+/// key expects `what`.
+fn want<'a, T>(
+    e: &'a Entry,
+    what: &str,
+    get: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, CompileError> {
+    get(&e.value).ok_or_else(|| CompileError {
         line: e.line,
         msg: format!(
-            "key '{}' expects a string, got {}",
+            "key '{}' expects {what}, got {}",
             e.key,
             e.value.type_name()
         ),
     })
+}
+
+/// Sets `slot` from `t`'s `key`, read by `read`, when the table has it.
+fn set<T>(
+    t: &Table,
+    key: &str,
+    slot: &mut T,
+    read: impl FnOnce(&Entry) -> Result<T, CompileError>,
+) -> Result<(), CompileError> {
+    if let Some(e) = t.get(key) {
+        *slot = read(e)?;
+    }
+    Ok(())
+}
+
+fn want_str(e: &Entry) -> Result<&str, CompileError> {
+    want(e, "a string", Value::as_str)
 }
 
 fn want_f64(e: &Entry) -> Result<f64, CompileError> {
-    e.value.as_f64().ok_or_else(|| CompileError {
-        line: e.line,
-        msg: format!(
-            "key '{}' expects a number, got {}",
-            e.key,
-            e.value.type_name()
-        ),
-    })
+    want(e, "a number", Value::as_f64)
 }
 
 fn want_u64(e: &Entry) -> Result<u64, CompileError> {
-    match e.value.as_i64() {
-        Some(i) if i >= 0 => Ok(i as u64),
-        _ => err(
-            e.line,
-            format!(
-                "key '{}' expects a non-negative integer, got {}",
-                e.key,
-                e.value.type_name()
-            ),
-        ),
-    }
-}
-
-/// `flow`'s `rate_limit_bps`: a positive, finite bit rate fast enough
-/// to release one packet of the flow within the run (a slower pacer
-/// would never send). `run` supplies the run length and segment size.
-fn want_rate_bps(e: &Entry, flow: &FlowSpec, run: &NetworkConfig) -> Result<f64, CompileError> {
-    let bps = want_f64(e)?;
-    if !(bps.is_finite() && bps > 0.0) {
-        return err(
-            e.line,
-            format!("key 'rate_limit_bps' expects a positive, finite bit rate, got {bps}"),
-        );
-    }
-    let bytes = flow.paced_packet_bytes(run);
-    let secs = run.duration.as_secs_f64();
-    let min_bps = (bytes * 8) as f64 / secs;
-    if bps < min_bps {
-        return err(
-            e.line,
-            format!(
-                "key 'rate_limit_bps' = {bps:?} cannot release one {bytes}-byte packet within \
-                 duration_s = {secs}; the minimum is {min_bps} bit/s"
-            ),
-        );
-    }
-    Ok(bps)
+    want(e, "a non-negative integer", |v| {
+        v.as_i64().and_then(|i| u64::try_from(i).ok())
+    })
 }
 
 fn want_bool(e: &Entry) -> Result<bool, CompileError> {
-    e.value.as_bool().ok_or_else(|| CompileError {
-        line: e.line,
-        msg: format!(
-            "key '{}' expects true or false, got {}",
-            e.key,
-            e.value.type_name()
-        ),
-    })
+    want(e, "true or false", Value::as_bool)
 }
 
 /// The longest duration any `*_s`/`*_ms` key (or the CLI's `--secs`)
@@ -308,31 +296,25 @@ pub fn parse_rate(e: &Entry) -> Result<DataRate, CompileError> {
 }
 
 /// Maps a bare rate token (`"11"`, `"5.5"`, with or without a trailing
-/// `M`) to its [`DataRate`]; `None` for anything unrecognised.
-pub(crate) fn rate_from_token(tok: &str) -> Option<DataRate> {
-    match tok.trim().trim_end_matches('M') {
-        "1" => Some(DataRate::B1),
-        "2" => Some(DataRate::B2),
-        "5.5" => Some(DataRate::B5_5),
-        "11" => Some(DataRate::B11),
-        "6" => Some(DataRate::G6),
-        "9" => Some(DataRate::G9),
-        "12" => Some(DataRate::G12),
-        "18" => Some(DataRate::G18),
-        "24" => Some(DataRate::G24),
-        "36" => Some(DataRate::G36),
-        "48" => Some(DataRate::G48),
-        "54" => Some(DataRate::G54),
-        _ => None,
-    }
+/// `M`) to its [`DataRate`] of 802.11b/g; `None` for anything else.
+pub fn rate_from_token(tok: &str) -> Option<DataRate> {
+    let mbps: f64 = tok.trim().trim_end_matches('M').parse().ok()?;
+    let mut rates = DataRate::ALL_B.into_iter().chain(DataRate::ALL_G);
+    rates.find(|r| r.mbps() == mbps)
 }
 
 fn parse_direction(e: &Entry) -> Result<Direction, CompileError> {
-    match want_str(e)? {
+    direction_from(want_str(e)?, e.line)
+}
+
+/// Maps a direction token (`up`/`uplink`, `down`/`downlink`) written
+/// at `line` to its [`Direction`].
+pub(crate) fn direction_from(tok: &str, line: usize) -> Result<Direction, CompileError> {
+    match tok.trim() {
         "up" | "uplink" => Ok(Direction::Uplink),
         "down" | "downlink" => Ok(Direction::Downlink),
         other => err(
-            e.line,
+            line,
             format!("unknown direction '{other}'; expected up or down"),
         ),
     }
@@ -466,36 +448,20 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
     // elsewhere, so a `[sweep]` over `scheduler.kind` can keep a TBR
     // parameter table alongside — the parameters simply don't apply to
     // the fifo/rr/drr cells.
-    let total_buffer = |buf: &mut usize| -> Result<(), CompileError> {
-        if let Some(e) = t.get("total_buffer") {
-            *buf = want_u64(e)? as usize;
-        }
-        Ok(())
-    };
+    let total_buffer =
+        |buf: &mut usize| set(t, "total_buffer", buf, |e| want_u64(e).map(|v| v as usize));
     match &mut kind {
         SchedulerKind::Fifo | SchedulerKind::RoundRobin | SchedulerKind::Drr => {}
         SchedulerKind::Tbr(c) => {
-            if let Some(e) = t.get("fill_period_ms") {
-                c.fill_period = duration_millis(e)?;
-            }
-            if let Some(e) = t.get("adjust_period_ms") {
-                c.adjust_period = duration_millis(e)?;
-            }
-            if let Some(e) = t.get("bucket_ms") {
-                c.bucket = duration_millis(e)?;
-            }
+            set(t, "fill_period_ms", &mut c.fill_period, duration_millis)?;
+            set(t, "adjust_period_ms", &mut c.adjust_period, duration_millis)?;
+            set(t, "bucket_ms", &mut c.bucket, duration_millis)?;
             if let Some(e) = t.get("initial_tokens_ms") {
                 c.initial_tokens = duration_millis(e)?;
             }
-            if let Some(e) = t.get("excess_threshold") {
-                c.excess_threshold = want_f64(e)?;
-            }
-            if let Some(e) = t.get("demand_threshold") {
-                c.demand_threshold = want_f64(e)?;
-            }
-            if let Some(e) = t.get("min_rate") {
-                c.min_rate = want_f64(e)?;
-            }
+            set(t, "excess_threshold", &mut c.excess_threshold, want_f64)?;
+            set(t, "demand_threshold", &mut c.demand_threshold, want_f64)?;
+            set(t, "min_rate", &mut c.min_rate, want_f64)?;
             if let Some(e) = t.get("donation_streak") {
                 c.donation_streak = u32::try_from(want_u64(e)?).or_else(|_| {
                     err(
@@ -504,52 +470,35 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
                     )
                 })?;
             }
-            if let Some(e) = t.get("restitution") {
-                c.restitution = want_f64(e)?;
-            }
+            set(t, "restitution", &mut c.restitution, want_f64)?;
             total_buffer(&mut c.total_buffer)?;
         }
         SchedulerKind::Txop(c) => {
-            if let Some(e) = t.get("quantum_ms") {
-                c.quantum = duration_millis(e)?;
-            }
+            set(t, "quantum_ms", &mut c.quantum, duration_millis)?;
             total_buffer(&mut c.total_buffer)?;
         }
         SchedulerKind::Pf(c) => {
-            if let Some(e) = t.get("beta") {
-                c.beta = want_f64(e)?;
-            }
+            set(t, "beta", &mut c.beta, want_f64)?;
             total_buffer(&mut c.total_buffer)?;
         }
         SchedulerKind::MaxMin(c) => {
-            if let Some(e) = t.get("rate_ewma") {
-                c.rate_ewma = want_f64(e)?;
-            }
+            set(t, "rate_ewma", &mut c.rate_ewma, want_f64)?;
             total_buffer(&mut c.total_buffer)?;
         }
     }
-    kind.validate().map_err(|msg| {
-        // Point at the offending key when the table sets it (messages
-        // name the tunable, which is the key minus any unit suffix).
-        let line = SCHEDULER_KEYS
-            .iter()
-            .filter(|k| msg.starts_with(k.trim_end_matches("_ms")))
-            .find_map(|k| t.get(k))
-            .map_or(t.line, |e| e.line);
+    kind.validate().map_err(|e| {
+        let e = locate(e, &[t]);
         CompileError {
-            line,
-            msg: format!("[scheduler] {msg}"),
+            msg: format!("[scheduler] {}", e.msg),
+            ..e
         }
     })?;
     Ok(kind)
 }
 
-fn compile_flow(
-    t: &Table,
-    default_direction: Direction,
-    run: &NetworkConfig,
-) -> Result<FlowSpec, CompileError> {
-    check_keys(t, "station.flow", FLOW_KEYS)?;
+/// The flow keys of `t`: a `[[station.flow]]` table, or the station
+/// table itself when it declares one implicit flow.
+fn compile_flow(t: &Table, default_direction: Direction) -> Result<FlowSpec, CompileError> {
     let mut flow = FlowSpec {
         transport: Transport::Tcp,
         direction: default_direction,
@@ -557,21 +506,17 @@ fn compile_flow(
         task_bytes: None,
         rate_limit_bps: None,
     };
-    if let Some(e) = t.get("transport") {
-        flow.transport = parse_transport(e)?;
-    }
-    if let Some(e) = t.get("direction") {
-        flow.direction = parse_direction(e)?;
-    }
-    if let Some(e) = t.get("start_s") {
-        flow.start = SimTime::ZERO + duration_secs(e)?;
-    }
-    if let Some(e) = t.get("task_bytes") {
-        flow.task_bytes = Some(want_u64(e)?);
-    }
-    if let Some(e) = t.get("rate_limit_bps") {
-        flow.rate_limit_bps = Some(want_rate_bps(e, &flow, run)?);
-    }
+    set(t, "transport", &mut flow.transport, parse_transport)?;
+    set(t, "direction", &mut flow.direction, parse_direction)?;
+    set(t, "start_s", &mut flow.start, |e| {
+        Ok(SimTime::ZERO + duration_secs(e)?)
+    })?;
+    set(t, "task_bytes", &mut flow.task_bytes, |e| {
+        want_u64(e).map(Some)
+    })?;
+    set(t, "rate_limit_bps", &mut flow.rate_limit_bps, |e| {
+        want_f64(e).map(Some)
+    })?;
     Ok(flow)
 }
 
@@ -602,15 +547,9 @@ fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, 
             decl.used_at.get_or_insert(e.line);
         }
     }
-    if let Some(e) = t.get("x_ft") {
-        decl.x = want_f64(e)?;
-    }
-    if let Some(e) = t.get("y_ft") {
-        decl.y = want_f64(e)?;
-    }
-    if let Some(e) = t.get("auto_rate") {
-        decl.auto_rate = want_bool(e)?;
-    }
+    set(t, "x_ft", &mut decl.x, want_f64)?;
+    set(t, "y_ft", &mut decl.y, want_f64)?;
+    set(t, "auto_rate", &mut decl.auto_rate, want_bool)?;
     let mobility_tables = doc.sub_tables("station", idx, "mobility");
     if mobility_tables.len() > 1 {
         return err(
@@ -628,28 +567,9 @@ fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, 
                     format!("[[station.mobility]] needs '{key}' (waypoint coordinates)"),
                 );
             };
-            let Some(xs) = e.value.as_array() else {
-                return err(
-                    e.line,
-                    format!(
-                        "key '{key}' expects an array of numbers, got {}",
-                        e.value.type_name()
-                    ),
-                );
-            };
-            let mut out = Vec::with_capacity(xs.len());
-            for x in xs {
-                match x.as_f64() {
-                    Some(v) if v.is_finite() => out.push(v),
-                    _ => {
-                        return err(
-                            e.line,
-                            format!("key '{key}' expects finite numbers, found '{x}'"),
-                        )
-                    }
-                }
-            }
-            Ok(out)
+            want(e, "an array of numbers", |v| {
+                v.as_array()?.iter().map(Value::as_f64).collect()
+            })
         };
         let xs = coords("x_ft")?;
         let ys = coords("y_ft")?;
@@ -664,13 +584,7 @@ fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, 
             );
         }
         let speed = match mt.get("speed_fps") {
-            Some(e) => {
-                let s = want_f64(e)?;
-                if s <= 0.0 || !s.is_finite() {
-                    return err(e.line, "key 'speed_fps' expects a positive speed");
-                }
-                s
-            }
+            Some(e) => want_f64(e)?,
             None => return err(mt.line, "[[station.mobility]] needs 'speed_fps'"),
         };
         let waypoints: Vec<Point> = xs
@@ -690,7 +604,6 @@ fn compile_station(
     t: &Table,
     idx: usize,
     default_direction: Direction,
-    run: &NetworkConfig,
 ) -> Result<(StationConfig, PlacementDecl, usize), CompileError> {
     check_keys(t, "station", STATION_KEYS)?;
 
@@ -714,26 +627,19 @@ fn compile_station(
                 );
             };
             for x in xs {
-                match x.as_str() {
-                    Some("thin_wood") => walls.push(Wall::ThinWood),
-                    Some("thick") => walls.push(Wall::Thick),
+                walls.push(match x.as_str() {
+                    Some("thin_wood") => Wall::ThinWood,
+                    Some("thick") => Wall::Thick,
                     _ => {
-                        return err(
-                            e.line,
-                            format!("unknown wall '{x}'; expected thin_wood or thick"),
-                        )
+                        let msg = format!("key 'walls' expects thin_wood or thick, got {x}");
+                        return err(e.line, msg);
                     }
-                }
+                });
             }
         }
-        let shadow_db = match t.get("shadow_db") {
-            Some(e) => want_f64(e)?,
-            None => 0.0,
-        };
-        let initial_rate = match t.get("initial_rate") {
-            Some(e) => parse_rate(e)?,
-            None => DataRate::B11,
-        };
+        let (mut shadow_db, mut initial_rate) = (0.0, DataRate::B11);
+        set(t, "shadow_db", &mut shadow_db, want_f64)?;
+        set(t, "initial_rate", &mut initial_rate, parse_rate)?;
         LinkSpec::Path {
             distance_ft,
             walls,
@@ -758,56 +664,19 @@ fn compile_station(
                 )
             }
         };
-        let fer = match t.get("fer") {
-            Some(e) => {
-                let f = want_f64(e)?;
-                if !(0.0..1.0).contains(&f) {
-                    return err(e.line, "key 'fer' expects a fraction in [0, 1)");
-                }
-                f
-            }
-            None => 0.01,
-        };
+        let mut fer = 0.01;
+        set(t, "fer", &mut fer, want_f64)?;
         LinkSpec::Fixed { rate, fer }
     };
 
     let weight = match t.get("weight") {
-        Some(e) => {
-            let w = want_f64(e)?;
-            if w <= 0.0 {
-                return err(e.line, "key 'weight' expects a positive number");
-            }
-            w
-        }
+        Some(e) => want_f64(e)?,
         None => 1.0,
     };
 
     let flow_tables = doc.sub_tables("station", idx, "flow");
     let flows = if flow_tables.is_empty() {
-        let mut d = default_direction;
-        if let Some(e) = t.get("direction") {
-            d = parse_direction(e)?;
-        }
-        let mut flow = FlowSpec {
-            transport: Transport::Tcp,
-            direction: d,
-            start: SimTime::ZERO,
-            task_bytes: None,
-            rate_limit_bps: None,
-        };
-        if let Some(e) = t.get("transport") {
-            flow.transport = parse_transport(e)?;
-        }
-        if let Some(e) = t.get("start_s") {
-            flow.start = SimTime::ZERO + duration_secs(e)?;
-        }
-        if let Some(e) = t.get("task_bytes") {
-            flow.task_bytes = Some(want_u64(e)?);
-        }
-        if let Some(e) = t.get("rate_limit_bps") {
-            flow.rate_limit_bps = Some(want_rate_bps(e, &flow, run)?);
-        }
-        vec![flow]
+        vec![compile_flow(t, default_direction)?]
     } else {
         for bad in ["transport", "start_s", "task_bytes", "rate_limit_bps"] {
             if let Some(e) = t.get(bad) {
@@ -818,12 +687,11 @@ fn compile_station(
             }
         }
         let mut d = default_direction;
-        if let Some(e) = t.get("direction") {
-            d = parse_direction(e)?;
-        }
+        set(t, "direction", &mut d, parse_direction)?;
         let mut flows = Vec::new();
         for ft in flow_tables {
-            flows.push(compile_flow(ft, d, run)?);
+            check_keys(ft, "station.flow", FLOW_KEYS)?;
+            flows.push(compile_flow(ft, d)?);
         }
         flows
     };
@@ -848,15 +716,6 @@ fn compile_station(
         compile_placement(doc, t, idx)?,
         count,
     ))
-}
-
-/// The rate a placement pins to when `auto_rate` is off: the station's
-/// declared link rate (geometry links pin their initial rate).
-fn pinned_rate(link: &LinkSpec) -> DataRate {
-    match link {
-        LinkSpec::Fixed { rate, .. } => *rate,
-        LinkSpec::Path { initial_rate, .. } => *initial_rate,
-    }
 }
 
 fn parse_rate_set(e: &Entry) -> Result<RateSet, CompileError> {
@@ -905,13 +764,8 @@ fn compile_topology(
             None => 0.0,
         };
         let channel = match t.get("channel") {
-            Some(e) => {
-                let c = want_u64(e)?;
-                if c == 0 || c > 255 {
-                    return err(e.line, "key 'channel' expects a channel number in 1..=255");
-                }
-                c as u8
-            }
+            Some(e) => u8::try_from(want_u64(e)?)
+                .or_else(|_| err(e.line, "key 'channel' expects a channel number in 1..=255"))?,
             None => 1,
         };
         cells.push(CellSpec {
@@ -926,30 +780,12 @@ fn compile_topology(
     let mut assoc_tick = SimDuration::from_millis(100);
     if let Some(t) = doc.table("topology") {
         check_keys(t, "topology", TOPOLOGY_KEYS)?;
-        if let Some(e) = t.get("rate_set") {
-            rate_set = parse_rate_set(e)?;
-        }
-        if let Some(e) = t.get("hysteresis_db") {
-            let h = want_f64(e)?;
-            if h < 0.0 || !h.is_finite() {
-                return err(e.line, "key 'hysteresis_db' expects a non-negative margin");
-            }
-            hysteresis_db = h;
-        }
-        if let Some(e) = t.get("min_rssi_dbm") {
-            let m = want_f64(e)?;
-            if !m.is_finite() {
-                return err(e.line, "key 'min_rssi_dbm' expects a finite dBm value");
-            }
-            min_rssi_dbm = Some(m);
-        }
-        if let Some(e) = t.get("assoc_tick_ms") {
-            let tick = duration_millis(e)?;
-            if tick.is_zero() {
-                return err(e.line, "key 'assoc_tick_ms' expects a positive period");
-            }
-            assoc_tick = tick;
-        }
+        set(t, "rate_set", &mut rate_set, parse_rate_set)?;
+        set(t, "hysteresis_db", &mut hysteresis_db, want_f64)?;
+        set(t, "min_rssi_dbm", &mut min_rssi_dbm, |e| {
+            want_f64(e).map(Some)
+        })?;
+        set(t, "assoc_tick_ms", &mut assoc_tick, duration_millis)?;
     }
 
     let placements = placements
@@ -961,7 +797,7 @@ fn compile_topology(
             rate: if d.auto_rate {
                 RatePolicy::Auto
             } else {
-                RatePolicy::Pinned(pinned_rate(&st.link))
+                RatePolicy::Pinned(st.link.rate())
             },
         })
         .collect();
@@ -1006,9 +842,7 @@ fn compile_check(doc: &Doc) -> Result<CheckSpec, CompileError> {
         }
         check.tolerance = tol;
     }
-    if let Some(e) = t.get("strict") {
-        check.strict = want_bool(e)?;
-    }
+    set(t, "strict", &mut check.strict, want_bool)?;
     Ok(check)
 }
 
@@ -1077,16 +911,9 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         None => Direction::Uplink,
     };
 
-    // Stations compile against a config that already carries the run
-    // length, since a flow's `rate_limit_bps` is checked against it.
     let scheduler = compile_scheduler(doc)?;
     let mut cfg = NetworkConfig::new(Vec::new(), scheduler);
-    if let Some(e) = doc.get("duration_s") {
-        cfg.duration = duration_secs(e)?;
-        if cfg.duration.is_zero() {
-            return err(e.line, "key 'duration_s' expects a positive duration");
-        }
-    }
+    set(&root, "duration_s", &mut cfg.duration, duration_secs)?;
 
     let station_tables = doc.array_tables("station");
     // A [tournament] scenario populates its stations from the rate
@@ -1097,73 +924,60 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
             "scenario declares no [[station]] tables; at least one is required",
         );
     }
-    let mut stations = Vec::new();
-    let mut placements = Vec::new();
+    // `origin[s]` is the [[station]] table behind station `s` once
+    // `count` and `station_count` have replicated the tables; both are
+    // checked against the cap before anything is replicated.
+    let mut declared = Vec::with_capacity(station_tables.len());
+    let mut origin = Vec::new();
     for (i, t) in station_tables.iter().enumerate() {
-        let (st, place, count) = compile_station(doc, t, i, default_direction, &cfg)?;
-        for _ in 0..count {
-            stations.push(st.clone());
-            placements.push(place.clone());
+        let (st, place, count) = compile_station(doc, t, i, default_direction)?;
+        if origin.len().saturating_add(count) > MAX_STATIONS {
+            return err(
+                t.get("count").map_or(t.line, |e| e.line),
+                format!("key 'count' = {count} takes the cell past {MAX_STATIONS} stations"),
+            );
         }
+        origin.extend(std::iter::repeat_n(i, count));
+        declared.push((st, place));
     }
     if let Some(e) = doc.get("station_count") {
-        let n = want_u64(e)? as usize;
-        if n == 0 {
-            return err(e.line, "key 'station_count' expects at least 1");
+        let n = want_u64(e)?;
+        if n == 0 || n > MAX_STATIONS as u64 || origin.is_empty() {
+            return err(
+                e.line,
+                format!(
+                    "key 'station_count' expects 1 to {MAX_STATIONS} stations replicated \
+                     from at least one [[station]] table, got {n}"
+                ),
+            );
         }
         // Replicate the declared list cyclically to exactly n stations
         // (so a sweep over station_count grows a homogeneous or
         // repeating-pattern cell). Placements replicate in lockstep.
-        let declared = stations.clone();
-        let declared_places = placements.clone();
-        stations = (0..n)
-            .map(|i| declared[i % declared.len()].clone())
-            .collect();
-        placements = (0..n)
-            .map(|i| declared_places[i % declared_places.len()].clone())
-            .collect();
+        origin = (0..n as usize).map(|s| origin[s % origin.len()]).collect();
     }
+    cfg.stations = origin.iter().map(|&i| declared[i].0.clone()).collect();
+    let placements: Vec<_> = origin.iter().map(|&i| declared[i].1.clone()).collect();
 
-    cfg.stations = stations;
-
-    if let Some(e) = doc.get("seed") {
-        cfg.seed = want_u64(e)?;
-    }
-    if let Some(e) = doc.get("warmup_s") {
-        cfg.warmup = duration_secs(e)?;
-    }
-    if cfg.warmup >= cfg.duration {
-        let line = doc.get("warmup_s").map(|e| e.line).unwrap_or(1);
-        return err(line, "warmup_s must be smaller than duration_s");
-    }
+    set(&root, "seed", &mut cfg.seed, want_u64)?;
+    set(&root, "warmup_s", &mut cfg.warmup, duration_secs)?;
     if let Some(e) = doc.get("wired_delay_ms") {
         cfg.wired_delay = duration_millis(e)?;
     }
-    if let Some(e) = doc.get("client_queue_cap") {
-        cfg.client_queue_cap = want_u64(e)? as usize;
-        if cfg.client_queue_cap == 0 {
-            // No uplink packet or TCP ack could ever leave a client.
-            return err(
-                e.line,
-                "key 'client_queue_cap' expects a positive packet count",
-            );
-        }
+    set(&root, "client_queue_cap", &mut cfg.client_queue_cap, |e| {
+        want_u64(e).map(|v| v as usize)
+    })?;
+    for (key, flag) in [
+        ("uplink_retry_info", &mut cfg.uplink_retry_info),
+        ("uplink_loss_estimator", &mut cfg.uplink_loss_estimator),
+        ("client_cooperation", &mut cfg.client_cooperation),
+        ("retry_rate_fallback", &mut cfg.retry_rate_fallback),
+    ] {
+        set(&root, key, flag, want_bool)?;
     }
-    if let Some(e) = doc.get("uplink_retry_info") {
-        cfg.uplink_retry_info = want_bool(e)?;
-    }
-    if let Some(e) = doc.get("uplink_loss_estimator") {
-        cfg.uplink_loss_estimator = want_bool(e)?;
-    }
-    if let Some(e) = doc.get("client_cooperation") {
-        cfg.client_cooperation = want_bool(e)?;
-    }
-    if let Some(e) = doc.get("retry_rate_fallback") {
-        cfg.retry_rate_fallback = want_bool(e)?;
-    }
-    if let Some(e) = doc.get("rts_threshold") {
-        cfg.rts_threshold = Some(want_u64(e)?);
-    }
+    set(&root, "rts_threshold", &mut cfg.rts_threshold, |e| {
+        want_u64(e).map(Some)
+    })?;
     if let Some(e) = doc.get("regulate") {
         cfg.regulate = match want_str(e)? {
             "station" => Regulate::PerStation,
@@ -1178,13 +992,8 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     }
     // Geometry links need the multi-rate retry chain the real EXP-1
     // cards used; switch it on automatically like scenarios::exp1_office.
-    if cfg
-        .stations
-        .iter()
-        .any(|s| matches!(s.link, LinkSpec::Path { .. }))
-    {
-        cfg.retry_rate_fallback = true;
-    }
+    let geometry = |s: &StationConfig| matches!(s.link, LinkSpec::Path { .. });
+    cfg.retry_rate_fallback |= cfg.stations.iter().any(geometry);
 
     let rate_labels = cfg
         .stations
@@ -1195,8 +1004,35 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         })
         .collect();
 
+    // The tables that declare what a validator error names: the cell's,
+    // or the flow's, station's and mobility tables behind its station,
+    // then the root and [topology].
+    let located = |e: ConfigError| {
+        let mut tables = Vec::new();
+        tables.extend(e.cell.map(|c| doc.array_tables("cells")[c]));
+        if let Some(s) = e.station {
+            let i = origin[s];
+            let flows = doc.sub_tables("station", i, "flow");
+            tables.extend(e.flow.and_then(|f| flows.get(f).copied()));
+            tables.push(station_tables[i]);
+            tables.extend(doc.sub_tables("station", i, "mobility"));
+        }
+        tables.push(&root);
+        tables.extend(doc.table("topology"));
+        locate(e, &tables)
+    };
+    match cfg.validate() {
+        // A [tournament] supplies the stations; the validator reports
+        // an empty list only once every run-wide rule has passed.
+        Err(e) if cfg.stations.is_empty() && e.field == "stations" => {}
+        r => r.map_err(located)?,
+    }
+
     let check = compile_check(doc)?;
     let topo = compile_topology(doc, &cfg, &placements)?;
+    if let Some(t) = &topo {
+        t.validate().map_err(located)?;
+    }
 
     Ok(ScenarioSpec {
         name,
@@ -1459,7 +1295,7 @@ y_ft = [10, 10]
         let path = topo.placements[1].mobility.as_ref().expect("mobility");
         assert_eq!(path.waypoints.len(), 2);
         assert_eq!(topo.base.stations.len(), spec.cfg.stations.len());
-        topo.validate();
+        topo.validate().unwrap();
     }
 
     #[test]
@@ -1603,6 +1439,96 @@ x_ft = 60
         )
         .unwrap();
         assert_eq!(spec.cfg.stations[0].flows[0].rate_limit_bps, Some(2920.0));
+    }
+
+    /// Validator errors land on the line that set the offending field,
+    /// through replication (`count`), explicit flows, cells and
+    /// mobility tables.
+    #[test]
+    fn validator_errors_point_at_the_key_that_set_the_field() {
+        for (text, line, needle) in [
+            (
+                "[[station]]\nrate = \"11\"\ncount = 2\n[[station]]\nrate = \"1\"\nweight = 0\n",
+                6,
+                "key 'weight' expects a positive number",
+            ),
+            (
+                "[[station]]\nrate = \"11\"\n[[station.flow]]\n[[station.flow]]\ntransport = \"udp\"\nrate_limit_bps = -3\n",
+                6,
+                "key 'rate_limit_bps' expects a positive, finite bit rate, got -3",
+            ),
+            (
+                "[[station]]\ndistance_ft = -50\n",
+                2,
+                "key 'distance_ft' expects a finite distance >= 0",
+            ),
+            (
+                "[[cells]]\nchannel = 1\n[[cells]]\nx_ft = 150\nchannel = 0\n[[station]]\nrate = \"11\"\n",
+                5,
+                "key 'channel' expects a channel number in 1..=255",
+            ),
+            (
+                "[topology]\nmin_rssi_dbm = -24\n[[cells]]\n[[station]]\nrate = \"11\"\n",
+                2,
+                "above the strongest RSSI any station can see (-25 dBm",
+            ),
+            (
+                "[[cells]]\n[[station]]\nrate = \"11\"\nx_ft = 3\n[[station.mobility]]\nspeed_fps = 0\nx_ft = [0]\ny_ft = [0]\n",
+                6,
+                "key 'speed_fps' expects a positive speed",
+            ),
+            (
+                "duration_s = 2\n[[station]]\nrate = \"11\"\n",
+                1,
+                "warmup_s must be smaller than duration_s",
+            ),
+        ] {
+            let e = compile_text(text).unwrap_err();
+            assert_eq!(e.line, line, "for {text:?}: {e}");
+            assert!(e.msg.contains(needle), "for {text:?}: {e}");
+        }
+    }
+
+    /// Both replication keys are checked against the cap before any
+    /// station is built; `count = 100000000000` once exhausted memory.
+    #[test]
+    fn station_counts_past_the_cap_fail_before_replication() {
+        let over = MAX_STATIONS + 1;
+        for (text, line, needle) in [
+            (
+                format!("[[station]]\nrate = \"11\"\ncount = {over}\n"),
+                3,
+                "key 'count' = 4097 takes the cell past 4096 stations".to_string(),
+            ),
+            (
+                "[[station]]\nrate = \"11\"\ncount = 4000\n[[station]]\nrate = \"1\"\ncount = 97\n"
+                    .to_string(),
+                6,
+                "key 'count' = 97 takes the cell past 4096 stations".to_string(),
+            ),
+            (
+                format!("seed = 1\nstation_count = {over}\n[[station]]\nrate = \"11\"\n"),
+                2,
+                format!("key 'station_count' expects 1 to {MAX_STATIONS} stations"),
+            ),
+        ] {
+            let e = compile_text(&text).unwrap_err();
+            assert_eq!(e.line, line, "for {text:?}: {e}");
+            assert!(e.msg.contains(&needle), "for {text:?}: {e}");
+        }
+        let spec = compile_text(&format!(
+            "station_count = {MAX_STATIONS}\n[[station]]\nrate = \"11\"\n"
+        ))
+        .unwrap();
+        assert_eq!(spec.cfg.stations.len(), MAX_STATIONS);
+        // A [tournament] document declares no station to replicate; its
+        // `station_count` once divided by zero.
+        let e = compile_text(
+            "station_count = 3\n[tournament]\nfamilies = [\"rr\"]\nrate_mixes = [\"11\"]\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.msg.contains("from at least one [[station]] table"), "{e}");
     }
 
     #[test]

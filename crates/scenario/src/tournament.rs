@@ -35,7 +35,7 @@
 //! its registry default.
 
 use airtime_sched::SchedulerKind;
-use airtime_wlan::{Direction, LinkSpec, StationConfig};
+use airtime_wlan::{Direction, StationConfig, MAX_STATIONS};
 
 use crate::aggregate::{self, CheckOutcome};
 use crate::spec::{self, CompileError, ScenarioSpec};
@@ -252,8 +252,12 @@ pub fn compile_tournament(
             };
             rates.push(rate);
         }
-        if rates.is_empty() {
-            return err(line, format!("rate mix '{mix}' has no rates"));
+        if rates.len() > MAX_STATIONS {
+            let msg = format!(
+                "rate mix has {} stations; at most {MAX_STATIONS}",
+                rates.len()
+            );
+            return err(line, msg);
         }
         rate_mixes.push(rates);
     }
@@ -269,16 +273,7 @@ pub fn compile_tournament(
         Some(e) => {
             let mut dirs = Vec::new();
             for (d, line) in string_list(e)? {
-                match d.trim() {
-                    "down" | "downlink" => dirs.push(Direction::Downlink),
-                    "up" | "uplink" => dirs.push(Direction::Uplink),
-                    other => {
-                        return err(
-                            line,
-                            format!("unknown direction '{other}'; expected up or down"),
-                        )
-                    }
-                }
+                dirs.push(spec::direction_from(&d, line)?);
             }
             if dirs.is_empty() {
                 return err(e.line, "[tournament] 'directions' must not be empty");
@@ -321,15 +316,7 @@ pub fn expand_tournament(base: &ScenarioSpec, t: &TournamentSpec) -> Vec<Tournam
                     .iter()
                     .map(|&r| StationConfig::tcp_at(r, dir))
                     .collect();
-                spec.rate_labels = spec
-                    .cfg
-                    .stations
-                    .iter()
-                    .map(|s| match &s.link {
-                        LinkSpec::Fixed { rate, .. } => rate.to_string(),
-                        LinkSpec::Path { .. } => "path".to_string(),
-                    })
-                    .collect();
+                spec.rate_labels = rates.iter().map(|r| r.to_string()).collect();
                 jobs.push(TournamentJob {
                     index: jobs.len(),
                     family: kind.family().to_string(),
@@ -664,6 +651,27 @@ rate_mixes = [\"11,1\"]
             assert!(e.msg.contains(needle), "for {text:?}: got '{}'", e.msg);
             assert_eq!(e.line, line, "for {text:?}");
         }
+    }
+
+    /// A mix is one cell, so it holds at most `MAX_STATIONS` rates; a
+    /// longer one once compiled and then panicked in the engine.
+    #[test]
+    fn a_mix_past_the_station_cap_is_rejected_at_its_line() {
+        let mix = |n: usize| vec!["11"; n].join(",");
+        let text = |n| {
+            format!(
+                "[tournament]\nfamilies = [\"rr\"]\nrate_mixes = [\"11\", \"{}\"]\n",
+                mix(n)
+            )
+        };
+        let e = compile(&text(MAX_STATIONS + 1)).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(
+            e.msg.contains("rate mix has 4097 stations; at most 4096"),
+            "{e}"
+        );
+        let t = compile(&text(MAX_STATIONS)).unwrap().unwrap();
+        assert_eq!(t.rate_mixes[1].len(), MAX_STATIONS);
     }
 
     #[test]

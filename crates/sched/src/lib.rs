@@ -37,8 +37,9 @@ pub mod pf;
 // Re-export the abstraction and the baseline implementations so
 // embedders depend on one scheduler crate.
 pub use airtime_core::{
-    BufferPolicy, ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool, QueuedPacket,
-    RedConfig, RoundRobinScheduler, Scheduler, TbrConfig, TbrScheduler, TxopConfig, TxopScheduler,
+    BufferPolicy, ClientId, ConfigError, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool,
+    QueuedPacket, RedConfig, RoundRobinScheduler, Scheduler, TbrConfig, TbrScheduler, TxopConfig,
+    TxopScheduler,
 };
 pub use maxmin::{MaxMinConfig, MaxMinScheduler};
 pub use pf::{PfConfig, PfScheduler};
@@ -119,7 +120,7 @@ impl SchedulerKind {
     }
 
     /// Checks the kind's tunables, naming the first offending one.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
             SchedulerKind::Fifo | SchedulerKind::RoundRobin | SchedulerKind::Drr => Ok(()),
             SchedulerKind::Tbr(c) => c.validate(),

@@ -31,8 +31,8 @@
 //! sequence by construction.
 
 use airtime_core::{
-    waterfill_airtime_into, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket,
-    Scheduler,
+    waterfill_airtime_into, BufferPolicy, ClientId, ConfigError, EnqueueOutcome, QueuePool,
+    QueuedPacket, Scheduler,
 };
 use airtime_sim::{SimDuration, SimTime};
 
@@ -68,9 +68,9 @@ impl Default for MaxMinConfig {
 
 impl MaxMinConfig {
     /// Checks the tunables, naming the first offending one.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.rate_ewma > 0.0 && self.rate_ewma <= 1.0) {
-            return Err("rate_ewma must be in (0, 1]".into());
+            return Err(ConfigError::new("rate_ewma", "rate_ewma must be in (0, 1]"));
         }
         Ok(())
     }
@@ -131,9 +131,7 @@ pub struct MaxMinScheduler {
 impl MaxMinScheduler {
     /// Creates an empty max-min scheduler.
     pub fn new(config: MaxMinConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         MaxMinScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,

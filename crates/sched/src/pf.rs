@@ -47,7 +47,9 @@
 //! trajectory is a pure function of the consult sequence and the
 //! repo's determinism contract holds by construction.
 
-use airtime_core::{BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler};
+use airtime_core::{
+    BufferPolicy, ClientId, ConfigError, EnqueueOutcome, QueuePool, QueuedPacket, Scheduler,
+};
 use airtime_sim::{SimDuration, SimTime};
 
 /// Reference slot length for the time-weighted averaging step: β is
@@ -87,9 +89,9 @@ impl Default for PfConfig {
 
 impl PfConfig {
     /// Checks the tunables, naming the first offending one.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.beta > 0.0 && self.beta <= 1.0) {
-            return Err("beta must be in (0, 1]".into());
+            return Err(ConfigError::new("beta", "beta must be in (0, 1]"));
         }
         Ok(())
     }
@@ -139,9 +141,7 @@ pub struct PfScheduler {
 impl PfScheduler {
     /// Creates an empty proportional-fair scheduler.
     pub fn new(config: PfConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         PfScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,

@@ -10,7 +10,7 @@
 use airtime_phy::pathloss::feet_to_metres;
 use airtime_phy::{DataRate, LinkErrorModel, RateSet};
 use airtime_sim::SimDuration;
-use airtime_wlan::{LinkSpec, NetworkConfig};
+use airtime_wlan::{ConfigError, NetworkConfig};
 
 use crate::geom::Point;
 use crate::mobility::WaypointPath;
@@ -119,13 +119,7 @@ impl TopologyConfig {
         let placements = base
             .stations
             .iter()
-            .map(|st| {
-                let rate = match st.link {
-                    LinkSpec::Fixed { rate, .. } => rate,
-                    LinkSpec::Path { initial_rate, .. } => initial_rate,
-                };
-                Placement::fixed(Point::new(0.0, 10.0), rate)
-            })
+            .map(|st| Placement::fixed(Point::new(0.0, 10.0), st.link.rate()))
             .collect();
         TopologyConfig {
             base,
@@ -138,30 +132,55 @@ impl TopologyConfig {
         }
     }
 
-    /// Checks internal consistency; the engine calls this on entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on any violation.
-    pub fn validate(&self) {
-        assert!(!self.cells.is_empty(), "topology needs at least one cell");
-        assert_eq!(
-            self.placements.len(),
-            self.base.stations.len(),
-            "placements must be index-aligned with base.stations"
-        );
-        assert!(
-            self.hysteresis_db >= 0.0 && self.hysteresis_db.is_finite(),
-            "hysteresis must be a non-negative, finite dB margin"
-        );
-        assert!(
-            !self.assoc_tick.is_zero(),
-            "management tick must be positive"
-        );
-        assert!(
-            self.min_rssi_dbm.is_finite(),
-            "association floor must be finite"
-        );
+    /// Checks the template ([`NetworkConfig::validate`]), then the
+    /// cells, the association policy and the placements, naming the
+    /// first offending field (with its cell or station index). The
+    /// engine calls this on entry.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.base.validate()?;
+        if self.cells.is_empty() {
+            return Err(ConfigError::new("cells", "a topology needs a cell"));
+        }
+        if let Some(c) = self.cells.iter().position(|c| c.channel == 0) {
+            let e = ConfigError::key("channel", "expects a channel number in 1..=255");
+            return Err(ConfigError { cell: Some(c), ..e });
+        }
+        let h = self.hysteresis_db;
+        let rule = "expects a non-negative margin";
+        ConfigError::check(h >= 0.0 && h.is_finite(), "hysteresis_db", rule)?;
+        let (floor, field) = (self.min_rssi_dbm, "min_rssi_dbm");
+        ConfigError::check(floor.is_finite(), field, "expects a finite dBm value")?;
+        // The path-loss model clamps at 1 m, so no placement ever sees
+        // more than this; a floor above it admits no station.
+        let strongest = self.base.path_loss.rssi_dbm(0.0, &[], 0.0);
+        if floor > strongest {
+            let rule = format!(
+                "= {floor} is above the strongest RSSI any station can see \
+                 ({strongest} dBm, 1 m from an AP), so no station could associate"
+            );
+            return Err(ConfigError::key(field, &rule));
+        }
+        let tick = !self.assoc_tick.is_zero();
+        ConfigError::check(tick, "assoc_tick_ms", "expects a positive period")?;
+        if self.placements.len() != self.base.stations.len() {
+            let msg = "placements must be index-aligned with base.stations";
+            return Err(ConfigError::new("placements", msg));
+        }
+        for (s, p) in self.placements.iter().enumerate() {
+            let Some(path) = &p.mobility else { continue };
+            let (v, walk) = (path.speed_fps, !path.waypoints.is_empty());
+            ConfigError::check(walk, "x_ft", "expects at least one waypoint")
+                .and(ConfigError::check(
+                    v > 0.0 && v.is_finite(),
+                    "speed_fps",
+                    "expects a positive speed",
+                ))
+                .map_err(|e| ConfigError {
+                    station: Some(s),
+                    ..e
+                })?;
+        }
+        Ok(())
     }
 
     /// RSSI (dBm) a station at `p` sees from `cell`'s AP. Distances
@@ -247,6 +266,7 @@ pub enum AssocDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WaypointPath;
     use airtime_wlan::{scenarios, SchedulerKind};
 
     fn topo() -> TopologyConfig {
@@ -264,7 +284,7 @@ mod tests {
             t.cells.iter().map(|c| c.channel).collect::<Vec<_>>(),
             vec![1, 6, 11]
         );
-        t.validate();
+        t.validate().unwrap();
     }
 
     #[test]
@@ -326,5 +346,93 @@ mod tests {
         assert_eq!(near, DataRate::B11);
         let pinned = t.rate_towards(Point::new(5.0, 0.0), 0, RatePolicy::Pinned(DataRate::B1));
         assert_eq!(pinned, DataRate::B1);
+    }
+
+    /// The error `edit` provokes on a valid three-cell topology.
+    fn broken(edit: impl FnOnce(&mut TopologyConfig)) -> ConfigError {
+        let mut t = topo();
+        edit(&mut t);
+        t.validate().expect_err("the edit breaks a rule")
+    }
+
+    #[test]
+    fn template_rules_pass_through() {
+        let e = broken(|t| t.base.stations[1].weight = -1.0);
+        assert_eq!((e.field, e.station), ("weight", Some(1)));
+        let e = broken(|t| t.base.client_queue_cap = 0);
+        assert_eq!(e.field, "client_queue_cap");
+    }
+
+    #[test]
+    fn cell_rules_name_the_cell() {
+        let e = broken(|t| t.cells.clear());
+        assert_eq!(e.field, "cells");
+        let e = broken(|t| t.cells[2].channel = 0);
+        assert_eq!((e.field, e.cell), ("channel", Some(2)));
+        assert_eq!(e.msg, "key 'channel' expects a channel number in 1..=255");
+        assert_eq!(e.to_string(), format!("cell 2: {}", e.msg));
+    }
+
+    #[test]
+    fn association_policy_rules() {
+        for h in [-1.0, f64::NAN, f64::INFINITY] {
+            let e = broken(|t| t.hysteresis_db = h);
+            assert_eq!(e.msg, "key 'hysteresis_db' expects a non-negative margin");
+        }
+        for floor in [f64::NAN, f64::NEG_INFINITY] {
+            let e = broken(|t| t.min_rssi_dbm = floor);
+            assert_eq!(e.msg, "key 'min_rssi_dbm' expects a finite dBm value");
+        }
+        let e = broken(|t| t.assoc_tick = SimDuration::ZERO);
+        assert_eq!(e.msg, "key 'assoc_tick_ms' expects a positive period");
+        let e = broken(|t| t.placements.truncate(1));
+        assert_eq!(e.field, "placements");
+    }
+
+    #[test]
+    fn a_floor_no_position_can_clear_is_rejected() {
+        // The default model gives -25 dBm at its 1 m clamp: a station on
+        // top of an AP clears -25 but nothing clears -24.9 or 1000.
+        let mut t = topo();
+        let strongest = t.rssi_dbm(t.cells[0].position, 0);
+        assert_eq!(strongest, -25.0);
+        t.min_rssi_dbm = strongest;
+        t.validate().unwrap();
+        for floor in [-24.9, 1000.0] {
+            let e = broken(|t| t.min_rssi_dbm = floor);
+            assert_eq!(e.field, "min_rssi_dbm");
+            assert!(e.msg.contains("above the strongest RSSI"), "{e}");
+        }
+    }
+
+    #[test]
+    fn mobility_rules_name_the_station() {
+        let walk = |speed_fps, waypoints| {
+            move |t: &mut TopologyConfig| {
+                t.placements[1].mobility = Some(WaypointPath {
+                    waypoints,
+                    speed_fps,
+                })
+            }
+        };
+        let line = vec![Point::new(0.0, 10.0), Point::new(300.0, 10.0)];
+        for speed in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let e = broken(walk(speed, line.clone()));
+            assert_eq!((e.field, e.station), ("speed_fps", Some(1)));
+            assert_eq!(e.msg, "key 'speed_fps' expects a positive speed");
+        }
+        let e = broken(walk(15.0, Vec::new()));
+        assert_eq!((e.field, e.station), ("x_ft", Some(1)));
+        let mut t = topo();
+        walk(15.0, line)(&mut t);
+        t.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "key 'assoc_tick_ms' expects a positive period")]
+    fn run_topology_panics_with_the_validators_message() {
+        let mut t = topo();
+        t.assoc_tick = SimDuration::ZERO;
+        crate::run_topology(&t, &mut [airtime_obs::NullObserver; 3]);
     }
 }

@@ -98,8 +98,9 @@ fn phase_done(probe: Option<&mut TopoProbe>, t0: Option<Instant>, phase: usize) 
 ///
 /// # Panics
 ///
-/// Panics on invalid topologies (see [`TopologyConfig::validate`])
-/// and when `obs.len() != topo.cells.len()`.
+/// Panics with the validator's message when
+/// [`TopologyConfig::validate`] rejects `topo`, and when
+/// `obs.len() != topo.cells.len()`.
 pub fn run_topology<O: Observer>(topo: &TopologyConfig, obs: &mut [O]) -> TopoReport {
     run_topology_inner(topo, obs, None).0
 }
@@ -154,7 +155,7 @@ fn run_topology_inner<O: Observer>(
     obs: &mut [O],
     mut probe: Option<&mut TopoProbe>,
 ) -> (TopoReport, Vec<(u64, u64)>) {
-    topo.validate();
+    topo.validate().unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         obs.len(),
         topo.cells.len(),

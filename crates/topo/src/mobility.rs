@@ -21,18 +21,10 @@ pub struct WaypointPath {
 }
 
 impl WaypointPath {
-    /// A path through `waypoints` at `speed_fps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the path is empty or the speed is not positive and
-    /// finite.
+    /// A path through `waypoints` at `speed_fps`. The path must be
+    /// non-empty and the speed positive and finite; the topology's
+    /// validator checks both (`TopologyConfig::validate`).
     pub fn new(waypoints: Vec<Point>, speed_fps: f64) -> Self {
-        assert!(!waypoints.is_empty(), "a path needs at least one point");
-        assert!(
-            speed_fps > 0.0 && speed_fps.is_finite(),
-            "speed must be positive and finite"
-        );
         WaypointPath {
             waypoints,
             speed_fps,

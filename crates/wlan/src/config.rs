@@ -9,6 +9,13 @@ use airtime_sim::{SimDuration, SimTime};
 // keep writing `airtime_wlan::SchedulerKind`.
 pub use airtime_sched::SchedulerKind;
 
+pub use airtime_core::ConfigError;
+
+/// The most stations one cell may hold: four times the largest
+/// scaling preset (1,024). A station list built past it is a typo,
+/// not an experiment, and would exhaust memory while it is replicated.
+pub const MAX_STATIONS: usize = 4096;
+
 /// Radio link between one client and the AP.
 #[derive(Clone, Debug)]
 pub enum LinkSpec {
@@ -33,6 +40,17 @@ pub enum LinkSpec {
         /// Initial ARF rate.
         initial_rate: DataRate,
     },
+}
+
+impl LinkSpec {
+    /// The rate the link starts at: the fixed rate, or a geometry
+    /// link's initial ARF rate.
+    pub fn rate(&self) -> DataRate {
+        match self {
+            LinkSpec::Fixed { rate, .. } => *rate,
+            LinkSpec::Path { initial_rate, .. } => *initial_rate,
+        }
+    }
 }
 
 /// What entity the AP scheduler's queues and airtime accounts key on.
@@ -95,6 +113,31 @@ impl FlowSpec {
         }
     }
 
+    /// Checks the flow against the run it belongs to: a rate limit must
+    /// be positive, finite and fast enough to release one packet within
+    /// `run.duration` (a slower pacer would never send).
+    pub fn validate(&self, run: &NetworkConfig) -> Result<(), ConfigError> {
+        let Some(bps) = self.rate_limit_bps else {
+            return Ok(());
+        };
+        let field = "rate_limit_bps";
+        if !(bps.is_finite() && bps > 0.0) {
+            let rule = format!("expects a positive, finite bit rate, got {bps}");
+            return Err(ConfigError::key(field, &rule));
+        }
+        let bytes = self.paced_packet_bytes(run);
+        let secs = run.duration.as_secs_f64();
+        let min_bps = (bytes * 8) as f64 / secs;
+        if bps < min_bps {
+            let rule = format!(
+                "= {bps:?} cannot release one {bytes}-byte packet within duration_s = {secs}; \
+                 the minimum is {min_bps} bit/s"
+            );
+            return Err(ConfigError::key(field, &rule));
+        }
+        Ok(())
+    }
+
     /// A greedy TCP flow in `direction`, fluid model.
     pub fn tcp(direction: Direction) -> Self {
         FlowSpec {
@@ -133,6 +176,34 @@ pub struct StationConfig {
 }
 
 impl StationConfig {
+    /// Checks the link (`fer` in [0, 1), `distance_ft` finite and
+    /// non-negative), the weight (positive, finite) and every flow,
+    /// naming the offending flow's index.
+    pub fn validate(&self, run: &NetworkConfig) -> Result<(), ConfigError> {
+        match &self.link {
+            LinkSpec::Fixed { fer, .. } => ConfigError::check(
+                (0.0..1.0).contains(fer),
+                "fer",
+                "expects a fraction in [0, 1)",
+            ),
+            LinkSpec::Path { distance_ft: d, .. } => {
+                let rule = "expects a finite distance >= 0";
+                ConfigError::check(d.is_finite() && *d >= 0.0, "distance_ft", rule)
+            }
+        }?;
+        let w = self.weight;
+        ConfigError::check(
+            w > 0.0 && w.is_finite(),
+            "weight",
+            "expects a positive number",
+        )?;
+        for (i, flow) in self.flows.iter().enumerate() {
+            flow.validate(run)
+                .map_err(|e| ConfigError { flow: Some(i), ..e })?;
+        }
+        Ok(())
+    }
+
     /// A station at a fixed rate with a low (1%) loss floor and one
     /// greedy TCP flow in `direction` — the paper's standard node.
     pub fn tcp_at(rate: DataRate, direction: Direction) -> Self {
@@ -219,6 +290,37 @@ impl NetworkConfig {
             uplink_loss_estimator: false,
         }
     }
+
+    /// Checks every range rule on the config and names the first
+    /// offending field, with its station and flow index for per-station
+    /// and per-flow rules. The station count comes last, so a config
+    /// whose only fault is an empty station list reports `stations`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let run = !self.duration.is_zero();
+        ConfigError::check(run, "duration_s", "expects a positive duration")?;
+        for (i, st) in self.stations.iter().enumerate() {
+            st.validate(self).map_err(|e| ConfigError {
+                station: Some(i),
+                ..e
+            })?;
+        }
+        if self.warmup >= self.duration {
+            let msg = "warmup_s must be smaller than duration_s";
+            return Err(ConfigError::new("warmup_s", msg));
+        }
+        // With no room, no uplink packet or TCP ack could leave a client;
+        // a saturating uplink fills all the room there is, packet by packet.
+        let cap = (1..=100_000).contains(&self.client_queue_cap);
+        let rule = "expects a positive packet count, at most 100000";
+        ConfigError::check(cap, "client_queue_cap", rule)?;
+        self.scheduler.validate()?;
+        let n = self.stations.len();
+        if n == 0 || n > MAX_STATIONS {
+            let msg = format!("a cell holds 1 to {MAX_STATIONS} stations, got {n}");
+            return Err(ConfigError::new("stations", msg));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -244,5 +346,169 @@ mod tests {
         assert!(u.task_bytes.is_none());
         let t = FlowSpec::tcp(Direction::Uplink);
         assert_eq!(t.transport, Transport::Tcp);
+    }
+
+    /// A valid two-station TBR cell: 11 Mb/s TCP up, and a 1 Mb/s
+    /// station with a TCP flow and a paced UDP flow, over 4 s.
+    fn cell() -> NetworkConfig {
+        let mut slow = StationConfig::tcp_at(DataRate::B1, Direction::Uplink);
+        let mut udp = FlowSpec::udp(Direction::Downlink);
+        udp.rate_limit_bps = Some(100_000.0);
+        slow.flows.push(udp);
+        let fast = StationConfig::tcp_at(DataRate::B11, Direction::Uplink);
+        let mut cfg = NetworkConfig::new(vec![fast, slow], SchedulerKind::tbr());
+        cfg.duration = SimDuration::from_secs(4);
+        cfg.warmup = SimDuration::from_secs(1);
+        cfg
+    }
+
+    /// The error `edit` provokes: its field, station and flow index, and
+    /// its message.
+    fn broken(edit: impl FnOnce(&mut NetworkConfig)) -> ConfigError {
+        let mut cfg = cell();
+        edit(&mut cfg);
+        cfg.validate().expect_err("the edit breaks a rule")
+    }
+
+    #[test]
+    fn the_builders_and_presets_are_valid() {
+        cell().validate().unwrap();
+        for kind in [SchedulerKind::Fifo, SchedulerKind::tbr()] {
+            crate::scenarios::exp1_office(kind.clone())
+                .validate()
+                .unwrap();
+            let rates = [DataRate::B11, DataRate::B1];
+            crate::scenarios::uploaders(&rates, kind)
+                .validate()
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn run_wide_rules_name_their_field() {
+        let e = broken(|c| c.duration = SimDuration::ZERO);
+        assert_eq!(e.field, "duration_s");
+        assert_eq!(e.msg, "key 'duration_s' expects a positive duration");
+        for warmup in [4, 5] {
+            let e = broken(|c| c.warmup = SimDuration::from_secs(warmup));
+            assert_eq!(e.field, "warmup_s");
+            assert_eq!(e.msg, "warmup_s must be smaller than duration_s");
+        }
+        for cap in [0, 100_001] {
+            let e = broken(|c| c.client_queue_cap = cap);
+            assert_eq!(e.field, "client_queue_cap");
+            assert!(e.msg.contains("expects a positive packet count"), "{e}");
+        }
+        let mut cfg = cell();
+        cfg.client_queue_cap = 100_000;
+        cfg.validate().unwrap();
+        let e = broken(|c| {
+            if let SchedulerKind::Tbr(t) = &mut c.scheduler {
+                t.bucket = SimDuration::ZERO;
+            }
+        });
+        assert_eq!(
+            (e.field, e.msg.as_str()),
+            ("bucket_ms", "bucket must be positive")
+        );
+        assert_eq!((e.station, e.flow, e.cell), (None, None, None));
+    }
+
+    #[test]
+    fn station_count_is_between_one_and_the_cap() {
+        let e = broken(|c| c.stations.clear());
+        assert_eq!(e.field, "stations");
+        assert!(e.msg.contains("got 0"), "{e}");
+        let e = broken(|c| c.stations = vec![c.stations[0].clone(); MAX_STATIONS + 1]);
+        assert_eq!(e.field, "stations");
+        assert!(
+            e.msg
+                .contains(&format!("1 to {MAX_STATIONS} stations, got 4097")),
+            "{e}"
+        );
+        let mut cfg = cell();
+        cfg.stations = vec![cfg.stations[0].clone(); MAX_STATIONS];
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn link_and_weight_rules_name_the_station() {
+        for fer in [1.0, -0.1, f64::NAN] {
+            let e = broken(|c| {
+                c.stations[1].link = LinkSpec::Fixed {
+                    rate: DataRate::B1,
+                    fer,
+                }
+            });
+            assert_eq!((e.field, e.station, e.flow), ("fer", Some(1), None));
+            assert_eq!(e.msg, "key 'fer' expects a fraction in [0, 1)");
+        }
+        for distance_ft in [-50.0, f64::NAN, f64::INFINITY] {
+            let e = broken(|c| {
+                c.stations[0].link = LinkSpec::Path {
+                    distance_ft,
+                    walls: Vec::new(),
+                    shadow_db: 0.0,
+                    initial_rate: DataRate::B11,
+                }
+            });
+            assert_eq!((e.field, e.station), ("distance_ft", Some(0)));
+            assert_eq!(e.msg, "key 'distance_ft' expects a finite distance >= 0");
+        }
+        let mut cfg = cell();
+        cfg.stations[0].link = LinkSpec::Path {
+            distance_ft: 0.0,
+            walls: Vec::new(),
+            shadow_db: 0.0,
+            initial_rate: DataRate::B11,
+        };
+        cfg.validate().unwrap();
+        for weight in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let e = broken(|c| c.stations[1].weight = weight);
+            assert_eq!((e.field, e.station), ("weight", Some(1)));
+            assert_eq!(e.msg, "key 'weight' expects a positive number");
+        }
+    }
+
+    #[test]
+    fn rate_limit_rules_name_the_station_and_flow() {
+        for bps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let e = broken(|c| c.stations[1].flows[1].rate_limit_bps = Some(bps));
+            assert_eq!(
+                (e.field, e.station, e.flow),
+                ("rate_limit_bps", Some(1), Some(1))
+            );
+            assert!(e
+                .msg
+                .starts_with("key 'rate_limit_bps' expects a positive, finite bit rate"));
+        }
+        // One 1500-byte datagram in 4 s needs 3000 bit/s; one 1460-byte
+        // TCP segment 2920 bit/s.
+        let e = broken(|c| c.stations[1].flows[1].rate_limit_bps = Some(2999.0));
+        assert_eq!(
+            e.msg,
+            "key 'rate_limit_bps' = 2999.0 cannot release one 1500-byte packet within \
+             duration_s = 4; the minimum is 3000 bit/s"
+        );
+        assert_eq!(
+            e.to_string(),
+            format!("station 1: flow 1: {}", e.msg),
+            "the display names where the field sits"
+        );
+        let e = broken(|c| c.stations[0].flows[0].rate_limit_bps = Some(1e-300));
+        assert_eq!((e.station, e.flow), (Some(0), Some(0)));
+        assert!(e.msg.ends_with("the minimum is 2920 bit/s"), "{e}");
+        let mut cfg = cell();
+        cfg.stations[0].flows[0].rate_limit_bps = Some(2920.0);
+        cfg.stations[1].flows[1].rate_limit_bps = Some(3000.0);
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "station 1: key 'weight' expects a positive number")]
+    fn run_panics_with_the_validators_message() {
+        let mut cfg = cell();
+        cfg.stations[1].weight = 0.0;
+        crate::run(&cfg);
     }
 }

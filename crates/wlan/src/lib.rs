@@ -44,7 +44,8 @@ pub mod scenarios;
 pub mod sim;
 
 pub use config::{
-    Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind, StationConfig, Transport,
+    ConfigError, Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind,
+    StationConfig, Transport, MAX_STATIONS,
 };
 pub use report::{FlowReport, NodeReport, Report};
 pub use sim::{run, run_instrumented, run_observed, CellSim};

@@ -277,8 +277,8 @@ struct Sim<'c, O: Observer> {
 ///
 /// # Panics
 ///
-/// Panics on malformed configs (no stations, zero duration, warm-up
-/// longer than the run).
+/// Panics with the validator's message when
+/// [`NetworkConfig::validate`] rejects `cfg`.
 pub fn run(cfg: &NetworkConfig) -> Report {
     run_observed(cfg, &mut NullObserver)
 }
@@ -354,9 +354,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         metrics: Option<&'c mut MetricsRegistry>,
         active: Option<&[bool]>,
     ) -> Self {
-        assert!(!cfg.stations.is_empty(), "need at least one station");
-        assert!(!cfg.duration.is_zero(), "duration must be positive");
-        assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = cfg.stations.len();
         let mut links = vec![LinkErrorModel::Perfect; n + 1];
         let mut arf = vec![None; n + 1];

@@ -165,25 +165,10 @@ OPTIONS (predict):
     --rates <list>      as above
 ";
 
-fn parse_rate(tok: &str) -> Result<DataRate, String> {
-    Ok(match tok {
-        "1" => DataRate::B1,
-        "2" => DataRate::B2,
-        "5.5" => DataRate::B5_5,
-        "11" => DataRate::B11,
-        "6" => DataRate::G6,
-        "9" => DataRate::G9,
-        "12" => DataRate::G12,
-        "18" => DataRate::G18,
-        "24" => DataRate::G24,
-        "36" => DataRate::G36,
-        "48" => DataRate::G48,
-        "54" => DataRate::G54,
-        other => return Err(format!("unknown rate '{other}'")),
-    })
-}
-
 fn parse_rates(s: &str) -> Result<Vec<DataRate>, String> {
+    let parse_rate = |tok: &str| {
+        airtime::scenario::spec::rate_from_token(tok).ok_or(format!("unknown rate '{tok}'"))
+    };
     let rates: Result<Vec<_>, _> = s.split(',').map(|t| parse_rate(t.trim())).collect();
     let rates = rates?;
     if rates.is_empty() {

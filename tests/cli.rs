@@ -90,12 +90,34 @@ fn scenario_rejects_a_rate_limit_too_low_to_send() {
     );
 }
 
+/// Every file of the rejection corpus exits 1 with a `file:line:`
+/// diagnostic (CI runs the release binary over the same files). The
+/// unreachable association floor is the roaming preset's probe, and
+/// `count = 100000000000` once exhausted memory while the stations
+/// were replicated.
 #[test]
-fn jain_over_no_throughput_reads_n_a() {
-    // The roaming preset with an association floor no station reaches:
-    // nothing is delivered, so there is no allocation to call fair.
-    // Its Jain columns once read 1.000 (perfect fairness) over
-    // 0.000 Mb/s.
+fn rejection_corpus_fails_with_file_and_line() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/reject");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("corpus directory") {
+        let path = entry.expect("corpus entry").path().display().to_string();
+        let out = cli(&["run", "--scenario", &path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+        let at = format!("{path}:");
+        let line = stderr
+            .split(&at)
+            .nth(1)
+            .and_then(|rest| rest.split(':').next());
+        assert!(
+            line.is_some_and(|l| l.parse::<usize>().is_ok()),
+            "{path}: {stderr}"
+        );
+        seen += 1;
+    }
+    assert!(seen >= 6, "{seen} corpus files");
+    // The ROADMAP probe itself: the roaming preset with a floor no
+    // position clears.
     let root = env!("CARGO_MANIFEST_DIR");
     let preset =
         std::fs::read_to_string(format!("{root}/examples/scenarios/roam_three_cells.toml"))
@@ -103,6 +125,40 @@ fn jain_over_no_throughput_reads_n_a() {
     let probe = preset.replace(
         "hysteresis_db = 6.0\n",
         "hysteresis_db = 6.0\nmin_rssi_dbm = 1000\n",
+    );
+    let line = 1 + probe
+        .lines()
+        .position(|l| l == "min_rssi_dbm = 1000")
+        .expect("probe line");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("floor_1000.toml");
+    std::fs::write(&path, probe).expect("scenario file written");
+    let path = path.display().to_string();
+    let out = cli(&["sweep", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{path}:{line}: key 'min_rssi_dbm' = 1000 is above"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn jain_over_no_throughput_reads_n_a() {
+    // The roaming preset with an association floor no station reaches:
+    // nothing is delivered, so there is no allocation to call fair.
+    // Its Jain columns once read 1.000 (perfect fairness) over
+    // 0.000 Mb/s. A station would have to come within about 1.4 m of
+    // an AP to clear -30 dBm; every one stays 10 ft away. (A floor no
+    // position can clear at all is a `file:line` diagnostic.)
+    let root = env!("CARGO_MANIFEST_DIR");
+    let preset =
+        std::fs::read_to_string(format!("{root}/examples/scenarios/roam_three_cells.toml"))
+            .expect("preset readable");
+    let probe = preset.replace(
+        "hysteresis_db = 6.0\n",
+        "hysteresis_db = 6.0\nmin_rssi_dbm = -30\n",
     );
     assert_ne!(probe, preset, "the preset's [topology] table moved");
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
