@@ -365,11 +365,26 @@ impl DcfWorld {
         self.stats
     }
 
-    /// Hands a frame to the MAC of `frame.src`.
-    ///
-    /// Returns `Err(frame)` (unchanged) if that MAC is still working on a
-    /// previous frame; check [`DcfWorld::can_accept`] first.
+    /// [`DcfWorld::offer_frame_into`] with its effects in a fresh `Vec`,
+    /// for callers that keep no effect buffer of their own.
     pub fn offer_frame(&mut self, now: SimTime, frame: Frame) -> Result<Vec<MacEffect>, Frame> {
+        let mut effects = Vec::new();
+        self.offer_frame_into(now, frame, &mut effects)
+            .map(|()| effects)
+    }
+
+    /// Hands a frame to the MAC of `frame.src`, appending the effects
+    /// to `effects`.
+    ///
+    /// Returns `Err(frame)` (unchanged, `effects` untouched) if that MAC
+    /// is still working on a previous frame; check
+    /// [`DcfWorld::can_accept`] first.
+    pub fn offer_frame_into(
+        &mut self,
+        now: SimTime,
+        frame: Frame,
+        effects: &mut Vec<MacEffect>,
+    ) -> Result<(), Frame> {
         let idx = frame.src.index();
         assert!(idx < self.stations.len(), "unknown source station");
         assert!(
@@ -379,7 +394,6 @@ impl DcfWorld {
         if self.stations[idx].pending.is_some() {
             return Err(frame);
         }
-        let mut effects = Vec::new();
         let medium_busy = self.busy_until.is_some_and(|t| now < t);
         let needs_backoff = self.stations[idx].expiry.is_none();
         if needs_backoff {
@@ -406,22 +420,28 @@ impl DcfWorld {
         st.retries = 0;
         st.airtime_this_frame = SimDuration::ZERO;
         self.list(idx);
-        self.reschedule_access(now, &mut effects);
+        self.reschedule_access(now, effects);
         self.check_contenders(now);
-        Ok(effects)
+        Ok(())
     }
 
     /// Forbids `node` from starting new transmissions until `until`
-    /// (TBR client-cooperation, §4.1 of the paper). Returns the timer
-    /// event the embedder must schedule. A defer can only be extended:
-    /// a request ending at or before the station's effective deferral
-    /// — its own or the medium's ([`DcfWorld::defer_medium`]) — is a
-    /// no-op (the pending expiry timer stays valid).
-    pub fn set_defer(&mut self, now: SimTime, node: NodeId, until: SimTime) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+    /// (TBR client-cooperation, §4.1 of the paper). Appends the timer
+    /// event the embedder must schedule to `effects`. A defer can only
+    /// be extended: a request ending at or before the station's
+    /// effective deferral — its own or the medium's
+    /// ([`DcfWorld::defer_medium`]) — is a no-op (the pending expiry
+    /// timer stays valid).
+    pub fn set_defer(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        until: SimTime,
+        effects: &mut Vec<MacEffect>,
+    ) {
         let held = self.deferred_until(node.index());
         if until <= now || held.is_some_and(|t| t >= until) {
-            return effects;
+            return;
         }
         let idx = node.index();
         if self.stations[idx].defer_until.is_none() {
@@ -433,15 +453,14 @@ impl DcfWorld {
             at: until,
             event: MacEvent::DeferExpired { node },
         });
-        self.reschedule_access(now, &mut effects);
+        self.reschedule_access(now, effects);
         self.check_contenders(now);
-        effects
     }
 
     /// Forbids every station from starting new transmissions until
     /// `until` — how a multi-cell driver imposes a co-channel
     /// neighbour's busy period (carrier sense across cells). One timer
-    /// per window: returns the single [`MacEvent::MediumDeferExpired`]
+    /// per window: appends the single [`MacEvent::MediumDeferExpired`]
     /// the embedder must schedule. A window ending at or before `now`,
     /// or at or before every station's effective deferral (so at or
     /// before an already-set window), is a no-op.
@@ -455,17 +474,16 @@ impl DcfWorld {
     /// that advance is kept on purpose. Afterwards the countdown is
     /// inactive, the contention period is closed and no access event is
     /// live.
-    pub fn defer_medium(&mut self, now: SimTime, until: SimTime) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+    pub fn defer_medium(&mut self, now: SimTime, until: SimTime, effects: &mut Vec<MacEffect>) {
         if until <= now || self.medium_defer.is_some_and(|t| t >= until) {
-            return effects;
+            return;
         }
         // Stations whose own deferral outlasts the window ignore it. The
         // per-station loop this call equals starts with the lowest index
         // the window reaches: the "first" station.
         let outlasts = |i: usize| self.stations[i].defer_until.is_some_and(|t| t >= until);
         if self.held.iter().filter(|&&i| outlasts(i)).count() == self.stations.len() {
-            return effects;
+            return;
         }
         // Station `c` is the first one when every lower index outlasts.
         let is_first = |c: usize| self.held.iter().filter(|&&i| i < c && outlasts(i)).count() == c;
@@ -494,29 +512,28 @@ impl DcfWorld {
             event: MacEvent::MediumDeferExpired,
         });
         self.check_contenders(now);
+    }
+
+    /// [`DcfWorld::handle_into`] with its effects in a fresh `Vec`, for
+    /// callers that keep no effect buffer of their own.
+    pub fn handle(&mut self, now: SimTime, event: MacEvent) -> Vec<MacEffect> {
+        let mut effects = Vec::new();
+        self.handle_into(now, event, &mut effects);
         effects
     }
 
-    /// Delivers a due event.
-    pub fn handle(&mut self, now: SimTime, event: MacEvent) -> Vec<MacEffect> {
-        let mut effects = match event {
-            // Sized up front: the cycle's ledger slices, at most four
-            // effects per finished attempt, and the next access.
-            MacEvent::TxEnd => {
-                Vec::with_capacity(self.pending_slices.len() + 4 * self.in_flight.len() + 1)
-            }
-            _ => Vec::new(),
-        };
+    /// Delivers a due event, appending its effects to `effects`.
+    pub fn handle_into(&mut self, now: SimTime, event: MacEvent, effects: &mut Vec<MacEffect>) {
         match event {
             MacEvent::AccessResolved { generation } => {
                 if generation == self.generation {
                     self.access_at = None;
                     if self.busy_until.is_none() {
-                        self.on_access(now, &mut effects);
+                        self.on_access(now, effects);
                     }
                 }
             }
-            MacEvent::TxEnd => self.on_tx_end(now, &mut effects),
+            MacEvent::TxEnd => self.on_tx_end(now, effects),
             MacEvent::DeferExpired { node } => {
                 let idx = node.index();
                 if self.stations[idx].defer_until.is_some_and(|t| t <= now) {
@@ -528,19 +545,18 @@ impl DcfWorld {
                     // A running medium deferral still holds the station;
                     // its own expiry reschedules.
                     if self.medium_defer.is_none_or(|t| now >= t) {
-                        self.reschedule_access(now, &mut effects);
+                        self.reschedule_access(now, effects);
                     }
                 }
             }
             MacEvent::MediumDeferExpired => {
                 if self.medium_defer.is_some_and(|t| t <= now) {
                     self.medium_defer = None;
-                    self.reschedule_access(now, &mut effects);
+                    self.reschedule_access(now, effects);
                 }
             }
         }
         self.check_contenders(now);
-        effects
     }
 
     fn draw_backoff(&mut self, cw: u32) -> u32 {

@@ -22,8 +22,10 @@
 //!   exchange whichever direction the frame travels.
 //!
 //! [`DcfWorld`] is a pure state machine: the embedding simulation calls
-//! [`DcfWorld::handle`] with due [`MacEvent`]s and plumbs the returned
-//! [`MacEffect::Schedule`] requests into its own event queue. This keeps
+//! [`DcfWorld::handle_into`] with due [`MacEvent`]s and plumbs the
+//! [`MacEffect::Schedule`] requests it appends into its own event queue.
+//! Every entry point appends to a buffer the caller owns, so an engine
+//! that reuses one buffer allocates nothing per event. This keeps
 //! the MAC independent of any particular event loop and directly
 //! unit-testable.
 

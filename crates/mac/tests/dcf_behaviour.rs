@@ -289,7 +289,8 @@ fn simultaneous_arrivals_collide_then_recover() {
 fn deferred_station_stays_silent_until_timer() {
     let mut d = Driver::new(perfect_links(2), 7);
     let until = SimTime::from_millis(50);
-    let eff = d.world.set_defer(SimTime::ZERO, NodeId(1), until);
+    let mut eff = Vec::new();
+    d.world.set_defer(SimTime::ZERO, NodeId(1), until, &mut eff);
     d.apply(eff);
     d.offer(NodeId(1), AP, 1500, DataRate::B11);
     while let Some((t, ev)) = d.queue.pop() {
@@ -309,7 +310,8 @@ fn medium_deferral_holds_every_station_on_one_timer() {
     let outlast = SimTime::from_millis(80);
     d.offer(NodeId(1), AP, 1500, DataRate::B11);
     d.offer(NodeId(2), AP, 1500, DataRate::B11);
-    let eff = d.world.defer_medium(SimTime::ZERO, window);
+    let mut eff = Vec::new();
+    d.world.defer_medium(SimTime::ZERO, window, &mut eff);
     assert_eq!(
         eff,
         vec![MacEffect::Schedule {
@@ -321,13 +323,16 @@ fn medium_deferral_holds_every_station_on_one_timer() {
     d.apply(eff);
     // A window or a station defer inside the running window changes
     // nothing and schedules nothing.
-    assert!(d.world.defer_medium(SimTime::ZERO, window).is_empty());
-    assert!(d
-        .world
-        .set_defer(SimTime::ZERO, NodeId(1), SimTime::from_millis(30))
-        .is_empty());
+    let mut none = Vec::new();
+    d.world.defer_medium(SimTime::ZERO, window, &mut none);
+    let early = SimTime::from_millis(30);
+    d.world
+        .set_defer(SimTime::ZERO, NodeId(1), early, &mut none);
+    assert!(none.is_empty());
     // A station defer outlasting the window still holds that station.
-    let eff = d.world.set_defer(SimTime::ZERO, NodeId(2), outlast);
+    let mut eff = Vec::new();
+    d.world
+        .set_defer(SimTime::ZERO, NodeId(2), outlast, &mut eff);
     assert_eq!(
         eff,
         vec![MacEffect::Schedule {

@@ -181,6 +181,12 @@ struct Rig {
     now: SimTime,
     /// Every non-`Schedule` effect, stamped with when it was emitted.
     trace: Vec<(SimTime, MacEffect)>,
+    /// Every effect, `Schedule`s included, in emission order.
+    stream: Vec<MacEffect>,
+    /// Drive the world through its buffer entry points, handing every
+    /// call the one buffer `buf` (else through the `Vec` forms).
+    reuse: bool,
+    buf: Vec<MacEffect>,
     handle: u64,
 }
 
@@ -206,16 +212,31 @@ impl Rig {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             trace: Vec::new(),
+            stream: Vec::new(),
+            reuse: false,
+            buf: Vec::new(),
             handle: 0,
         }
     }
 
-    fn apply(&mut self, fx: Vec<MacEffect>) {
-        for e in fx {
+    /// The buffer for the next MAC call: the reused one in `reuse`
+    /// mode, else a fresh `Vec`. Either way it must be empty.
+    fn buffer(&mut self) -> Vec<MacEffect> {
+        let fx = std::mem::take(&mut self.buf);
+        assert!(fx.is_empty(), "a handed-back buffer must come back cleared");
+        fx
+    }
+
+    fn apply(&mut self, mut fx: Vec<MacEffect>) {
+        for e in fx.drain(..) {
+            self.stream.push(e);
             match e {
                 MacEffect::Schedule { at, event } => self.queue.schedule(at, event),
                 other => self.trace.push((self.now, other)),
             }
+        }
+        if self.reuse {
+            self.buf = fx;
         }
     }
 
@@ -223,7 +244,13 @@ impl Rig {
         while self.queue.peek_time().is_some_and(|at| at <= t) {
             let (at, ev) = self.queue.pop().expect("peeked");
             self.now = at;
-            let fx = self.world.handle(at, ev);
+            let fx = if self.reuse {
+                let mut fx = self.buffer();
+                self.world.handle_into(at, ev, &mut fx);
+                fx
+            } else {
+                self.world.handle(at, ev)
+            };
             self.apply(fx);
         }
         self.now = t;
@@ -250,24 +277,34 @@ impl Rig {
                         rate,
                         handle: self.handle,
                     };
-                    let fx = self.world.offer_frame(now, frame).expect("MAC was free");
+                    let fx = if self.reuse {
+                        let mut fx = self.buffer();
+                        let offered = self.world.offer_frame_into(now, frame, &mut fx);
+                        offered.expect("MAC was free");
+                        fx
+                    } else {
+                        self.world.offer_frame(now, frame).expect("MAC was free")
+                    };
                     self.apply(fx);
                 }
             }
             Step::Defer { node, dt_ns } => {
                 let until = now + SimDuration::from_nanos(dt_ns);
-                let fx = self.world.set_defer(now, NodeId(node), until);
+                let mut fx = self.buffer();
+                self.world.set_defer(now, NodeId(node), until, &mut fx);
                 self.apply(fx);
             }
             Step::Mirror { dt_ns } => {
                 let until = now + SimDuration::from_nanos(dt_ns);
                 if per_node_mirror {
                     for node in 0..self.world.station_count() {
-                        let fx = self.world.set_defer(now, NodeId(node), until);
+                        let mut fx = self.buffer();
+                        self.world.set_defer(now, NodeId(node), until, &mut fx);
                         self.apply(fx);
                     }
                 } else {
-                    let fx = self.world.defer_medium(now, until);
+                    let mut fx = self.buffer();
+                    self.world.defer_medium(now, until, &mut fx);
                     self.apply(fx);
                 }
             }
@@ -408,6 +445,37 @@ fn defer_medium_matches_a_per_node_defer_loop() {
     }
 }
 
+/// Two worlds from one seed run the same random script, one through
+/// the `Vec` forms (`handle`, `offer_frame`) and one through the buffer
+/// entry points (`handle_into`, `offer_frame_into`) with a single
+/// buffer handed to every call: the effect streams, `Schedule`s
+/// included, must be identical, and the reused buffer must come back
+/// empty before each call (`Rig::buffer` asserts it).
+#[test]
+fn buffer_entry_points_match_the_vec_forms() {
+    let mut gen = SimRng::new(0xB0FF);
+    for case in 0..100 {
+        let n = gen.range_inclusive(2, 12) as usize;
+        let fer: Vec<f64> = (1..n).map(|_| gen.unit() * 0.3).collect();
+        let (rts, seed) = (gen.chance(0.3), gen.below(1 << 32));
+        let mut fresh = Rig::new(n, &fer, rts, seed);
+        let mut reused = Rig::new(n, &fer, rts, seed);
+        reused.reuse = true;
+        for _ in 0..gen.range_inclusive(20, 150) {
+            let step = random_step(&mut gen, n);
+            fresh.step(step, false);
+            reused.step(step, false);
+        }
+        let end = fresh.now + SimDuration::from_millis(40);
+        fresh.run_until(end);
+        reused.run_until(end);
+        assert!(!fresh.stream.is_empty(), "case {case}: nothing happened");
+        assert_eq!(fresh.stream, reused.stream, "case {case}: effects diverged");
+        assert_eq!(fresh.world.stats(), reused.world.stats(), "case {case}");
+        assert!(reused.buf.capacity() > 0, "case {case}: buffer not reused");
+    }
+}
+
 /// Random offer / `set_defer` / `defer_medium` / advance scripts on
 /// cells of up to 40 nodes. Debug builds check the contender list
 /// against a full per-station scan after every public call, so these
@@ -432,7 +500,8 @@ fn contender_list_tracks_random_scripts() {
                 if !rig.world.can_accept(node) {
                     same_instant += 1;
                 }
-                let fx = rig.world.set_defer(rig.now, node, end);
+                let mut fx = rig.buffer();
+                rig.world.set_defer(rig.now, node, end, &mut fx);
                 rig.apply(fx);
             } else {
                 rig.step(random_step(&mut gen, n), false);

@@ -13,9 +13,12 @@
 //! - [`TcpSender::on_ack`] / [`TcpSender::on_rto_fired`] advance the
 //!   congestion machinery and request timer (re)arms via
 //!   [`SenderEffect`].
-//! - [`TcpReceiver::on_data`] implements cumulative acking with delayed
-//!   ACKs (every second segment or a timer) and immediate duplicate ACKs
-//!   on holes, which is what makes fast retransmit work.
+//! - [`TcpReceiver::on_data_into`] implements cumulative acking with
+//!   delayed ACKs (every second segment or a timer) and immediate
+//!   duplicate ACKs on holes, which is what makes fast retransmit work.
+//!
+//! Effects are appended to a `Vec` the embedder passes in, so an engine
+//! that reuses its buffers allocates nothing per segment.
 //!
 //! Timer cancellation uses generation stamps (like the MAC crate): the
 //! embedder never needs to delete events, it just delivers them and the
@@ -490,13 +493,21 @@ impl TcpReceiver {
         });
     }
 
-    /// Processes an arriving data segment.
+    /// [`TcpReceiver::on_data_into`] with its effects in a fresh `Vec`,
+    /// for callers that keep no effect buffer of their own.
     pub fn on_data(&mut self, now: SimTime, seq: u64) -> Vec<ReceiverEffect> {
         let mut effects = Vec::new();
+        self.on_data_into(now, seq, &mut effects);
+        effects
+    }
+
+    /// Processes an arriving data segment, appending the effects to
+    /// `effects`.
+    pub fn on_data_into(&mut self, now: SimTime, seq: u64, effects: &mut Vec<ReceiverEffect>) {
         if seq < self.expected || self.ooo.contains(&seq) {
             // Duplicate: re-ack immediately.
             self.duplicates += 1;
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         } else if seq == self.expected {
             self.expected += 1;
             let mut drained = 0u64;
@@ -512,7 +523,7 @@ impl TcpReceiver {
                 // A hole was just filled (ack immediately per RFC 5681),
                 // a hole remains beyond (keep the dupack clock running),
                 // or the delayed-ack segment count was reached.
-                self.ack_now(&mut effects);
+                self.ack_now(effects);
             } else if !self.delack_armed {
                 self.delack_armed = true;
                 self.delack_generation += 1;
@@ -524,19 +535,24 @@ impl TcpReceiver {
         } else {
             // Hole: buffer and send an immediate duplicate ACK.
             self.ooo.insert(seq);
-            self.duplicates += 0;
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         }
+    }
+
+    /// [`TcpReceiver::on_delack_fired_into`] with its effects in a fresh
+    /// `Vec`, for callers that keep no effect buffer of their own.
+    pub fn on_delack_fired(&mut self, generation: u64) -> Vec<ReceiverEffect> {
+        let mut effects = Vec::new();
+        self.on_delack_fired_into(generation, &mut effects);
         effects
     }
 
-    /// Handles a delayed-ACK timer expiry.
-    pub fn on_delack_fired(&mut self, generation: u64) -> Vec<ReceiverEffect> {
-        let mut effects = Vec::new();
+    /// Handles a delayed-ACK timer expiry, appending the effects to
+    /// `effects`.
+    pub fn on_delack_fired_into(&mut self, generation: u64, effects: &mut Vec<ReceiverEffect>) {
         if self.delack_armed && generation == self.delack_generation && self.unacked_inorder > 0 {
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         }
-        effects
     }
 }
 

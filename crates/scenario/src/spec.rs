@@ -272,6 +272,8 @@ pub fn parse_rate(e: &Entry) -> Result<DataRate, CompileError> {
     let tok = match &e.value {
         Value::Str(s) => s.trim().trim_end_matches('M').to_string(),
         Value::Int(i) => i.to_string(),
+        // A long float (`1e-300` is 300 digits in full) prints as `1e-300`.
+        Value::Float(f) if format!("{f}").len() > 16 => format!("{f:e}"),
         Value::Float(f) => format!("{f}"),
         other => {
             return err(
@@ -1005,8 +1007,9 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         .collect();
 
     // The tables that declare what a validator error names: the cell's,
-    // or the flow's, station's and mobility tables behind its station,
-    // then the root and [topology].
+    // or the flow's, mobility and station's tables behind its station
+    // (a mobility `x_ft` before the placement's), then the root and
+    // [topology].
     let located = |e: ConfigError| {
         let mut tables = Vec::new();
         tables.extend(e.cell.map(|c| doc.array_tables("cells")[c]));
@@ -1014,8 +1017,8 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
             let i = origin[s];
             let flows = doc.sub_tables("station", i, "flow");
             tables.extend(e.flow.and_then(|f| flows.get(f).copied()));
-            tables.push(station_tables[i]);
             tables.extend(doc.sub_tables("station", i, "mobility"));
+            tables.push(station_tables[i]);
         }
         tables.push(&root);
         tables.extend(doc.table("topology"));
@@ -1535,6 +1538,11 @@ x_ft = 60
     fn rejection_messages_name_line_and_expectation() {
         for (text, needle) in [
             ("[[station]]\nrate = \"7\"\n", "unknown rate '7'"),
+            ("[[station]]\nrate = 7.5\n", "unknown rate '7.5'; expected"),
+            (
+                "[[station]]\nrate = 1e-300\n",
+                "unknown rate '1e-300'; expected",
+            ),
             (
                 "[[station]]\nrate = \"11\"\nbogus = 1\n",
                 "unknown key 'bogus'",

@@ -169,7 +169,14 @@ impl TopologyConfig {
         for (s, p) in self.placements.iter().enumerate() {
             let Some(path) = &p.mobility else { continue };
             let (v, walk) = (path.speed_fps, !path.waypoints.is_empty());
+            // A leg too long for an f64 walks the station to NaN.
+            let finite = path.length_ft().is_finite();
             ConfigError::check(walk, "x_ft", "expects at least one waypoint")
+                .and(ConfigError::check(
+                    finite,
+                    "x_ft",
+                    "expects legs of finite length",
+                ))
                 .and(ConfigError::check(
                     v > 0.0 && v.is_finite(),
                     "speed_fps",
@@ -423,6 +430,11 @@ mod tests {
         }
         let e = broken(walk(15.0, Vec::new()));
         assert_eq!((e.field, e.station), ("x_ft", Some(1)));
+        // Each waypoint is finite, but the leg between them is not.
+        let overflow = vec![Point::new(1.7e308, 10.0), Point::new(-1.7e308, 10.0)];
+        let e = broken(walk(15.0, overflow));
+        assert_eq!((e.field, e.station), ("x_ft", Some(1)));
+        assert_eq!(e.msg, "key 'x_ft' expects legs of finite length");
         let mut t = topo();
         walk(15.0, line)(&mut t);
         t.validate().unwrap();

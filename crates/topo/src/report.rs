@@ -1,6 +1,6 @@
 //! Results of a multi-cell run: per-cell engine reports plus the
-//! roaming metrics the single-cell [`Report`](airtime_wlan::Report)
-//! cannot express — handoffs, association intervals and outage time.
+//! roaming metrics the single-cell [`Report`] cannot express —
+//! handoffs, association intervals and outage time.
 
 use airtime_sim::{SimDuration, SimTime};
 use airtime_wlan::Report;

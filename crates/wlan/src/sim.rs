@@ -30,8 +30,7 @@
 //! - a `StartFlow` or `Pump` event;
 //! - a due `RtoFired` or `DelAckFired` (the queue pops only a timer's
 //!   latest arm, see the timers section below);
-//! - a TCP ack, TCP data or UDP datagram handed to it
-//!   (`on_delivered`, `on_wired_to_host`);
+//! - a TCP ack, TCP data or UDP datagram handed to it (`on_arrival`);
 //! - `rebuild_flow` (a fresh incarnation at association).
 //!
 //! A pop from a station's client queue pumps every flow of that station
@@ -67,6 +66,17 @@
 //! instant something may next become eligible. A TBR AP holding a
 //! backlog it has no tokens for thus releases it at its own release
 //! instant, whatever other events are dispatched around it.
+//!
+//! # Effect buffers
+//!
+//! The MAC and TCP endpoints append their effects to a `Vec` the caller
+//! passes in. The engine owns one such buffer per effect type (`mac_fx`,
+//! `tx_fx`, `rx_fx`): a batch takes it with `std::mem::take`, and the
+//! `apply_*_effects` pass that drains it puts it back empty, so the
+//! steady state allocates nothing per dispatch. A batch nested inside
+//! another of its type (client cooperation's `set_defer` inside a
+//! `TxFinal`) finds the slot empty and grows a fresh `Vec`, which the
+//! outer batch's buffer then replaces.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -271,6 +281,10 @@ struct Sim<'c, O: Observer> {
     /// EWMA of observed downlink attempt-failure rate per node (the
     /// §4.2 loss estimator's input).
     fer_est: Vec<f64>,
+    /// One reused buffer per effect type (see the module docs).
+    mac_fx: Vec<MacEffect>,
+    tx_fx: Vec<SenderEffect>,
+    rx_fx: Vec<ReceiverEffect>,
 }
 
 /// Runs one experiment to completion.
@@ -521,6 +535,9 @@ impl<'c, O: Observer> Sim<'c, O> {
             occupancy_at_warmup: vec![SimDuration::ZERO; n + 1],
             busy_at_warmup: SimDuration::ZERO,
             fer_est: vec![0.0; n + 1],
+            mac_fx: Vec::new(),
+            tx_fx: Vec::new(),
+            rx_fx: Vec::new(),
         }
     }
 
@@ -772,16 +789,15 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::Mac(me) => {
-                let fx = self.mac.handle(self.now, me);
-                self.apply_mac_effects(fx);
-            }
+            Event::Mac(me) => self.mac_batch(|mac, now, fx| mac.handle_into(now, me, fx)),
             Event::WiredToAp(pkt) => self.on_wired_to_ap(pkt),
-            Event::WiredToHost(pkt) => self.on_wired_to_host(pkt),
+            // An uplink flow's TCP receiver (and a downlink flow's TCP
+            // sender) lives on the wired host.
+            Event::WiredToHost(pkt) => self.on_arrival(pkt),
             Event::RtoFired { flow, generation } => {
                 self.dirty_flows.insert(flow);
                 let now = self.now;
-                let mut fx = Vec::new();
+                let mut fx = std::mem::take(&mut self.tx_fx);
                 let fired = match self.flows[flow].tcp_tx.as_mut() {
                     Some(tx) => {
                         let before = tx.stats().2;
@@ -797,10 +813,10 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
             Event::DelAckFired { flow, generation } => {
                 self.dirty_flows.insert(flow);
-                let fx = match self.flows[flow].tcp_rx.as_mut() {
-                    Some(rx) => rx.on_delack_fired(generation),
-                    None => Vec::new(),
-                };
+                let mut fx = std::mem::take(&mut self.rx_fx);
+                if let Some(rx) = self.flows[flow].tcp_rx.as_mut() {
+                    rx.on_delack_fired_into(generation, &mut fx);
+                }
                 self.apply_receiver_effects(flow, fx);
             }
             Event::SchedTick => {
@@ -838,7 +854,17 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn apply_mac_effects(&mut self, effects: Vec<MacEffect>) {
+    /// Runs one MAC call at `now` over the reused MAC effect buffer and
+    /// applies the effects it appended.
+    fn mac_batch(&mut self, call: impl FnOnce(&mut DcfWorld, SimTime, &mut Vec<MacEffect>)) {
+        let mut fx = std::mem::take(&mut self.mac_fx);
+        call(&mut self.mac, self.now, &mut fx);
+        self.apply_mac_effects(fx);
+    }
+
+    /// Applies a batch of MAC effects in order, then keeps the emptied
+    /// buffer for the next batch.
+    fn apply_mac_effects(&mut self, mut effects: Vec<MacEffect>) {
         if self.wants(Hook::Collision) {
             // One collision record per busy period: the MAC reports a
             // colliding attempt for each involved station in the same
@@ -864,7 +890,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 });
             }
         }
-        for e in effects {
+        for e in effects.drain(..) {
             match e {
                 MacEffect::Schedule {
                     at,
@@ -989,6 +1015,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
             }
         }
+        self.mac_fx = effects;
     }
 
     /// A frame reached its destination MAC intact.
@@ -1010,32 +1037,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 .schedule(self.now + self.cfg.wired_delay, Event::WiredToHost(pkt));
         } else {
             // Downlink: hand to the client-side endpoint.
-            let flow = pkt.flow.index();
-            self.dirty_flows.insert(flow);
-            match pkt.kind {
-                PacketKind::TcpData { seq } => {
-                    let now = self.now;
-                    let fx = match self.flows[flow].tcp_rx.as_mut() {
-                        Some(rx) => rx.on_data(now, seq),
-                        None => Vec::new(),
-                    };
-                    self.meter_tcp_goodput(flow);
-                    self.apply_receiver_effects(flow, fx);
-                }
-                PacketKind::TcpAck { ack_seq } => {
-                    let now = self.now;
-                    let mut fx = Vec::new();
-                    if let Some(tx) = self.flows[flow].tcp_tx.as_mut() {
-                        tx.on_ack(now, ack_seq, &mut fx);
-                    }
-                    self.emit_tcp(flow, TcpPhase::Ack);
-                    self.apply_sender_effects(flow, fx);
-                }
-                PacketKind::UdpData { .. } => {
-                    let now = self.now;
-                    self.flows[flow].meter.record(now, pkt.bytes);
-                }
-            }
+            self.on_arrival(pkt);
         }
     }
 
@@ -1081,8 +1083,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if tokens < 0.0 && rate > 0.0 {
                     let wait_ns = (-tokens / rate) as u64;
                     let until = self.now + SimDuration::from_nanos(wait_ns);
-                    let fx = self.mac.set_defer(self.now, NodeId(node), until);
-                    self.apply_mac_effects(fx);
+                    self.mac_batch(|mac, now, fx| mac.set_defer(now, NodeId(node), until, fx));
                 }
             }
         }
@@ -1104,34 +1105,29 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn on_wired_to_host(&mut self, pkt: Packet) {
+    /// Hands `pkt` to the endpoint of its flow at the end it reached.
+    fn on_arrival(&mut self, pkt: Packet) {
         let flow = pkt.flow.index();
         self.dirty_flows.insert(flow);
+        let now = self.now;
         match pkt.kind {
             PacketKind::TcpData { seq } => {
-                // Uplink flow's receiver lives on the wired host.
-                let now = self.now;
-                let fx = match self.flows[flow].tcp_rx.as_mut() {
-                    Some(rx) => rx.on_data(now, seq),
-                    None => Vec::new(),
-                };
+                let mut fx = std::mem::take(&mut self.rx_fx);
+                if let Some(rx) = self.flows[flow].tcp_rx.as_mut() {
+                    rx.on_data_into(now, seq, &mut fx);
+                }
                 self.meter_tcp_goodput(flow);
                 self.apply_receiver_effects(flow, fx);
             }
             PacketKind::TcpAck { ack_seq } => {
-                // Downlink flow's sender lives on the wired host.
-                let now = self.now;
-                let mut fx = Vec::new();
+                let mut fx = std::mem::take(&mut self.tx_fx);
                 if let Some(tx) = self.flows[flow].tcp_tx.as_mut() {
                     tx.on_ack(now, ack_seq, &mut fx);
                 }
                 self.emit_tcp(flow, TcpPhase::Ack);
                 self.apply_sender_effects(flow, fx);
             }
-            PacketKind::UdpData { .. } => {
-                let now = self.now;
-                self.flows[flow].meter.record(now, pkt.bytes);
-            }
+            PacketKind::UdpData { .. } => self.flows[flow].meter.record(now, pkt.bytes),
         }
     }
 
@@ -1148,8 +1144,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn apply_sender_effects(&mut self, flow: usize, effects: Vec<SenderEffect>) {
-        for e in effects {
+    fn apply_sender_effects(&mut self, flow: usize, mut effects: Vec<SenderEffect>) {
+        for e in effects.drain(..) {
             match e {
                 SenderEffect::ArmRto { at, generation } => {
                     self.queue
@@ -1162,10 +1158,11 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
             }
         }
+        self.tx_fx = effects;
     }
 
-    fn apply_receiver_effects(&mut self, flow: usize, effects: Vec<ReceiverEffect>) {
-        for e in effects {
+    fn apply_receiver_effects(&mut self, flow: usize, mut effects: Vec<ReceiverEffect>) {
+        for e in effects.drain(..) {
             match e {
                 ReceiverEffect::SendAck { ack_seq } => {
                     let f = &self.flows[flow];
@@ -1202,6 +1199,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 }
             }
         }
+        self.rx_fx = effects;
     }
 
     // -- traffic pumping and MAC feeding --------------------------------
@@ -1253,7 +1251,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn pump_tcp_uplink(&mut self, flow: usize) {
         let node = self.flows[flow].station + 1;
         let now = self.now;
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.tx_fx);
         let mut pushed = false;
         while self.client_q[node].len() < self.cfg.client_queue_cap {
             let pkt = match self.flows[flow].tcp_tx.as_mut() {
@@ -1277,7 +1275,7 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     fn pump_tcp_downlink(&mut self, flow: usize) {
         let now = self.now;
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.tx_fx);
         loop {
             let pkt = match self.flows[flow].tcp_tx.as_mut() {
                 Some(tx) => tx.poll_packet(now, &mut fx),
@@ -1390,11 +1388,10 @@ impl<'c, O: Observer> Sim<'c, O> {
                     rate: self.rate_of(node),
                     handle: q.handle,
                 };
-                let fx = self
-                    .mac
-                    .offer_frame(self.now, frame)
-                    .expect("AP MAC was idle");
-                self.apply_mac_effects(fx);
+                self.mac_batch(|mac, now, fx| {
+                    mac.offer_frame_into(now, frame, fx)
+                        .expect("AP MAC was idle")
+                });
             }
         }
         // Clients: head of interface queue.
@@ -1422,11 +1419,10 @@ impl<'c, O: Observer> Sim<'c, O> {
                         rate: self.rate_of(node),
                         handle,
                     };
-                    let fx = self
-                        .mac
-                        .offer_frame(self.now, frame)
-                        .expect("client MAC was idle");
-                    self.apply_mac_effects(fx);
+                    self.mac_batch(|mac, now, fx| {
+                        mac.offer_frame_into(now, frame, fx)
+                            .expect("client MAC was idle")
+                    });
                     // Room in the queue: the station's uplink pumps may
                     // have more to send, and they refill it in this step.
                     for flow in self.flows_of(node - 1) {
@@ -1830,8 +1826,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// is impossible by design.
     pub fn defer_all(&mut self, now: SimTime, until: SimTime) {
         self.sim.now = now;
-        let fx = self.sim.mac.defer_medium(now, until);
-        self.sim.apply_mac_effects(fx);
+        self.sim
+            .mac_batch(|mac, now, fx| mac.defer_medium(now, until, fx));
     }
 
     /// Cumulative goodput bytes delivered to/from `station` across all
