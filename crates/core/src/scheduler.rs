@@ -85,6 +85,17 @@ pub trait Scheduler {
         self.on_associate(client, now);
     }
 
+    /// Associates every `(client, weight)` of `members` at `now`, in
+    /// order, leaving the same state as one
+    /// [`on_associate_weighted`](Scheduler::on_associate_weighted) call
+    /// each. Regulators that re-normalise every key per association
+    /// (TBR) override it to do that once.
+    fn on_associate_all(&mut self, members: &[(ClientId, f64)], now: SimTime) {
+        for &(client, weight) in members {
+            self.on_associate_weighted(client, weight, now);
+        }
+    }
+
     /// A client left the cell (roamed away or timed out). Flushes the
     /// client's buffered packets and returns them so the embedder can
     /// close their lifecycles; any per-client service state (token

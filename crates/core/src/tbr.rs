@@ -242,6 +242,10 @@ pub struct TbrScheduler {
     adjust_step: SimDuration,
     /// Total channel time debited, per client (measurement).
     debited: Vec<f64>,
+    /// Reused by every rate adjustment: the active slots, and each
+    /// one's excess rate and demand fraction.
+    act: Vec<usize>,
+    usage: Vec<(f64, f64)>,
 }
 
 impl TbrScheduler {
@@ -265,6 +269,8 @@ impl TbrScheduler {
             next_adjust: SimTime::ZERO + adjust_step,
             adjust_step,
             debited: Vec::new(),
+            act: Vec::new(),
+            usage: Vec::new(),
         }
     }
 
@@ -504,9 +510,9 @@ impl TbrScheduler {
         // rate and must neither donate nor receive. With every slot
         // active (the single-cell case) the index vector is the
         // identity and the arithmetic below is unchanged term-for-term.
-        let act: Vec<usize> = (0..self.states.len())
-            .filter(|&i| self.states[i].active)
-            .collect();
+        let mut act = std::mem::take(&mut self.act);
+        act.clear();
+        act.extend((0..self.states.len()).filter(|&i| self.states[i].active));
         let cap = self.cap();
         for &i in &act {
             self.states[i].materialize(now, cap);
@@ -529,9 +535,9 @@ impl TbrScheduler {
             // the adjuster into a donation spiral. Against consumed
             // airtime, Σ usage = Σ rate = 1 and a fair cell measures
             // zero excess everywhere.
-            let mut excesses = vec![0.0f64; n];
-            let mut demand_fracs = vec![0.0f64; n];
-            for (i, &si) in act.iter().enumerate() {
+            let mut usage = std::mem::take(&mut self.usage);
+            usage.clear();
+            for &si in &act {
                 let s = &mut self.states[si];
                 let span = now.saturating_since(s.start).as_nanos() as f64;
                 // Smooth the usage share across windows: TCP through a
@@ -544,46 +550,44 @@ impl TbrScheduler {
                     None => w,
                 };
                 s.usage_ewma = Some(smoothed);
-                excesses[i] = s.rate - smoothed;
                 let mut demand = s.demand_time;
                 if let Some(since) = s.backlog_since {
                     demand += now.saturating_since(since).as_nanos() as f64;
                 }
-                demand_fracs[i] = if span > 0.0 { demand / span } else { 1.0 };
+                let demand_frac = if span > 0.0 { demand / span } else { 1.0 };
+                usage.push((s.rate - smoothed, demand_frac));
             }
             let th = self.config.excess_threshold;
-            let full: Vec<usize> = (0..n).filter(|&i| excesses[i] <= th).collect();
+            let full = || (0..n).filter(|&i| usage[i].0 <= th);
             // Donors must have spare rate, demonstrably little demand
             // (a backlogged client that fell short of its rate is
             // experiencing scheduling friction, not low demand), and a
             // *persistent* record of it across adjustment windows.
-            for i in 0..n {
-                let looks_idle = excesses[i] > th && demand_fracs[i] < self.config.demand_threshold;
+            for (&si, &(excess, demand_frac)) in act.iter().zip(&usage) {
+                let looks_idle = excess > th && demand_frac < self.config.demand_threshold;
                 if looks_idle {
-                    self.states[act[i]].low_demand_streak += 1;
+                    self.states[si].low_demand_streak += 1;
                 } else {
-                    self.states[act[i]].low_demand_streak = 0;
+                    self.states[si].low_demand_streak = 0;
                 }
             }
-            let under: Vec<usize> = (0..n)
+            let donor = (0..n)
                 .filter(|&i| self.states[act[i]].low_demand_streak >= self.config.donation_streak)
-                .collect();
-            if !full.is_empty() && !under.is_empty() {
+                .max_by(|&a, &b| usage[a].0.total_cmp(&usage[b].0));
+            let receivers = full().count();
+            if let (Some(m), true) = (donor, receivers > 0) {
                 // Donate half the maximal excess, respecting the floor.
-                let m = *under
-                    .iter()
-                    .max_by(|&&a, &&b| excesses[a].total_cmp(&excesses[b]))
-                    .expect("non-empty under set");
-                let mut donation = excesses[m] / 2.0;
+                let mut donation = usage[m].0 / 2.0;
                 donation = donation.min(self.states[act[m]].rate - self.config.min_rate);
                 if donation > 0.0 {
                     self.states[act[m]].rate -= donation;
-                    let each = donation / full.len() as f64;
-                    for &j in &full {
+                    let each = donation / receivers as f64;
+                    for j in full() {
                         self.states[act[j]].rate += each;
                     }
                 }
             }
+            self.usage = usage;
         }
         // Restitution: relax every rate toward its weighted fair share.
         // Sum-preserving because both the rates and the fair shares sum
@@ -604,30 +608,14 @@ impl TbrScheduler {
                 s.backlog_since = Some(now);
             }
         }
+        self.act = act;
         self.refile_debtors();
     }
-}
 
-impl Scheduler for TbrScheduler {
-    fn on_associate(&mut self, client: ClientId, now: SimTime) {
-        // Idempotent while associated: re-association keeps any
-        // explicitly set weight. A disassociated slot re-registers from
-        // scratch with the default weight.
-        let now = self.catch_up(now);
-        match self.pool.slot_of(client) {
-            Some(slot) if self.states[slot].active => {}
-            _ => self.on_associate_weighted(client, 1.0, now),
-        }
-    }
-
-    /// Associates `client` with a QoS weight (the §4.5 extension: the
-    /// desired share need not be equal). Weight 1.0 is the paper's
-    /// default equal share.
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
+    /// Opens (or reopens) `client`'s account at `now`, without touching
+    /// the other keys' rates.
+    fn register(&mut self, client: ClientId, weight: f64, now: SimTime) {
         assert!(weight > 0.0, "weight must be positive");
-        // Run the adjustments due before the membership changes, under
-        // the old membership.
-        let now = self.catch_up(now);
         let slot = self.pool.add_client(client);
         let initial = self.config.initial_tokens.as_nanos() as f64;
         if slot >= self.states.len() {
@@ -667,6 +655,40 @@ impl Scheduler for TbrScheduler {
             s.active = true;
         } else {
             self.states[slot].weight = weight;
+        }
+    }
+}
+
+impl Scheduler for TbrScheduler {
+    fn on_associate(&mut self, client: ClientId, now: SimTime) {
+        // Idempotent while associated: re-association keeps any
+        // explicitly set weight. A disassociated slot re-registers from
+        // scratch with the default weight.
+        let now = self.catch_up(now);
+        match self.pool.slot_of(client) {
+            Some(slot) if self.states[slot].active => {}
+            _ => self.on_associate_weighted(client, 1.0, now),
+        }
+    }
+
+    /// Associates `client` with a QoS weight (the §4.5 extension: the
+    /// desired share need not be equal). Weight 1.0 is the paper's
+    /// default equal share.
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
+        self.on_associate_all(&[(client, weight)], now);
+    }
+
+    /// Registers every member, then normalises the rates and refiles
+    /// the debtors once: O(keys) however many join.
+    fn on_associate_all(&mut self, members: &[(ClientId, f64)], now: SimTime) {
+        if members.is_empty() {
+            return;
+        }
+        // Run the adjustments due before the membership changes, under
+        // the old membership.
+        let now = self.catch_up(now);
+        for &(client, weight) in members {
+            self.register(client, weight, now);
         }
         self.reset_rates(now);
         self.check_listings();
@@ -1462,5 +1484,85 @@ mod tests {
         tbr.on_associate(ClientId(0), SimTime::ZERO);
         assert!((tbr.token_fill_rate(ClientId(0)).unwrap() - 0.75).abs() < 1e-12);
         assert!((tbr.token_fill_rate(ClientId(1)).unwrap() - 0.25).abs() < 1e-12);
+    }
+
+    /// Every field the regulator's future depends on, floats as bits.
+    fn full_state(t: &TbrScheduler) -> String {
+        let keys: Vec<_> = t
+            .states
+            .iter()
+            .map(|s| {
+                let bits = |x: f64| x.to_bits();
+                (
+                    (bits(s.tokens), s.as_of, s.release_at, s.listed, s.in_ring),
+                    (bits(s.rate), bits(s.weight), bits(s.actual), s.start),
+                    (bits(s.demand_time), s.backlog_since, s.active),
+                    (s.low_demand_streak, s.usage_ewma.map(bits)),
+                )
+            })
+            .collect();
+        let mut blocked = t.blocked.clone().into_sorted_vec();
+        blocked.dedup();
+        format!(
+            "{keys:?} ring {:?} eligible {} blocked {blocked:?} clock {:?} adjust {:?} queues {:?}",
+            t.ring, t.eligible, t.clock, t.next_adjust, t.pool.queues
+        )
+    }
+
+    #[test]
+    fn batch_association_equals_one_key_at_a_time() {
+        // Two regulators live through the same history; then one
+        // registers a batch of keys (new, departed and current ones,
+        // random weights) in one call and the other one key at a time.
+        // Their whole state must agree bit for bit, and stay in step.
+        for (case, keys) in [1usize, 2, 3, 7, 40, 300].into_iter().enumerate() {
+            for seed in 0..4u64 {
+                let history = || {
+                    let mut rng = SimRng::new(1_000 * case as u64 + seed);
+                    let initial_us = if seed % 2 == 0 { 1 } else { 5_000 };
+                    let mut t = TbrScheduler::new(TbrConfig {
+                        initial_tokens: SimDuration::from_micros(initial_us),
+                        ..TbrConfig::default()
+                    });
+                    let mut now = SimTime::ZERO;
+                    if seed >= 2 {
+                        // Half the keys first, with traffic and churn.
+                        let first: Vec<_> = (0..keys.div_ceil(2))
+                            .map(|c| (ClientId(c), 1.0 + rng.below(4) as f64))
+                            .collect();
+                        t.on_associate_all(&first, now);
+                        for _ in 0..200 {
+                            now += SimDuration::from_micros(rng.below(40_000));
+                            random_op(&mut t, &mut rng, keys.div_ceil(2), now);
+                        }
+                    }
+                    (t, now, rng)
+                };
+                let (mut one, mut now, mut rng) = history();
+                let (mut batch, ..) = history();
+                assert_eq!(full_state(&one), full_state(&batch));
+                let members: Vec<_> = (0..keys)
+                    .map(|c| (ClientId(c), 0.25 + 4.0 * rng.unit()))
+                    .collect();
+                now += SimDuration::from_micros(rng.below(3_000));
+                for &(c, w) in &members {
+                    one.on_associate_weighted(c, w, now);
+                }
+                batch.on_associate_all(&members, now);
+                assert_eq!(
+                    full_state(&one),
+                    full_state(&batch),
+                    "{keys} keys, seed {seed}"
+                );
+                for step in 0..300 {
+                    now += SimDuration::from_micros(rng.below(20_000));
+                    let mut twin = rng.clone();
+                    let a = random_op(&mut one, &mut rng, keys, now);
+                    let b = random_op(&mut batch, &mut twin, keys, now);
+                    assert_eq!(a, b, "{keys} keys, seed {seed}: step {step}");
+                }
+                assert_eq!(full_state(&one), full_state(&batch));
+            }
+        }
     }
 }

@@ -39,12 +39,36 @@ pub const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
 /// Exact nearest-rank percentile of a sorted sample; `None` when
 /// empty.
 pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
+    percentile_rank(sorted.len(), q).map(|i| sorted[i])
+}
+
+/// The [`PERCENTILES`] of `xs` (0.0 each when empty), equal bit for
+/// bit to [`percentile`] over `xs` sorted by [`f64::total_cmp`]. Each
+/// rank is selected in the suffix the previous selection left above
+/// it, so no full sort is needed; `xs` is left reordered.
+fn select_percentiles(xs: &mut [f64]) -> [f64; 3] {
+    let mut out = [0.0; 3];
+    let mut from = 0;
+    for (o, &q) in out.iter_mut().zip(PERCENTILES.iter()) {
+        let Some(rank) = percentile_rank(xs.len(), q) else {
+            break;
+        };
+        if rank >= from {
+            xs[from..].select_nth_unstable_by(rank - from, f64::total_cmp);
+            from = rank + 1;
+        }
+        *o = xs[rank];
+    }
+    out
+}
+
+/// The 0-based index [`percentile`] reads in a sorted sample of `len`.
+fn percentile_rank(len: usize, q: f64) -> Option<usize> {
+    if len == 0 {
         return None;
     }
     let q = q.clamp(0.0, 1.0);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-    Some(sorted[rank - 1])
+    Some(((q * len as f64).ceil() as usize).clamp(1, len) - 1)
 }
 
 #[derive(Clone, Debug, Default)]
@@ -170,31 +194,28 @@ impl SpanCollector {
 
     /// Per-station rollups, in station id order.
     pub fn summary(&self) -> Vec<StationDelays> {
-        let mut accs = self.accs.clone();
+        let mut accs: Vec<&StationAcc> = self.accs.iter().collect();
         accs.sort_by_key(|a| a.station);
+        // One scratch buffer for every column: selection reorders it.
+        let mut scratch = Vec::new();
+        let mut triple = |xs: &[f64]| {
+            scratch.clear();
+            scratch.extend_from_slice(xs);
+            select_percentiles(&mut scratch)
+        };
         accs.into_iter()
-            .map(|mut a| {
-                let triple = |xs: &mut Vec<f64>| {
-                    xs.sort_by(f64::total_cmp);
-                    let mut out = [0.0; 3];
-                    for (o, &q) in out.iter_mut().zip(PERCENTILES.iter()) {
-                        *o = percentile(xs, q).unwrap_or(0.0);
-                    }
-                    out
-                };
-                StationDelays {
-                    station: a.station,
-                    frames: a.frames,
-                    delivered: a.delivered,
-                    mean_attempts: if a.frames > 0 {
-                        a.attempts as f64 / a.frames as f64
-                    } else {
-                        0.0
-                    },
-                    queueing_ms: triple(&mut a.queueing_ms),
-                    contention_ms: triple(&mut a.contention_ms),
-                    hol_ms: triple(&mut a.hol_ms),
-                }
+            .map(|a| StationDelays {
+                station: a.station,
+                frames: a.frames,
+                delivered: a.delivered,
+                mean_attempts: if a.frames > 0 {
+                    a.attempts as f64 / a.frames as f64
+                } else {
+                    0.0
+                },
+                queueing_ms: triple(&a.queueing_ms),
+                contention_ms: triple(&a.contention_ms),
+                hol_ms: triple(&a.hol_ms),
             })
             .collect()
     }
@@ -315,6 +336,34 @@ mod tests {
         assert_eq!(percentile(&xs, 0.95), Some(4.0));
         assert_eq!(percentile(&xs, 0.0), Some(1.0));
         assert_eq!(percentile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn selected_percentiles_equal_the_sorted_reference_bit_for_bit() {
+        let mut rng = airtime_sim::SimRng::new(26);
+        for case in 0..300 {
+            let len = match case {
+                0..=9 => case as u64,
+                _ => rng.below(5_001),
+            };
+            // Few distinct values, so ranks land inside runs of ties,
+            // and both signed zeros.
+            let palette: Vec<f64> = (0..1 + rng.below(12))
+                .map(|_| match rng.below(4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (rng.unit() - 0.5) * 1e3,
+                })
+                .collect();
+            let xs: Vec<f64> = (0..len)
+                .map(|_| palette[rng.below(palette.len() as u64) as usize])
+                .collect();
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let want = PERCENTILES.map(|q| percentile(&sorted, q).unwrap_or(0.0).to_bits());
+            let got = select_percentiles(&mut xs.clone()).map(f64::to_bits);
+            assert_eq!(got, want, "case {case}: {len} samples");
+        }
     }
 
     #[test]

@@ -500,3 +500,104 @@ rate = "11"
     assert_eq!(out.failed_cells(), 0);
     assert!(!out.strict_failure);
 }
+
+/// Two walkers zigzag across a two-cell boundary every ~0.3 s and the
+/// association manager looks every 5 ms, while saturated downlinks keep
+/// a tiny AP buffer full. So frame slots are freed early in every way
+/// the engine allows: a handoff flushes a walker's AP queue while its
+/// AP still has one of its frames in the MAC, full queues refuse
+/// enqueues, and each re-association fills the freed slots again.
+/// Debug builds assert that every frame read finds its slot live.
+#[test]
+fn handoff_churn_reuses_frame_slots_without_aliasing() {
+    let zigzag = |from: u32, to: u32| {
+        let xs: Vec<String> = (0..24)
+            .map(|i| if i % 2 == 0 { from } else { to }.to_string())
+            .collect();
+        format!(
+            "[[station.mobility]]\nspeed_fps = 150\nx_ft = [{}]\ny_ft = [{}]\n",
+            xs.join(", "),
+            vec!["10"; 24].join(", ")
+        )
+    };
+    let walker = |rate: &str, from: u32, to: u32| {
+        format!(
+            "[[station]]\nrate = \"{rate}\"\nx_ft = {from}\ny_ft = 10\n\
+             [[station.flow]]\ntransport = \"tcp\"\n\
+             [[station.flow]]\ntransport = \"udp\"\n{}",
+            zigzag(from, to)
+        )
+    };
+    let text = format!(
+        r#"
+name = "frame-churn"
+seed = 3
+duration_s = 5
+warmup_s = 1
+direction = "down"
+
+[scheduler]
+kind = "tbr"
+total_buffer = 6
+
+[topology]
+hysteresis_db = 0.5
+assoc_tick_ms = 5
+rate_set = "b"
+
+[[cells]]
+x_ft = 0
+y_ft = 0
+channel = 1
+
+[[cells]]
+x_ft = 100
+y_ft = 0
+channel = 6
+
+[[station]]
+rate = "11"
+x_ft = 0
+y_ft = 10
+
+[[station]]
+rate = "11"
+x_ft = 100
+y_ft = 10
+
+{}
+{}
+[sweep]
+scheduler = ["tbr", "rr"]
+"#,
+        walker("2", 30, 70),
+        walker("5.5", 70, 30)
+    );
+    let doc = parse_text(&text, "churn.toml").unwrap();
+    let one = run_sweep(&doc, "churn.toml", 1).unwrap();
+    let four = run_sweep(&doc, "churn.toml", 4).unwrap();
+    let json = |o: &SweepOutcome| emit::to_json(&o.name, &o.axes, &o.cells);
+    let csv = |o: &SweepOutcome| emit::to_csv(&o.name, &o.axes, &o.cells);
+    assert_eq!(json(&one), json(&four));
+    assert_eq!(csv(&one), csv(&four));
+    for c in &one.cells {
+        let roam = c.roam.as_ref().expect("topology cell");
+        assert!(
+            roam.handoffs >= 20,
+            "{:?}: {} handoffs",
+            c.coords,
+            roam.handoffs
+        );
+        assert!(roam.audits_pass, "worst {} ns", roam.worst_audit_error_ns);
+    }
+    // The TBR run again, directly: its small buffer refuses enqueues.
+    let topo = compile(&doc, "churn.toml").unwrap().topo.expect("topology");
+    let mut ledgers = vec![airtime_obs::AirtimeLedger::new(); topo.cells.len()];
+    let r = airtime_topo::run_topology(&topo, &mut ledgers);
+    assert!(r.roaming.handoffs.len() >= 20);
+    for (c, (cell, ledger)) in r.cells.iter().zip(&ledgers).enumerate() {
+        assert!(cell.sched_drops > 0, "cell {c} refused no enqueue");
+        let audit = ledger.audit();
+        assert!(audit.conserved, "cell {c}:\n{audit}");
+    }
+}

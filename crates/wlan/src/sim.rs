@@ -70,15 +70,32 @@
 //! # Effect buffers
 //!
 //! The MAC and TCP endpoints append their effects to a `Vec` the caller
-//! passes in. The engine owns one such buffer per effect type (`mac_fx`,
-//! `tx_fx`, `rx_fx`): a batch takes it with `std::mem::take`, and the
+//! passes in. The engine owns these buffers (`tx_fx`, `rx_fx`, and a
+//! stack of them in `mac_fx`): a batch takes one, and the
 //! `apply_*_effects` pass that drains it puts it back empty, so the
-//! steady state allocates nothing per dispatch. A batch nested inside
-//! another of its type (client cooperation's `set_defer` inside a
-//! `TxFinal`) finds the slot empty and grows a fresh `Vec`, which the
-//! outer batch's buffer then replaces.
+//! steady state allocates nothing per dispatch. The MAC's are a stack
+//! because one MAC batch can nest inside another: client cooperation's
+//! `set_defer` runs inside a `TxFinal`. The nested batch pops a second
+//! buffer, and both go back, so a deferral allocates nothing either.
+//!
+//! # Frames in flight
+//!
+//! Everything the engine tracks about a frame between queue entry and
+//! its `TxFinal` lives in one slot of a `FrameTable`: the packet, its
+//! queue-entry time and the frame-span bookkeeping (MAC release, first
+//! attempt, attempt count). A frame's handle, the opaque `u64` carried
+//! by [`Frame`] and [`QueuedPacket`], is its slot index. A slot is
+//! freed in exactly three places:
+//! - `on_tx_final`, when the MAC is done with the frame;
+//! - the scheduler flush at disassociation, for frames that never
+//!   reached the MAC;
+//! - a refused AP enqueue ([`EnqueueOutcome::Dropped`]).
+//!
+//! A freed slot goes on a free list and the next frame reuses it, so
+//! the table holds only the frames actually in flight, a few dozen.
+//! Every read asserts that its slot is live.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use airtime_core::{ClientId, EnqueueOutcome, QueuedPacket};
@@ -202,16 +219,59 @@ impl IndexSet {
     }
 }
 
-/// Lifecycle of one MAC-level frame, tracked from queue entry to the
-/// MAC's final verdict and emitted as an [`EventRecord::FrameSpan`].
-/// Only populated when the observer wants frame spans.
-struct SpanTrack {
-    station: u64,
-    bytes: u64,
+/// One frame in flight, from queue entry to the MAC's final verdict;
+/// the span fields feed its [`EventRecord::FrameSpan`].
+struct InFlight {
+    pkt: Packet,
+    /// When the packet entered the AP or client queue.
     enqueue: SimTime,
+    /// When the MAC took the frame.
     release: SimTime,
     first_tx: Option<SimTime>,
     attempts: u64,
+}
+
+/// The frames in flight, one slot each; a frame's handle is its slot
+/// index (see the module docs).
+#[derive(Default)]
+struct FrameTable {
+    slots: Vec<Option<InFlight>>,
+    /// Freed slots, reused last-freed first.
+    free: Vec<usize>,
+}
+
+impl FrameTable {
+    /// Files `pkt`, queued since `enqueue`, and returns its handle.
+    fn insert(&mut self, pkt: Packet, enqueue: SimTime) -> u64 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        debug_assert!(self.slots[slot].is_none(), "slot {slot} handed out live");
+        self.slots[slot] = Some(InFlight {
+            pkt,
+            enqueue,
+            release: enqueue,
+            first_tx: None,
+            attempts: 0,
+        });
+        slot as u64
+    }
+
+    fn get_mut(&mut self, handle: u64) -> &mut InFlight {
+        self.slots[handle as usize]
+            .as_mut()
+            .expect("frame handle is live")
+    }
+
+    /// Frees `handle`'s slot and returns its frame.
+    fn remove(&mut self, handle: u64) -> InFlight {
+        let frame = self.slots[handle as usize]
+            .take()
+            .expect("frame handle is live");
+        self.free.push(handle as usize);
+        frame
+    }
 }
 
 /// How often the metrics registry snapshots its counters and gauges
@@ -267,22 +327,16 @@ struct Sim<'c, O: Observer> {
     client_q: Vec<VecDeque<(Packet, SimTime)>>,
     arf: Vec<Option<Arf>>,
     fixed_rate: Vec<DataRate>,
-    /// Frame handle → (packet, time it entered the AP/client queue),
-    /// for frames in the MAC or AP queues.
-    in_transit: HashMap<u64, (Packet, SimTime)>,
-    /// Per node, the lifecycle span of the frame its MAC holds, from
-    /// `offer_frame` to TxFinal. A MAC holds at most one frame, so one
-    /// slot per node is enough. No slots unless the observer wants
-    /// frame spans.
-    spans: Vec<Option<SpanTrack>>,
-    next_handle: u64,
+    /// Frames in the AP queues or the MAC, by handle.
+    frames: FrameTable,
     occupancy_at_warmup: Vec<SimDuration>,
     busy_at_warmup: SimDuration,
     /// EWMA of observed downlink attempt-failure rate per node (the
     /// §4.2 loss estimator's input).
     fer_est: Vec<f64>,
-    /// One reused buffer per effect type (see the module docs).
-    mac_fx: Vec<MacEffect>,
+    /// Reused effect buffers (see the module docs): a stack for the
+    /// MAC, whose batches nest, and one for each TCP end.
+    mac_fx: Vec<Vec<MacEffect>>,
     tx_fx: Vec<SenderEffect>,
     rx_fx: Vec<ReceiverEffect>,
 }
@@ -441,27 +495,17 @@ impl<'c, O: Observer> Sim<'c, O> {
         // A topology driver may start some stations unassociated (they
         // roam in later); single-cell runs associate everyone at t=0.
         let is_active = |st: usize| active.is_none_or(|m| m[st]);
-        match cfg.regulate {
-            Regulate::PerStation => {
-                for i in 0..n {
-                    if is_active(i) {
-                        sched.on_associate_weighted(
-                            ClientId(i),
-                            cfg.stations[i].weight,
-                            SimTime::ZERO,
-                        );
-                    }
-                }
-            }
-            Regulate::PerFlow => {
-                for (f, rt) in flows.iter().enumerate() {
-                    if is_active(rt.station) {
-                        let weight = cfg.stations[rt.station].weight;
-                        sched.on_associate_weighted(ClientId(f), weight, SimTime::ZERO);
-                    }
-                }
-            }
-        }
+        let members: Vec<(ClientId, f64)> = match cfg.regulate {
+            Regulate::PerStation => (0..n)
+                .filter(|&i| is_active(i))
+                .map(|i| (ClientId(i), cfg.stations[i].weight))
+                .collect(),
+            Regulate::PerFlow => (flows.iter().enumerate())
+                .filter(|(_, rt)| is_active(rt.station))
+                .map(|(f, rt)| (ClientId(f), cfg.stations[rt.station].weight))
+                .collect(),
+        };
+        sched.on_associate_all(&members, SimTime::ZERO);
         let key_count = match cfg.regulate {
             Regulate::PerStation => n,
             Regulate::PerFlow => flows.len(),
@@ -525,13 +569,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             client_q: vec![VecDeque::new(); n + 1],
             arf,
             fixed_rate,
-            in_transit: HashMap::new(),
-            spans: if hooks.has(Hook::FrameSpan) {
-                (0..=n).map(|_| None).collect()
-            } else {
-                Vec::new()
-            },
-            next_handle: 0,
+            frames: FrameTable::default(),
             occupancy_at_warmup: vec![SimDuration::ZERO; n + 1],
             busy_at_warmup: SimDuration::ZERO,
             fer_est: vec![0.0; n + 1],
@@ -599,13 +637,6 @@ impl<'c, O: Observer> Sim<'c, O> {
             Some(a) => a.current_rate(),
             None => self.fixed_rate[node],
         }
-    }
-
-    fn new_handle(&mut self, pkt: Packet, born: SimTime) -> u64 {
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.in_transit.insert(h, (pkt, born));
-        h
     }
 
     /// Number of scheduler keys (stations or flows, per `cfg.regulate`).
@@ -857,7 +888,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// Runs one MAC call at `now` over the reused MAC effect buffer and
     /// applies the effects it appended.
     fn mac_batch(&mut self, call: impl FnOnce(&mut DcfWorld, SimTime, &mut Vec<MacEffect>)) {
-        let mut fx = std::mem::take(&mut self.mac_fx);
+        let mut fx = self.mac_fx.pop().unwrap_or_default();
         call(&mut self.mac, self.now, &mut fx);
         self.apply_mac_effects(fx);
     }
@@ -954,14 +985,9 @@ impl<'c, O: Observer> Sim<'c, O> {
                             airtime,
                         });
                     }
-                    if let Some(s) = self
-                        .spans
-                        .get_mut(frame.src.index())
-                        .and_then(Option::as_mut)
-                    {
-                        s.attempts += 1;
-                        s.first_tx.get_or_insert(self.now);
-                    }
+                    let f = self.frames.get_mut(frame.handle);
+                    f.attempts += 1;
+                    f.first_tx.get_or_insert(self.now);
                     if let Some(instr) = self.instr.as_mut() {
                         instr
                             .reg
@@ -998,32 +1024,17 @@ impl<'c, O: Observer> Sim<'c, O> {
                             node: frame.src.index() as u64,
                         });
                     }
-                    if let Some(s) = self.spans.get_mut(frame.src.index()).and_then(Option::take) {
-                        self.obs.on_frame_span(EventRecord::FrameSpan {
-                            t: self.now,
-                            station: s.station,
-                            bytes: s.bytes,
-                            enqueue: s.enqueue,
-                            release: s.release,
-                            first_tx: s.first_tx.unwrap_or(s.release),
-                            attempts: s.attempts,
-                            airtime: airtime_total,
-                            delivered: matches!(outcome, FrameOutcome::Delivered),
-                        });
-                    }
                     self.on_tx_final(frame, outcome, airtime_total)
                 }
             }
         }
-        self.mac_fx = effects;
+        self.mac_fx.push(effects);
     }
 
     /// A frame reached its destination MAC intact.
     fn on_delivered(&mut self, frame: Frame) {
-        let (pkt, born) = match self.in_transit.get(&frame.handle) {
-            Some(p) => *p,
-            None => return,
-        };
+        let f = self.frames.get_mut(frame.handle);
+        let (pkt, born) = (f.pkt, f.enqueue);
         if pkt.is_data() && self.now >= SimTime::ZERO + self.cfg.warmup {
             let ms = self.now.saturating_since(born).as_secs_f64() * 1e3;
             self.flows[pkt.flow.index()]
@@ -1042,17 +1053,30 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     /// The sender-side MAC finished with a frame (acked or dropped).
-    fn on_tx_final(&mut self, frame: Frame, _outcome: FrameOutcome, airtime_total: SimDuration) {
-        let pkt = self.in_transit.remove(&frame.handle);
+    fn on_tx_final(&mut self, frame: Frame, outcome: FrameOutcome, airtime_total: SimDuration) {
+        let f = self.frames.remove(frame.handle);
         let node = client_node(&frame);
+        if self.wants(Hook::FrameSpan) {
+            self.obs.on_frame_span(EventRecord::FrameSpan {
+                t: self.now,
+                station: node as u64,
+                bytes: frame.msdu_bytes,
+                enqueue: f.enqueue,
+                release: f.release,
+                first_tx: f.first_tx.unwrap_or(f.release),
+                attempts: f.attempts,
+                airtime: airtime_total,
+                delivered: matches!(outcome, FrameOutcome::Delivered),
+            });
+        }
         let sent_by_ap = frame.src == AP;
         if !sent_by_ap {
             // The client's MAC is free for the next queued frame.
             self.dirty_nodes.insert(node);
         }
-        let key = match (self.cfg.regulate, pkt) {
-            (Regulate::PerFlow, Some((p, _))) => self.reg_key(p.flow.index()),
-            _ => ClientId(node - 1),
+        let key = match self.cfg.regulate {
+            Regulate::PerFlow => self.reg_key(f.pkt.flow.index()),
+            Regulate::PerStation => ClientId(node - 1),
         };
         // COMPLETEEVENT: uplink airtime may have to be estimated when
         // the MAC header carries no retry count (§4.2 / §4.4).
@@ -1092,14 +1116,14 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn on_wired_to_ap(&mut self, pkt: Packet) {
         // Queue at the AP for its destination client (APPTXEVENT).
         let key = self.reg_key(pkt.flow.index());
-        let handle = self.new_handle(pkt, self.now);
+        let handle = self.frames.insert(pkt, self.now);
         let q = QueuedPacket {
             client: key,
             handle,
             bytes: pkt.bytes,
         };
         if self.sched.enqueue(q, self.now) == EnqueueOutcome::Dropped {
-            self.in_transit.remove(&handle);
+            self.frames.remove(handle);
         } else {
             self.emit_ap_queue(key);
         }
@@ -1329,7 +1353,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             };
             match pkt {
                 Some(p) => {
-                    let handle = self.new_handle(p, now);
+                    let handle = self.frames.insert(p, now);
                     let q = QueuedPacket {
                         client: key,
                         handle,
@@ -1338,7 +1362,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     if self.sched.enqueue(q, now) == EnqueueOutcome::Dropped {
                         // Queue full (its cap may be below our priming
                         // level): stop generating until it drains.
-                        self.in_transit.remove(&handle);
+                        self.frames.remove(handle);
                         break;
                     }
                     pushed = true;
@@ -1365,22 +1389,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                         queue_len: self.sched.queue_len(q.client) as u64,
                     });
                 }
-                let station = self.station_of_key(q.client);
-                let node = station + 1;
-                if self.wants(Hook::FrameSpan) {
-                    let enqueue = self
-                        .in_transit
-                        .get(&q.handle)
-                        .map_or(self.now, |&(_, born)| born);
-                    self.spans[AP.index()] = Some(SpanTrack {
-                        station: node as u64,
-                        bytes: q.bytes,
-                        enqueue,
-                        release: self.now,
-                        first_tx: None,
-                        attempts: 0,
-                    });
-                }
+                let node = self.station_of_key(q.client) + 1;
+                self.frames.get_mut(q.handle).release = self.now;
                 let frame = Frame {
                     src: AP,
                     dst: NodeId(node),
@@ -1401,17 +1411,8 @@ impl<'c, O: Observer> Sim<'c, O> {
             if self.mac.can_accept(NodeId(node)) {
                 if let Some((pkt, born)) = self.client_q[node].pop_front() {
                     self.emit_client_queue(node);
-                    let handle = self.new_handle(pkt, born);
-                    if self.wants(Hook::FrameSpan) {
-                        self.spans[node] = Some(SpanTrack {
-                            station: node as u64,
-                            bytes: pkt.bytes,
-                            enqueue: born,
-                            release: self.now,
-                            first_tx: None,
-                            attempts: 0,
-                        });
-                    }
+                    let handle = self.frames.insert(pkt, born);
+                    self.frames.get_mut(handle).release = self.now;
                     let frame = Frame {
                         src: NodeId(node),
                         dst: AP,
@@ -1503,7 +1504,7 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     /// Removes `station` from the AP scheduler: flushes its AP-side
     /// queues (the flushed frames never reached the MAC and simply
-    /// vanish from the in-transit map), clears its uplink interface
+    /// free their slots), clears its uplink interface
     /// queue and tears its transport state down. A frame already
     /// committed to the MAC completes its exchange — the radio does
     /// not recall it; the scheduler ignores the late completion debit.
@@ -1511,7 +1512,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         self.now = now;
         for key in self.keys_of_station(station) {
             for q in self.sched.on_disassociate(key, now) {
-                self.in_transit.remove(&q.handle);
+                self.frames.remove(q.handle);
             }
             self.emit_ap_queue(key);
         }
@@ -1942,6 +1943,59 @@ mod tests {
             next.push(i);
         }
         assert_eq!(next, [2, 100]);
+    }
+
+    #[test]
+    fn frame_table_reuses_freed_slots_and_never_aliases_a_live_one() {
+        let pkt = |seq| Packet {
+            flow: FlowId(0),
+            kind: PacketKind::UdpData { seq },
+            bytes: 1500,
+        };
+        let mut table = FrameTable::default();
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        let mut rng = SimRng::new(5);
+        let mut most = 0;
+        for seq in 0..20_000 {
+            if live.is_empty() || rng.below(3) > 0 && live.len() < 40 {
+                let reuse = table.free.last().map(|&slot| slot as u64);
+                let h = table.insert(pkt(seq), SimTime::from_nanos(seq));
+                assert!(
+                    live.iter().all(|&(l, _)| l != h),
+                    "handle {h} handed out while live"
+                );
+                assert_eq!(
+                    h,
+                    reuse.unwrap_or(live.len() as u64),
+                    "a freed slot was skipped"
+                );
+                live.push((h, seq));
+                most = most.max(live.len());
+            } else {
+                let (h, seq) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                let f = table.remove(h);
+                assert_eq!(f.pkt, pkt(seq), "slot {h} held another frame");
+                assert_eq!(table.free.last(), Some(&(h as usize)));
+            }
+            for &(h, seq) in &live {
+                assert_eq!(table.get_mut(h).enqueue, SimTime::from_nanos(seq));
+            }
+        }
+        assert_eq!(table.slots.len(), most, "the table grew past its peak");
+    }
+
+    #[test]
+    #[should_panic(expected = "frame handle is live")]
+    fn reading_a_freed_frame_panics() {
+        let mut table = FrameTable::default();
+        let pkt = Packet {
+            flow: FlowId(0),
+            kind: PacketKind::UdpData { seq: 0 },
+            bytes: 1500,
+        };
+        let h = table.insert(pkt, SimTime::ZERO);
+        table.remove(h);
+        table.get_mut(h);
     }
 
     /// A station that leaves while its interface queue is full loses
