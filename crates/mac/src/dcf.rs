@@ -39,7 +39,7 @@
 //!   keep counting. Saturated senders (the paper's regime) are
 //!   unaffected.
 
-use airtime_phy::{LinkErrorModel, Phy80211b};
+use airtime_phy::{DataRate, LinkErrorModel, Phy80211b};
 use airtime_sim::{SimDuration, SimRng, SimTime};
 
 use crate::frame::{Frame, FrameOutcome, NodeId};
@@ -217,10 +217,60 @@ pub struct MacStats {
     pub dropped: u64,
 }
 
+/// One link's memoised frame-error rates. An SNR link's FER costs a
+/// `powf`, an `ln_1p` and an `exp`, yet a link sees few distinct frames:
+/// its data size and its TCP-ack size, at one rate between rate changes.
+#[derive(Clone, Copy, Default)]
+struct FerMemo {
+    /// Data-frame FER by `(rate, on-air bytes)`, the latest first.
+    data: [Option<((DataRate, u64), f64)>; 2],
+    /// ACK FER by the rate of the data frame it answers, the latest first.
+    ack: [Option<(DataRate, f64)>; 2],
+}
+
+impl FerMemo {
+    /// `link.data_fer(rate, bytes)`, memoised.
+    fn data_fer(&mut self, link: LinkErrorModel, rate: DataRate, bytes: u64) -> f64 {
+        recall(&mut self.data, (rate, bytes), || link.data_fer(rate, bytes))
+    }
+
+    /// `link.ack_fer(rate)`, memoised.
+    fn ack_fer(&mut self, link: LinkErrorModel, rate: DataRate) -> f64 {
+        recall(&mut self.ack, rate, || link.ack_fer(rate))
+    }
+}
+
+/// The value `slots` holds for `key`, or `compute()`'s, which then
+/// replaces the older slot.
+fn recall<K: Copy + PartialEq>(
+    slots: &mut [Option<(K, f64)>; 2],
+    key: K,
+    compute: impl FnOnce() -> f64,
+) -> f64 {
+    if let Some((_, v)) = slots.iter().flatten().find(|(k, _)| *k == key) {
+        return *v;
+    }
+    let v = compute();
+    *slots = [Some((key, v)), slots[0]];
+    v
+}
+
+/// One memo per link when some link's FER follows its SNR; none while
+/// every FER is a constant.
+fn fer_memos(links: &[LinkErrorModel]) -> Vec<FerMemo> {
+    let snr = links
+        .iter()
+        .any(|l| matches!(l, LinkErrorModel::Snr { .. }));
+    vec![FerMemo::default(); if snr { links.len() } else { 0 }]
+}
+
 /// The shared-medium DCF world: all stations plus the channel.
 pub struct DcfWorld {
     config: DcfConfig,
     links: Vec<LinkErrorModel>,
+    /// Per link, the FERs its model has produced ([`DcfWorld::set_link`]
+    /// forgets a link's), made by `fer_memos`.
+    fer_memo: Vec<FerMemo>,
     stations: Vec<Station>,
     rng: SimRng,
     /// When the medium last became idle.
@@ -278,6 +328,7 @@ impl DcfWorld {
         let cw_min = config.phy.cw_min;
         DcfWorld {
             config,
+            fer_memo: fer_memos(&links),
             links,
             stations: (0..n)
                 .map(|_| Station {
@@ -340,6 +391,10 @@ impl DcfWorld {
     /// Replaces the error model of `node`'s link (e.g. mobility).
     pub fn set_link(&mut self, node: NodeId, link: LinkErrorModel) {
         self.links[node.index()] = link;
+        match self.fer_memo.get_mut(node.index()) {
+            Some(memo) => *memo = FerMemo::default(),
+            None => self.fer_memo = fer_memos(&self.links),
+        }
     }
 
     /// Channel occupancy attributed to client `node` so far — the
@@ -779,11 +834,17 @@ impl DcfWorld {
             let link = self.links[client];
             let on_air_bytes = frame.msdu_bytes + airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES;
             let data_lost = {
-                let fer = link.data_fer(frame.rate, on_air_bytes);
+                let fer = match self.fer_memo.get_mut(client) {
+                    Some(memo) => memo.data_fer(link, frame.rate, on_air_bytes),
+                    None => link.data_fer(frame.rate, on_air_bytes),
+                };
                 self.rng.chance(fer)
             };
             let ack_lost = !data_lost && {
-                let fer = link.ack_fer(frame.rate);
+                let fer = match self.fer_memo.get_mut(client) {
+                    Some(memo) => memo.ack_fer(link, frame.rate),
+                    None => link.ack_fer(frame.rate),
+                };
                 self.rng.chance(fer)
             };
             let on_air = frame.msdu_bytes + airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES;
@@ -1071,5 +1132,66 @@ impl DcfWorld {
         st.cw = cw_min;
         st.expiry = Some(self.clock + b as u64);
         st.airtime_this_frame = SimDuration::ZERO;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The memoised FERs equal the link model's own, bit for bit,
+    /// whatever the query order and however often the link changes.
+    #[test]
+    fn memoised_fers_equal_the_link_model_across_set_link() {
+        let rates: Vec<DataRate> = DataRate::ALL_B.into_iter().chain(DataRate::ALL_G).collect();
+        let sizes = [28, 68, 1528, 1500, 3];
+        let config = DcfConfig {
+            phy: Phy80211b::default(),
+            ap: NodeId(0),
+            retry_rate_fallback: false,
+            rts_threshold: None,
+        };
+        let links = vec![LinkErrorModel::FixedFer(0.1); 4];
+        let mut world = DcfWorld::new(config, links, SimRng::new(1));
+        assert!(world.fer_memo.is_empty(), "constant FERs need no memo");
+        let mut rng = SimRng::new(7);
+        let pick = |rng: &mut SimRng, n: usize| rng.below(n as u64) as usize;
+        for step in 0..20_000 {
+            let client = 1 + pick(&mut rng, 3);
+            if step % 97 == 0 {
+                let link = match pick(&mut rng, 4) {
+                    0 => LinkErrorModel::Perfect,
+                    1 => LinkErrorModel::FixedFer(pick(&mut rng, 100) as f64 / 100.0),
+                    _ => LinkErrorModel::Snr {
+                        snr_db: pick(&mut rng, 400) as f64 / 10.0 - 5.0,
+                    },
+                };
+                world.set_link(NodeId(client), link);
+            }
+            let rate = rates[pick(&mut rng, rates.len())];
+            let bytes = sizes[pick(&mut rng, sizes.len())];
+            let link = world.links[client];
+            let Some(memo) = world.fer_memo.get_mut(client) else {
+                continue;
+            };
+            // The second query of the pair reads the memo.
+            for _ in 0..2 {
+                assert_eq!(
+                    memo.data_fer(link, rate, bytes).to_bits(),
+                    link.data_fer(rate, bytes).to_bits(),
+                    "data FER of {link:?} at {rate:?}, {bytes} bytes"
+                );
+                assert_eq!(
+                    memo.ack_fer(link, rate).to_bits(),
+                    link.ack_fer(rate).to_bits(),
+                    "ACK FER of {link:?} at {rate:?}"
+                );
+            }
+            assert!(memo
+                .data
+                .contains(&Some(((rate, bytes), link.data_fer(rate, bytes)))));
+            assert!(memo.ack.contains(&Some((rate, link.ack_fer(rate)))));
+        }
+        assert_eq!(world.fer_memo.len(), 4, "an SNR link creates the memo");
     }
 }

@@ -49,6 +49,14 @@
 //! "station.1.rate" = ["5.5", "2", "1"]
 //! ```
 //!
+//! Compiling is linear in the document. Each `[[station]]` reads its
+//! `[[station.flow]]` and `[[station.mobility]]` tables from its own
+//! range of the child index ([`Doc::families`]), built in one pass; a
+//! sub-table above every `[[station]]` is a `file:line` error. The
+//! compiler only reads the document: [`crate::sweep::expand`] copies it
+//! once per sweep cell to write that cell's axis values, and a document
+//! without a `[sweep]` is compiled as it stands.
+//!
 //! Declaring one or more `[[cells]]` tables turns the scenario into a
 //! multi-cell topology run (`airtime-topo`): stations gain positions
 //! and optional waypoint mobility, and the sweep's per-job engine
@@ -87,7 +95,7 @@ use airtime_wlan::{
     StationConfig, Transport, MAX_STATIONS,
 };
 
-use crate::toml::{Doc, Entry, Table, Value};
+use crate::toml::{Doc, Entry, Family, Table, Value};
 
 /// A compile failure with its source line (mirrors
 /// [`crate::toml::ParseError`] so the CLI prints both the same way).
@@ -536,7 +544,8 @@ struct PlacementDecl {
     used_at: Option<usize>,
 }
 
-fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, CompileError> {
+fn compile_placement(station: Family) -> Result<PlacementDecl, CompileError> {
+    let t = station.table;
     let mut decl = PlacementDecl {
         x: 0.0,
         y: 10.0,
@@ -552,14 +561,15 @@ fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, 
     set(t, "x_ft", &mut decl.x, want_f64)?;
     set(t, "y_ft", &mut decl.y, want_f64)?;
     set(t, "auto_rate", &mut decl.auto_rate, want_bool)?;
-    let mobility_tables = doc.sub_tables("station", idx, "mobility");
-    if mobility_tables.len() > 1 {
+    let mut mobility_tables = station.children("mobility");
+    let first = mobility_tables.next();
+    if let Some(extra) = mobility_tables.next() {
         return err(
-            mobility_tables[1].line,
+            extra.line,
             "a station has at most one [[station.mobility]] table",
         );
     }
-    if let Some(mt) = mobility_tables.first() {
+    if let Some(mt) = first {
         check_keys(mt, "station.mobility", MOBILITY_KEYS)?;
         decl.used_at.get_or_insert(mt.line);
         let coords = |key: &str| -> Result<Vec<f64>, CompileError> {
@@ -602,11 +612,10 @@ fn compile_placement(doc: &Doc, t: &Table, idx: usize) -> Result<PlacementDecl, 
 }
 
 fn compile_station(
-    doc: &Doc,
-    t: &Table,
-    idx: usize,
+    station: Family,
     default_direction: Direction,
 ) -> Result<(StationConfig, PlacementDecl, usize), CompileError> {
+    let t = station.table;
     check_keys(t, "station", STATION_KEYS)?;
 
     let geometry = t.get("distance_ft").is_some();
@@ -676,8 +685,8 @@ fn compile_station(
         None => 1.0,
     };
 
-    let flow_tables = doc.sub_tables("station", idx, "flow");
-    let flows = if flow_tables.is_empty() {
+    let mut flow_tables = station.children("flow").peekable();
+    let flows = if flow_tables.peek().is_none() {
         vec![compile_flow(t, default_direction)?]
     } else {
         for bad in ["transport", "start_s", "task_bytes", "rate_limit_bps"] {
@@ -715,7 +724,7 @@ fn compile_station(
             flows,
             weight,
         },
-        compile_placement(doc, t, idx)?,
+        compile_placement(station)?,
         count,
     ))
 }
@@ -738,7 +747,7 @@ fn parse_rate_set(e: &Entry) -> Result<RateSet, CompileError> {
 fn compile_topology(
     doc: &Doc,
     cfg: &NetworkConfig,
-    placements: &[PlacementDecl],
+    placements: Vec<PlacementDecl>,
 ) -> Result<Option<TopologyConfig>, CompileError> {
     let cell_tables = doc.array_tables("cells");
     if cell_tables.is_empty() {
@@ -791,11 +800,11 @@ fn compile_topology(
     }
 
     let placements = placements
-        .iter()
+        .into_iter()
         .zip(&cfg.stations)
         .map(|(d, st)| Placement {
             position: Point::new(d.x, d.y),
-            mobility: d.mobility.clone(),
+            mobility: d.mobility,
             rate: if d.auto_rate {
                 RatePolicy::Auto
             } else {
@@ -887,8 +896,8 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
                 ),
             );
         }
-        if (t.path[0] == "station" || t.path[0] == "cells") && t.path.len() == 1 && !t.array {
-            let name = &t.path[0];
+        if (t.path[0] == "station" || t.path[0] == "cells") && !t.array {
+            let name = t.path.join(".");
             return err(
                 t.line,
                 format!("{name} tables are declared as [[{name}]] (double brackets)"),
@@ -896,13 +905,8 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         }
     }
 
-    let root = Table {
-        path: Vec::new(),
-        array: false,
-        line: 1,
-        entries: doc.root.clone(),
-    };
-    check_keys(&root, "root", ROOT_KEYS)?;
+    let root = &doc.root;
+    check_keys(root, "root", ROOT_KEYS)?;
 
     let name = match doc.get("name") {
         Some(e) => want_str(e)?.to_string(),
@@ -915,12 +919,12 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
 
     let scheduler = compile_scheduler(doc)?;
     let mut cfg = NetworkConfig::new(Vec::new(), scheduler);
-    set(&root, "duration_s", &mut cfg.duration, duration_secs)?;
+    set(root, "duration_s", &mut cfg.duration, duration_secs)?;
 
-    let station_tables = doc.array_tables("station");
+    let stations = doc.families("station")?;
     // A [tournament] scenario populates its stations from the rate
     // mixes, so the base file may legitimately declare none.
-    if station_tables.is_empty() && doc.table("tournament").is_none() {
+    if stations.is_empty() && doc.table("tournament").is_none() {
         return err(
             1,
             "scenario declares no [[station]] tables; at least one is required",
@@ -929,10 +933,11 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     // `origin[s]` is the [[station]] table behind station `s` once
     // `count` and `station_count` have replicated the tables; both are
     // checked against the cap before anything is replicated.
-    let mut declared = Vec::with_capacity(station_tables.len());
+    let mut declared = Vec::with_capacity(stations.len());
     let mut origin = Vec::new();
-    for (i, t) in station_tables.iter().enumerate() {
-        let (st, place, count) = compile_station(doc, t, i, default_direction)?;
+    for (i, &station) in stations.iter().enumerate() {
+        let t = station.table;
+        let (st, place, count) = compile_station(station, default_direction)?;
         if origin.len().saturating_add(count) > MAX_STATIONS {
             return err(
                 t.get("count").map_or(t.line, |e| e.line),
@@ -958,15 +963,21 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         // repeating-pattern cell). Placements replicate in lockstep.
         origin = (0..n as usize).map(|s| origin[s % origin.len()]).collect();
     }
-    cfg.stations = origin.iter().map(|&i| declared[i].0.clone()).collect();
-    let placements: Vec<_> = origin.iter().map(|&i| declared[i].1.clone()).collect();
+    // Unless `count` or `station_count` replicated a table, the compiled
+    // stations move into the config instead of being cloned.
+    let placements: Vec<_>;
+    (cfg.stations, placements) = if origin.len() == declared.len() {
+        declared.into_iter().unzip()
+    } else {
+        origin.iter().map(|&i| declared[i].clone()).unzip()
+    };
 
-    set(&root, "seed", &mut cfg.seed, want_u64)?;
-    set(&root, "warmup_s", &mut cfg.warmup, duration_secs)?;
+    set(root, "seed", &mut cfg.seed, want_u64)?;
+    set(root, "warmup_s", &mut cfg.warmup, duration_secs)?;
     if let Some(e) = doc.get("wired_delay_ms") {
         cfg.wired_delay = duration_millis(e)?;
     }
-    set(&root, "client_queue_cap", &mut cfg.client_queue_cap, |e| {
+    set(root, "client_queue_cap", &mut cfg.client_queue_cap, |e| {
         want_u64(e).map(|v| v as usize)
     })?;
     for (key, flag) in [
@@ -975,9 +986,9 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         ("client_cooperation", &mut cfg.client_cooperation),
         ("retry_rate_fallback", &mut cfg.retry_rate_fallback),
     ] {
-        set(&root, key, flag, want_bool)?;
+        set(root, key, flag, want_bool)?;
     }
-    set(&root, "rts_threshold", &mut cfg.rts_threshold, |e| {
+    set(root, "rts_threshold", &mut cfg.rts_threshold, |e| {
         want_u64(e).map(Some)
     })?;
     if let Some(e) = doc.get("regulate") {
@@ -1014,13 +1025,12 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         let mut tables = Vec::new();
         tables.extend(e.cell.map(|c| doc.array_tables("cells")[c]));
         if let Some(s) = e.station {
-            let i = origin[s];
-            let flows = doc.sub_tables("station", i, "flow");
-            tables.extend(e.flow.and_then(|f| flows.get(f).copied()));
-            tables.extend(doc.sub_tables("station", i, "mobility"));
-            tables.push(station_tables[i]);
+            let station = stations[origin[s]];
+            tables.extend(e.flow.and_then(|f| station.children("flow").nth(f)));
+            tables.extend(station.children("mobility"));
+            tables.push(station.table);
         }
-        tables.push(&root);
+        tables.push(root);
         tables.extend(doc.table("topology"));
         locate(e, &tables)
     };
@@ -1032,7 +1042,7 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
     }
 
     let check = compile_check(doc)?;
-    let topo = compile_topology(doc, &cfg, &placements)?;
+    let topo = compile_topology(doc, &cfg, placements)?;
     if let Some(t) = &topo {
         t.validate().map_err(located)?;
     }
@@ -1578,10 +1588,32 @@ x_ft = 60
                 "[[station]]\nrate = \"11\"\ndistance_ft = 4\n",
                 "conflicts with 'distance_ft'",
             ),
+            (
+                "[[station]]\nrate = \"11\"\n[station.flow]\ntransport = \"udp\"\n",
+                "station.flow tables are declared as [[station.flow]] (double brackets)",
+            ),
         ] {
             let e = compile_text(text).unwrap_err();
             assert!(e.msg.contains(needle), "for {text:?}: got '{e}'");
             assert!(e.line >= 1);
+        }
+        // A sub-table above every [[station]] belongs to no station; it
+        // was once dropped and the run went ahead without it.
+        for (text, line, needle) in [
+            (
+                "seed = 1\n[[station.flow]]\ntransport = \"udp\"\n[[station]]\nrate = \"11\"\n",
+                2,
+                "[[station.flow]] comes before every [[station]] table",
+            ),
+            (
+                "[[cells]]\n[[station.mobility]]\nspeed_fps = 5\nx_ft = [0]\ny_ft = [0]\n[[station]]\nrate = \"11\"\n",
+                2,
+                "[[station.mobility]] comes before every [[station]] table",
+            ),
+        ] {
+            let e = compile_text(text).unwrap_err();
+            assert_eq!(e.line, line, "for {text:?}: {e}");
+            assert!(e.msg.contains(needle), "for {text:?}: got '{e}'");
         }
         // Durations are capped at one simulated day, inclusive, and the
         // diagnostic points at the offending key's line.

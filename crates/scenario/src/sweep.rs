@@ -19,6 +19,8 @@
 //! and therefore output row order, depend only on the file, never on
 //! which worker finishes first.
 
+use std::borrow::Cow;
+
 use crate::spec::{check_runnable, compile, CompileError, ScenarioSpec};
 use crate::toml::{Doc, Value};
 
@@ -106,7 +108,8 @@ pub fn axes(doc: &Doc) -> Result<Vec<Axis>, CompileError> {
 /// Expands the document into its job matrix. Every cell's overrides
 /// are applied to a fresh copy of the document, which is then compiled
 /// — so axis values go through exactly the validation hand-written
-/// keys do, and a bad value fails with the axis's line number.
+/// keys do, and a bad value fails with the axis's line number. A
+/// document without axes is compiled as it stands, uncopied.
 pub fn expand(doc: &Doc) -> Result<(Vec<Axis>, Vec<Job>), CompileError> {
     let axes = axes(doc)?;
     let njobs: usize = axes.iter().map(|a| a.values.len()).product();
@@ -119,11 +122,12 @@ pub fn expand(doc: &Doc) -> Result<(Vec<Axis>, Vec<Job>), CompileError> {
             picks[k] = rem % axis.values.len();
             rem /= axis.values.len();
         }
-        let mut cell = doc.clone();
+        // The first axis value written copies the document.
+        let mut cell = Cow::Borrowed(doc);
         let mut coords = Vec::with_capacity(axes.len());
         for (axis, &pick) in axes.iter().zip(&picks) {
             let v = &axis.values[pick];
-            cell.set_path(&axis.path, v.clone(), axis.line)?;
+            cell.to_mut().set_path(&axis.path, v.clone(), axis.line)?;
             coords.push((axis.name.clone(), v.to_string()));
         }
         let spec = compile(&cell).map_err(|e| {

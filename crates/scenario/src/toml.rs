@@ -16,13 +16,27 @@
 //! 1-based line number it was found on, so `airtime-cli` can print
 //! `file:line: message` diagnostics.
 //!
-//! Parsing produces a [`Doc`]: a flat list of root entries plus the
-//! tables in file order. Array-of-tables headers append a new [`Table`]
-//! per occurrence, which is what the scenario compiler iterates. The
-//! sweep engine rewrites parsed documents through [`Doc::set_path`]
+//! Parsing produces a [`Doc`]: a root table of the entries before the
+//! first header plus the tables in file order. Array-of-tables headers
+//! append a new [`Table`] per occurrence, which is what the scenario
+//! compiler iterates. The parser walks the lines lazily and reads a
+//! value straight from its line. A value still open at the end of its
+//! line (a multi-line array) copies the following lines into one buffer
+//! as its parse reaches them, so every line is read once and parsing
+//! stays linear in the document.
+//!
+//! The child index: a `[[station.flow]]` table belongs to the
+//! `[[station]]` above it. [`Doc::families`] finds every `[[parent]]`
+//! and the range of tables up to the next one in a single pass, so the
+//! compiler reads each station's sub-tables from its own range instead
+//! of scanning the whole document once per station. A sub-table above
+//! every `[[parent]]` belongs to none and is an error at its line.
+//!
+//! The sweep engine rewrites parsed documents through [`Doc::set_path`]
 //! before compilation, so one base document expands into a job matrix
 //! without string-level templating.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed TOML value.
@@ -149,12 +163,33 @@ impl Table {
 }
 
 /// A parsed document: root entries plus tables in file order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Doc {
-    /// Entries before the first table header.
-    pub root: Vec<Entry>,
+    /// Entries before the first table header, as a table with an empty
+    /// path on line 1.
+    pub root: Table,
     /// Tables in file order (each `[[x]]` occurrence is one element).
     pub tables: Vec<Table>,
+}
+
+/// One `[[parent]]` table and the tables after it up to the next
+/// `[[parent]]`: the range its `[[parent.child]]` sub-tables sit in
+/// (see [`Doc::families`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Family<'a> {
+    /// The `[[parent]]` table itself.
+    pub table: &'a Table,
+    range: &'a [Table],
+}
+
+impl<'a> Family<'a> {
+    /// Its `[[parent.child]]` tables, in file order.
+    pub fn children(self, child: &'a str) -> impl Iterator<Item = &'a Table> {
+        let parent = &self.table.path[0];
+        self.range.iter().filter(move |t| {
+            t.array && t.path.len() == 2 && t.path[0] == *parent && t.path[1] == child
+        })
+    }
 }
 
 /// A parse or path-rewrite failure with its source line.
@@ -181,29 +216,31 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
 
 /// Strips a trailing comment, respecting `#` inside strings. Returns
 /// the content and whether the line ended inside an unclosed string.
+/// Scans bytes: the delimiters are ASCII, and no byte of a multi-byte
+/// UTF-8 character is.
 fn strip_comment(line: &str) -> (&str, bool) {
     let mut in_str = false;
     let mut escaped = false;
-    for (i, c) in line.char_indices() {
+    for (i, &b) in line.as_bytes().iter().enumerate() {
         if in_str {
             if escaped {
                 escaped = false;
-            } else if c == '\\' {
+            } else if b == b'\\' {
                 escaped = true;
-            } else if c == '"' {
+            } else if b == b'"' {
                 in_str = false;
             }
-        } else if c == '"' {
+        } else if b == b'"' {
             in_str = true;
-        } else if c == '#' {
+        } else if b == b'#' {
             return (&line[..i], false);
         }
     }
     (line, in_str)
 }
 
-fn is_bare_key_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' || c == '*'
+fn is_bare_key_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b'*')
 }
 
 /// Parses a `[…]` / `[[…]]` header body (without brackets) into path
@@ -231,50 +268,85 @@ fn parse_header_path(body: &str, line: usize) -> Result<Vec<String>, ParseError>
     Ok(segs)
 }
 
-/// A cursor over the text of one value (which may span lines for
-/// arrays).
-struct ValueCursor<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
+/// A cursor over the text of one value. The text starts as the rest of
+/// the key's line; a value still open at its end (a multi-line array)
+/// appends the following lines from `more` as it reaches them, so each
+/// line is read once.
+struct ValueCursor<'a, 'm> {
+    text: Cow<'a, str>,
+    pos: usize,
     line: usize,
+    more: &'m mut dyn Iterator<Item = (&'a str, usize)>,
 }
 
-impl<'a> ValueCursor<'a> {
-    fn new(text: &'a str, line: usize) -> Self {
+impl<'a, 'm> ValueCursor<'a, 'm> {
+    fn new(
+        text: &'a str,
+        line: usize,
+        more: &'m mut dyn Iterator<Item = (&'a str, usize)>,
+    ) -> Self {
         ValueCursor {
-            chars: text.char_indices().peekable(),
-            text,
+            text: Cow::Borrowed(text),
+            pos: 0,
             line,
+            more,
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&(_, c)) = self.chars.peek() {
-            if c == '\n' {
-                self.line += 1;
-                self.chars.next();
-            } else if c.is_whitespace() {
-                self.chars.next();
-            } else if c == '#' {
-                // Comment inside a multi-line array: skip to newline.
-                for (_, c2) in self.chars.by_ref() {
-                    if c2 == '\n' {
-                        self.line += 1;
-                        break;
+    fn peek(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    fn bump(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
+    /// Appends the next line, its comment stripped; false when the
+    /// document has no more lines.
+    fn pull(&mut self) -> Result<bool, ParseError> {
+        let Some((next, line)) = self.more.next() else {
+            return Ok(false);
+        };
+        let (next, unclosed) = strip_comment(next);
+        if unclosed {
+            return err(line, "unclosed string; expected closing '\"'");
+        }
+        let text = self.text.to_mut();
+        text.push('\n');
+        text.push_str(next);
+        Ok(true)
+    }
+
+    /// Skips whitespace and comments. With `pull` (where a value is
+    /// still open), the end of the text pulls in the next line.
+    fn skip_ws(&mut self, pull: bool) -> Result<(), ParseError> {
+        loop {
+            match self.peek() {
+                Some('\n') => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                Some('#') => {
+                    // Comment inside a multi-line array: skip to newline.
+                    while let Some(c) = self.bump() {
+                        if c == '\n' {
+                            self.line += 1;
+                            break;
+                        }
                     }
                 }
-            } else {
-                break;
+                Some(_) => return Ok(()),
+                None if pull && self.pull()? => {}
+                None => return Ok(()),
             }
         }
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().map(|&(_, c)| c)
-    }
-
     fn parse_value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
+        self.skip_ws(true)?;
         match self.peek() {
             None => err(self.line, "expected a value, found end of input"),
             Some('"') => self.parse_string(),
@@ -284,48 +356,48 @@ impl<'a> ValueCursor<'a> {
     }
 
     fn parse_string(&mut self) -> Result<Value, ParseError> {
-        self.chars.next(); // opening quote
+        self.bump(); // opening quote
         let mut out = String::new();
         loop {
-            match self.chars.next() {
+            match self.bump() {
                 None => return err(self.line, "unclosed string; expected closing '\"'"),
-                Some((_, '"')) => return Ok(Value::Str(out)),
-                Some((_, '\n')) => {
+                Some('"') => return Ok(Value::Str(out)),
+                Some('\n') => {
                     return err(self.line, "newline inside string; expected closing '\"'")
                 }
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, c)) => {
+                Some('\\') => match self.bump() {
+                    Some('n') => out.push('\n'),
+                    Some('t') => out.push('\t'),
+                    Some('r') => out.push('\r'),
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some(c) => {
                         return err(self.line, format!("unsupported escape '\\{c}' in string"))
                     }
                     None => return err(self.line, "unclosed string; expected closing '\"'"),
                 },
-                Some((_, c)) => out.push(c),
+                Some(c) => out.push(c),
             }
         }
     }
 
     fn parse_array(&mut self) -> Result<Value, ParseError> {
-        self.chars.next(); // opening bracket
+        self.bump(); // opening bracket
         let mut items = Vec::new();
         loop {
-            self.skip_ws();
+            self.skip_ws(true)?;
             match self.peek() {
                 None => return err(self.line, "unclosed array; expected ']'"),
                 Some(']') => {
-                    self.chars.next();
+                    self.bump();
                     return Ok(Value::Array(items));
                 }
                 Some(',') if !items.is_empty() => {
-                    self.chars.next();
-                    self.skip_ws();
+                    self.bump();
+                    self.skip_ws(true)?;
                     // Trailing comma before ']' is fine.
                     if self.peek() == Some(']') {
-                        self.chars.next();
+                        self.bump();
                         return Ok(Value::Array(items));
                     }
                     items.push(self.parse_value()?);
@@ -343,16 +415,14 @@ impl<'a> ValueCursor<'a> {
     }
 
     fn parse_scalar(&mut self) -> Result<Value, ParseError> {
-        let start = self.chars.peek().map(|&(i, _)| i).unwrap_or(0);
-        let mut end = start;
-        while let Some(&(i, c)) = self.chars.peek() {
+        let start = self.pos;
+        while let Some(c) = self.peek() {
             if c == ',' || c == ']' || c == '\n' || c == '#' {
                 break;
             }
-            end = i + c.len_utf8();
-            self.chars.next();
+            self.pos += c.len_utf8();
         }
-        let tok = self.text[start..end].trim();
+        let tok = self.text[start..self.pos].trim();
         if tok.is_empty() {
             return err(self.line, "expected a value");
         }
@@ -361,7 +431,11 @@ impl<'a> ValueCursor<'a> {
             "false" => return Ok(Value::Bool(false)),
             _ => {}
         }
-        let num = tok.replace('_', "");
+        let num = if tok.contains('_') {
+            Cow::Owned(tok.replace('_', ""))
+        } else {
+            Cow::Borrowed(tok)
+        };
         if let Ok(i) = num.parse::<i64>() {
             return Ok(Value::Int(i));
         }
@@ -380,31 +454,36 @@ impl<'a> ValueCursor<'a> {
         )
     }
 
-    /// Checks nothing but whitespace/comments remains, then returns the
-    /// number of lines consumed.
-    fn finish(mut self) -> Result<usize, ParseError> {
-        self.skip_ws();
+    /// Checks nothing but whitespace/comments remains on the value's
+    /// last line.
+    fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws(false)?;
         if let Some(c) = self.peek() {
             return err(self.line, format!("unexpected '{c}' after value"));
         }
-        Ok(self.line)
+        Ok(())
     }
 }
 
 /// Parses a document. Every error names the offending line.
 pub fn parse(text: &str) -> Result<Doc, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut doc = Doc::default();
-    let mut i = 0usize;
-    while i < lines.len() {
-        let lineno = i + 1;
-        let (content, unclosed) = strip_comment(lines[i]);
+    let mut doc = Doc {
+        root: Table {
+            path: Vec::new(),
+            array: false,
+            line: 1,
+            entries: Vec::new(),
+        },
+        tables: Vec::new(),
+    };
+    let mut lines = text.lines().zip(1usize..);
+    while let Some((line, lineno)) = lines.next() {
+        let (content, unclosed) = strip_comment(line);
         if unclosed {
             return err(lineno, "unclosed string; expected closing '\"'");
         }
         let content = content.trim();
         if content.is_empty() {
-            i += 1;
             continue;
         }
         if let Some(rest) = content.strip_prefix("[[") {
@@ -418,7 +497,6 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
                 line: lineno,
                 entries: Vec::new(),
             });
-            i += 1;
             continue;
         }
         if let Some(rest) = content.strip_prefix('[') {
@@ -435,7 +513,6 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
                 line: lineno,
                 entries: Vec::new(),
             });
-            i += 1;
             continue;
         }
 
@@ -446,57 +523,21 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
                 format!("expected 'key = value', a [table] header, or a comment; got '{content}'"),
             );
         };
-        let raw_key = content[..eq].trim();
-        let key = parse_key(raw_key, lineno)?;
-        let after = &content[eq + 1..];
-        // The value may continue over following lines (multi-line
-        // arrays): join lines until the cursor consumes a full value.
-        let mut span = String::from(after);
-        let mut consumed = 0usize;
-        loop {
-            let cur = ValueCursor::new(&span, lineno);
-            let mut probe = cur;
-            match probe.parse_value() {
-                Ok(v) => match probe.finish() {
-                    Ok(_) => {
-                        push_entry(&mut doc, key.clone(), v, lineno)?;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                },
-                Err(e) => {
-                    // An unclosed array may legitimately continue on
-                    // the next line; anything else is fatal.
-                    let continuable = e.msg.starts_with("unclosed array")
-                        || e.msg.starts_with("expected a value, found end of input");
-                    if continuable && i + 1 + consumed < lines.len() {
-                        consumed += 1;
-                        let (next, unclosed) = strip_comment(lines[i + consumed]);
-                        if unclosed {
-                            return err(
-                                lineno + consumed,
-                                "unclosed string; expected closing '\"'",
-                            );
-                        }
-                        span.push('\n');
-                        span.push_str(next);
-                    } else {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        i += 1 + consumed;
+        let key = parse_key(content[..eq].trim(), lineno)?;
+        let mut cur = ValueCursor::new(&content[eq + 1..], lineno, &mut lines);
+        let value = cur.parse_value()?;
+        cur.finish()?;
+        push_entry(&mut doc, key, value, lineno)?;
     }
     Ok(doc)
 }
 
 fn find_eq(content: &str) -> Option<usize> {
     let mut in_str = false;
-    for (i, c) in content.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '=' if !in_str => return Some(i),
+    for (i, &b) in content.as_bytes().iter().enumerate() {
+        match b {
+            b'"' => in_str = !in_str,
+            b'=' if !in_str => return Some(i),
             _ => {}
         }
     }
@@ -516,7 +557,7 @@ fn parse_key(raw: &str, line: usize) -> Result<String, ParseError> {
         }
         return Ok(inner.to_string());
     }
-    if !raw.chars().all(is_bare_key_char) {
+    if !raw.bytes().all(is_bare_key_byte) {
         return err(
             line,
             format!(
@@ -530,7 +571,7 @@ fn parse_key(raw: &str, line: usize) -> Result<String, ParseError> {
 fn push_entry(doc: &mut Doc, key: String, value: Value, line: usize) -> Result<(), ParseError> {
     let slot = match doc.tables.last_mut() {
         Some(t) => &mut t.entries,
-        None => &mut doc.root,
+        None => &mut doc.root.entries,
     };
     if slot.iter().any(|e| e.key == key) {
         return err(line, format!("key '{key}' set twice in the same table"));
@@ -542,7 +583,7 @@ fn push_entry(doc: &mut Doc, key: String, value: Value, line: usize) -> Result<(
 impl Doc {
     /// Looks up a root entry by key.
     pub fn get(&self, key: &str) -> Option<&Entry> {
-        self.root.iter().find(|e| e.key == key)
+        self.root.get(key)
     }
 
     /// The single non-array table named `name`, if present.
@@ -560,24 +601,38 @@ impl Doc {
             .collect()
     }
 
-    /// `[[parent.child]]` tables belonging to the `idx`-th `[[parent]]`
-    /// (i.e. appearing after it and before the next `[[parent]]`).
-    pub fn sub_tables(&self, parent: &str, idx: usize, child: &str) -> Vec<&Table> {
-        let mut parent_seen = 0usize;
-        let mut out = Vec::new();
-        for t in &self.tables {
-            if t.array && t.path.len() == 1 && t.path[0] == parent {
-                parent_seen += 1;
-            } else if t.array
-                && t.path.len() == 2
-                && t.path[0] == parent
-                && t.path[1] == child
-                && parent_seen == idx + 1
-            {
-                out.push(t);
+    /// Every `[[parent]]` table with the range of tables its
+    /// `[[parent.child]]` sub-tables sit in (up to the next
+    /// `[[parent]]`), found in one pass. A sub-table that comes before
+    /// every `[[parent]]` belongs to none and fails at its line.
+    pub fn families(&self, parent: &str) -> Result<Vec<Family<'_>>, ParseError> {
+        let mut starts = Vec::new();
+        for (i, t) in self.tables.iter().enumerate() {
+            if !t.array || t.path[0] != parent {
+                continue;
+            }
+            if t.path.len() == 1 {
+                starts.push(i);
+            } else if starts.is_empty() {
+                return err(
+                    t.line,
+                    format!(
+                        "[[{}]] comes before every [[{parent}]] table; a sub-table belongs \
+                         to the [[{parent}]] above it",
+                        t.path.join(".")
+                    ),
+                );
             }
         }
-        out
+        let ends = starts.iter().skip(1).copied().chain([self.tables.len()]);
+        Ok(starts
+            .iter()
+            .zip(ends)
+            .map(|(&s, e)| Family {
+                table: &self.tables[s],
+                range: &self.tables[s + 1..e],
+            })
+            .collect())
     }
 
     /// Rewrites one value addressed by a dotted path — the sweep
@@ -595,7 +650,7 @@ impl Doc {
         let segs: Vec<&str> = path.split('.').collect();
         match segs.as_slice() {
             [key] => {
-                set_in(&mut self.root, key, value, line);
+                set_in(&mut self.root.entries, key, value, line);
                 Ok(())
             }
             [table, key] => {
@@ -725,6 +780,72 @@ fer = 0.02
         );
     }
 
+    /// The parser before values pulled their continuation lines: each
+    /// time a value ran past the text so far, it re-parsed the joined
+    /// lines from the start. Returns what it parsed and the lines after
+    /// the first that it used.
+    fn restart_reference(first: &str, rest: &[&str]) -> (Result<Value, ParseError>, usize) {
+        let mut span = first.to_string();
+        let mut used = 0;
+        loop {
+            let mut none = std::iter::empty();
+            let mut cur = ValueCursor::new(&span, 1, &mut none);
+            let e = match cur.parse_value() {
+                Ok(v) => return (cur.finish().map(|_| v), used),
+                Err(e) => e,
+            };
+            let continuable = e.msg.starts_with("unclosed array")
+                || e.msg.starts_with("expected a value, found end of input");
+            if !continuable || used == rest.len() {
+                return (Err(e), used);
+            }
+            let (next, unclosed) = strip_comment(rest[used]);
+            used += 1;
+            if unclosed {
+                return (
+                    err(1 + used, "unclosed string; expected closing '\"'"),
+                    used,
+                );
+            }
+            span.push('\n');
+            span.push_str(next);
+        }
+    }
+
+    /// Pulling continuation lines on demand parses every value, and
+    /// fails on every bad one, exactly as re-parsing the joined lines
+    /// did, and uses the same lines.
+    #[test]
+    fn pulled_lines_parse_like_rejoined_ones() {
+        const PARTS: &[&str] = &[
+            "[", "]", ",", " ", "\t", "1", "2.5", "1_000", "-", "true", "nope", "\"s\"", "\"a#b\"",
+            "\"\\\"\"", "\"open", "# note", "[1,", "]]", "", "0x1f",
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let lines: Vec<String> = (0..1 + next(6))
+                .map(|_| (0..next(5)).map(|_| PARTS[next(PARTS.len())]).collect())
+                .collect();
+            let (first, rest) = (lines[0].as_str(), &lines[1..]);
+            let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+            let (want, want_used) = restart_reference(first, &rest);
+            let mut more = rest.iter().copied().zip(2usize..);
+            let mut cur = ValueCursor::new(first, 1, &mut more);
+            let got = cur.parse_value().and_then(|v| cur.finish().map(|_| v));
+            let used = rest.len() - more.count();
+            assert_eq!(got, want, "for {lines:?}");
+            if want.is_ok() {
+                assert_eq!(used, want_used, "for {lines:?}");
+            }
+        }
+    }
+
     #[test]
     fn quoted_and_dotted_keys() {
         let doc = parse("[sweep]\n\"station.1.rate\" = [1, 2]\nstation.0.fer = 0.5\n").unwrap();
@@ -786,7 +907,29 @@ fer = 0.02
             "[[station]]\nrate = \"11\"\n[[station.flow]]\ntransport = \"tcp\"\n[[station.flow]]\ntransport = \"udp\"\n[[station]]\nrate = \"1\"\n",
         )
         .unwrap();
-        assert_eq!(doc.sub_tables("station", 0, "flow").len(), 2);
-        assert_eq!(doc.sub_tables("station", 1, "flow").len(), 0);
+        let stations = doc.families("station").unwrap();
+        assert_eq!(stations.len(), 2);
+        assert_eq!(stations[0].children("flow").count(), 2);
+        assert_eq!(stations[1].children("flow").count(), 0);
+        // Other tables between a parent and its children do not end the
+        // parent's range; the next parent does.
+        let doc =
+            parse("[[station]]\n[[cells]]\n[[station.mobility]]\n[[station]]\n[[station.flow]]\n")
+                .unwrap();
+        let stations = doc.families("station").unwrap();
+        assert_eq!(stations[0].children("mobility").count(), 1);
+        assert_eq!(stations[0].children("flow").count(), 0);
+        assert_eq!(
+            stations[1]
+                .children("flow")
+                .map(|t| t.line)
+                .collect::<Vec<_>>(),
+            [5]
+        );
+        // A sub-table above every parent belongs to none.
+        let doc = parse("[[station.flow]]\n[[station]]\n").unwrap();
+        let e = doc.families("station").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.msg.contains("comes before every [[station]]"), "{e}");
     }
 }

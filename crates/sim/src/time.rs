@@ -137,9 +137,13 @@ impl SimDuration {
     /// the next nanosecond so airtime is never under-counted.
     pub fn for_bits(bits: u64, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "rate must be positive");
-        // ceil(bits * 1e9 / rate) using u128 to avoid overflow.
-        let ns = (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128);
-        SimDuration(ns as u64)
+        // ceil(bits * 1e9 / rate) in u64 whenever the product fits (every
+        // frame does); only a product past u64 takes the slower u128 path.
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(n) => n.div_ceil(bits_per_sec),
+            None => (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128) as u64,
+        };
+        SimDuration(ns)
     }
 
     /// Saturating subtraction.
@@ -310,6 +314,42 @@ mod tests {
                                              // Exact division does not round up.
         let d = SimDuration::for_bits(8, 1_000_000);
         assert_eq!(d.as_nanos(), 8_000);
+    }
+
+    /// The u64 fast path and its u128 fallback agree with the plain
+    /// u128 formula, on both sides of the overflow boundary.
+    #[test]
+    fn for_bits_matches_the_wide_formula() {
+        let wide =
+            |bits: u64, rate: u64| ((bits as u128 * 1_000_000_000).div_ceil(rate as u128)) as u64;
+        let edge = u64::MAX / 1_000_000_000;
+        let bits = [
+            0,
+            1,
+            8,
+            12_000,
+            999_999_999,
+            1_000_000_000,
+            edge - 1,
+            edge,
+            edge + 1,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let rates = [1, 2, 3, 999, 1_000_000, 11_000_000, 54_000_000, u64::MAX];
+        for b in bits {
+            for r in rates {
+                assert_eq!(
+                    SimDuration::for_bits(b, r).as_nanos(),
+                    wide(b, r),
+                    "{b} bits at {r}"
+                );
+            }
+        }
+        // `edge` is the last product that fits in u64.
+        assert!(edge.checked_mul(1_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(1_000_000_000).is_none());
     }
 
     #[test]
