@@ -255,21 +255,12 @@ fn recall<K: Copy + PartialEq>(
     v
 }
 
-/// One memo per link when some link's FER follows its SNR; none while
-/// every FER is a constant.
-fn fer_memos(links: &[LinkErrorModel]) -> Vec<FerMemo> {
-    let snr = links
-        .iter()
-        .any(|l| matches!(l, LinkErrorModel::Snr { .. }));
-    vec![FerMemo::default(); if snr { links.len() } else { 0 }]
-}
-
 /// The shared-medium DCF world: all stations plus the channel.
 pub struct DcfWorld {
     config: DcfConfig,
     links: Vec<LinkErrorModel>,
     /// Per link, the FERs its model has produced ([`DcfWorld::set_link`]
-    /// forgets a link's), made by `fer_memos`.
+    /// forgets a link's).
     fer_memo: Vec<FerMemo>,
     stations: Vec<Station>,
     rng: SimRng,
@@ -328,7 +319,7 @@ impl DcfWorld {
         let cw_min = config.phy.cw_min;
         DcfWorld {
             config,
-            fer_memo: fer_memos(&links),
+            fer_memo: vec![FerMemo::default(); n],
             links,
             stations: (0..n)
                 .map(|_| Station {
@@ -391,10 +382,7 @@ impl DcfWorld {
     /// Replaces the error model of `node`'s link (e.g. mobility).
     pub fn set_link(&mut self, node: NodeId, link: LinkErrorModel) {
         self.links[node.index()] = link;
-        match self.fer_memo.get_mut(node.index()) {
-            Some(memo) => *memo = FerMemo::default(),
-            None => self.fer_memo = fer_memos(&self.links),
-        }
+        self.fer_memo[node.index()] = FerMemo::default();
     }
 
     /// Channel occupancy attributed to client `node` so far — the
@@ -833,20 +821,11 @@ impl DcfWorld {
             let client = self.client_of(&frame);
             let link = self.links[client];
             let on_air_bytes = frame.msdu_bytes + airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES;
-            let data_lost = {
-                let fer = match self.fer_memo.get_mut(client) {
-                    Some(memo) => memo.data_fer(link, frame.rate, on_air_bytes),
-                    None => link.data_fer(frame.rate, on_air_bytes),
-                };
-                self.rng.chance(fer)
-            };
-            let ack_lost = !data_lost && {
-                let fer = match self.fer_memo.get_mut(client) {
-                    Some(memo) => memo.ack_fer(link, frame.rate),
-                    None => link.ack_fer(frame.rate),
-                };
-                self.rng.chance(fer)
-            };
+            let memo = &mut self.fer_memo[client];
+            let data_lost = self
+                .rng
+                .chance(memo.data_fer(link, frame.rate, on_air_bytes));
+            let ack_lost = !data_lost && self.rng.chance(memo.ack_fer(link, frame.rate));
             let on_air = frame.msdu_bytes + airtime_phy::timing::MAC_DATA_OVERHEAD_BYTES;
             let protected = self.config.rts_threshold.is_some_and(|th| on_air > th);
             let handshake = if protected {
@@ -1153,7 +1132,6 @@ mod tests {
         };
         let links = vec![LinkErrorModel::FixedFer(0.1); 4];
         let mut world = DcfWorld::new(config, links, SimRng::new(1));
-        assert!(world.fer_memo.is_empty(), "constant FERs need no memo");
         let mut rng = SimRng::new(7);
         let pick = |rng: &mut SimRng, n: usize| rng.below(n as u64) as usize;
         for step in 0..20_000 {
@@ -1171,9 +1149,7 @@ mod tests {
             let rate = rates[pick(&mut rng, rates.len())];
             let bytes = sizes[pick(&mut rng, sizes.len())];
             let link = world.links[client];
-            let Some(memo) = world.fer_memo.get_mut(client) else {
-                continue;
-            };
+            let memo = &mut world.fer_memo[client];
             // The second query of the pair reads the memo.
             for _ in 0..2 {
                 assert_eq!(
@@ -1192,6 +1168,5 @@ mod tests {
                 .contains(&Some(((rate, bytes), link.data_fer(rate, bytes)))));
             assert!(memo.ack.contains(&Some((rate, link.ack_fer(rate)))));
         }
-        assert_eq!(world.fer_memo.len(), 4, "an SNR link creates the memo");
     }
 }

@@ -963,10 +963,12 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         // repeating-pattern cell). Placements replicate in lockstep.
         origin = (0..n as usize).map(|s| origin[s % origin.len()]).collect();
     }
-    // Unless `count` or `station_count` replicated a table, the compiled
-    // stations move into the config instead of being cloned.
+    // When every table stands for exactly its own station, in order, the
+    // compiled stations move into the config instead of being cloned. A
+    // length check alone is not enough: `count = 2` on the first table
+    // truncated by `station_count` also has one origin per table.
     let placements: Vec<_>;
-    (cfg.stations, placements) = if origin.len() == declared.len() {
+    (cfg.stations, placements) = if origin.iter().copied().eq(0..declared.len()) {
         declared.into_iter().unzip()
     } else {
         origin.iter().map(|&i| declared[i].clone()).unzip()
@@ -1333,6 +1335,48 @@ x_ft = 60
         assert_eq!(topo.placements[1].position.x_ft, 60.0);
         assert_eq!(topo.placements[2].position.x_ft, 30.0);
         assert_eq!(topo.placements[3].position.x_ft, 60.0);
+    }
+
+    #[test]
+    fn truncating_station_count_keeps_replicated_tables() {
+        // `count` replicates the first table and `station_count` then
+        // truncates to as many stations as there are tables: the stations
+        // are still the replicated ones, not one per table.
+        for (counts, n, want) in [
+            ([2, 1], 2, vec![11.0, 11.0]),
+            ([2, 1], 3, vec![11.0, 11.0, 1.0]),
+            ([1, 2], 2, vec![11.0, 1.0]),
+        ] {
+            let text = format!(
+                "station_count = {n}\n[[cells]]\nchannel = 1\n\
+                 [[station]]\nrate = \"11\"\ncount = {}\nx_ft = 30\n\
+                 [[station]]\nrate = \"1\"\ncount = {}\nx_ft = 60\n",
+                counts[0], counts[1]
+            );
+            let spec = compile_text(&text).unwrap();
+            let rates: Vec<f64> = spec
+                .cfg
+                .stations
+                .iter()
+                .map(|s| match s.link {
+                    LinkSpec::Fixed { rate, .. } => rate.mbps(),
+                    _ => panic!("fixed-rate link expected"),
+                })
+                .collect();
+            assert_eq!(rates, want, "counts {counts:?}, station_count {n}");
+            let xs: Vec<f64> = spec
+                .topo
+                .unwrap()
+                .placements
+                .iter()
+                .map(|p| p.position.x_ft)
+                .collect();
+            let want_x: Vec<f64> = want
+                .iter()
+                .map(|&r| if r == 11.0 { 30.0 } else { 60.0 })
+                .collect();
+            assert_eq!(xs, want_x, "counts {counts:?}, station_count {n}");
+        }
     }
 
     #[test]
