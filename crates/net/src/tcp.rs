@@ -200,16 +200,6 @@ impl TcpSender {
         self.cwnd
     }
 
-    /// Cumulatively acknowledged payload bytes.
-    pub fn acked_bytes(&self) -> u64 {
-        self.highest_acked * self.config.mss
-    }
-
-    /// True once a task-model flow has been fully acknowledged.
-    pub fn is_complete(&self) -> bool {
-        self.completed
-    }
-
     /// (sent, retransmitted, timeouts) counters.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.segments_sent, self.retransmits, self.timeouts)
@@ -740,8 +730,6 @@ mod tests {
         fx.clear();
         s.on_ack(SimTime::from_millis(2), 3, &mut fx);
         assert!(fx.contains(&SenderEffect::Complete));
-        assert!(s.is_complete());
-        assert_eq!(s.acked_bytes(), 3 * mss);
         // No further sends after completion.
         assert!(s.poll_packet(SimTime::from_millis(3), &mut fx).is_none());
     }

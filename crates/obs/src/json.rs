@@ -143,19 +143,6 @@ pub fn array_u64(xs: &[u64]) -> String {
     s
 }
 
-/// Renders a slice of strings as a JSON array.
-pub fn array_str<S: AsRef<str>>(xs: &[S]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", escape(x.as_ref()));
-    }
-    s.push(']');
-    s
-}
-
 /// Renders an `f64` slice as a JSON array.
 pub fn array_f64(xs: &[f64]) -> String {
     let mut s = String::from("[");

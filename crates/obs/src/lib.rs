@@ -22,7 +22,8 @@
 //! hook while [`Observer::active`] is true. [`SpanCollector`],
 //! [`FlightRecorder`], [`AirtimeLedger`] and [`ChromeTraceObserver`]
 //! list exactly the hooks they override, and [`TeeObserver`] wants the
-//! union of its sides.
+//! union of its sides. An `Option` of an observer is one too (`None`
+//! wants nothing), so a tee of options composes optional sinks.
 //!
 //! [`MetricsRegistry`] complements the event stream with named
 //! counters, gauges, and histograms plus a periodic snapshot series,

@@ -201,7 +201,6 @@ impl Observer for NullObserver {
 #[derive(Debug)]
 pub struct JsonlObserver<W: Write> {
     out: W,
-    records: u64,
     error: Option<io::Error>,
 }
 
@@ -217,16 +216,7 @@ impl JsonlObserver<BufWriter<File>> {
 impl<W: Write> JsonlObserver<W> {
     /// Wraps an arbitrary writer.
     pub fn new(out: W) -> Self {
-        JsonlObserver {
-            out,
-            records: 0,
-            error: None,
-        }
-    }
-
-    /// How many records have been written so far.
-    pub fn records(&self) -> u64 {
-        self.records
+        JsonlObserver { out, error: None }
     }
 
     fn write(&mut self, rec: EventRecord) {
@@ -239,9 +229,7 @@ impl<W: Write> JsonlObserver<W> {
             // Remember the first error; finish() reports it. Dropping
             // subsequent records beats aborting a long simulation.
             self.error = Some(e);
-            return;
         }
-        self.records += 1;
     }
 
     /// Consumes the observer and returns the inner writer (flushed).
@@ -454,6 +442,60 @@ impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
     }
 }
 
+/// Forwards a record hook to the observer, if there is one.
+macro_rules! option_forward {
+    ($($hook:ident),*) => {
+        $(fn $hook(&mut self, rec: EventRecord) {
+            if let Some(o) = self {
+                o.$hook(rec);
+            }
+        })*
+    };
+}
+
+/// An absent observer is inactive and wants nothing; a present one
+/// behaves as itself. A sink that a flag may or may not ask for is an
+/// `Option`, and a [`TeeObserver`] of such options composes them.
+impl<O: Observer> Observer for Option<O> {
+    fn active(&self) -> bool {
+        self.as_ref().is_some_and(O::active)
+    }
+
+    fn wants(&self, hook: Hook) -> bool {
+        self.as_ref().is_some_and(|o| o.wants(hook))
+    }
+
+    option_forward!(
+        on_mac_event,
+        on_tx_attempt,
+        on_collision,
+        on_backoff,
+        on_sched_decision,
+        on_token_update,
+        on_tcp_event,
+        on_queue_change,
+        on_airtime_slice,
+        on_frame_span,
+        on_run_mark
+    );
+
+    fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
+        if let Some(o) = self {
+            o.on_dispatch(t, seq, label);
+        }
+    }
+
+    fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
+        if let Some(o) = self {
+            o.on_handoff(t, station, from, to);
+        }
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.as_mut().map_or(Ok(()), O::finish)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +524,6 @@ mod tests {
         assert!(o.active());
         o.on_mac_event(sample(1));
         o.on_tx_attempt(sample(2));
-        assert_eq!(o.records(), 2);
         let buf = o.into_inner().unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -570,6 +611,23 @@ mod tests {
         assert_eq!(o.b.events.len(), 2);
     }
 
+    #[test]
+    fn an_optional_observer_is_itself_or_nothing() {
+        let mut none: Option<MemoryObserver> = None;
+        assert!(!none.active());
+        assert!(Hook::ALL.iter().all(|&h| !none.wants(h)));
+        none.on_mac_event(sample(1));
+        assert!(none.finish().is_ok());
+        let mut some = Some(RunMarksOnly::default());
+        assert!(some.active());
+        assert!(some.wants(Hook::RunMark) && !some.wants(Hook::MacEvent));
+        some.on_mac_event(sample(1));
+        assert_eq!(some.as_ref().map(|o| o.calls), Some(1));
+        let mut failing = Some(JsonlObserver::new(FailingWriter));
+        failing.on_mac_event(sample(1));
+        assert!(failing.finish().is_err());
+    }
+
     struct FailingWriter;
 
     impl Write for FailingWriter {
@@ -587,7 +645,6 @@ mod tests {
         let mut o = JsonlObserver::new(FailingWriter);
         o.on_mac_event(sample(1));
         o.on_mac_event(sample(2));
-        assert_eq!(o.records(), 0);
         assert!(o.finish().is_err());
         // The error is reported once, then cleared.
         assert!(o.finish().is_ok());

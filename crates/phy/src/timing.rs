@@ -75,12 +75,6 @@ impl Phy80211b {
         self.sifs + self.slot * 2
     }
 
-    /// EIFS = SIFS + ACK-at-lowest-rate + DIFS, the deferral applied after
-    /// a frame the station could not decode (e.g. a collision).
-    pub fn eifs(&self) -> SimDuration {
-        self.sifs + self.ack_tx_time(DataRate::B1) + self.difs()
-    }
-
     /// PLCP preamble + header duration for a DSSS/CCK transmission.
     ///
     /// The 1 Mbit/s rate always uses the long preamble, regardless of the
@@ -194,8 +188,6 @@ mod tests {
     fn interframe_spaces() {
         let phy = Phy80211b::default();
         assert_eq!(phy.difs().as_micros(), 50);
-        // EIFS = 10 + (192 + 112) + 50 = 364 µs.
-        assert_eq!(phy.eifs().as_micros(), 364);
     }
 
     #[test]

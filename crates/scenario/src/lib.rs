@@ -48,6 +48,11 @@ pub mod verify;
 use std::fmt;
 use std::path::Path;
 
+use airtime_obs::{
+    fp_hex, AirtimeLedger, AuditReport, FlightRecorder, SpanCollector, StationDelays, TeeObserver,
+};
+use airtime_topo::TopoReport;
+
 pub use aggregate::{Cell, CellStation, CheckOutcome, RoamSummary};
 pub use pool::PoolStats;
 pub use spec::{CheckProperty, CheckSpec, ScenarioSpec, MAX_DURATION_SECS};
@@ -166,6 +171,75 @@ pub fn combine_fps(fps: impl Iterator<Item = u64>) -> u64 {
     fps.fold(FNV_OFFSET, |acc, fp| (acc ^ fp).wrapping_mul(FNV_PRIME))
 }
 
+/// Runs one single-cell job and reduces it to its [`Cell`], returning
+/// the per-station span summary the cell was built from.
+///
+/// Span collection rides along (observation is effect-only: the RNG
+/// stream is untouched, so observed runs stay byte-identical to
+/// unobserved ones), and so does a capacity-0 flight recorder — pure
+/// fingerprinting, no event retention — so every cell carries a
+/// determinism fingerprint and 1-vs-N-thread comparisons localize.
+pub fn run_cell(
+    index: usize,
+    coords: Vec<(String, String)>,
+    spec: &ScenarioSpec,
+) -> (Cell, Vec<StationDelays>) {
+    let mut obs = TeeObserver::new(SpanCollector::new(), FlightRecorder::new().with_capacity(0));
+    let report = airtime_wlan::run_observed(&spec.cfg, &mut obs);
+    let delays = obs.a.summary();
+    let mut cell = aggregate::aggregate(index, coords, spec, &report, &delays);
+    cell.fp = Some(fp_hex(obs.b.fingerprint()));
+    (cell, delays)
+}
+
+/// One radio cell's observers in a topology run: a span collector and
+/// an airtime ledger (`a.a`, `a.b`) and a flight-recorder lane (`b`).
+pub type TopologyLane = TeeObserver<TeeObserver<SpanCollector, AirtimeLedger>, FlightRecorder>;
+
+/// A finished topology job: its [`Cell`] plus what was folded into it.
+pub struct TopologyRun {
+    /// The aggregated cell, fingerprint set.
+    pub cell: Cell,
+    /// The engine's report.
+    pub report: TopoReport,
+    /// Each radio cell's ledger audit, in cell order.
+    pub audits: Vec<AuditReport>,
+    /// Each radio cell's observers, in cell order.
+    pub lanes: Vec<TopologyLane>,
+}
+
+/// Runs one topology job (`spec.topo` must be set) and reduces it to
+/// its [`Cell`]. The ledgers audit each radio cell's own timeline, and
+/// the recorder lanes, each retaining up to `ring` events, give
+/// per-cell sub-fingerprints that fold into the cell's fingerprint.
+pub fn run_topology_cell(
+    index: usize,
+    coords: Vec<(String, String)>,
+    spec: &ScenarioSpec,
+    ring: usize,
+) -> TopologyRun {
+    let topo = spec.topo.as_ref().expect("a topology scenario");
+    let mut lanes: Vec<TopologyLane> = (0..topo.cells.len())
+        .map(|c| {
+            TeeObserver::new(
+                TeeObserver::new(SpanCollector::new(), AirtimeLedger::new()),
+                FlightRecorder::new().with_capacity(ring).for_cell(c as u64),
+            )
+        })
+        .collect();
+    let report = airtime_topo::run_topology(topo, &mut lanes);
+    let delays: Vec<_> = lanes.iter().map(|o| o.a.a.summary()).collect();
+    let audits: Vec<_> = lanes.iter().map(|o| o.a.b.audit()).collect();
+    let mut cell = aggregate::aggregate_topology(index, coords, spec, &report, &delays, &audits);
+    cell.fp = Some(fp_hex(combine_fps(lanes.iter().map(|o| o.b.fingerprint()))));
+    TopologyRun {
+        cell,
+        report,
+        audits,
+        lanes,
+    }
+}
+
 /// Expands and executes a parsed document on `threads` workers.
 pub fn run_sweep(
     doc: &toml::Doc,
@@ -179,63 +253,10 @@ pub fn run_sweep(
         .unwrap_or_else(|| "scenario".to_string());
     let strict = jobs.first().map(|j| j.spec.check.strict).unwrap_or(false);
     let (cells, stats) = pool::run_parallel(&jobs, threads, |_, job| {
-        // Collect frame-lifecycle spans alongside the run: observation
-        // is effect-only (the RNG stream is untouched), so observed
-        // sweeps stay byte-identical to unobserved ones. A capacity-0
-        // flight recorder rides along too — pure fingerprinting, no
-        // event retention — so every sweep cell carries a determinism
-        // fingerprint and the 1-vs-N-thread comparisons localize.
-        match &job.spec.topo {
-            None => {
-                let mut obs = airtime_obs::TeeObserver::new(
-                    airtime_obs::SpanCollector::new(),
-                    airtime_obs::FlightRecorder::new().with_capacity(0),
-                );
-                let report = airtime_wlan::run_observed(&job.spec.cfg, &mut obs);
-                let mut cell = aggregate::aggregate(
-                    job.index,
-                    job.coords.clone(),
-                    &job.spec,
-                    &report,
-                    &obs.a.summary(),
-                );
-                cell.fp = Some(airtime_obs::fp_hex(obs.b.fingerprint()));
-                cell
-            }
-            Some(topo) => {
-                // One span collector, one airtime ledger, and one
-                // flight-recorder lane per radio cell; the ledgers
-                // audit each cell's own timeline, the recorder lanes
-                // give per-cell sub-fingerprints.
-                let mut obs: Vec<_> = (0..topo.cells.len())
-                    .map(|c| {
-                        airtime_obs::TeeObserver::new(
-                            airtime_obs::TeeObserver::new(
-                                airtime_obs::SpanCollector::new(),
-                                airtime_obs::AirtimeLedger::new(),
-                            ),
-                            airtime_obs::FlightRecorder::new()
-                                .with_capacity(0)
-                                .for_cell(c as u64),
-                        )
-                    })
-                    .collect();
-                let tr = airtime_topo::run_topology(topo, &mut obs);
-                let delays: Vec<_> = obs.iter().map(|o| o.a.a.summary()).collect();
-                let audits: Vec<_> = obs.iter().map(|o| o.a.b.audit()).collect();
-                let mut cell = aggregate::aggregate_topology(
-                    job.index,
-                    job.coords.clone(),
-                    &job.spec,
-                    &tr,
-                    &delays,
-                    &audits,
-                );
-                cell.fp = Some(airtime_obs::fp_hex(combine_fps(
-                    obs.iter().map(|o| o.b.fingerprint()),
-                )));
-                cell
-            }
+        let coords = job.coords.clone();
+        match job.spec.topo {
+            None => run_cell(job.index, coords, &job.spec).0,
+            Some(_) => run_topology_cell(job.index, coords, &job.spec, 0).cell,
         }
     });
     let outcome = SweepOutcome {

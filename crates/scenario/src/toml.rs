@@ -37,7 +37,10 @@
 //! without string-level templating.
 
 use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
@@ -474,8 +477,13 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
             line: 1,
             entries: Vec::new(),
         },
-        tables: Vec::new(),
+        // Sized by the lines that open with '[', most of them headers.
+        tables: Vec::with_capacity(text.matches("\n[").count() + 1),
     };
+    // The hashes of the `[table]` paths seen so far. A repeated hash is
+    // confirmed against the tables themselves, so the check stays exact
+    // and each header costs one lookup.
+    let mut single_paths = HashSet::new();
     let mut lines = text.lines().zip(1usize..);
     while let Some((line, lineno)) = lines.next() {
         let (content, unclosed) = strip_comment(line);
@@ -504,7 +512,11 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
                 return err(lineno, "expected ']' closing the table header");
             };
             let path = parse_header_path(body, lineno)?;
-            if doc.tables.iter().any(|t| !t.array && t.path == path) {
+            let mut h = DefaultHasher::new();
+            path.hash(&mut h);
+            if !single_paths.insert(h.finish())
+                && doc.tables.iter().any(|t| !t.array && t.path == path)
+            {
                 return err(lineno, format!("table [{body}] defined twice"));
             }
             doc.tables.push(Table {

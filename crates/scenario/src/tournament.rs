@@ -347,16 +347,7 @@ pub fn run_tournament(
     };
     let jobs = expand_tournament(&base, &tspec);
     let (rows, stats) = pool::run_parallel(&jobs, threads, |_, job| {
-        // Same observation rig as the sweep engine: span collection is
-        // effect-only and the capacity-0 recorder fingerprints the run,
-        // so observed rows are byte-identical to unobserved ones.
-        let mut obs = airtime_obs::TeeObserver::new(
-            airtime_obs::SpanCollector::new(),
-            airtime_obs::FlightRecorder::new().with_capacity(0),
-        );
-        let report = airtime_wlan::run_observed(&job.spec.cfg, &mut obs);
-        let delays = obs.a.summary();
-        let cell = aggregate::aggregate(job.index, Vec::new(), &job.spec, &report, &delays);
+        let (cell, delays) = crate::run_cell(job.index, Vec::new(), &job.spec);
         let stations = cell
             .stations
             .iter()
@@ -382,7 +373,7 @@ pub fn run_tournament(
             jain_throughput: cell.jain_throughput,
             jain_airtime: cell.jain_airtime,
             check: cell.check,
-            fp: airtime_obs::fp_hex(obs.b.fingerprint()),
+            fp: cell.fp.expect("run_cell sets the fingerprint"),
         }
     });
     let strict_failure = base.check.strict

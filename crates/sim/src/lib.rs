@@ -12,8 +12,7 @@
 //! - [`rng`]: a seedable random-number wrapper ([`SimRng`]) with independent
 //!   substreams so adding randomness to one component does not perturb
 //!   another.
-//! - [`stats`]: counters, running mean/variance with confidence intervals,
-//!   time-weighted averages, rate meters and histograms used by every
+//! - [`stats`]: rate meters, histograms and Jain's index used by every
 //!   measurement in the workspace.
 //! - [`profile`]: host-side step timing ([`LoopProfiler`]): per-label
 //!   cost histograms ([`NsHist`]) a driver fills by timing each step
@@ -41,5 +40,5 @@ pub mod time;
 pub use profile::{LoopProfiler, NsHist};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, RateMeter, RunningStats, TimeWeighted};
+pub use stats::{Histogram, RateMeter};
 pub use time::{SimDuration, SimTime};

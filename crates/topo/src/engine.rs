@@ -225,8 +225,9 @@ fn run_topology_inner<O: Observer>(
         outage: vec![SimDuration::ZERO; n_st],
         ..RoamingReport::default()
     };
-    let mut visit_start: Vec<SimTime> = vec![SimTime::ZERO; n_st];
-    let mut bytes_at_join: Vec<u64> = vec![0; n_st];
+    // When each station joined its current cell, and the goodput it
+    // had delivered there by then.
+    let mut joined: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); n_st];
 
     let mut next_tick = SimTime::ZERO + topo.assoc_tick;
     loop {
@@ -284,8 +285,7 @@ fn run_topology_inner<O: Observer>(
             &rssi0,
             next_tick,
             &mut current,
-            &mut visit_start,
-            &mut bytes_at_join,
+            &mut joined,
             &mut roaming,
         );
         phase_done(probe.as_deref_mut(), t0, MANAGEMENT);
@@ -296,16 +296,7 @@ fn run_topology_inner<O: Observer>(
     // visit interval.
     for s in 0..n_st {
         if let Some(c) = current[s] {
-            let bytes = cells[c]
-                .station_goodput_bytes(s)
-                .saturating_sub(bytes_at_join[s]);
-            roaming.visits.push(Visit {
-                station: s,
-                cell: c,
-                from: visit_start[s],
-                to: end,
-                goodput_bytes: bytes,
-            });
+            close_visit(&mut roaming, &cells[c], s, c, joined[s], end);
         }
     }
     let lane_stats: Vec<(u64, u64)> = cells
@@ -323,18 +314,36 @@ fn run_topology_inner<O: Observer>(
     )
 }
 
+/// Closes station `s`'s visit to `cell` (cell index `c`) at `to`,
+/// crediting it the goodput delivered since `joined`.
+fn close_visit<O: Observer>(
+    roaming: &mut RoamingReport,
+    cell: &CellSim<'_, O>,
+    s: usize,
+    c: usize,
+    joined: (SimTime, u64),
+    to: SimTime,
+) {
+    let (from, bytes_at_join) = joined;
+    roaming.visits.push(Visit {
+        station: s,
+        cell: c,
+        from,
+        to,
+        goodput_bytes: cell.station_goodput_bytes(s).saturating_sub(bytes_at_join),
+    });
+}
+
 /// One management-plane tick at `now`: mobility, link refresh,
 /// association policy. `rssi0` is each station's RSSI to every AP at
 /// t = 0, which holds for stations without mobility.
-#[allow(clippy::too_many_arguments)]
 fn management_tick<O: Observer>(
     topo: &TopologyConfig,
     cells: &mut [CellSim<'_, O>],
     rssi0: &[Vec<f64>],
     now: SimTime,
     current: &mut [Option<usize>],
-    visit_start: &mut [SimTime],
-    bytes_at_join: &mut [u64],
+    joined: &mut [(SimTime, u64)],
     roaming: &mut RoamingReport,
 ) {
     let n_cells = topo.cells.len();
@@ -351,80 +360,52 @@ fn management_tick<O: Observer>(
         } else {
             &rssi0[s]
         };
+        // Points the station's link model and, under automatic rate
+        // selection, its PHY rate at cell `c` from where it stands now.
+        let aim = |cell: &mut CellSim<'_, O>, c: usize| {
+            cell.set_station_link(s, topo.link_at(p.distance_ft(topo.cells[c].position)));
+            cell.set_station_rate(s, topo.rate_towards(p, c, placement.rate));
+        };
         // A moving station's channel to its serving AP degrades (or
-        // improves) continuously; refresh the link model and, under
-        // automatic rate selection, the PHY rate.
+        // improves) continuously.
         if moved {
             if let Some(c) = current[s] {
-                let d = p.distance_ft(topo.cells[c].position);
-                cells[c].set_station_link(s, topo.link_at(d));
-                cells[c].set_station_rate(s, topo.rate_towards(p, c, placement.rate));
+                aim(&mut cells[c], c);
             }
         }
-        match topo.decide(current[s], rssi) {
-            AssocDecision::Stay => {}
-            AssocDecision::Join(to) => {
-                let from = current[s];
-                if let Some(c) = from {
-                    let bytes = cells[c]
-                        .station_goodput_bytes(s)
-                        .saturating_sub(bytes_at_join[s]);
-                    roaming.visits.push(Visit {
-                        station: s,
-                        cell: c,
-                        from: visit_start[s],
-                        to: now,
-                        goodput_bytes: bytes,
-                    });
-                    cells[c].disassociate(s, now);
-                }
-                let d = p.distance_ft(topo.cells[to].position);
-                cells[to].set_station_link(s, topo.link_at(d));
-                cells[to].set_station_rate(s, topo.rate_towards(p, to, placement.rate));
-                cells[to].associate(s, now);
-                // Both lanes see the move: the losing cell records the
-                // departure, the gaining cell the arrival, so either
-                // side's fingerprint alone localizes a roaming
-                // divergence.
-                if let Some(c) = from {
-                    cells[c].observe_handoff(now, s as u64, Some(c as u64), Some(to as u64));
-                }
-                cells[to].observe_handoff(now, s as u64, from.map(|c| c as u64), Some(to as u64));
-                roaming.handoffs.push(HandoffRecord {
-                    at: now,
-                    station: s,
-                    from,
-                    to: Some(to),
-                    serving_rssi_dbm: from.map(|c| rssi[c]),
-                    target_rssi_dbm: Some(rssi[to]),
-                });
-                current[s] = Some(to);
-                visit_start[s] = now;
-                bytes_at_join[s] = cells[to].station_goodput_bytes(s);
-            }
-            AssocDecision::Drop => {
-                let c = current[s].expect("Drop only from an association");
-                let bytes = cells[c]
-                    .station_goodput_bytes(s)
-                    .saturating_sub(bytes_at_join[s]);
-                roaming.visits.push(Visit {
-                    station: s,
-                    cell: c,
-                    from: visit_start[s],
-                    to: now,
-                    goodput_bytes: bytes,
-                });
+        let from = current[s];
+        let to = match topo.decide(from, rssi) {
+            AssocDecision::Stay => from,
+            AssocDecision::Join(to) => Some(to),
+            AssocDecision::Drop => None,
+        };
+        if to != from {
+            if let Some(c) = from {
+                close_visit(roaming, &cells[c], s, c, joined[s], now);
                 cells[c].disassociate(s, now);
-                cells[c].observe_handoff(now, s as u64, Some(c as u64), None);
-                roaming.handoffs.push(HandoffRecord {
-                    at: now,
-                    station: s,
-                    from: Some(c),
-                    to: None,
-                    serving_rssi_dbm: Some(rssi[c]),
-                    target_rssi_dbm: None,
-                });
-                current[s] = None;
+            }
+            if let Some(to) = to {
+                aim(&mut cells[to], to);
+                cells[to].associate(s, now);
+            }
+            // Both lanes see the move: the losing cell records the
+            // departure, the gaining cell the arrival, so either side's
+            // fingerprint alone localizes a roaming divergence.
+            let (from_id, to_id) = (from.map(|c| c as u64), to.map(|c| c as u64));
+            for c in from.into_iter().chain(to) {
+                cells[c].observe_handoff(now, s as u64, from_id, to_id);
+            }
+            roaming.handoffs.push(HandoffRecord {
+                at: now,
+                station: s,
+                from,
+                to,
+                serving_rssi_dbm: from.map(|c| rssi[c]),
+                target_rssi_dbm: to.map(|c| rssi[c]),
+            });
+            current[s] = to;
+            if let Some(to) = to {
+                joined[s] = (now, cells[to].station_goodput_bytes(s));
             }
         }
         if current[s].is_none() {

@@ -58,11 +58,6 @@ impl WaypointPath {
             .map(|w| w[0].distance_ft(w[1]))
             .sum()
     }
-
-    /// Time to walk the whole path.
-    pub fn travel_time(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.length_ft() / self.speed_fps)
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +98,6 @@ mod tests {
             Point::new(100.0, 50.0)
         );
         assert_eq!(p.length_ft(), 150.0);
-        assert_eq!(p.travel_time(), SimDuration::from_secs(30));
     }
 
     #[test]

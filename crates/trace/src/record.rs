@@ -61,14 +61,6 @@ impl Trace {
         self.records.iter().map(|r| r.bytes).sum()
     }
 
-    /// Number of distinct users seen.
-    pub fn user_count(&self) -> usize {
-        let mut users: Vec<usize> = self.records.iter().map(|r| r.user).collect();
-        users.sort_unstable();
-        users.dedup();
-        users.len()
-    }
-
     /// Serialises the trace as CSV (`t_ns,user,rate_bps,bytes,downlink`
     /// with a header row) for external analysis tooling.
     pub fn to_csv(&self) -> String {
@@ -86,60 +78,6 @@ impl Trace {
             ));
         }
         out
-    }
-
-    /// Parses a trace previously produced by [`Trace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_csv(text: &str) -> Result<Trace, String> {
-        let mut duration = SimDuration::ZERO;
-        let mut trace = Trace::new(SimDuration::ZERO);
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("t_ns,") {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# duration_ns=") {
-                duration = SimDuration::from_nanos(
-                    rest.parse().map_err(|e| format!("line {lineno}: {e}"))?,
-                );
-                continue;
-            }
-            let mut parts = line.split(',');
-            let mut next = |what: &str| {
-                parts
-                    .next()
-                    .ok_or_else(|| format!("line {lineno}: missing {what}"))
-            };
-            let at = SimTime::from_nanos(
-                next("t_ns")?
-                    .parse()
-                    .map_err(|e| format!("line {lineno}: {e}"))?,
-            );
-            let user: usize = next("user")?
-                .parse()
-                .map_err(|e| format!("line {lineno}: {e}"))?;
-            let bps: u64 = next("rate_bps")?
-                .parse()
-                .map_err(|e| format!("line {lineno}: {e}"))?;
-            let rate = find_rate(|r| r.bps() == bps)
-                .ok_or(format!("line {lineno}: unknown rate {bps}"))?;
-            let bytes: u64 = next("bytes")?
-                .parse()
-                .map_err(|e| format!("line {lineno}: {e}"))?;
-            let downlink = next("downlink")? == "1";
-            trace.push(FrameRecord {
-                at,
-                user,
-                rate,
-                bytes,
-                downlink,
-            });
-        }
-        trace.duration = duration;
-        Ok(trace)
     }
 }
 
@@ -202,7 +140,6 @@ mod tests {
         t.push(rec(5, 2, 200));
         t.push(rec(5, 0, 300));
         assert_eq!(t.total_bytes(), 600);
-        assert_eq!(t.user_count(), 2);
         assert_eq!(t.records.len(), 3);
     }
 
@@ -242,31 +179,23 @@ mod tests {
     fn empty_trace() {
         let t = Trace::new(SimDuration::from_secs(1));
         assert_eq!(t.total_bytes(), 0);
-        assert_eq!(t.user_count(), 0);
     }
 
     #[test]
-    fn csv_roundtrip() {
+    fn csv_has_header_and_one_row_per_frame() {
         let mut t = Trace::new(SimDuration::from_secs(2));
-        t.push(rec(0, 0, 1500));
         t.push(rec(7, 3, 40));
         let mut far = rec(1999, 1, 1500);
         far.rate = DataRate::G54;
         far.downlink = true;
         t.push(far);
-        let csv = t.to_csv();
-        let back = Trace::from_csv(&csv).expect("roundtrip parses");
-        assert_eq!(back.duration, t.duration);
-        assert_eq!(back.records, t.records);
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(Trace::from_csv("1,2,notanumber,4,0").is_err());
-        assert!(Trace::from_csv("1,2").is_err());
-        // Header and blank lines are fine.
-        let ok = Trace::from_csv("t_ns,user,rate_bps,bytes,downlink\n\n").unwrap();
-        assert_eq!(ok.records.len(), 0);
+        assert_eq!(
+            t.to_csv(),
+            "# duration_ns=2000000000\n\
+             t_ns,user,rate_bps,bytes,downlink\n\
+             7000000,3,11000000,40,0\n\
+             1999000000,1,54000000,1500,1\n"
+        );
     }
 
     #[test]

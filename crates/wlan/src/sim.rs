@@ -185,6 +185,26 @@ struct FlowRt {
     pump_pending: bool,
 }
 
+impl FlowRt {
+    /// The next packet the flow's source has ready at `now`; a TCP
+    /// sender's effects go to `fx`.
+    fn poll_packet(&mut self, now: SimTime, fx: &mut Vec<SenderEffect>) -> Option<Packet> {
+        match (&mut self.tcp_tx, &mut self.udp) {
+            (Some(tx), _) => tx.poll_packet(now, fx),
+            (_, Some(u)) => u.poll_packet(now),
+            (None, None) => None,
+        }
+    }
+
+    /// The TCP sender's `(retransmits, timeouts)`; zero for UDP.
+    fn tcp_losses(&self) -> (u64, u64) {
+        self.tcp_tx.as_ref().map_or((0, 0), |tx| {
+            let (_, r, t) = tx.stats();
+            (r, t)
+        })
+    }
+}
+
 /// A fixed-capacity set of indices, a `u64` bitset drained in
 /// ascending order. A pass calls [`IndexSet::take_from`] with a cursor
 /// just past the last index it visited, so members inserted above the
@@ -676,25 +696,13 @@ impl<'c, O: Observer> Sim<'c, O> {
         let qlen = self.queue.len();
         let qhw = self.queue.high_water();
         let events = self.queue.events_processed();
-        let (mut retransmits, mut timeouts) = (0u64, 0u64);
-        for f in &self.flows {
-            if let Some(tx) = f.tcp_tx.as_ref() {
-                let (_, r, t) = tx.stats();
-                retransmits += r;
-                timeouts += t;
-            }
-        }
-        let n = self.cfg.stations.len();
-        // Warm-up airtime is excluded once WarmupDone has latched the
-        // baseline, matching the report's occupancy shares.
-        let occ: Vec<f64> = (0..n)
-            .map(|st| {
-                let node = st + 1;
-                self.mac
-                    .occupancy(NodeId(node))
-                    .saturating_sub(self.occupancy_at_warmup[node])
-                    .as_secs_f64()
-            })
+        let (retransmits, timeouts) = self
+            .flows
+            .iter()
+            .map(FlowRt::tcp_losses)
+            .fold((0, 0), |(r0, t0), (r, t)| (r0 + r, t0 + t));
+        let occ: Vec<f64> = (0..self.cfg.stations.len())
+            .map(|st| self.occupancy_since_warmup(st).as_secs_f64())
             .collect();
         let occ_total: f64 = occ.iter().sum();
         let token_count = self.instr.as_ref().map_or(0, |i| i.tokens.len());
@@ -1244,9 +1252,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
         let (transport, direction) = (f.transport, f.direction);
         match (transport, direction) {
-            (Transport::Tcp, Direction::Uplink) => self.pump_tcp_uplink(flow),
+            (_, Direction::Uplink) => self.pump_uplink(flow),
             (Transport::Tcp, Direction::Downlink) => self.pump_tcp_downlink(flow),
-            (Transport::Udp, Direction::Uplink) => self.pump_udp_uplink(flow),
             (Transport::Udp, Direction::Downlink) => self.pump_udp_downlink(flow),
         }
         let now = self.now;
@@ -1272,23 +1279,19 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn pump_tcp_uplink(&mut self, flow: usize) {
+    /// Fills the station's interface queue from the flow's source, up
+    /// to the queue cap.
+    fn pump_uplink(&mut self, flow: usize) {
         let node = self.flows[flow].station + 1;
         let now = self.now;
         let mut fx = std::mem::take(&mut self.tx_fx);
         let mut pushed = false;
         while self.client_q[node].len() < self.cfg.client_queue_cap {
-            let pkt = match self.flows[flow].tcp_tx.as_mut() {
-                Some(tx) => tx.poll_packet(now, &mut fx),
-                None => None,
+            let Some(p) = self.flows[flow].poll_packet(now, &mut fx) else {
+                break;
             };
-            match pkt {
-                Some(p) => {
-                    self.client_q[node].push_back((p, now));
-                    pushed = true;
-                }
-                None => break,
-            }
+            self.client_q[node].push_back((p, now));
+            pushed = true;
         }
         if pushed {
             self.dirty_nodes.insert(node);
@@ -1300,43 +1303,11 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn pump_tcp_downlink(&mut self, flow: usize) {
         let now = self.now;
         let mut fx = std::mem::take(&mut self.tx_fx);
-        loop {
-            let pkt = match self.flows[flow].tcp_tx.as_mut() {
-                Some(tx) => tx.poll_packet(now, &mut fx),
-                None => None,
-            };
-            match pkt {
-                Some(p) => {
-                    self.queue
-                        .schedule(now + self.cfg.wired_delay, Event::WiredToAp(p));
-                }
-                None => break,
-            }
+        while let Some(p) = self.flows[flow].poll_packet(now, &mut fx) {
+            self.queue
+                .schedule(now + self.cfg.wired_delay, Event::WiredToAp(p));
         }
         self.apply_sender_effects(flow, fx);
-    }
-
-    fn pump_udp_uplink(&mut self, flow: usize) {
-        let node = self.flows[flow].station + 1;
-        let now = self.now;
-        let mut pushed = false;
-        while self.client_q[node].len() < self.cfg.client_queue_cap {
-            let pkt = match self.flows[flow].udp.as_mut() {
-                Some(u) => u.poll_packet(now),
-                None => None,
-            };
-            match pkt {
-                Some(p) => {
-                    self.client_q[node].push_back((p, now));
-                    pushed = true;
-                }
-                None => break,
-            }
-        }
-        if pushed {
-            self.dirty_nodes.insert(node);
-            self.emit_client_queue(node);
-        }
     }
 
     fn pump_udp_downlink(&mut self, flow: usize) {
@@ -1539,17 +1510,20 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     // -- results ---------------------------------------------------------
 
+    /// Station `st`'s channel occupancy since warm-up; before
+    /// `WarmupDone` latches the baseline, since the start.
+    fn occupancy_since_warmup(&self, st: usize) -> SimDuration {
+        let node = st + 1;
+        self.mac
+            .occupancy(NodeId(node))
+            .saturating_sub(self.occupancy_at_warmup[node])
+    }
+
     fn report(self) -> Report {
         let end = self.now;
         let mut flow_reports = Vec::new();
         for (i, f) in self.flows.iter().enumerate() {
-            let (retransmits, timeouts) = match f.tcp_tx.as_ref() {
-                Some(tx) => {
-                    let (_, r, t) = tx.stats();
-                    (r, t)
-                }
-                None => (0, 0),
-            };
+            let (retransmits, timeouts) = f.tcp_losses();
             flow_reports.push(FlowReport {
                 flow: i,
                 station: f.station,
@@ -1565,15 +1539,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             });
         }
         let n = self.cfg.stations.len();
-        let mut node_occ = Vec::with_capacity(n);
-        for st in 0..n {
-            let node = st + 1;
-            let occ = self
-                .mac
-                .occupancy(NodeId(node))
-                .saturating_sub(self.occupancy_at_warmup[node]);
-            node_occ.push(occ);
-        }
+        let node_occ: Vec<SimDuration> = (0..n).map(|st| self.occupancy_since_warmup(st)).collect();
         let total_occ: f64 = node_occ.iter().map(|d| d.as_secs_f64()).sum();
         let nodes: Vec<NodeReport> = (0..n)
             .map(|st| {
@@ -1597,12 +1563,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         let total: f64 = flow_reports.iter().map(|f| f.goodput_mbps).sum();
         let measured_span = end.saturating_since(SimTime::ZERO + self.cfg.warmup);
         let busy = self.mac.busy_time().saturating_sub(self.busy_at_warmup);
-        let key_count = match self.cfg.regulate {
-            Regulate::PerStation => n,
-            Regulate::PerFlow => self.flows.len(),
-        };
         let tbr_rates = matches!(self.cfg.scheduler, SchedulerKind::Tbr(_)).then(|| {
-            (0..key_count)
+            (0..self.key_count())
                 .map(|k| self.sched.token_fill_rate(ClientId(k)).unwrap_or(0.0))
                 .collect()
         });
@@ -1752,11 +1714,6 @@ impl<'c, O: Observer> CellSim<'c, O> {
     pub fn finish(mut self, end: SimTime) -> Report {
         self.sim.finish(end);
         self.sim.report()
-    }
-
-    /// True while `station` holds an association at this AP.
-    pub fn is_associated(&self, station: usize) -> bool {
-        self.associated[station]
     }
 
     /// Associates `station` at `now`: fresh scheduler registration

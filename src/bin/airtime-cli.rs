@@ -92,8 +92,9 @@ OPTIONS (run):
                         event recording (fingerprint checkpoints + the
                         retained event ring) as JSONL; topology
                         scenarios write one file per cell
-                        (<stem>.cell<i>.jsonl). The report stays
-                        byte-identical to an unrecorded run.
+                        (<stem>.cell<i>.jsonl). Combines with --events
+                        and --ledger; the report stays byte-identical
+                        to an unrecorded run.
     --json              print the report as JSON instead of a table
 
 OPTIONS (sweep):
@@ -384,16 +385,26 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     };
 
     let mut registry = (a.metrics.is_some() || a.metrics_csv.is_some()).then(MetricsRegistry::new);
-    let mut ledger = None;
-    let r = if let Some(path) = &a.record {
-        // The flight recorder wants the whole observer lane to itself
-        // (its stream is the debugging artifact); reports stay
-        // byte-identical either way.
-        if a.events.is_some() || a.ledger.is_some() {
-            return Err("--record cannot be combined with --events or --ledger".into());
-        }
-        let mut rec = FlightRecorder::new();
-        let r = run_instrumented(&cfg, &mut rec, registry.as_mut());
+    // Each flag adds its sink; a sink reads the same stream whatever
+    // else rides along, and the report is byte-identical either way.
+    let events = match &a.events {
+        Some(path) => Some(
+            JsonlObserver::create(path).map_err(|e| format!("creating {}: {e}", path.display()))?,
+        ),
+        None => None,
+    };
+    let sinks = TeeObserver::new(
+        a.record.is_some().then(FlightRecorder::new),
+        a.ledger.is_some().then(AirtimeLedger::new),
+    );
+    let mut obs = TeeObserver::new(sinks, events);
+    let r = run_instrumented(&cfg, &mut obs, registry.as_mut());
+    if let Some(path) = &a.events {
+        obs.finish()
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    }
+    let (recorder, ledger) = (obs.a.a, obs.a.b);
+    if let (Some(path), Some(rec)) = (&a.record, &recorder) {
         let recording = rec.recording();
         std::fs::write(path, recording.to_jsonl())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
@@ -406,37 +417,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                 recording.fp
             );
         }
-        r
-    } else {
-        match (&a.events, a.ledger.is_some()) {
-            (Some(path), true) => {
-                // Ledger + trace: tee the event stream into both.
-                let jsonl = JsonlObserver::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                let mut tee = TeeObserver::new(AirtimeLedger::new(), jsonl);
-                let r = run_instrumented(&cfg, &mut tee, registry.as_mut());
-                tee.finish()
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                ledger = Some(tee.a);
-                r
-            }
-            (Some(path), false) => {
-                let mut obs = JsonlObserver::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                let r = run_instrumented(&cfg, &mut obs, registry.as_mut());
-                obs.finish()
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                r
-            }
-            (None, true) => {
-                let mut led = AirtimeLedger::new();
-                let r = run_instrumented(&cfg, &mut led, registry.as_mut());
-                ledger = Some(led);
-                r
-            }
-            (None, false) => run_instrumented(&cfg, &mut NullObserver, registry.as_mut()),
-        }
-    };
+    }
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
         std::fs::write(path, reg.to_json() + "\n")
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
@@ -530,28 +511,18 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
             ));
         }
     }
-    // One span collector + ledger per cell, plus a flight-recorder
-    // lane: full ring when `--record` asked for the artifact, pure
-    // fingerprinting (capacity 0) otherwise.
-    let mut obs: Vec<_> = (0..topo.cells.len())
-        .map(|c| {
-            let rec = if a.record.is_some() {
-                FlightRecorder::new()
-            } else {
-                FlightRecorder::new().with_capacity(0)
-            };
-            TeeObserver::new(
-                TeeObserver::new(SpanCollector::new(), AirtimeLedger::new()),
-                rec.for_cell(c as u64),
-            )
-        })
-        .collect();
-    let tr = airtime::topo::run_topology(topo, &mut obs);
-    let delays: Vec<_> = obs.iter().map(|o| o.a.a.summary()).collect();
-    let audits: Vec<_> = obs.iter().map(|o| o.a.b.audit()).collect();
+    // The recorder lanes keep their full ring only when `--record`
+    // asked for the artifact; otherwise they only fingerprint.
+    let ring = if a.record.is_some() {
+        airtime::obs::recorder::DEFAULT_RING_CAPACITY
+    } else {
+        0
+    };
+    let run = airtime::scenario::run_topology_cell(0, Vec::new(), spec, ring);
+    let (agg, tr, audits) = (&run.cell, &run.report, &run.audits);
     if let Some(path) = &a.ledger {
         // One timeline file per radio cell: `<stem>.cell<i>[.ext]`.
-        for (i, o) in obs.iter().enumerate() {
+        for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
             std::fs::write(&p, o.a.b.timeline_csv())
                 .map_err(|e| format!("writing {}: {e}", p.display()))?;
@@ -559,7 +530,7 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
     }
     if let Some(path) = &a.record {
         // One recording per radio cell lane: `<stem>.cell<i>[.ext]`.
-        for (i, o) in obs.iter().enumerate() {
+        for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
             let recording = o.b.recording();
             std::fs::write(&p, recording.to_jsonl())
@@ -577,24 +548,13 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
             println!();
         }
     }
-    let mut agg = airtime::scenario::aggregate::aggregate_topology(
-        0,
-        Vec::new(),
-        spec,
-        &tr,
-        &delays,
-        &audits,
-    );
-    agg.fp = Some(fp_hex(airtime::scenario::combine_fps(
-        obs.iter().map(|o| o.b.fingerprint()),
-    )));
     let roam = agg.roam.as_ref().expect("topology aggregate");
 
     if a.json {
         let axes: [airtime::scenario::Axis; 0] = [];
         print!(
             "{}",
-            airtime::scenario::emit::to_json(&spec.name, &axes, std::slice::from_ref(&agg))
+            airtime::scenario::emit::to_json(&spec.name, &axes, std::slice::from_ref(agg))
         );
     } else {
         println!(

@@ -264,6 +264,77 @@ fn predict_prints_the_paper_and_model_gamma() {
     assert_eq!(cols[cols.len() - 2..], ["5.189", "5.298"], "{row}");
 }
 
+#[test]
+fn record_combines_with_events_and_ledger() {
+    // `--record` once refused to share the run with `--events` or
+    // `--ledger`. Each sink reads the same stream whatever rides
+    // along, so one run with all three writes the same three files as
+    // three runs with one flag each.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("combined_sinks");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let file = |name: &str| dir.join(name).display().to_string();
+    let flags = [
+        ("--record", "r.jsonl"),
+        ("--events", "e.jsonl"),
+        ("--ledger", "l.csv"),
+    ];
+    let base = ["run", "--rates", "11,1", "--secs", "4"];
+    let mut all = base.map(String::from).to_vec();
+    for (flag, name) in flags {
+        all.extend([flag.to_string(), file(&format!("all.{name}"))]);
+        let single = file(&format!("one.{name}"));
+        let out = cli(&[&base[..], &[flag, &single]].concat());
+        assert_eq!(out.status.code(), Some(0), "{flag} alone");
+    }
+    let all: Vec<&str> = all.iter().map(String::as_str).collect();
+    let out = cli(&all);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (flag, name) in flags {
+        let read = |which: &str| std::fs::read(file(&format!("{which}.{name}"))).expect("written");
+        let one = read("one");
+        assert!(!one.is_empty(), "{flag} wrote nothing");
+        assert!(
+            one == read("all"),
+            "{flag}: combined run wrote a different file"
+        );
+    }
+}
+
+#[test]
+fn run_and_sweep_print_the_same_topology_document() {
+    // `run --scenario` and `sweep` go through one topology runner, so a
+    // topology without a [sweep] section (which `run` refuses) prints
+    // the document the sweep writes.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let preset =
+        std::fs::read_to_string(format!("{root}/examples/scenarios/roam_three_cells.toml"))
+            .expect("preset readable");
+    let (body, _) = preset
+        .split_once("[sweep]")
+        .expect("the preset sweeps its scheduler");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("roam_unswept.toml").display().to_string();
+    std::fs::write(&path, body).expect("scenario file written");
+    let run = cli(&["run", "--scenario", &path, "--json"]);
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let json = dir.join("roam_unswept.json");
+    let sweep = cli(&["sweep", &path, "--json", &json.display().to_string()]);
+    assert_eq!(sweep.status.code(), Some(0));
+    let written = std::fs::read_to_string(json).expect("JSON written");
+    assert!(written.contains(r#""handoffs":"#), "{written}");
+    assert_eq!(String::from_utf8_lossy(&run.stdout), written);
+}
+
 /// The presets whose golden recordings live under `examples/recordings/`
 /// (topologies keep one `<stem>.cell<i>.jsonl` per cell).
 const GOLDEN_PRESETS: [&str; 7] = [

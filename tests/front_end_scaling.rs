@@ -1,6 +1,7 @@
 //! The scenario front end (parse plus sweep expansion) grows linearly
-//! with the stations a document declares, and its allocation count on a
-//! fixed roaming document does not creep up.
+//! with the stations a document declares, parsing grows linearly with
+//! its `[table]` headers, and the allocation count on a fixed roaming
+//! document does not creep up.
 //!
 //! Its own test binary: the allocation count reads a process-wide
 //! counter, so no other test may allocate while it runs.
@@ -68,6 +69,21 @@ fn campus() -> String {
     t
 }
 
+/// `n` distinct single-bracket headers, `[a0]` to `[a{n-1}]`: each is
+/// checked against the earlier ones for "defined twice".
+fn headers(n: usize) -> String {
+    (0..n).map(|i| format!("[a{i}]\n")).collect()
+}
+
+/// Host time of parsing `text`.
+fn parse_only(text: &str) -> Duration {
+    let t0 = Instant::now();
+    let doc = parse_text(text, "headers.toml").expect("document parses");
+    let took = t0.elapsed();
+    assert!(!doc.tables.is_empty());
+    took
+}
+
 /// Host time of parsing and expanding `text`.
 fn front_end(text: &str) -> Duration {
     let t0 = Instant::now();
@@ -80,9 +96,9 @@ fn front_end(text: &str) -> Duration {
 
 /// Allocations the campus document's parse plus expansion makes with
 /// sub-tables read from each station's own range, values parsed in
-/// place and unreplicated stations moved, not cloned. Before those
-/// changes it made 2,912.
-const CAMPUS_ALLOCS: u64 = 1139;
+/// place, unreplicated stations moved, not cloned, and the table list
+/// sized up front. Before those changes it made 2,912.
+const CAMPUS_ALLOCS: u64 = 1135;
 
 #[test]
 fn front_end_is_linear_in_stations_and_allocation_bounded() {
@@ -97,6 +113,19 @@ fn front_end_is_linear_in_stations_and_allocation_bounded() {
     assert!(
         ratio <= 10.0,
         "4096 stations took {t_large:?}, {ratio:.1}x the {t_small:?} of 1024"
+    );
+
+    // A scan of every earlier header read about 22x here.
+    let (small, large) = (headers(2_000), headers(8_000));
+    let (mut t_small, mut t_large) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        t_small = t_small.min(parse_only(&small));
+        t_large = t_large.min(parse_only(&large));
+    }
+    let ratio = t_large.as_secs_f64() / t_small.as_secs_f64();
+    assert!(
+        ratio <= 10.0,
+        "8000 headers took {t_large:?}, {ratio:.1}x the {t_small:?} of 2000"
     );
 
     let text = campus();
