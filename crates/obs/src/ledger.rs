@@ -48,6 +48,7 @@ pub const CELL: u64 = 0;
 
 const NCAT: usize = AirtimeCategory::ALL.len();
 
+#[inline]
 fn cat_index(c: AirtimeCategory) -> usize {
     AirtimeCategory::ALL
         .iter()
@@ -92,6 +93,7 @@ impl AirtimeLedger {
     /// Feeds one record. Only `airtime_slice`, `tx_attempt`, and
     /// `run_mark` records matter; everything else is ignored, so the
     /// full mixed trace stream can be piped through unfiltered.
+    #[inline]
     pub fn record(&mut self, rec: &EventRecord) {
         match *rec {
             EventRecord::AirtimeSlice {
@@ -106,10 +108,10 @@ impl AirtimeLedger {
             } => {
                 self.attempts += 1;
                 let i = client as usize;
-                if self.occupancy_ns.len() <= i {
-                    self.occupancy_ns.resize(i + 1, 0);
+                match self.occupancy_ns.get_mut(i) {
+                    Some(ns) => *ns += airtime.as_nanos(),
+                    None => self.grow_occupancy(i, airtime.as_nanos()),
                 }
-                self.occupancy_ns[i] += airtime.as_nanos();
             }
             EventRecord::RunMark { t, phase } => match phase {
                 RunPhase::Warmup => {
@@ -132,6 +134,16 @@ impl AirtimeLedger {
         }
     }
 
+    /// Bills `ns` to a client past the end of the occupancy table,
+    /// growing the table to cover it.
+    #[cold]
+    #[inline(never)]
+    fn grow_occupancy(&mut self, client: usize, ns: u64) {
+        self.occupancy_ns.resize(client + 1, 0);
+        self.occupancy_ns[client] = ns;
+    }
+
+    #[inline]
     fn on_slice(&mut self, start: SimTime, dur: SimDuration, station: u64, cat: AirtimeCategory) {
         self.slices += 1;
         let end = start + dur;
@@ -275,18 +287,22 @@ impl AirtimeLedger {
 }
 
 impl Observer for AirtimeLedger {
+    #[inline]
     fn wants(&self, hook: Hook) -> bool {
         matches!(hook, Hook::TxAttempt | Hook::AirtimeSlice | Hook::RunMark)
     }
 
+    #[inline]
     fn on_tx_attempt(&mut self, rec: EventRecord) {
         self.record(&rec);
     }
 
+    #[inline]
     fn on_airtime_slice(&mut self, rec: EventRecord) {
         self.record(&rec);
     }
 
+    #[inline]
     fn on_run_mark(&mut self, rec: EventRecord) {
         self.record(&rec);
     }

@@ -19,13 +19,31 @@
 //! "flight recorder" proper: history survives a crash-adjacent
 //! surprise without unbounded memory), or — with [`FlightRecorder::
 //! with_window`] — retains exactly one index window for divergence
-//! re-runs. Fingerprinting itself never allocates per event beyond the
-//! optional ring entry.
+//! re-runs.
 //!
 //! Per-station sub-fingerprints (folded from the events attributed to
 //! each station) localize a divergence to *who* as well as *when*; in
 //! topology runs each cell carries its own recorder lane, giving
 //! per-cell sub-fingerprints for free.
+//!
+//! # Two paths per record
+//!
+//! Whether a recorder can retain or perturb any event is fixed when it
+//! is built: a ring capacity above zero, a window or an injected
+//! divergence. One that cannot (capacity 0 — the fingerprint-only mode
+//! every sweep, tournament and topology lane runs, and the first pass
+//! of `verify-determinism`) takes the **fold path** on every record,
+//! inlined into the engine's hook call: hash the fields, fold the hash
+//! into the fingerprint and into the station's sub-fingerprint, and
+//! count down to the next checkpoint. It builds no text and never
+//! allocates except to take a checkpoint or to grow the station table.
+//!
+//! Any other recorder takes the **retention path**, an out-of-line
+//! call that also decides whether the ring (or window) keeps the event,
+//! builds its detail text only if it does, and tags the injected event.
+//! Both paths hash through one function (`event_hash`) and fold
+//! through one (`FlightRecorder::fold`), so a retaining recorder and a
+//! bare fingerprinter always agree.
 //!
 //! # What "canonical" means
 //!
@@ -63,10 +81,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Odd multiplier of [`mix`] (2^64 / φ).
 const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Station ids below this keep their sub-fingerprint in a table
-/// indexed by id; the per-event lookup is then one index, not a tree
-/// search.
-const DENSE_STATIONS: usize = 4096;
+/// Station ids below this keep their sub-fingerprint (and their span
+/// accumulator) in a table indexed by id; the per-event lookup is then
+/// one index, not a search.
+pub(crate) const DENSE_STATIONS: usize = 4096;
 
 /// Events per fingerprint checkpoint unless overridden.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
@@ -77,6 +95,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 2 * DEFAULT_CHECKPOINT_INTERVAL as usiz
 /// Folds one 64-bit word into a hash. Each step is a bijection of the
 /// state for a given word (xor, odd multiply, xorshift), so two streams
 /// that differ in a single word always end on different hashes.
+#[inline]
 const fn mix(h: u64, w: u64) -> u64 {
     let h = (h ^ w).wrapping_mul(MIX_MUL);
     h ^ (h >> 29)
@@ -104,8 +123,23 @@ const FINAL_SEED: u64 = label_seed("mac.final");
 /// Folded into an event the injected-divergence test hook perturbs.
 const INJECTED: u64 = label_seed("[injected]");
 
+/// A PHY rate in whole tenths of a Mbit/s: `(rate_mbps * 10).round()`.
+/// Every 802.11b/g rate is a whole number of tenths, which the cast
+/// alone gets exactly; any other value takes the rounding call.
+#[inline]
+fn rate_tenths(rate_mbps: f64) -> u64 {
+    let tenths = rate_mbps * 10.0;
+    let whole = tenths as u64;
+    if whole as f64 == tenths {
+        whole
+    } else {
+        tenths.round() as u64
+    }
+}
+
 /// The payload of a recorded event, kept as raw fields: the fingerprint
 /// folds them as words, and text is built only for a retained event.
+#[derive(Clone, Copy)]
 enum Detail {
     Decide { client: u64, bytes: u64, qlen: u64 },
     Queue { site: QueueSite, key: u64, len: u64 },
@@ -115,12 +149,12 @@ enum Detail {
 }
 
 /// The fields of one [`EventRecord::TxAttempt`] the fingerprint covers.
+#[derive(Clone, Copy)]
 struct Attempt {
     node: u64,
     client: u64,
     bytes: u64,
-    /// PHY rate in tenths of a Mbit/s (every 802.11 rate is a whole
-    /// number of them).
+    /// PHY rate in tenths of a Mbit/s ([`rate_tenths`]).
     rate_tenths: u64,
     success: bool,
     retry: u64,
@@ -128,8 +162,32 @@ struct Attempt {
 }
 
 impl Detail {
+    /// The event's label, as a retained event and a recording show it.
+    fn label(&self) -> &'static str {
+        match self {
+            Detail::Decide { .. } => "sched.decide",
+            Detail::Queue { .. } => "queue.change",
+            Detail::Handoff { .. } => "handoff",
+            Detail::Attempt(_) => "tx.attempt",
+            Detail::Final { .. } => "mac.final",
+        }
+    }
+
+    /// [`label_seed`] of [`Detail::label`].
+    #[inline]
+    fn seed(&self) -> u64 {
+        match self {
+            Detail::Decide { .. } => DECIDE_SEED,
+            Detail::Queue { .. } => QUEUE_SEED,
+            Detail::Handoff { .. } => HANDOFF_SEED,
+            Detail::Attempt(_) => ATTEMPT_SEED,
+            Detail::Final { .. } => FINAL_SEED,
+        }
+    }
+
     /// Folds the fields into `h`, one word each (`u64::MAX` for an
     /// absent cell id).
+    #[inline]
     fn hash(&self, h: u64) -> u64 {
         match *self {
             Detail::Decide {
@@ -141,7 +199,7 @@ impl Detail {
             Detail::Handoff { from, to } => {
                 mix(mix(h, from.unwrap_or(u64::MAX)), to.unwrap_or(u64::MAX))
             }
-            Detail::Attempt(ref a) => [
+            Detail::Attempt(a) => [
                 a.client,
                 a.bytes,
                 a.rate_tenths,
@@ -180,6 +238,20 @@ impl Detail {
             Detail::Final { phase, node } => format!("{} node={node}", phase.as_str()),
         }
     }
+}
+
+/// The hash of one event: its label's seed, then the time, the fields,
+/// the injected-divergence tag when `injected`, and the station it is
+/// attributed to, one word each. The only event hash, on both paths.
+/// Always inlined, so each hook folds its own variant's words with no
+/// match on the variant left at run time.
+#[inline(always)]
+fn event_hash(t: SimTime, detail: &Detail, station: u64, injected: bool) -> u64 {
+    let mut h = detail.hash(mix(detail.seed(), t.as_nanos()));
+    if injected {
+        h = mix(h, INJECTED);
+    }
+    mix(h, station)
 }
 
 /// Formats a fingerprint the way every surface prints it: 16 lowercase
@@ -254,12 +326,18 @@ pub struct FlightRecorder {
     /// Cell id for topology lanes (stamped into serialized recordings).
     cell: Option<u64>,
     events: u64,
+    /// Events left to fold before the next checkpoint (1..=`interval`).
+    until_checkpoint: u64,
     fp: u64,
-    last_t: SimTime,
     checkpoints: Vec<Checkpoint>,
+    /// Whether any event can enter the ring or be perturbed: a capacity
+    /// above zero, a window or an injected divergence. Set by the
+    /// builders; when clear, every record takes the fold path.
+    retains: bool,
+    /// Retained events. Every folded event not in it was dropped, so
+    /// `events − ring.len()` is the drop count.
     ring: VecDeque<RecordedEvent>,
     capacity: usize,
-    dropped: u64,
     /// When set, only events with `index` in `[a, b)` enter the ring
     /// (fingerprinting still covers the whole stream).
     window: Option<(u64, u64)>,
@@ -286,12 +364,12 @@ impl FlightRecorder {
             interval: DEFAULT_CHECKPOINT_INTERVAL,
             cell: None,
             events: 0,
+            until_checkpoint: DEFAULT_CHECKPOINT_INTERVAL,
             fp: SEED,
-            last_t: SimTime::ZERO,
             checkpoints: Vec::new(),
+            retains: true,
             ring: VecDeque::new(),
             capacity: DEFAULT_RING_CAPACITY,
-            dropped: 0,
             window: None,
             dense_fp: Vec::new(),
             sparse_fp: BTreeMap::new(),
@@ -302,6 +380,7 @@ impl FlightRecorder {
     /// Sets the checkpoint interval (events per checkpoint; min 1).
     pub fn with_interval(mut self, interval: u64) -> Self {
         self.interval = interval.max(1);
+        self.until_checkpoint = self.interval - self.events % self.interval;
         self
     }
 
@@ -310,7 +389,7 @@ impl FlightRecorder {
     /// and the one `verify-determinism` uses for its first pass.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
+        self.settle()
     }
 
     /// Retains only events with stream index in `[start, end)`,
@@ -319,7 +398,7 @@ impl FlightRecorder {
     pub fn with_window(mut self, start: u64, end: u64) -> Self {
         self.window = Some((start, end));
         self.capacity = usize::MAX;
-        self
+        self.settle()
     }
 
     /// Tags this recorder as cell `id`'s lane in a topology run.
@@ -334,6 +413,13 @@ impl FlightRecorder {
     /// bug.
     pub fn with_injected_divergence(mut self, index: u64) -> Self {
         self.inject_at = Some(index);
+        self.settle()
+    }
+
+    /// Recomputes [`FlightRecorder::retains`] after a builder changed
+    /// what may be retained or perturbed.
+    fn settle(mut self) -> Self {
+        self.retains = self.capacity > 0 || self.window.is_some() || self.inject_at.is_some();
         self
     }
 
@@ -351,80 +437,96 @@ impl FlightRecorder {
         dense.chain(self.sparse_fp.clone()).collect()
     }
 
-    /// The running sub-fingerprint of station `s`.
-    fn station_fp(&mut self, s: u64) -> &mut u64 {
-        match usize::try_from(s) {
+    /// Records one canonical event attributed to `station`: the fold
+    /// path unless this recorder retains (see the module docs).
+    #[inline]
+    fn push(&mut self, t: SimTime, station: u64, detail: Detail) {
+        if self.retains {
+            self.push_retained(t, station, detail);
+        } else {
+            self.fold(t, station, event_hash(t, &detail, station, false));
+        }
+    }
+
+    /// The retention path: tags the injected event, and builds a
+    /// [`RecordedEvent`] with its detail text only when the ring or
+    /// window keeps this index, evicting the oldest retained event when
+    /// a bounded ring is full.
+    #[cold]
+    #[inline(never)]
+    fn push_retained(&mut self, t: SimTime, station: u64, detail: Detail) {
+        let index = self.events;
+        let injected = self.inject_at == Some(index);
+        let retain = match self.window {
+            Some((a, b)) => (a..b).contains(&index),
+            None => self.capacity > 0,
+        };
+        if retain {
+            let mut text = detail.text();
+            if injected {
+                text.push_str(" [injected]");
+            }
+            if self.window.is_none() && self.ring.len() >= self.capacity {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(RecordedEvent {
+                index,
+                t,
+                label: detail.label().to_string(),
+                detail: text,
+                station: Some(station),
+            });
+        }
+        self.fold(t, station, event_hash(t, &detail, station, injected));
+    }
+
+    /// Folds event hash `h` into the fingerprint and `station`'s
+    /// sub-fingerprint, and takes a checkpoint every `interval` events.
+    #[inline]
+    fn fold(&mut self, t: SimTime, station: u64, h: u64) {
+        self.fp = mix(self.fp, h);
+        let slot = usize::try_from(station)
+            .ok()
+            .and_then(|i| self.dense_fp.get_mut(i));
+        match slot {
+            Some(Some(sfp)) => *sfp = mix(*sfp, h),
+            _ => self.fold_new_station(station, h),
+        }
+        self.events += 1;
+        self.until_checkpoint -= 1;
+        if self.until_checkpoint == 0 {
+            self.checkpoint(t);
+        }
+    }
+
+    /// [`FlightRecorder::fold`] for a station the dense table does not
+    /// hold yet: a first event below [`DENSE_STATIONS`] (growing the
+    /// table to cover it), or any event of a larger id.
+    #[cold]
+    #[inline(never)]
+    fn fold_new_station(&mut self, station: u64, h: u64) {
+        let sfp = match usize::try_from(station) {
             Ok(i) if i < DENSE_STATIONS => {
                 if i >= self.dense_fp.len() {
                     self.dense_fp.resize(i + 1, None);
                 }
                 self.dense_fp[i].get_or_insert(SEED)
             }
-            _ => self.sparse_fp.entry(s).or_insert(SEED),
-        }
+            _ => self.sparse_fp.entry(station).or_insert(SEED),
+        };
+        *sfp = mix(*sfp, h);
     }
 
-    /// Folds one canonical event into the stream. `seed` is
-    /// [`label_seed`] of `label`. The hash covers the time, the raw
-    /// fields and the station, one word each, so the fingerprint-only
-    /// configuration (capacity 0) never allocates; the detail text and
-    /// a [`RecordedEvent`] are built only when the ring retains this
-    /// index.
-    fn push(
-        &mut self,
-        t: SimTime,
-        label: &'static str,
-        seed: u64,
-        detail: Detail,
-        station: Option<u64>,
-    ) {
-        let retain = match self.window {
-            Some((a, b)) => self.events >= a && self.events < b,
-            None => self.capacity > 0,
-        };
-        let injected = self.inject_at == Some(self.events);
-        let mut h = detail.hash(mix(seed, t.as_nanos()));
-        if injected {
-            h = mix(h, INJECTED);
-        }
-        h = mix(h, station.unwrap_or(u64::MAX));
-        self.fp = mix(self.fp, h);
-        if let Some(s) = station {
-            let sfp = self.station_fp(s);
-            *sfp = mix(*sfp, h);
-        }
-        let text = retain.then(|| {
-            let mut text = detail.text();
-            if injected {
-                text.push_str(" [injected]");
-            }
-            text
+    /// Records the checkpoint due after the event just folded at `t`.
+    #[cold]
+    #[inline(never)]
+    fn checkpoint(&mut self, t: SimTime) {
+        self.until_checkpoint = self.interval;
+        self.checkpoints.push(Checkpoint {
+            events: self.events,
+            t,
+            fp: self.fp,
         });
-        match text {
-            Some(detail) => {
-                if self.window.is_none() && self.ring.len() >= self.capacity {
-                    self.ring.pop_front();
-                    self.dropped += 1;
-                }
-                self.ring.push_back(RecordedEvent {
-                    index: self.events,
-                    t,
-                    label: label.to_string(),
-                    detail,
-                    station,
-                });
-            }
-            _ => self.dropped += 1,
-        }
-        self.events += 1;
-        self.last_t = t;
-        if self.events.is_multiple_of(self.interval) {
-            self.checkpoints.push(Checkpoint {
-                events: self.events,
-                t,
-                fp: self.fp,
-            });
-        }
     }
 
     /// What the recorder holds so far, as the [`Recording`] a golden
@@ -435,7 +537,7 @@ impl FlightRecorder {
             cell: self.cell,
             total_events: self.events,
             fp: fp_hex(self.fp),
-            dropped: self.dropped,
+            dropped: self.events - self.ring.len() as u64,
             checkpoints: self.checkpoints.clone(),
             events: self.ring.iter().cloned().collect(),
         }
@@ -443,6 +545,7 @@ impl FlightRecorder {
 }
 
 impl Observer for FlightRecorder {
+    #[inline]
     fn wants(&self, hook: Hook) -> bool {
         // Behaviour only: no `Dispatch` (see the module docs).
         matches!(
@@ -455,6 +558,7 @@ impl Observer for FlightRecorder {
         )
     }
 
+    #[inline]
     fn on_tx_attempt(&mut self, rec: EventRecord) {
         if let EventRecord::TxAttempt {
             t,
@@ -471,22 +575,23 @@ impl Observer for FlightRecorder {
                 node,
                 client,
                 bytes,
-                rate_tenths: (rate_mbps * 10.0).round() as u64,
+                rate_tenths: rate_tenths(rate_mbps),
                 success,
                 retry,
                 airtime_ns: airtime.as_nanos(),
             });
-            self.push(t, "tx.attempt", ATTEMPT_SEED, detail, Some(client));
+            self.push(t, client, detail);
         }
     }
 
+    #[inline]
     fn on_mac_event(&mut self, rec: EventRecord) {
         if let EventRecord::Mac { t, phase, node } = rec {
-            let detail = Detail::Final { phase, node };
-            self.push(t, "mac.final", FINAL_SEED, detail, Some(node));
+            self.push(t, node, Detail::Final { phase, node });
         }
     }
 
+    #[inline]
     fn on_sched_decision(&mut self, rec: EventRecord) {
         if let EventRecord::SchedDecision {
             t,
@@ -500,20 +605,20 @@ impl Observer for FlightRecorder {
                 bytes,
                 qlen: queue_len,
             };
-            self.push(t, "sched.decide", DECIDE_SEED, detail, Some(client));
+            self.push(t, client, detail);
         }
     }
 
+    #[inline]
     fn on_queue_change(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
-            let detail = Detail::Queue { site, key, len };
-            self.push(t, "queue.change", QUEUE_SEED, detail, Some(key));
+            self.push(t, key, Detail::Queue { site, key, len });
         }
     }
 
+    #[inline]
     fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
-        let detail = Detail::Handoff { from, to };
-        self.push(t, "handoff", HANDOFF_SEED, detail, Some(station));
+        self.push(t, station, Detail::Handoff { from, to });
     }
 }
 

@@ -27,11 +27,12 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use airtime_sim::SimTime;
+use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
 use crate::event::{read_trace, EventRecord, Malformed, RunPhase};
 use crate::observer::{Hook, Observer};
+use crate::recorder::DENSE_STATIONS;
 
 /// The percentiles every delay column reports.
 pub const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
@@ -77,9 +78,9 @@ struct StationAcc {
     frames: u64,
     delivered: u64,
     attempts: u64,
-    queueing_ms: Vec<f64>,
-    contention_ms: Vec<f64>,
-    hol_ms: Vec<f64>,
+    /// One `[queueing, contention, head-of-line]` row of delays (ms)
+    /// per frame.
+    delays_ms: Vec<[f64; 3]>,
 }
 
 /// One station's delay breakdown, percentiles in milliseconds.
@@ -101,10 +102,18 @@ pub struct StationDelays {
     pub hol_ms: [f64; 3],
 }
 
+/// Marks a station id the dense table has no accumulator for.
+const NO_ACC: u32 = u32::MAX;
+
 /// Collects frame spans and rolls them up per station.
 #[derive(Clone, Debug, Default)]
 pub struct SpanCollector {
+    /// Accumulators in first-seen order.
     accs: Vec<StationAcc>,
+    /// Position in `accs` of each station below [`DENSE_STATIONS`], by
+    /// id ([`NO_ACC`] = none yet); larger ids (only a trace file can
+    /// carry them) are searched for.
+    slots: Vec<u32>,
     total: u64,
 }
 
@@ -116,6 +125,7 @@ impl SpanCollector {
 
     /// Feeds one record; everything but `frame_span` and the warm-up
     /// `run_mark` is ignored.
+    #[inline]
     pub fn record(&mut self, rec: &EventRecord) {
         match *rec {
             EventRecord::FrameSpan {
@@ -136,6 +146,7 @@ impl SpanCollector {
                 ..
             } => {
                 self.accs.clear();
+                self.slots.clear();
                 self.total = 0;
             }
             _ => {}
@@ -143,6 +154,7 @@ impl SpanCollector {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn on_span(
         &mut self,
         t: SimTime,
@@ -151,32 +163,56 @@ impl SpanCollector {
         release: SimTime,
         first_tx: SimTime,
         attempts: u64,
-        airtime: airtime_sim::SimDuration,
+        airtime: SimDuration,
         delivered: bool,
     ) {
         self.total += 1;
-        let acc = match self.accs.iter_mut().find(|a| a.station == station) {
-            Some(a) => a,
-            None => {
-                self.accs.push(StationAcc {
-                    station,
-                    ..Default::default()
-                });
-                self.accs.last_mut().unwrap()
-            }
+        let slot = usize::try_from(station)
+            .ok()
+            .and_then(|i| self.slots.get(i))
+            .filter(|&&pos| pos != NO_ACC);
+        let pos = match slot {
+            Some(&pos) => pos as usize,
+            None => self.find_or_add(station),
         };
+        let acc = &mut self.accs[pos];
         acc.frames += 1;
         if delivered {
             acc.delivered += 1;
         }
         acc.attempts += attempts;
         let ms = 1e3;
-        acc.queueing_ms
-            .push(release.saturating_since(enqueue).as_secs_f64() * ms);
         let contention = t.saturating_since(release).as_secs_f64() - airtime.as_secs_f64();
-        acc.contention_ms.push(contention.max(0.0) * ms);
-        acc.hol_ms
-            .push(first_tx.saturating_since(release).as_secs_f64() * ms);
+        acc.delays_ms.push([
+            release.saturating_since(enqueue).as_secs_f64() * ms,
+            contention.max(0.0) * ms,
+            first_tx.saturating_since(release).as_secs_f64() * ms,
+        ]);
+    }
+
+    /// The position in `accs` of a station the dense table does not
+    /// hold: a new accumulator (entered in the table when its id is
+    /// below [`DENSE_STATIONS`]), or a search for a larger id.
+    #[cold]
+    #[inline(never)]
+    fn find_or_add(&mut self, station: u64) -> usize {
+        if let Some(pos) = self.accs.iter().position(|a| a.station == station) {
+            return pos;
+        }
+        let pos = self.accs.len();
+        self.accs.push(StationAcc {
+            station,
+            ..Default::default()
+        });
+        if let Ok(i) = usize::try_from(station) {
+            if i < DENSE_STATIONS {
+                if i >= self.slots.len() {
+                    self.slots.resize(i + 1, NO_ACC);
+                }
+                self.slots[i] = pos as u32;
+            }
+        }
+        pos
     }
 
     /// Rebuilds a collector from a JSONL trace on disk, with the lines
@@ -198,9 +234,9 @@ impl SpanCollector {
         accs.sort_by_key(|a| a.station);
         // One scratch buffer for every column: selection reorders it.
         let mut scratch = Vec::new();
-        let mut triple = |xs: &[f64]| {
+        let mut triple = |rows: &[[f64; 3]], column: usize| {
             scratch.clear();
-            scratch.extend_from_slice(xs);
+            scratch.extend(rows.iter().map(|row| row[column]));
             select_percentiles(&mut scratch)
         };
         accs.into_iter()
@@ -213,9 +249,9 @@ impl SpanCollector {
                 } else {
                     0.0
                 },
-                queueing_ms: triple(&a.queueing_ms),
-                contention_ms: triple(&a.contention_ms),
-                hol_ms: triple(&a.hol_ms),
+                queueing_ms: triple(&a.delays_ms, 0),
+                contention_ms: triple(&a.delays_ms, 1),
+                hol_ms: triple(&a.delays_ms, 2),
             })
             .collect()
     }
@@ -258,14 +294,17 @@ impl SpanCollector {
 }
 
 impl Observer for SpanCollector {
+    #[inline]
     fn wants(&self, hook: Hook) -> bool {
         matches!(hook, Hook::FrameSpan | Hook::RunMark)
     }
 
+    #[inline]
     fn on_frame_span(&mut self, rec: EventRecord) {
         self.record(&rec);
     }
 
+    #[inline]
     fn on_run_mark(&mut self, rec: EventRecord) {
         self.record(&rec);
     }
@@ -313,7 +352,6 @@ impl fmt::Display for SpanCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airtime_sim::SimDuration;
 
     fn span(station: u64, enqueue_us: u64, release_us: u64, done_us: u64) -> EventRecord {
         EventRecord::FrameSpan {
@@ -393,6 +431,34 @@ mod tests {
         c.record(&span(2, 6000, 6000, 8000));
         assert_eq!(c.total(), 1);
         assert_eq!(c.summary()[0].station, 2);
+        // Station 1's accumulator went with the reset.
+        c.record(&span(1, 9000, 9000, 9500));
+        let frames: Vec<(u64, u64)> = c.summary().iter().map(|d| (d.station, d.frames)).collect();
+        assert_eq!(frames, [(1, 1), (2, 1)]);
+    }
+
+    #[test]
+    fn every_station_id_keeps_its_own_accumulator() {
+        // Ids below the dense table's bound are indexed, larger ones
+        // (a trace file can carry any u64) are searched for.
+        let ids = [3, 5000, 3, u64::MAX, 5000, 0, 4095, 4096, 3];
+        let mut c = SpanCollector::new();
+        for (i, &s) in ids.iter().enumerate() {
+            let t = 1000 * i as u64;
+            c.record(&span(s, t, t + 100, t + 2000));
+        }
+        let frames: Vec<(u64, u64)> = c.summary().iter().map(|d| (d.station, d.frames)).collect();
+        assert_eq!(
+            frames,
+            [
+                (0, 1),
+                (3, 3),
+                (4095, 1),
+                (4096, 1),
+                (5000, 2),
+                (u64::MAX, 1)
+            ]
+        );
     }
 
     #[test]

@@ -601,12 +601,19 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     /// Dispatches the earliest pending event, then runs the glue every
     /// dispatch is followed by; `None` when the queue is drained.
-    fn step(&mut self) -> Option<(SimTime, &'static str)> {
+    fn step(&mut self) -> Option<SimTime> {
+        self.step_with(|_| ()).map(|(t, ())| t)
+    }
+
+    /// [`Sim::step`], also returning what `look` reads off the event
+    /// before it is dispatched (its label, for a profiling driver).
+    fn step_with<R>(&mut self, look: impl FnOnce(&Event) -> R) -> Option<(SimTime, R)> {
         let (t, ev) = self.queue.pop()?;
         self.now = t;
-        let label = event_label(&ev);
+        let seen = look(&ev);
         if self.wants(Hook::Dispatch) {
-            self.obs.on_dispatch(t, self.queue.last_seq(), label);
+            self.obs
+                .on_dispatch(t, self.queue.last_seq(), event_label(&ev));
         }
         if let Some(instr) = self.instr.as_mut() {
             instr
@@ -618,7 +625,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         self.kick();
         self.ensure_sched_wake();
         self.advance_instr();
-        Some((t, label))
+        Some((t, seen))
     }
 
     /// Closes the run at `end`. Brings the scheduler's periodic state up
@@ -1688,14 +1695,14 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// Dispatches exactly one event — the earliest pending — and
     /// returns its time; `None` when the cell is drained.
     pub fn step(&mut self) -> Option<SimTime> {
-        self.step_labeled().map(|(t, _)| t)
+        self.sim.step()
     }
 
     /// Like [`CellSim::step`], but also returns the dispatched event's
     /// profiler label, so a driver can attribute the step's host cost
     /// per event type without peeking into the queue.
     pub fn step_labeled(&mut self) -> Option<(SimTime, &'static str)> {
-        self.sim.step()
+        self.sim.step_with(event_label)
     }
 
     /// Events dispatched by this cell's loop so far.

@@ -707,7 +707,9 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
 
     println!("sweep '{}' — {} cells\n", outcome.name, outcome.cells.len());
     print_sweep_table(&outcome);
-    println!(
+    // Which worker ran which job depends on interleaving, so it goes to
+    // stderr: stdout is reproducible like the exports.
+    eprintln!(
         "{} worker thread(s); jobs per thread: {:?}",
         outcome.stats.threads_used(),
         outcome.stats.per_thread_jobs
@@ -827,7 +829,7 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
         ],
         &station_rows,
     );
-    println!(
+    eprintln!(
         "{} worker thread(s); jobs per thread: {:?}",
         outcome.stats.threads_used(),
         outcome.stats.per_thread_jobs

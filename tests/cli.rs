@@ -234,6 +234,29 @@ fn jain_over_no_throughput_reads_n_a() {
 }
 
 #[test]
+fn sweep_stdout_does_not_depend_on_worker_interleaving() {
+    // Which worker takes which job varies from run to run and with the
+    // thread count; the printed table must not.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/ablation_retry_info.toml"
+    );
+    let stdout = |threads: &str| {
+        let out = cli(&["sweep", path, "--threads", threads]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("stdout is UTF-8")
+    };
+    let first = stdout("4");
+    assert_eq!(stdout("4"), first);
+    assert_eq!(stdout("1"), first);
+}
+
+#[test]
 fn run_and_predict_reject_a_stray_positional() {
     // `run --secs 2 cell.toml` once ran the default 11,1 cell and exited
     // 0 without reading the file the user meant to pass via --scenario.
