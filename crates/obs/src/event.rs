@@ -14,6 +14,7 @@ use std::path::Path;
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::json::{self, Json, Obj};
+use crate::observer::Hook;
 
 /// Where in the MAC lifecycle a [`EventRecord::Mac`] record was emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -381,6 +382,25 @@ impl EventRecord {
             EventRecord::AirtimeSlice { .. } => "airtime_slice",
             EventRecord::FrameSpan { .. } => "frame_span",
             EventRecord::RunMark { .. } => "run_mark",
+        }
+    }
+
+    /// The [`Observer`](crate::Observer) hook that carries this
+    /// record: the one mapping from record to hook.
+    #[inline]
+    pub fn hook(&self) -> Hook {
+        match self {
+            EventRecord::Mac { .. } => Hook::MacEvent,
+            EventRecord::TxAttempt { .. } => Hook::TxAttempt,
+            EventRecord::Collision { .. } => Hook::Collision,
+            EventRecord::Backoff { .. } => Hook::Backoff,
+            EventRecord::SchedDecision { .. } => Hook::SchedDecision,
+            EventRecord::TokenUpdate { .. } => Hook::TokenUpdate,
+            EventRecord::Tcp { .. } => Hook::TcpEvent,
+            EventRecord::QueueChange { .. } => Hook::QueueChange,
+            EventRecord::AirtimeSlice { .. } => Hook::AirtimeSlice,
+            EventRecord::FrameSpan { .. } => Hook::FrameSpan,
+            EventRecord::RunMark { .. } => Hook::RunMark,
         }
     }
 
@@ -891,6 +911,53 @@ mod tests {
     fn missing_field_is_an_error() {
         let err = parse_line(r#"{"type":"backoff","t_ns":0,"node":1,"slots":3}"#).unwrap_err();
         assert!(err.contains("cw"), "{err}");
+    }
+
+    #[test]
+    fn hook_names_each_variant_in_hook_order() {
+        let hooks: Vec<Hook> = samples().iter().map(EventRecord::hook).collect();
+        // Every record hook once, in `Hook::ALL` order; the last two
+        // hooks (dispatch, handoff) carry no record.
+        assert_eq!(hooks, Hook::ALL[..11]);
+        assert_eq!(Hook::ALL[11..], [Hook::Dispatch, Hook::Handoff]);
+    }
+
+    /// Logs which named hook each record arrived on.
+    #[derive(Default)]
+    struct HookLog(Vec<(Hook, EventRecord)>);
+
+    macro_rules! log_hooks {
+        ($($hook:ident => $name:ident),*) => {$(
+            fn $hook(&mut self, rec: EventRecord) {
+                self.0.push((Hook::$name, rec));
+            }
+        )*};
+    }
+
+    impl crate::Observer for HookLog {
+        log_hooks!(
+            on_mac_event => MacEvent,
+            on_tx_attempt => TxAttempt,
+            on_collision => Collision,
+            on_backoff => Backoff,
+            on_sched_decision => SchedDecision,
+            on_token_update => TokenUpdate,
+            on_tcp_event => TcpEvent,
+            on_queue_change => QueueChange,
+            on_airtime_slice => AirtimeSlice,
+            on_frame_span => FrameSpan,
+            on_run_mark => RunMark
+        );
+    }
+
+    #[test]
+    fn deliver_reaches_the_named_hook_of_each_variant() {
+        let mut log = HookLog::default();
+        for rec in samples() {
+            crate::deliver(&mut log, rec);
+        }
+        let want: Vec<(Hook, EventRecord)> = samples().into_iter().map(|r| (r.hook(), r)).collect();
+        assert_eq!(log.0, want);
     }
 
     #[test]

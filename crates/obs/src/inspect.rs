@@ -4,12 +4,11 @@
 //! occupancy timelines.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use airtime_sim::SimTime;
 
-use crate::event::{parse_lines, read_trace, EventRecord, TcpPhase, TokenCause};
+use crate::event::{parse_lines, EventRecord, TcpPhase, TokenCause};
+use crate::observer::{deliver, Observer};
 
 /// Per-station aggregates from `tx_attempt` records.
 #[derive(Clone, Debug, Default)]
@@ -96,9 +95,11 @@ struct TokenAcc {
     last_rate: f64,
 }
 
-/// The running totals behind one [`InspectSummary`].
+/// The running totals behind one [`InspectSummary`]: an observer
+/// that reads every record, fed by [`summarize`] or by
+/// [`replay`](crate::replay) of a trace file.
 #[derive(Default)]
-struct Tally {
+pub struct Summarizer {
     s: InspectSummary,
     by_type: Vec<(String, u64)>,
     stations: Vec<StationSummary>,
@@ -106,8 +107,8 @@ struct Tally {
     backoff_slots_sum: u64,
 }
 
-impl Tally {
-    fn add(&mut self, rec: EventRecord) {
+impl Observer for Summarizer {
+    fn on_record(&mut self, rec: EventRecord) {
         self.s.total += 1;
         let t = rec.time();
         if self.s.t_first.is_none() {
@@ -210,9 +211,13 @@ impl Tally {
             | EventRecord::RunMark { .. } => {}
         }
     }
+}
 
-    fn finish(self, malformed: u64) -> InspectSummary {
-        let Tally {
+impl Summarizer {
+    /// The summary of the records seen, with `malformed` lines that
+    /// did not parse.
+    pub fn into_summary(self, malformed: u64) -> InspectSummary {
+        let Summarizer {
             mut s,
             mut by_type,
             mut stations,
@@ -264,18 +269,9 @@ where
     I: IntoIterator,
     I::Item: AsRef<str>,
 {
-    let mut tally = Tally::default();
-    let bad = parse_lines(lines, |rec| tally.add(rec));
-    tally.finish(bad.count)
-}
-
-/// Summarises a JSONL file on disk, streamed one line at a time in
-/// constant memory. An I/O error mid-file stops the scan and is
-/// returned; the partial summary is discarded.
-pub fn summarize_file(path: &Path) -> io::Result<InspectSummary> {
-    let mut tally = Tally::default();
-    let bad = read_trace(path, |rec| tally.add(rec))?;
-    Ok(tally.finish(bad.count))
+    let mut tally = Summarizer::default();
+    let bad = parse_lines(lines, |rec| deliver(&mut tally, rec));
+    tally.into_summary(bad.count)
 }
 
 impl fmt::Display for InspectSummary {

@@ -26,16 +26,14 @@
 //!
 //! [`AirtimeLedger`] implements [`Observer`], so it can sit directly
 //! on a live run (`airtime-cli run --ledger`), and it can equally be
-//! rebuilt from a JSONL trace on disk ([`AirtimeLedger::from_file`]).
+//! rebuilt from a JSONL trace on disk ([`replay`](crate::replay)).
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
-use crate::event::{read_trace, AirtimeCategory, EventRecord, Malformed, RunPhase};
+use crate::event::{AirtimeCategory, EventRecord, RunPhase};
 use crate::observer::{Hook, Observer};
 
 /// Conservation slack: Σ slices must match the audited window within
@@ -90,50 +88,6 @@ impl AirtimeLedger {
         Self::default()
     }
 
-    /// Feeds one record. Only `airtime_slice`, `tx_attempt`, and
-    /// `run_mark` records matter; everything else is ignored, so the
-    /// full mixed trace stream can be piped through unfiltered.
-    #[inline]
-    pub fn record(&mut self, rec: &EventRecord) {
-        match *rec {
-            EventRecord::AirtimeSlice {
-                start,
-                dur,
-                station,
-                category,
-                ..
-            } => self.on_slice(start, dur, station, category),
-            EventRecord::TxAttempt {
-                client, airtime, ..
-            } => {
-                self.attempts += 1;
-                let i = client as usize;
-                match self.occupancy_ns.get_mut(i) {
-                    Some(ns) => *ns += airtime.as_nanos(),
-                    None => self.grow_occupancy(i, airtime.as_nanos()),
-                }
-            }
-            EventRecord::RunMark { t, phase } => match phase {
-                RunPhase::Warmup => {
-                    // Records arrive in dispatch order, so everything
-                    // accumulated so far is pre-warm-up by the same
-                    // ordering the simulator's own latch uses. A cycle
-                    // straddling the mark arrives *after* it (slices
-                    // are emitted at cycle end) and is clipped in
-                    // on_slice instead.
-                    self.warmup = Some(t);
-                    self.occupancy_ns.iter_mut().for_each(|o| *o = 0);
-                    self.attempts = 0;
-                    self.station_cat_ns
-                        .iter_mut()
-                        .for_each(|row| *row = [0; NCAT]);
-                }
-                RunPhase::End => self.end = Some(t),
-            },
-            _ => {}
-        }
-    }
-
     /// Bills `ns` to a client past the end of the occupancy table,
     /// growing the table to cover it.
     #[cold]
@@ -175,14 +129,6 @@ impl AirtimeLedger {
             self.station_cat_ns.resize(i + 1, [0; NCAT]);
         }
         self.station_cat_ns[i][cat_index(cat)] += counted_ns;
-    }
-
-    /// Rebuilds a ledger from a JSONL trace on disk, with the lines
-    /// that did not parse (they are skipped).
-    pub fn from_file(path: &Path) -> io::Result<(Self, Malformed)> {
-        let mut ledger = AirtimeLedger::new();
-        let bad = read_trace(path, |rec| ledger.record(&rec))?;
-        Ok((ledger, bad))
     }
 
     /// Slices accumulated.
@@ -292,19 +238,48 @@ impl Observer for AirtimeLedger {
         matches!(hook, Hook::TxAttempt | Hook::AirtimeSlice | Hook::RunMark)
     }
 
-    #[inline]
-    fn on_tx_attempt(&mut self, rec: EventRecord) {
-        self.record(&rec);
-    }
-
-    #[inline]
-    fn on_airtime_slice(&mut self, rec: EventRecord) {
-        self.record(&rec);
-    }
-
-    #[inline]
-    fn on_run_mark(&mut self, rec: EventRecord) {
-        self.record(&rec);
+    /// Only `airtime_slice`, `tx_attempt`, and `run_mark` records
+    /// matter; everything else is ignored. Always inlined, so an
+    /// emission site keeps only its own variant's arm.
+    #[inline(always)]
+    fn on_record(&mut self, rec: EventRecord) {
+        match rec {
+            EventRecord::AirtimeSlice {
+                start,
+                dur,
+                station,
+                category,
+                ..
+            } => self.on_slice(start, dur, station, category),
+            EventRecord::TxAttempt {
+                client, airtime, ..
+            } => {
+                self.attempts += 1;
+                let i = client as usize;
+                match self.occupancy_ns.get_mut(i) {
+                    Some(ns) => *ns += airtime.as_nanos(),
+                    None => self.grow_occupancy(i, airtime.as_nanos()),
+                }
+            }
+            EventRecord::RunMark { t, phase } => match phase {
+                RunPhase::Warmup => {
+                    // Records arrive in dispatch order, so everything
+                    // accumulated so far is pre-warm-up by the same
+                    // ordering the simulator's own latch uses. A cycle
+                    // straddling the mark arrives *after* it (slices
+                    // are emitted at cycle end) and is clipped in
+                    // on_slice instead.
+                    self.warmup = Some(t);
+                    self.occupancy_ns.iter_mut().for_each(|o| *o = 0);
+                    self.attempts = 0;
+                    self.station_cat_ns
+                        .iter_mut()
+                        .for_each(|row| *row = [0; NCAT]);
+                }
+                RunPhase::End => self.end = Some(t),
+            },
+            _ => {}
+        }
     }
 }
 
@@ -394,9 +369,9 @@ mod tests {
     #[test]
     fn tiling_slices_conserve() {
         let mut l = AirtimeLedger::new();
-        l.record(&slice(0, 100, CELL, AirtimeCategory::Idle));
-        l.record(&slice(100, 50, 1, AirtimeCategory::Backoff));
-        l.record(&slice(150, 800, 1, AirtimeCategory::DataTx));
+        l.on_record(slice(0, 100, CELL, AirtimeCategory::Idle));
+        l.on_record(slice(100, 50, 1, AirtimeCategory::Backoff));
+        l.on_record(slice(150, 800, 1, AirtimeCategory::DataTx));
         // Cut here, the stream tiles but never saw its end: a truncated
         // trace, which must not pass.
         let a = l.audit();
@@ -405,8 +380,8 @@ mod tests {
         // Nor does an empty one.
         let a = AirtimeLedger::new().audit();
         assert!(!a.conserved && !a.complete, "{a}");
-        l.record(&slice(950, 50, 1, AirtimeCategory::Ack));
-        l.record(&EventRecord::RunMark {
+        l.on_record(slice(950, 50, 1, AirtimeCategory::Ack));
+        l.on_record(EventRecord::RunMark {
             t: SimTime::from_micros(1000),
             phase: RunPhase::End,
         });
@@ -423,8 +398,8 @@ mod tests {
     #[test]
     fn a_gap_fails_the_audit() {
         let mut l = AirtimeLedger::new();
-        l.record(&slice(0, 100, CELL, AirtimeCategory::Idle));
-        l.record(&slice(150, 100, 1, AirtimeCategory::DataTx)); // 50 µs hole
+        l.on_record(slice(0, 100, CELL, AirtimeCategory::Idle));
+        l.on_record(slice(150, 100, 1, AirtimeCategory::DataTx)); // 50 µs hole
         let a = l.audit();
         assert!(!a.conserved);
         assert_eq!(a.gap_ns, 50_000);
@@ -434,8 +409,8 @@ mod tests {
     #[test]
     fn an_overlap_is_detected() {
         let mut l = AirtimeLedger::new();
-        l.record(&slice(0, 100, 1, AirtimeCategory::DataTx));
-        l.record(&slice(80, 100, 2, AirtimeCategory::DataTx));
+        l.on_record(slice(0, 100, 1, AirtimeCategory::DataTx));
+        l.on_record(slice(80, 100, 2, AirtimeCategory::DataTx));
         let a = l.audit();
         assert!(!a.conserved);
         assert_eq!(a.overlap_ns, 20_000);
@@ -444,17 +419,17 @@ mod tests {
     #[test]
     fn warmup_mark_clips_the_timeline_and_resets_occupancy() {
         let mut l = AirtimeLedger::new();
-        l.record(&attempt(400, 1, 300));
-        l.record(&slice(0, 500, 1, AirtimeCategory::DataTx));
-        l.record(&EventRecord::RunMark {
+        l.on_record(attempt(400, 1, 300));
+        l.on_record(slice(0, 500, 1, AirtimeCategory::DataTx));
+        l.on_record(EventRecord::RunMark {
             t: SimTime::from_micros(600),
             phase: RunPhase::Warmup,
         });
         // Straddles the mark: only 200 µs land post-warm-up.
-        l.record(&slice(500, 300, 2, AirtimeCategory::DataTx));
-        l.record(&slice(800, 200, CELL, AirtimeCategory::Idle));
-        l.record(&attempt(900, 2, 250));
-        l.record(&EventRecord::RunMark {
+        l.on_record(slice(500, 300, 2, AirtimeCategory::DataTx));
+        l.on_record(slice(800, 200, CELL, AirtimeCategory::Idle));
+        l.on_record(attempt(900, 2, 250));
+        l.on_record(EventRecord::RunMark {
             t: SimTime::from_micros(1000),
             phase: RunPhase::End,
         });
@@ -475,8 +450,8 @@ mod tests {
     #[test]
     fn occupancy_shares_follow_attempt_billing() {
         let mut l = AirtimeLedger::new();
-        l.record(&attempt(100, 1, 300));
-        l.record(&attempt(200, 2, 100));
+        l.on_record(attempt(100, 1, 300));
+        l.on_record(attempt(200, 2, 100));
         let shares = l.occupancy_shares();
         assert_eq!(shares.len(), 3); // cell slot 0 exists but is zero
         assert!((shares[1].1 - 0.75).abs() < 1e-12);
@@ -486,9 +461,9 @@ mod tests {
     #[test]
     fn timeline_csv_lists_nonempty_pairs() {
         let mut l = AirtimeLedger::new();
-        l.record(&slice(0, 250, CELL, AirtimeCategory::Idle));
-        l.record(&slice(250, 750, 1, AirtimeCategory::DataTx));
-        l.record(&EventRecord::RunMark {
+        l.on_record(slice(0, 250, CELL, AirtimeCategory::Idle));
+        l.on_record(slice(250, 750, 1, AirtimeCategory::DataTx));
+        l.on_record(EventRecord::RunMark {
             t: SimTime::from_micros(1000),
             phase: RunPhase::End,
         });
@@ -504,7 +479,7 @@ mod tests {
     #[test]
     fn non_airtime_records_are_ignored() {
         let mut l = AirtimeLedger::new();
-        l.record(&EventRecord::Backoff {
+        l.on_record(EventRecord::Backoff {
             t: SimTime::from_micros(1),
             node: 1,
             slots: 4,

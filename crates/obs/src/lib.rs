@@ -15,15 +15,23 @@
 //!   buffered file (the `--events` flag of `airtime-cli run`).
 //! - [`MemoryObserver`] — collects records in a `Vec` for tests.
 //!
-//! An observer names the hooks it reads in [`Observer::wants`], and the
+//! Every sink reads the stream in one method, [`Observer::on_record`],
+//! with one `match` over the [`EventRecord`] variants it reads; the
+//! named hooks the engine calls forward to it, and
+//! [`EventRecord::hook`] is the one mapping from record to hook. An
+//! observer names the hooks it reads in [`Observer::wants`], and the
 //! engine builds only those records: emission sites gate on
-//! `wants(hook)`, read once per run into a [`HookSet`]. An observer that
-//! overrides a hook must list it in `wants`; the default wants every
-//! hook while [`Observer::active`] is true. [`SpanCollector`],
-//! [`FlightRecorder`], [`AirtimeLedger`] and [`ChromeTraceObserver`]
-//! list exactly the hooks they override, and [`TeeObserver`] wants the
-//! union of its sides. An `Option` of an observer is one too (`None`
-//! wants nothing), so a tee of options composes optional sinks.
+//! `wants(hook)`, read once per run into a [`HookSet`]. The default
+//! wants every hook while [`Observer::active`] is true.
+//! [`SpanCollector`], [`FlightRecorder`], [`AirtimeLedger`] and
+//! [`ChromeTraceObserver`] list exactly the hooks whose records they
+//! read. [`TeeObserver`] wants the union of its sides and passes each
+//! record, through [`deliver`], only to a side that wants it. An
+//! `Option` of an observer is one too (`None` wants nothing), so a tee
+//! of options composes optional sinks. [`replay`] feeds a JSONL trace
+//! on disk to any observer the same way, which is how
+//! `airtime-cli inspect` rebuilds spans, the ledger audit and the
+//! summary.
 //!
 //! [`MetricsRegistry`] complements the event stream with named
 //! counters, gauges, and histograms plus a periodic snapshot series,
@@ -45,11 +53,12 @@ pub use event::{
     parse_line, AirtimeCategory, EventRecord, MacPhase, Malformed, QueueSite, RunPhase, TcpPhase,
     TokenCause,
 };
-pub use inspect::{summarize, summarize_file, InspectSummary};
+pub use inspect::{summarize, InspectSummary, Summarizer};
 pub use ledger::{AirtimeLedger, AuditReport, AUDIT_TOLERANCE_NS, CELL};
 pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry};
 pub use observer::{
-    Hook, HookSet, JsonlObserver, MemoryObserver, NullObserver, Observer, TeeObserver,
+    deliver, replay, Hook, HookSet, JsonlObserver, MemoryObserver, NullObserver, Observer,
+    TeeObserver,
 };
 pub use prof::{render_perf_report, AllocStats, ChromeTrace, ChromeTraceObserver, CountingAlloc};
 pub use recorder::{

@@ -91,18 +91,6 @@ impl MetricsRegistry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0] += n;
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
     /// Overwrites a counter (for values maintained elsewhere and
     /// mirrored in, like cumulative MAC stats).
     #[inline]
@@ -304,8 +292,8 @@ mod tests {
         let a = m.counter("dcf.collisions");
         let b = m.counter("dcf.collisions");
         assert_eq!(a, b);
-        m.inc(a);
-        m.add(b, 2);
+        m.set_counter(a, 1);
+        m.set_counter(b, 3);
         assert_eq!(m.counter_value("dcf.collisions"), Some(3));
     }
 
@@ -328,13 +316,13 @@ mod tests {
     fn snapshots_form_aligned_series() {
         let mut m = MetricsRegistry::new();
         let c = m.counter("events");
-        m.inc(c);
+        m.set_counter(c, 1);
         m.snapshot(SimTime::from_secs(1));
         // Register a second metric after the first snapshot: its series
         // must be back-filled with zeros.
         let late = m.counter("late");
-        m.add(late, 9);
-        m.inc(c);
+        m.set_counter(late, 9);
+        m.set_counter(c, 2);
         m.snapshot(SimTime::from_secs(2));
         let json = m.to_json();
         assert!(json.contains("\"t_ns\":[1000000000,2000000000]"), "{json}");
@@ -347,11 +335,11 @@ mod tests {
     fn series_csv_has_schema_and_backfill() {
         let mut m = MetricsRegistry::new();
         let c = m.counter("events");
-        m.inc(c);
+        m.set_counter(c, 1);
         m.snapshot(SimTime::from_secs(1));
         let g = m.gauge("load");
         m.set(g, 0.5);
-        m.inc(c);
+        m.set_counter(c, 2);
         m.snapshot(SimTime::from_secs(2));
         let csv = m.series_to_csv();
         let lines: Vec<&str> = csv.lines().collect();

@@ -1,13 +1,17 @@
-//! The [`Observer`] trait and its stock implementations.
+//! The [`Observer`] trait, its record router, and its stock
+//! implementations.
 //!
 //! The simulator is generic over `O: Observer`, so with
 //! [`NullObserver`] every hook monomorphises to an empty inline body
 //! guarded by `active() == false` — the instrumented and plain builds
 //! run the same machine code on the hot path. An active observer names
 //! the hooks it reads in [`Observer::wants`]; the engine builds no
-//! record for any other hook. [`JsonlObserver`] streams
-//! records to a buffered file; [`MemoryObserver`] collects them in a
-//! `Vec` for tests and in-process analysis.
+//! record for any other hook. A sink reads records in one method,
+//! [`Observer::on_record`]; forwarders ([`TeeObserver`], `Option`) and
+//! trace replays ([`replay`]) pass records on through [`deliver`].
+//! [`JsonlObserver`] streams records to a buffered file;
+//! [`MemoryObserver`] collects them in a `Vec` for tests and
+//! in-process analysis.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -15,14 +19,34 @@ use std::path::Path;
 
 use airtime_sim::SimTime;
 
-use crate::event::EventRecord;
+use crate::event::{read_trace, EventRecord, Malformed};
+
+/// The named record hooks: each carries one [`EventRecord`] variant
+/// and forwards it to [`Observer::on_record`].
+macro_rules! record_hooks {
+    ($($hook:ident => $variant:ident),*) => {$(
+        #[doc = concat!("Carries an [`EventRecord::", stringify!($variant), "`] record.")]
+        #[inline(always)]
+        fn $hook(&mut self, rec: EventRecord) {
+            self.on_record(rec);
+        }
+    )*};
+}
 
 /// Receives structured events from the simulator.
 ///
-/// All hooks have empty default bodies, so an implementation only
-/// overrides what it cares about. Each hook has a [`Hook`] name, and
-/// emission sites ask [`Observer::wants`] for that name before doing
-/// *any* work to build its record — that keeps record construction off
+/// A sink implements one method, [`Observer::on_record`], with one
+/// `match` over the [`EventRecord`] variants it reads, and names those
+/// records' hooks in [`Observer::wants`]. Each named record hook
+/// (`on_mac_event`, `on_tx_attempt`, ...) is a provided one-line
+/// forwarder to `on_record`; sinks override none of them.
+///
+/// Callers enter through a named hook (the engine's emission sites) or
+/// through [`deliver`], which calls the named hook of a record's
+/// variant, never through `on_record` on a generic `O`: a wrapper that
+/// overrides the named hooks, as a hook timer does, would be skipped.
+/// Emission sites ask [`Observer::wants`] for the hook before doing
+/// *any* work to build its record, which keeps record construction off
 /// the hot path for every hook no attached observer reads:
 ///
 /// ```ignore
@@ -31,10 +55,11 @@ use crate::event::EventRecord;
 /// }
 /// ```
 ///
-/// The contract: an observer that overrides a hook must list that hook
-/// in [`Observer::wants`], or it may never be called. The default
-/// `wants` answers [`Observer::active`] for every hook, so an observer
-/// that does not override it receives every record while active.
+/// The contract: an observer must list in [`Observer::wants`] every
+/// hook whose records it reads, or it may never be handed them. The
+/// default `wants` answers [`Observer::active`] for every hook, so an
+/// observer that does not override it receives every record while
+/// active.
 pub trait Observer {
     /// Whether this observer wants events at all. Emission sites test
     /// it before [`Observer::wants`]; `NullObserver` returns `false` and
@@ -47,46 +72,29 @@ pub trait Observer {
     /// hook when a run starts and skips building the records nobody
     /// reads; a forwarding observer also uses it to pass a record only
     /// to the sides that want it. Override it to name exactly the
-    /// hooks the observer overrides.
+    /// hooks whose records the observer reads.
     fn wants(&self, _hook: Hook) -> bool {
         self.active()
     }
 
-    /// A coarse MAC lifecycle marker ([`EventRecord::Mac`]).
-    fn on_mac_event(&mut self, _rec: EventRecord) {}
+    /// Receives one record, whichever named hook carried it. The
+    /// default ignores it.
+    #[inline]
+    fn on_record(&mut self, _rec: EventRecord) {}
 
-    /// A transmission attempt resolved ([`EventRecord::TxAttempt`]).
-    fn on_tx_attempt(&mut self, _rec: EventRecord) {}
-
-    /// A slot-level collision ([`EventRecord::Collision`]).
-    fn on_collision(&mut self, _rec: EventRecord) {}
-
-    /// A station drew a backoff counter ([`EventRecord::Backoff`]).
-    fn on_backoff(&mut self, _rec: EventRecord) {}
-
-    /// The AP scheduler dequeued a packet
-    /// ([`EventRecord::SchedDecision`]).
-    fn on_sched_decision(&mut self, _rec: EventRecord) {}
-
-    /// A TBR token balance changed ([`EventRecord::TokenUpdate`]).
-    fn on_token_update(&mut self, _rec: EventRecord) {}
-
-    /// A TCP flow progressed ([`EventRecord::Tcp`]).
-    fn on_tcp_event(&mut self, _rec: EventRecord) {}
-
-    /// A queue changed length ([`EventRecord::QueueChange`]).
-    fn on_queue_change(&mut self, _rec: EventRecord) {}
-
-    /// One exclusive medium-timeline slice
-    /// ([`EventRecord::AirtimeSlice`]).
-    fn on_airtime_slice(&mut self, _rec: EventRecord) {}
-
-    /// A frame finished its MAC lifecycle
-    /// ([`EventRecord::FrameSpan`]).
-    fn on_frame_span(&mut self, _rec: EventRecord) {}
-
-    /// A run boundary passed ([`EventRecord::RunMark`]).
-    fn on_run_mark(&mut self, _rec: EventRecord) {}
+    record_hooks!(
+        on_mac_event => Mac,
+        on_tx_attempt => TxAttempt,
+        on_collision => Collision,
+        on_backoff => Backoff,
+        on_sched_decision => SchedDecision,
+        on_token_update => TokenUpdate,
+        on_tcp_event => Tcp,
+        on_queue_change => QueueChange,
+        on_airtime_slice => AirtimeSlice,
+        on_frame_span => FrameSpan,
+        on_run_mark => RunMark
+    );
 
     /// The event loop dispatched the event stamped `(t, seq)` whose
     /// handler is named `label`: engine bookkeeping (which timers pop,
@@ -183,6 +191,47 @@ impl HookSet {
     }
 }
 
+/// Hands `rec` to the named hook of its variant
+/// ([`EventRecord::hook`]): the way a forwarder or a trace replay
+/// passes a record on, so that an observer overriding the named hooks
+/// sees it as it would from the engine.
+///
+/// An optimised build always inlines it, like the named hooks and the
+/// forwarders' `on_record`: at an emission site the variant is known,
+/// so every match on it folds away and the record reaches its sink's
+/// arm directly. An unoptimised build folds nothing, and would copy
+/// every arm of every nested forwarder into each emission site.
+#[cfg_attr(debug_assertions, inline)]
+#[cfg_attr(not(debug_assertions), inline(always))]
+pub fn deliver<O: Observer + ?Sized>(obs: &mut O, rec: EventRecord) {
+    match rec {
+        EventRecord::Mac { .. } => obs.on_mac_event(rec),
+        EventRecord::TxAttempt { .. } => obs.on_tx_attempt(rec),
+        EventRecord::Collision { .. } => obs.on_collision(rec),
+        EventRecord::Backoff { .. } => obs.on_backoff(rec),
+        EventRecord::SchedDecision { .. } => obs.on_sched_decision(rec),
+        EventRecord::TokenUpdate { .. } => obs.on_token_update(rec),
+        EventRecord::Tcp { .. } => obs.on_tcp_event(rec),
+        EventRecord::QueueChange { .. } => obs.on_queue_change(rec),
+        EventRecord::AirtimeSlice { .. } => obs.on_airtime_slice(rec),
+        EventRecord::FrameSpan { .. } => obs.on_frame_span(rec),
+        EventRecord::RunMark { .. } => obs.on_run_mark(rec),
+    }
+}
+
+/// Replays a JSONL trace on disk into `obs`, in file order, handing it
+/// the records of the hooks it wants as a live run would. Returns the
+/// lines that did not parse (they are skipped); an I/O error stops the
+/// replay and is returned.
+pub fn replay<O: Observer + ?Sized>(path: &Path, obs: &mut O) -> io::Result<Malformed> {
+    let wanted = HookSet::of(obs);
+    read_trace(path, |rec| {
+        if wanted.has(rec.hook()) {
+            deliver(obs, rec);
+        }
+    })
+}
+
 /// The do-nothing observer: `active()` is `false`, so it wants no hook,
 /// and every hook is an inlined no-op — instrumentation costs nothing
 /// when unused.
@@ -219,19 +268,6 @@ impl<W: Write> JsonlObserver<W> {
         JsonlObserver { out, error: None }
     }
 
-    fn write(&mut self, rec: EventRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = rec.to_json_line();
-        line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            // Remember the first error; finish() reports it. Dropping
-            // subsequent records beats aborting a long simulation.
-            self.error = Some(e);
-        }
-    }
-
     /// Consumes the observer and returns the inner writer (flushed).
     pub fn into_inner(mut self) -> io::Result<W> {
         self.out.flush()?;
@@ -243,48 +279,17 @@ impl<W: Write> JsonlObserver<W> {
 }
 
 impl<W: Write> Observer for JsonlObserver<W> {
-    fn on_mac_event(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_tx_attempt(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_collision(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_backoff(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_sched_decision(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_token_update(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_tcp_event(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_queue_change(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_airtime_slice(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_frame_span(&mut self, rec: EventRecord) {
-        self.write(rec);
-    }
-
-    fn on_run_mark(&mut self, rec: EventRecord) {
-        self.write(rec);
+    fn on_record(&mut self, rec: EventRecord) {
+        if self.error.is_some() {
+            return;
+        }
+        let mut line = rec.to_json_line();
+        line.push('\n');
+        if let Err(e) = self.out.write_all(line.as_bytes()) {
+            // Remember the first error; finish() reports it. Dropping
+            // subsequent records beats aborting a long simulation.
+            self.error = Some(e);
+        }
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -311,47 +316,7 @@ impl MemoryObserver {
 }
 
 impl Observer for MemoryObserver {
-    fn on_mac_event(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_tx_attempt(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_collision(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_backoff(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_sched_decision(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_token_update(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_tcp_event(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_queue_change(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_airtime_slice(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_frame_span(&mut self, rec: EventRecord) {
-        self.events.push(rec);
-    }
-
-    fn on_run_mark(&mut self, rec: EventRecord) {
+    fn on_record(&mut self, rec: EventRecord) {
         self.events.push(rec);
     }
 }
@@ -376,24 +341,6 @@ impl<A: Observer, B: Observer> TeeObserver<A, B> {
     }
 }
 
-/// Forwards a record hook to each side that wants it, cloning the
-/// record only when both do.
-macro_rules! tee_forward {
-    ($($hook:ident => $name:ident),*) => {
-        $(fn $hook(&mut self, rec: EventRecord) {
-            match (self.a.wants(Hook::$name), self.b.wants(Hook::$name)) {
-                (true, true) => {
-                    self.a.$hook(rec.clone());
-                    self.b.$hook(rec);
-                }
-                (true, false) => self.a.$hook(rec),
-                (false, true) => self.b.$hook(rec),
-                (false, false) => {}
-            }
-        })*
-    };
-}
-
 impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
     fn active(&self) -> bool {
         self.a.active() || self.b.active()
@@ -403,19 +350,21 @@ impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
         self.a.wants(hook) || self.b.wants(hook)
     }
 
-    tee_forward!(
-        on_mac_event => MacEvent,
-        on_tx_attempt => TxAttempt,
-        on_collision => Collision,
-        on_backoff => Backoff,
-        on_sched_decision => SchedDecision,
-        on_token_update => TokenUpdate,
-        on_tcp_event => TcpEvent,
-        on_queue_change => QueueChange,
-        on_airtime_slice => AirtimeSlice,
-        on_frame_span => FrameSpan,
-        on_run_mark => RunMark
-    );
+    /// Passes the record to each side that wants its hook, cloning it
+    /// only when both do.
+    #[inline(always)]
+    fn on_record(&mut self, rec: EventRecord) {
+        let hook = rec.hook();
+        match (self.a.wants(hook), self.b.wants(hook)) {
+            (true, true) => {
+                deliver(&mut self.a, rec.clone());
+                deliver(&mut self.b, rec);
+            }
+            (true, false) => deliver(&mut self.a, rec),
+            (false, true) => deliver(&mut self.b, rec),
+            (false, false) => {}
+        }
+    }
 
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
         if self.a.wants(Hook::Dispatch) {
@@ -442,17 +391,6 @@ impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
     }
 }
 
-/// Forwards a record hook to the observer, if there is one.
-macro_rules! option_forward {
-    ($($hook:ident),*) => {
-        $(fn $hook(&mut self, rec: EventRecord) {
-            if let Some(o) = self {
-                o.$hook(rec);
-            }
-        })*
-    };
-}
-
 /// An absent observer is inactive and wants nothing; a present one
 /// behaves as itself. A sink that a flag may or may not ask for is an
 /// `Option`, and a [`TeeObserver`] of such options composes them.
@@ -465,19 +403,12 @@ impl<O: Observer> Observer for Option<O> {
         self.as_ref().is_some_and(|o| o.wants(hook))
     }
 
-    option_forward!(
-        on_mac_event,
-        on_tx_attempt,
-        on_collision,
-        on_backoff,
-        on_sched_decision,
-        on_token_update,
-        on_tcp_event,
-        on_queue_change,
-        on_airtime_slice,
-        on_frame_span,
-        on_run_mark
-    );
+    #[inline(always)]
+    fn on_record(&mut self, rec: EventRecord) {
+        if let Some(o) = self {
+            deliver(o, rec);
+        }
+    }
 
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
         if let Some(o) = self {
@@ -590,11 +521,7 @@ mod tests {
             hook == Hook::RunMark
         }
 
-        fn on_mac_event(&mut self, _rec: EventRecord) {
-            self.calls += 1;
-        }
-
-        fn on_run_mark(&mut self, _rec: EventRecord) {
+        fn on_record(&mut self, _rec: EventRecord) {
             self.calls += 1;
         }
     }

@@ -304,154 +304,131 @@ impl Observer for ChromeTraceObserver {
         )
     }
 
-    fn on_airtime_slice(&mut self, rec: EventRecord) {
-        if let EventRecord::AirtimeSlice {
-            start,
-            dur,
-            station,
-            category,
-            ..
-        } = rec
-        {
-            let args = Obj::new().u64("station", station).finish();
-            self.trace.complete(
-                self.pid,
-                TID_MEDIUM,
-                "airtime",
-                category.as_str(),
-                start.as_nanos(),
-                dur.as_nanos(),
-                Some(&args),
-            );
-        }
-    }
-
-    fn on_frame_span(&mut self, rec: EventRecord) {
-        if let EventRecord::FrameSpan {
-            t,
-            station,
-            bytes,
-            enqueue,
-            release,
-            first_tx,
-            attempts,
-            airtime,
-            delivered,
-        } = rec
-        {
-            let tid = self.frame_lane(station);
-            let args = Obj::new()
-                .u64("bytes", bytes)
-                .u64("attempts", attempts)
-                .bool("delivered", delivered)
-                .u64("airtime_ns", airtime.as_nanos())
-                .u64("release_ns", release.as_nanos())
-                .u64("first_tx_ns", first_tx.as_nanos())
-                .finish();
-            let dur = t.saturating_since(enqueue);
-            self.trace.complete(
-                self.pid,
-                tid,
-                "frame",
-                if delivered {
-                    "frame"
-                } else {
-                    "frame (dropped)"
-                },
-                enqueue.as_nanos(),
-                dur.as_nanos(),
-                Some(&args),
-            );
-        }
-    }
-
-    fn on_sched_decision(&mut self, rec: EventRecord) {
-        if let EventRecord::SchedDecision { t, client, .. } = rec {
-            self.trace.instant(
-                self.pid,
-                TID_SCHED,
-                "sched",
-                &format!("dequeue c{client}"),
-                t.as_nanos(),
-            );
-        }
-    }
-
-    fn on_run_mark(&mut self, rec: EventRecord) {
-        if let EventRecord::RunMark { t, phase } = rec {
-            self.trace.instant(
-                self.pid,
-                TID_SCHED,
-                "run",
-                match phase {
-                    crate::event::RunPhase::Warmup => "warmup done",
-                    crate::event::RunPhase::End => "run end",
-                },
-                t.as_nanos(),
-            );
-        }
-    }
-
-    fn on_queue_change(&mut self, rec: EventRecord) {
-        if let EventRecord::QueueChange { t, site, key, len } = rec {
-            self.trace.counter(
-                self.pid,
-                &format!("queue {} {key}", site.as_str()),
-                t.as_nanos(),
-                "len",
-                len as f64,
-            );
-        }
-    }
-
-    fn on_token_update(&mut self, rec: EventRecord) {
-        if let EventRecord::TokenUpdate {
-            t,
-            client,
-            tokens_us,
-            ..
-        } = rec
-        {
-            self.trace.counter(
-                self.pid,
-                &format!("tokens c{client}"),
-                t.as_nanos(),
-                "us",
-                tokens_us,
-            );
-        }
-    }
-
-    fn on_tcp_event(&mut self, rec: EventRecord) {
-        if let EventRecord::Tcp {
-            t,
-            flow,
-            phase,
-            cwnd,
-            ..
-        } = rec
-        {
-            self.trace.counter(
-                self.pid,
-                &format!("cwnd f{flow}"),
-                t.as_nanos(),
-                "seg",
-                cwnd,
-            );
-            if phase == crate::event::TcpPhase::Rto {
+    fn on_record(&mut self, rec: EventRecord) {
+        match rec {
+            EventRecord::AirtimeSlice {
+                start,
+                dur,
+                station,
+                category,
+                ..
+            } => {
+                let args = Obj::new().u64("station", station).finish();
+                self.trace.complete(
+                    self.pid,
+                    TID_MEDIUM,
+                    "airtime",
+                    category.as_str(),
+                    start.as_nanos(),
+                    dur.as_nanos(),
+                    Some(&args),
+                );
+            }
+            EventRecord::FrameSpan {
+                t,
+                station,
+                bytes,
+                enqueue,
+                release,
+                first_tx,
+                attempts,
+                airtime,
+                delivered,
+            } => {
+                let tid = self.frame_lane(station);
+                let args = Obj::new()
+                    .u64("bytes", bytes)
+                    .u64("attempts", attempts)
+                    .bool("delivered", delivered)
+                    .u64("airtime_ns", airtime.as_nanos())
+                    .u64("release_ns", release.as_nanos())
+                    .u64("first_tx_ns", first_tx.as_nanos())
+                    .finish();
+                let dur = t.saturating_since(enqueue);
+                self.trace.complete(
+                    self.pid,
+                    tid,
+                    "frame",
+                    if delivered {
+                        "frame"
+                    } else {
+                        "frame (dropped)"
+                    },
+                    enqueue.as_nanos(),
+                    dur.as_nanos(),
+                    Some(&args),
+                );
+            }
+            EventRecord::SchedDecision { t, client, .. } => {
                 self.trace.instant(
                     self.pid,
                     TID_SCHED,
-                    "tcp",
-                    &format!("rto f{flow}"),
+                    "sched",
+                    &format!("dequeue c{client}"),
                     t.as_nanos(),
                 );
             }
+            EventRecord::RunMark { t, phase } => {
+                self.trace.instant(
+                    self.pid,
+                    TID_SCHED,
+                    "run",
+                    match phase {
+                        crate::event::RunPhase::Warmup => "warmup done",
+                        crate::event::RunPhase::End => "run end",
+                    },
+                    t.as_nanos(),
+                );
+            }
+            EventRecord::QueueChange { t, site, key, len } => {
+                self.trace.counter(
+                    self.pid,
+                    &format!("queue {} {key}", site.as_str()),
+                    t.as_nanos(),
+                    "len",
+                    len as f64,
+                );
+            }
+            EventRecord::TokenUpdate {
+                t,
+                client,
+                tokens_us,
+                ..
+            } => {
+                self.trace.counter(
+                    self.pid,
+                    &format!("tokens c{client}"),
+                    t.as_nanos(),
+                    "us",
+                    tokens_us,
+                );
+            }
+            EventRecord::Tcp {
+                t,
+                flow,
+                phase,
+                cwnd,
+                ..
+            } => {
+                self.trace.counter(
+                    self.pid,
+                    &format!("cwnd f{flow}"),
+                    t.as_nanos(),
+                    "seg",
+                    cwnd,
+                );
+                if phase == crate::event::TcpPhase::Rto {
+                    self.trace.instant(
+                        self.pid,
+                        TID_SCHED,
+                        "tcp",
+                        &format!("rto f{flow}"),
+                        t.as_nanos(),
+                    );
+                }
+            }
+            _ => {}
         }
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 

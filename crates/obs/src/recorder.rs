@@ -559,60 +559,49 @@ impl Observer for FlightRecorder {
     }
 
     #[inline]
-    fn on_tx_attempt(&mut self, rec: EventRecord) {
-        if let EventRecord::TxAttempt {
-            t,
-            node,
-            client,
-            bytes,
-            rate_mbps,
-            success,
-            retry,
-            airtime,
-        } = rec
-        {
-            let detail = Detail::Attempt(Attempt {
+    fn on_record(&mut self, rec: EventRecord) {
+        match rec {
+            EventRecord::TxAttempt {
+                t,
                 node,
                 client,
                 bytes,
-                rate_tenths: rate_tenths(rate_mbps),
+                rate_mbps,
                 success,
                 retry,
-                airtime_ns: airtime.as_nanos(),
-            });
-            self.push(t, client, detail);
-        }
-    }
-
-    #[inline]
-    fn on_mac_event(&mut self, rec: EventRecord) {
-        if let EventRecord::Mac { t, phase, node } = rec {
-            self.push(t, node, Detail::Final { phase, node });
-        }
-    }
-
-    #[inline]
-    fn on_sched_decision(&mut self, rec: EventRecord) {
-        if let EventRecord::SchedDecision {
-            t,
-            client,
-            bytes,
-            queue_len,
-        } = rec
-        {
-            let detail = Detail::Decide {
+                airtime,
+            } => {
+                let detail = Detail::Attempt(Attempt {
+                    node,
+                    client,
+                    bytes,
+                    rate_tenths: rate_tenths(rate_mbps),
+                    success,
+                    retry,
+                    airtime_ns: airtime.as_nanos(),
+                });
+                self.push(t, client, detail);
+            }
+            EventRecord::Mac { t, phase, node } => {
+                self.push(t, node, Detail::Final { phase, node });
+            }
+            EventRecord::SchedDecision {
+                t,
                 client,
                 bytes,
-                qlen: queue_len,
-            };
-            self.push(t, client, detail);
-        }
-    }
-
-    #[inline]
-    fn on_queue_change(&mut self, rec: EventRecord) {
-        if let EventRecord::QueueChange { t, site, key, len } = rec {
-            self.push(t, key, Detail::Queue { site, key, len });
+                queue_len,
+            } => {
+                let detail = Detail::Decide {
+                    client,
+                    bytes,
+                    qlen: queue_len,
+                };
+                self.push(t, client, detail);
+            }
+            EventRecord::QueueChange { t, site, key, len } => {
+                self.push(t, key, Detail::Queue { site, key, len });
+            }
+            _ => {}
         }
     }
 

@@ -20,17 +20,16 @@
 //! delay, while time-based fairness bounds it.
 //!
 //! [`SpanCollector`] implements [`Observer`] so it can watch a live
-//! run, and rebuilds from a trace file for `inspect --spans`. Like the
-//! ledger, it resets at the warm-up [`EventRecord::RunMark`].
+//! run, or a trace file [`replay`](crate::replay)ed for
+//! `inspect --spans`. Like the ledger, it resets at the warm-up
+//! [`EventRecord::RunMark`].
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
-use crate::event::{read_trace, EventRecord, Malformed, RunPhase};
+use crate::event::{EventRecord, RunPhase};
 use crate::observer::{Hook, Observer};
 use crate::recorder::DENSE_STATIONS;
 
@@ -123,36 +122,6 @@ impl SpanCollector {
         Self::default()
     }
 
-    /// Feeds one record; everything but `frame_span` and the warm-up
-    /// `run_mark` is ignored.
-    #[inline]
-    pub fn record(&mut self, rec: &EventRecord) {
-        match *rec {
-            EventRecord::FrameSpan {
-                t,
-                station,
-                enqueue,
-                release,
-                first_tx,
-                attempts,
-                airtime,
-                delivered,
-                ..
-            } => self.on_span(
-                t, station, enqueue, release, first_tx, attempts, airtime, delivered,
-            ),
-            EventRecord::RunMark {
-                phase: RunPhase::Warmup,
-                ..
-            } => {
-                self.accs.clear();
-                self.slots.clear();
-                self.total = 0;
-            }
-            _ => {}
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn on_span(
@@ -213,14 +182,6 @@ impl SpanCollector {
             }
         }
         pos
-    }
-
-    /// Rebuilds a collector from a JSONL trace on disk, with the lines
-    /// that did not parse (they are skipped).
-    pub fn from_file(path: &Path) -> io::Result<(Self, Malformed)> {
-        let mut c = SpanCollector::new();
-        let bad = read_trace(path, |rec| c.record(&rec))?;
-        Ok((c, bad))
     }
 
     /// Spans accumulated since the last warm-up mark.
@@ -299,14 +260,35 @@ impl Observer for SpanCollector {
         matches!(hook, Hook::FrameSpan | Hook::RunMark)
     }
 
-    #[inline]
-    fn on_frame_span(&mut self, rec: EventRecord) {
-        self.record(&rec);
-    }
-
-    #[inline]
-    fn on_run_mark(&mut self, rec: EventRecord) {
-        self.record(&rec);
+    /// Everything but `frame_span` and the warm-up `run_mark` is
+    /// ignored. Always inlined, so an emission site keeps only its own
+    /// variant's arm.
+    #[inline(always)]
+    fn on_record(&mut self, rec: EventRecord) {
+        match rec {
+            EventRecord::FrameSpan {
+                t,
+                station,
+                enqueue,
+                release,
+                first_tx,
+                attempts,
+                airtime,
+                delivered,
+                ..
+            } => self.on_span(
+                t, station, enqueue, release, first_tx, attempts, airtime, delivered,
+            ),
+            EventRecord::RunMark {
+                phase: RunPhase::Warmup,
+                ..
+            } => {
+                self.accs.clear();
+                self.slots.clear();
+                self.total = 0;
+            }
+            _ => {}
+        }
     }
 }
 
@@ -408,7 +390,7 @@ mod tests {
     fn delays_decompose() {
         let mut c = SpanCollector::new();
         // queueing 2 ms, contention 8 − 1 (airtime) = 7 ms, hol 0.5 ms.
-        c.record(&span(1, 1000, 3000, 11_000));
+        c.on_record(span(1, 1000, 3000, 11_000));
         let s = c.summary();
         assert_eq!(s.len(), 1);
         let d = &s[0];
@@ -423,16 +405,16 @@ mod tests {
     #[test]
     fn warmup_mark_resets() {
         let mut c = SpanCollector::new();
-        c.record(&span(1, 0, 0, 2000));
-        c.record(&EventRecord::RunMark {
+        c.on_record(span(1, 0, 0, 2000));
+        c.on_record(EventRecord::RunMark {
             t: SimTime::from_micros(5000),
             phase: RunPhase::Warmup,
         });
-        c.record(&span(2, 6000, 6000, 8000));
+        c.on_record(span(2, 6000, 6000, 8000));
         assert_eq!(c.total(), 1);
         assert_eq!(c.summary()[0].station, 2);
         // Station 1's accumulator went with the reset.
-        c.record(&span(1, 9000, 9000, 9500));
+        c.on_record(span(1, 9000, 9000, 9500));
         let frames: Vec<(u64, u64)> = c.summary().iter().map(|d| (d.station, d.frames)).collect();
         assert_eq!(frames, [(1, 1), (2, 1)]);
     }
@@ -445,7 +427,7 @@ mod tests {
         let mut c = SpanCollector::new();
         for (i, &s) in ids.iter().enumerate() {
             let t = 1000 * i as u64;
-            c.record(&span(s, t, t + 100, t + 2000));
+            c.on_record(span(s, t, t + 100, t + 2000));
         }
         let frames: Vec<(u64, u64)> = c.summary().iter().map(|d| (d.station, d.frames)).collect();
         assert_eq!(
@@ -464,8 +446,8 @@ mod tests {
     #[test]
     fn csv_has_schema_and_one_row_per_station() {
         let mut c = SpanCollector::new();
-        c.record(&span(2, 0, 1000, 5000));
-        c.record(&span(1, 0, 2000, 9000));
+        c.on_record(span(2, 0, 1000, 5000));
+        c.on_record(span(1, 0, 2000, 9000));
         let csv = c.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "# schema: airtime-spans v1; columns: 13");
@@ -477,7 +459,7 @@ mod tests {
     #[test]
     fn display_renders() {
         let mut c = SpanCollector::new();
-        c.record(&span(1, 0, 1000, 5000));
+        c.on_record(span(1, 0, 1000, 5000));
         let text = c.to_string();
         assert!(text.contains("frame spans: 1"));
         assert!(text.contains("queueing"));

@@ -6,7 +6,7 @@
 //! same checkpoint whichever path carries it.
 
 use airtime_obs::{
-    first_divergent_checkpoint, EventRecord, FlightRecorder, MacPhase, Observer, QueueSite,
+    deliver, first_divergent_checkpoint, EventRecord, FlightRecorder, MacPhase, Observer, QueueSite,
 };
 use airtime_phy::DataRate;
 use airtime_sim::{SimDuration, SimRng, SimTime};
@@ -21,11 +21,10 @@ enum Call {
 fn feed(rec: &mut FlightRecorder, calls: &[Call]) {
     for call in calls {
         match call.clone() {
-            Call::Record(r @ EventRecord::TxAttempt { .. }) => rec.on_tx_attempt(r),
-            Call::Record(r @ EventRecord::Mac { .. }) => rec.on_mac_event(r),
-            Call::Record(r @ EventRecord::SchedDecision { .. }) => rec.on_sched_decision(r),
-            Call::Record(r @ EventRecord::QueueChange { .. }) => rec.on_queue_change(r),
-            Call::Record(r) => panic!("not a recorder hook: {r:?}"),
+            Call::Record(r) => {
+                assert!(rec.wants(r.hook()), "not a recorder hook: {r:?}");
+                deliver(rec, r);
+            }
             Call::Handoff(t, station, from, to) => rec.on_handoff(t, station, from, to),
         }
     }

@@ -12,8 +12,8 @@ use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
 use airtime_obs::{
-    AirtimeLedger, ChromeTraceObserver, EventRecord, FlightRecorder, Hook, Observer, SpanCollector,
-    TeeObserver,
+    AirtimeLedger, ChromeTraceObserver, EventRecord, FlightRecorder, Hook, MemoryObserver,
+    Observer, SpanCollector, TeeObserver,
 };
 use airtime_scenario::{compile, expand, load};
 use airtime_sim::{SimDuration, SimTime};
@@ -237,4 +237,82 @@ fn topology_sweep_rig_cells_are_unchanged() {
         |w: Wrapped| -> Rig { TeeObserver::new(TeeObserver::new(w.a.a.0, w.a.b.0), w.b.0) },
         |o: Rig| (spans_view(o.a.a), ledger_view(o.a.b), recorder_view(o.b)),
     );
+}
+
+/// Overrides only the named record hooks, the way a hook timer does:
+/// logs each record it is handed, then passes it to the same hook of
+/// the observer it wraps. It keeps the default `wants` (every hook).
+struct Named<O> {
+    seen: Vec<EventRecord>,
+    inner: O,
+}
+
+macro_rules! log_and_forward {
+    ($($hook:ident),*) => {$(
+        fn $hook(&mut self, rec: EventRecord) {
+            self.seen.push(rec.clone());
+            self.inner.$hook(rec);
+        }
+    )*};
+}
+
+impl<O: Observer> Observer for Named<O> {
+    log_and_forward!(
+        on_mac_event,
+        on_tx_attempt,
+        on_collision,
+        on_backoff,
+        on_sched_decision,
+        on_token_update,
+        on_tcp_event,
+        on_queue_change,
+        on_airtime_slice,
+        on_frame_span,
+        on_run_mark
+    );
+}
+
+fn named() -> Named<MemoryObserver> {
+    Named {
+        seen: Vec::new(),
+        inner: MemoryObserver::new(),
+    }
+}
+
+/// A wrapper that overrides the named hooks sees every record in
+/// emission order wherever it sits: at the top, on either side of a
+/// tee, or inside an `Option`. The forwarders must pass records on
+/// through the named hooks, not straight to `on_record`.
+#[test]
+fn a_named_hook_wrapper_sees_every_record_wherever_it_sits() {
+    let cfg = &fig9_cells()[0];
+    let mut plain = MemoryObserver::new();
+    run_observed(cfg, &mut plain);
+    let want = plain.events;
+    assert!(want.len() > 1_000, "{} records", want.len());
+    let check = |w: Named<MemoryObserver>, at: &str| {
+        assert!(
+            w.seen == want,
+            "{at}: {} of {} records",
+            w.seen.len(),
+            want.len()
+        );
+        assert!(w.inner.events == want, "{at}: inner");
+    };
+
+    let mut top = named();
+    run_observed(cfg, &mut top);
+    check(top, "top level");
+
+    let mut left = TeeObserver::new(named(), FlightRecorder::new());
+    run_observed(cfg, &mut left);
+    check(left.a, "tee side a");
+
+    let mut right = TeeObserver::new(SpanCollector::new(), named());
+    run_observed(cfg, &mut right);
+    check(right.b, "tee side b");
+
+    let mut some = Some(named());
+    run_observed(cfg, &mut some);
+    check(some.expect("present"), "option");
 }

@@ -97,8 +97,8 @@ impl Observer for Trace {
         hook == Hook::TxAttempt
     }
 
-    fn on_tx_attempt(&mut self, rec: EventRecord) {
-        if let EventRecord::TxAttempt {
+    fn on_record(&mut self, rec: EventRecord) {
+        let EventRecord::TxAttempt {
             t,
             node,
             client,
@@ -106,16 +106,17 @@ impl Observer for Trace {
             rate_mbps,
             ..
         } = rec
-        {
-            self.push(FrameRecord {
-                at: t,
-                user: client as usize - 1,
-                rate: find_rate(|r| r.mbps() == rate_mbps)
-                    .unwrap_or_else(|| panic!("no 802.11b/g rate of {rate_mbps} Mbit/s")),
-                bytes: bytes + MAC_DATA_OVERHEAD_BYTES,
-                downlink: node == 0,
-            });
-        }
+        else {
+            return;
+        };
+        self.push(FrameRecord {
+            at: t,
+            user: client as usize - 1,
+            rate: find_rate(|r| r.mbps() == rate_mbps)
+                .unwrap_or_else(|| panic!("no 802.11b/g rate of {rate_mbps} Mbit/s")),
+            bytes: bytes + MAC_DATA_OVERHEAD_BYTES,
+            downlink: node == 0,
+        });
     }
 }
 

@@ -159,7 +159,7 @@ fn frame_spans_are_internally_ordered_and_roll_up() {
     let mut spans = 0u64;
     let mut collector = SpanCollector::new();
     for rec in &mem.events {
-        collector.record(rec);
+        airtime_obs::deliver(&mut collector, rec.clone());
         if let airtime_obs::EventRecord::FrameSpan {
             t,
             enqueue,

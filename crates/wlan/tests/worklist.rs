@@ -92,7 +92,7 @@ impl Observer for ClientQueues {
         self.dispatches += 1;
     }
 
-    fn on_queue_change(&mut self, rec: EventRecord) {
+    fn on_record(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange {
             site: QueueSite::Client,
             key,

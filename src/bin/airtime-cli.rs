@@ -21,8 +21,9 @@ use airtime::model::{gamma_measured, gamma_tcp_table2, rf_allocation, tf_allocat
 use airtime::obs::json::{array_f64, Obj};
 use airtime::obs::prof::{alloc_stats, dist_json, set_alloc_counting, DEFAULT_TRACE_CAP, HOST_PID};
 use airtime::obs::{
-    fp_hex, AirtimeLedger, ChromeTrace, ChromeTraceObserver, CountingAlloc, FlightRecorder,
-    JsonlObserver, MetricsRegistry, NullObserver, Observer, Recording, SpanCollector, TeeObserver,
+    fp_hex, replay, AirtimeLedger, ChromeTrace, ChromeTraceObserver, CountingAlloc, FlightRecorder,
+    JsonlObserver, MetricsRegistry, NullObserver, Observer, Recording, SpanCollector, Summarizer,
+    TeeObserver,
 };
 use airtime::phy::DataRate;
 use airtime::sim::{LoopProfiler, SimDuration, SimTime};
@@ -67,6 +68,9 @@ USAGE:
                                     and each rate's γ(d,1500,2): the
                                     paper's Table 2 value and the
                                     closed-form model
+
+Each command reads only the options listed under its name; any other
+option exits 2 with an error naming it.
 
 OPTIONS (run):
     --scenario <file>   load a full NetworkConfig from a scenario file
@@ -223,6 +227,27 @@ struct Args {
     positionals: Vec<String>,
 }
 
+/// The flags each command reads. Any other flag is refused, so a
+/// flag that a command would silently ignore cannot pass for one it
+/// honours.
+const READS: [(&str, &str); 8] = [
+    (
+        "run",
+        "--scenario --rates --sched --direction --secs --seed --events --ledger --metrics \
+         --metrics-csv --record --json",
+    ),
+    ("sweep", "--threads --json --csv"),
+    ("tournament", "--threads --json --csv"),
+    ("inspect", "--spans --audit --prof --fp"),
+    ("profile", "--json --trace-out --trace-cap"),
+    (
+        "verify-determinism",
+        "--threads --interval --record --against --inject",
+    ),
+    ("replay", "--window"),
+    ("predict", "--rates"),
+];
+
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing command; try --help")?;
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
@@ -256,7 +281,13 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         window: None,
         positionals: Vec::new(),
     };
+    let reads = READS.iter().find(|(c, _)| *c == cmd).map(|(_, f)| *f);
+    // A stray positional is reported first: it is the likelier slip.
+    let mut unread = None;
     while let Some(flag) = argv.next() {
+        if flag.starts_with('-') && reads.is_some_and(|f| !f.split(' ').any(|r| r == flag)) {
+            unread.get_or_insert_with(|| flag.clone());
+        }
         let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--rates" => args.rates = parse_rates(&value()?)?,
@@ -343,6 +374,9 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             }
             other => return Err(format!("unknown option '{other}'; try --help")),
         }
+    }
+    if let Some(flag) = unread {
+        return Err(format!("`{cmd}` does not read {flag}; try --help"));
     }
     Ok((cmd, args))
 }
@@ -992,32 +1026,36 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    if a.spans || a.audit {
-        if a.spans {
-            let (spans, _) =
-                SpanCollector::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
-            print!("{spans}");
-        }
-        if a.audit {
-            let (ledger, bad) =
-                AirtimeLedger::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
-            let audit = ledger.audit();
-            print!("{audit}");
-            // Lines that did not parse hold records the audit never saw.
-            if let Some((line, e)) = bad.first {
-                return Err(format!(
-                    "{path}:{line}: {e} ({} malformed lines)",
-                    bad.count
-                ));
-            }
-            if !audit.conserved {
-                return Err("airtime conservation audit failed".into());
-            }
-        }
-        return Ok(());
+    // One pass over the trace feeds every view asked for; the summary
+    // is the default view.
+    let mut views = TeeObserver::new(
+        TeeObserver::new(
+            a.spans.then(SpanCollector::new),
+            a.audit.then(AirtimeLedger::new),
+        ),
+        (!a.spans && !a.audit).then(Summarizer::default),
+    );
+    let bad = replay(p, &mut views).map_err(|e| format!("reading {path}: {e}"))?;
+    if let Some(spans) = &views.a.a {
+        print!("{spans}");
     }
-    let summary = airtime::obs::summarize_file(p).map_err(|e| format!("reading {path}: {e}"))?;
-    print!("{summary}");
+    if let Some(ledger) = &views.a.b {
+        let audit = ledger.audit();
+        print!("{audit}");
+        // Lines that did not parse hold records the audit never saw.
+        if let Some((line, e)) = bad.first {
+            return Err(format!(
+                "{path}:{line}: {e} ({} malformed lines)",
+                bad.count
+            ));
+        }
+        if !audit.conserved {
+            return Err("airtime conservation audit failed".into());
+        }
+    }
+    if let Some(summary) = views.b {
+        print!("{}", summary.into_summary(bad.count));
+    }
     Ok(())
 }
 

@@ -273,6 +273,53 @@ fn run_and_predict_reject_a_stray_positional() {
 }
 
 #[test]
+fn a_flag_the_command_does_not_read_is_refused() {
+    // Each of these once exited 0 and ignored the flag: the sweep wrote
+    // neither the trace nor the ledger it was asked for.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unread_flags");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (events, ledger) = (dir.join("x.jsonl"), dir.join("y.csv"));
+    let preset = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/fig2_dcf_anomaly.toml"
+    );
+    let (events_arg, ledger_arg) = (events.display().to_string(), ledger.display().to_string());
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "sweep",
+                preset,
+                "--threads",
+                "2",
+                "--seed",
+                "99",
+                "--events",
+                &events_arg,
+                "--ledger",
+                &ledger_arg,
+            ],
+            "--seed",
+        ),
+        (&["predict", "--sched", "fifo", "--secs", "3"], "--sched"),
+        (
+            &["replay", "r.jsonl", "--threads", "3", "--json"],
+            "--threads",
+        ),
+        (&["inspect", "e.jsonl", "--window", "0..9"], "--window"),
+    ];
+    for (args, flag) in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{}` does not read {flag}", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!events.exists() && !ledger.exists());
+}
+
+#[test]
 fn predict_prints_the_paper_and_model_gamma() {
     // Table 2's two analytic columns for 11M: the paper's measured
     // γ(11M, 1500, 2) and the closed-form `gamma_tcp_table2`.
