@@ -905,12 +905,126 @@ mod tests {
     #[test]
     fn unknown_type_is_an_error() {
         assert!(parse_line(r#"{"type":"warp_drive","t_ns":0}"#).is_err());
+        assert_eq!(
+            parse_line(r#"{"type":"x","t_ns":0}"#).unwrap_err(),
+            "unknown record type 'x'"
+        );
     }
 
     #[test]
     fn missing_field_is_an_error() {
         let err = parse_line(r#"{"type":"backoff","t_ns":0,"node":1,"slots":3}"#).unwrap_err();
         assert!(err.contains("cw"), "{err}");
+        // `inspect` prints these texts for the first bad line.
+        for (line, want) in [
+            (
+                r#"{"type":"backoff","t_ns":0,"node":1,"slots":3}"#,
+                "missing field 'cw'",
+            ),
+            (
+                r#"{"type":"backoff","t_ns":0,"node":"1","slots":3,"cw":15}"#,
+                "field 'node' is not an integer",
+            ),
+            (
+                r#"{"type":"frame_span","t_ns":1,"station":1,"bytes":1,"enqueue_ns":0,"release_ns":0,"first_tx_ns":0,"attempts":1,"airtime_ns":1,"delivered":1}"#,
+                "field 'delivered' is not a bool",
+            ),
+            (
+                r#"{"type":"tx_attempt","t_ns":1,"node":1,"bytes":1,"rate_mbps":1,"success":1,"retry":0,"airtime_ns":1}"#,
+                "field 'success' is not a bool",
+            ),
+            (
+                r#"{"type":"mac","t_ns":0,"phase":"x","node":1}"#,
+                "bad mac phase 'x'",
+            ),
+            (
+                r#"{"type":"token_update","t_ns":0,"client":1,"tokens_us":0,"rate":1,"cause":"x"}"#,
+                "bad token cause 'x'",
+            ),
+            (
+                r#"{"type":"tcp","t_ns":0,"flow":1,"phase":"x","cwnd":1,"flight":0}"#,
+                "bad tcp phase 'x'",
+            ),
+            (
+                r#"{"type":"queue_change","t_ns":0,"site":"x","key":1,"len":0}"#,
+                "bad queue site 'x'",
+            ),
+            (
+                r#"{"type":"airtime_slice","t_ns":0,"start_ns":0,"dur_ns":0,"station":0,"category":"x"}"#,
+                "bad airtime category 'x'",
+            ),
+            (
+                r#"{"type":"run_mark","t_ns":0,"phase":"x"}"#,
+                "bad run phase 'x'",
+            ),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), want, "{line}");
+        }
+    }
+
+    #[test]
+    fn small_enum_names_round_trip() {
+        fn check<E: Copy + PartialEq + std::fmt::Debug>(
+            pairs: &[(E, &str)],
+            as_str: fn(E) -> &'static str,
+            parse: fn(&str) -> Option<E>,
+        ) {
+            for &(v, name) in pairs {
+                assert_eq!(as_str(v), name);
+                assert_eq!(parse(name), Some(v), "{name}");
+            }
+            assert_eq!(parse("x"), None);
+        }
+        use AirtimeCategory as A;
+        check(
+            &[
+                (MacPhase::TxStart, "tx_start"),
+                (MacPhase::TxEnd, "tx_end"),
+                (MacPhase::Drop, "drop"),
+            ],
+            MacPhase::as_str,
+            MacPhase::parse,
+        );
+        check(
+            &[(TokenCause::Fill, "fill"), (TokenCause::Debit, "debit")],
+            TokenCause::as_str,
+            TokenCause::parse,
+        );
+        check(
+            &[
+                (TcpPhase::Ack, "ack"),
+                (TcpPhase::Rto, "rto"),
+                (TcpPhase::Done, "done"),
+            ],
+            TcpPhase::as_str,
+            TcpPhase::parse,
+        );
+        check(
+            &[(QueueSite::Ap, "ap"), (QueueSite::Client, "client")],
+            QueueSite::as_str,
+            QueueSite::parse,
+        );
+        check(
+            &[
+                (A::DataTx, "data_tx"),
+                (A::Ack, "ack"),
+                (A::MacOverhead, "mac_overhead"),
+                (A::Backoff, "backoff"),
+                (A::Collision, "collision"),
+                (A::Idle, "idle"),
+            ],
+            A::as_str,
+            A::parse,
+        );
+        assert_eq!(
+            A::ALL.map(A::as_str),
+            ["data_tx", "ack", "mac_overhead", "backoff", "collision", "idle"]
+        );
+        check(
+            &[(RunPhase::Warmup, "warmup"), (RunPhase::End, "end")],
+            RunPhase::as_str,
+            RunPhase::parse,
+        );
     }
 
     #[test]

@@ -139,8 +139,8 @@ fn tbr_trace_contains_every_record_family_and_round_trips() {
     for line in &lines {
         let rec = parse_line(line).unwrap();
         kinds.insert(rec.kind());
-        // Reserialising parses back to the same record.
-        assert_eq!(parse_line(&rec.to_json_line()).unwrap(), rec);
+        // Reserialising writes the line back byte for byte.
+        assert_eq!(rec.to_json_line(), *line);
         if let Some(prev) = last_t {
             assert!(rec.time() >= prev, "records are time-ordered");
         }
@@ -167,6 +167,25 @@ fn tbr_trace_contains_every_record_family_and_round_trips() {
     assert_eq!(summary.malformed, 0);
     assert!(summary.collisions > 0);
     assert!(!summary.tokens.is_empty(), "TBR token timelines present");
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn tbr_trace_bytes_are_pinned() {
+    // The whole JSONL trace of one fixed run, pinned: a change to any
+    // record's tag, field order, key or number format shows up here.
+    let cfg = short_cfg(SchedulerKind::tbr());
+    let mut obs = JsonlObserver::new(Vec::new());
+    let _ = run_observed(&cfg, &mut obs);
+    let buf = obs.into_inner().unwrap();
+    let lines = buf.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!((lines, fnv1a(&buf)), (16_868, 0x2d8b_ad3d_bda4_abf5));
 }
 
 #[test]
