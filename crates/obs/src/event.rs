@@ -6,6 +6,19 @@
 //! does), so new fields can be added without breaking old traces.
 //! Every reader of a trace file streams it through one line reader
 //! that reports the lines it could not parse ([`Malformed`]).
+//!
+//! Each record variant is declared once, as one row of the
+//! `for_each_record!` table below: its `"type"` tag, its [`Hook`] and
+//! named [`Observer`](crate::Observer) hook, and each field's doc,
+//! type and JSON key. From that table this module generates
+//! [`EventRecord`], its `kind`, `hook`, `time` and `to_json_line`, and
+//! [`parse_line`]; [`observer`](crate::observer) generates [`Hook`],
+//! the named hooks and [`deliver`](crate::deliver). A new variant is
+//! one new row, plus the sinks that read it. A field's codec follows
+//! from its type: integers, floats and bools as themselves, `SimTime`
+//! and `SimDuration` as integer nanoseconds (keys ending in `_ns`), and
+//! the string enums below by name. `or <field>` makes a field optional
+//! on the wire, defaulting to an earlier field of the same row.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
@@ -16,527 +29,413 @@ use airtime_sim::{SimDuration, SimTime};
 use crate::json::{self, Json, Obj};
 use crate::observer::Hook;
 
-/// Where in the MAC lifecycle a [`EventRecord::Mac`] record was emitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MacPhase {
-    /// A station won channel access and its transmission started.
-    TxStart,
-    /// A transmission (success or not) finished on the air.
-    TxEnd,
-    /// A frame was dropped after exhausting its retry budget.
-    Drop,
-}
-
-impl MacPhase {
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            MacPhase::TxStart => "tx_start",
-            MacPhase::TxEnd => "tx_end",
-            MacPhase::Drop => "drop",
+/// Declares a fieldless enum that travels on the wire by name: each
+/// variant gives its name, and a trace line with any other name fails
+/// to parse with "bad `$noun` '...'".
+macro_rules! str_enum {
+    ($(#[$doc:meta])* $E:ident($noun:literal) {
+        $($(#[$vdoc:meta])* $V:ident = $name:literal,)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $E {
+            $($(#[$vdoc])* $V,)*
         }
-    }
 
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "tx_start" => MacPhase::TxStart,
-            "tx_end" => MacPhase::TxEnd,
-            "drop" => MacPhase::Drop,
-            _ => return None,
-        })
-    }
-}
+        impl $E {
+            /// Every value, in declaration order.
+            pub const ALL: [$E; [$($name),*].len()] = [$($E::$V),*];
 
-/// Why a token balance changed ([`EventRecord::TokenUpdate`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenCause {
-    /// Periodic fill distributed the tick's airtime budget.
-    Fill,
-    /// A completed transmission debited its measured airtime.
-    Debit,
-}
+            /// Stable wire/display name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($E::$V => $name,)*
+                }
+            }
 
-impl TokenCause {
-    fn as_str(self) -> &'static str {
-        match self {
-            TokenCause::Fill => "fill",
-            TokenCause::Debit => "debit",
+            fn parse(s: &str) -> Option<Self> {
+                Some(match s {
+                    $($name => $E::$V,)*
+                    _ => return None,
+                })
+            }
+
+            /// Decodes field `k` of a trace line.
+            fn get(f: &Fields, k: &str) -> Result<Self, String> {
+                let s = f.str(k)?;
+                Self::parse(s).ok_or_else(|| format!("bad {} '{s}'", $noun))
+            }
         }
-    }
+    };
+}
 
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "fill" => TokenCause::Fill,
-            "debit" => TokenCause::Debit,
-            _ => return None,
-        })
+str_enum! {
+    /// Where in the MAC lifecycle a [`EventRecord::Mac`] record was emitted.
+    MacPhase("mac phase") {
+        /// A station won channel access and its transmission started.
+        TxStart = "tx_start",
+        /// A transmission (success or not) finished on the air.
+        TxEnd = "tx_end",
+        /// A frame was dropped after exhausting its retry budget.
+        Drop = "drop",
     }
 }
 
-/// What happened to a TCP flow ([`EventRecord::Tcp`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpPhase {
-    /// An ACK advanced the window.
-    Ack,
-    /// The retransmission timer fired.
-    Rto,
-    /// The transfer completed.
-    Done,
-}
-
-impl TcpPhase {
-    fn as_str(self) -> &'static str {
-        match self {
-            TcpPhase::Ack => "ack",
-            TcpPhase::Rto => "rto",
-            TcpPhase::Done => "done",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "ack" => TcpPhase::Ack,
-            "rto" => TcpPhase::Rto,
-            "done" => TcpPhase::Done,
-            _ => return None,
-        })
+str_enum! {
+    /// Why a token balance changed ([`EventRecord::TokenUpdate`]).
+    TokenCause("token cause") {
+        /// Periodic fill distributed the tick's airtime budget.
+        Fill = "fill",
+        /// A completed transmission debited its measured airtime.
+        Debit = "debit",
     }
 }
 
-/// Which queue a [`EventRecord::QueueChange`] refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueSite {
-    /// The AP-side scheduler queue for one client.
-    Ap,
-    /// A client station's local send queue.
-    Client,
-}
-
-impl QueueSite {
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            QueueSite::Ap => "ap",
-            QueueSite::Client => "client",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "ap" => QueueSite::Ap,
-            "client" => QueueSite::Client,
-            _ => return None,
-        })
+str_enum! {
+    /// What happened to a TCP flow ([`EventRecord::Tcp`]).
+    TcpPhase("tcp phase") {
+        /// An ACK advanced the window.
+        Ack = "ack",
+        /// The retransmission timer fired.
+        Rto = "rto",
+        /// The transfer completed.
+        Done = "done",
     }
 }
 
-/// Which exclusive-timeline bucket an [`EventRecord::AirtimeSlice`]
-/// bills its microseconds to.
-///
-/// The ledger attributes every instant of medium time to exactly one
-/// `(station, category)` pair, so the categories tile wall time: the
-/// busy categories (`DataTx`, `Ack`, `MacOverhead`) describe a winning
-/// transmission, `Backoff` covers countdown time while stations
-/// contend, `Collision` covers busy time wasted by overlapping
-/// transmissions, and `Idle` is medium time nobody wanted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AirtimeCategory {
-    /// MPDU payload bits on the air.
-    DataTx,
-    /// ACK frames.
-    Ack,
-    /// Fixed MAC overhead: DIFS, SIFS, preambles, RTS/CTS.
-    MacOverhead,
-    /// Contention countdown while at least one station has traffic.
-    Backoff,
-    /// Busy time destroyed by simultaneous transmissions.
-    Collision,
-    /// Nobody had traffic pending.
-    Idle,
-}
-
-impl AirtimeCategory {
-    /// All categories, in display order.
-    pub const ALL: [AirtimeCategory; 6] = [
-        AirtimeCategory::DataTx,
-        AirtimeCategory::Ack,
-        AirtimeCategory::MacOverhead,
-        AirtimeCategory::Backoff,
-        AirtimeCategory::Collision,
-        AirtimeCategory::Idle,
-    ];
-
-    /// Stable wire/display name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AirtimeCategory::DataTx => "data_tx",
-            AirtimeCategory::Ack => "ack",
-            AirtimeCategory::MacOverhead => "mac_overhead",
-            AirtimeCategory::Backoff => "backoff",
-            AirtimeCategory::Collision => "collision",
-            AirtimeCategory::Idle => "idle",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "data_tx" => AirtimeCategory::DataTx,
-            "ack" => AirtimeCategory::Ack,
-            "mac_overhead" => AirtimeCategory::MacOverhead,
-            "backoff" => AirtimeCategory::Backoff,
-            "collision" => AirtimeCategory::Collision,
-            "idle" => AirtimeCategory::Idle,
-            _ => return None,
-        })
+str_enum! {
+    /// Which queue a [`EventRecord::QueueChange`] refers to.
+    QueueSite("queue site") {
+        /// The AP-side scheduler queue for one client.
+        Ap = "ap",
+        /// A client station's local send queue.
+        Client = "client",
     }
 }
 
-/// Which run boundary an [`EventRecord::RunMark`] records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunPhase {
-    /// The measurement warm-up elapsed; accounting resets here.
-    Warmup,
-    /// The run ended; no records follow.
-    End,
-}
-
-impl RunPhase {
-    fn as_str(self) -> &'static str {
-        match self {
-            RunPhase::Warmup => "warmup",
-            RunPhase::End => "end",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "warmup" => RunPhase::Warmup,
-            "end" => RunPhase::End,
-            _ => return None,
-        })
-    }
-}
-
-/// One observability event, as emitted by the simulator and stored one
-/// per line in the JSONL trace.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventRecord {
-    /// Coarse MAC lifecycle marker.
-    Mac {
-        /// Simulation time.
-        t: SimTime,
-        /// Lifecycle phase.
-        phase: MacPhase,
-        /// Transmitting station (0 = AP).
-        node: u64,
-    },
-    /// A transmission attempt resolved (success or failure).
-    TxAttempt {
-        /// Simulation time at the end of the attempt.
-        t: SimTime,
-        /// Transmitting station (0 = AP).
-        node: u64,
-        /// Client the attempt's occupancy is billed to (§2.2: AP
-        /// transmissions bill the destination client).
-        client: u64,
-        /// MSDU payload size.
-        bytes: u64,
-        /// PHY data rate in Mbit/s.
-        rate_mbps: f64,
-        /// Whether the frame was ACKed.
-        success: bool,
-        /// How many retries this frame has consumed so far.
-        retry: u64,
-        /// Channel time occupied by the attempt.
-        airtime: SimDuration,
-    },
-    /// Two or more stations transmitted in the same slot.
-    Collision {
-        /// Simulation time.
-        t: SimTime,
-        /// Number of stations involved.
-        stations: u64,
-        /// Channel time wasted by the longest colliding frame.
-        airtime: SimDuration,
-    },
-    /// A station drew a fresh backoff counter.
-    Backoff {
-        /// Simulation time.
-        t: SimTime,
-        /// The station drawing.
-        node: u64,
-        /// Slots drawn, uniform in `[0, cw]`.
-        slots: u64,
-        /// The contention window the draw used.
-        cw: u64,
-    },
-    /// The AP scheduler picked a packet to transmit next.
-    SchedDecision {
-        /// Simulation time.
-        t: SimTime,
-        /// Destination/source client of the chosen packet.
-        client: u64,
-        /// Its payload size.
-        bytes: u64,
-        /// Queue length for that client after the dequeue.
-        queue_len: u64,
-    },
-    /// A TBR token balance changed.
-    TokenUpdate {
-        /// Simulation time.
-        t: SimTime,
-        /// The client whose bucket changed.
-        client: u64,
-        /// Balance after the change, in microseconds of airtime.
-        tokens_us: f64,
-        /// The client's current fill weight (normalised rate share).
-        rate: f64,
-        /// What caused the change.
-        cause: TokenCause,
-    },
-    /// A TCP flow progressed.
-    Tcp {
-        /// Simulation time.
-        t: SimTime,
-        /// Flow id (client index).
-        flow: u64,
-        /// What happened.
-        phase: TcpPhase,
-        /// Congestion window, in segments.
-        cwnd: f64,
-        /// Bytes in flight after the event.
-        flight: u64,
-    },
-    /// A simulated queue changed length.
-    QueueChange {
-        /// Simulation time.
-        t: SimTime,
-        /// Which queue.
-        site: QueueSite,
-        /// Queue key (client index).
-        key: u64,
-        /// Length after the change.
-        len: u64,
-    },
-    /// One exclusive slice of the medium timeline.
+str_enum! {
+    /// Which exclusive-timeline bucket an [`EventRecord::AirtimeSlice`]
+    /// bills its microseconds to.
     ///
-    /// Slices are emitted when the DCF cycle containing them resolves,
-    /// so `t` (the emission time) trails `start + dur`; consecutive
-    /// slices tile wall time with no gaps or overlaps — the property
-    /// the conservation auditor checks.
-    AirtimeSlice {
-        /// Emission time (end of the cycle the slice belongs to).
-        t: SimTime,
-        /// When the slice began.
-        start: SimTime,
-        /// How long it lasted.
-        dur: SimDuration,
-        /// Owning client (1-based node id), or 0 for the cell itself
-        /// (idle and collision time belong to nobody).
-        station: u64,
-        /// What the time was spent on.
-        category: AirtimeCategory,
-    },
-    /// One frame's complete MAC lifecycle, emitted when it leaves the
-    /// system (delivered or dropped).
-    FrameSpan {
-        /// Completion time (delivery, or drop after retry exhaustion).
-        t: SimTime,
-        /// Client the frame belongs to.
-        station: u64,
-        /// MSDU payload size.
-        bytes: u64,
-        /// When the frame entered its send queue.
-        enqueue: SimTime,
-        /// When the scheduler released it to the MAC.
-        release: SimTime,
-        /// When its first transmission attempt ended.
-        first_tx: SimTime,
-        /// Transmission attempts consumed (1 = no retries).
-        attempts: u64,
-        /// Total channel occupancy across all attempts (DIFS + frame
-        /// exchange each).
-        airtime: SimDuration,
-        /// Whether the frame was ultimately ACKed.
-        delivered: bool,
-    },
-    /// A run boundary: warm-up elapsed, or the run ended.
-    RunMark {
-        /// Simulation time of the boundary.
-        t: SimTime,
-        /// Which boundary.
-        phase: RunPhase,
-    },
-}
-
-impl EventRecord {
-    /// The record's `"type"` discriminator.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EventRecord::Mac { .. } => "mac",
-            EventRecord::TxAttempt { .. } => "tx_attempt",
-            EventRecord::Collision { .. } => "collision",
-            EventRecord::Backoff { .. } => "backoff",
-            EventRecord::SchedDecision { .. } => "sched_decision",
-            EventRecord::TokenUpdate { .. } => "token_update",
-            EventRecord::Tcp { .. } => "tcp",
-            EventRecord::QueueChange { .. } => "queue_change",
-            EventRecord::AirtimeSlice { .. } => "airtime_slice",
-            EventRecord::FrameSpan { .. } => "frame_span",
-            EventRecord::RunMark { .. } => "run_mark",
-        }
-    }
-
-    /// The [`Observer`](crate::Observer) hook that carries this
-    /// record: the one mapping from record to hook.
-    #[inline]
-    pub fn hook(&self) -> Hook {
-        match self {
-            EventRecord::Mac { .. } => Hook::MacEvent,
-            EventRecord::TxAttempt { .. } => Hook::TxAttempt,
-            EventRecord::Collision { .. } => Hook::Collision,
-            EventRecord::Backoff { .. } => Hook::Backoff,
-            EventRecord::SchedDecision { .. } => Hook::SchedDecision,
-            EventRecord::TokenUpdate { .. } => Hook::TokenUpdate,
-            EventRecord::Tcp { .. } => Hook::TcpEvent,
-            EventRecord::QueueChange { .. } => Hook::QueueChange,
-            EventRecord::AirtimeSlice { .. } => Hook::AirtimeSlice,
-            EventRecord::FrameSpan { .. } => Hook::FrameSpan,
-            EventRecord::RunMark { .. } => Hook::RunMark,
-        }
-    }
-
-    /// The record's timestamp.
-    pub fn time(&self) -> SimTime {
-        match *self {
-            EventRecord::Mac { t, .. }
-            | EventRecord::TxAttempt { t, .. }
-            | EventRecord::Collision { t, .. }
-            | EventRecord::Backoff { t, .. }
-            | EventRecord::SchedDecision { t, .. }
-            | EventRecord::TokenUpdate { t, .. }
-            | EventRecord::Tcp { t, .. }
-            | EventRecord::QueueChange { t, .. }
-            | EventRecord::AirtimeSlice { t, .. }
-            | EventRecord::FrameSpan { t, .. }
-            | EventRecord::RunMark { t, .. } => t,
-        }
-    }
-
-    /// Serialises the record as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut o = Obj::new();
-        o.str("type", self.kind())
-            .u64("t_ns", self.time().as_nanos());
-        match self {
-            EventRecord::Mac { phase, node, .. } => {
-                o.str("phase", phase.as_str()).u64("node", *node);
-            }
-            EventRecord::TxAttempt {
-                node,
-                client,
-                bytes,
-                rate_mbps,
-                success,
-                retry,
-                airtime,
-                ..
-            } => {
-                o.u64("node", *node)
-                    .u64("client", *client)
-                    .u64("bytes", *bytes)
-                    .f64("rate_mbps", *rate_mbps)
-                    .bool("success", *success)
-                    .u64("retry", *retry)
-                    .u64("airtime_ns", airtime.as_nanos());
-            }
-            EventRecord::Collision {
-                stations, airtime, ..
-            } => {
-                o.u64("stations", *stations)
-                    .u64("airtime_ns", airtime.as_nanos());
-            }
-            EventRecord::Backoff {
-                node, slots, cw, ..
-            } => {
-                o.u64("node", *node).u64("slots", *slots).u64("cw", *cw);
-            }
-            EventRecord::SchedDecision {
-                client,
-                bytes,
-                queue_len,
-                ..
-            } => {
-                o.u64("client", *client)
-                    .u64("bytes", *bytes)
-                    .u64("queue_len", *queue_len);
-            }
-            EventRecord::TokenUpdate {
-                client,
-                tokens_us,
-                rate,
-                cause,
-                ..
-            } => {
-                o.u64("client", *client)
-                    .f64("tokens_us", *tokens_us)
-                    .f64("rate", *rate)
-                    .str("cause", cause.as_str());
-            }
-            EventRecord::Tcp {
-                flow,
-                phase,
-                cwnd,
-                flight,
-                ..
-            } => {
-                o.u64("flow", *flow)
-                    .str("phase", phase.as_str())
-                    .f64("cwnd", *cwnd)
-                    .u64("flight", *flight);
-            }
-            EventRecord::QueueChange { site, key, len, .. } => {
-                o.str("site", site.as_str())
-                    .u64("key", *key)
-                    .u64("len", *len);
-            }
-            EventRecord::AirtimeSlice {
-                start,
-                dur,
-                station,
-                category,
-                ..
-            } => {
-                o.u64("start_ns", start.as_nanos())
-                    .u64("dur_ns", dur.as_nanos())
-                    .u64("station", *station)
-                    .str("category", category.as_str());
-            }
-            EventRecord::FrameSpan {
-                station,
-                bytes,
-                enqueue,
-                release,
-                first_tx,
-                attempts,
-                airtime,
-                delivered,
-                ..
-            } => {
-                o.u64("station", *station)
-                    .u64("bytes", *bytes)
-                    .u64("enqueue_ns", enqueue.as_nanos())
-                    .u64("release_ns", release.as_nanos())
-                    .u64("first_tx_ns", first_tx.as_nanos())
-                    .u64("attempts", *attempts)
-                    .u64("airtime_ns", airtime.as_nanos())
-                    .bool("delivered", *delivered);
-            }
-            EventRecord::RunMark { phase, .. } => {
-                o.str("phase", phase.as_str());
-            }
-        }
-        o.finish()
+    /// The ledger attributes every instant of medium time to exactly one
+    /// `(station, category)` pair, so the categories tile wall time: the
+    /// busy categories (`DataTx`, `Ack`, `MacOverhead`) describe a winning
+    /// transmission, `Backoff` covers countdown time while stations
+    /// contend, `Collision` covers busy time wasted by overlapping
+    /// transmissions, and `Idle` is medium time nobody wanted.
+    /// [`AirtimeCategory::ALL`] lists them in display order.
+    AirtimeCategory("airtime category") {
+        /// MPDU payload bits on the air.
+        DataTx = "data_tx",
+        /// ACK frames.
+        Ack = "ack",
+        /// Fixed MAC overhead: DIFS, SIFS, preambles, RTS/CTS.
+        MacOverhead = "mac_overhead",
+        /// Contention countdown while at least one station has traffic.
+        Backoff = "backoff",
+        /// Busy time destroyed by simultaneous transmissions.
+        Collision = "collision",
+        /// Nobody had traffic pending.
+        Idle = "idle",
     }
 }
+
+str_enum! {
+    /// Which run boundary an [`EventRecord::RunMark`] records.
+    RunPhase("run phase") {
+        /// The measurement warm-up elapsed; accounting resets here.
+        Warmup = "warmup",
+        /// The run ended; no records follow.
+        End = "end",
+    }
+}
+
+/// The record schema: hands one row per [`EventRecord`] variant, in
+/// hook order, to the generator macro `$gen`. A row reads
+/// `Variant("type tag") => HookVariant, named_hook { fields }`. Its
+/// first field is the timestamp `t` (key `t_ns`); every other field
+/// reads `name: Type = "json key"`, optionally followed by
+/// `or <earlier field>`.
+macro_rules! for_each_record {
+    ($gen:ident) => {
+        $gen! {
+            /// Coarse MAC lifecycle marker.
+            Mac("mac") => MacEvent, on_mac_event {
+                /// Simulation time.
+                t: SimTime,
+                /// Lifecycle phase.
+                phase: MacPhase = "phase",
+                /// Transmitting station (0 = AP).
+                node: u64 = "node",
+            }
+            /// A transmission attempt resolved (success or failure).
+            TxAttempt("tx_attempt") => TxAttempt, on_tx_attempt {
+                /// Simulation time at the end of the attempt.
+                t: SimTime,
+                /// Transmitting station (0 = AP).
+                node: u64 = "node",
+                /// Client the attempt's occupancy is billed to (§2.2: AP
+                /// transmissions bill the destination client).
+                // Traces written before the ledger landed have no
+                // explicit bill-to client; the transmitter is the right
+                // default for the uplink-only experiments those traces
+                // came from.
+                client: u64 = "client" or node,
+                /// MSDU payload size.
+                bytes: u64 = "bytes",
+                /// PHY data rate in Mbit/s.
+                rate_mbps: f64 = "rate_mbps",
+                /// Whether the frame was ACKed.
+                success: bool = "success",
+                /// How many retries this frame has consumed so far.
+                retry: u64 = "retry",
+                /// Channel time occupied by the attempt.
+                airtime: SimDuration = "airtime_ns",
+            }
+            /// Two or more stations transmitted in the same slot.
+            Collision("collision") => Collision, on_collision {
+                /// Simulation time.
+                t: SimTime,
+                /// Number of stations involved.
+                stations: u64 = "stations",
+                /// Channel time wasted by the longest colliding frame.
+                airtime: SimDuration = "airtime_ns",
+            }
+            /// A station drew a fresh backoff counter.
+            Backoff("backoff") => Backoff, on_backoff {
+                /// Simulation time.
+                t: SimTime,
+                /// The station drawing.
+                node: u64 = "node",
+                /// Slots drawn, uniform in `[0, cw]`.
+                slots: u64 = "slots",
+                /// The contention window the draw used.
+                cw: u64 = "cw",
+            }
+            /// The AP scheduler picked a packet to transmit next.
+            SchedDecision("sched_decision") => SchedDecision, on_sched_decision {
+                /// Simulation time.
+                t: SimTime,
+                /// Destination/source client of the chosen packet.
+                client: u64 = "client",
+                /// Its payload size.
+                bytes: u64 = "bytes",
+                /// Queue length for that client after the dequeue.
+                queue_len: u64 = "queue_len",
+            }
+            /// A TBR token balance changed.
+            TokenUpdate("token_update") => TokenUpdate, on_token_update {
+                /// Simulation time.
+                t: SimTime,
+                /// The client whose bucket changed.
+                client: u64 = "client",
+                /// Balance after the change, in microseconds of airtime.
+                tokens_us: f64 = "tokens_us",
+                /// The client's current fill weight (normalised rate share).
+                rate: f64 = "rate",
+                /// What caused the change.
+                cause: TokenCause = "cause",
+            }
+            /// A TCP flow progressed.
+            Tcp("tcp") => TcpEvent, on_tcp_event {
+                /// Simulation time.
+                t: SimTime,
+                /// Flow id (client index).
+                flow: u64 = "flow",
+                /// What happened.
+                phase: TcpPhase = "phase",
+                /// Congestion window, in segments.
+                cwnd: f64 = "cwnd",
+                /// Bytes in flight after the event.
+                flight: u64 = "flight",
+            }
+            /// A simulated queue changed length.
+            QueueChange("queue_change") => QueueChange, on_queue_change {
+                /// Simulation time.
+                t: SimTime,
+                /// Which queue.
+                site: QueueSite = "site",
+                /// Queue key (client index).
+                key: u64 = "key",
+                /// Length after the change.
+                len: u64 = "len",
+            }
+            /// One exclusive slice of the medium timeline.
+            ///
+            /// Slices are emitted when the DCF cycle containing them resolves,
+            /// so `t` (the emission time) trails `start + dur`; consecutive
+            /// slices tile wall time with no gaps or overlaps — the property
+            /// the conservation auditor checks.
+            AirtimeSlice("airtime_slice") => AirtimeSlice, on_airtime_slice {
+                /// Emission time (end of the cycle the slice belongs to).
+                t: SimTime,
+                /// When the slice began.
+                start: SimTime = "start_ns",
+                /// How long it lasted.
+                dur: SimDuration = "dur_ns",
+                /// Owning client (1-based node id), or 0 for the cell itself
+                /// (idle and collision time belong to nobody).
+                station: u64 = "station",
+                /// What the time was spent on.
+                category: AirtimeCategory = "category",
+            }
+            /// One frame's complete MAC lifecycle, emitted when it leaves the
+            /// system (delivered or dropped).
+            FrameSpan("frame_span") => FrameSpan, on_frame_span {
+                /// Completion time (delivery, or drop after retry exhaustion).
+                t: SimTime,
+                /// Client the frame belongs to.
+                station: u64 = "station",
+                /// MSDU payload size.
+                bytes: u64 = "bytes",
+                /// When the frame entered its send queue.
+                enqueue: SimTime = "enqueue_ns",
+                /// When the scheduler released it to the MAC.
+                release: SimTime = "release_ns",
+                /// When its first transmission attempt ended.
+                first_tx: SimTime = "first_tx_ns",
+                /// Transmission attempts consumed (1 = no retries).
+                attempts: u64 = "attempts",
+                /// Total channel occupancy across all attempts (DIFS + frame
+                /// exchange each).
+                airtime: SimDuration = "airtime_ns",
+                /// Whether the frame was ultimately ACKed.
+                delivered: bool = "delivered",
+            }
+            /// A run boundary: warm-up elapsed, or the run ended.
+            RunMark("run_mark") => RunMark, on_run_mark {
+                /// Simulation time of the boundary.
+                t: SimTime,
+                /// Which boundary.
+                phase: RunPhase = "phase",
+            }
+        }
+    };
+}
+pub(crate) use for_each_record;
+
+/// One field's wire codec, chosen by its type: `put` writes field `v`
+/// into the object `o` under key `k`; `get` reads key `k` of the line
+/// `f`.
+macro_rules! wire {
+    (put $o:ident $k:literal $v:ident: u64) => {
+        $o.u64($k, *$v)
+    };
+    (put $o:ident $k:literal $v:ident: f64) => {
+        $o.f64($k, *$v)
+    };
+    (put $o:ident $k:literal $v:ident: bool) => {
+        $o.bool($k, *$v)
+    };
+    (put $o:ident $k:literal $v:ident: SimTime) => {
+        $o.u64($k, $v.as_nanos())
+    };
+    (put $o:ident $k:literal $v:ident: SimDuration) => {
+        $o.u64($k, $v.as_nanos())
+    };
+    (put $o:ident $k:literal $v:ident: $e:ident) => {
+        $o.str($k, $v.as_str())
+    };
+    (get $f:ident $k:literal: u64 or $default:ident) => {
+        $f.u64_or($k, $default)?
+    };
+    (get $f:ident $k:literal: u64) => {
+        $f.u64($k)?
+    };
+    (get $f:ident $k:literal: f64) => {
+        $f.f64($k)?
+    };
+    (get $f:ident $k:literal: bool) => {
+        $f.bool($k)?
+    };
+    (get $f:ident $k:literal: SimTime) => {
+        SimTime::from_nanos($f.u64($k)?)
+    };
+    (get $f:ident $k:literal: SimDuration) => {
+        SimDuration::from_nanos($f.u64($k)?)
+    };
+    (get $f:ident $k:literal: $e:ident) => {
+        $e::get(&$f, $k)?
+    };
+}
+
+/// Generates [`EventRecord`], its accessors and its JSONL codec from
+/// the `for_each_record!` rows.
+macro_rules! event_record {
+    ($(
+        $(#[$doc:meta])*
+        $V:ident($tag:literal) => $H:ident, $hook:ident {
+            $(#[$tdoc:meta])* t: SimTime,
+            $($(#[$fdoc:meta])* $f:ident: $ty:ident = $key:literal $(or $default:ident)?,)*
+        }
+    )*) => {
+        /// One observability event, as emitted by the simulator and stored one
+        /// per line in the JSONL trace.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventRecord {
+            $($(#[$doc])* $V {
+                $(#[$tdoc])* t: SimTime,
+                $($(#[$fdoc])* $f: $ty,)*
+            },)*
+        }
+
+        impl EventRecord {
+            /// The record's `"type"` discriminator.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(EventRecord::$V { .. } => $tag,)*
+                }
+            }
+
+            /// The [`Observer`](crate::Observer) hook that carries this
+            /// record: the one mapping from record to hook.
+            #[inline]
+            pub fn hook(&self) -> Hook {
+                match self {
+                    $(EventRecord::$V { .. } => Hook::$H,)*
+                }
+            }
+
+            /// The record's timestamp.
+            pub fn time(&self) -> SimTime {
+                match *self {
+                    $(EventRecord::$V { t, .. })|* => t,
+                }
+            }
+
+            /// Serialises the record as one JSON line (no trailing newline).
+            pub fn to_json_line(&self) -> String {
+                let mut o = Obj::new();
+                o.str("type", self.kind())
+                    .u64("t_ns", self.time().as_nanos());
+                match self {
+                    $(EventRecord::$V { $($f,)* .. } => {
+                        $(wire!(put o $key $f: $ty);)*
+                    })*
+                }
+                o.finish()
+            }
+        }
+
+        /// Parses one JSONL trace line back into an [`EventRecord`].
+        ///
+        /// Unknown fields are ignored; unknown `"type"` values are an error so
+        /// callers can count and report them.
+        pub fn parse_line(line: &str) -> Result<EventRecord, String> {
+            let f = Fields::parse(line)?;
+            let t = SimTime::from_nanos(f.u64("t_ns")?);
+            Ok(match f.str("type")? {
+                $($tag => {
+                    $(let $f = wire!(get f $key: $ty $(or $default)?);)*
+                    EventRecord::$V { t, $($f),* }
+                })*
+                other => return Err(format!("unknown record type '{other}'")),
+            })
+        }
+    };
+}
+
+for_each_record!(event_record);
 
 /// Field lookup over one flat JSON object: a trace or recording line.
 pub(crate) struct Fields(Vec<(String, Json)>);
@@ -601,102 +500,6 @@ impl Fields {
             .as_str()
             .ok_or_else(|| format!("field '{k}' is not a string"))
     }
-}
-
-/// Parses one JSONL trace line back into an [`EventRecord`].
-///
-/// Unknown fields are ignored; unknown `"type"` values are an error so
-/// callers can count and report them.
-pub fn parse_line(line: &str) -> Result<EventRecord, String> {
-    let f = Fields::parse(line)?;
-    let t = SimTime::from_nanos(f.u64("t_ns")?);
-    let rec = match f.str("type")? {
-        "mac" => EventRecord::Mac {
-            t,
-            phase: MacPhase::parse(f.str("phase")?)
-                .ok_or_else(|| format!("bad mac phase '{}'", f.str("phase").unwrap()))?,
-            node: f.u64("node")?,
-        },
-        "tx_attempt" => EventRecord::TxAttempt {
-            t,
-            node: f.u64("node")?,
-            // Traces written before the ledger landed have no explicit
-            // bill-to client; the transmitter is the right default for
-            // the uplink-only experiments those traces came from.
-            client: f.u64_or("client", f.u64("node")?)?,
-            bytes: f.u64("bytes")?,
-            rate_mbps: f.f64("rate_mbps")?,
-            success: f.bool("success")?,
-            retry: f.u64("retry")?,
-            airtime: SimDuration::from_nanos(f.u64("airtime_ns")?),
-        },
-        "collision" => EventRecord::Collision {
-            t,
-            stations: f.u64("stations")?,
-            airtime: SimDuration::from_nanos(f.u64("airtime_ns")?),
-        },
-        "backoff" => EventRecord::Backoff {
-            t,
-            node: f.u64("node")?,
-            slots: f.u64("slots")?,
-            cw: f.u64("cw")?,
-        },
-        "sched_decision" => EventRecord::SchedDecision {
-            t,
-            client: f.u64("client")?,
-            bytes: f.u64("bytes")?,
-            queue_len: f.u64("queue_len")?,
-        },
-        "token_update" => EventRecord::TokenUpdate {
-            t,
-            client: f.u64("client")?,
-            tokens_us: f.f64("tokens_us")?,
-            rate: f.f64("rate")?,
-            cause: TokenCause::parse(f.str("cause")?)
-                .ok_or_else(|| format!("bad token cause '{}'", f.str("cause").unwrap()))?,
-        },
-        "tcp" => EventRecord::Tcp {
-            t,
-            flow: f.u64("flow")?,
-            phase: TcpPhase::parse(f.str("phase")?)
-                .ok_or_else(|| format!("bad tcp phase '{}'", f.str("phase").unwrap()))?,
-            cwnd: f.f64("cwnd")?,
-            flight: f.u64("flight")?,
-        },
-        "queue_change" => EventRecord::QueueChange {
-            t,
-            site: QueueSite::parse(f.str("site")?)
-                .ok_or_else(|| format!("bad queue site '{}'", f.str("site").unwrap()))?,
-            key: f.u64("key")?,
-            len: f.u64("len")?,
-        },
-        "airtime_slice" => EventRecord::AirtimeSlice {
-            t,
-            start: SimTime::from_nanos(f.u64("start_ns")?),
-            dur: SimDuration::from_nanos(f.u64("dur_ns")?),
-            station: f.u64("station")?,
-            category: AirtimeCategory::parse(f.str("category")?)
-                .ok_or_else(|| format!("bad airtime category '{}'", f.str("category").unwrap()))?,
-        },
-        "frame_span" => EventRecord::FrameSpan {
-            t,
-            station: f.u64("station")?,
-            bytes: f.u64("bytes")?,
-            enqueue: SimTime::from_nanos(f.u64("enqueue_ns")?),
-            release: SimTime::from_nanos(f.u64("release_ns")?),
-            first_tx: SimTime::from_nanos(f.u64("first_tx_ns")?),
-            attempts: f.u64("attempts")?,
-            airtime: SimDuration::from_nanos(f.u64("airtime_ns")?),
-            delivered: f.bool("delivered")?,
-        },
-        "run_mark" => EventRecord::RunMark {
-            t,
-            phase: RunPhase::parse(f.str("phase")?)
-                .ok_or_else(|| format!("bad run phase '{}'", f.str("phase").unwrap()))?,
-        },
-        other => return Err(format!("unknown record type '{other}'")),
-    };
-    Ok(rec)
 }
 
 /// The lines of a trace that did not parse.
@@ -964,67 +767,33 @@ mod tests {
 
     #[test]
     fn small_enum_names_round_trip() {
-        fn check<E: Copy + PartialEq + std::fmt::Debug>(
-            pairs: &[(E, &str)],
-            as_str: fn(E) -> &'static str,
-            parse: fn(&str) -> Option<E>,
-        ) {
-            for &(v, name) in pairs {
-                assert_eq!(as_str(v), name);
-                assert_eq!(parse(name), Some(v), "{name}");
-            }
-            assert_eq!(parse("x"), None);
+        /// `E::ALL` carries exactly `names`, in order, and each name
+        /// parses back to its value.
+        macro_rules! check {
+            ($E:ident, $names:expr) => {
+                assert_eq!($E::ALL.map($E::as_str), $names);
+                for v in $E::ALL {
+                    assert_eq!($E::parse(v.as_str()), Some(v));
+                }
+                assert_eq!($E::parse("x"), None);
+            };
         }
-        use AirtimeCategory as A;
-        check(
-            &[
-                (MacPhase::TxStart, "tx_start"),
-                (MacPhase::TxEnd, "tx_end"),
-                (MacPhase::Drop, "drop"),
-            ],
-            MacPhase::as_str,
-            MacPhase::parse,
+        check!(MacPhase, ["tx_start", "tx_end", "drop"]);
+        check!(TokenCause, ["fill", "debit"]);
+        check!(TcpPhase, ["ack", "rto", "done"]);
+        check!(QueueSite, ["ap", "client"]);
+        check!(
+            AirtimeCategory,
+            [
+                "data_tx",
+                "ack",
+                "mac_overhead",
+                "backoff",
+                "collision",
+                "idle"
+            ]
         );
-        check(
-            &[(TokenCause::Fill, "fill"), (TokenCause::Debit, "debit")],
-            TokenCause::as_str,
-            TokenCause::parse,
-        );
-        check(
-            &[
-                (TcpPhase::Ack, "ack"),
-                (TcpPhase::Rto, "rto"),
-                (TcpPhase::Done, "done"),
-            ],
-            TcpPhase::as_str,
-            TcpPhase::parse,
-        );
-        check(
-            &[(QueueSite::Ap, "ap"), (QueueSite::Client, "client")],
-            QueueSite::as_str,
-            QueueSite::parse,
-        );
-        check(
-            &[
-                (A::DataTx, "data_tx"),
-                (A::Ack, "ack"),
-                (A::MacOverhead, "mac_overhead"),
-                (A::Backoff, "backoff"),
-                (A::Collision, "collision"),
-                (A::Idle, "idle"),
-            ],
-            A::as_str,
-            A::parse,
-        );
-        assert_eq!(
-            A::ALL.map(A::as_str),
-            ["data_tx", "ack", "mac_overhead", "backoff", "collision", "idle"]
-        );
-        check(
-            &[(RunPhase::Warmup, "warmup"), (RunPhase::End, "end")],
-            RunPhase::as_str,
-            RunPhase::parse,
-        );
+        check!(RunPhase, ["warmup", "end"]);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   buffered file (the `--events` flag of `airtime-cli run`).
 //! - [`MemoryObserver`] — collects records in a `Vec` for tests.
 //!
+//! Each record variant is declared once, as a row of the schema table
+//! in [`event`]: its `"type"` tag, its [`Hook`] and named hook, and
+//! each field's doc, type and JSON key. [`EventRecord`], its JSONL
+//! codec ([`EventRecord::to_json_line`], [`parse_line`]), [`Hook`],
+//! the named hooks and [`deliver`] are generated from it, so adding a
+//! record touches that one row plus the sinks that read it.
+//!
 //! Every sink reads the stream in one method, [`Observer::on_record`],
 //! with one `match` over the [`EventRecord`] variants it reads; the
 //! named hooks the engine calls forward to it, and

@@ -9,6 +9,9 @@
 //! record for any other hook. A sink reads records in one method,
 //! [`Observer::on_record`]; forwarders ([`TeeObserver`], `Option`) and
 //! trace replays ([`replay`]) pass records on through [`deliver`].
+//! The named record hooks, [`Hook`] and [`deliver`] are generated here
+//! from the record table in [`event`](crate::event), which declares
+//! each record's tag, hook and fields once.
 //! [`JsonlObserver`] streams records to a buffered file;
 //! [`MemoryObserver`] collects them in a `Vec` for tests and
 //! in-process analysis.
@@ -19,18 +22,59 @@ use std::path::Path;
 
 use airtime_sim::SimTime;
 
-use crate::event::{read_trace, EventRecord, Malformed};
+use crate::event::{for_each_record, read_trace, EventRecord, Malformed};
 
-/// The named record hooks: each carries one [`EventRecord`] variant
-/// and forwards it to [`Observer::on_record`].
+/// The named record hooks, one per `for_each_record!` row: each
+/// carries one [`EventRecord`] variant and forwards it to
+/// [`Observer::on_record`].
 macro_rules! record_hooks {
-    ($($hook:ident => $variant:ident),*) => {$(
-        #[doc = concat!("Carries an [`EventRecord::", stringify!($variant), "`] record.")]
+    ($($(#[$doc:meta])* $V:ident($tag:literal) => $H:ident, $hook:ident { $($fields:tt)* })*) => {$(
+        #[doc = concat!("Carries an [`EventRecord::", stringify!($V), "`] record.")]
         #[inline(always)]
         fn $hook(&mut self, rec: EventRecord) {
             self.on_record(rec);
         }
     )*};
+}
+
+/// [`Hook`], one variant per `for_each_record!` row and then the two
+/// hooks that carry no record, and [`deliver`].
+macro_rules! hooks_and_router {
+    ($($(#[$doc:meta])* $V:ident($tag:literal) => $H:ident, $hook:ident { $($fields:tt)* })*) => {
+        /// Names one [`Observer`] hook, for [`Observer::wants`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Hook {
+            $(#[doc = concat!("[`Observer::", stringify!($hook), "`].")] $H,)*
+            /// [`Observer::on_dispatch`].
+            Dispatch,
+            /// [`Observer::on_handoff`].
+            Handoff,
+        }
+
+        impl Hook {
+            /// Every hook, in declaration order.
+            pub const ALL: [Hook; 2 + [$(Hook::$H),*].len()] =
+                [$(Hook::$H,)* Hook::Dispatch, Hook::Handoff];
+        }
+
+        /// Hands `rec` to the named hook of its variant
+        /// ([`EventRecord::hook`]): the way a forwarder or a trace replay
+        /// passes a record on, so that an observer overriding the named hooks
+        /// sees it as it would from the engine.
+        ///
+        /// An optimised build always inlines it, like the named hooks and the
+        /// forwarders' `on_record`: at an emission site the variant is known,
+        /// so every match on it folds away and the record reaches its sink's
+        /// arm directly. An unoptimised build folds nothing, and would copy
+        /// every arm of every nested forwarder into each emission site.
+        #[cfg_attr(debug_assertions, inline)]
+        #[cfg_attr(not(debug_assertions), inline(always))]
+        pub fn deliver<O: Observer + ?Sized>(obs: &mut O, rec: EventRecord) {
+            match rec {
+                $(EventRecord::$V { .. } => obs.$hook(rec),)*
+            }
+        }
+    };
 }
 
 /// Receives structured events from the simulator.
@@ -82,19 +126,7 @@ pub trait Observer {
     #[inline]
     fn on_record(&mut self, _rec: EventRecord) {}
 
-    record_hooks!(
-        on_mac_event => Mac,
-        on_tx_attempt => TxAttempt,
-        on_collision => Collision,
-        on_backoff => Backoff,
-        on_sched_decision => SchedDecision,
-        on_token_update => TokenUpdate,
-        on_tcp_event => Tcp,
-        on_queue_change => QueueChange,
-        on_airtime_slice => AirtimeSlice,
-        on_frame_span => FrameSpan,
-        on_run_mark => RunMark
-    );
+    for_each_record!(record_hooks);
 
     /// The event loop dispatched the event stamped `(t, seq)` whose
     /// handler is named `label`: engine bookkeeping (which timers pop,
@@ -117,55 +149,7 @@ pub trait Observer {
     }
 }
 
-/// Names one [`Observer`] hook, for [`Observer::wants`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hook {
-    /// [`Observer::on_mac_event`].
-    MacEvent,
-    /// [`Observer::on_tx_attempt`].
-    TxAttempt,
-    /// [`Observer::on_collision`].
-    Collision,
-    /// [`Observer::on_backoff`].
-    Backoff,
-    /// [`Observer::on_sched_decision`].
-    SchedDecision,
-    /// [`Observer::on_token_update`].
-    TokenUpdate,
-    /// [`Observer::on_tcp_event`].
-    TcpEvent,
-    /// [`Observer::on_queue_change`].
-    QueueChange,
-    /// [`Observer::on_airtime_slice`].
-    AirtimeSlice,
-    /// [`Observer::on_frame_span`].
-    FrameSpan,
-    /// [`Observer::on_run_mark`].
-    RunMark,
-    /// [`Observer::on_dispatch`].
-    Dispatch,
-    /// [`Observer::on_handoff`].
-    Handoff,
-}
-
-impl Hook {
-    /// Every hook, in declaration order.
-    pub const ALL: [Hook; 13] = [
-        Hook::MacEvent,
-        Hook::TxAttempt,
-        Hook::Collision,
-        Hook::Backoff,
-        Hook::SchedDecision,
-        Hook::TokenUpdate,
-        Hook::TcpEvent,
-        Hook::QueueChange,
-        Hook::AirtimeSlice,
-        Hook::FrameSpan,
-        Hook::RunMark,
-        Hook::Dispatch,
-        Hook::Handoff,
-    ];
-}
+for_each_record!(hooks_and_router);
 
 /// The set of hooks an observer wants, read once so that each emission
 /// site tests one bit instead of calling [`Observer::wants`].
@@ -188,34 +172,6 @@ impl HookSet {
     #[inline]
     pub fn has(self, hook: Hook) -> bool {
         self.0 & (1 << hook as u16) != 0
-    }
-}
-
-/// Hands `rec` to the named hook of its variant
-/// ([`EventRecord::hook`]): the way a forwarder or a trace replay
-/// passes a record on, so that an observer overriding the named hooks
-/// sees it as it would from the engine.
-///
-/// An optimised build always inlines it, like the named hooks and the
-/// forwarders' `on_record`: at an emission site the variant is known,
-/// so every match on it folds away and the record reaches its sink's
-/// arm directly. An unoptimised build folds nothing, and would copy
-/// every arm of every nested forwarder into each emission site.
-#[cfg_attr(debug_assertions, inline)]
-#[cfg_attr(not(debug_assertions), inline(always))]
-pub fn deliver<O: Observer + ?Sized>(obs: &mut O, rec: EventRecord) {
-    match rec {
-        EventRecord::Mac { .. } => obs.on_mac_event(rec),
-        EventRecord::TxAttempt { .. } => obs.on_tx_attempt(rec),
-        EventRecord::Collision { .. } => obs.on_collision(rec),
-        EventRecord::Backoff { .. } => obs.on_backoff(rec),
-        EventRecord::SchedDecision { .. } => obs.on_sched_decision(rec),
-        EventRecord::TokenUpdate { .. } => obs.on_token_update(rec),
-        EventRecord::Tcp { .. } => obs.on_tcp_event(rec),
-        EventRecord::QueueChange { .. } => obs.on_queue_change(rec),
-        EventRecord::AirtimeSlice { .. } => obs.on_airtime_slice(rec),
-        EventRecord::FrameSpan { .. } => obs.on_frame_span(rec),
-        EventRecord::RunMark { .. } => obs.on_run_mark(rec),
     }
 }
 

@@ -75,7 +75,8 @@ option exits 2 with an error naming it.
 OPTIONS (run):
     --scenario <file>   load a full NetworkConfig from a scenario file
                         (stations, links, traffic, scheduler tables);
-                        overrides --rates/--sched/--direction/--secs/--seed
+                        the file sets the whole cell, so --rates, --sched,
+                        --direction, --secs and --seed exit 2 beside it
     --rates <list>      comma-separated Mbit/s per station from
                         {1,2,5.5,11,6,9,12,18,24,36,48,54}   [default: 11,1]
     --sched <name>      fifo | rr | drr | tbr | txop | pf | maxmin
@@ -248,6 +249,10 @@ const READS: [(&str, &str); 8] = [
     ("predict", "--rates"),
 ];
 
+/// The `run` flags that build the default cell. A scenario file sets
+/// all of it, so `run --scenario` refuses them rather than ignore them.
+const CELL_FLAGS: &str = "--rates --sched --direction --secs --seed";
+
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing command; try --help")?;
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
@@ -284,9 +289,14 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let reads = READS.iter().find(|(c, _)| *c == cmd).map(|(_, f)| *f);
     // A stray positional is reported first: it is the likelier slip.
     let mut unread = None;
+    // The first flag seen that builds `run`'s default cell.
+    let mut cell_flag = None;
     while let Some(flag) = argv.next() {
         if flag.starts_with('-') && reads.is_some_and(|f| !f.split(' ').any(|r| r == flag)) {
             unread.get_or_insert_with(|| flag.clone());
+        }
+        if CELL_FLAGS.split(' ').any(|c| c == flag) {
+            cell_flag.get_or_insert_with(|| flag.clone());
         }
         let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -377,6 +387,12 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     }
     if let Some(flag) = unread {
         return Err(format!("`{cmd}` does not read {flag}; try --help"));
+    }
+    if let (Some(flag), Some(path), "run") = (cell_flag, &args.scenario, cmd.as_str()) {
+        return Err(format!(
+            "`run --scenario` does not read {flag}: {} sets the whole cell; edit the file instead",
+            path.display()
+        ));
     }
     Ok((cmd, args))
 }

@@ -273,6 +273,39 @@ fn run_and_predict_reject_a_stray_positional() {
 }
 
 #[test]
+fn run_scenario_refuses_the_flags_the_file_sets() {
+    // `run --scenario cell.toml --secs 3` once simulated the file's own
+    // duration and exited 0, silently dropping the flag.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flags_cell.toml");
+    std::fs::write(
+        &path,
+        "duration_s = 3\nwarmup_s = 1\n[[station]]\nrate = \"11\"\n",
+    )
+    .expect("scenario file written");
+    let cell = path.display().to_string();
+    for (flag, value) in [
+        ("--secs", "3"),
+        ("--rates", "2"),
+        ("--sched", "rr"),
+        ("--direction", "down"),
+        ("--seed", "7"),
+    ] {
+        for args in [
+            ["run", "--scenario", &cell, flag, value],
+            ["run", flag, value, "--scenario", &cell],
+        ] {
+            let out = cli(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("`run --scenario` does not read {flag}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_flag_the_command_does_not_read_is_refused() {
     // Each of these once exited 0 and ignored the flag: the sweep wrote
     // neither the trace nor the ledger it was asked for.
