@@ -26,6 +26,29 @@ fn run_rejects_out_of_range_secs() {
     }
 }
 
+#[test]
+fn run_flag_values_fail_at_parse_time_naming_the_value() {
+    // A bad flag value is an argument error (exit 2) that names the
+    // value, not a diagnostic against the document the flags write.
+    let cases: [(&[&str], &str); 6] = [
+        (&["--rates", "7"], "unknown rate '7'"),
+        (&["--rates", ""], "unknown rate ''"),
+        (
+            &["--sched", "bogus"],
+            "unknown scheduler 'bogus'; expected one of fifo, rr, drr, tbr, txop, pf, maxmin",
+        ),
+        (&["--direction", "sideways"], "unknown direction 'sideways'"),
+        (&["--secs", "x"], "bad --secs: invalid digit found in string"),
+        (&["--seed", "x"], "bad --seed: invalid digit found in string"),
+    ];
+    for (flag, msg) in cases {
+        let out = cli(&[&["run"], flag].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert_eq!(stderr, format!("error: {msg}\n"), "{flag:?}");
+    }
+}
+
 /// Writes `text` to a scenario file named `name` under the test's
 /// scratch directory and runs it; returns the exit code, stderr and
 /// the file's path.
