@@ -15,7 +15,7 @@
 //! `exp1_office` and `task_completion`; EXPERIMENTS.md names the one
 //! command behind each.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use airtime::model::{gamma_measured, gamma_tcp_table2, rf_allocation, tf_allocation, NodeSpec};
 use airtime::obs::json::{array_f64, Obj};
@@ -26,11 +26,10 @@ use airtime::obs::{
     TeeObserver,
 };
 use airtime::phy::DataRate;
-use airtime::sim::{LoopProfiler, SimDuration, SimTime};
+use airtime::scenario::toml::{Doc, Value};
+use airtime::sim::{LoopProfiler, SimTime};
 use airtime::topo::{run_topology, run_topology_profiled};
-use airtime::wlan::{
-    run_instrumented, run_observed, scenarios, CellSim, Direction, Report, SchedulerKind,
-};
+use airtime::wlan::{run_instrumented, run_observed, CellSim, Report, SchedulerKind};
 
 /// Allocation counting for `profile` (a gated relaxed-atomic load per
 /// allocation when off — see `airtime::obs::prof::CountingAlloc`).
@@ -73,17 +72,17 @@ Each command reads only the options listed under its name; any other
 option exits 2 with an error naming it.
 
 OPTIONS (run):
-    --scenario <file>   load a full NetworkConfig from a scenario file
-                        (stations, links, traffic, scheduler tables);
-                        the file sets the whole cell, so --rates, --sched,
-                        --direction, --secs and --seed exit 2 beside it
-    --rates <list>      comma-separated Mbit/s per station from
+    --scenario <file>   run a scenario file (cell or topology) in place of
+                        the document the flags below write; --secs and
+                        --seed override its duration_s and seed, while
+                        --rates, --sched and --direction exit 2 beside it
+    --rates <list>      comma-separated Mbit/s, one station each, from
                         {1,2,5.5,11,6,9,12,18,24,36,48,54}   [default: 11,1]
     --sched <name>      fifo | rr | drr | tbr | txop | pf | maxmin
                                                               [default: tbr]
     --direction <dir>   up | down                             [default: up]
     --secs <n>          simulated seconds, 2..=86400          [default: 20]
-    --seed <n>          RNG seed                              [default: 1]
+    --seed <n>          RNG seed, 0..=9223372036854775807     [default: 1]
     --events <path>     stream structured events to a JSONL trace
     --ledger <path>     account every microsecond of medium time to a
                         (station, category) slice, audit conservation
@@ -185,10 +184,12 @@ fn parse_rates(s: &str) -> Result<Vec<DataRate>, String> {
 
 struct Args {
     rates: Vec<DataRate>,
-    sched: SchedulerKind,
-    direction: Direction,
-    secs: u64,
-    seed: u64,
+    /// `run --sched`'s family name and `--direction` (`up` or `down`).
+    sched: &'static str,
+    direction: String,
+    /// Unset, `run` keeps the default cell's or the scenario file's value.
+    secs: Option<u64>,
+    seed: Option<u64>,
     events: Option<PathBuf>,
     ledger: Option<PathBuf>,
     metrics: Option<PathBuf>,
@@ -249,9 +250,18 @@ const READS: [(&str, &str); 8] = [
     ("predict", "--rates"),
 ];
 
-/// The `run` flags that build the default cell. A scenario file sets
-/// all of it, so `run --scenario` refuses them rather than ignore them.
-const CELL_FLAGS: &str = "--rates --sched --direction --secs --seed";
+/// The `run` flags that build the default cell's stations. A scenario
+/// file owns its station list, so `run --scenario` refuses them rather
+/// than ignore them.
+const CELL_FLAGS: &str = "--rates --sched --direction";
+
+/// A count flag's value: an integer of at least 1.
+fn count(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        n => n.map_err(|e| format!("bad {flag}: {e}")),
+    }
+}
 
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing command; try --help")?;
@@ -260,10 +270,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     }
     let mut args = Args {
         rates: vec![DataRate::B11, DataRate::B1],
-        sched: SchedulerKind::tbr(),
-        direction: Direction::Uplink,
-        secs: 20,
-        seed: 1,
+        sched: "tbr",
+        direction: "up".into(),
+        secs: None,
+        seed: None,
         events: None,
         ledger: None,
         metrics: None,
@@ -303,7 +313,8 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--rates" => args.rates = parse_rates(&value()?)?,
             "--sched" => {
                 let name = value()?;
-                args.sched = SchedulerKind::from_family(&name).ok_or_else(|| {
+                let family = SchedulerKind::from_family(&name).map(|k| k.family());
+                args.sched = family.ok_or_else(|| {
                     format!(
                         "unknown scheduler '{name}'; expected one of {}",
                         airtime::sched::family_names()
@@ -311,14 +322,21 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                 })?;
             }
             "--direction" => {
-                args.direction = match value()?.as_str() {
-                    "up" => Direction::Uplink,
-                    "down" => Direction::Downlink,
-                    other => return Err(format!("unknown direction '{other}'")),
+                args.direction = value()?;
+                if args.direction != "up" && args.direction != "down" {
+                    return Err(format!("unknown direction '{}'", args.direction));
                 }
             }
-            "--secs" => args.secs = value()?.parse().map_err(|e| format!("bad --secs: {e}"))?,
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?,
+            "--secs" => args.secs = Some(value()?.parse().map_err(|e| format!("bad --secs: {e}"))?),
+            // A scenario document's integers stop at i64::MAX.
+            "--seed" => {
+                let (v, max) = (value()?, i64::MAX);
+                let seed: i128 = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
+                if !(0..=max.into()).contains(&seed) {
+                    return Err(format!("--seed must be between 0 and {max}, got {v}"));
+                }
+                args.seed = Some(seed as u64);
+            }
             "--events" => args.events = Some(PathBuf::from(value()?)),
             "--ledger" => args.ledger = Some(PathBuf::from(value()?)),
             "--spans" => args.spans = true,
@@ -326,39 +344,15 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--metrics" => args.metrics = Some(PathBuf::from(value()?)),
             "--metrics-csv" => args.metrics_csv = Some(PathBuf::from(value()?)),
             "--scenario" => args.scenario = Some(PathBuf::from(value()?)),
-            "--threads" => {
-                let n: usize = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(n);
-            }
+            "--threads" => args.threads = Some(count(&flag, &value()?)?),
             "--csv" => args.csv = Some(PathBuf::from(value()?)),
             "--prof" => args.prof = Some(PathBuf::from(value()?)),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value()?)),
-            "--trace-cap" => {
-                let n: usize = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --trace-cap: {e}"))?;
-                if n == 0 {
-                    return Err("--trace-cap must be at least 1".into());
-                }
-                args.trace_cap = Some(n);
-            }
+            "--trace-cap" => args.trace_cap = Some(count(&flag, &value()?)?),
             "--record" => args.record = Some(PathBuf::from(value()?)),
             "--against" => args.against = Some(PathBuf::from(value()?)),
             "--fp" => args.fp = true,
-            "--interval" => {
-                let n: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --interval: {e}"))?;
-                if n == 0 {
-                    return Err("--interval must be at least 1".into());
-                }
-                args.interval = Some(n);
-            }
+            "--interval" => args.interval = Some(count(&flag, &value()?)? as u64),
             "--inject" => args.inject = Some(value()?),
             "--window" => args.window = Some(value()?),
             // `run --json` is a bare flag; `sweep --json <path>`,
@@ -390,17 +384,38 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     }
     if let (Some(flag), Some(path), "run") = (cell_flag, &args.scenario, cmd.as_str()) {
         return Err(format!(
-            "`run --scenario` does not read {flag}: {} sets the whole cell; edit the file instead",
+            "`run --scenario` does not read {flag}: {} sets the stations; edit the file instead",
             path.display()
         ));
     }
     Ok((cmd, args))
 }
 
+/// The scenario document `run`'s flags stand for, as a file would
+/// hold it. The warm-up is max(secs/8, 1) s.
+fn flags_document(a: &Args) -> String {
+    let (secs, seed) = (a.secs.unwrap_or(20), a.seed.unwrap_or(1));
+    let mut doc = format!("duration_s = {secs}\nwarmup_s = {}\n", (secs / 8).max(1));
+    doc += &format!("seed = {seed}\ndirection = \"{}\"\n", a.direction);
+    doc += &format!("[scheduler]\nkind = \"{}\"\n", a.sched);
+    for rate in &a.rates {
+        doc += &format!("[[station]]\nrate = \"{rate}\"\n");
+    }
+    doc
+}
+
 fn cmd_run(a: &Args) -> Result<(), String> {
-    let (cfg, labels) = match &a.scenario {
+    // 2 s leaves room for the default cell's 1 s warm-up; the ceiling
+    // matches the scenario files' duration cap.
+    let max = airtime::scenario::MAX_DURATION_SECS;
+    if let Some(secs) = a.secs.filter(|s| !(2..=max).contains(s)) {
+        return Err(format!(
+            "--secs must be between 2 and {max} (one simulated day), got {secs}"
+        ));
+    }
+    let (doc, file) = match &a.scenario {
         Some(path) => {
-            let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
+            let mut doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
             if doc.table("sweep").is_some() {
                 return Err(format!(
                     "{} declares a [sweep] section; use `airtime-cli sweep {}`",
@@ -408,31 +423,27 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                     path.display()
                 ));
             }
-            let spec = airtime::scenario::compile_runnable(&doc, &path.display().to_string())
-                .map_err(|e| e.to_string())?;
-            if spec.topo.is_some() {
-                return run_topology_scenario(a, &spec);
+            // The overrides take the path a sweep axis takes.
+            for (key, v) in [("duration_s", a.secs), ("seed", a.seed)] {
+                if let Some(v) = v {
+                    doc.set_path(key, Value::Int(v as i64), 0)
+                        .expect("a root key always resolves");
+                }
             }
-            (spec.cfg, spec.rate_labels)
+            (doc, path.display().to_string())
         }
         None => {
-            // The warm-up is max(secs/8, 1) s and must end before the run
-            // does; the ceiling matches the scenario files' duration cap.
-            let max = airtime::scenario::MAX_DURATION_SECS;
-            if !(2..=max).contains(&a.secs) {
-                return Err(format!(
-                    "--secs must be between 2 and {max} (one simulated day), got {}",
-                    a.secs
-                ));
-            }
-            let mut cfg = scenarios::tcp_stations(&a.rates, a.direction, a.sched.clone());
-            cfg.duration = SimDuration::from_secs(a.secs);
-            cfg.warmup = SimDuration::from_secs((a.secs / 8).max(1));
-            cfg.seed = a.seed;
-            let labels = a.rates.iter().map(|r| r.to_string()).collect();
-            (cfg, labels)
+            let file = "run flags";
+            let doc = airtime::scenario::parse_text(&flags_document(a), file)
+                .map_err(|e| e.to_string())?;
+            (doc, file.to_string())
         }
     };
+    let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
+    if spec.topo.is_some() {
+        return run_topology_scenario(a, &spec);
+    }
+    let (cfg, labels) = (spec.cfg, spec.rate_labels);
 
     let mut registry = (a.metrics.is_some() || a.metrics_csv.is_some()).then(MetricsRegistry::new);
     // Each flag adds its sink; a sink reads the same stream whatever
@@ -456,8 +467,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let (recorder, ledger) = (obs.a.a, obs.a.b);
     if let (Some(path), Some(rec)) = (&a.record, &recorder) {
         let recording = rec.recording();
-        std::fs::write(path, recording.to_jsonl())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(path, recording.to_jsonl())?;
         if !a.json {
             println!(
                 "flight recording written to {} ({} events, {} retained, fp {})\n",
@@ -469,16 +479,13 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         }
     }
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
-        std::fs::write(path, reg.to_json() + "\n")
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(path, reg.to_json() + "\n")?;
     }
     if let (Some(path), Some(reg)) = (&a.metrics_csv, &registry) {
-        std::fs::write(path, reg.series_to_csv())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(path, reg.series_to_csv())?;
     }
     if let (Some(path), Some(led)) = (&a.ledger, &ledger) {
-        std::fs::write(path, led.timeline_csv())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(path, led.timeline_csv())?;
         let audit = led.audit();
         // Cross-check the ledger's occupancy view against the report.
         let shares = led.occupancy_shares();
@@ -574,8 +581,7 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
         // One timeline file per radio cell: `<stem>.cell<i>[.ext]`.
         for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
-            std::fs::write(&p, o.a.b.timeline_csv())
-                .map_err(|e| format!("writing {}: {e}", p.display()))?;
+            write(&p, o.a.b.timeline_csv())?;
         }
     }
     if let Some(path) = &a.record {
@@ -583,8 +589,7 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
         for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
             let recording = o.b.recording();
-            std::fs::write(&p, recording.to_jsonl())
-                .map_err(|e| format!("writing {}: {e}", p.display()))?;
+            write(&p, recording.to_jsonl())?;
             if !a.json {
                 println!(
                     "cell {i} flight recording written to {} ({} events, fp {})",
@@ -668,9 +673,14 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
     Ok(())
 }
 
+/// Writes `contents` to `path`, naming the path on failure.
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
 /// `events.csv` + `cell1` -> `events.cell1.csv` (suffix appended when
 /// there is no extension).
-fn suffixed(path: &std::path::Path, tag: &str) -> PathBuf {
+fn suffixed(path: &Path, tag: &str) -> PathBuf {
     let mut p = path.to_path_buf();
     match path.extension().and_then(|e| e.to_str()) {
         Some(ext) => {
@@ -740,51 +750,71 @@ fn report_json(cfg: &airtime::wlan::NetworkConfig, labels: &[String], r: &Report
     o.finish()
 }
 
-fn cmd_sweep(a: &Args) -> Result<(), String> {
-    let path = a
+/// The scenario file a command names, loaded, with its name and a
+/// sweep's worker count (`--threads`, else every core).
+fn scenario_input<'a>(a: &'a Args, cmd: &str) -> Result<(Doc, &'a str, usize), String> {
+    let file = a
         .positionals
         .first()
-        .ok_or("sweep needs a scenario file: airtime-cli sweep <file.toml>")?;
-    let path = std::path::Path::new(path);
-    let file = path.display().to_string();
-    let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
-    let threads = a.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    let outcome = airtime::scenario::run_sweep(&doc, &file, threads).map_err(|e| e.to_string())?;
+        .ok_or_else(|| format!("{cmd} needs a scenario file: airtime-cli {cmd} <file.toml>"))?;
+    let doc = airtime::scenario::load(Path::new(file)).map_err(|e| e.to_string())?;
+    let threads = a
+        .threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    Ok((doc, file, threads))
+}
 
-    println!("sweep '{}' — {} cells\n", outcome.name, outcome.cells.len());
-    print_sweep_table(&outcome);
+/// The tail `sweep` and `tournament` share: job counts, the exports
+/// asked for (built only then) and the baseline-check verdict.
+fn finish_matrix(
+    a: &Args,
+    stats: &airtime::scenario::PoolStats,
+    to_json: impl Fn() -> String,
+    to_csv: impl Fn() -> String,
+    (failed, unit): (usize, &str),
+    strict: bool,
+) -> Result<(), String> {
     // Which worker ran which job depends on interleaving, so it goes to
     // stderr: stdout is reproducible like the exports.
     eprintln!(
         "{} worker thread(s); jobs per thread: {:?}",
-        outcome.stats.threads_used(),
-        outcome.stats.per_thread_jobs
+        stats.threads_used(),
+        stats.per_thread_jobs
     );
-
-    if let Some(p) = &a.json_path {
-        let doc = airtime::scenario::emit::to_json(&outcome.name, &outcome.axes, &outcome.cells);
-        std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        println!("JSON matrix written to {}", p.display());
+    let exports: [(_, _, &dyn Fn() -> String); 2] =
+        [(&a.json_path, "JSON", &to_json), (&a.csv, "CSV", &to_csv)];
+    for (path, kind, build) in exports {
+        if let Some(p) = path {
+            write(p, build())?;
+            println!("{kind} matrix written to {}", p.display());
+        }
     }
-    if let Some(p) = &a.csv {
-        let doc = airtime::scenario::emit::to_csv(&outcome.name, &outcome.axes, &outcome.cells);
-        std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        println!("CSV matrix written to {}", p.display());
-    }
-
-    let failed = outcome.failed_cells();
     if failed > 0 {
-        println!("{failed} cell(s) failed their baseline check");
+        println!("{failed} {unit}(s) failed their baseline check");
     }
-    if outcome.strict_failure {
+    if strict {
         return Err(format!(
-            "{failed} cell(s) failed the baseline check and the scenario sets [check] strict = true"
+            "{failed} {unit}(s) failed the baseline check and the scenario sets [check] strict = true"
         ));
     }
+    Ok(())
+}
+
+fn cmd_sweep(a: &Args) -> Result<(), String> {
+    let (doc, file, threads) = scenario_input(a, "sweep")?;
+    let outcome = airtime::scenario::run_sweep(&doc, file, threads).map_err(|e| e.to_string())?;
+
+    println!("sweep '{}' — {} cells\n", outcome.name, outcome.cells.len());
+    print_sweep_table(&outcome);
+    let (name, axes, cells) = (&outcome.name, &outcome.axes, &outcome.cells);
+    finish_matrix(
+        a,
+        &outcome.stats,
+        || airtime::scenario::emit::to_json(name, axes, cells),
+        || airtime::scenario::emit::to_csv(name, axes, cells),
+        (outcome.failed_cells(), "cell"),
+        outcome.strict_failure,
+    )?;
     if outcome.audit_failure {
         return Err(
             "airtime conservation audit failed in at least one topology cell \
@@ -796,20 +826,9 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
 }
 
 fn cmd_tournament(a: &Args) -> Result<(), String> {
-    let path = a
-        .positionals
-        .first()
-        .ok_or("tournament needs a scenario file: airtime-cli tournament <file.toml>")?;
-    let path = std::path::Path::new(path);
-    let file = path.display().to_string();
-    let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
-    let threads = a.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    let (doc, file, threads) = scenario_input(a, "tournament")?;
     let outcome =
-        airtime::scenario::run_tournament(&doc, &file, threads).map_err(|e| e.to_string())?;
+        airtime::scenario::run_tournament(&doc, file, threads).map_err(|e| e.to_string())?;
 
     println!(
         "tournament '{}' — {} families x {} mixes x {} direction(s)\n",
@@ -879,37 +898,19 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
         ],
         &station_rows,
     );
-    eprintln!(
-        "{} worker thread(s); jobs per thread: {:?}",
-        outcome.stats.threads_used(),
-        outcome.stats.per_thread_jobs
-    );
-
-    if let Some(p) = &a.json_path {
-        let doc = airtime::scenario::tournament::to_json(&outcome);
-        std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        println!("JSON matrix written to {}", p.display());
-    }
-    if let Some(p) = &a.csv {
-        let doc = airtime::scenario::tournament::to_csv(&outcome);
-        std::fs::write(p, doc).map_err(|e| format!("writing {}: {e}", p.display()))?;
-        println!("CSV matrix written to {}", p.display());
-    }
-
     let failed = outcome
         .rows
         .iter()
         .filter(|r| matches!(r.check, airtime::scenario::CheckOutcome::Fail(_)))
         .count();
-    if failed > 0 {
-        println!("{failed} row(s) failed their baseline check");
-    }
-    if outcome.strict_failure {
-        return Err(format!(
-            "{failed} row(s) failed the baseline check and the scenario sets [check] strict = true"
-        ));
-    }
-    Ok(())
+    finish_matrix(
+        a,
+        &outcome.stats,
+        || airtime::scenario::tournament::to_json(&outcome),
+        || airtime::scenario::tournament::to_csv(&outcome),
+        (failed, "row"),
+        outcome.strict_failure,
+    )
 }
 
 /// The per-cell stdout table for `sweep`: one row per matrix cell.
@@ -1015,7 +1016,7 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("inspect needs a trace path: airtime-cli inspect <events.jsonl>")?;
-    let p = std::path::Path::new(path);
+    let p = Path::new(path);
     if a.fp {
         let text = std::fs::read_to_string(p).map_err(|e| format!("reading {path}: {e}"))?;
         let rec = Recording::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1095,10 +1096,8 @@ fn cmd_profile(a: &Args) -> Result<(), String> {
     let mut host_pid: u64 = HOST_PID;
     let mut scenario_objs: Vec<String> = Vec::new();
     for path in &a.positionals {
-        let p = std::path::Path::new(path);
-        let file = p.display().to_string();
-        let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
-        let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
+        let doc = airtime::scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
+        let spec = airtime::scenario::compile_runnable(&doc, path).map_err(|e| e.to_string())?;
         let obj = match &spec.topo {
             None => profile_cell(&spec, trace.as_mut(), &mut next_pid, &mut host_pid),
             Some(topo) => {
@@ -1120,8 +1119,7 @@ fn cmd_profile(a: &Args) -> Result<(), String> {
         .json_path
         .clone()
         .unwrap_or_else(|| PathBuf::from("profile.report.json"));
-    std::fs::write(&json_path, report + "\n")
-        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
+    write(&json_path, report + "\n")?;
     println!("\nperf report written to {}", json_path.display());
     if let (Some(path), Some(t)) = (&a.trace_out, &trace) {
         t.write_to(path)
@@ -1285,13 +1283,8 @@ fn profile_topology(
 /// diverged; the first divergent checkpoint (and, where both sides
 /// kept events, the exact event) is printed.
 fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
-    let path = a.positionals.first().ok_or(
-        "verify-determinism needs a scenario file: airtime-cli verify-determinism <file.toml>",
-    )?;
-    let p = std::path::Path::new(path);
-    let file = p.display().to_string();
-    let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
-    let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
+    let (doc, file, _) = scenario_input(a, "verify-determinism")?;
+    let spec = airtime::scenario::compile_runnable(&doc, file).map_err(|e| e.to_string())?;
     let mut opts = airtime::scenario::VerifyOptions::default();
     if let Some(n) = a.interval {
         opts.interval = n;
@@ -1313,7 +1306,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     }
     // One recording per radio-cell lane; topologies use
     // `<stem>.cell<i>[.ext]`, as `run --record` does.
-    let lane_paths = |path: &std::path::Path| -> Vec<PathBuf> {
+    let lane_paths = |path: &Path| -> Vec<PathBuf> {
         match &spec.topo {
             None => vec![path.to_path_buf()],
             Some(t) => (0..t.cells.len())
@@ -1330,7 +1323,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
         }
         opts.against = Some(golden);
     }
-    let outcome = airtime::scenario::verify_determinism(&spec, Some(&doc), &file, &opts)
+    let outcome = airtime::scenario::verify_determinism(&spec, Some(&doc), file, &opts)
         .map_err(|e| e.to_string())?;
     println!(
         "verify-determinism '{}': run vs repeat{} ({} events, fp {})",
@@ -1341,7 +1334,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     );
     if let Some(path) = &a.record {
         for (p, text) in lane_paths(path).iter().zip(&outcome.recordings) {
-            std::fs::write(p, text).map_err(|e| format!("writing {}: {e}", p.display()))?;
+            write(p, text)?;
             println!("recording written to {}", p.display());
         }
     }

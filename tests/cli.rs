@@ -38,8 +38,14 @@ fn run_flag_values_fail_at_parse_time_naming_the_value() {
             "unknown scheduler 'bogus'; expected one of fifo, rr, drr, tbr, txop, pf, maxmin",
         ),
         (&["--direction", "sideways"], "unknown direction 'sideways'"),
-        (&["--secs", "x"], "bad --secs: invalid digit found in string"),
-        (&["--seed", "x"], "bad --seed: invalid digit found in string"),
+        (
+            &["--secs", "x"],
+            "bad --secs: invalid digit found in string",
+        ),
+        (
+            &["--seed", "x"],
+            "bad --seed: invalid digit found in string",
+        ),
     ];
     for (flag, msg) in cases {
         let out = cli(&[&["run"], flag].concat());
@@ -49,13 +55,19 @@ fn run_flag_values_fail_at_parse_time_naming_the_value() {
     }
 }
 
+/// Writes `text` under the test's scratch directory as `name`; returns
+/// its path.
+fn scratch_file(name: &str, text: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("scenario file written");
+    path.display().to_string()
+}
+
 /// Writes `text` to a scenario file named `name` under the test's
 /// scratch directory and runs it; returns the exit code, stderr and
 /// the file's path.
 fn run_scenario(name: &str, text: &str) -> (Option<i32>, String, String) {
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::write(&path, text).expect("scenario file written");
-    let path = path.display().to_string();
+    let path = scratch_file(name, text);
     let out = cli(&["run", "--scenario", &path]);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     (out.status.code(), stderr, path)
@@ -297,8 +309,8 @@ fn run_and_predict_reject_a_stray_positional() {
 
 #[test]
 fn run_scenario_refuses_the_flags_the_file_sets() {
-    // `run --scenario cell.toml --secs 3` once simulated the file's own
-    // duration and exited 0, silently dropping the flag.
+    // `run --scenario cell.toml --rates 2` once simulated the file's own
+    // stations and exited 0, silently dropping the flag.
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flags_cell.toml");
     std::fs::write(
         &path,
@@ -306,13 +318,7 @@ fn run_scenario_refuses_the_flags_the_file_sets() {
     )
     .expect("scenario file written");
     let cell = path.display().to_string();
-    for (flag, value) in [
-        ("--secs", "3"),
-        ("--rates", "2"),
-        ("--sched", "rr"),
-        ("--direction", "down"),
-        ("--seed", "7"),
-    ] {
+    for (flag, value) in [("--rates", "2"), ("--sched", "rr"), ("--direction", "down")] {
         for args in [
             ["run", "--scenario", &cell, flag, value],
             ["run", flag, value, "--scenario", &cell],
@@ -325,6 +331,125 @@ fn run_scenario_refuses_the_flags_the_file_sets() {
                 "{args:?}: {stderr}"
             );
         }
+    }
+}
+
+/// Runs `args` twice, as a table and with `--json`; returns both stdouts.
+fn run_outputs(args: &[&str]) -> [String; 2] {
+    [&[][..], &["--json"]].map(|json| {
+        let out = cli(&[args, json].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("stdout is UTF-8")
+    })
+}
+
+#[test]
+fn run_flags_print_what_their_document_prints() {
+    // The flags write the document a file would hold, and `run` compiles
+    // it like any `--scenario` file.
+    let cases = [
+        (
+            "--rates 11,1 --secs 4",
+            "duration_s = 4\nwarmup_s = 1\nseed = 1\ndirection = \"up\"\n\
+             [scheduler]\nkind = \"tbr\"\n[[station]]\nrate = \"11\"\n[[station]]\nrate = \"1\"\n",
+        ),
+        (
+            "--rates 54,6 --sched rr --direction down --secs 3 --seed 9",
+            "duration_s = 3\nwarmup_s = 1\nseed = 9\ndirection = \"down\"\n\
+             [scheduler]\nkind = \"rr\"\n[[station]]\nrate = \"54\"\n[[station]]\nrate = \"6\"\n",
+        ),
+        (
+            "--rates 5.5,2,1 --sched pf --secs 16 --seed 3",
+            "duration_s = 16\nwarmup_s = 2\nseed = 3\ndirection = \"up\"\n\
+             [scheduler]\nkind = \"pf\"\n[[station]]\nrate = \"5.5\"\n[[station]]\nrate = \"2\"\n\
+             [[station]]\nrate = \"1\"\n",
+        ),
+    ];
+    for (i, (flags, doc)) in cases.into_iter().enumerate() {
+        let path = scratch_file(&format!("flags_doc{i}.toml"), doc);
+        let run: Vec<&str> = ["run"].into_iter().chain(flags.split(' ')).collect();
+        assert_eq!(
+            run_outputs(&run),
+            run_outputs(&["run", "--scenario", &path]),
+            "{flags}"
+        );
+    }
+}
+
+#[test]
+fn run_seed_stays_in_a_document_integer() {
+    // `--seed 18446744073709551615` once ran, though no document can hold
+    // that seed: `seed = 9223372036854775808` does not parse as an integer.
+    for seed in ["9223372036854775808", "18446744073709551615", "-1"] {
+        let out = cli(&["run", "--seed", seed]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--seed {seed}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: --seed must be between 0 and 9223372036854775807, got {seed}\n")
+        );
+    }
+    let [_, json] = run_outputs(&["run", "--secs", "2", "--seed", "9223372036854775807"]);
+    assert!(
+        json.starts_with(r#"{"seed":9223372036854775807,"#),
+        "{json}"
+    );
+}
+
+#[test]
+fn run_scenario_secs_and_seed_override_the_file() {
+    let steady = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/steady_rr_1024.toml"
+    );
+    let [_, json] = run_outputs(&[
+        "run",
+        "--scenario",
+        steady,
+        "--secs",
+        "6",
+        "--seed",
+        "4",
+        "--json",
+    ]);
+    assert!(json.starts_with(r#"{"seed":4,"secs":6,"#), "{json}");
+    // The file's 5 s warm-up does not fit in 3 s; the override is not
+    // clamped to make room.
+    let out = cli(&["run", "--scenario", steady, "--secs", "3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("steady_rr_1024.toml:15: warmup_s must be smaller than duration_s"),
+        "{stderr}"
+    );
+
+    // Overriding a file prints what editing it prints, for a cell (with
+    // no seed key of its own) and a topology.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let roam = std::fs::read_to_string(format!("{root}/examples/scenarios/roam_three_cells.toml"))
+        .expect("preset readable");
+    let (roam, _) = roam.split_once("[sweep]").expect("the preset sweeps");
+    let cell =
+        "duration_s = 3\nwarmup_s = 1\n[[station]]\nrate = \"11\"\n[[station]]\nrate = \"2\"\n";
+    for (name, text, secs, seed) in [("cell", cell, "5", "8"), ("roam", roam, "6", "5")] {
+        let edited: String = text
+            .lines()
+            .filter(|l| !l.starts_with("duration_s =") && !l.starts_with("seed ="))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let edited = format!("duration_s = {secs}\nseed = {seed}\n{edited}");
+        let base = scratch_file(&format!("override_{name}.toml"), text);
+        let edited = scratch_file(&format!("override_{name}_edited.toml"), &edited);
+        assert_eq!(
+            run_outputs(&["run", "--scenario", &base, "--secs", secs, "--seed", seed]),
+            run_outputs(&["run", "--scenario", &edited]),
+            "{name}"
+        );
     }
 }
 
