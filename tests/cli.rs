@@ -311,13 +311,10 @@ fn run_and_predict_reject_a_stray_positional() {
 fn run_scenario_refuses_the_flags_the_file_sets() {
     // `run --scenario cell.toml --rates 2` once simulated the file's own
     // stations and exited 0, silently dropping the flag.
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flags_cell.toml");
-    std::fs::write(
-        &path,
+    let cell = scratch_file(
+        "flags_cell.toml",
         "duration_s = 3\nwarmup_s = 1\n[[station]]\nrate = \"11\"\n",
-    )
-    .expect("scenario file written");
-    let cell = path.display().to_string();
+    );
     for (flag, value) in [("--rates", "2"), ("--sched", "rr"), ("--direction", "down")] {
         for args in [
             ["run", "--scenario", &cell, flag, value],
@@ -407,16 +404,7 @@ fn run_scenario_secs_and_seed_override_the_file() {
         env!("CARGO_MANIFEST_DIR"),
         "/examples/scenarios/steady_rr_1024.toml"
     );
-    let [_, json] = run_outputs(&[
-        "run",
-        "--scenario",
-        steady,
-        "--secs",
-        "6",
-        "--seed",
-        "4",
-        "--json",
-    ]);
+    let [_, json] = run_outputs(&["run", "--scenario", steady, "--secs", "6", "--seed", "4"]);
     assert!(json.starts_with(r#"{"seed":4,"secs":6,"#), "{json}");
     // The file's 5 s warm-up does not fit in 3 s; the override is not
     // clamped to make room.
