@@ -15,7 +15,7 @@
 //! `exp1_office` and `task_completion`; EXPERIMENTS.md names the one
 //! command behind each.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use airtime::model::{gamma_measured, gamma_tcp_table2, rf_allocation, tf_allocation, NodeSpec};
 use airtime::obs::json::{array_f64, Obj};
@@ -26,7 +26,7 @@ use airtime::obs::{
     TeeObserver,
 };
 use airtime::phy::DataRate;
-use airtime::scenario::toml::{Doc, Value};
+use airtime::scenario::toml::Doc;
 use airtime::sim::{LoopProfiler, SimTime};
 use airtime::topo::{run_topology, run_topology_profiled};
 use airtime::wlan::{run_instrumented, run_observed, CellSim, Report, SchedulerKind};
@@ -73,9 +73,9 @@ option exits 2 with an error naming it.
 
 OPTIONS (run):
     --scenario <file>   run a scenario file (cell or topology) in place of
-                        the document the flags below write; --secs and
-                        --seed override its duration_s and seed, while
-                        --rates, --sched and --direction exit 2 beside it
+                        the document the flags below write; the file sets
+                        the whole cell, so --rates, --sched, --direction,
+                        --secs and --seed exit 2 beside it
     --rates <list>      comma-separated Mbit/s, one station each, from
                         {1,2,5.5,11,6,9,12,18,24,36,48,54}   [default: 11,1]
     --sched <name>      fifo | rr | drr | tbr | txop | pf | maxmin
@@ -184,12 +184,11 @@ fn parse_rates(s: &str) -> Result<Vec<DataRate>, String> {
 
 struct Args {
     rates: Vec<DataRate>,
-    /// `run --sched`'s family name and `--direction` (`up` or `down`).
-    sched: &'static str,
+    sched: SchedulerKind,
+    /// `run --direction`: `up` or `down`, as a scenario file spells it.
     direction: String,
-    /// Unset, `run` keeps the default cell's or the scenario file's value.
-    secs: Option<u64>,
-    seed: Option<u64>,
+    secs: u64,
+    seed: u64,
     events: Option<PathBuf>,
     ledger: Option<PathBuf>,
     metrics: Option<PathBuf>,
@@ -250,18 +249,9 @@ const READS: [(&str, &str); 8] = [
     ("predict", "--rates"),
 ];
 
-/// The `run` flags that build the default cell's stations. A scenario
-/// file owns its station list, so `run --scenario` refuses them rather
-/// than ignore them.
-const CELL_FLAGS: &str = "--rates --sched --direction";
-
-/// A count flag's value: an integer of at least 1.
-fn count(flag: &str, v: &str) -> Result<usize, String> {
-    match v.parse() {
-        Ok(0) => Err(format!("{flag} must be at least 1")),
-        n => n.map_err(|e| format!("bad {flag}: {e}")),
-    }
-}
+/// The `run` flags that write the default cell. A scenario file sets
+/// all of it, so `run --scenario` refuses them rather than ignore them.
+const CELL_FLAGS: &str = "--rates --sched --direction --secs --seed";
 
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing command; try --help")?;
@@ -270,10 +260,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     }
     let mut args = Args {
         rates: vec![DataRate::B11, DataRate::B1],
-        sched: "tbr",
+        sched: SchedulerKind::tbr(),
         direction: "up".into(),
-        secs: None,
-        seed: None,
+        secs: 20,
+        seed: 1,
         events: None,
         ledger: None,
         metrics: None,
@@ -313,8 +303,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--rates" => args.rates = parse_rates(&value()?)?,
             "--sched" => {
                 let name = value()?;
-                let family = SchedulerKind::from_family(&name).map(|k| k.family());
-                args.sched = family.ok_or_else(|| {
+                args.sched = SchedulerKind::from_family(&name).ok_or_else(|| {
                     format!(
                         "unknown scheduler '{name}'; expected one of {}",
                         airtime::sched::family_names()
@@ -327,7 +316,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                     return Err(format!("unknown direction '{}'", args.direction));
                 }
             }
-            "--secs" => args.secs = Some(value()?.parse().map_err(|e| format!("bad --secs: {e}"))?),
+            "--secs" => args.secs = value()?.parse().map_err(|e| format!("bad --secs: {e}"))?,
             // A scenario document's integers stop at i64::MAX.
             "--seed" => {
                 let (v, max) = (value()?, i64::MAX);
@@ -335,7 +324,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                 if !(0..=max.into()).contains(&seed) {
                     return Err(format!("--seed must be between 0 and {max}, got {v}"));
                 }
-                args.seed = Some(seed as u64);
+                args.seed = seed as u64;
             }
             "--events" => args.events = Some(PathBuf::from(value()?)),
             "--ledger" => args.ledger = Some(PathBuf::from(value()?)),
@@ -344,15 +333,39 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--metrics" => args.metrics = Some(PathBuf::from(value()?)),
             "--metrics-csv" => args.metrics_csv = Some(PathBuf::from(value()?)),
             "--scenario" => args.scenario = Some(PathBuf::from(value()?)),
-            "--threads" => args.threads = Some(count(&flag, &value()?)?),
+            "--threads" => {
+                let n: usize = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --threads: {e}"))?;
+                if n == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                args.threads = Some(n);
+            }
             "--csv" => args.csv = Some(PathBuf::from(value()?)),
             "--prof" => args.prof = Some(PathBuf::from(value()?)),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value()?)),
-            "--trace-cap" => args.trace_cap = Some(count(&flag, &value()?)?),
+            "--trace-cap" => {
+                let n: usize = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --trace-cap: {e}"))?;
+                if n == 0 {
+                    return Err("--trace-cap must be at least 1".into());
+                }
+                args.trace_cap = Some(n);
+            }
             "--record" => args.record = Some(PathBuf::from(value()?)),
             "--against" => args.against = Some(PathBuf::from(value()?)),
             "--fp" => args.fp = true,
-            "--interval" => args.interval = Some(count(&flag, &value()?)? as u64),
+            "--interval" => {
+                let n: u64 = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --interval: {e}"))?;
+                if n == 0 {
+                    return Err("--interval must be at least 1".into());
+                }
+                args.interval = Some(n);
+            }
             "--inject" => args.inject = Some(value()?),
             "--window" => args.window = Some(value()?),
             // `run --json` is a bare flag; `sweep --json <path>`,
@@ -384,9 +397,14 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     }
     if let (Some(flag), Some(path), "run") = (cell_flag, &args.scenario, cmd.as_str()) {
         return Err(format!(
-            "`run --scenario` does not read {flag}: {} sets the stations; edit the file instead",
+            "`run --scenario` does not read {flag}: {} sets the whole cell; edit the file instead",
             path.display()
         ));
+    }
+    // `run`'s stations make one cell; `predict` is not capped.
+    let (n, max) = (args.rates.len(), airtime::wlan::MAX_STATIONS);
+    if cmd == "run" && n > max {
+        return Err(format!("--rates lists {n} stations; at most {max}"));
     }
     Ok((cmd, args))
 }
@@ -394,10 +412,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
 /// The scenario document `run`'s flags stand for, as a file would
 /// hold it. The warm-up is max(secs/8, 1) s.
 fn flags_document(a: &Args) -> String {
-    let (secs, seed) = (a.secs.unwrap_or(20), a.seed.unwrap_or(1));
+    let secs = a.secs;
     let mut doc = format!("duration_s = {secs}\nwarmup_s = {}\n", (secs / 8).max(1));
-    doc += &format!("seed = {seed}\ndirection = \"{}\"\n", a.direction);
-    doc += &format!("[scheduler]\nkind = \"{}\"\n", a.sched);
+    doc += &format!("seed = {}\ndirection = \"{}\"\n", a.seed, a.direction);
+    doc += &format!("[scheduler]\nkind = \"{}\"\n", a.sched.family());
     for rate in &a.rates {
         doc += &format!("[[station]]\nrate = \"{rate}\"\n");
     }
@@ -405,40 +423,32 @@ fn flags_document(a: &Args) -> String {
 }
 
 fn cmd_run(a: &Args) -> Result<(), String> {
-    // 2 s leaves room for the default cell's 1 s warm-up; the ceiling
-    // matches the scenario files' duration cap.
-    let max = airtime::scenario::MAX_DURATION_SECS;
-    if let Some(secs) = a.secs.filter(|s| !(2..=max).contains(s)) {
-        return Err(format!(
-            "--secs must be between 2 and {max} (one simulated day), got {secs}"
-        ));
-    }
     let (doc, file) = match &a.scenario {
         Some(path) => {
-            let mut doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
-            if doc.table("sweep").is_some() {
-                return Err(format!(
-                    "{} declares a [sweep] section; use `airtime-cli sweep {}`",
-                    path.display(),
-                    path.display()
-                ));
-            }
-            // The overrides take the path a sweep axis takes.
-            for (key, v) in [("duration_s", a.secs), ("seed", a.seed)] {
-                if let Some(v) = v {
-                    doc.set_path(key, Value::Int(v as i64), 0)
-                        .expect("a root key always resolves");
-                }
-            }
+            let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
             (doc, path.display().to_string())
         }
         None => {
+            // 2 s leaves room for the 1 s warm-up; the ceiling matches
+            // the scenario files' duration cap.
+            let max = airtime::scenario::MAX_DURATION_SECS;
+            if !(2..=max).contains(&a.secs) {
+                return Err(format!(
+                    "--secs must be between 2 and {max} (one simulated day), got {}",
+                    a.secs
+                ));
+            }
             let file = "run flags";
             let doc = airtime::scenario::parse_text(&flags_document(a), file)
                 .map_err(|e| e.to_string())?;
             (doc, file.to_string())
         }
     };
+    if doc.table("sweep").is_some() {
+        return Err(format!(
+            "{file} declares a [sweep] section; use `airtime-cli sweep {file}`"
+        ));
+    }
     let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
     if spec.topo.is_some() {
         return run_topology_scenario(a, &spec);
@@ -467,7 +477,8 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let (recorder, ledger) = (obs.a.a, obs.a.b);
     if let (Some(path), Some(rec)) = (&a.record, &recorder) {
         let recording = rec.recording();
-        write(path, recording.to_jsonl())?;
+        std::fs::write(path, recording.to_jsonl())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !a.json {
             println!(
                 "flight recording written to {} ({} events, {} retained, fp {})\n",
@@ -479,13 +490,16 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         }
     }
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
-        write(path, reg.to_json() + "\n")?;
+        std::fs::write(path, reg.to_json() + "\n")
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     if let (Some(path), Some(reg)) = (&a.metrics_csv, &registry) {
-        write(path, reg.series_to_csv())?;
+        std::fs::write(path, reg.series_to_csv())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     if let (Some(path), Some(led)) = (&a.ledger, &ledger) {
-        write(path, led.timeline_csv())?;
+        std::fs::write(path, led.timeline_csv())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         let audit = led.audit();
         // Cross-check the ledger's occupancy view against the report.
         let shares = led.occupancy_shares();
@@ -581,7 +595,8 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
         // One timeline file per radio cell: `<stem>.cell<i>[.ext]`.
         for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
-            write(&p, o.a.b.timeline_csv())?;
+            std::fs::write(&p, o.a.b.timeline_csv())
+                .map_err(|e| format!("writing {}: {e}", p.display()))?;
         }
     }
     if let Some(path) = &a.record {
@@ -589,7 +604,8 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
         for (i, o) in run.lanes.iter().enumerate() {
             let p = suffixed(path, &format!("cell{i}"));
             let recording = o.b.recording();
-            write(&p, recording.to_jsonl())?;
+            std::fs::write(&p, recording.to_jsonl())
+                .map_err(|e| format!("writing {}: {e}", p.display()))?;
             if !a.json {
                 println!(
                     "cell {i} flight recording written to {} ({} events, fp {})",
@@ -673,14 +689,9 @@ fn run_topology_scenario(a: &Args, spec: &airtime::scenario::ScenarioSpec) -> Re
     Ok(())
 }
 
-/// Writes `contents` to `path`, naming the path on failure.
-fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("writing {}: {e}", path.display()))
-}
-
 /// `events.csv` + `cell1` -> `events.cell1.csv` (suffix appended when
 /// there is no extension).
-fn suffixed(path: &Path, tag: &str) -> PathBuf {
+fn suffixed(path: &std::path::Path, tag: &str) -> PathBuf {
     let mut p = path.to_path_buf();
     match path.extension().and_then(|e| e.to_str()) {
         Some(ext) => {
@@ -757,7 +768,7 @@ fn scenario_input<'a>(a: &'a Args, cmd: &str) -> Result<(Doc, &'a str, usize), S
         .positionals
         .first()
         .ok_or_else(|| format!("{cmd} needs a scenario file: airtime-cli {cmd} <file.toml>"))?;
-    let doc = airtime::scenario::load(Path::new(file)).map_err(|e| e.to_string())?;
+    let doc = airtime::scenario::load(std::path::Path::new(file)).map_err(|e| e.to_string())?;
     let threads = a
         .threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
@@ -785,7 +796,7 @@ fn finish_matrix(
         [(&a.json_path, "JSON", &to_json), (&a.csv, "CSV", &to_csv)];
     for (path, kind, build) in exports {
         if let Some(p) = path {
-            write(p, build())?;
+            std::fs::write(p, build()).map_err(|e| format!("writing {}: {e}", p.display()))?;
             println!("{kind} matrix written to {}", p.display());
         }
     }
@@ -1016,7 +1027,7 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("inspect needs a trace path: airtime-cli inspect <events.jsonl>")?;
-    let p = Path::new(path);
+    let p = std::path::Path::new(path);
     if a.fp {
         let text = std::fs::read_to_string(p).map_err(|e| format!("reading {path}: {e}"))?;
         let rec = Recording::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1096,8 +1107,10 @@ fn cmd_profile(a: &Args) -> Result<(), String> {
     let mut host_pid: u64 = HOST_PID;
     let mut scenario_objs: Vec<String> = Vec::new();
     for path in &a.positionals {
-        let doc = airtime::scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
-        let spec = airtime::scenario::compile_runnable(&doc, path).map_err(|e| e.to_string())?;
+        let p = std::path::Path::new(path);
+        let file = p.display().to_string();
+        let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
+        let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
         let obj = match &spec.topo {
             None => profile_cell(&spec, trace.as_mut(), &mut next_pid, &mut host_pid),
             Some(topo) => {
@@ -1119,7 +1132,8 @@ fn cmd_profile(a: &Args) -> Result<(), String> {
         .json_path
         .clone()
         .unwrap_or_else(|| PathBuf::from("profile.report.json"));
-    write(&json_path, report + "\n")?;
+    std::fs::write(&json_path, report + "\n")
+        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
     println!("\nperf report written to {}", json_path.display());
     if let (Some(path), Some(t)) = (&a.trace_out, &trace) {
         t.write_to(path)
@@ -1283,8 +1297,13 @@ fn profile_topology(
 /// diverged; the first divergent checkpoint (and, where both sides
 /// kept events, the exact event) is printed.
 fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
-    let (doc, file, _) = scenario_input(a, "verify-determinism")?;
-    let spec = airtime::scenario::compile_runnable(&doc, file).map_err(|e| e.to_string())?;
+    let path = a.positionals.first().ok_or(
+        "verify-determinism needs a scenario file: airtime-cli verify-determinism <file.toml>",
+    )?;
+    let p = std::path::Path::new(path);
+    let file = p.display().to_string();
+    let doc = airtime::scenario::load(p).map_err(|e| e.to_string())?;
+    let spec = airtime::scenario::compile_runnable(&doc, &file).map_err(|e| e.to_string())?;
     let mut opts = airtime::scenario::VerifyOptions::default();
     if let Some(n) = a.interval {
         opts.interval = n;
@@ -1306,7 +1325,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     }
     // One recording per radio-cell lane; topologies use
     // `<stem>.cell<i>[.ext]`, as `run --record` does.
-    let lane_paths = |path: &Path| -> Vec<PathBuf> {
+    let lane_paths = |path: &std::path::Path| -> Vec<PathBuf> {
         match &spec.topo {
             None => vec![path.to_path_buf()],
             Some(t) => (0..t.cells.len())
@@ -1323,7 +1342,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
         }
         opts.against = Some(golden);
     }
-    let outcome = airtime::scenario::verify_determinism(&spec, Some(&doc), file, &opts)
+    let outcome = airtime::scenario::verify_determinism(&spec, Some(&doc), &file, &opts)
         .map_err(|e| e.to_string())?;
     println!(
         "verify-determinism '{}': run vs repeat{} ({} events, fp {})",
@@ -1334,7 +1353,7 @@ fn cmd_verify_determinism(a: &Args) -> Result<(), String> {
     );
     if let Some(path) = &a.record {
         for (p, text) in lane_paths(path).iter().zip(&outcome.recordings) {
-            write(p, text)?;
+            std::fs::write(p, text).map_err(|e| format!("writing {}: {e}", p.display()))?;
             println!("recording written to {}", p.display());
         }
     }
